@@ -6,8 +6,10 @@
 // benchmark name the minimum ns/op across repetitions is used — the
 // estimate least polluted by scheduling noise — and a benchmark regresses
 // when its minimum exceeds the baseline minimum by more than the
-// threshold factor. Benchmarks present on only one side are reported but
-// never fail the gate, so adding or retiring benchmarks doesn't break CI.
+// threshold factor. A baseline row the new run did not measure fails the
+// gate too — a renamed or deleted benchmark must leave the baseline
+// deliberately, not drop out of the gate unnoticed; a benchmark with no
+// baseline row is reported and passes.
 //
 //	go test ./internal/bfv -run '^$' -bench . -benchtime=1x -count=3 > new.txt
 //	benchdiff -baseline .github/bench-baseline.txt -new new.txt -threshold 1.25
@@ -72,19 +74,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff: -baseline and -new are required")
 		os.Exit(2)
 	}
-	base, err := parseBench(*baseline)
+	os.Exit(benchGate(*baseline, *fresh, *threshold))
+}
+
+// benchGate diffs two `go test -bench` outputs and returns the process
+// exit code: 0 within threshold, 1 on a regression or a baseline row
+// the new run did not measure, 2 on unusable input.
+func benchGate(baselinePath, newPath string, threshold float64) int {
+	base, err := parseBench(baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		return 2
 	}
-	cur, err := parseBench(*fresh)
+	cur, err := parseBench(newPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		return 2
 	}
 	if len(base) == 0 || len(cur) == 0 {
 		fmt.Fprintln(os.Stderr, "benchdiff: no benchmark lines parsed (baseline:", len(base), "new:", len(cur), ")")
-		os.Exit(2)
+		return 2
 	}
 
 	names := make([]string, 0, len(base))
@@ -92,37 +101,47 @@ func main() {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	regressed := regressions(base, cur, names, *threshold)
+	regressed := regressions(base, cur, names, threshold)
+	var missing []string
 	for _, name := range names {
 		b := base[name]
 		n, ok := cur[name]
 		if !ok {
-			fmt.Printf("%-40s baseline %.3fms, not measured (skipped)\n", name, b/1e6)
+			fmt.Printf("%-40s baseline %.3fms, NOT MEASURED\n", name, b/1e6)
+			missing = append(missing, name)
 			continue
 		}
 		ratio := n / b
 		status := "ok"
-		if ratio > *threshold {
+		if ratio > threshold {
 			status = "REGRESSION"
 		}
 		fmt.Printf("%-40s %.3fms -> %.3fms (%.2fx) %s\n", name, b/1e6, n/1e6, ratio, status)
 	}
-	fresh2 := make([]string, 0, len(cur))
+	fresh := make([]string, 0, len(cur))
 	for name := range cur {
 		if _, ok := base[name]; !ok {
-			fresh2 = append(fresh2, name)
+			fresh = append(fresh, name)
 		}
 	}
-	sort.Strings(fresh2)
-	for _, name := range fresh2 {
+	sort.Strings(fresh)
+	for _, name := range fresh {
 		fmt.Printf("%-40s new benchmark %.3fms (no baseline)\n", name, cur[name]/1e6)
 	}
 	if len(regressed) > 0 {
 		fmt.Print(summarize(regressed))
-		fmt.Printf("benchdiff: %d regression(s) beyond %.0f%% threshold\n", len(regressed), (*threshold-1)*100)
-		os.Exit(1)
+	}
+	if len(missing) > 0 {
+		fmt.Printf("\nBaseline rows not measured (rename or remove them in the baseline deliberately):\n  %s\n",
+			strings.Join(missing, "\n  "))
+	}
+	if len(regressed) > 0 || len(missing) > 0 {
+		fmt.Printf("benchdiff: %d regression(s) beyond %.0f%% threshold, %d baseline row(s) not measured\n",
+			len(regressed), (threshold-1)*100, len(missing))
+		return 1
 	}
 	fmt.Println("benchdiff: within threshold")
+	return 0
 }
 
 // regression is one benchmark whose new minimum exceeded the threshold.

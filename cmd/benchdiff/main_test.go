@@ -75,3 +75,34 @@ Benchmark without numbers
 		t.Fatalf("parsed %d benchmarks from noise, want 0", len(got))
 	}
 }
+
+// TestBenchGateFailsOnMissingRow: a baseline row the new run did not
+// measure (a renamed or deleted benchmark) fails the gate instead of
+// silently leaving it; an extra unbaselined row does not.
+func TestBenchGateFailsOnMissingRow(t *testing.T) {
+	base := writeTemp(t, "base.txt", `
+BenchmarkKept-8      1   1000000 ns/op
+BenchmarkRetired-8   1   2000000 ns/op
+`)
+	if code := benchGate(base, writeTemp(t, "same.txt", `
+BenchmarkKept-8      1   1100000 ns/op
+BenchmarkRetired-8   1   2000000 ns/op
+BenchmarkAdded-8     1   5000000 ns/op
+`), 1.25); code != 0 {
+		t.Errorf("all baseline rows measured within threshold: exit %d, want 0", code)
+	}
+	if code := benchGate(base, writeTemp(t, "missing.txt", `
+BenchmarkKept-8      1   1000000 ns/op
+`), 1.25); code != 1 {
+		t.Errorf("baseline row not measured: exit %d, want 1", code)
+	}
+	if code := benchGate(base, writeTemp(t, "slow.txt", `
+BenchmarkKept-8      1   1500000 ns/op
+BenchmarkRetired-8   1   2000000 ns/op
+`), 1.25); code != 1 {
+		t.Errorf("50%% regression: exit %d, want 1", code)
+	}
+	if code := benchGate("does-not-exist.txt", base, 1.25); code != 2 {
+		t.Errorf("missing baseline file: exit %d, want 2", code)
+	}
+}

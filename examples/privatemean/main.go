@@ -42,8 +42,8 @@ func main() {
 	fmt.Printf("%d users encrypted their readings (%d KiB of ciphertext total)\n",
 		users, users*ctx.CiphertextBytes()/1024)
 
-	// The server: a simulated UPMEM PIM system behind the backend
-	// registry. The reduction runs as DPU kernels; the evaluation side
+	// The server: a simulated UPMEM PIM system, selected by backend
+	// name. The reduction runs as DPU kernels; the evaluation side
 	// never needs a secret key.
 	encSum, err := ctx.Sum(cts)
 	if err != nil {

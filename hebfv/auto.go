@@ -5,18 +5,17 @@ import (
 	"time"
 
 	"repro/internal/bfv"
-	"repro/internal/pim"
-	"repro/internal/pimsched"
 )
 
 // The "auto" backend: a first heterogeneous scheduler over the host
 // and PIM engines. It holds both a dcrt-native host engine and the
-// simulated PIM server engine and routes each *batched* operation
-// (AddMany, MulMany, Sum, RotateMany, RotateAndSum) to whichever side
-// a per-op-family cost estimate says is cheaper. Singleton operations
-// always run on the host: one ciphertext never amortizes a DPU launch,
-// which is the paper's own offload rule (batch work goes to the PIM
-// server, scalar work stays on the host CPU).
+// simulated PIM server engine and routes each batch (Add, Mul, Sum,
+// Rotate, RotateAndSum over more than one item) to whichever side a
+// per-op-family cost estimate says is cheaper. Singletons — a length-1
+// batch, and the never-batched Neg/AddPlain/MulPlain — always run on
+// the host: one ciphertext never amortizes a DPU launch, which is the
+// paper's own offload rule (batch work goes to the PIM server, scalar
+// work stays on the host CPU).
 //
 // The two cost estimates are deliberately asymmetric, matching what
 // each side actually is in this repository: the host cost is *measured*
@@ -34,17 +33,13 @@ import (
 // PIM engines bit-identical, so the scheduler is free to move a batch
 // at any time. A fault-class PIM error (injected fault past the retry
 // budget, dead machine, converted panic) retires the PIM side for the
-// context's lifetime and replays the failed batch on the host.
-//
-// The auto engine intentionally does not implement the deferred
-// (NTT-resident) fast-path interfaces: deferral would route every
-// rotation and multiplication down a host-only pipeline before the
-// scheduler ever saw the batch, hiding the decision surface this
-// backend exists to expose.
+// context's lifetime and replays the failed batch on the host. A batch
+// routed to the host returns NTT-resident values like any dcrt-native
+// result; the PIM side materializes whatever it is handed.
 
 // AutoDecision records one batched-operation routing choice.
 type AutoDecision struct {
-	Op     string // engine operation ("AddMany", "MulMany", "Sum", ...)
+	Op     string // engine operation ("Add", "Mul", "Sum", "Rotate", "RotateAndSum")
 	Items  int    // batch size the decision covered
 	Target string // "host" or "pim"
 	// Reason is why the target won: "probe-host"/"probe-pim" (first
@@ -65,17 +60,11 @@ type AutoDecision struct {
 // recent routing decisions with the estimates that drove them, and
 // whether the PIM side has been retired by a fault.
 type AutoStats struct {
-	HostOps    int  // batched ops routed to the host engine
-	PIMOps     int  // batched ops routed to the PIM engine
-	Singletons int  // singleton ops (always host)
+	HostOps    int  // batches routed to the host engine
+	PIMOps     int  // batches routed to the PIM engine
+	Singletons int  // single-item ops (always host)
 	PIMOffline bool // the PIM engine was retired after a fault-class error
 	Decisions  []AutoDecision
-}
-
-// autoReporter is the optional Engine upgrade surfacing the routing
-// decision surface, implemented by the "auto" backend.
-type autoReporter interface {
-	AutoStats() AutoStats
 }
 
 // autoDecisionCap bounds the retained decision log: long-lived serving
@@ -142,7 +131,7 @@ func (e *autoEngine) record(dec AutoDecision) {
 	e.stats.Decisions = append(e.stats.Decisions, dec)
 }
 
-// pick chooses the target for one batched op and records the decision.
+// pick chooses the target for one batch and records the decision.
 func (e *autoEngine) pick(op string, items int) AutoDecision {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -204,21 +193,31 @@ func (e *autoEngine) retirePIM(op string, items int) {
 	e.record(AutoDecision{Op: op, Items: items, Target: "host", Reason: "pim-failover"})
 }
 
-// route runs one batched op on the side pick chose, keeps the cost
-// estimates fresh, and falls back to the host on a fault-class PIM
-// error (retiring the PIM side). Panics on either engine surface as
-// errors via safeOp, exactly like the failover wrapper.
+// single counts one singleton and returns the engine it runs on: always
+// the host.
+func (e *autoEngine) single() Engine {
+	e.mu.Lock()
+	e.stats.Singletons++
+	e.mu.Unlock()
+	return e.host
+}
+
+// route runs one op: a singleton on the host, a batch on the side pick
+// chose — keeping the cost estimates fresh and falling back to the host
+// on a fault-class PIM error (retiring the PIM side). Panics on either
+// engine surface as errors via safeOp, exactly like the failover
+// wrapper.
 func route[T any](e *autoEngine, op string, items int, run func(Engine) (T, error)) (T, error) {
-	if items < 1 {
-		items = 1
+	if items <= 1 {
+		return run(e.single())
 	}
 	if e.pick(op, items).Target == "host" {
 		return runHostOp(e, op, items, run)
 	}
 	e.pimMu.Lock()
-	before := e.pimE.Breakdown().MakespanSeconds
+	before := e.pimE.Report().PIM.Breakdown.MakespanSeconds
 	out, err := safeOp(e.pimE, run)
-	after := e.pimE.Breakdown().MakespanSeconds
+	after := e.pimE.Report().PIM.Breakdown.MakespanSeconds
 	e.pimMu.Unlock()
 	if err == nil {
 		e.observePIM(op, (after-before)/float64(items))
@@ -231,8 +230,8 @@ func route[T any](e *autoEngine, op string, items int, run func(Engine) (T, erro
 	return runHostOp(e, op, items, run)
 }
 
-// runHostOp runs one batched op on the host engine and folds its
-// measured per-item wall time into the family's host estimate.
+// runHostOp runs one batch on the host engine and folds its measured
+// per-item wall time into the family's host estimate.
 func runHostOp[T any](e *autoEngine, op string, items int, run func(Engine) (T, error)) (T, error) {
 	start := time.Now()
 	out, err := safeOp(e.host, run)
@@ -242,84 +241,49 @@ func runHostOp[T any](e *autoEngine, op string, items int, run func(Engine) (T, 
 	return out, err
 }
 
-// Singleton operations always run on the host.
-
-func (e *autoEngine) single() Engine {
-	e.mu.Lock()
-	e.stats.Singletons++
-	e.mu.Unlock()
-	return e.host
+func (e *autoEngine) Add(as, bs []bfv.Value) ([]bfv.Value, error) {
+	return route(e, "Add", len(as), func(g Engine) ([]bfv.Value, error) { return g.Add(as, bs) })
 }
 
-func (e *autoEngine) Add(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error) { return e.single().Add(a, b) }
-func (e *autoEngine) Sub(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error) { return e.single().Sub(a, b) }
-func (e *autoEngine) Neg(a *bfv.Ciphertext) (*bfv.Ciphertext, error)    { return e.single().Neg(a) }
-func (e *autoEngine) Mul(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error) { return e.single().Mul(a, b) }
-func (e *autoEngine) Square(a *bfv.Ciphertext) (*bfv.Ciphertext, error) { return e.single().Square(a) }
+func (e *autoEngine) Mul(as, bs []bfv.Value) ([]bfv.Value, error) {
+	return route(e, "Mul", len(as), func(g Engine) ([]bfv.Value, error) { return g.Mul(as, bs) })
+}
 
-func (e *autoEngine) AddPlain(a *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertext, error) {
+func (e *autoEngine) Neg(a bfv.Value) (bfv.Value, error) { return e.single().Neg(a) }
+
+func (e *autoEngine) AddPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error) {
 	return e.single().AddPlain(a, pt)
 }
 
-func (e *autoEngine) MulPlain(a *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertext, error) {
+func (e *autoEngine) MulPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error) {
 	return e.single().MulPlain(a, pt)
 }
 
-func (e *autoEngine) ApplyGalois(a *bfv.Ciphertext, gk *bfv.GaloisKey) (*bfv.Ciphertext, error) {
-	return e.single().ApplyGalois(a, gk)
+func (e *autoEngine) Sum(cts []bfv.Value) (bfv.Value, error) {
+	return route(e, "Sum", len(cts), func(g Engine) (bfv.Value, error) { return g.Sum(cts) })
 }
 
-// Batched operations go through the scheduler.
-
-func (e *autoEngine) Sum(cts []*bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	return route(e, "Sum", len(cts), func(g Engine) (*bfv.Ciphertext, error) { return g.Sum(cts) })
-}
-
-func (e *autoEngine) RotateMany(a *bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.Ciphertext, error) {
-	return route(e, "RotateMany", len(gks), func(g Engine) ([]*bfv.Ciphertext, error) {
-		return g.RotateMany(a, gks)
+func (e *autoEngine) Rotate(cts []bfv.Value, gks []*bfv.GaloisKey) ([][]bfv.Value, error) {
+	return route(e, "Rotate", len(cts)*len(gks), func(g Engine) ([][]bfv.Value, error) {
+		return g.Rotate(cts, gks)
 	})
 }
 
-func (e *autoEngine) RotateAndSum(cts []*bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.Ciphertext, error) {
-	return route(e, "RotateAndSum", len(cts), func(g Engine) ([]*bfv.Ciphertext, error) {
+func (e *autoEngine) RotateAndSum(cts []bfv.Value, gks []*bfv.GaloisKey) ([]bfv.Value, error) {
+	return route(e, "RotateAndSum", len(cts), func(g Engine) ([]bfv.Value, error) {
 		return g.RotateAndSum(cts, gks)
 	})
 }
 
-func (e *autoEngine) MulMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error) {
-	return route(e, "MulMany", len(as), func(g Engine) ([]*bfv.Ciphertext, error) {
-		return g.MulMany(as, bs)
-	})
-}
-
-func (e *autoEngine) AddMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error) {
-	return route(e, "AddMany", len(as), func(g Engine) ([]*bfv.Ciphertext, error) {
-		return g.AddMany(as, bs)
-	})
-}
-
-// RotateManyAll (the serve front end's coalesced flush) is host-only:
-// the batch pipeline behind it is a host fast path with no PIM
-// counterpart, so routing it would only ever pick the host anyway.
-func (e *autoEngine) RotateManyAll(cts []*bfv.Ciphertext, gks []*bfv.GaloisKey) ([][]*bfv.Ciphertext, error) {
-	return e.host.(batchApplier).RotateManyAll(cts, gks)
-}
-
-// The modeled-hardware reporting surfaces delegate to the PIM side, so
-// Context.PIMReport/PIMStats/PIMBreakdown work on auto contexts.
-
-func (e *autoEngine) KernelLaunches() int        { return e.pimE.KernelLaunches() }
-func (e *autoEngine) ModeledSeconds() float64    { return e.pimE.ModeledSeconds() }
-func (e *autoEngine) FaultStats() pim.FaultStats { return e.pimE.FaultStats() }
-
-func (e *autoEngine) Breakdown() *pimsched.Report { return e.pimE.Breakdown() }
-
-// AutoStats returns a copy of the decision surface.
-func (e *autoEngine) AutoStats() AutoStats {
+// Report is the PIM side's modeled-hardware report — so
+// Context.PIMReport/PIMStats/PIMBreakdown work on auto contexts — plus
+// a copy of the decision surface.
+func (e *autoEngine) Report() Report {
+	rep := e.pimE.Report()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.stats
 	st.Decisions = append([]AutoDecision(nil), e.stats.Decisions...)
-	return st
+	rep.Auto = &st
+	return rep
 }

@@ -1,7 +1,10 @@
 package hebfv
 
 import (
+	"bytes"
 	"testing"
+
+	"repro/internal/bfv"
 )
 
 // twin builds two same-seed contexts — one on the reference backend,
@@ -53,11 +56,32 @@ func decryptAll(t *testing.T, ctx *Context, cts []*Ciphertext) []uint64 {
 	return out
 }
 
+// isDeferredProduct reports whether the handle still holds an
+// NTT-resident product — nothing has forced it.
+func isDeferredProduct(ct *Ciphertext) bool {
+	_, ok := ct.value().(*bfv.ProductNTT)
+	return ok
+}
+
+// lastDecision returns the auto context's most recent routing decision.
+func lastDecision(t *testing.T, auto *Context) AutoDecision {
+	t.Helper()
+	st, ok := auto.AutoStats()
+	if !ok || len(st.Decisions) == 0 {
+		t.Fatal("no routing decision recorded on the auto backend")
+	}
+	return st.Decisions[len(st.Decisions)-1]
+}
+
 // TestAutoBackendBitIdentical drives enough batches through the "auto"
 // backend to pass the probe phase on several op families and checks
-// every result against a same-seed dcrt-native context.
+// every result against a same-seed dcrt-native context. The MulMany →
+// Sum dot product additionally pins deferral through the scheduler: a
+// batch routed to the host stays NTT-resident until forced, one routed
+// to the PIM plane arrives materialized, and both are bit-identical.
 func TestAutoBackendBitIdentical(t *testing.T) {
 	ref, auto := twin(t, "auto", WithPIMTopology(2, 4))
+	batches, hostDots := 0, 0
 	for round := uint64(0); round < 3; round++ {
 		base := 100 * (round + 1)
 		refA, refB := encryptPair(t, ref, base)
@@ -79,6 +103,40 @@ func TestAutoBackendBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		mulDec := lastDecision(t, auto)
+		for i, p := range gotProds {
+			if isDeferredProduct(p) != (mulDec.Target == "host") {
+				t.Fatalf("round %d product %d: deferred=%v after a %s-routed Mul", round, i, isDeferredProduct(p), mulDec.Target)
+			}
+		}
+		wantDot, err := ref.Sum(wantProds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotDot, err := auto.Sum(gotProds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sumDec := lastDecision(t, auto)
+		if mulDec.Op != "Mul" || sumDec.Op != "Sum" || mulDec.Items != 3 || sumDec.Items != 3 {
+			t.Fatalf("round %d: decisions %+v, %+v do not describe the Mul and Sum batches", round, mulDec, sumDec)
+		}
+		if onHost := mulDec.Target == "host" && sumDec.Target == "host"; isDeferredProduct(gotDot) != onHost {
+			t.Fatalf("round %d: dot product deferred=%v with Mul on %s and Sum on %s", round, isDeferredProduct(gotDot), mulDec.Target, sumDec.Target)
+		} else if onHost {
+			hostDots++
+		}
+		wantBlob, err := wantDot.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBlob, err := gotDot.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBlob, wantBlob) {
+			t.Fatalf("round %d: auto MulMany→Sum is not bit-identical to dcrt-native", round)
+		}
 		wantTot, err := ref.Sum(refA)
 		if err != nil {
 			t.Fatal(err)
@@ -87,6 +145,7 @@ func TestAutoBackendBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		batches += 4
 
 		want := append(decryptAll(t, ref, wantSums), decryptAll(t, ref, wantProds)...)
 		got := append(decryptAll(t, auto, gotSums), decryptAll(t, auto, gotProds)...)
@@ -101,6 +160,9 @@ func TestAutoBackendBitIdentical(t *testing.T) {
 			t.Fatalf("round %d sum: auto %d != dcrt-native %d", round, gt[0], wt[0])
 		}
 	}
+	if hostDots == 0 {
+		t.Fatal("no round kept the whole dot product on the host: the deferred path went untested")
+	}
 
 	st, ok := auto.AutoStats()
 	if !ok {
@@ -108,6 +170,9 @@ func TestAutoBackendBitIdentical(t *testing.T) {
 	}
 	if st.HostOps == 0 || st.PIMOps == 0 {
 		t.Fatalf("scheduler never used both sides: %+v", st)
+	}
+	if len(st.Decisions) != batches || st.HostOps+st.PIMOps != batches {
+		t.Fatalf("%d batches recorded %d decisions (%d host + %d pim)", batches, len(st.Decisions), st.HostOps, st.PIMOps)
 	}
 	reasons := map[string]bool{}
 	for _, d := range st.Decisions {

@@ -3,7 +3,6 @@ package hebfv
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/bfv"
@@ -13,20 +12,14 @@ import (
 	"repro/internal/pimsched"
 )
 
-// Pluggable evaluation backends. A Backend turns a parameter set and
-// evaluation keys into an Engine — the operation surface every facade
-// call routes through — and is selectable by name through one
-// constructor (New(WithBackend(name)) for contexts, NewEngine for
-// lower-level harnesses like the benchmark suite).
-//
-// Five backends are built in:
+// Evaluation backends. Every facade call routes through one Engine,
+// selected by name through one constructor (New(WithBackend(name)) for
+// contexts, NewEngine for lower-level harnesses like the benchmark
+// suite). Four backends are built in:
 //
 //   - "dcrt-native": the double-CRT (RNS + NTT) backend with RNS-native
-//     rescaling, NTT-resident ciphertexts, and hoisted rotations — the
+//     rescaling, NTT-resident values, and hoisted rotations — the
 //     default and the fast path.
-//   - "dcrt-legacy": the same double-CRT backend pinned to the retained
-//     big.Int rescale/key-switch round trip — the tracked baseline the
-//     perf benchmarks compare against.
 //   - "schoolbook": the O(n²) limb schoolbook path — the paper's PIM
 //     cost model (its instruction stream is what the simulator meters)
 //     and the correctness oracle; every backend is bit-identical to it.
@@ -36,94 +29,64 @@ import (
 //     modeled kernel time and the sharded cycle/transfer/energy
 //     breakdown (see Context.PIMReport and Context.PIMBreakdown).
 //   - "auto": the heterogeneous scheduler — holds both the dcrt-native
-//     host engine and the pim engine and routes each *batched*
-//     operation to whichever side's cost estimate is lower (measured
-//     host wall time vs the PIM plane's modeled makespan); singleton
-//     operations always run on the host. Every routing decision is
-//     recorded (see Context.AutoStats), and results are bit-identical
-//     no matter where an operation lands.
+//     host engine and the pim engine and routes each batch to whichever
+//     side's cost estimate is lower (measured host wall time vs the PIM
+//     plane's modeled makespan); singletons always run on the host.
+//     Every routing decision is recorded (see Context.AutoStats), and
+//     results are bit-identical no matter where an operation lands.
 //
-// The Engine and Backend interfaces name internal types, so they are
-// implementable only inside this repository — which is the point: the
-// registry is the mount point for in-repo backends (the served
-// evaluation front end, future accelerators), not a third-party plugin
-// system. External consumers select backends by name.
+// The contract has three rules. Batches are the primitive: Add, Mul and
+// Rotate take slices, and a single operation is a length-1 batch (an
+// engine may observe the length — the host short-cuts singletons, the
+// scheduler keeps them off the PIM plane). Deferral is a property of
+// the value: engines take and return bfv.Value, the host engine returns
+// NTT-resident values and fuses sums of them where exactness bounds
+// allow, and an engine that cannot use a deferred input calls
+// Materialize on it — so decorators forward one method family and gain
+// deferral for free. Reporting is one method: Report returns every
+// section the engine has.
+//
+// Engine names internal types, so it is implementable only inside this
+// repository; external consumers select backends by name.
 
-// Engine is the evaluation capability a backend provides. All methods
-// must be bit-identical to the schoolbook oracle's results; engines that
-// do not support an operation return an error naming the backend.
+// Engine is the evaluation capability a backend provides. All results
+// must materialize bit-identically to the schoolbook oracle's; outputs
+// never alias inputs; engines that do not support an operation return
+// an error naming the backend.
 type Engine interface {
-	Add(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error)
-	Sub(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error)
-	Neg(a *bfv.Ciphertext) (*bfv.Ciphertext, error)
-	AddPlain(a *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertext, error)
-	MulPlain(a *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertext, error)
-	Mul(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error)
-	Square(a *bfv.Ciphertext) (*bfv.Ciphertext, error)
-	Sum(cts []*bfv.Ciphertext) (*bfv.Ciphertext, error)
-	ApplyGalois(a *bfv.Ciphertext, gk *bfv.GaloisKey) (*bfv.Ciphertext, error)
-	RotateMany(a *bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.Ciphertext, error)
-	RotateAndSum(cts []*bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.Ciphertext, error)
-	MulMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error)
-	AddMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error)
+	// Add and Mul return the element-wise sums as[i] + bs[i] and
+	// relinearized products as[i]·bs[i].
+	Add(as, bs []bfv.Value) ([]bfv.Value, error)
+	Mul(as, bs []bfv.Value) ([]bfv.Value, error)
+	Neg(a bfv.Value) (bfv.Value, error)
+	AddPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error)
+	MulPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error)
+	// Sum folds in slice order — the convention every backend shares,
+	// so results stay mutually bit-identical.
+	Sum(cts []bfv.Value) (bfv.Value, error)
+	// Rotate returns out[i][j] = τ_{gks[j]}(cts[i]).
+	Rotate(cts []bfv.Value, gks []*bfv.GaloisKey) ([][]bfv.Value, error)
+	// RotateAndSum returns cts[i] + Σ_j τ_{gks[j]}(cts[i]), folded in
+	// key order.
+	RotateAndSum(cts []bfv.Value, gks []*bfv.GaloisKey) ([]bfv.Value, error)
+	Report() Report
 }
 
-// DeferredRotator is the optional Engine upgrade for NTT-resident
-// rotation outputs: RotateManyNTT defers each output's base conversions
-// until a consumer forces coefficients. CanDefer reports whether
-// deferral actually happens on this engine's configuration —
-// RotateManyNTT itself transparently materializes on backends that
-// cannot defer, so callers that *label* results (the bench harness)
-// must gate on CanDefer, not on the interface assertion. The facade
-// uses the deferred path when CanDefer holds and falls back to
-// RotateMany otherwise.
-type DeferredRotator interface {
-	CanDefer() bool
-	RotateManyNTT(ct *bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.RotatedNTT, error)
+// Report is everything an engine can say about itself; a nil section
+// means the engine has no such part (host engines report nothing).
+type Report struct {
+	PIM      *PIMPlaneReport // modeled hardware: "pim", and "auto" for its PIM-routed share
+	Auto     *AutoStats      // routing decisions: "auto"
+	Failover *FailoverStats  // host failover state: contexts on "pim"
 }
 
-// DeferredMultiplier is the optional Engine upgrade for NTT-resident
-// multiplication outputs: MulNTT/MulManyNTT return deferred product
-// handles whose base conversions wait until a consumer forces
-// coefficients, chain into further multiplications, and fuse sums in the
-// RNS domain. CanDeferMul reports whether deferral actually happens on
-// this engine's configuration — MulNTT itself transparently materializes
-// on backends that cannot defer, so callers that route pipelines (the
-// facade) gate on CanDeferMul and fall back to Mul/MulMany otherwise.
-type DeferredMultiplier interface {
-	CanDeferMul() bool
-	MulNTT(a, b bfv.MulOperand) (*bfv.ProductNTT, error)
-	MulManyNTT(as, bs []bfv.MulOperand) ([]*bfv.ProductNTT, error)
-}
-
-// batchApplier is the optional Engine upgrade for applying one Galois
-// key across many ciphertexts as a single batch pipeline (the
-// coalesced-rotation workload of the served front end: many tenants'
-// same-step rotations gathered into one flush). Engines without it fall
-// back to per-ciphertext ApplyGalois.
-type batchApplier interface {
-	RotateManyAll(cts []*bfv.Ciphertext, gks []*bfv.GaloisKey) ([][]*bfv.Ciphertext, error)
-}
-
-// KernelReporter is the optional Engine upgrade for modeled-hardware
-// backends that account their kernel launches (the "pim" backend).
-type KernelReporter interface {
-	KernelLaunches() int
-	ModeledSeconds() float64
-}
-
-// faultReporter is the optional Engine upgrade for backends with a
-// fault model (the "pim" backend): accumulated injection/retry
-// counters, surfaced through Context.PIMStats.
-type faultReporter interface {
-	FaultStats() pim.FaultStats
-}
-
-// breakdownReporter is the optional Engine upgrade for backends on the
-// async execution plane: the aggregated sharded cycle/transfer/energy
-// breakdown, surfaced through Context.PIMBreakdown.
-type breakdownReporter interface {
-	Breakdown() *pimsched.Report
+// PIMPlaneReport is the accumulated accounting of the simulated PIM
+// plane.
+type PIMPlaneReport struct {
+	Launches       int              // kernel launches issued
+	ModeledSeconds float64          // summed modeled kernel time
+	Faults         pim.FaultStats   // injected faults, retries, re-dispatches
+	Breakdown      *pimsched.Report // sharded cycle/transfer/energy totals
 }
 
 // Config carries everything a backend needs to construct its engine.
@@ -157,43 +120,13 @@ type Config struct {
 	PIMFaultRates map[string]float64
 }
 
-// Backend constructs evaluation engines for a named strategy.
-type Backend interface {
-	Name() string
-	New(cfg Config) (Engine, error)
-}
-
 // DefaultBackend is the backend a Context uses when WithBackend is not
 // given.
 const DefaultBackend = "dcrt-native"
 
-var (
-	backendMu sync.RWMutex
-	backends  = map[string]Backend{}
-)
-
-// RegisterBackend adds a backend to the registry. It panics on a
-// duplicate name — registration is init-time wiring, and a silent
-// overwrite would make WithBackend ambiguous.
-func RegisterBackend(b Backend) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, dup := backends[b.Name()]; dup {
-		panic(fmt.Sprintf("hebfv: backend %q registered twice", b.Name()))
-	}
-	backends[b.Name()] = b
-}
-
-// Backends returns the registered backend names, sorted.
+// Backends returns the backend names, sorted.
 func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	names := make([]string, 0, len(backends))
-	for name := range backends {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return []string{"auto", "dcrt-native", "pim", "schoolbook"}
 }
 
 // NewEngine constructs the named backend's engine — the one constructor
@@ -203,42 +136,17 @@ func NewEngine(name string, cfg Config) (Engine, error) {
 	if cfg.Params == nil {
 		return nil, errors.New("hebfv: NewEngine requires parameters")
 	}
-	backendMu.RLock()
-	b, ok := backends[name]
-	backendMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("hebfv: unknown backend %q (have %v)", name, Backends())
-	}
-	return b.New(cfg)
-}
-
-// backendFunc adapts a constructor function to the Backend interface.
-type backendFunc struct {
-	name string
-	mk   func(cfg Config) (Engine, error)
-}
-
-func (b backendFunc) Name() string                   { return b.name }
-func (b backendFunc) New(cfg Config) (Engine, error) { return b.mk(cfg) }
-
-func init() {
-	RegisterBackend(backendFunc{"dcrt-native", func(cfg Config) (Engine, error) {
+	switch name {
+	case "dcrt-native":
 		return newEvalEngine(bfv.NewEvaluator(cfg.Params, cfg.Relin)), nil
-	}})
-	RegisterBackend(backendFunc{"dcrt-legacy", func(cfg Config) (Engine, error) {
-		ev := bfv.NewEvaluator(cfg.Params, cfg.Relin)
-		ev.SetBigIntRescale(true)
-		return newEvalEngine(ev), nil
-	}})
-	RegisterBackend(backendFunc{"schoolbook", func(cfg Config) (Engine, error) {
+	case "schoolbook":
 		return newEvalEngine(bfv.NewSchoolbookEvaluator(cfg.Params, cfg.Relin)), nil
-	}})
-	RegisterBackend(backendFunc{"pim", func(cfg Config) (Engine, error) {
+	case "pim":
 		return newPIMEngine(cfg)
-	}})
-	RegisterBackend(backendFunc{"auto", func(cfg Config) (Engine, error) {
+	case "auto":
 		return newAutoEngine(cfg)
-	}})
+	}
+	return nil, fmt.Errorf("hebfv: unknown backend %q (have %v)", name, Backends())
 }
 
 // newPIMEngine builds the simulated PIM server engine — shared by the
@@ -272,8 +180,28 @@ func newPIMEngine(cfg Config) (*pimEngine, error) {
 	return &pimEngine{srv: srv}, nil
 }
 
-// evalEngine adapts a host bfv.Evaluator (any of the three host
-// backends) plus its batched front end to the Engine interface.
+// values widens a slice of one concrete value form to []bfv.Value.
+func values[T bfv.Value](in []T) []bfv.Value {
+	out := make([]bfv.Value, len(in))
+	for i, v := range in {
+		out[i] = v
+	}
+	return out
+}
+
+// materialize forces every value to its coefficient form.
+func materialize(vs []bfv.Value) []*bfv.Ciphertext {
+	out := make([]*bfv.Ciphertext, len(vs))
+	for i, v := range vs {
+		out[i] = v.Materialize()
+	}
+	return out
+}
+
+// evalEngine adapts a host bfv.Evaluator (either host backend) plus its
+// batched front end to the Engine contract. On evaluators that cannot
+// defer, the deferred forms arrive already materialized and every path
+// below degrades to coefficient arithmetic transparently.
 type evalEngine struct {
 	ev *bfv.Evaluator
 	be *bfv.BatchEvaluator
@@ -283,144 +211,187 @@ func newEvalEngine(ev *bfv.Evaluator) *evalEngine {
 	return &evalEngine{ev: ev, be: bfv.NewBatchEvaluatorFrom(ev)}
 }
 
-func (e *evalEngine) Add(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error) { return e.ev.Add(a, b), nil }
-func (e *evalEngine) Sub(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error) { return e.ev.Sub(a, b), nil }
-func (e *evalEngine) Neg(a *bfv.Ciphertext) (*bfv.Ciphertext, error)    { return e.ev.Neg(a), nil }
-
-func (e *evalEngine) AddPlain(a *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertext, error) {
-	return e.ev.AddPlain(a, pt), nil
+// Add fuses a singleton sum of two deferred values in their resident
+// domain; batches run materialized on the worker pool.
+func (e *evalEngine) Add(as, bs []bfv.Value) ([]bfv.Value, error) {
+	if len(as) == 1 && len(bs) == 1 {
+		return []bfv.Value{e.add(as[0], bs[0])}, nil
+	}
+	out, err := e.be.AddMany(materialize(as), materialize(bs))
+	if err != nil {
+		return nil, err
+	}
+	return values(out), nil
 }
 
-func (e *evalEngine) MulPlain(a *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertext, error) {
-	return e.ev.MulPlain(a, pt), nil
+// add sums two values, staying deferred when both are rotation outputs
+// (NTT domain) or both products (residue domain) and the exactness
+// bound allows; otherwise it adds coefficients.
+func (e *evalEngine) add(a, b bfv.Value) bfv.Value {
+	switch x := a.(type) {
+	case *bfv.RotatedNTT:
+		if y, ok := b.(*bfv.RotatedNTT); ok {
+			if sum, ok := x.Add(y); ok {
+				return sum
+			}
+		}
+	case *bfv.ProductNTT:
+		if y, ok := b.(*bfv.ProductNTT); ok {
+			if sum, ok := x.Add(y); ok {
+				return sum
+			}
+		}
+	}
+	return e.ev.Add(a.Materialize(), b.Materialize())
 }
 
-func (e *evalEngine) Mul(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error) { return e.ev.Mul(a, b) }
-func (e *evalEngine) Square(a *bfv.Ciphertext) (*bfv.Ciphertext, error) { return e.ev.Square(a) }
+// Mul returns NTT-resident products: they chain into further Mul calls
+// and fuse under Sum/Add without intermediate base conversions.
+func (e *evalEngine) Mul(as, bs []bfv.Value) ([]bfv.Value, error) {
+	if len(as) == 1 && len(bs) == 1 {
+		p, err := e.ev.MulNTT(as[0], bs[0])
+		if err != nil {
+			return nil, err
+		}
+		return []bfv.Value{p}, nil
+	}
+	prods, err := e.be.MulManyNTT(as, bs)
+	if err != nil {
+		return nil, err
+	}
+	return values(prods), nil
+}
 
-// Sum folds in slice order — the convention every backend shares, so
-// results stay mutually bit-identical.
-func (e *evalEngine) Sum(cts []*bfv.Ciphertext) (*bfv.Ciphertext, error) {
+func (e *evalEngine) Neg(a bfv.Value) (bfv.Value, error) {
+	return e.ev.Neg(a.Materialize()), nil
+}
+
+func (e *evalEngine) AddPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error) {
+	return e.ev.AddPlain(a.Materialize(), pt), nil
+}
+
+func (e *evalEngine) MulPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error) {
+	return e.ev.MulPlain(a.Materialize(), pt), nil
+}
+
+// Sum folds all-product inputs (a Mul-then-Sum dot product) in the
+// residue domain — the whole reduction pays one base-conversion pair —
+// and everything else in coefficients.
+func (e *evalEngine) Sum(cts []bfv.Value) (bfv.Value, error) {
 	if len(cts) == 0 {
 		return nil, errors.New("hebfv: empty sum")
 	}
-	if len(cts) == 1 {
+	if sum, ok := sumProducts(cts); ok {
+		return sum, nil
+	}
+	raw := materialize(cts)
+	if len(raw) == 1 {
 		// Engine outputs never alias inputs: a single-element sum must
 		// not hand the caller's ciphertext back (the facade may recycle
 		// an input's backings after the call).
-		return cts[0].Clone(), nil
+		return raw[0].Clone(), nil
 	}
-	acc := cts[0]
-	for _, ct := range cts[1:] {
+	acc := raw[0]
+	for _, ct := range raw[1:] {
 		acc = e.ev.Add(acc, ct)
 	}
 	return acc, nil
 }
 
-func (e *evalEngine) ApplyGalois(a *bfv.Ciphertext, gk *bfv.GaloisKey) (*bfv.Ciphertext, error) {
-	return e.ev.ApplyGalois(a, gk)
+// sumProducts folds (…(c0+c1)+c2)+… while every input is a live
+// deferred product. It reports false — releasing the intermediates it
+// made — when an input has another form or a fusion falls back (bound
+// overflow), leaving the caller to take the materialized path.
+func sumProducts(cts []bfv.Value) (bfv.Value, bool) {
+	if len(cts) < 2 {
+		return nil, false
+	}
+	prods := make([]*bfv.ProductNTT, len(cts))
+	for i, ct := range cts {
+		p, ok := ct.(*bfv.ProductNTT)
+		if !ok {
+			return nil, false
+		}
+		prods[i] = p
+	}
+	acc := prods[0]
+	for i, p := range prods[1:] {
+		sum, ok := acc.Add(p)
+		if i > 0 {
+			acc.Release() // an intermediate of this fold, not an input
+		}
+		if !ok {
+			return nil, false
+		}
+		acc = sum
+	}
+	return acc, true
 }
 
-func (e *evalEngine) RotateMany(a *bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.Ciphertext, error) {
-	return e.be.RotateMany(a, gks)
+// Rotate keeps the hoisted one-ciphertext-many-keys shape NTT-resident
+// — its consumers aggregate, and deferred outputs sum without base
+// conversions. Every other shape materializes: a rotation under a single
+// key is read as coefficients straight away, where deferral would only
+// add a forward transform of c0 (and a lone one has no decomposition to
+// share, so it skips the hoisting machinery too).
+func (e *evalEngine) Rotate(cts []bfv.Value, gks []*bfv.GaloisKey) ([][]bfv.Value, error) {
+	raw := materialize(cts)
+	if len(raw) == 1 && len(gks) == 1 {
+		r, err := e.ev.ApplyGalois(raw[0], gks[0])
+		if err != nil {
+			return nil, err
+		}
+		return [][]bfv.Value{{r}}, nil
+	}
+	if len(raw) == 1 {
+		rots, err := e.be.RotateManyNTT(raw[0], gks)
+		if err != nil {
+			return nil, err
+		}
+		return [][]bfv.Value{values(rots)}, nil
+	}
+	rows, err := e.be.RotateManyAll(raw, gks)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]bfv.Value, len(rows))
+	for i, row := range rows {
+		out[i] = values(row)
+	}
+	return out, nil
 }
 
-func (e *evalEngine) CanDefer() bool { return e.be.CanDeferRotations() }
-
-func (e *evalEngine) RotateManyNTT(a *bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.RotatedNTT, error) {
-	return e.be.RotateManyNTT(a, gks)
+func (e *evalEngine) RotateAndSum(cts []bfv.Value, gks []*bfv.GaloisKey) ([]bfv.Value, error) {
+	out, err := e.be.RotateAndSum(materialize(cts), gks)
+	if err != nil {
+		return nil, err
+	}
+	return values(out), nil
 }
 
-func (e *evalEngine) CanDeferMul() bool { return e.be.CanDeferMuls() }
-
-func (e *evalEngine) MulNTT(a, b bfv.MulOperand) (*bfv.ProductNTT, error) {
-	return e.ev.MulNTT(a, b)
-}
-
-func (e *evalEngine) MulManyNTT(as, bs []bfv.MulOperand) ([]*bfv.ProductNTT, error) {
-	return e.be.MulManyNTT(as, bs)
-}
-
-func (e *evalEngine) RotateAndSum(cts []*bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.Ciphertext, error) {
-	return e.be.RotateAndSum(cts, gks)
-}
-
-func (e *evalEngine) RotateManyAll(cts []*bfv.Ciphertext, gks []*bfv.GaloisKey) ([][]*bfv.Ciphertext, error) {
-	return e.be.RotateManyAll(cts, gks)
-}
-
-func (e *evalEngine) MulMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error) {
-	return e.be.MulMany(as, bs)
-}
-
-func (e *evalEngine) AddMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error) {
-	return e.be.AddMany(as, bs)
-}
+func (e *evalEngine) Report() Report { return Report{} }
 
 // pimEngine adapts the simulated UPMEM PIM server. Homomorphic
-// arithmetic runs as DPU kernels on the cycle-level simulator;
-// operations the server does not implement return an error naming the
-// backend. The server's kernel-report accounting is unsynchronized, so
-// the engine serializes operations behind one lock — the simulator
-// models a single machine anyway.
+// arithmetic runs as DPU kernels on the cycle-level simulator, on
+// materialized inputs; operations the server does not implement return
+// an error naming the backend. The server's kernel-report accounting is
+// unsynchronized, so the engine serializes operations behind one lock —
+// the simulator models a single machine anyway.
 type pimEngine struct {
 	mu  sync.Mutex
 	srv *hepim.Server
 }
 
-func (e *pimEngine) Add(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error) {
+// zip applies a two-operand server kernel element-wise.
+func (e *pimEngine) zip(op string, as, bs []bfv.Value, kernel func(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error)) ([]bfv.Value, error) {
+	if len(as) != len(bs) {
+		return nil, fmt.Errorf("hebfv: %s length mismatch: %d vs %d", op, len(as), len(bs))
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.srv.Add(a, b)
-}
-func (e *pimEngine) Sub(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.Sub(a, b)
-}
-func (e *pimEngine) Neg(a *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.Neg(a)
-}
-
-func (e *pimEngine) AddPlain(a *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertext, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.AddPlain(a, pt)
-}
-
-func (e *pimEngine) MulPlain(*bfv.Ciphertext, *bfv.Plaintext) (*bfv.Ciphertext, error) {
-	return nil, errors.New("hebfv: backend \"pim\" does not implement MulPlain")
-}
-
-func (e *pimEngine) Mul(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.Mul(a, b)
-}
-func (e *pimEngine) Square(a *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.Square(a)
-}
-
-func (e *pimEngine) Sum(cts []*bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.Sum(cts)
-}
-
-func (e *pimEngine) ApplyGalois(a *bfv.Ciphertext, gk *bfv.GaloisKey) (*bfv.Ciphertext, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.ApplyGalois(a, gk)
-}
-
-func (e *pimEngine) RotateMany(a *bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.Ciphertext, error) {
-	out := make([]*bfv.Ciphertext, len(gks))
-	for i, gk := range gks {
-		r, err := e.ApplyGalois(a, gk)
+	out := make([]bfv.Value, len(as))
+	for i := range as {
+		r, err := kernel(as[i].Materialize(), bs[i].Materialize())
 		if err != nil {
 			return nil, err
 		}
@@ -429,22 +400,69 @@ func (e *pimEngine) RotateMany(a *bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.
 	return out, nil
 }
 
-// RotateAndSum folds ct + Σ_g τ_g(ct) in slice order — the same
-// convention bfv.BatchEvaluator.RotateAndSum is pinned to.
-func (e *pimEngine) RotateAndSum(cts []*bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.Ciphertext, error) {
-	out := make([]*bfv.Ciphertext, len(cts))
-	for i, ct := range cts {
+func (e *pimEngine) Add(as, bs []bfv.Value) ([]bfv.Value, error) {
+	return e.zip("Add", as, bs, e.srv.Add)
+}
+
+func (e *pimEngine) Mul(as, bs []bfv.Value) ([]bfv.Value, error) {
+	return e.zip("Mul", as, bs, e.srv.Mul)
+}
+
+func (e *pimEngine) Neg(a bfv.Value) (bfv.Value, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.srv.Neg(a.Materialize())
+}
+
+func (e *pimEngine) AddPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.srv.AddPlain(a.Materialize(), pt)
+}
+
+func (e *pimEngine) MulPlain(bfv.Value, *bfv.Plaintext) (bfv.Value, error) {
+	return nil, errors.New("hebfv: backend \"pim\" does not implement MulPlain")
+}
+
+func (e *pimEngine) Sum(cts []bfv.Value) (bfv.Value, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.srv.Sum(materialize(cts))
+}
+
+func (e *pimEngine) Rotate(cts []bfv.Value, gks []*bfv.GaloisKey) ([][]bfv.Value, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([][]bfv.Value, len(cts))
+	for i, ct := range materialize(cts) {
+		out[i] = make([]bfv.Value, len(gks))
+		for j, gk := range gks {
+			r, err := e.srv.ApplyGalois(ct, gk)
+			if err != nil {
+				return nil, err
+			}
+			out[i][j] = r
+		}
+	}
+	return out, nil
+}
+
+func (e *pimEngine) RotateAndSum(cts []bfv.Value, gks []*bfv.GaloisKey) ([]bfv.Value, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([]bfv.Value, len(cts))
+	for i, ct := range materialize(cts) {
 		acc := ct
 		if len(gks) == 0 {
 			// No steps: never alias the input (see evalEngine.Sum).
 			acc = ct.Clone()
 		}
 		for _, gk := range gks {
-			r, err := e.ApplyGalois(ct, gk)
+			r, err := e.srv.ApplyGalois(ct, gk)
 			if err != nil {
 				return nil, err
 			}
-			if acc, err = e.Add(acc, r); err != nil {
+			if acc, err = e.srv.Add(acc, r); err != nil {
 				return nil, err
 			}
 		}
@@ -453,56 +471,13 @@ func (e *pimEngine) RotateAndSum(cts []*bfv.Ciphertext, gks []*bfv.GaloisKey) ([
 	return out, nil
 }
 
-func (e *pimEngine) MulMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error) {
-	if len(as) != len(bs) {
-		return nil, fmt.Errorf("hebfv: MulMany length mismatch: %d vs %d", len(as), len(bs))
-	}
-	out := make([]*bfv.Ciphertext, len(as))
-	for i := range as {
-		r, err := e.Mul(as[i], bs[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-func (e *pimEngine) AddMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error) {
-	if len(as) != len(bs) {
-		return nil, fmt.Errorf("hebfv: AddMany length mismatch: %d vs %d", len(as), len(bs))
-	}
-	out := make([]*bfv.Ciphertext, len(as))
-	for i := range as {
-		r, err := e.Add(as[i], bs[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-func (e *pimEngine) KernelLaunches() int {
+func (e *pimEngine) Report() Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.srv.Reports)
-}
-
-func (e *pimEngine) ModeledSeconds() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.ModeledSeconds()
-}
-
-func (e *pimEngine) FaultStats() pim.FaultStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.Sys.FaultStats()
-}
-
-func (e *pimEngine) Breakdown() *pimsched.Report {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.Breakdown()
+	return Report{PIM: &PIMPlaneReport{
+		Launches:       len(e.srv.Reports),
+		ModeledSeconds: e.srv.ModeledSeconds(),
+		Faults:         e.srv.Sys.FaultStats(),
+		Breakdown:      e.srv.Breakdown(),
+	}}
 }

@@ -11,50 +11,48 @@ import (
 // Context that produced it. Handles are immutable: every operation
 // returns a fresh one.
 //
-// A rotation or multiplication produced by a deferred path
-// (Context.RotateRowsMany, Mul/MulMany/Square on a backend supporting
-// NTT-resident outputs) stays in RNS-resident form — its base
-// conversions deferred — until a consumer forces coefficients:
-// decryption, serialization, Equal, or an operation with no deferred
-// path. Sums of deferred rotations fuse in the NTT domain, sums of
-// deferred products fuse in the residue domain, and deferred products
-// chain straight into further multiplications, all when exactness bounds
-// allow. All of this is transparent: results are bit-identical either
-// way.
+// A rotation or multiplication produced by a deferring backend
+// (Context.RotateRowsMany, Mul/MulMany/Square) stays in RNS-resident
+// form — its base conversions deferred — until a consumer forces
+// coefficients: decryption, serialization, Equal, or an operation with
+// no deferred path. Sums of deferred rotations fuse in the NTT domain,
+// sums of deferred products fuse in the residue domain, and deferred
+// products chain straight into further multiplications, all when
+// exactness bounds allow. All of this is transparent: results are
+// bit-identical either way.
 type Ciphertext struct {
 	ctx *Context
 
-	mu       sync.Mutex
-	ct       *bfv.Ciphertext // materialized form; nil while deferred
-	rot      *bfv.RotatedNTT // deferred rotation output; nil once unused
-	prod     *bfv.ProductNTT // deferred product output; nil once unused
-	pooled   bool            // coefficient backings came from the context pool
-	released bool            // Release was called; the handle is dead
+	mu     sync.Mutex
+	val    bfv.Value // materialized or deferred form; nil once released
+	pooled bool      // coefficient backings came from the context pool
 }
 
-// force materializes the handle's coefficient form, returning the
-// deferred accumulators to the scratch pool — steady-state batched
-// rotation and multiplication stay allocation-free through the facade
-// too. A concurrent deferred Add against the released handle safely
-// reports false and falls back to coefficient addition. After Release
-// the handle holds no form at all and force returns nil; error-bearing
-// entry points map that to ErrReleasedHandle via own.
+// value returns the handle's current form for the engine — deferred
+// while nothing has forced it — or nil after Release.
+func (ct *Ciphertext) value() bfv.Value {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	return ct.val
+}
+
+// force materializes the handle's coefficient form, which also returns
+// a deferred form's accumulators to the scratch pool — steady-state
+// batched rotation and multiplication stay allocation-free through the
+// facade too. An engine still holding the deferred form keeps working:
+// fused sums against it report false and fall back to the cached
+// coefficients. After Release the handle holds no form at all and force
+// returns nil; error-bearing entry points map that to ErrReleasedHandle
+// via own.
 func (ct *Ciphertext) force() *bfv.Ciphertext {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	if ct.ct == nil && !ct.released {
-		switch {
-		case ct.rot != nil:
-			ct.ct = ct.rot.Materialize()
-			ct.rot.Release()
-			ct.rot = nil
-		case ct.prod != nil:
-			ct.ct = ct.prod.Materialize()
-			ct.prod.Release()
-			ct.prod = nil
-		}
+	if ct.val == nil {
+		return nil
 	}
-	return ct.ct
+	raw := ct.val.Materialize()
+	ct.val = raw
+	return raw
 }
 
 // Release returns the handle's resources — pooled coefficient backings
@@ -75,26 +73,16 @@ func (ct *Ciphertext) Release() error {
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	if ct.released {
+	if ct.val == nil {
 		return fmt.Errorf("%w: double release", ErrReleasedHandle)
 	}
-	ct.released = true
-	if ct.rot != nil {
-		ct.rot.Release()
-		ct.rot = nil
-	}
-	if ct.prod != nil {
-		ct.prod.Release()
-		ct.prod = nil
-	}
-	if ct.ct != nil {
-		if ct.pooled && ct.ctx != nil && ct.ctx.pool != nil {
-			for _, p := range ct.ct.Polys {
-				ct.ctx.pool.Put(p.C)
-			}
+	ct.val.Release()
+	if raw, ok := ct.val.(*bfv.Ciphertext); ok && ct.pooled && ct.ctx != nil && ct.ctx.pool != nil {
+		for _, p := range raw.Polys {
+			ct.ctx.pool.Put(p.C)
 		}
-		ct.ct = nil
 	}
+	ct.val = nil
 	return nil
 }
 
@@ -103,50 +91,12 @@ func (ct *Ciphertext) Release() error {
 // materialize to the relinearized two-component form, so their size is
 // known before any base conversion runs. Serialization size accounting
 // (MarshaledBytes, the server's Content-Length hints) relies on this
-// being exact for both handle kinds.
+// being exact for every form.
 func (ct *Ciphertext) components() int {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if ct.ct != nil {
-		return len(ct.ct.Polys)
+	if raw, ok := ct.value().(*bfv.Ciphertext); ok {
+		return len(raw.Polys)
 	}
 	return 2
-}
-
-// deferred returns the rotation handle while the ciphertext has not
-// been materialized, else nil.
-func (ct *Ciphertext) deferred() *bfv.RotatedNTT {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if ct.ct == nil {
-		return ct.rot
-	}
-	return nil
-}
-
-// deferredProd returns the product handle while the ciphertext has not
-// been materialized, else nil.
-func (ct *Ciphertext) deferredProd() *bfv.ProductNTT {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if ct.ct == nil {
-		return ct.prod
-	}
-	return nil
-}
-
-// operand returns the handle's form for the deferred multiplication
-// pipeline: the live product handle when still deferred, else the
-// materialized ciphertext. A released handle yields a nil interface
-// (never a typed nil), which the callers map to ErrReleasedHandle.
-func (ct *Ciphertext) operand() bfv.MulOperand {
-	if p := ct.deferredProd(); p != nil {
-		return p
-	}
-	if raw := ct.force(); raw != nil {
-		return raw
-	}
-	return nil
 }
 
 // Degree returns the ciphertext degree (1 for fresh encryptions, 2 for
@@ -172,24 +122,23 @@ func (ct *Ciphertext) Equal(o *Ciphertext) bool {
 	return a.Equal(b)
 }
 
-// wrap binds a raw ciphertext to the context.
-func (c *Context) wrap(ct *bfv.Ciphertext) *Ciphertext {
-	return &Ciphertext{ctx: c, ct: ct}
+// wrap binds an engine result to the context.
+func (c *Context) wrap(v bfv.Value) *Ciphertext {
+	return &Ciphertext{ctx: c, val: v}
 }
 
-// wrapDeferred binds a deferred rotation output to the context.
-func (c *Context) wrapDeferred(rot *bfv.RotatedNTT) *Ciphertext {
-	return &Ciphertext{ctx: c, rot: rot}
+// wrapAll binds a batch of engine results to the context.
+func (c *Context) wrapAll(vs []bfv.Value) []*Ciphertext {
+	out := make([]*Ciphertext, len(vs))
+	for i, v := range vs {
+		out[i] = c.wrap(v)
+	}
+	return out
 }
 
-// wrapDeferredProd binds a deferred product output to the context.
-func (c *Context) wrapDeferredProd(prod *bfv.ProductNTT) *Ciphertext {
-	return &Ciphertext{ctx: c, prod: prod}
-}
-
-// own validates that ct belongs to this context and returns its
-// materialized form.
-func (c *Context) own(ct *Ciphertext) (*bfv.Ciphertext, error) {
+// operand validates that ct is a live handle of this context and
+// returns its current form — deferred or materialized — for the engine.
+func (c *Context) operand(ct *Ciphertext) (bfv.Value, error) {
 	if err := c.requireOpen(); err != nil {
 		return nil, err
 	}
@@ -199,29 +148,38 @@ func (c *Context) own(ct *Ciphertext) (*bfv.Ciphertext, error) {
 	if ct.ctx != c {
 		return nil, fmt.Errorf("%w: ciphertext from another context", ErrForeignHandle)
 	}
+	v := ct.value()
+	if v == nil {
+		return nil, fmt.Errorf("%w: use after release", ErrReleasedHandle)
+	}
+	return v, nil
+}
+
+// operands validates a slice of handles.
+func (c *Context) operands(cts []*Ciphertext) ([]bfv.Value, error) {
+	out := make([]bfv.Value, len(cts))
+	for i, ct := range cts {
+		v, err := c.operand(ct)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// own is operand for consumers of coefficients (decryption, noise
+// measurement): it forces the handle.
+func (c *Context) own(ct *Ciphertext) (*bfv.Ciphertext, error) {
+	if _, err := c.operand(ct); err != nil {
+		return nil, err
+	}
 	raw := ct.force()
 	if raw == nil {
 		return nil, fmt.Errorf("%w: use after release", ErrReleasedHandle)
 	}
 	return raw, nil
 }
-
-// ownAll validates and materializes a slice of handles.
-func (c *Context) ownAll(cts []*Ciphertext) ([]*bfv.Ciphertext, error) {
-	out := make([]*bfv.Ciphertext, len(cts))
-	for i, ct := range cts {
-		raw, err := c.own(ct)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = raw
-	}
-	return out, nil
-}
-
-// rawCiphertext abbreviates the internal ciphertext type in facade
-// plumbing signatures.
-type rawCiphertext = bfv.Ciphertext
 
 // newBFVPlaintext allocates an all-zero internal plaintext.
 func newBFVPlaintext(c *Context) *bfv.Plaintext {

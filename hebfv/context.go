@@ -320,11 +320,11 @@ func (c *Context) String() string {
 // kernel seconds of a modeled-hardware backend; ok is false when the
 // selected backend does not model hardware (everything but "pim").
 func (c *Context) PIMReport() (launches int, modeledSeconds float64, ok bool) {
-	kr, isKR := c.eng.(KernelReporter)
-	if !isKR {
+	rep := c.eng.Report().PIM
+	if rep == nil {
 		return 0, 0, false
 	}
-	return kr.KernelLaunches(), kr.ModeledSeconds(), true
+	return rep.Launches, rep.ModeledSeconds, true
 }
 
 // PIMStats holds the accumulated fault-model counters of the "pim"
@@ -343,11 +343,11 @@ type PIMStats struct {
 // (everything but "pim"). All-zero counters with ok true mean no faults
 // were injected — the normal case without WithPIMFaultInjection.
 func (c *Context) PIMStats() (stats PIMStats, ok bool) {
-	fr, isFR := c.eng.(faultReporter)
-	if !isFR {
+	rep := c.eng.Report().PIM
+	if rep == nil {
 		return PIMStats{}, false
 	}
-	fs := fr.FaultStats()
+	fs := rep.Faults
 	return PIMStats{
 		TransientFaults: fs.TransientFaults,
 		DeadDPUs:        fs.DeadDPUs,
@@ -393,14 +393,11 @@ type PIMBreakdown struct {
 // backends. All-zero fields with ok true mean no operation has reached
 // the PIM plane yet.
 func (c *Context) PIMBreakdown() (bd PIMBreakdown, ok bool) {
-	br, isBR := c.eng.(breakdownReporter)
-	if !isBR {
+	plane := c.eng.Report().PIM
+	if plane == nil {
 		return PIMBreakdown{}, false
 	}
-	rep := br.Breakdown()
-	if rep == nil {
-		return PIMBreakdown{}, false
-	}
+	rep := plane.Breakdown
 	return PIMBreakdown{
 		Ranks:                rep.Topology.Ranks,
 		DPUsPerRank:          rep.Topology.DPUsPerRank,
@@ -426,21 +423,19 @@ func (c *Context) PIMBreakdown() (bd PIMBreakdown, ok bool) {
 // how many batched operations each side ran and the cost estimates
 // behind the recent decisions; ok is false on every other backend.
 func (c *Context) AutoStats() (stats AutoStats, ok bool) {
-	ar, isAR := c.eng.(autoReporter)
-	if !isAR {
-		return AutoStats{}, false
+	if st := c.eng.Report().Auto; st != nil {
+		return *st, true
 	}
-	return ar.AutoStats(), true
+	return AutoStats{}, false
 }
 
 // FailoverStats reports the backend-failover state; ok is false when
 // the context's backend has no failover path (everything but "pim").
 func (c *Context) FailoverStats() (stats FailoverStats, ok bool) {
-	fe, isFE := c.eng.(*failoverEngine)
-	if !isFE {
-		return FailoverStats{}, false
+	if st := c.eng.Report().Failover; st != nil {
+		return *st, true
 	}
-	return fe.stats(), true
+	return FailoverStats{}, false
 }
 
 // galoisKey returns the key for Galois element g, deriving and caching

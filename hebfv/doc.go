@@ -125,17 +125,27 @@
 //
 // # Backends
 //
-// Evaluation strategy is pluggable and selected by name (WithBackend):
-// "dcrt-native" (default, the RNS+NTT fast path), "dcrt-legacy" (the
-// retained big.Int rescale baseline), "schoolbook" (the O(n²) path that
-// is the paper's PIM cost model and the correctness oracle), and "pim"
-// (the simulated UPMEM server; Context.PIMReport exposes its modeled
-// kernel time). All backends are mutually bit-identical — the
-// differential tests in this package prove it across the facade,
-// RotateRows/InnerSum slot semantics included. The Backend/Engine
-// registry (RegisterBackend, NewEngine) is the mount point for new
-// in-repo engines; its signatures name internal types deliberately, so
-// it cannot be implemented outside the repository.
+// Evaluation strategy is selected by name (WithBackend; Backends lists
+// them): "dcrt-native" (default, the RNS+NTT fast path), "schoolbook"
+// (the O(n²) path that is the paper's PIM cost model and the
+// correctness oracle), "pim" (the simulated UPMEM server;
+// Context.PIMReport, PIMStats and PIMBreakdown expose its modeled
+// kernel time, fault toll and sharded breakdown) and "auto" (a
+// scheduler routing each batch between the host and the PIM plane by
+// cost estimate; Context.AutoStats records every decision). All
+// backends are mutually bit-identical — the differential tests in this
+// package prove it across the facade, RotateRows/InnerSum slot
+// semantics included.
+//
+// Underneath, every backend implements one Engine contract (see
+// backend.go): batched primitives — a single operation is a length-1
+// batch — over values that are either materialized or deferred, and
+// one Report method behind the accessors above. Deferral travels with
+// the value, so the decorators ("auto", and the host failover a "pim"
+// context runs under) forward one method family and keep NTT-resident
+// fast paths whenever the work lands on the host. Engine names internal
+// types deliberately, so it cannot be implemented outside the
+// repository.
 //
 // # Error contract and fault tolerance
 //

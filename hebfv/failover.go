@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bfv"
 	"repro/internal/pim"
-	"repro/internal/pimsched"
 )
 
 // Backend failover: graceful degradation for modeled-hardware backends.
@@ -33,10 +32,10 @@ type FailoverStats struct {
 	Trigger   string // error message that first engaged the fallback
 }
 
-// failoverEngine wraps a primary Engine with a lazily constructed
-// fallback. It implements the optional Engine upgrades by delegating to
-// whichever engine is current, so deferred fast paths light up after
-// failing over to a host backend.
+// failoverEngine decorates a primary Engine with a lazily constructed
+// fallback. Values carry their own deferral, so a fallback host engine's
+// NTT-resident fast paths light up after failing over with no extra
+// plumbing here.
 type failoverEngine struct {
 	primary     Engine
 	makeFB      func() (Engine, error)
@@ -80,21 +79,6 @@ func (e *failoverEngine) engage(cause error) (Engine, error) {
 	return e.fb, nil
 }
 
-func (e *failoverEngine) stats() FailoverStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := FailoverStats{
-		Engaged:   e.fb != nil,
-		Primary:   e.primaryName,
-		Fallback:  e.fbName,
-		FailedOps: e.failed,
-	}
-	if e.trigger != nil {
-		st.Trigger = e.trigger.Error()
-	}
-	return st
-}
-
 // faultClass reports whether err warrants failing over: hardware-model
 // faults and converted panics do, semantic errors do not.
 func faultClass(err error) bool {
@@ -130,124 +114,53 @@ func safeOp[T any](eng Engine, op func(Engine) (T, error)) (out T, err error) {
 	return op(eng)
 }
 
-func (e *failoverEngine) Add(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	return fo(e, func(g Engine) (*bfv.Ciphertext, error) { return g.Add(a, b) })
+func (e *failoverEngine) Add(as, bs []bfv.Value) ([]bfv.Value, error) {
+	return fo(e, func(g Engine) ([]bfv.Value, error) { return g.Add(as, bs) })
 }
 
-func (e *failoverEngine) Sub(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	return fo(e, func(g Engine) (*bfv.Ciphertext, error) { return g.Sub(a, b) })
+func (e *failoverEngine) Mul(as, bs []bfv.Value) ([]bfv.Value, error) {
+	return fo(e, func(g Engine) ([]bfv.Value, error) { return g.Mul(as, bs) })
 }
 
-func (e *failoverEngine) Neg(a *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	return fo(e, func(g Engine) (*bfv.Ciphertext, error) { return g.Neg(a) })
+func (e *failoverEngine) Neg(a bfv.Value) (bfv.Value, error) {
+	return fo(e, func(g Engine) (bfv.Value, error) { return g.Neg(a) })
 }
 
-func (e *failoverEngine) AddPlain(a *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertext, error) {
-	return fo(e, func(g Engine) (*bfv.Ciphertext, error) { return g.AddPlain(a, pt) })
+func (e *failoverEngine) AddPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error) {
+	return fo(e, func(g Engine) (bfv.Value, error) { return g.AddPlain(a, pt) })
 }
 
-func (e *failoverEngine) MulPlain(a *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertext, error) {
-	return fo(e, func(g Engine) (*bfv.Ciphertext, error) { return g.MulPlain(a, pt) })
+func (e *failoverEngine) MulPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error) {
+	return fo(e, func(g Engine) (bfv.Value, error) { return g.MulPlain(a, pt) })
 }
 
-func (e *failoverEngine) Mul(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	return fo(e, func(g Engine) (*bfv.Ciphertext, error) { return g.Mul(a, b) })
+func (e *failoverEngine) Sum(cts []bfv.Value) (bfv.Value, error) {
+	return fo(e, func(g Engine) (bfv.Value, error) { return g.Sum(cts) })
 }
 
-func (e *failoverEngine) Square(a *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	return fo(e, func(g Engine) (*bfv.Ciphertext, error) { return g.Square(a) })
+func (e *failoverEngine) Rotate(cts []bfv.Value, gks []*bfv.GaloisKey) ([][]bfv.Value, error) {
+	return fo(e, func(g Engine) ([][]bfv.Value, error) { return g.Rotate(cts, gks) })
 }
 
-func (e *failoverEngine) Sum(cts []*bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	return fo(e, func(g Engine) (*bfv.Ciphertext, error) { return g.Sum(cts) })
+func (e *failoverEngine) RotateAndSum(cts []bfv.Value, gks []*bfv.GaloisKey) ([]bfv.Value, error) {
+	return fo(e, func(g Engine) ([]bfv.Value, error) { return g.RotateAndSum(cts, gks) })
 }
 
-func (e *failoverEngine) ApplyGalois(a *bfv.Ciphertext, gk *bfv.GaloisKey) (*bfv.Ciphertext, error) {
-	return fo(e, func(g Engine) (*bfv.Ciphertext, error) { return g.ApplyGalois(a, gk) })
-}
-
-func (e *failoverEngine) RotateMany(a *bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.Ciphertext, error) {
-	return fo(e, func(g Engine) ([]*bfv.Ciphertext, error) { return g.RotateMany(a, gks) })
-}
-
-func (e *failoverEngine) RotateAndSum(cts []*bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.Ciphertext, error) {
-	return fo(e, func(g Engine) ([]*bfv.Ciphertext, error) { return g.RotateAndSum(cts, gks) })
-}
-
-func (e *failoverEngine) MulMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error) {
-	return fo(e, func(g Engine) ([]*bfv.Ciphertext, error) { return g.MulMany(as, bs) })
-}
-
-func (e *failoverEngine) AddMany(as, bs []*bfv.Ciphertext) ([]*bfv.Ciphertext, error) {
-	return fo(e, func(g Engine) ([]*bfv.Ciphertext, error) { return g.AddMany(as, bs) })
-}
-
-// Optional upgrades delegate to the current engine, so a fallback host
-// engine's deferred fast paths are reachable after failover. The
-// deferred methods are only called after the matching Can* probe — the
-// not-implemented branches are unreachable through the facade.
-
-func (e *failoverEngine) CanDefer() bool {
-	dr, ok := e.current().(DeferredRotator)
-	return ok && dr.CanDefer()
-}
-
-func (e *failoverEngine) RotateManyNTT(a *bfv.Ciphertext, gks []*bfv.GaloisKey) ([]*bfv.RotatedNTT, error) {
-	dr, ok := e.current().(DeferredRotator)
-	if !ok {
-		return nil, errors.New("hebfv: current engine cannot defer rotations")
+// Report is the primary's report — modeled-hardware accounting belongs
+// to the modeled hardware even after its retirement — plus the failover
+// state.
+func (e *failoverEngine) Report() Report {
+	rep := e.primary.Report()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	rep.Failover = &FailoverStats{
+		Engaged:   e.fb != nil,
+		Primary:   e.primaryName,
+		Fallback:  e.fbName,
+		FailedOps: e.failed,
 	}
-	return dr.RotateManyNTT(a, gks)
-}
-
-func (e *failoverEngine) CanDeferMul() bool {
-	dm, ok := e.current().(DeferredMultiplier)
-	return ok && dm.CanDeferMul()
-}
-
-func (e *failoverEngine) MulNTT(a, b bfv.MulOperand) (*bfv.ProductNTT, error) {
-	dm, ok := e.current().(DeferredMultiplier)
-	if !ok {
-		return nil, errors.New("hebfv: current engine cannot defer multiplications")
+	if e.trigger != nil {
+		rep.Failover.Trigger = e.trigger.Error()
 	}
-	return dm.MulNTT(a, b)
-}
-
-func (e *failoverEngine) MulManyNTT(as, bs []bfv.MulOperand) ([]*bfv.ProductNTT, error) {
-	dm, ok := e.current().(DeferredMultiplier)
-	if !ok {
-		return nil, errors.New("hebfv: current engine cannot defer multiplications")
-	}
-	return dm.MulManyNTT(as, bs)
-}
-
-// KernelReporter delegates to the primary: modeled-hardware accounting
-// belongs to the modeled hardware even after its retirement.
-
-func (e *failoverEngine) KernelLaunches() int {
-	if kr, ok := e.primary.(KernelReporter); ok {
-		return kr.KernelLaunches()
-	}
-	return 0
-}
-
-func (e *failoverEngine) ModeledSeconds() float64 {
-	if kr, ok := e.primary.(KernelReporter); ok {
-		return kr.ModeledSeconds()
-	}
-	return 0
-}
-
-func (e *failoverEngine) FaultStats() pim.FaultStats {
-	if fr, ok := e.primary.(faultReporter); ok {
-		return fr.FaultStats()
-	}
-	return pim.FaultStats{}
-}
-
-func (e *failoverEngine) Breakdown() *pimsched.Report {
-	if br, ok := e.primary.(breakdownReporter); ok {
-		return br.Breakdown()
-	}
-	return nil
+	return rep
 }

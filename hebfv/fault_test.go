@@ -1,10 +1,12 @@
 package hebfv
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/bfv"
 	"repro/internal/dcrt"
 	"repro/internal/faultinject"
 )
@@ -133,6 +135,83 @@ func TestFailoverToHostBackend(t *testing.T) {
 	}
 	if fs2, ok := hostCtx.FailoverStats(); ok {
 		t.Fatalf("host context claims a failover path: %+v", fs2)
+	}
+}
+
+// TestFailoverMidSequenceChainsDeferred loses the DPUs progressively, so
+// the pim context fails over partway through a multiplication chain,
+// and checks the hand-over is seamless in both directions: results the
+// PIM plane produced feed the host fallback, the fallback's products
+// stay NTT-resident and chain into the next Mul, and every step is
+// bit-identical to the schoolbook oracle.
+func TestFailoverMidSequenceChainsDeferred(t *testing.T) {
+	mk := func(opts ...Option) *Context {
+		ctx, err := New(append([]Option{WithInsecureToyParameters(), WithSeed(23)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctx
+	}
+	// Injection is a pure function of (seed, site, launch), so this seed
+	// and death rate always kill the last of the 4 DPUs a few steps in.
+	pimCtx := mk(WithBackend("pim"), WithPIMDPUs(4), WithPIMFaultInjection(1, 0, 0.3, 0))
+	oracle := mk(WithBackend("schoolbook"))
+
+	chain := func(ctx *Context, step func(i int, x *Ciphertext)) {
+		x, err := ctx.EncryptSlots([]uint64{2, 3, 5, 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ctx.EncryptSlots([]uint64{1, 2, 1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			if x, err = ctx.Mul(x, b); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			step(i, x)
+		}
+	}
+	var want [][]byte
+	chain(oracle, func(_ int, x *Ciphertext) {
+		blob, err := x.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, blob)
+	})
+
+	onPIM, chained := 0, 0
+	var results []*Ciphertext
+	chain(pimCtx, func(i int, x *Ciphertext) {
+		fs, _ := pimCtx.FailoverStats()
+		if !fs.Engaged {
+			onPIM++
+		} else if _, deferred := x.value().(*bfv.ProductNTT); !deferred {
+			t.Fatalf("step %d: product after failover is not NTT-resident", i)
+		} else if i > 0 {
+			if _, fromDeferred := results[i-1].value().(*bfv.ProductNTT); fromDeferred {
+				chained++
+			}
+		}
+		results = append(results, x)
+	})
+	if fs, _ := pimCtx.FailoverStats(); !fs.Engaged {
+		t.Fatal("DPU loss never engaged the failover")
+	}
+	if onPIM == 0 || chained == 0 {
+		t.Fatalf("failover not mid-sequence: %d steps on pim, %d deferred-to-deferred steps after it", onPIM, chained)
+	}
+	t.Logf("%d steps on pim, then %d deferred products chained on the host fallback", onPIM, chained)
+	for i, x := range results {
+		blob, err := x.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, want[i]) {
+			t.Fatalf("step %d differs from the schoolbook oracle", i)
+		}
 	}
 }
 

@@ -227,8 +227,8 @@ func TestFacadeDifferentialBackends(t *testing.T) {
 	}
 
 	type results struct {
-		add, mul, rot, cols, inner, rotSum, sum []byte
-		rotMany                                 [][]byte
+		add, sub, mul, square, rot, cols, inner, rotSum, sum []byte
+		rotMany                                              [][]byte
 	}
 	run := func(t *testing.T, backend string) results {
 		ctx, err := hebfv.New(
@@ -261,7 +261,9 @@ func TestFacadeDifferentialBackends(t *testing.T) {
 		}
 		var r results
 		r.add = marshal(ctx.Add(a, b))
+		r.sub = marshal(ctx.Sub(a, b))
 		r.mul = marshal(ctx.Mul(a, b))
+		r.square = marshal(ctx.Square(a))
 		r.rot = marshal(ctx.RotateRows(a, 3))
 		r.cols = marshal(ctx.RotateColumns(a))
 		r.inner = marshal(ctx.InnerSum(a))
@@ -282,14 +284,16 @@ func TestFacadeDifferentialBackends(t *testing.T) {
 	}
 
 	want := run(t, "dcrt-native")
-	for _, backend := range []string{"schoolbook", "dcrt-legacy", "pim"} {
+	for _, backend := range []string{"schoolbook", "pim", "auto"} {
 		got := run(t, backend)
 		pairs := []struct {
 			name       string
 			have, need []byte
 		}{
 			{"Add", got.add, want.add},
+			{"Sub", got.sub, want.sub},
 			{"Mul", got.mul, want.mul},
+			{"Square", got.square, want.square},
 			{"RotateRows", got.rot, want.rot},
 			{"RotateColumns", got.cols, want.cols},
 			{"InnerSum", got.inner, want.inner},
@@ -484,6 +488,25 @@ func TestFacadeIdentityRotationSteps(t *testing.T) {
 	}
 	if !idSum[0].Equal(doubled) {
 		t.Fatal("all-identity RotateRowsAndSum differs from ct + ct")
+	}
+
+	// Identity outputs are fresh handles like every other result:
+	// releasing them must leave the operand alive.
+	id, err := owner.RotateRows(ct, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	each, err := owner.RotateRowsEach([]*hebfv.Ciphertext{ct}, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*hebfv.Ciphertext{id, each[0], onlyID[0], onlyID[1]} {
+		if err := h.Release(); err != nil {
+			t.Fatalf("releasing an identity rotation output: %v", err)
+		}
+	}
+	if got, err := owner.DecryptSlots(ct); err != nil || got[0] != 9 {
+		t.Fatalf("operand dead after releasing its identity rotations: %v, %v", got, err)
 	}
 
 	// An evaluation-only context (keys for steps 1 and 2 only) handles the

@@ -146,43 +146,38 @@ func (c *Context) NoiseBudget(ct *Ciphertext) (_ int, err error) {
 }
 
 // Homomorphic arithmetic — slot-wise (SIMD) under batching encodings.
+// Handles reach the engine in whatever form they hold, so deferred
+// results keep fusing and chaining on backends that defer (see
+// Ciphertext) and materialize transparently everywhere else.
 
 // Add returns a + b. Sums of deferred rotation outputs fuse in the NTT
 // domain, and sums of deferred product outputs in the RNS domain, when
-// exactness bounds allow (see Ciphertext).
+// exactness bounds allow.
 func (c *Context) Add(a, b *Ciphertext) (_ *Ciphertext, err error) {
 	defer guard(&err)
-	if a != nil && b != nil && a.ctx == c && b.ctx == c {
-		if ra, rb := a.deferred(), b.deferred(); ra != nil && rb != nil {
-			if sum, ok := ra.Add(rb); ok {
-				return c.wrapDeferred(sum), nil
-			}
-		}
-		if pa, pb := a.deferredProd(), b.deferredProd(); pa != nil && pb != nil {
-			if sum, ok := pa.Add(pb); ok {
-				return c.wrapDeferredProd(sum), nil
-			}
-		}
-	}
-	ra, err := c.own(a)
-	if err != nil {
-		return nil, err
-	}
-	rb, err := c.own(b)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.eng.Add(ra, rb)
-	if err != nil {
-		return nil, err
-	}
-	return c.wrap(out), nil
+	return c.binOp(a, b, c.eng.Add)
 }
 
-// Sub returns a − b.
+// Sub returns a − b, as a + (−b) on every backend.
 func (c *Context) Sub(a, b *Ciphertext) (_ *Ciphertext, err error) {
 	defer guard(&err)
-	return c.binOp(a, b, c.eng.Sub)
+	va, err := c.operand(a)
+	if err != nil {
+		return nil, err
+	}
+	vb, err := c.operand(b)
+	if err != nil {
+		return nil, err
+	}
+	nb, err := c.eng.Neg(vb)
+	if err != nil {
+		return nil, err
+	}
+	out, err := c.eng.Add([]bfv.Value{va}, []bfv.Value{nb})
+	if err != nil {
+		return nil, err
+	}
+	return c.wrap(out[0]), nil
 }
 
 // Mul returns the relinearized product a·b. On backends with deferred
@@ -192,17 +187,6 @@ func (c *Context) Sub(a, b *Ciphertext) (_ *Ciphertext, err error) {
 // consumer needs coefficients.
 func (c *Context) Mul(a, b *Ciphertext) (_ *Ciphertext, err error) {
 	defer guard(&err)
-	if dm, ok := c.eng.(DeferredMultiplier); ok && dm.CanDeferMul() &&
-		a != nil && b != nil && a.ctx == c && b.ctx == c {
-		oa, ob := a.operand(), b.operand()
-		if oa != nil && ob != nil { // released handles fall through to binOp's typed error
-			prod, err := dm.MulNTT(oa, ob)
-			if err != nil {
-				return nil, err
-			}
-			return c.wrapDeferredProd(prod), nil
-		}
-	}
 	return c.binOp(a, b, c.eng.Mul)
 }
 
@@ -210,59 +194,33 @@ func (c *Context) Mul(a, b *Ciphertext) (_ *Ciphertext, err error) {
 // the backend supports it).
 func (c *Context) Square(a *Ciphertext) (_ *Ciphertext, err error) {
 	defer guard(&err)
-	if dm, ok := c.eng.(DeferredMultiplier); ok && dm.CanDeferMul() &&
-		a != nil && a.ctx == c {
-		if op := a.operand(); op != nil { // released handles fall through to unOp's typed error
-			prod, err := dm.MulNTT(op, op)
-			if err != nil {
-				return nil, err
-			}
-			return c.wrapDeferredProd(prod), nil
-		}
-	}
-	return c.unOp(a, c.eng.Square)
+	return c.binOp(a, a, c.eng.Mul)
 }
 
 // Neg returns −a.
 func (c *Context) Neg(a *Ciphertext) (_ *Ciphertext, err error) {
 	defer guard(&err)
-	return c.unOp(a, c.eng.Neg)
+	va, err := c.operand(a)
+	if err != nil {
+		return nil, err
+	}
+	out, err := c.eng.Neg(va)
+	if err != nil {
+		return nil, err
+	}
+	return c.wrap(out), nil
 }
 
 // AddPlain returns a + pt.
 func (c *Context) AddPlain(a *Ciphertext, pt *Plaintext) (_ *Ciphertext, err error) {
 	defer guard(&err)
-	ra, err := c.own(a)
-	if err != nil {
-		return nil, err
-	}
-	rp, err := c.ownPlain(pt)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.eng.AddPlain(ra, rp)
-	if err != nil {
-		return nil, err
-	}
-	return c.wrap(out), nil
+	return c.plainOp(a, pt, c.eng.AddPlain)
 }
 
 // MulPlain returns a·pt (slot-wise under batching encodings).
 func (c *Context) MulPlain(a *Ciphertext, pt *Plaintext) (_ *Ciphertext, err error) {
 	defer guard(&err)
-	ra, err := c.own(a)
-	if err != nil {
-		return nil, err
-	}
-	rp, err := c.ownPlain(pt)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.eng.MulPlain(ra, rp)
-	if err != nil {
-		return nil, err
-	}
-	return c.wrap(out), nil
+	return c.plainOp(a, pt, c.eng.MulPlain)
 }
 
 // Sum folds the ciphertexts into their total in slice order — the
@@ -275,61 +233,22 @@ func (c *Context) Sum(cts []*Ciphertext) (_ *Ciphertext, err error) {
 	if len(cts) == 0 {
 		return nil, errors.New("hebfv: empty sum")
 	}
-	if sum, ok := c.sumDeferred(cts); ok {
-		return sum, nil
-	}
-	raw, err := c.ownAll(cts)
+	vs, err := c.operands(cts)
 	if err != nil {
 		return nil, err
 	}
-	out, err := c.eng.Sum(raw)
+	out, err := c.eng.Sum(vs)
 	if err != nil {
 		return nil, err
 	}
 	return c.wrap(out), nil
 }
 
-// sumDeferred folds all-deferred-product inputs in the RNS domain
-// ((…(c0+c1)+c2)+…, the engine Sum order). It reports false — releasing
-// any intermediate handles it made — when an input is not a live
-// deferred product or a fusion falls back (bound overflow), leaving the
-// caller to take the materialized path.
-func (c *Context) sumDeferred(cts []*Ciphertext) (*Ciphertext, bool) {
-	if len(cts) < 2 {
-		return nil, false
-	}
-	prods := make([]*bfv.ProductNTT, len(cts))
-	for i, ct := range cts {
-		if ct == nil || ct.ctx != c {
-			return nil, false
-		}
-		if prods[i] = ct.deferredProd(); prods[i] == nil {
-			return nil, false
-		}
-	}
-	acc := prods[0]
-	accOwned := false
-	for _, p := range prods[1:] {
-		sum, ok := acc.Add(p)
-		if !ok {
-			if accOwned {
-				acc.Release()
-			}
-			return nil, false
-		}
-		if accOwned {
-			acc.Release()
-		}
-		acc, accOwned = sum, true
-	}
-	return c.wrapDeferredProd(acc), true
-}
-
 // AddMany returns the element-wise sums as[i] + bs[i], scheduled on the
 // backend's batch pipeline.
 func (c *Context) AddMany(as, bs []*Ciphertext) (_ []*Ciphertext, err error) {
 	defer guard(&err)
-	return c.batchBinOp(as, bs, c.eng.AddMany)
+	return c.batchBinOp(as, bs, c.eng.Add)
 }
 
 // MulMany returns the element-wise relinearized products as[i]·bs[i],
@@ -338,81 +257,49 @@ func (c *Context) AddMany(as, bs []*Ciphertext) (_ []*Ciphertext, err error) {
 // Sum fuses the whole reduction in the RNS domain.
 func (c *Context) MulMany(as, bs []*Ciphertext) (_ []*Ciphertext, err error) {
 	defer guard(&err)
-	dm, ok := c.eng.(DeferredMultiplier)
-	if !ok || !dm.CanDeferMul() || len(as) != len(bs) {
-		return c.batchBinOp(as, bs, c.eng.MulMany)
-	}
-	aOps := make([]bfv.MulOperand, len(as))
-	bOps := make([]bfv.MulOperand, len(bs))
-	for i := range as {
-		if as[i] == nil || bs[i] == nil || as[i].ctx != c || bs[i].ctx != c {
-			return c.batchBinOp(as, bs, c.eng.MulMany)
-		}
-		aOps[i] = as[i].operand()
-		bOps[i] = bs[i].operand()
-		if aOps[i] == nil || bOps[i] == nil { // released: take the typed-error path
-			return c.batchBinOp(as, bs, c.eng.MulMany)
-		}
-	}
-	prods, err := dm.MulManyNTT(aOps, bOps)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Ciphertext, len(prods))
-	for i, p := range prods {
-		out[i] = c.wrapDeferredProd(p)
-	}
-	return out, nil
+	return c.batchBinOp(as, bs, c.eng.Mul)
 }
 
 // Helpers.
 
-type bfvBinOp = func(a, b *rawCiphertext) (*rawCiphertext, error)
+type batchOp = func(as, bs []bfv.Value) ([]bfv.Value, error)
 
-func (c *Context) binOp(a, b *Ciphertext, op bfvBinOp) (*Ciphertext, error) {
-	ra, err := c.own(a)
+func (c *Context) binOp(a, b *Ciphertext, op batchOp) (*Ciphertext, error) {
+	out, err := c.batchBinOp([]*Ciphertext{a}, []*Ciphertext{b}, op)
 	if err != nil {
 		return nil, err
 	}
-	rb, err := c.own(b)
+	return out[0], nil
+}
+
+func (c *Context) batchBinOp(as, bs []*Ciphertext, op batchOp) ([]*Ciphertext, error) {
+	va, err := c.operands(as)
 	if err != nil {
 		return nil, err
 	}
-	out, err := op(ra, rb)
+	vb, err := c.operands(bs)
+	if err != nil {
+		return nil, err
+	}
+	out, err := op(va, vb)
+	if err != nil {
+		return nil, err
+	}
+	return c.wrapAll(out), nil
+}
+
+func (c *Context) plainOp(a *Ciphertext, pt *Plaintext, op func(bfv.Value, *bfv.Plaintext) (bfv.Value, error)) (*Ciphertext, error) {
+	va, err := c.operand(a)
+	if err != nil {
+		return nil, err
+	}
+	rp, err := c.ownPlain(pt)
+	if err != nil {
+		return nil, err
+	}
+	out, err := op(va, rp)
 	if err != nil {
 		return nil, err
 	}
 	return c.wrap(out), nil
-}
-
-func (c *Context) unOp(a *Ciphertext, op func(*rawCiphertext) (*rawCiphertext, error)) (*Ciphertext, error) {
-	ra, err := c.own(a)
-	if err != nil {
-		return nil, err
-	}
-	out, err := op(ra)
-	if err != nil {
-		return nil, err
-	}
-	return c.wrap(out), nil
-}
-
-func (c *Context) batchBinOp(as, bs []*Ciphertext, op func(as, bs []*rawCiphertext) ([]*rawCiphertext, error)) ([]*Ciphertext, error) {
-	ra, err := c.ownAll(as)
-	if err != nil {
-		return nil, err
-	}
-	rb, err := c.ownAll(bs)
-	if err != nil {
-		return nil, err
-	}
-	out, err := op(ra, rb)
-	if err != nil {
-		return nil, err
-	}
-	wrapped := make([]*Ciphertext, len(out))
-	for i, ct := range out {
-		wrapped[i] = c.wrap(ct)
-	}
-	return wrapped, nil
 }

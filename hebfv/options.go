@@ -13,7 +13,7 @@ type config struct {
 	secLevel  int    // 27, 54 or 109; 0 = default (109)
 	toy       bool   // insecure N=64 demo parameters
 	t         uint64 // plaintext modulus; 0 = default (65537, batching-capable)
-	backend   string // registry name; "" = DefaultBackend
+	backend   string // backend name; "" = DefaultBackend
 	rotations []int  // row steps whose Galois keys generate eagerly
 	columns   bool   // eagerly generate the column-swap key too
 	seed      *uint64
@@ -74,7 +74,7 @@ func WithPlaintextModulus(t uint64) Option {
 	}
 }
 
-// WithBackend selects the evaluation backend by registry name (see
+// WithBackend selects the evaluation backend by name (see
 // Backends). The default is DefaultBackend ("dcrt-native").
 func WithBackend(name string) Option {
 	return func(c *config) error {

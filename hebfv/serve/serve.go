@@ -321,8 +321,6 @@ func (s *Server) writeOnboarded(w http.ResponseWriter, id [32]byte, cached bool)
 // operands and output — is released once the response bytes have been
 // handed to the ResponseWriter, so a steady-state serve loop recycles
 // one working set per in-flight request instead of allocating per op.
-// An identity rotation returns the operand handle itself as the
-// output; releaseHandles releases each distinct handle exactly once.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	defer r.Body.Close()
 	id, err := parseFingerprint(r.URL.Query().Get("keyset"))
@@ -388,21 +386,15 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	out.MarshalTo(w) // nothing to salvage mid-stream on error
 }
 
-// releaseHandles releases the request's handles, each distinct one
-// exactly once: an identity rotation's output IS its operand, and a
-// double release is a typed error the hot path must not hit. The
-// output's release only recycles pooled backings when the output
-// aliases an operand; evaluator outputs carry fresh backings (engine
-// outputs never alias inputs) and just get marked dead.
-func releaseHandles(a, b, out *hebfv.Ciphertext) {
-	if out != nil && out != a && out != b {
-		out.Release()
-	}
-	if a != nil {
-		a.Release()
-	}
-	if b != nil && b != a {
-		b.Release()
+// releaseHandles releases the request's handles. Every operation
+// returns a fresh handle, so the three are distinct; only the operands'
+// release recycles pooled backings — evaluator outputs carry fresh ones
+// and just get marked dead.
+func releaseHandles(hs ...*hebfv.Ciphertext) {
+	for _, h := range hs {
+		if h != nil {
+			h.Release()
+		}
 	}
 }
 

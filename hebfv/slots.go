@@ -70,48 +70,66 @@ func (c *Context) columnElement() uint64 {
 // The Galois key for the step is derived and cached on first use.
 func (c *Context) RotateRows(ct *Ciphertext, k int) (_ *Ciphertext, err error) {
 	defer guard(&err)
-	if _, err := c.requireBatching(); err != nil {
-		return nil, err
-	}
-	raw, err := c.own(ct)
+	out, err := c.rotate([]*Ciphertext{ct}, []uint64{c.rowStepElement(k)})
 	if err != nil {
 		return nil, err
 	}
-	g := c.rowStepElement(k)
-	if g == 1 {
-		return ct, nil // rotation by a multiple of the row length
-	}
-	gk, err := c.galoisKey(g)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.eng.ApplyGalois(raw, gk)
-	if err != nil {
-		return nil, err
-	}
-	return c.wrap(out), nil
+	return out[0][0], nil
 }
 
 // RotateColumns swaps the two slot rows column-wise: output slot (r, c)
 // receives input slot (1−r, c).
 func (c *Context) RotateColumns(ct *Ciphertext) (_ *Ciphertext, err error) {
 	defer guard(&err)
+	out, err := c.rotate([]*Ciphertext{ct}, []uint64{c.columnElement()})
+	if err != nil {
+		return nil, err
+	}
+	return out[0][0], nil
+}
+
+// rotate returns out[i][j] = τ_{els[j]}(cts[i]) through one engine
+// dispatch. The identity element (a row rotation by a multiple of the
+// row length) is never key-switched and needs no key: its outputs are
+// fresh handles over copies of the inputs, like every other result.
+func (c *Context) rotate(cts []*Ciphertext, els []uint64) ([][]*Ciphertext, error) {
 	if _, err := c.requireBatching(); err != nil {
 		return nil, err
 	}
-	raw, err := c.own(ct)
+	vs, err := c.operands(cts)
 	if err != nil {
 		return nil, err
 	}
-	gk, err := c.galoisKey(c.columnElement())
+	var gs []uint64
+	for _, g := range els {
+		if g != 1 {
+			gs = append(gs, g)
+		}
+	}
+	gks, err := c.galoisKeys(gs)
 	if err != nil {
 		return nil, err
 	}
-	out, err := c.eng.ApplyGalois(raw, gk)
-	if err != nil {
-		return nil, err
+	var rows [][]bfv.Value
+	if len(gks) > 0 {
+		if rows, err = c.eng.Rotate(vs, gks); err != nil {
+			return nil, err
+		}
 	}
-	return c.wrap(out), nil
+	out := make([][]*Ciphertext, len(cts))
+	for i := range cts {
+		out[i] = make([]*Ciphertext, len(els))
+		next := 0
+		for j, g := range els {
+			if g == 1 {
+				out[i][j] = c.wrap(vs[i].Materialize().Clone())
+			} else {
+				out[i][j] = c.wrap(rows[i][next])
+				next++
+			}
+		}
+	}
+	return out, nil
 }
 
 // InnerSum returns a ciphertext whose every slot holds the sum of all
@@ -124,7 +142,7 @@ func (c *Context) InnerSum(ct *Ciphertext) (_ *Ciphertext, err error) {
 	if _, err := c.requireBatching(); err != nil {
 		return nil, err
 	}
-	if _, err := c.own(ct); err != nil {
+	if _, err := c.operand(ct); err != nil {
 		return nil, err
 	}
 	acc := ct
@@ -152,52 +170,11 @@ func (c *Context) InnerSum(ct *Ciphertext) (_ *Ciphertext, err error) {
 // bit-identical to RotateRows(ct, ks[i]).
 func (c *Context) RotateRowsMany(ct *Ciphertext, ks []int) (_ []*Ciphertext, err error) {
 	defer guard(&err)
-	if _, err := c.requireBatching(); err != nil {
-		return nil, err
-	}
-	raw, err := c.own(ct)
+	out, err := c.rotate([]*Ciphertext{ct}, c.rowStepElements(ks))
 	if err != nil {
 		return nil, err
 	}
-	// Identity steps (k ≡ 0 mod RowSlots) pass through untouched, exactly
-	// like RotateRows — no key switch, no key required.
-	els := c.rowStepElements(ks)
-	out := make([]*Ciphertext, len(ks))
-	var positions []int
-	var gs []uint64
-	for i, g := range els {
-		if g == 1 {
-			out[i] = ct
-		} else {
-			positions = append(positions, i)
-			gs = append(gs, g)
-		}
-	}
-	gks, err := c.galoisKeys(gs)
-	if err != nil {
-		return nil, err
-	}
-	if len(gs) == 0 {
-		return out, nil // all steps were identities: nothing to hoist
-	}
-	if dr, ok := c.eng.(DeferredRotator); ok && dr.CanDefer() {
-		rots, err := dr.RotateManyNTT(raw, gks)
-		if err != nil {
-			return nil, err
-		}
-		for j, r := range rots {
-			out[positions[j]] = c.wrapDeferred(r)
-		}
-		return out, nil
-	}
-	rots, err := c.eng.RotateMany(raw, gks)
-	if err != nil {
-		return nil, err
-	}
-	for j, r := range rots {
-		out[positions[j]] = c.wrap(r)
-	}
-	return out, nil
+	return out[0], nil
 }
 
 // RotateRowsAndSum returns, for each input ciphertext, ct + Σ_k
@@ -210,7 +187,7 @@ func (c *Context) RotateRowsAndSum(cts []*Ciphertext, ks []int) (_ []*Ciphertext
 	if _, err := c.requireBatching(); err != nil {
 		return nil, err
 	}
-	raw, err := c.ownAll(cts)
+	vs, err := c.operands(cts)
 	if err != nil {
 		return nil, err
 	}
@@ -230,84 +207,53 @@ func (c *Context) RotateRowsAndSum(cts []*Ciphertext, ks []int) (_ []*Ciphertext
 	if err != nil {
 		return nil, err
 	}
-	var out []*rawCiphertext
-	if len(gs) == 0 && identity == 0 {
-		// No steps at all: return fresh copies — facade outputs never
-		// alias input backings (callers may release inputs afterwards).
-		out = make([]*rawCiphertext, len(raw))
-		for i, r := range raw {
-			out[i] = r.Clone()
+	var out []bfv.Value
+	switch {
+	case len(gks) > 0:
+		if out, err = c.eng.RotateAndSum(vs, gks); err != nil {
+			return nil, err
 		}
-	} else if len(gs) == 0 {
+	case identity > 0:
 		// All steps were identities: no hoisted decomposition to pay.
 		// The identity folds below produce fresh outputs.
-		out = append(out, raw...)
-	} else if out, err = c.eng.RotateAndSum(raw, gks); err != nil {
-		return nil, err
-	}
-	for i := range out {
-		for r := 0; r < identity; r++ {
-			if out[i], err = c.eng.Add(out[i], raw[i]); err != nil {
-				return nil, err
-			}
+		out = vs
+	default:
+		// No steps at all: return fresh copies — facade outputs never
+		// alias input backings (callers may release inputs afterwards).
+		out = make([]bfv.Value, len(vs))
+		for i, v := range vs {
+			out[i] = v.Materialize().Clone()
 		}
 	}
-	wrapped := make([]*Ciphertext, len(out))
-	for i, ct := range out {
-		wrapped[i] = c.wrap(ct)
+	for r := 0; r < identity; r++ {
+		if out, err = c.eng.Add(out, vs); err != nil {
+			return nil, err
+		}
 	}
-	return wrapped, nil
+	return c.wrapAll(out), nil
 }
 
 // RotateRowsEach rotates every input ciphertext's rows left by the same
 // k steps — the coalesced-rotation workload of the served front end,
 // where concurrent tenants' same-step requests are gathered and flushed
-// as one batch. On engines exposing a batch rotation pipeline the whole
-// slice shares one dispatch; otherwise the rotations apply serially.
-// Each output is bit-identical to RotateRows(cts[i], k).
+// as one batch sharing one engine dispatch. Each output is bit-identical
+// to RotateRows(cts[i], k).
 func (c *Context) RotateRowsEach(cts []*Ciphertext, k int) (_ []*Ciphertext, err error) {
 	defer guard(&err)
-	if _, err := c.requireBatching(); err != nil {
-		return nil, err
-	}
-	raw, err := c.ownAll(cts)
+	rows, err := c.rotate(cts, []uint64{c.rowStepElement(k)})
 	if err != nil {
 		return nil, err
 	}
-	g := c.rowStepElement(k)
-	if g == 1 {
-		out := make([]*Ciphertext, len(cts))
-		copy(out, cts) // rotation by a multiple of the row length
-		return out, nil
-	}
-	gk, err := c.galoisKey(g)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Ciphertext, len(raw))
-	if ba, ok := c.eng.(batchApplier); ok {
-		rows, err := ba.RotateManyAll(raw, []*bfv.GaloisKey{gk})
-		if err != nil {
-			return nil, err
-		}
-		for i, row := range rows {
-			out[i] = c.wrap(row[0])
-		}
-		return out, nil
-	}
-	for i, r := range raw {
-		rot, err := c.eng.ApplyGalois(r, gk)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = c.wrap(rot)
+	out := make([]*Ciphertext, len(rows))
+	for i, row := range rows {
+		out[i] = row[0]
 	}
 	return out, nil
 }
 
 // rowStepElements maps rotation steps to Galois elements. Steps that
 // reduce to the identity element g = 1 (k ≡ 0 mod RowSlots) are handled
-// by the callers as pass-throughs — never key-switched.
+// by the callers as copies — never key-switched.
 func (c *Context) rowStepElements(ks []int) []uint64 {
 	out := make([]uint64, len(ks))
 	for i, k := range ks {

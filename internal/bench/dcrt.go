@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/hebfv"
@@ -22,11 +23,10 @@ import (
 //
 // v2 of the schema added a depth axis and split the double-CRT backend
 // into its two rescale paths; v3 added the batched-rotation and
-// decryption axes. v4 routes every evaluator through the public hebfv
-// backend registry — backends are named by their registry names
-// ("schoolbook", "dcrt-legacy", "dcrt-native"; the labels "dcrt-bigint"
-// and "dcrt-rns" of v2/v3 are "dcrt-legacy" and "dcrt-native" now) and
-// selected with hepim-bench's -backend flag — and adds the op "rotate"
+// decryption axes. v4 routes every evaluator through hebfv.NewEngine —
+// backends are named by their hebfv names ("schoolbook", "dcrt-native";
+// the label "dcrt-rns" of v2/v3 is "dcrt-native" now) and selected with
+// hepim-bench's -backend flag — and adds the op "rotate"
 // backend "galois-hoisted-ntt": RotateMany with NTT-resident outputs,
 // the per-output base conversions deferred.
 //
@@ -46,6 +46,12 @@ import (
 // regression in either tier, or a host silently falling back to
 // scalar, is visible in the tracked JSON rather than only in wall
 // times.
+//
+// v7 drops the rows that only existed to be compared against: the
+// "dcrt-legacy" backend (the big.Int rescale round trip, now reachable
+// only for moduli outside the RNS-native window), its speedup_vs_legacy
+// field, and the "decrypt-bigint" row. Their history is in the v1–v6
+// revisions of BENCH_dcrt.json and in CHANGES.md.
 
 // DCRTPoint is one measured backend × ring-degree × depth combination.
 // NsPerOp is the time of one full depth-long chain of relinearized
@@ -55,15 +61,14 @@ import (
 type DCRTPoint struct {
 	N           int     `json:"n"`
 	QBits       int     `json:"q_bits"`
-	Backend     string  `json:"backend"`      // evalmul: registry name or "dcrt-native-deferred"; rotate: "galois-serial"|"galois-hoisted"|"galois-hoisted-ntt"; decrypt: "decrypt-bigint"|"decrypt-rns"; kernel: primitive name
+	Backend     string  `json:"backend"`      // evalmul: hebfv backend name or "dcrt-native-deferred"; rotate: "galois-serial"|"galois-hoisted"|"galois-hoisted-ntt"; decrypt: "decrypt-rns"; kernel: primitive name
 	Op          string  `json:"op,omitempty"` // "" (evalmul) | "rotate" | "rotate-sum" | "decrypt" | "kernel"
 	Depth       int     `json:"depth,omitempty"`
 	Rotations   int     `json:"rotations,omitempty"` // rotate rows: Galois-element count k
 	Iters       int     `json:"iters"`
 	NsPerOp     int64   `json:"ns_per_op"`
 	SpeedupX    float64 `json:"speedup_vs_schoolbook,omitempty"` // dcrt rows, depth 1
-	SpeedupBigX float64 `json:"speedup_vs_legacy,omitempty"`     // dcrt-native rows
-	SpeedupSerX float64 `json:"speedup_vs_serial,omitempty"`     // hoisted/rns rows vs their serial/bigint pair
+	SpeedupSerX float64 `json:"speedup_vs_serial,omitempty"`     // hoisted/deferred rows vs their serial/materialized pair
 }
 
 // KernelDispatchRow is one kernel's live dispatch decision plus its
@@ -100,10 +105,11 @@ type DCRTReport struct {
 
 // evalMulBackends is the tracked backend set of the evalmul axis when
 // no -backend restriction is given.
-var evalMulBackends = []string{"schoolbook", "dcrt-legacy", "dcrt-native"}
+var evalMulBackends = []string{"schoolbook", "dcrt-native"}
 
 // measureEvalMul times one depth-long chain of relinearized homomorphic
-// multiplications on the named registry backend. Setup (keygen,
+// multiplications on the named backend, every level materialized (the
+// deferred chain is measureMulChainDeferred's row). Setup (keygen,
 // encryption, cache warming) is excluded. The schoolbook backend runs a
 // single iteration — it is seconds per op by design.
 func measureEvalMul(n, depth int, backend string) (DCRTPoint, error) {
@@ -129,11 +135,11 @@ func measureEvalMul(n, depth int, backend string) (DCRTPoint, error) {
 	chain := func() error {
 		ct := ct0
 		for d := 0; d < depth; d++ {
-			next, err := eng.Mul(ct, ct1)
+			next, err := eng.Mul([]bfv.Value{ct}, []bfv.Value{ct1})
 			if err != nil {
 				return err
 			}
-			ct = next
+			ct = next[0].Materialize()
 		}
 		return nil
 	}
@@ -177,7 +183,7 @@ func measureMulChainDeferred(n, depth int) (DCRTPoint, error) {
 		return DCRTPoint{}, fmt.Errorf("bench: deferred multiplication unavailable at n=%d", n)
 	}
 	chain := func() error {
-		var cur bfv.MulOperand = ct0
+		var cur bfv.Value = ct0
 		var prev *bfv.ProductNTT
 		for d := 0; d < depth; d++ {
 			next, err := ev.MulNTT(cur, ct1)
@@ -190,7 +196,6 @@ func measureMulChainDeferred(n, depth int) (DCRTPoint, error) {
 			cur, prev = next, next
 		}
 		prev.Materialize()
-		prev.Release()
 		return nil
 	}
 	iters, ns, err := timeOp(chain, false)
@@ -378,12 +383,11 @@ func MeasureKernelDispatch(n int) (*DispatchInfo, error) {
 	return info, ntt.SetVectorMode(mode)
 }
 
-// MeasureDCRT measures EvalMul at depth 1 on the given registry
-// backends (all three tracked backends when the list is empty) for the
-// given ring degrees, plus chained depth-3 and depth-5 runs of the
-// double-CRT backends at the largest degree (with a deferred-pipeline
-// row alongside each dcrt-native chain row), and returns the tracking
-// figure plus the JSON report.
+// MeasureDCRT measures EvalMul at depth 1 on the given backends (both
+// tracked backends when the list is empty) for the given ring degrees,
+// plus chained depth-3 and depth-5 runs of dcrt-native at the largest
+// degree (with a deferred-pipeline row alongside each chain row), and
+// returns the tracking figure plus the JSON report.
 func MeasureDCRT(degrees []int, backendNames []string) (*Figure, *DCRTReport, error) {
 	if len(backendNames) == 0 {
 		backendNames = evalMulBackends
@@ -397,7 +401,7 @@ func MeasureDCRT(degrees []int, backendNames []string) (*Figure, *DCRTReport, er
 			"PIM kernels defer; this repo's host path now has it, rescale included",
 	}
 	rep := &DCRTReport{
-		Schema:      "repro/dcrt-evalmul/v6",
+		Schema:      "repro/dcrt-evalmul/v7",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Op:          "EvalMul chain (tensor + relinearize per level); ns_per_op is per chain",
@@ -419,9 +423,6 @@ func MeasureDCRT(degrees []int, backendNames []string) (*Figure, *DCRTReport, er
 				}
 			}
 		}
-		if lg, nat := pts["dcrt-legacy"], pts["dcrt-native"]; lg != nil && nat != nil {
-			nat.SpeedupBigX = float64(lg.NsPerOp) / float64(nat.NsPerOp)
-		}
 		row := Row{Label: fmt.Sprintf("n=%d depth=1", n), Seconds: map[string]float64{}}
 		for _, name := range backendNames {
 			p := pts[name]
@@ -436,65 +437,46 @@ func MeasureDCRT(degrees []int, backendNames []string) (*Figure, *DCRTReport, er
 	if len(degrees) == 0 {
 		return fig, rep, nil
 	}
-	// Depth chains: only meaningful for the double-CRT backends.
-	var depthBackends []string
-	for _, name := range backendNames {
-		if name == "dcrt-legacy" || name == "dcrt-native" {
-			depthBackends = append(depthBackends, name)
-		}
-	}
 	nMax := degrees[len(degrees)-1]
-	trackNative := false
-	for _, name := range depthBackends {
-		if name == "dcrt-native" {
-			trackNative = true
-		}
+	// Depth chains: only meaningful for the double-CRT backend.
+	depths := []int{1, 3, 5}
+	if !slices.Contains(backendNames, "dcrt-native") {
+		depths = nil
 	}
-	for _, depth := range []int{1, 3, 5} {
-		pts := map[string]*DCRTPoint{}
-		row := Row{Label: fmt.Sprintf("n=%d depth=%d", nMax, depth), Seconds: map[string]float64{}}
+	for _, depth := range depths {
+		var natNs int64
 		if depth > 1 {
-			for _, name := range depthBackends {
-				p, err := measureEvalMul(nMax, depth, name)
-				if err != nil {
-					return nil, nil, err
-				}
-				pts[name] = &p
-			}
-			if lg, nat := pts["dcrt-legacy"], pts["dcrt-native"]; lg != nil && nat != nil {
-				nat.SpeedupBigX = float64(lg.NsPerOp) / float64(nat.NsPerOp)
-				row.Annotation = fmt.Sprintf("%.1fx vs legacy", nat.SpeedupBigX)
-			}
-			for _, name := range depthBackends {
-				row.Seconds[name] = float64(pts[name].NsPerOp) / 1e9
-				rep.Points = append(rep.Points, *pts[name])
-			}
-		}
-		if trackNative {
-			// The NTT-resident Mul-chain row: deferred handles between
-			// levels, one materialization at the end.
-			def, err := measureMulChainDeferred(nMax, depth)
+			p, err := measureEvalMul(nMax, depth, "dcrt-native")
 			if err != nil {
 				return nil, nil, err
 			}
-			nat := pts["dcrt-native"]
-			if nat == nil && depth == 1 {
-				// Depth-1 native was measured in the per-degree sweep.
-				for i := range rep.Points {
-					p := &rep.Points[i]
-					if p.N == nMax && p.Backend == "dcrt-native" && p.Depth == 1 && p.Op == "" {
-						nat = p
-					}
+			rep.Points = append(rep.Points, p)
+			natNs = p.NsPerOp
+		} else {
+			// Depth-1 native was measured in the per-degree sweep.
+			for _, p := range rep.Points {
+				if p.N == nMax && p.Backend == "dcrt-native" && p.Depth == 1 && p.Op == "" {
+					natNs = p.NsPerOp
 				}
 			}
-			if nat != nil {
-				def.SpeedupSerX = float64(nat.NsPerOp) / float64(def.NsPerOp)
-			}
-			row.Seconds["dcrt-native-deferred"] = float64(def.NsPerOp) / 1e9
-			rep.Points = append(rep.Points, def)
 		}
-		if len(row.Seconds) > 0 && depth > 1 {
-			fig.Rows = append(fig.Rows, row)
+		// The NTT-resident Mul-chain row: deferred handles between
+		// levels, one materialization at the end.
+		def, err := measureMulChainDeferred(nMax, depth)
+		if err != nil {
+			return nil, nil, err
+		}
+		def.SpeedupSerX = float64(natNs) / float64(def.NsPerOp)
+		rep.Points = append(rep.Points, def)
+		if depth > 1 {
+			fig.Rows = append(fig.Rows, Row{
+				Label: fmt.Sprintf("n=%d depth=%d", nMax, depth),
+				Seconds: map[string]float64{
+					"dcrt-native":          float64(natNs) / 1e9,
+					"dcrt-native-deferred": float64(def.NsPerOp) / 1e9,
+				},
+				Annotation: fmt.Sprintf("%.2fx deferred", def.SpeedupSerX),
+			})
 		}
 	}
 	if kpts, err := MeasureKernels(nMax); err == nil {
@@ -522,11 +504,21 @@ func WriteDCRTJSON(path string, rep *DCRTReport) error {
 
 // batchRig is the measured fixture of the batch axis: one encrypted
 // ciphertext and k Galois keys at the 54-bit modulus, evaluated on a
-// registry backend.
+// hebfv backend.
 type batchRig struct {
 	eng hebfv.Engine
 	ct  *bfv.Ciphertext
 	gks []*bfv.GaloisKey
+}
+
+// rotate is one engine dispatch of the rig's ciphertext under the given
+// keys; its outputs are deferred wherever the backend defers.
+func (rig *batchRig) rotate(gks ...*bfv.GaloisKey) ([]bfv.Value, error) {
+	rows, err := rig.eng.Rotate([]bfv.Value{rig.ct}, gks)
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
 }
 
 func newBatchRig(n, k int, backend string) (*batchRig, error) {
@@ -579,11 +571,11 @@ func timeOp(fn func() error, single bool) (int, int64, error) {
 }
 
 // MeasureBatch measures the batched-rotation axis at ring degree n with
-// k Galois elements on the named registry backend (dcrt-native when
-// empty): per-output rotation (serial vs hoisted vs hoisted with
-// NTT-resident outputs) and the rotate-and-sum workload (serial fold vs
-// hoisted fused reduction), plus the decryption pair. It returns the
-// tracking figure and the v4 points.
+// k Galois elements on the named backend (dcrt-native when empty):
+// per-output rotation (serial vs hoisted vs hoisted with NTT-resident
+// outputs) and the rotate-and-sum workload (serial fold vs hoisted fused
+// reduction), plus the decryption row. It returns the tracking figure
+// and the points.
 func MeasureBatch(n, k int, backend string) (*Figure, []DCRTPoint, error) {
 	if backend == "" {
 		backend = "dcrt-native"
@@ -623,7 +615,7 @@ func MeasureBatch(n, k int, backend string) (*Figure, []DCRTPoint, error) {
 
 	serial, err := measure("rotate", "galois-serial", k, func() error {
 		for _, gk := range rig.gks {
-			if _, err := rig.eng.ApplyGalois(rig.ct, gk); err != nil {
+			if _, err := rig.rotate(gk); err != nil {
 				return err
 			}
 		}
@@ -632,8 +624,12 @@ func MeasureBatch(n, k int, backend string) (*Figure, []DCRTPoint, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// One dispatch over all k keys, every output's base conversions paid.
 	hoisted, err := measure("rotate", "galois-hoisted", k, func() error {
-		_, err := rig.eng.RotateMany(rig.ct, rig.gks)
+		rots, err := rig.rotate(rig.gks...)
+		for _, r := range rots {
+			r.Materialize()
+		}
 		return err
 	})
 	if err != nil {
@@ -642,19 +638,16 @@ func MeasureBatch(n, k int, backend string) (*Figure, []DCRTPoint, error) {
 	hoisted.SpeedupSerX = float64(serial.NsPerOp) / float64(hoisted.NsPerOp)
 	cols := map[string]*DCRTPoint{"Serial": serial, "Hoisted": hoisted}
 
-	// NTT-resident outputs — only where the backend actually defers the
-	// base conversions (CanDefer), so the row never mislabels a
-	// materialized fallback as deferred.
-	if dr, ok := rig.eng.(hebfv.DeferredRotator); ok && dr.CanDefer() {
+	// NTT-resident outputs, released unconverted (the consumer aggregates
+	// or discards) — only on the backend whose engine defers this shape,
+	// so the row never mislabels a materialized fallback as deferred.
+	if backend == "dcrt-native" {
 		ntt, err := measure("rotate", "galois-hoisted-ntt", k, func() error {
-			rots, err := dr.RotateManyNTT(rig.ct, rig.gks)
-			if err != nil {
-				return err
-			}
+			rots, err := rig.rotate(rig.gks...)
 			for _, r := range rots {
 				r.Release()
 			}
-			return nil
+			return err
 		})
 		if err != nil {
 			return nil, nil, err
@@ -666,9 +659,9 @@ func MeasureBatch(n, k int, backend string) (*Figure, []DCRTPoint, error) {
 		fmt.Sprintf("%.1fx hoisted", hoisted.SpeedupSerX))
 
 	serialSum, err := measure("rotate-sum", "galois-serial", k, func() error {
-		acc := rig.ct.Clone()
+		acc := []bfv.Value{rig.ct.Clone()}
 		for _, gk := range rig.gks {
-			r, err := rig.eng.ApplyGalois(rig.ct, gk)
+			r, err := rig.rotate(gk)
 			if err != nil {
 				return err
 			}
@@ -682,7 +675,7 @@ func MeasureBatch(n, k int, backend string) (*Figure, []DCRTPoint, error) {
 		return nil, nil, err
 	}
 	hoistedSum, err := measure("rotate-sum", "galois-hoisted", k, func() error {
-		_, err := rig.eng.RotateAndSum([]*bfv.Ciphertext{rig.ct}, rig.gks)
+		_, err := rig.eng.RotateAndSum([]bfv.Value{rig.ct}, rig.gks)
 		return err
 	})
 	if err != nil {
@@ -693,23 +686,13 @@ func MeasureBatch(n, k int, backend string) (*Figure, []DCRTPoint, error) {
 		map[string]*DCRTPoint{"Serial": serialSum, "Hoisted": hoistedSum},
 		fmt.Sprintf("%.1fx hoisted", hoistedSum.SpeedupSerX))
 
-	// Decryption pair: RNS-native Decrypt vs the retained big.Int oracle,
-	// on the same degree-1 ciphertext (backend-independent).
+	// Decryption (backend-independent), on a degree-1 ciphertext.
 	src := sampling.NewSourceFromUint64(uint64(n))
 	kg := bfv.NewKeyGenerator(params, src)
 	sk, pk := kg.GenKeyPair()
 	enc := bfv.NewEncryptor(params, pk, src)
 	dec := bfv.NewDecryptor(params, sk)
 	ct, err := enc.EncryptValue(7)
-	if err != nil {
-		return nil, nil, err
-	}
-	decBig, err := measure("decrypt", "decrypt-bigint", 0, func() error {
-		if dec.DecryptBigInt(ct).Coeffs[0] != 7 {
-			return fmt.Errorf("bench: big.Int decrypt failed")
-		}
-		return nil
-	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -722,10 +705,7 @@ func MeasureBatch(n, k int, backend string) (*Figure, []DCRTPoint, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	decRNS.SpeedupSerX = float64(decBig.NsPerOp) / float64(decRNS.NsPerOp)
-	row(fmt.Sprintf("n=%d decrypt", n),
-		map[string]*DCRTPoint{"Serial": decBig, "Hoisted": decRNS},
-		fmt.Sprintf("%.1fx rns", decRNS.SpeedupSerX))
+	row(fmt.Sprintf("n=%d decrypt", n), map[string]*DCRTPoint{"Hoisted": decRNS}, "")
 
 	points := make([]DCRTPoint, len(collected))
 	for i, p := range collected {

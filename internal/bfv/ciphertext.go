@@ -18,6 +18,22 @@ func NewPlaintext(params *Parameters) *Plaintext {
 	return &Plaintext{Coeffs: make([]uint64, params.N)}
 }
 
+// Value is a ciphertext in whichever form the evaluator produced it:
+// materialized (*Ciphertext) or deferred (*RotatedNTT, *ProductNTT —
+// exact extended-basis accumulators whose base conversions have not run
+// yet). Deferred values fuse sums and chain into multiplications in
+// their resident domain; every form materializes to the same bits.
+type Value interface {
+	// Materialize returns the coefficient-domain ciphertext. A deferred
+	// value converts once, caches the result, and returns its
+	// accumulators to the scratch pool.
+	Materialize() *Ciphertext
+	// Release returns a deferred value's accumulators to the scratch
+	// pool without materializing it; the value must not be used for
+	// first-time Materialize afterwards.
+	Release()
+}
+
 // Ciphertext is a BFV ciphertext: a list of polynomials in R_q. Fresh
 // ciphertexts have degree 1 (two polynomials); an unrelinearized product
 // has degree 2 (three polynomials).
@@ -97,6 +113,12 @@ func (ct *Ciphertext) rnsNTTUse(ctx *dcrt.Context, i int, wantShoup bool) (form,
 	}
 	return ct.ntt.forms[i], ct.ntt.shoups[i]
 }
+
+// Materialize returns ct itself: a ciphertext is the materialized Value.
+func (ct *Ciphertext) Materialize() *Ciphertext { return ct }
+
+// Release is a no-op: a ciphertext holds no pooled scratch.
+func (ct *Ciphertext) Release() {}
 
 // Degree returns len(Polys) - 1.
 func (ct *Ciphertext) Degree() int { return len(ct.Polys) - 1 }

@@ -144,10 +144,10 @@ func galoisKeySwitchAcc(ctx *dcrt.Context, acc0, acc1 *dcrt.Poly, digits []*dcrt
 	ctx.GaloisAccAllNTT(acc0, acc1, k0, k1, digits, idx)
 }
 
-// keySwitchAccLegacy is the PR-1 key-switching path: big.Int digit
+// keySwitchAccLegacy is the big.Int key-switching path: big.Int digit
 // decomposition, per-digit ToRNS, and big.Int CRT recombination on the
-// way out. Kept behind Evaluator.SetBigIntRescale so the perf-tracking
-// benchmarks can measure the RNS-native path against it. Digits enter
+// way out — the only path for moduli outside dcrt.Context.RNSNative
+// (even q, 63/64-bit q, a factor shared with a basis prime). Digits enter
 // through the centered decomposition: for plain relinearization digits
 // (small canonical values) centering is the identity, and for permuted
 // Galois digits it maps the mod-q-negated coefficients q−v to the small

@@ -60,9 +60,8 @@ func BenchmarkEvalMulDCRT(b *testing.B) {
 
 // benchmarkEvalMulDepth times a depth-long chain of relinearized
 // multiplications per iteration — the workload shape the NTT-resident
-// ciphertext cache and the RNS-native rescale exist for — on either the
-// RNS-native path or the PR-1 big.Int round-trip path.
-func benchmarkEvalMulDepth(b *testing.B, n, depth int, bigRescale bool) {
+// ciphertext cache and the RNS-native rescale exist for.
+func benchmarkEvalMulDepth(b *testing.B, n, depth int) {
 	params := ParamsSec54AtDegree(n)
 	src := sampling.NewSourceFromUint64(uint64(n + depth))
 	kg := NewKeyGenerator(params, src)
@@ -79,7 +78,6 @@ func benchmarkEvalMulDepth(b *testing.B, n, depth int, bigRescale bool) {
 		b.Fatal(err)
 	}
 	ev := NewEvaluator(params, rlk)
-	ev.SetBigIntRescale(bigRescale)
 	chain := func() {
 		ct := ct0
 		for d := 0; d < depth; d++ {
@@ -97,14 +95,15 @@ func benchmarkEvalMulDepth(b *testing.B, n, depth int, bigRescale bool) {
 	}
 }
 
-func benchmarkDepthPair(b *testing.B, depth int) {
-	b.Run("path=rns", func(b *testing.B) { benchmarkEvalMulDepth(b, 4096, depth, false) })
-	b.Run("path=bigint", func(b *testing.B) { benchmarkEvalMulDepth(b, 4096, depth, true) })
+// The path=rns sub-benchmark name is what .github/bench-baseline.txt
+// tracks.
+func benchmarkDepth(b *testing.B, depth int) {
+	b.Run("path=rns", func(b *testing.B) { benchmarkEvalMulDepth(b, 4096, depth) })
 }
 
-func BenchmarkEvalMulDepth1(b *testing.B) { benchmarkDepthPair(b, 1) }
-func BenchmarkEvalMulDepth3(b *testing.B) { benchmarkDepthPair(b, 3) }
-func BenchmarkEvalMulDepth5(b *testing.B) { benchmarkDepthPair(b, 5) }
+func BenchmarkEvalMulDepth1(b *testing.B) { benchmarkDepth(b, 1) }
+func BenchmarkEvalMulDepth3(b *testing.B) { benchmarkDepth(b, 3) }
+func BenchmarkEvalMulDepth5(b *testing.B) { benchmarkDepth(b, 5) }
 
 // benchmarkMulChainDeferred times the same depth-long chain through the
 // NTT-resident pipeline: every level consumes the previous level's
@@ -131,7 +130,7 @@ func benchmarkMulChainDeferred(b *testing.B, n, depth int) {
 		b.Fatal("deferred multiplication unavailable on this configuration")
 	}
 	chain := func() {
-		var cur MulOperand = ct0
+		var cur Value = ct0
 		var prev *ProductNTT
 		for d := 0; d < depth; d++ {
 			next, err := ev.MulNTT(cur, ct1)
@@ -170,8 +169,8 @@ func BenchmarkMulManySum(b *testing.B) {
 	enc := NewEncryptor(params, pk, src)
 	as := make([]*Ciphertext, pairs)
 	bs := make([]*Ciphertext, pairs)
-	aOps := make([]MulOperand, pairs)
-	bOps := make([]MulOperand, pairs)
+	aOps := make([]Value, pairs)
+	bOps := make([]Value, pairs)
 	for i := range as {
 		var err error
 		if as[i], err = enc.EncryptValue(uint64(2 + i)); err != nil {
@@ -363,8 +362,8 @@ func BenchmarkRotateSumHoisted(b *testing.B) {
 	}
 }
 
-// BenchmarkDecrypt tracks the RNS-native decryption against the big.Int
-// path it replaced.
+// BenchmarkDecrypt tracks the RNS-native decryption (the path=rns name
+// is what .github/bench-baseline.txt tracks).
 func BenchmarkDecrypt(b *testing.B) {
 	params := ParamsSec54AtDegree(4096)
 	src := sampling.NewSourceFromUint64(99)
@@ -380,13 +379,6 @@ func BenchmarkDecrypt(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if pt, ok := dec.decryptRNS(ct); !ok || pt.Coeffs[0] != 7 {
 				b.Fatal("rns decrypt failed")
-			}
-		}
-	})
-	b.Run("path=bigint", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if pt := dec.decryptBig(ct); pt.Coeffs[0] != 7 {
-				b.Fatal("bigint decrypt failed")
 			}
 		}
 	})

@@ -117,8 +117,9 @@ func runDifferential(t *testing.T, params *Parameters, seed uint64) {
 // oracle. Noise overflows long before the chain ends at the smaller
 // levels; bit-identity is unaffected, which is exactly the property
 // differential testing relies on. The final round is also checked
-// against the PR-1 big.Int rescale path (SetBigIntRescale), pinning all
-// three implementations of the multiplication pipeline to the same bits.
+// against the big.Int rescale path non-RNS-native moduli take (forced
+// through the unexported bigRescale field), pinning all three
+// implementations of the multiplication pipeline to the same bits.
 func runDifferentialDepth(t *testing.T, params *Parameters, seed uint64, depth int) {
 	r := newDiffRig(t, params, seed)
 	ctB, err := r.enc.EncryptValue(5)
@@ -156,7 +157,7 @@ func runDifferentialDepth(t *testing.T, params *Parameters, seed uint64, depth i
 		r.mustEqual(t, "depth Add", fast, oracle)
 	}
 	legacy := NewEvaluator(params, r.rlk)
-	legacy.SetBigIntRescale(true)
+	legacy.bigRescale = true
 	lm, err := legacy.Mul(fast, ctB)
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +167,23 @@ func runDifferentialDepth(t *testing.T, params *Parameters, seed uint64, depth i
 		t.Fatal(err)
 	}
 	r.mustEqual(t, "legacy big.Int rescale Mul", fm, lm)
+
+	// The big.Int key switch behind rotations, per-rotation and through
+	// the batched front end's un-hoisted fallback.
+	lr, err := legacy.ApplyGalois(fast, r.gk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := r.fast.ApplyGalois(fast, r.gk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.mustEqual(t, "legacy big.Int ApplyGalois", fr, lr)
+	ls, err := NewBatchEvaluatorFrom(legacy).RotateAndSum([]*Ciphertext{fast}, []*GaloisKey{r.gk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.mustEqual(t, "legacy big.Int RotateAndSum", r.fast.Add(fast, fr), ls[0])
 }
 
 // TestDCRTDifferentialDepthSec27 chains depth 3 with rotations at the

@@ -179,14 +179,6 @@ func (d *Decryptor) decryptRNS(ct *Ciphertext) (*Plaintext, bool) {
 	return pt, true
 }
 
-// DecryptBigInt is the retained big.Int decryption path — the rounding
-// oracle the RNS-native Decrypt is differentially pinned to, exported
-// (like Evaluator.SetBigIntRescale) so the perf-tracking benchmarks can
-// measure the word-sized path against it. Results are bit-identical.
-func (d *Decryptor) DecryptBigInt(ct *Ciphertext) *Plaintext {
-	return d.decryptBig(ct)
-}
-
 // decryptBig is the big.Int Decrypt — the rounding oracle decryptRNS is
 // differentially pinned to, and the fallback outside its window.
 func (d *Decryptor) decryptBig(ct *Ciphertext) *Plaintext {

@@ -26,6 +26,9 @@ type Evaluator struct {
 	params     *Parameters
 	rlk        *RelinKey
 	schoolbook bool
+	// bigRescale forces the big.Int rescale/key-switch round trip — the
+	// path moduli outside dcrt.Context.RNSNative take — so the in-package
+	// differential tests can pin it on native moduli too.
 	bigRescale bool
 	Meter      limb32.Meter
 
@@ -51,14 +54,6 @@ func (ev *Evaluator) getScratch() *evScratch {
 }
 
 func (ev *Evaluator) putScratch(s *evScratch) { ev.scratch.Put(s) }
-
-// SetBigIntRescale pins the double-CRT backend to the PR-1 evaluation
-// path: tensor rescaling through per-coefficient big.Int CRT
-// recombination and division, and key switching through big.Int digit
-// decomposition. It exists for the perf-tracking benchmarks (the
-// "round-trip path" rows of BENCH_dcrt.json) and changes no results —
-// both paths are bit-identical.
-func (ev *Evaluator) SetBigIntRescale(on bool) { ev.bigRescale = on }
 
 // useRNSNative reports whether multiplicative operations run the fully
 // RNS-native path: word-sized scale-and-round, limb-shift digit

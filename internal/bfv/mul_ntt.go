@@ -69,29 +69,32 @@ func mulMagBits(par *Parameters) int {
 	return tensor + 2
 }
 
-// MulOperand is an input to the deferred multiplication pipeline: either
-// a *Ciphertext (degree 1) or a *ProductNTT — the latter feeds its
-// centered NTT forms straight into the next tensor product, so chained
-// multiplications never pack coefficients between levels. The interface
-// is closed (both implementations live in this package).
-type MulOperand interface {
+// mulOperand is an input to the tensor product: a *Ciphertext (degree 1)
+// or a live *ProductNTT — the latter feeds its centered NTT forms straight
+// into the next tensor product, so chained multiplications never pack
+// coefficients between levels.
+type mulOperand interface {
 	// tensorOperand returns the centered-mod-q NTT form of component i
 	// (0 or 1) for the tensor product, cached on the operand.
 	tensorOperand(ctx *dcrt.Context, i int) *dcrt.Poly
-	// materializeOperand returns the coefficient-domain ciphertext — the
-	// fallback for backends that cannot defer.
-	materializeOperand() (*Ciphertext, error)
 	// acquireOperand/releaseOperand bracket an in-flight multiplication
 	// reading the operand's forms, deferring a concurrent Release.
 	acquireOperand()
 	releaseOperand()
 }
 
+// operandOf maps a value to its tensor-product input: a deferred product
+// chains, every other form enters through its materialized ciphertext.
+func operandOf(v Value) mulOperand {
+	if p, ok := v.(*ProductNTT); ok {
+		return p
+	}
+	return v.Materialize()
+}
+
 func (ct *Ciphertext) tensorOperand(ctx *dcrt.Context, i int) *dcrt.Poly {
 	return ct.rnsNTT(ctx, i)
 }
-
-func (ct *Ciphertext) materializeOperand() (*Ciphertext, error) { return ct, nil }
 
 func (ct *Ciphertext) acquireOperand() {}
 func (ct *Ciphertext) releaseOperand() {}
@@ -126,10 +129,6 @@ func (r *ProductNTT) tensorOperand(ctx *dcrt.Context, i int) *dcrt.Poly {
 		panic("bfv: ProductNTT operand use after Release")
 	}
 	return ct.rnsNTT(ctx, i)
-}
-
-func (r *ProductNTT) materializeOperand() (*Ciphertext, error) {
-	return r.Materialize(), nil
 }
 
 func (r *ProductNTT) acquireOperand() {
@@ -172,9 +171,6 @@ func (ev *Evaluator) CanDeferMuls() bool {
 	return ev.useRNSNative() && ev.rlk != nil && mulMagBits(ev.params)+1 < dcrtFor(ev.params).BoundBits
 }
 
-// CanDeferMuls reports the wrapped evaluator's deferral capability.
-func (be *BatchEvaluator) CanDeferMuls() bool { return be.ev.CanDeferMuls() }
-
 // MulNTT returns the relinearized product of two degree-1 operands in
 // deferred NTT-resident form: the tensor products, rescaling and
 // key-switching accumulation run as usual, but the two output base
@@ -184,22 +180,15 @@ func (be *BatchEvaluator) CanDeferMuls() bool { return be.ev.CanDeferMuls() }
 // only where a digit decomposition genuinely needs them. On backends that
 // cannot defer it falls back to the materialized path; either way
 // Materialize's result is bit-identical to Evaluator.Mul.
-func (ev *Evaluator) MulNTT(a, b MulOperand) (*ProductNTT, error) {
+func (ev *Evaluator) MulNTT(av, bv Value) (*ProductNTT, error) {
 	if !ev.CanDeferMuls() {
-		ca, err := a.materializeOperand()
-		if err != nil {
-			return nil, err
-		}
-		cb, err := b.materializeOperand()
-		if err != nil {
-			return nil, err
-		}
-		ct, err := ev.Mul(ca, cb)
+		ct, err := ev.Mul(av.Materialize(), bv.Materialize())
 		if err != nil {
 			return nil, err
 		}
 		return &ProductNTT{par: ev.params, ct: ct}, nil
 	}
+	a, b := operandOf(av), operandOf(bv)
 	if ct, ok := a.(*Ciphertext); ok && ct.Degree() != 1 {
 		return nil, errors.New("bfv: MulNTT requires degree-1 operands")
 	}
@@ -225,7 +214,7 @@ func (ev *Evaluator) MulNTT(a, b MulOperand) (*ProductNTT, error) {
 // extended basis and returns the two exact-integer component accumulators
 // in the residue domain (pooled; the caller owns them). Requires
 // CanDeferMuls.
-func (ev *Evaluator) mulDeferred(a, b MulOperand) (res0, res1 *dcrt.Poly) {
+func (ev *Evaluator) mulDeferred(a, b mulOperand) (res0, res1 *dcrt.Poly) {
 	par := ev.params
 	ctx := dcrtFor(par)
 	ra0 := a.tensorOperand(ctx, 0)
@@ -282,7 +271,8 @@ func (ev *Evaluator) mulDeferred(a, b MulOperand) (res0, res1 *dcrt.Poly) {
 
 // Materialize forces the deferred product into a coefficient-domain
 // ciphertext (the two base conversions), caching the result — repeated
-// calls convert once. Bit-identical to Evaluator.Mul.
+// calls convert once — and returns the accumulators to the scratch pool
+// like Release. Bit-identical to Evaluator.Mul.
 func (r *ProductNTT) Materialize() *Ciphertext {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -294,6 +284,7 @@ func (r *ProductNTT) Materialize() *Ciphertext {
 			r.ctx.FromResidues(r.res0), r.ctx.FromResidues(r.res1),
 		}}
 	}
+	r.releaseLocked()
 	return r.ct
 }
 
@@ -347,18 +338,18 @@ func (r *ProductNTT) Add(o *ProductNTT) (*ProductNTT, bool) {
 }
 
 // Release returns the accumulators and cached forms to the context's
-// scratch pool. Call it on handles that are done deferring (materialized
-// or discarded) to keep steady-state batched multiplication
-// allocation-free; the handle must not be used for further Add, operand
-// use, or first-time Materialize afterwards. A Release racing an
-// in-flight multiplication that reads this handle is deferred until that
-// multiplication finishes.
+// scratch pool. Call it on handles discarded without materializing to
+// keep steady-state batched multiplication allocation-free; the handle
+// must not be used for further Add, operand use, or first-time
+// Materialize afterwards. A Release racing an in-flight multiplication
+// that reads this handle is deferred until that multiplication finishes.
 func (r *ProductNTT) Release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.ctx == nil {
-		return
-	}
+	r.releaseLocked()
+}
+
+func (r *ProductNTT) releaseLocked() {
 	if r.inUse > 0 {
 		r.releasePending = true
 		return
@@ -371,7 +362,7 @@ func (r *ProductNTT) Release() {
 // pipelines (dot products, variance sums) pay one base-conversion pair
 // for the whole reduction instead of one per product. Materializing every
 // output reproduces MulMany bit for bit.
-func (be *BatchEvaluator) MulManyNTT(as, bs []MulOperand) ([]*ProductNTT, error) {
+func (be *BatchEvaluator) MulManyNTT(as, bs []Value) ([]*ProductNTT, error) {
 	if len(as) != len(bs) {
 		return nil, errors.New("bfv: MulManyNTT length mismatch")
 	}

@@ -61,7 +61,7 @@ func TestMulNTTBitIdentical(t *testing.T) {
 // chain, and Square through MulNTT(x, x) matches Square.
 func TestMulNTTChain(t *testing.T) {
 	ev, oracle, _, ct0, ct1 := mulNTTRig(t, 64, 32)
-	var cur MulOperand = ct0
+	var cur Value = ct0
 	var prev *ProductNTT
 	for d := 0; d < 3; d++ {
 		next, err := ev.MulNTT(cur, ct1)
@@ -187,8 +187,8 @@ func TestMulManyNTTSum(t *testing.T) {
 	enc := NewEncryptor(params, pk, src)
 	dec := NewDecryptor(params, sk)
 	const pairs = 4
-	as := make([]MulOperand, pairs)
-	bs := make([]MulOperand, pairs)
+	as := make([]Value, pairs)
+	bs := make([]Value, pairs)
 	rawA := make([]*Ciphertext, pairs)
 	rawB := make([]*Ciphertext, pairs)
 	for i := 0; i < pairs; i++ {

@@ -55,16 +55,6 @@ func rotatedMagBits(par *Parameters) int {
 		bits.Len(uint(par.RelinDigits())) + bits.Len(uint(par.N)) + 2
 }
 
-// CanDeferRotations reports whether this evaluator's rotation outputs
-// can actually stay NTT-resident: only the RNS-native double-CRT
-// backend defers base conversions; other backends' RotateManyNTT
-// transparently materializes. Capability queries (the bench harness,
-// the facade) gate on this instead of assuming deferral happened.
-func (ev *Evaluator) CanDeferRotations() bool { return ev.useRNSNative() }
-
-// CanDeferRotations reports the wrapped evaluator's deferral capability.
-func (be *BatchEvaluator) CanDeferRotations() bool { return be.ev.CanDeferRotations() }
-
 // ApplyGaloisHoistedNTT is ApplyGaloisHoisted returning the rotation in
 // deferred NTT form: the slot permutation of c0 and the key-switching
 // accumulation run as usual, but the two output base conversions are
@@ -105,7 +95,8 @@ func (ev *Evaluator) ApplyGaloisHoistedNTT(h *Hoisted, gk *GaloisKey) (*RotatedN
 
 // Materialize forces the deferred output into a coefficient-domain
 // ciphertext (the two base conversions), caching the result — repeated
-// calls convert once. Bit-identical to ApplyGaloisHoisted, which is
+// calls convert once — and returns the accumulators to the scratch pool
+// like Release. Bit-identical to ApplyGaloisHoisted, which is
 // bit-identical to per-rotation ApplyGalois.
 func (r *RotatedNTT) Materialize() *Ciphertext {
 	r.mu.Lock()
@@ -118,6 +109,7 @@ func (r *RotatedNTT) Materialize() *Ciphertext {
 			r.ctx.FromRNS(r.acc0), r.ctx.FromRNS(r.acc1),
 		}}
 	}
+	r.releaseLocked()
 	return r.ct
 }
 
@@ -165,13 +157,17 @@ func (r *RotatedNTT) Add(o *RotatedNTT) (*RotatedNTT, bool) {
 }
 
 // Release returns the accumulators to the context's scratch pool. Call
-// it on handles that are done deferring (materialized or discarded) to
-// keep steady-state batched rotation allocation-free; the handle must
-// not be used for further Add or first-time Materialize afterwards.
+// it on handles discarded without materializing to keep steady-state
+// batched rotation allocation-free; the handle must not be used for
+// further Add or first-time Materialize afterwards.
 func (r *RotatedNTT) Release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.ctx != nil && r.acc0 != nil {
+	r.releaseLocked()
+}
+
+func (r *RotatedNTT) releaseLocked() {
+	if r.acc0 != nil {
 		r.ctx.PutScratch(r.acc0)
 		r.ctx.PutScratch(r.acc1)
 		r.acc0, r.acc1 = nil, nil

@@ -6,9 +6,9 @@
 // ring multiplication is a pointwise O(n) pass per limb and the
 // transforms cost O(n log n).
 //
-// Unlike package sealbfv — which models SEAL by *replacing* the
-// coefficient modulus with an RNS modulus — this package keeps the
-// paper's exact prime moduli q (27/54/109-bit): the basis is an
+// Unlike SEAL — which *replaces* the coefficient modulus with an RNS
+// modulus — this package keeps the paper's exact prime moduli q
+// (27/54/109-bit): the basis is an
 // *extended* basis whose product Q' is sized so that the exact integer
 // (negacyclic) products never wrap, and results are CRT-recombined and
 // reduced mod q, bit-identical to the schoolbook path. That makes the
