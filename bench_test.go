@@ -24,6 +24,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/pim"
 	"repro/internal/pim/kernels"
+	"repro/internal/pimsched"
 	"repro/internal/poly"
 	"repro/internal/sampling"
 )
@@ -69,6 +70,21 @@ func reportRow(b *testing.B, row benchRow) {
 
 type benchRow struct{ cpu, pim, seal, gpu float64 }
 
+// newSched builds a fresh simulated system under cfg and the scheduler
+// over all of its DPUs.
+func newSched(b *testing.B, cfg pim.SystemConfig) *pimsched.Scheduler {
+	b.Helper()
+	sys, err := pim.NewSystem(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched, err := pimsched.New(sys, pimsched.FitTopology(cfg.NumDPUs), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sched
+}
+
 // BenchmarkFig1aVectorAdd: Figure 1(a) — 128-bit ciphertext vector
 // addition. The measured loop runs the real DPU addition kernel on a
 // scaled-down shard (256 ciphertext polynomials on 8 DPUs); the reported
@@ -91,13 +107,10 @@ func BenchmarkFig1aVectorAdd(b *testing.B) {
 			coeffs := 256 * 64 // scaled-down functional shard
 			a := randVec(src, coeffs, mod)
 			bb := randVec(src, coeffs, mod)
-			sys, err := pim.NewSystem(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			sched := newSched(b, cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := kernels.RunVectorAdd(sys, a, bb, mod.W, mod.Q); err != nil {
+				if _, _, err := kernels.RunVectorAddSched(sched, a, bb, mod.W, mod.Q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -126,13 +139,10 @@ func BenchmarkFig1bVectorMul(b *testing.B) {
 			n := 64
 			a := randVec(src, 2*n, mod)
 			bb := randVec(src, 2*n, mod)
-			sys, err := pim.NewSystem(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			sched := newSched(b, cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := kernels.RunVectorPolyMul(sys, a, bb, n, mod.W, mod.Q); err != nil {
+				if _, _, err := kernels.RunVectorPolyMulSched(sched, a, bb, n, mod.W, mod.Q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -264,14 +274,11 @@ func BenchmarkTaskletSweep(b *testing.B) {
 			cfg := pim.DefaultConfig()
 			cfg.NumDPUs = 1
 			cfg.Tasklets = tk
-			sys, err := pim.NewSystem(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			sched := newSched(b, cfg)
 			var cycles int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, rep, err := kernels.RunVectorAdd(sys, a, bb, mod.W, mod.Q)
+				_, rep, err := kernels.RunVectorAddSched(sched, a, bb, mod.W, mod.Q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -302,14 +309,11 @@ func BenchmarkAblationNativeMul32(b *testing.B) {
 			cfg := pim.DefaultConfig()
 			cfg.NumDPUs = 1
 			cfg.Cost = variant.cost
-			sys, err := pim.NewSystem(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			sched := newSched(b, cfg)
 			var cycles int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, rep, err := kernels.RunVectorPolyMul(sys, a, bb, n, mod.W, mod.Q)
+				_, rep, err := kernels.RunVectorPolyMulSched(sched, a, bb, n, mod.W, mod.Q)
 				if err != nil {
 					b.Fatal(err)
 				}

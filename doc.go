@@ -39,10 +39,13 @@
 //     (internal/cpufeat; HEPIM_VECTOR overrides), one bounded worker
 //     pool shared by limb- and batch-level work.
 //   - internal/hepim, internal/pimsched, internal/pim: BFV on the
-//     simulated PIM machine — kernels sharded over an explicit
-//     rank×DPU topology, rank-granularity transfer/compute overlap, a
-//     cycle/transfer/energy cost model, and a deterministic fault model
-//     (internal/faultinject) with retry and re-dispatch.
+//     simulated PIM machine, on one execution plane. Every kernel
+//     driver (internal/pim/kernels) is a shard plan; pimsched alone
+//     places it on an explicit rank×DPU topology, overlaps transfer
+//     with compute at rank granularity, retries and re-dispatches
+//     under the deterministic fault model (internal/faultinject), and
+//     prices cycles, transfers and energy into one report shape —
+//     the server, the figures and the performance model all run it.
 //   - internal/perfmodel, internal/bench, cmd/hepim-bench, benchmark/:
 //     the paper's analytic platform models, the figure and BENCH_*.json
 //     emitters, and the repo's end-to-end benchmark (BENCHMARK.json).

@@ -23,11 +23,12 @@ import (
 //   - "schoolbook": the O(n²) limb schoolbook path — the paper's PIM
 //     cost model (its instruction stream is what the simulator meters)
 //     and the correctness oracle; every backend is bit-identical to it.
-//   - "pim": the simulated UPMEM PIM server (internal/hepim) — kernels
-//     run on the cycle-level simulator through the async multi-DPU
-//     execution plane (internal/pimsched) and the engine reports
-//     modeled kernel time and the sharded cycle/transfer/energy
-//     breakdown (see Context.PIMReport and Context.PIMBreakdown).
+//   - "pim": the simulated UPMEM PIM server (internal/hepim) — every
+//     kernel runs on the cycle-level simulator as a shard plan of the
+//     one execution plane (internal/pimsched) and the engine reports
+//     its running total: modeled kernel time and the sharded
+//     cycle/transfer/energy breakdown (see Context.PIMReport and
+//     Context.PIMBreakdown).
 //   - "auto": the heterogeneous scheduler — holds both the dcrt-native
 //     host engine and the pim engine and routes each batch to whichever
 //     side's cost estimate is lower (measured host wall time vs the PIM
@@ -81,12 +82,13 @@ type Report struct {
 }
 
 // PIMPlaneReport is the accumulated accounting of the simulated PIM
-// plane.
+// plane: one running pimsched.Report total over every kernel run (its
+// KernelSeconds is the summed modeled kernel time), how many runs it
+// holds, and the system's fault counters.
 type PIMPlaneReport struct {
-	Launches       int              // kernel launches issued
-	ModeledSeconds float64          // summed modeled kernel time
-	Faults         pim.FaultStats   // injected faults, retries, re-dispatches
-	Breakdown      *pimsched.Report // sharded cycle/transfer/energy totals
+	Launches  int              // kernel runs (scheduler plans) issued
+	Faults    pim.FaultStats   // injected faults, retries, re-dispatches
+	Breakdown *pimsched.Report // sharded cycle/transfer/energy totals
 }
 
 // Config carries everything a backend needs to construct its engine.
@@ -475,9 +477,8 @@ func (e *pimEngine) Report() Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return Report{PIM: &PIMPlaneReport{
-		Launches:       len(e.srv.Reports),
-		ModeledSeconds: e.srv.ModeledSeconds(),
-		Faults:         e.srv.Sys.FaultStats(),
-		Breakdown:      e.srv.Breakdown(),
+		Launches:  e.srv.Runs(),
+		Faults:    e.srv.Sys.FaultStats(),
+		Breakdown: e.srv.Breakdown(),
 	}}
 }

@@ -324,7 +324,7 @@ func (c *Context) PIMReport() (launches int, modeledSeconds float64, ok bool) {
 	if rep == nil {
 		return 0, 0, false
 	}
-	return rep.Launches, rep.ModeledSeconds, true
+	return rep.Launches, rep.Breakdown.KernelSeconds, true
 }
 
 // PIMStats holds the accumulated fault-model counters of the "pim"

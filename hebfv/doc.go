@@ -128,11 +128,13 @@
 // Evaluation strategy is selected by name (WithBackend; Backends lists
 // them): "dcrt-native" (default, the RNS+NTT fast path), "schoolbook"
 // (the O(n²) path that is the paper's PIM cost model and the
-// correctness oracle), "pim" (the simulated UPMEM server;
-// Context.PIMReport, PIMStats and PIMBreakdown expose its modeled
-// kernel time, fault toll and sharded breakdown) and "auto" (a
-// scheduler routing each batch between the host and the PIM plane by
-// cost estimate; Context.AutoStats records every decision). All
+// correctness oracle), "pim" (the simulated UPMEM server: every
+// kernel is a shard plan run by one scheduler, internal/pimsched, which
+// alone places work on DPUs, retries faults and prices transfers;
+// Context.PIMReport, PIMStats and PIMBreakdown read its one running
+// total — modeled kernel time, fault toll, sharded breakdown) and
+// "auto" (a scheduler routing each batch between the host and the PIM
+// plane by cost estimate; Context.AutoStats records every decision). All
 // backends are mutually bit-identical — the differential tests in this
 // package prove it across the facade, RotateRows/InnerSum slot
 // semantics included.
@@ -174,7 +176,7 @@
 //
 // The simulated PIM backend carries a deterministic fault model:
 // WithPIMFaultInjection(seed, transient, dead, straggler) arms
-// per-launch DPU fault rates, transient faults retry with backoff,
+// per-launch DPU fault rates, transient faults retry in bounded rounds,
 // dead DPUs' shards re-dispatch to survivors, and Context.PIMStats
 // reports the toll. When the PIM system degrades beyond recovery
 // (pim-fault-class errors only — semantic errors propagate unchanged),

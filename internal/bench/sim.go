@@ -6,6 +6,7 @@ import (
 	"repro/internal/nt"
 	"repro/internal/pim"
 	"repro/internal/pim/kernels"
+	"repro/internal/pimsched"
 	"repro/internal/poly"
 	"repro/internal/sampling"
 )
@@ -26,6 +27,18 @@ func randCoeffVec(src *sampling.Source, coeffs int, mod *poly.Modulus) []uint32 
 	return out
 }
 
+// oneDPUSched builds a fresh one-DPU system under cfg and the scheduler
+// over it: these experiments read kernel cycles and energy, not
+// placement.
+func oneDPUSched(cfg pim.SystemConfig) (*pimsched.Scheduler, error) {
+	cfg.NumDPUs = 1
+	sys, err := pim.NewSystem(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return pimsched.New(sys, pimsched.FitTopology(1), false)
+}
+
 type taskletPoint struct {
 	tasklets int
 	cycles   int64
@@ -44,13 +57,12 @@ func taskletSweepCycles(taskletCounts []int) ([]taskletPoint, error) {
 	var out []taskletPoint
 	for _, tk := range taskletCounts {
 		cfg := pim.DefaultConfig()
-		cfg.NumDPUs = 1
 		cfg.Tasklets = tk
-		sys, err := pim.NewSystem(cfg)
+		sched, err := oneDPUSched(cfg)
 		if err != nil {
 			return nil, err
 		}
-		_, rep, err := kernels.RunVectorAdd(sys, a, b, mod.W, mod.Q)
+		_, rep, err := kernels.RunVectorAddSched(sched, a, b, mod.W, mod.Q)
 		if err != nil {
 			return nil, err
 		}
@@ -83,24 +95,19 @@ func nttAblationCycles(n int) (school, nttc int64, err error) {
 		a[i] = uint32(src.Uint64N(q))
 		b[i] = uint32(src.Uint64N(q))
 	}
-	mk := func() (*pim.System, error) {
-		cfg := pim.DefaultConfig()
-		cfg.NumDPUs = 1
-		return pim.NewSystem(cfg)
-	}
-	sys1, err := mk()
+	sched1, err := oneDPUSched(pim.DefaultConfig())
 	if err != nil {
 		return 0, 0, err
 	}
-	_, repS, err := kernels.RunVectorPolyMul(sys1, a, b, n, 1, mod.Q)
+	_, repS, err := kernels.RunVectorPolyMulSched(sched1, a, b, n, 1, mod.Q)
 	if err != nil {
 		return 0, 0, err
 	}
-	sys2, err := mk()
+	sched2, err := oneDPUSched(pim.DefaultConfig())
 	if err != nil {
 		return 0, 0, err
 	}
-	_, repN, err := kernels.RunNTTPolyMul(sys2, plan, a, b)
+	_, repN, err := kernels.RunNTTPolyMulSched(sched2, plan, a, b)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -119,24 +126,21 @@ func energyFigures() (kernelJ, transferJ float64, err error) {
 	shard := 4096 // coefficients on one DPU
 	a := randCoeffVec(src, shard, mod)
 	b := randCoeffVec(src, shard, mod)
-	cfg := pim.DefaultConfig()
-	cfg.NumDPUs = 1
-	sys, err := pim.NewSystem(cfg)
+	sched, err := oneDPUSched(pim.DefaultConfig())
 	if err != nil {
 		return 0, 0, err
 	}
-	_, rep, err := kernels.RunVectorAdd(sys, a, b, mod.W, mod.Q)
+	_, rep, err := kernels.RunVectorAddSched(sched, a, b, mod.W, mod.Q)
 	if err != nil {
 		return 0, 0, err
 	}
-	em := pim.DefaultEnergyModel()
-	perShardJ := em.KernelEnergyJoules(rep, &sys.Config)
+	perShardJ := rep.EnergyKernelJoules
 
 	// Fig 1(a) at 20480 ciphertexts: 83.9M coefficients total.
 	totalCoeffs := float64(20480 * 4096)
 	kernelJ = perShardJ * totalCoeffs / float64(shard)
 	bytes := int64(totalCoeffs) * int64(mod.W) * 4 * 3 // 2 in + 1 out
-	transferJ = em.HostTransferEnergyJoules(bytes)
+	transferJ = pim.DefaultEnergyModel().HostTransferEnergyJoules(bytes)
 	return kernelJ, transferJ, nil
 }
 
@@ -154,12 +158,11 @@ func karatsubaAblationCycles() (karatsuba, schoolbook int64, err error) {
 	a := randCoeffVec(src, n, mod)
 	b := randCoeffVec(src, n, mod)
 	cfg := pim.DefaultConfig()
-	cfg.NumDPUs = 1
-	sys, err := pim.NewSystem(cfg)
+	sched, err := oneDPUSched(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	_, rep, err := kernels.RunVectorPolyMul(sys, a, b, n, mod.W, mod.Q)
+	_, rep, err := kernels.RunVectorPolyMulSched(sched, a, b, n, mod.W, mod.Q)
 	if err != nil {
 		return 0, 0, err
 	}

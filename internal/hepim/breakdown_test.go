@@ -1,10 +1,12 @@
 package hepim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/bfv"
 	"repro/internal/pim"
+	"repro/internal/pim/kernels"
 	"repro/internal/pimsched"
 	"repro/internal/sampling"
 )
@@ -55,9 +57,9 @@ func TestBreakdownAggregatesSchedReports(t *testing.T) {
 	if bd.Topology != f.srv.Sched.Topo || !bd.Overlap {
 		t.Errorf("breakdown topology/overlap not carried: %+v", bd)
 	}
-	if len(f.srv.SchedReports) != len(f.srv.Reports) {
-		t.Errorf("report streams diverged: %d sched vs %d flat",
-			len(f.srv.SchedReports), len(f.srv.Reports))
+	// Mul is four kernel runs: tensor, digit products, two sums.
+	if f.srv.Runs() != 4 {
+		t.Errorf("Mul recorded %d kernel runs, want 4", f.srv.Runs())
 	}
 	if bd.Launches == 0 || bd.Shards == 0 || bd.KernelCycles <= 0 {
 		t.Errorf("empty breakdown: %+v", bd)
@@ -93,5 +95,51 @@ func TestOverlapConfigPropagates(t *testing.T) {
 	bdOff := off.srv.Breakdown()
 	if bdOff.MakespanSeconds != bdOff.SerialSeconds {
 		t.Errorf("overlap-off makespan %g != serial %g", bdOff.MakespanSeconds, bdOff.SerialSeconds)
+	}
+}
+
+// TestBreakdownIsARunningTotal pins that the server keeps one total and
+// nothing per run: Breakdown() costs the same after 10× the calls, and
+// the total is the field-wise sum of the reports the driver returned.
+func TestBreakdownIsARunningTotal(t *testing.T) {
+	f := multiRankFixture(t, true)
+	ct1, _ := f.enc.EncryptValue(3)
+	ct2, _ := f.enc.EncryptValue(9)
+
+	// The report one Add produces, from a twin scheduler fed the same
+	// flattened operands (the simulation is deterministic).
+	twin := multiRankFixture(t, true).srv.Sched
+	a := append(append([]uint32{}, ct1.Polys[0].C...), ct1.Polys[1].C...)
+	b := append(append([]uint32{}, ct2.Polys[0].C...), ct2.Polys[1].C...)
+	_, one, err := kernels.RunVectorAddSched(twin, a, b, f.params.Q.W, f.params.Q.Q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 8
+	want := pimsched.Report{Topology: twin.Topo, Overlap: true}
+	addN := func(k int) {
+		for i := 0; i < k; i++ {
+			if _, err := f.srv.Add(ct1, ct2); err != nil {
+				t.Fatal(err)
+			}
+			want.Accumulate(one)
+		}
+	}
+	addN(n)
+	allocsN := testing.AllocsPerRun(20, func() { f.srv.Breakdown() })
+	addN(9 * n)
+	allocs10N := testing.AllocsPerRun(20, func() { f.srv.Breakdown() })
+	if allocsN != allocs10N {
+		t.Errorf("Breakdown() allocates %v after %d runs but %v after %d", allocsN, n, allocs10N, 10*n)
+	}
+	if f.srv.Runs() != 10*n || *f.srv.Breakdown() != want {
+		t.Errorf("after %d Adds: %d runs, total\n%+v\nwant the sum of the per-run reports\n%+v",
+			10*n, f.srv.Runs(), f.srv.Breakdown(), want)
+	}
+	for i, typ := 0, reflect.TypeOf(Server{}); i < typ.NumField(); i++ {
+		if k := typ.Field(i).Type.Kind(); k == reflect.Slice || k == reflect.Map {
+			t.Errorf("Server.%s is a %s: per-run state must not be retained", typ.Field(i).Name, k)
+		}
 	}
 }

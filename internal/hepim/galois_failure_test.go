@@ -6,6 +6,7 @@ import (
 	"repro/internal/bfv"
 	"repro/internal/pim"
 	"repro/internal/pim/kernels"
+	"repro/internal/pimsched"
 	"repro/internal/sampling"
 )
 
@@ -88,11 +89,7 @@ func TestServerDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cycles int64
-		for _, r := range srv.Reports {
-			cycles += r.KernelCycles
-		}
-		return cycles, prod
+		return srv.Breakdown().KernelCycles, prod
 	}
 	c1, p1 := run()
 	c2, p2 := run()
@@ -114,6 +111,10 @@ func TestWRAMExhaustionSurfacesAsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched, err := pimsched.New(sys, pimsched.FitTopology(1), false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// n=1024 with 8-limb coefficients: accumulators alone need
 	// 2*1024*17 = 34816 words > 16384 WRAM words.
 	n := 1024
@@ -125,7 +126,7 @@ func TestWRAMExhaustionSurfacesAsError(t *testing.T) {
 	a := make([]uint32, n*w)
 	b := make([]uint32, n*w)
 	a[0], b[0] = 1, 1
-	_, _, err = kernels.RunVectorPolyMul(sys, a, b, n, w, q)
+	_, _, err = kernels.RunVectorPolyMulSched(sched, a, b, n, w, q)
 	if err == nil {
 		t.Fatal("expected WRAM exhaustion error")
 	}

@@ -25,10 +25,10 @@ import (
 
 // Server is a PIM-resident BFV evaluation service. All kernels run
 // through the async multi-DPU execution plane (internal/pimsched):
-// work is sharded over the scheduler's rank×DPU topology and the
-// per-op reports carry the sharded cycle/transfer/energy breakdown,
-// including both the pipelined makespan and the no-overlap serial
-// time.
+// work is sharded over the scheduler's rank×DPU topology and every
+// kernel run's report — the sharded cycle/transfer/energy breakdown,
+// with both the pipelined makespan and the no-overlap serial time — is
+// folded into one running total. Nothing is retained per run.
 type Server struct {
 	Sys    *pim.System
 	Sched  *pimsched.Scheduler
@@ -37,11 +37,8 @@ type Server struct {
 	lift *poly.Modulus // 256-bit lift modulus for exact tensor products
 	rlk  *bfv.RelinKey
 
-	// Reports collects the launch reports of every kernel this server ran
-	// (reset with ResetReports), in the flat pim.Report shape older
-	// consumers read; SchedReports carries the full sharded breakdowns.
-	Reports      []*pim.Report
-	SchedReports []*pimsched.Report
+	total pimsched.Report // sum of every kernel run since ResetReports
+	runs  int             // how many runs total holds
 }
 
 // NewServer builds a PIM evaluation server over the largest whole-rank
@@ -78,44 +75,31 @@ func NewServerWithTopology(cfg pim.SystemConfig, params *bfv.Parameters, rlk *bf
 	if err != nil {
 		return nil, err
 	}
-	return &Server{Sys: sys, Sched: sched, Params: params, lift: lift, rlk: rlk}, nil
+	srv := &Server{Sys: sys, Sched: sched, Params: params, lift: lift, rlk: rlk}
+	srv.ResetReports()
+	return srv, nil
 }
 
-// ResetReports clears the accumulated kernel reports.
-func (s *Server) ResetReports() { s.Reports, s.SchedReports = nil, nil }
+// ResetReports clears the running total.
+func (s *Server) ResetReports() {
+	s.total = pimsched.Report{Topology: s.Sched.Topo, Overlap: s.Sched.Overlap}
+	s.runs = 0
+}
 
-// record folds one scheduler run into both report streams.
+// record folds one kernel run into the running total.
 func (s *Server) record(rep *pimsched.Report) {
-	s.SchedReports = append(s.SchedReports, rep)
-	s.Reports = append(s.Reports, &pim.Report{
-		KernelCycles:   rep.KernelCycles,
-		KernelSeconds:  rep.KernelSeconds,
-		CopyInSeconds:  rep.CopyInSeconds,
-		CopyOutSeconds: rep.CopyOutSeconds,
-		TotalInstr:     rep.TotalInstr,
-		TotalDMACycles: rep.TotalDMACycles,
-		Counts:         rep.Counts,
-		ActiveDPUs:     rep.ActiveDPUs,
-	})
+	s.total.Accumulate(rep)
+	s.runs++
 }
 
-// ModeledSeconds sums the modeled kernel time of the accumulated reports.
-func (s *Server) ModeledSeconds() float64 {
-	var t float64
-	for _, r := range s.Reports {
-		t += r.KernelSeconds
-	}
-	return t
-}
+// Runs is how many kernel runs (scheduler plans) the total holds.
+func (s *Server) Runs() int { return s.runs }
 
-// Breakdown aggregates the accumulated scheduler reports into one
-// sharded cycle/transfer/energy summary for the whole run so far.
+// Breakdown returns a copy of the running total: the sharded
+// cycle/transfer/energy summary of every kernel run so far.
 func (s *Server) Breakdown() *pimsched.Report {
-	total := &pimsched.Report{Topology: s.Sched.Topo, Overlap: s.Sched.Overlap}
-	for _, r := range s.SchedReports {
-		total.Accumulate(r)
-	}
-	return total
+	total := s.total
+	return &total
 }
 
 // flattenPolys concatenates ciphertext component p of every ciphertext.
@@ -286,50 +270,47 @@ func (s *Server) Mul(ct0, ct1 *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 	d1 := bfv.ScaleRoundCoeffs(par, d1z)
 	d2 := bfv.ScaleRoundCoeffs(par, d2z)
 
-	// Relinearization: digit products on PIM over q.
-	digits := bfv.DecomposeForRelin(d2, par)
-	w := par.Q.W
+	// Relinearization on PIM over q: (d0, d1) + Σ digit_i(d2)·(K0_i, K1_i).
+	return s.keySwitch(bfv.DecomposeForRelin(d2, par), s.rlk.K0, s.rlk.K1,
+		[][]uint32{d0.C}, [][]uint32{d1.C})
+}
+
+// keySwitch returns (Σ acc0 + Σ_i d_i·k0_i, Σ acc1 + Σ_i d_i·k1_i)
+// computed on the PIM system: the digit×key products interleaved as
+// (d_i·k0_i, d_i·k1_i) pairs in one kernel launch, then one sum launch
+// per output component, folding the even products onto acc0's vectors
+// and the odd ones onto acc1's.
+func (s *Server) keySwitch(digits, k0, k1 []*poly.Poly, acc0, acc1 [][]uint32) (*bfv.Ciphertext, error) {
+	par := s.Params
+	n, w := par.N, par.Q.W
+	digits = digits[:min(len(digits), len(k0))]
 	ra := make([]uint32, 0, 2*len(digits)*n*w)
 	rb := make([]uint32, 0, 2*len(digits)*n*w)
 	for i, d := range digits {
-		if i >= len(s.rlk.K0) {
-			break
+		ra = append(append(ra, d.C...), d.C...)
+		rb = append(append(rb, k0[i].C...), k1[i].C...)
+	}
+	prods, rep, err := kernels.RunVectorPolyMulSched(s.Sched, ra, rb, n, w, par.Q.Q)
+	if err != nil {
+		return nil, err
+	}
+	s.record(rep)
+
+	for i := range digits {
+		acc0 = append(acc0, prods[(2*i)*n*w:(2*i+1)*n*w])
+		acc1 = append(acc1, prods[(2*i+1)*n*w:(2*i+2)*n*w])
+	}
+	out := &bfv.Ciphertext{Polys: make([]*poly.Poly, 2)}
+	for c, vecs := range [][][]uint32{acc0, acc1} {
+		flat, rep, err := kernels.RunVectorSumSched(s.Sched, vecs, w, par.Q.Q)
+		if err != nil {
+			return nil, err
 		}
-		ra = append(ra, d.C...)
-		rb = append(rb, s.rlk.K0[i].C...)
-		ra = append(ra, d.C...)
-		rb = append(rb, s.rlk.K1[i].C...)
+		s.record(rep)
+		out.Polys[c] = poly.NewPoly(n, w)
+		copy(out.Polys[c].C, flat)
 	}
-	rprods, rep2, err := kernels.RunVectorPolyMulSched(s.Sched, ra, rb, n, w, par.Q.Q)
-	if err != nil {
-		return nil, err
-	}
-	s.record(rep2)
-
-	// Final additions on PIM: c0 = d0 + Σ even products, c1 = d1 + Σ odd.
-	pairs := len(rprods) / (2 * n * w)
-	sum0 := [][]uint32{d0.C}
-	sum1 := [][]uint32{d1.C}
-	for i := 0; i < pairs; i++ {
-		sum0 = append(sum0, rprods[(2*i)*n*w:(2*i+1)*n*w])
-		sum1 = append(sum1, rprods[(2*i+1)*n*w:(2*i+2)*n*w])
-	}
-	c0flat, rep3, err := kernels.RunVectorSumSched(s.Sched, sum0, w, par.Q.Q)
-	if err != nil {
-		return nil, err
-	}
-	s.record(rep3)
-	c1flat, rep4, err := kernels.RunVectorSumSched(s.Sched, sum1, w, par.Q.Q)
-	if err != nil {
-		return nil, err
-	}
-	s.record(rep4)
-
-	c0 := poly.NewPoly(n, w)
-	copy(c0.C, c0flat)
-	c1 := poly.NewPoly(n, w)
-	copy(c1.C, c1flat)
-	return &bfv.Ciphertext{Polys: []*poly.Poly{c0, c1}}, nil
+	return out, nil
 }
 
 // Square is Mul(ct, ct) — the variance workload's inner operation.
@@ -353,56 +334,14 @@ func (s *Server) ApplyGalois(ct *bfv.Ciphertext, gk *bfv.GaloisKey) (*bfv.Cipher
 		return nil, errors.New("hepim: nil Galois key")
 	}
 	par := s.Params
-	n, w := par.N, par.Q.W
 
 	// Host: permute c0 and the digits of c1 (pure data movement).
 	c0 := bfv.PermuteGaloisPoly(ct.Polys[0], gk.G, par)
 
-	// PIM: permuted digit × key products, one launch.
+	// PIM: permuted digit × key products folded into (c0, 0).
 	digits := bfv.DecomposeForRelin(ct.Polys[1], par)
 	for i, d := range digits {
 		digits[i] = bfv.PermuteGaloisPoly(d, gk.G, par)
 	}
-	ra := make([]uint32, 0, 2*len(digits)*n*w)
-	rb := make([]uint32, 0, 2*len(digits)*n*w)
-	pairs := 0
-	for i, d := range digits {
-		if i >= len(gk.K0) {
-			break
-		}
-		ra = append(ra, d.C...)
-		rb = append(rb, gk.K0[i].C...)
-		ra = append(ra, d.C...)
-		rb = append(rb, gk.K1[i].C...)
-		pairs += 2
-	}
-	prods, rep, err := kernels.RunVectorPolyMulSched(s.Sched, ra, rb, n, w, par.Q.Q)
-	if err != nil {
-		return nil, err
-	}
-	s.record(rep)
-
-	// PIM: fold the products into (c0, c1) with sum kernels.
-	sum0 := [][]uint32{c0.C}
-	var sum1 [][]uint32
-	for i := 0; i < pairs/2; i++ {
-		sum0 = append(sum0, prods[(2*i)*n*w:(2*i+1)*n*w])
-		sum1 = append(sum1, prods[(2*i+1)*n*w:(2*i+2)*n*w])
-	}
-	c0flat, rep2, err := kernels.RunVectorSumSched(s.Sched, sum0, w, par.Q.Q)
-	if err != nil {
-		return nil, err
-	}
-	s.record(rep2)
-	c1flat, rep3, err := kernels.RunVectorSumSched(s.Sched, sum1, w, par.Q.Q)
-	if err != nil {
-		return nil, err
-	}
-	s.record(rep3)
-
-	outC0 := poly.NewPoly(n, w)
-	copy(outC0.C, c0flat)
-	outC1 := poly.NewPoly(n, w)
-	copy(outC1.C, c1flat)
-	return &bfv.Ciphertext{Polys: []*poly.Poly{outC0, outC1}}, nil
+	return s.keySwitch(digits, gk.K0, gk.K1, [][]uint32{c0.C}, nil)
 }

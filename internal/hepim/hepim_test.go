@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bfv"
 	"repro/internal/pim"
+	"repro/internal/pimsched"
 	"repro/internal/sampling"
 )
 
@@ -56,7 +57,7 @@ func TestServerAddMatchesHostBitExact(t *testing.T) {
 	if v := f.dec.DecryptValue(got); v != 12 {
 		t.Errorf("decrypt(PIM add) = %d", v)
 	}
-	if len(f.srv.Reports) == 0 || f.srv.ModeledSeconds() <= 0 {
+	if f.srv.Runs() == 0 || f.srv.Breakdown().KernelSeconds <= 0 {
 		t.Error("server recorded no kernel time")
 	}
 }
@@ -187,11 +188,12 @@ func TestResetReports(t *testing.T) {
 	if _, err := f.srv.Add(ct, ct); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.srv.Reports) == 0 {
+	if f.srv.Runs() == 0 {
 		t.Fatal("no reports recorded")
 	}
 	f.srv.ResetReports()
-	if len(f.srv.Reports) != 0 || f.srv.ModeledSeconds() != 0 {
-		t.Error("ResetReports did not clear")
+	want := pimsched.Report{Topology: f.srv.Sched.Topo, Overlap: true}
+	if f.srv.Runs() != 0 || *f.srv.Breakdown() != want {
+		t.Errorf("ResetReports did not clear: %d runs, %+v", f.srv.Runs(), f.srv.Breakdown())
 	}
 }

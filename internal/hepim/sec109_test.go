@@ -54,10 +54,10 @@ func TestSec109AdditionPipelineRealParams(t *testing.T) {
 		t.Errorf("sec109 budget exhausted: %d", b)
 	}
 	// The kernel report must reflect the real 128-bit workload.
-	if len(srv.Reports) == 0 {
+	if srv.Runs() == 0 {
 		t.Fatal("no kernel reports")
 	}
-	if srv.ModeledSeconds() <= 0 {
+	if srv.Breakdown().KernelSeconds <= 0 {
 		t.Error("no modeled kernel time")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/pim"
 	"repro/internal/pim/kernels"
+	"repro/internal/pimsched"
 	"repro/internal/sampling"
 )
 
@@ -30,8 +31,13 @@ func inBand(t *testing.T, name string, got, lo, hi float64) {
 // size NOT used for fitting.
 func TestPIMAnalyticMatchesSimulator(t *testing.T) {
 	m := newPIM(t)
-	cfg := pim.DefaultConfig()
-	cfg.NumDPUs = 1
+	sched := func() *pimsched.Scheduler {
+		s, err := oneDPUSched(pim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
 	for _, w := range []int{1, 2, 4} {
 		mod, err := paperModulusForWidth(w)
 		if err != nil {
@@ -47,9 +53,8 @@ func TestPIMAnalyticMatchesSimulator(t *testing.T) {
 		}
 
 		// Addition at 6000 coefficients (fit used 4096 and 8192).
-		sys, _ := pim.NewSystem(cfg)
 		a, b := randVec(6000), randVec(6000)
-		_, rep, err := kernels.RunVectorAdd(sys, a, b, w, mod.Q)
+		_, rep, err := kernels.RunVectorAddSched(sched(), a, b, w, mod.Q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,10 +65,9 @@ func TestPIMAnalyticMatchesSimulator(t *testing.T) {
 		}
 
 		// Multiplication at n=256 (fit used 32, 64, 128).
-		sys2, _ := pim.NewSystem(cfg)
 		n := 256
 		a2, b2 := randVec(n), randVec(n)
-		_, rep2, err := kernels.RunVectorPolyMul(sys2, a2, b2, n, w, mod.Q)
+		_, rep2, err := kernels.RunVectorPolyMulSched(sched(), a2, b2, n, w, mod.Q)
 		if err != nil {
 			t.Fatal(err)
 		}

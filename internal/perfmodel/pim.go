@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/pim"
 	"repro/internal/pim/kernels"
+	"repro/internal/pimsched"
 	"repro/internal/poly"
 	"repro/internal/sampling"
 )
@@ -72,6 +73,17 @@ func paperModulusForWidth(w int) (*poly.Modulus, error) {
 	return poly.NewModulus(q)
 }
 
+// oneDPUSched builds a fresh one-DPU system under cfg and the scheduler
+// over it: the machine every calibration probe runs on.
+func oneDPUSched(cfg pim.SystemConfig) (*pimsched.Scheduler, error) {
+	cfg.NumDPUs = 1
+	sys, err := pim.NewSystem(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return pimsched.New(sys, pimsched.FitTopology(1), false)
+}
+
 func (m *PIMModel) calibrateWidth(w int) error {
 	mod, err := paperModulusForWidth(w)
 	if err != nil {
@@ -85,17 +97,15 @@ func (m *PIMModel) calibrateWidth(w int) error {
 		}
 		return out
 	}
-	oneDPU := m.Cfg
-	oneDPU.NumDPUs = 1
 
 	// Addition: two sizes → slope + intercept.
 	addCycles := func(coeffs int) (float64, error) {
-		sys, err := pim.NewSystem(oneDPU)
+		sched, err := oneDPUSched(m.Cfg)
 		if err != nil {
 			return 0, err
 		}
 		a, b := randVec(coeffs), randVec(coeffs)
-		_, rep, err := kernels.RunVectorAdd(sys, a, b, w, mod.Q)
+		_, rep, err := kernels.RunVectorAddSched(sched, a, b, w, mod.Q)
 		if err != nil {
 			return 0, err
 		}
@@ -114,12 +124,12 @@ func (m *PIMModel) calibrateWidth(w int) error {
 
 	// Multiplication: three sizes → exact quadratic fit.
 	mulCycles := func(n int) (float64, error) {
-		sys, err := pim.NewSystem(oneDPU)
+		sched, err := oneDPUSched(m.Cfg)
 		if err != nil {
 			return 0, err
 		}
 		a, b := randVec(n), randVec(n)
-		_, rep, err := kernels.RunVectorPolyMul(sys, a, b, n, w, mod.Q)
+		_, rep, err := kernels.RunVectorPolyMulSched(sched, a, b, n, w, mod.Q)
 		if err != nil {
 			return 0, err
 		}

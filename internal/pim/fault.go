@@ -120,17 +120,6 @@ func (s *System) LiveDPUIDs() []int {
 	return out
 }
 
-// LiveDPUCount returns how many DPUs have not died.
-func (s *System) LiveDPUCount() int {
-	n := 0
-	for _, d := range s.DPUs {
-		if !d.dead {
-			n++
-		}
-	}
-	return n
-}
-
 // stragglerFactor resolves the configured cycle inflation for
 // straggling DPUs.
 func (s *System) stragglerFactor() float64 {

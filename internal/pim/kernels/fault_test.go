@@ -7,18 +7,14 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/limb32"
 	"repro/internal/pim"
+	"repro/internal/pimsched"
 )
 
-func faultSys(t *testing.T, dpus int) *pim.System {
+// faultSched is a single-rank scheduler over dpus two-tasklet DPUs, the
+// fault suite's machine.
+func faultSched(t *testing.T, dpus int) *pimsched.Scheduler {
 	t.Helper()
-	cfg := pim.DefaultConfig()
-	cfg.NumDPUs = dpus
-	cfg.Tasklets = 2
-	sys, err := pim.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
+	return testSched(t, pimsched.FitTopology(dpus), 2)
 }
 
 // addOracle computes the expected element-wise modular sum on the host.
@@ -54,10 +50,10 @@ func TestFaultTransientRetryBitExact(t *testing.T) {
 	a, b := testVectors(256, 1, q)
 	want := addOracle(a, b, 1, q)
 
-	sys := faultSys(t, 8)
-	sys.SetFaultInjector(faultinject.New(11).SetRate(pim.SiteDPUTransient, 0.3))
+	sched := faultSched(t, 8)
+	sched.Sys.SetFaultInjector(faultinject.New(11).SetRate(pim.SiteDPUTransient, 0.3))
 	for round := 0; round < 10; round++ {
-		got, rep, err := RunVectorAdd(sys, a, b, 1, q)
+		got, rep, err := RunVectorAddSched(sched, a, b, 1, q)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -70,7 +66,7 @@ func TestFaultTransientRetryBitExact(t *testing.T) {
 			}
 		}
 	}
-	st := sys.FaultStats()
+	st := sched.Sys.FaultStats()
 	if st.TransientFaults == 0 || st.Retries == 0 {
 		t.Fatalf("expected injected transients and retries, got %+v", st)
 	}
@@ -84,20 +80,20 @@ func TestFaultDeadDPURedispatchBitExact(t *testing.T) {
 	a, b := testVectors(512, 1, q)
 	want := addOracle(a, b, 1, q)
 
-	sys := faultSys(t, 6)
-	sys.SetFaultInjector(faultinject.New(5).SetRate(pim.SiteDPUDead, 0.15))
+	sched := faultSched(t, 6)
+	sched.Sys.SetFaultInjector(faultinject.New(5).SetRate(pim.SiteDPUDead, 0.15))
 	var st pim.FaultStats
 	for round := 0; round < 12 && st.DeadDPUs == 0; round++ {
-		got, _, err := RunVectorAdd(sys, a, b, 1, q)
+		got, _, err := RunVectorAddSched(sched, a, b, 1, q)
 		if err != nil {
-			t.Fatalf("round %d (stats %+v): %v", round, sys.FaultStats(), err)
+			t.Fatalf("round %d (stats %+v): %v", round, sched.Sys.FaultStats(), err)
 		}
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("round %d: coeff %d = %d, want %d", round, i, got[i], want[i])
 			}
 		}
-		st = sys.FaultStats()
+		st = sched.Sys.FaultStats()
 	}
 	if st.DeadDPUs == 0 {
 		t.Skip("seed produced no deaths in 12 rounds (rate 0.15 over 6 DPUs — should not happen)")
@@ -105,7 +101,7 @@ func TestFaultDeadDPURedispatchBitExact(t *testing.T) {
 	if st.Redispatches == 0 {
 		t.Fatalf("dead DPUs without re-dispatches: %+v", st)
 	}
-	if live := sys.LiveDPUCount(); live != 6-st.DeadDPUs {
+	if live := len(sched.Sys.LiveDPUIDs()); live != 6-st.DeadDPUs {
 		t.Fatalf("live count %d, want %d", live, 6-st.DeadDPUs)
 	}
 }
@@ -114,9 +110,9 @@ func TestFaultAllDPUsDead(t *testing.T) {
 	q := limb32.Nat{4294967291}
 	a, b := testVectors(64, 1, q)
 
-	sys := faultSys(t, 3)
-	sys.SetFaultInjector(faultinject.New(1).SetRate(pim.SiteDPUDead, 1))
-	_, _, err := RunVectorAdd(sys, a, b, 1, q)
+	sched := faultSched(t, 3)
+	sched.Sys.SetFaultInjector(faultinject.New(1).SetRate(pim.SiteDPUDead, 1))
+	_, _, err := RunVectorAddSched(sched, a, b, 1, q)
 	if err == nil {
 		t.Fatal("expected failure with every DPU dying")
 	}
@@ -124,7 +120,7 @@ func TestFaultAllDPUsDead(t *testing.T) {
 		t.Fatalf("error %v is not in the fault taxonomy", err)
 	}
 	// Once everything is dead the system reports it directly.
-	if _, _, err := RunVectorAdd(sys, a, b, 1, q); !errors.Is(err, pim.ErrNoLiveDPUs) {
+	if _, _, err := RunVectorAddSched(sched, a, b, 1, q); !errors.Is(err, pim.ErrNoLiveDPUs) {
 		t.Fatalf("got %v, want ErrNoLiveDPUs", err)
 	}
 }
@@ -133,16 +129,10 @@ func TestFaultRetryBudgetExhaustion(t *testing.T) {
 	q := limb32.Nat{4294967291}
 	a, b := testVectors(64, 1, q)
 
-	cfg := pim.DefaultConfig()
-	cfg.NumDPUs = 2
-	cfg.Tasklets = 2
-	cfg.RetryBudget = 2
-	sys, err := pim.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.SetFaultInjector(faultinject.New(1).SetRate(pim.SiteDPUTransient, 1))
-	_, _, err = RunVectorAdd(sys, a, b, 1, q)
+	sched := faultSched(t, 2)
+	sched.Sys.Config.RetryBudget = 2
+	sched.Sys.SetFaultInjector(faultinject.New(1).SetRate(pim.SiteDPUTransient, 1))
+	_, _, err := RunVectorAddSched(sched, a, b, 1, q)
 	if !errors.Is(err, pim.ErrFaultBudget) {
 		t.Fatalf("got %v, want ErrFaultBudget", err)
 	}
@@ -155,18 +145,18 @@ func TestFaultStragglerInflatesModeledTime(t *testing.T) {
 	q := limb32.Nat{4294967291}
 	a, b := testVectors(4096, 1, q)
 
-	base := faultSys(t, 4)
+	base := faultSched(t, 4)
 	repBase, err := timeOf(base, a, b, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := faultSys(t, 4)
-	slow.SetFaultInjector(faultinject.New(2).SetRate(pim.SiteDPUStraggler, 1))
+	slow := faultSched(t, 4)
+	slow.Sys.SetFaultInjector(faultinject.New(2).SetRate(pim.SiteDPUStraggler, 1))
 	repSlow, err := timeOf(slow, a, b, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := slow.FaultStats(); st.StragglerHits == 0 {
+	if st := slow.Sys.FaultStats(); st.StragglerHits == 0 {
 		t.Fatalf("no straggler hits at rate 1: %+v", st)
 	}
 	if repSlow.KernelCycles <= repBase.KernelCycles {
@@ -175,8 +165,8 @@ func TestFaultStragglerInflatesModeledTime(t *testing.T) {
 	// Results are unaffected — stragglers are slow, not wrong.
 }
 
-func timeOf(sys *pim.System, a, b []uint32, q limb32.Nat) (*pim.Report, error) {
-	_, rep, err := RunVectorAdd(sys, a, b, 1, q)
+func timeOf(sched *pimsched.Scheduler, a, b []uint32, q limb32.Nat) (*pimsched.Report, error) {
+	_, rep, err := RunVectorAddSched(sched, a, b, 1, q)
 	return rep, err
 }
 
@@ -185,17 +175,17 @@ func TestFaultRunsAreReproducible(t *testing.T) {
 	a, b := testVectors(256, 1, q)
 
 	stats := func() pim.FaultStats {
-		sys := faultSys(t, 8)
-		sys.SetFaultInjector(faultinject.New(77).
+		sched := faultSched(t, 8)
+		sched.Sys.SetFaultInjector(faultinject.New(77).
 			SetRate(pim.SiteDPUTransient, 0.2).
 			SetRate(pim.SiteDPUDead, 0.05).
 			SetRate(pim.SiteDPUStraggler, 0.1))
 		for round := 0; round < 6; round++ {
-			if _, _, err := RunVectorAdd(sys, a, b, 1, q); err != nil {
+			if _, _, err := RunVectorAddSched(sched, a, b, 1, q); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
-		return sys.FaultStats()
+		return sched.Sys.FaultStats()
 	}
 	first, second := stats(), stats()
 	if first != second {
@@ -219,9 +209,9 @@ func TestFaultSumAndPolyMulSurviveFaults(t *testing.T) {
 				limb32.Nat(vecs[v][i:i+1]), q, nil)
 		}
 	}
-	sys := faultSys(t, 4)
-	sys.SetFaultInjector(faultinject.New(13).SetRate(pim.SiteDPUTransient, 0.3))
-	got, _, err := RunVectorSum(sys, vecs, 1, q)
+	sched := faultSched(t, 4)
+	sched.Sys.SetFaultInjector(faultinject.New(13).SetRate(pim.SiteDPUTransient, 0.3))
+	got, _, err := RunVectorSumSched(sched, vecs, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,15 +229,15 @@ func TestFaultSumAndPolyMulSurviveFaults(t *testing.T) {
 		a[i] = uint32(i*7+3) % (q[0] / 4)
 		b[i] = uint32(i*11+5) % (q[0] / 4)
 	}
-	clean := faultSys(t, 4)
-	wantP, _, err := RunVectorPolyMul(clean, a, b, n, 1, q)
+	clean := faultSched(t, 4)
+	wantP, _, err := RunVectorPolyMulSched(clean, a, b, n, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := faultSys(t, 4)
-	faulty.SetFaultInjector(faultinject.New(21).
+	faulty := faultSched(t, 4)
+	faulty.Sys.SetFaultInjector(faultinject.New(21).
 		SetRate(pim.SiteDPUTransient, 0.25).SetRate(pim.SiteDPUDead, 0.1))
-	gotP, _, err := RunVectorPolyMul(faulty, a, b, n, 1, q)
+	gotP, _, err := RunVectorPolyMulSched(faulty, a, b, n, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,5 +245,44 @@ func TestFaultSumAndPolyMulSurviveFaults(t *testing.T) {
 		if gotP[i] != wantP[i] {
 			t.Fatalf("polymul word %d = %d, want %d", i, gotP[i], wantP[i])
 		}
+	}
+}
+
+// TestFaultNTTPolyMulSurvivesFaults: the NTT driver is a plan like the
+// others, so it inherits retry and re-sharding. Under 10% transient
+// faults and a DPU dying mid-run the output stays byte-identical to the
+// clean run.
+func TestFaultNTTPolyMulSurvivesFaults(t *testing.T) {
+	n, pairs := 64, 12
+	plan := testPlan(t, n)
+	a := make([]uint32, pairs*n)
+	b := make([]uint32, pairs*n)
+	for i := range a {
+		a[i] = uint32(uint64(i*7+3) % plan.Q)
+		b[i] = uint32(uint64(i*11+5) % plan.Q)
+	}
+	want, _, err := RunNTTPolyMulSched(faultSched(t, 6), plan, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hit := false
+	for seed := uint64(1); seed < 64 && !hit; seed++ {
+		sched := faultSched(t, 6)
+		sched.Sys.SetFaultInjector(faultinject.New(seed).
+			SetRate(pim.SiteDPUTransient, 0.1).SetRate(pim.SiteDPUDead, 0.05))
+		got, rep, err := RunNTTPolyMulSched(sched, plan, a, b)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: word %d = %d, want %d", seed, i, got[i], want[i])
+			}
+		}
+		hit = sched.Sys.FaultStats().DeadDPUs == 1 && rep.Retried > 0 && rep.Resharded > 0
+	}
+	if !hit {
+		t.Fatal("no seed in 1..63 produced one dead DPU with both a retry and a re-shard")
 	}
 }

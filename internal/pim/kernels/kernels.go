@@ -4,6 +4,11 @@
 // API. Each kernel is the direct analogue of the UPMEM C code the paper
 // describes: WRAM tiles staged by DMA, add/addc chains for wide addition,
 // Karatsuba + Barrett for wide multiplication.
+//
+// The tasklet programs live in kernels.go, sum.go and nttkernel.go; the
+// host side is sched.go, where each Run*Sched driver is a shard plan
+// executed by internal/pimsched — the package holds no placement, retry
+// or transfer-pricing logic of its own.
 package kernels
 
 import (

@@ -7,19 +7,27 @@ import (
 
 	"repro/internal/limb32"
 	"repro/internal/pim"
+	"repro/internal/pimsched"
 	"repro/internal/poly"
 )
 
-func testSystem(t *testing.T, dpus, tasklets int) *pim.System {
+// testSched builds a fresh simulated system of topo's size and the
+// scheduler over it: the one way every test in this package reaches a
+// kernel.
+func testSched(t *testing.T, topo pimsched.Topology, tasklets int) *pimsched.Scheduler {
 	t.Helper()
 	cfg := pim.DefaultConfig()
-	cfg.NumDPUs = dpus
+	cfg.NumDPUs = topo.NumDPUs()
 	cfg.Tasklets = tasklets
 	sys, err := pim.NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys
+	sched, err := pimsched.New(sys, topo, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
 }
 
 // paper moduli by width.
@@ -73,11 +81,11 @@ func TestVectorAddBitExactAllWidths(t *testing.T) {
 		mod := modulusFor(t, w)
 		for _, dpus := range []int{1, 3, 8} {
 			for _, tasklets := range []int{1, 11, 16} {
-				sys := testSystem(t, dpus, tasklets)
+				sched := testSched(t, pimsched.FitTopology(dpus), tasklets)
 				coeffs := 1000
 				a := randVec(rng, coeffs, mod)
 				b := randVec(rng, coeffs, mod)
-				got, rep, err := RunVectorAdd(sys, a, b, w, mod.Q)
+				got, rep, err := RunVectorAddSched(sched, a, b, w, mod.Q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,11 +107,11 @@ func TestVectorAddUnevenShards(t *testing.T) {
 	// Coefficient counts that do not divide evenly across DPUs/tasklets.
 	rng := rand.New(rand.NewSource(101))
 	mod := modulusFor(t, 4)
-	sys := testSystem(t, 7, 13)
+	sched := testSched(t, pimsched.FitTopology(7), 13)
 	for _, coeffs := range []int{1, 6, 7, 8, 97} {
 		a := randVec(rng, coeffs, mod)
 		b := randVec(rng, coeffs, mod)
-		got, _, err := RunVectorAdd(sys, a, b, 4, mod.Q)
+		got, _, err := RunVectorAddSched(sched, a, b, 4, mod.Q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,12 +125,12 @@ func TestVectorAddUnevenShards(t *testing.T) {
 }
 
 func TestVectorAddRejectsBadInput(t *testing.T) {
-	sys := testSystem(t, 1, 1)
+	sched := testSched(t, pimsched.FitTopology(1), 1)
 	mod := modulusFor(t, 2)
-	if _, _, err := RunVectorAdd(sys, make([]uint32, 4), make([]uint32, 6), 2, mod.Q); err == nil {
+	if _, _, err := RunVectorAddSched(sched, make([]uint32, 4), make([]uint32, 6), 2, mod.Q); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, _, err := RunVectorAdd(sys, make([]uint32, 5), make([]uint32, 5), 2, mod.Q); err == nil {
+	if _, _, err := RunVectorAddSched(sched, make([]uint32, 5), make([]uint32, 5), 2, mod.Q); err == nil {
 		t.Error("non-multiple length accepted")
 	}
 }
@@ -147,11 +155,11 @@ func TestVectorPolyMulBitExactAllWidths(t *testing.T) {
 		mod := modulusFor(t, w)
 		for _, n := range []int{16, 64} {
 			for _, tasklets := range []int{1, 11, 16} {
-				sys := testSystem(t, 3, tasklets)
+				sched := testSched(t, pimsched.FitTopology(3), tasklets)
 				pairs := 5
 				a := randVec(rng, pairs*n, mod)
 				b := randVec(rng, pairs*n, mod)
-				got, rep, err := RunVectorPolyMul(sys, a, b, n, w, mod.Q)
+				got, rep, err := RunVectorPolyMulSched(sched, a, b, n, w, mod.Q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -174,10 +182,10 @@ func TestVectorPolyMulChargesQuadratically(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	mod := modulusFor(t, 4)
 	cycles := func(n int) int64 {
-		sys := testSystem(t, 1, 16)
+		sched := testSched(t, pimsched.FitTopology(1), 16)
 		a := randVec(rng, n, mod)
 		b := randVec(rng, n, mod)
-		_, rep, err := RunVectorPolyMul(sys, a, b, n, 4, mod.Q)
+		_, rep, err := RunVectorPolyMulSched(sched, a, b, n, 4, mod.Q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,10 +204,10 @@ func TestVectorPolyMulKaratsubaAdvantage(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	mod := modulusFor(t, 4)
 	n := 16
-	sys := testSystem(t, 1, 1)
+	sched := testSched(t, pimsched.FitTopology(1), 1)
 	a := randVec(rng, n, mod)
 	b := randVec(rng, n, mod)
-	_, rep, err := RunVectorPolyMul(sys, a, b, n, 4, mod.Q)
+	_, rep, err := RunVectorPolyMulSched(sched, a, b, n, 4, mod.Q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +233,8 @@ func TestMoreTaskletsNotSlower(t *testing.T) {
 	a := randVec(rng, coeffs, mod)
 	b := randVec(rng, coeffs, mod)
 	cyclesAt := func(tasklets int) int64 {
-		sys := testSystem(t, 1, tasklets)
-		_, rep, err := RunVectorAdd(sys, a, b, 4, mod.Q)
+		sched := testSched(t, pimsched.FitTopology(1), tasklets)
+		_, rep, err := RunVectorAddSched(sched, a, b, 4, mod.Q)
 		if err != nil {
 			t.Fatal(err)
 		}

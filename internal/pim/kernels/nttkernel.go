@@ -184,65 +184,3 @@ func NTTPolyMul(l NTTMulLayout) pim.KernelFunc {
 		return nil
 	}
 }
-
-// RunNTTPolyMul multiplies `pairs` polynomials of degree plan.N over the
-// plan's modulus, distributing pairs across DPUs.
-func RunNTTPolyMul(sys *pim.System, plan *NTTPlan, a, b []uint32) ([]uint32, *pim.Report, error) {
-	n := plan.N
-	if len(a) != len(b) || len(a)%n != 0 {
-		return nil, nil, errors.New("kernels: NTT operand shape mismatch")
-	}
-	pairs := len(a) / n
-	dpus := activeDPUsFor(sys, pairs)
-
-	type shard struct{ start, end int }
-	shards := make([]shard, dpus)
-	sys.ResetTransferAccounting()
-	for d := 0; d < dpus; d++ {
-		s, e := pim.Partition(pairs, dpus, d)
-		shards[d] = shard{s, e}
-		words := (e - s) * n
-		if words == 0 {
-			continue
-		}
-		if err := sys.CopyToDPU(d, 0, a[s*n:e*n]); err != nil {
-			return nil, nil, err
-		}
-		if err := sys.CopyToDPU(d, words, b[s*n:e*n]); err != nil {
-			return nil, nil, err
-		}
-		if err := sys.DPUs[d].EnsureMRAM(3 * words); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	rep, err := sys.Launch(dpus, func(ctx *pim.TaskletCtx) error {
-		sh := shards[ctx.DPUID()]
-		cnt := sh.end - sh.start
-		if cnt == 0 {
-			return nil
-		}
-		words := cnt * n
-		return NTTPolyMul(NTTMulLayout{
-			Plan: plan, Pairs: cnt,
-			OffA: 0, OffB: words, OffOut: 2 * words,
-		})(ctx)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	out := make([]uint32, len(a))
-	for d := 0; d < dpus; d++ {
-		sh := shards[d]
-		words := (sh.end - sh.start) * n
-		if words == 0 {
-			continue
-		}
-		if err := sys.CopyFromDPU(d, 2*words, out[sh.start*n:sh.end*n]); err != nil {
-			return nil, nil, err
-		}
-	}
-	rep.CopyOutSeconds = float64(int64(len(out)*4)) / sys.Config.DPUToHostBytesPerSec
-	return out, rep, nil
-}

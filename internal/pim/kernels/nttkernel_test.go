@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/nt"
+	"repro/internal/pimsched"
 	"repro/internal/poly"
 )
 
@@ -41,7 +42,7 @@ func TestNTTPolyMulBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tasklets := range []int{1, 11, 16} {
-			sys := testSystem(t, 3, tasklets)
+			sched := testSched(t, pimsched.FitTopology(3), tasklets)
 			pairs := 5
 			a := make([]uint32, pairs*n)
 			b := make([]uint32, pairs*n)
@@ -49,7 +50,7 @@ func TestNTTPolyMulBitExact(t *testing.T) {
 				a[i] = uint32(rng.Uint64() % plan.Q)
 				b[i] = uint32(rng.Uint64() % plan.Q)
 			}
-			got, rep, err := RunNTTPolyMul(sys, plan, a, b)
+			got, rep, err := RunNTTPolyMulSched(sched, plan, a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,13 +91,13 @@ func TestNTTBeatsSchoolbookOnPIM(t *testing.T) {
 		b[i] = uint32(rng.Uint64() % plan.Q)
 	}
 
-	sysNTT := testSystem(t, 1, 16)
-	_, repNTT, err := RunNTTPolyMul(sysNTT, plan, a, b)
+	schedNTT := testSched(t, pimsched.FitTopology(1), 16)
+	_, repNTT, err := RunNTTPolyMulSched(schedNTT, plan, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sysSchool := testSystem(t, 1, 16)
-	_, repSchool, err := RunVectorPolyMul(sysSchool, a, b, n, 1, mod.Q)
+	schedSchool := testSched(t, pimsched.FitTopology(1), 16)
+	_, repSchool, err := RunVectorPolyMulSched(schedSchool, a, b, n, 1, mod.Q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +113,13 @@ func TestNTTBeatsSchoolbookOnPIM(t *testing.T) {
 	// NTT's dependency chain leaves 15 of 16 tasklets idle and schoolbook
 	// (which splits output coefficients) can win — parallel grain matters
 	// as much as asymptotics on this architecture.
-	sysN1 := testSystem(t, 1, 16)
-	_, repN1, err := RunNTTPolyMul(sysN1, plan, a[:n], b[:n])
+	schedN1 := testSched(t, pimsched.FitTopology(1), 16)
+	_, repN1, err := RunNTTPolyMulSched(schedN1, plan, a[:n], b[:n])
 	if err != nil {
 		t.Fatal(err)
 	}
-	sysS1 := testSystem(t, 1, 16)
-	_, repS1, err := RunVectorPolyMul(sysS1, a[:n], b[:n], n, 1, mod.Q)
+	schedS1 := testSched(t, pimsched.FitTopology(1), 16)
+	_, repS1, err := RunVectorPolyMulSched(schedS1, a[:n], b[:n], n, 1, mod.Q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +136,8 @@ func TestNTTScalesNLogN(t *testing.T) {
 			a[i] = uint32(rng.Uint64() % plan.Q)
 			b[i] = uint32(rng.Uint64() % plan.Q)
 		}
-		sys := testSystem(t, 1, 1)
-		_, rep, err := RunNTTPolyMul(sys, plan, a, b)
+		sched := testSched(t, pimsched.FitTopology(1), 1)
+		_, rep, err := RunNTTPolyMulSched(sched, plan, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +154,11 @@ func TestNTTScalesNLogN(t *testing.T) {
 
 func TestRunNTTPolyMulShapeErrors(t *testing.T) {
 	plan := testPlan(t, 64)
-	sys := testSystem(t, 1, 1)
-	if _, _, err := RunNTTPolyMul(sys, plan, make([]uint32, 64), make([]uint32, 128)); err == nil {
+	sched := testSched(t, pimsched.FitTopology(1), 1)
+	if _, _, err := RunNTTPolyMulSched(sched, plan, make([]uint32, 64), make([]uint32, 128)); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, _, err := RunNTTPolyMul(sys, plan, make([]uint32, 65), make([]uint32, 65)); err == nil {
+	if _, _, err := RunNTTPolyMulSched(sched, plan, make([]uint32, 65), make([]uint32, 65)); err == nil {
 		t.Error("non-multiple length accepted")
 	}
 }

@@ -9,57 +9,51 @@ import (
 	"repro/internal/pimsched"
 )
 
-// Scheduler-routed drivers: the same kernels and MRAM layouts as the
-// monolithic Run* drivers, but described as pimsched.Shard plans and
-// executed through the async multi-DPU pipeline — rank-granularity
-// launches, per-rank transfer pricing, staging overlapped with
-// compute, and the same fault retry/re-dispatch semantics (pimsched
-// re-places a dead DPU's shards on survivors, so results stay
-// bit-identical to the host under any seeded fault schedule).
+// Host-side drivers. Each one describes its work as a pimsched.Shard
+// plan — cut across DPUs, stage, launch, gather — and hands it to the
+// scheduler, which alone decides where shards land, how faulted shards
+// are retried or re-placed, and what the transfers cost. This mirrors
+// the paper's host program, which "dynamically adjusts the utilization
+// of PIM cores" to the problem size (§4.3 observation 4).
 
-// planVectorAdd cuts out[i] = (a[i] + b[i]) mod q into nShards shards
-// with the [a | b | out] per-DPU MRAM layout of RunVectorAdd.
-func planVectorAdd(sys *pim.System, a, b, out []uint32, w, nShards int, q limb32.Nat) []pimsched.Shard {
-	coeffs := len(a) / w
+// plan cuts len(out)/unitWords work units into nShards shards. Every
+// kernel shares one per-DPU MRAM layout: input v's slice is staged at
+// v·words, the output is written at len(ins)·words, where words is the
+// shard's slice length. kernel builds the tasklet program for a shard
+// of cnt units. The declared transfer bytes count the same lo:hi
+// slices the closures copy.
+func plan(sys *pim.System, ins [][]uint32, out []uint32, unitWords, nShards int, kernel func(cnt int) pim.KernelFunc) []pimsched.Shard {
+	units := len(out) / unitWords
 	shards := make([]pimsched.Shard, nShards)
-	for i := 0; i < nShards; i++ {
-		s, e := pim.Partition(coeffs, nShards, i)
-		cnt := e - s
-		cw := cnt * w
-		shards[i] = pimsched.Shard{
-			BytesIn:  int64(8 * cw),
-			BytesOut: int64(4 * cw),
-			Stage: func(d int) error {
-				if cw == 0 {
-					return nil
-				}
-				if err := sys.CopyToDPU(d, 0, a[s*w:e*w]); err != nil {
-					return err
-				}
-				if err := sys.CopyToDPU(d, cw, b[s*w:e*w]); err != nil {
-					return err
-				}
-				return sys.DPUs[d].EnsureMRAM(3 * cw)
-			},
-			Gather: func(d int) error {
-				if cw == 0 {
-					return nil
-				}
-				return sys.CopyFromDPU(d, 2*cw, out[s*w:e*w])
-			},
+	for i := range shards {
+		s, e := pim.Partition(units, nShards, i)
+		lo, hi := s*unitWords, e*unitWords
+		words := hi - lo
+		if words == 0 {
+			continue // empty shard: nothing staged, an empty tasklet program
 		}
-		if cnt > 0 {
-			shards[i].Kernel = VectorAdd(VecAddLayout{
-				W: w, Coeffs: cnt,
-				OffA: 0, OffB: cw, OffOut: 2 * cw,
-				Q: q,
-			})
+		shards[i] = pimsched.Shard{
+			BytesIn:  int64(4 * len(ins) * words),
+			BytesOut: int64(4 * words),
+			Stage: func(d int) error {
+				for v, in := range ins {
+					if err := sys.CopyToDPU(d, v*words, in[lo:hi]); err != nil {
+						return err
+					}
+				}
+				return sys.DPUs[d].EnsureMRAM((len(ins) + 1) * words)
+			},
+			Kernel: kernel(e - s),
+			Gather: func(d int) error {
+				return sys.CopyFromDPU(d, len(ins)*words, out[lo:hi])
+			},
 		}
 	}
 	return shards
 }
 
-// RunVectorAddSched is RunVectorAdd through the async execution plane.
+// RunVectorAddSched computes out[i] = (a[i] + b[i]) mod q element-wise
+// over two flat vectors of w-limb coefficients.
 func RunVectorAddSched(sched *pimsched.Scheduler, a, b []uint32, w int, q limb32.Nat) ([]uint32, *pimsched.Report, error) {
 	if len(a) != len(b) {
 		return nil, nil, errors.New("kernels: operand length mismatch")
@@ -68,59 +62,19 @@ func RunVectorAddSched(sched *pimsched.Scheduler, a, b []uint32, w int, q limb32
 		return nil, nil, errors.New("kernels: vector length not a multiple of the limb width")
 	}
 	out := make([]uint32, len(a))
-	n := sched.TargetShards(len(a) / w)
-	rep, err := sched.Run(planVectorAdd(sched.Sys, a, b, out, w, n, q))
+	rep, err := sched.Run(plan(sched.Sys, [][]uint32{a, b}, out, w, sched.TargetShards(len(a)/w),
+		func(cnt int) pim.KernelFunc {
+			return VectorAdd(VecAddLayout{W: w, Coeffs: cnt, OffA: 0, OffB: cnt * w, OffOut: 2 * cnt * w, Q: q})
+		}))
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, rep, nil
 }
 
-// planVectorPolyMul cuts `pairs` negacyclic products into nShards
-// shards with the [a | b | out] layout of RunVectorPolyMul.
-func planVectorPolyMul(sys *pim.System, a, b, out []uint32, n, w, pairs, nShards int, q limb32.Nat) []pimsched.Shard {
-	polyWords := n * w
-	br := limb32.NewBarrett(q)
-	shards := make([]pimsched.Shard, nShards)
-	for i := 0; i < nShards; i++ {
-		s, e := pim.Partition(pairs, nShards, i)
-		cnt := e - s
-		words := cnt * polyWords
-		shards[i] = pimsched.Shard{
-			BytesIn:  int64(8 * words),
-			BytesOut: int64(4 * words),
-			Stage: func(d int) error {
-				if words == 0 {
-					return nil
-				}
-				if err := sys.CopyToDPU(d, 0, a[s*polyWords:e*polyWords]); err != nil {
-					return err
-				}
-				if err := sys.CopyToDPU(d, words, b[s*polyWords:e*polyWords]); err != nil {
-					return err
-				}
-				return sys.DPUs[d].EnsureMRAM(3 * words)
-			},
-			Gather: func(d int) error {
-				if words == 0 {
-					return nil
-				}
-				return sys.CopyFromDPU(d, 2*words, out[s*polyWords:e*polyWords])
-			},
-		}
-		if cnt > 0 {
-			shards[i].Kernel = VectorPolyMul(PolyMulLayout{
-				W: w, N: n, Pairs: cnt,
-				OffA: 0, OffB: words, OffOut: 2 * words,
-				Q: q, BR: br,
-			})
-		}
-	}
-	return shards
-}
-
-// RunVectorPolyMulSched is RunVectorPolyMul through the async
-// execution plane.
+// RunVectorPolyMulSched computes, for every polynomial pair p, the
+// negacyclic product a_p·b_p in R_q. a and b hold concatenated
+// polynomials of n coefficients × w limbs; pairs are the work unit.
 func RunVectorPolyMulSched(sched *pimsched.Scheduler, a, b []uint32, n, w int, q limb32.Nat) ([]uint32, *pimsched.Report, error) {
 	if len(a) != len(b) {
 		return nil, nil, errors.New("kernels: operand length mismatch")
@@ -129,59 +83,22 @@ func RunVectorPolyMulSched(sched *pimsched.Scheduler, a, b []uint32, n, w int, q
 	if polyWords == 0 || len(a)%polyWords != 0 {
 		return nil, nil, fmt.Errorf("kernels: vector length %d not a multiple of poly size %d", len(a), polyWords)
 	}
-	pairs := len(a) / polyWords
+	br := limb32.NewBarrett(q)
 	out := make([]uint32, len(a))
-	nShards := sched.TargetShards(pairs)
-	rep, err := sched.Run(planVectorPolyMul(sched.Sys, a, b, out, n, w, pairs, nShards, q))
+	rep, err := sched.Run(plan(sched.Sys, [][]uint32{a, b}, out, polyWords, sched.TargetShards(len(a)/polyWords),
+		func(cnt int) pim.KernelFunc {
+			words := cnt * polyWords
+			return VectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: cnt, OffA: 0, OffB: words, OffOut: 2 * words, Q: q, BR: br})
+		}))
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, rep, nil
 }
 
-// planVectorSum cuts an M-vector element-wise reduction into nShards
-// coefficient shards with the layout of RunVectorSum.
-func planVectorSum(sys *pim.System, vecs [][]uint32, out []uint32, w, nShards int, q limb32.Nat) []pimsched.Shard {
-	coeffs := len(vecs[0]) / w
-	M := len(vecs)
-	shards := make([]pimsched.Shard, nShards)
-	for i := 0; i < nShards; i++ {
-		s, e := pim.Partition(coeffs, nShards, i)
-		cnt := e - s
-		cw := cnt * w
-		shards[i] = pimsched.Shard{
-			BytesIn:  int64(4 * M * cw),
-			BytesOut: int64(4 * cw),
-			Stage: func(d int) error {
-				if cw == 0 {
-					return nil
-				}
-				for v := 0; v < M; v++ {
-					if err := sys.CopyToDPU(d, v*cw, vecs[v][s*w:e*w]); err != nil {
-						return err
-					}
-				}
-				return sys.DPUs[d].EnsureMRAM((M + 1) * cw)
-			},
-			Gather: func(d int) error {
-				if cw == 0 {
-					return nil
-				}
-				return sys.CopyFromDPU(d, M*cw, out[s*w:e*w])
-			},
-		}
-		if cnt > 0 {
-			shards[i].Kernel = VectorSum(VecSumLayout{
-				W: w, Coeffs: cnt, M: M,
-				OffIn: 0, OffOut: M * cw,
-				Q: q,
-			})
-		}
-	}
-	return shards
-}
-
-// RunVectorSumSched is RunVectorSum through the async execution plane.
+// RunVectorSumSched reduces M equal-length coefficient vectors
+// element-wise modulo q: each DPU owns a coefficient shard of every
+// vector and reduces it locally in a single kernel launch.
 func RunVectorSumSched(sched *pimsched.Scheduler, vecs [][]uint32, w int, q limb32.Nat) ([]uint32, *pimsched.Report, error) {
 	if len(vecs) == 0 {
 		return nil, nil, errors.New("kernels: no vectors to sum")
@@ -195,9 +112,31 @@ func RunVectorSumSched(sched *pimsched.Scheduler, vecs [][]uint32, w int, q limb
 	if length%w != 0 {
 		return nil, nil, errors.New("kernels: vector length not a multiple of the limb width")
 	}
+	M := len(vecs)
 	out := make([]uint32, length)
-	nShards := sched.TargetShards(length / w)
-	rep, err := sched.Run(planVectorSum(sched.Sys, vecs, out, w, nShards, q))
+	rep, err := sched.Run(plan(sched.Sys, vecs, out, w, sched.TargetShards(length/w),
+		func(cnt int) pim.KernelFunc {
+			return VectorSum(VecSumLayout{W: w, Coeffs: cnt, M: M, OffIn: 0, OffOut: M * cnt * w, Q: q})
+		}))
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, rep, nil
+}
+
+// RunNTTPolyMulSched multiplies polynomial pairs of degree p.N over the
+// plan's modulus by the NTT kernel; pairs are the work unit.
+func RunNTTPolyMulSched(sched *pimsched.Scheduler, p *NTTPlan, a, b []uint32) ([]uint32, *pimsched.Report, error) {
+	n := p.N
+	if len(a) != len(b) || len(a)%n != 0 {
+		return nil, nil, errors.New("kernels: NTT operand shape mismatch")
+	}
+	out := make([]uint32, len(a))
+	rep, err := sched.Run(plan(sched.Sys, [][]uint32{a, b}, out, n, sched.TargetShards(len(a)/n),
+		func(cnt int) pim.KernelFunc {
+			words := cnt * n
+			return NTTPolyMul(NTTMulLayout{Plan: p, Pairs: cnt, OffA: 0, OffB: words, OffOut: 2 * words})
+		}))
 	if err != nil {
 		return nil, nil, err
 	}

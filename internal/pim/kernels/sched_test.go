@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -8,75 +9,48 @@ import (
 	"repro/internal/limb32"
 	"repro/internal/pim"
 	"repro/internal/pimsched"
+	"repro/internal/poly"
 )
 
-func testSched(t *testing.T, topo pimsched.Topology, overlap bool) *pimsched.Scheduler {
-	t.Helper()
-	sys := faultSys(t, topo.NumDPUs())
-	sched, err := pimsched.New(sys, topo, overlap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sched
-}
-
-// TestSchedMatchesMonolithicDrivers checks the async pipeline drivers
-// against the single-launch Run* drivers bit for bit, across widths.
-func TestSchedMatchesMonolithicDrivers(t *testing.T) {
+// TestSchedDriversMatchHostAcrossRanks checks every driver against its
+// host reference on a multi-rank topology, across widths.
+func TestSchedDriversMatchHostAcrossRanks(t *testing.T) {
 	topo := pimsched.Topology{Ranks: 3, DPUsPerRank: 4}
 	rng := rand.New(rand.NewSource(42))
-	for _, w := range []int{1, 2} {
-		mod := modulusFor(t, w)
-		q := mod.Q
-		a := randVec(rng, 96, mod)
-		b := randVec(rng, 96, mod)
-		mono := faultSys(t, topo.NumDPUs())
-		wantAdd, _, err := RunVectorAdd(mono, a, b, w, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched := testSched(t, topo, true)
-		gotAdd, rep, err := RunVectorAddSched(sched, a, b, w, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantAdd {
-			if gotAdd[i] != wantAdd[i] {
-				t.Fatalf("w=%d add[%d]: sched %d != mono %d", w, i, gotAdd[i], wantAdd[i])
+	equal := func(name string, got, want []uint32) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s[%d]: PIM %d != host %d", name, i, got[i], want[i])
 			}
 		}
+	}
+	for _, w := range []int{1, 2} {
+		mod := modulusFor(t, w)
+		a := randVec(rng, 96, mod)
+		b := randVec(rng, 96, mod)
+		sched := testSched(t, topo, 2)
+
+		gotAdd, rep, err := RunVectorAddSched(sched, a, b, w, mod.Q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equal("add", gotAdd, hostAdd(a, b, mod))
 		if rep.RanksUsed != 3 {
 			t.Errorf("w=%d: used %d ranks, want 3", w, rep.RanksUsed)
 		}
 
-		wantMul, _, err := RunVectorPolyMul(mono, a, b, 8, w, q)
+		gotMul, _, err := RunVectorPolyMulSched(sched, a, b, 8, w, mod.Q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotMul, _, err := RunVectorPolyMulSched(sched, a, b, 8, w, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantMul {
-			if gotMul[i] != wantMul[i] {
-				t.Fatalf("w=%d polymul[%d]: sched %d != mono %d", w, i, gotMul[i], wantMul[i])
-			}
-		}
+		equal("polymul", gotMul, hostPolyMul(t, a, b, 8, mod))
 
-		vecs := [][]uint32{a, b, a}
-		wantSum, _, err := RunVectorSum(mono, vecs, w, q)
+		gotSum, _, err := RunVectorSumSched(sched, [][]uint32{a, b, a}, w, mod.Q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotSum, _, err := RunVectorSumSched(sched, vecs, w, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantSum {
-			if gotSum[i] != wantSum[i] {
-				t.Fatalf("w=%d sum[%d]: sched %d != mono %d", w, i, gotSum[i], wantSum[i])
-			}
-		}
+		equal("sum", gotSum, hostAdd(hostAdd(a, b, mod), a, mod))
 	}
 }
 
@@ -90,7 +64,7 @@ func TestSchedDeadDPUMidPipeline(t *testing.T) {
 	want := addOracle(a, b, 1, q)
 
 	run := func(seed uint64) (*pimsched.Report, pim.FaultStats) {
-		sched := testSched(t, topo, true)
+		sched := testSched(t, topo, 2)
 		sched.Sys.SetFaultInjector(faultinject.New(seed).SetRate(pim.SiteDPUDead, 0.1))
 		got, rep, err := RunVectorAddSched(sched, a, b, 1, q)
 		if err != nil {
@@ -106,7 +80,7 @@ func TestSchedDeadDPUMidPipeline(t *testing.T) {
 
 	var seed uint64
 	for s := uint64(1); s < 64; s++ {
-		sched := testSched(t, topo, true)
+		sched := testSched(t, topo, 2)
 		sched.Sys.SetFaultInjector(faultinject.New(s).SetRate(pim.SiteDPUDead, 0.1))
 		if _, rep, err := RunVectorAddSched(sched, a, b, 1, q); err == nil && rep.Resharded > 0 {
 			seed = s
@@ -134,13 +108,13 @@ func TestSchedStragglerStretchesMakespanOnly(t *testing.T) {
 	a, b := testVectors(256, 1, q)
 	want := addOracle(a, b, 1, q)
 
-	clean := testSched(t, topo, true)
+	clean := testSched(t, topo, 2)
 	_, cleanRep, err := RunVectorAddSched(clean, a, b, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	slow := testSched(t, topo, true)
+	slow := testSched(t, topo, 2)
 	slow.Sys.SetFaultInjector(faultinject.New(3).SetRate(pim.SiteDPUStraggler, 1))
 	got, slowRep, err := RunVectorAddSched(slow, a, b, 1, q)
 	if err != nil {
@@ -154,5 +128,42 @@ func TestSchedStragglerStretchesMakespanOnly(t *testing.T) {
 	if !(slowRep.MakespanSeconds > cleanRep.MakespanSeconds) {
 		t.Errorf("straggling makespan %g not above clean %g",
 			slowRep.MakespanSeconds, cleanRep.MakespanSeconds)
+	}
+}
+
+// TestDeclaredBytesAreCopiedBytes: the transfer model prices the bytes
+// a plan declares, so on a clean run they must equal the bytes its
+// closures actually copied.
+func TestDeclaredBytesAreCopiedBytes(t *testing.T) {
+	n, pairs := 16, 7 // 7 pairs over 3 DPUs: uneven shards
+	ntt := testPlan(t, n)
+	mod, err := poly.NewModulus(new(big.Int).SetUint64(ntt.Q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	a, b := randVec(rng, pairs*n, mod), randVec(rng, pairs*n, mod)
+	sched := testSched(t, pimsched.Topology{Ranks: 3, DPUsPerRank: 1}, 2)
+	for name, run := range map[string]func() (*pimsched.Report, error){
+		"add": func() (*pimsched.Report, error) { _, r, err := RunVectorAddSched(sched, a, b, 1, mod.Q); return r, err },
+		"sum": func() (*pimsched.Report, error) {
+			_, r, err := RunVectorSumSched(sched, [][]uint32{a, b, a}, 1, mod.Q)
+			return r, err
+		},
+		"polymul": func() (*pimsched.Report, error) {
+			_, r, err := RunVectorPolyMulSched(sched, a, b, n, 1, mod.Q)
+			return r, err
+		},
+		"ntt": func() (*pimsched.Report, error) { _, r, err := RunNTTPolyMulSched(sched, ntt, a, b); return r, err },
+	} {
+		in0, out0 := sched.Sys.TransferBytes()
+		rep, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		in1, out1 := sched.Sys.TransferBytes()
+		if in1-in0 != rep.BytesIn || out1-out0 != rep.BytesOut {
+			t.Errorf("%s: copied (%d, %d) bytes, declared (%d, %d)", name, in1-in0, out1-out0, rep.BytesIn, rep.BytesOut)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"errors"
-
 	"repro/internal/limb32"
 	"repro/internal/pim"
 )
@@ -55,73 +53,4 @@ func VectorSum(l VecSumLayout) pim.KernelFunc {
 		}
 		return nil
 	}
-}
-
-// RunVectorSum reduces M equal-length coefficient vectors element-wise
-// modulo q across the system's DPUs: each DPU owns a coefficient shard of
-// every vector and reduces it locally in a single kernel launch.
-func RunVectorSum(sys *pim.System, vecs [][]uint32, w int, q limb32.Nat) ([]uint32, *pim.Report, error) {
-	if len(vecs) == 0 {
-		return nil, nil, errors.New("kernels: no vectors to sum")
-	}
-	length := len(vecs[0])
-	for _, v := range vecs {
-		if len(v) != length {
-			return nil, nil, errors.New("kernels: vector length mismatch")
-		}
-	}
-	if length%w != 0 {
-		return nil, nil, errors.New("kernels: vector length not a multiple of the limb width")
-	}
-	coeffs := length / w
-	dpus := activeDPUsFor(sys, coeffs)
-	M := len(vecs)
-
-	type shard struct{ start, end int }
-	shards := make([]shard, dpus)
-	for i := 0; i < dpus; i++ {
-		s, e := pim.Partition(coeffs, dpus, i)
-		shards[i] = shard{s, e}
-	}
-	out := make([]uint32, length)
-	sys.ResetTransferAccounting()
-	rep, err := runSharded(sys, dpus, shardOps{
-		stage: func(i, d int) error {
-			sh := shards[i]
-			cw := (sh.end - sh.start) * w
-			if cw == 0 {
-				return nil
-			}
-			for v := 0; v < M; v++ {
-				if err := sys.CopyToDPU(d, v*cw, vecs[v][sh.start*w:sh.end*w]); err != nil {
-					return err
-				}
-			}
-			return sys.DPUs[d].EnsureMRAM((M + 1) * cw)
-		},
-		kernel: func(i int) pim.KernelFunc {
-			cnt := shards[i].end - shards[i].start
-			if cnt == 0 {
-				return nopKernel
-			}
-			return VectorSum(VecSumLayout{
-				W: w, Coeffs: cnt, M: M,
-				OffIn: 0, OffOut: M * cnt * w,
-				Q: q,
-			})
-		},
-		gather: func(i, d int) error {
-			sh := shards[i]
-			cw := (sh.end - sh.start) * w
-			if cw == 0 {
-				return nil
-			}
-			return sys.CopyFromDPU(d, M*cw, out[sh.start*w:sh.end*w])
-		},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.CopyOutSeconds = float64(int64(length*4)) / sys.Config.DPUToHostBytesPerSec
-	return out, rep, nil
 }

@@ -181,22 +181,17 @@ func TestLaunchValidatesActiveDPUs(t *testing.T) {
 func TestTransferAccounting(t *testing.T) {
 	sys := testSystem(t, 1, 1)
 	data := make([]uint32, 1000)
-	sys.CopyToDPU(0, 0, data)
-	rep, err := sys.Launch(1, func(*TaskletCtx) error { return nil })
-	if err != nil {
+	if err := sys.CopyToDPU(0, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	wantIn := float64(4000) / sys.Config.HostToDPUBytesPerSec
-	if rep.CopyInSeconds != wantIn {
-		t.Errorf("CopyInSeconds = %g, want %g", rep.CopyInSeconds, wantIn)
+	if err := sys.CopyFromDPU(0, 0, data[:250]); err != nil {
+		t.Fatal(err)
 	}
-	if rep.TotalSeconds() < rep.KernelSeconds {
-		t.Error("TotalSeconds must include kernel time")
+	if in, out := sys.TransferBytes(); in != 4000 || out != 1000 {
+		t.Errorf("TransferBytes = (%d, %d), want (4000, 1000)", in, out)
 	}
-	sys.ResetTransferAccounting()
-	rep2, _ := sys.Launch(1, func(*TaskletCtx) error { return nil })
-	if rep2.CopyInSeconds != 0 {
-		t.Error("ResetTransferAccounting did not clear copy-in")
+	if err := sys.CopyFromDPU(0, 900, data[:250]); err == nil {
+		t.Error("copy-out beyond MRAM accepted")
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // the shape of the pimsched async queues, where the next chunk stages
 // onto idle ranks while the current chunk's kernels run. A DPU's MRAM
 // itself is never shared between a copy and a running kernel; the
-// contended state is the System-wide transfer counters, which LaunchOn
-// also reads to price its report. Run under -race this is the
-// regression test for those counters being plain int64 fields.
+// contended state is the System-wide transfer counters. Run under
+// -race this is the regression test for those counters being plain
+// int64 fields.
 func TestConcurrentTransferAccounting(t *testing.T) {
 	const (
 		nDPUs    = 16
@@ -63,8 +63,7 @@ func TestConcurrentTransferAccounting(t *testing.T) {
 			}
 		}(d)
 	}
-	// Launches in flight while the copies churn: LaunchOn prices the
-	// transfer counters in its report, so it reads them concurrently.
+	// Launches in flight while the copies churn.
 	for it := 0; it < 4; it++ {
 		rep, errs := sys.LaunchOn(launchIDs, func(int) KernelFunc { return kernel })
 		for _, err := range errs {
@@ -83,10 +82,5 @@ func TestConcurrentTransferAccounting(t *testing.T) {
 	gotIn, gotOut := sys.TransferBytes()
 	if gotIn != wantIn || gotOut != wantOut {
 		t.Fatalf("transfer bytes = (%d, %d), want (%d, %d)", gotIn, gotOut, wantIn, wantOut)
-	}
-
-	sys.ResetTransferAccounting()
-	if in, out := sys.TransferBytes(); in != 0 || out != 0 {
-		t.Fatalf("after reset: (%d, %d), want (0, 0)", in, out)
 	}
 }

@@ -73,16 +73,10 @@ func (s *System) CopyFromDPU(dpuID, off int, dst []uint32) error {
 	return nil
 }
 
-// ResetTransferAccounting zeroes the host transfer counters (call between
-// experiments sharing a System).
-func (s *System) ResetTransferAccounting() {
-	s.copyInBytes.Store(0)
-	s.copyOutBytes.Store(0)
-}
-
-// TransferBytes returns the host→DPU and DPU→host byte totals
-// accumulated since the last ResetTransferAccounting. Safe to call
-// concurrently with in-flight copies.
+// TransferBytes returns the host→DPU and DPU→host byte totals copied
+// over the System's life. It is a counter only: transfer time is priced
+// by pimsched.TransferModel. Safe to call concurrently with in-flight
+// copies.
 func (s *System) TransferBytes() (in, out int64) {
 	return s.copyInBytes.Load(), s.copyOutBytes.Load()
 }
@@ -99,10 +93,6 @@ type Report struct {
 	KernelCycles int64
 	// KernelSeconds = KernelCycles / ClockHz + launch overhead.
 	KernelSeconds float64
-	// CopyInSeconds / CopyOutSeconds price the host transfers accumulated
-	// since the last ResetTransferAccounting.
-	CopyInSeconds  float64
-	CopyOutSeconds float64
 	// TotalInstr and TotalDMACycles aggregate over all DPUs and tasklets.
 	TotalInstr     int64
 	TotalDMACycles int64
@@ -110,13 +100,6 @@ type Report struct {
 	Counts limb32.Counts
 	// ActiveDPUs is how many DPUs ran a non-empty tasklet set.
 	ActiveDPUs int
-	// PerDPUCycles holds each active DPU's cycle count (index = DPU ID).
-	PerDPUCycles []int64
-}
-
-// TotalSeconds is the end-to-end modeled time including host transfers.
-func (r *Report) TotalSeconds() float64 {
-	return r.CopyInSeconds + r.KernelSeconds + r.CopyOutSeconds
 }
 
 // Launch runs kernel on DPUs [0, activeDPUs) with the configured tasklet
@@ -225,7 +208,7 @@ func (s *System) LaunchOn(ids []int, kernel func(dpuID int) KernelFunc) (*Report
 	}
 	wg.Wait()
 
-	rep := &Report{PerDPUCycles: make([]int64, len(ids))}
+	rep := &Report{}
 	for i, id := range ids {
 		if !run[i] || errs[i] != nil {
 			continue
@@ -236,7 +219,6 @@ func (s *System) LaunchOn(ids []int, kernel func(dpuID int) KernelFunc) (*Report
 			cyc = int64(float64(cyc) * s.stragglerFactor())
 		}
 		rep.ActiveDPUs++
-		rep.PerDPUCycles[i] = cyc
 		if cyc > rep.KernelCycles {
 			rep.KernelCycles = cyc
 		}
@@ -249,8 +231,6 @@ func (s *System) LaunchOn(ids []int, kernel func(dpuID int) KernelFunc) (*Report
 		rep.Counts.Add(&d.counts)
 	}
 	rep.KernelSeconds = float64(rep.KernelCycles)/s.Config.ClockHz + s.Config.LaunchOverheadSec
-	rep.CopyInSeconds = float64(s.copyInBytes.Load()) / s.Config.HostToDPUBytesPerSec
-	rep.CopyOutSeconds = float64(s.copyOutBytes.Load()) / s.Config.DPUToHostBytesPerSec
 	return rep, errs
 }
 

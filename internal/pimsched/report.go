@@ -17,8 +17,7 @@ type Report struct {
 	Overlap  bool
 
 	Shards     int // placeable work units in the run
-	Chunks     int // rank-granularity launches (incl. retry rounds)
-	Launches   int // LaunchOn calls issued (== Chunks)
+	Launches   int // rank-granularity LaunchOn calls (incl. retry rounds)
 	ActiveDPUs int // distinct DPUs used in the first round
 	RanksUsed  int // distinct ranks used in the first round
 
@@ -47,16 +46,11 @@ type Report struct {
 	Counts         limb32.Counts
 }
 
-// TotalSeconds is the modeled end-to-end time of the run: the
-// pipelined makespan (or the serial sum when overlap is off).
-func (r *Report) TotalSeconds() float64 { return r.MakespanSeconds }
-
 // Accumulate folds another run's report into r (for op-level
 // aggregation in the HE server): counts and serial components add;
 // makespans add too, because successive Runs execute back to back.
 func (r *Report) Accumulate(o *Report) {
 	r.Shards += o.Shards
-	r.Chunks += o.Chunks
 	r.Launches += o.Launches
 	if o.ActiveDPUs > r.ActiveDPUs {
 		r.ActiveDPUs = o.ActiveDPUs

@@ -49,25 +49,23 @@ func New(sys *pim.System, topo Topology, overlap bool) (*Scheduler, error) {
 	}, nil
 }
 
+// liveDPUs lists the live DPUs inside the topology, in ID order.
+func (s *Scheduler) liveDPUs() []int {
+	live := s.Sys.LiveDPUIDs()
+	for i, id := range live {
+		if id >= s.Topo.NumDPUs() {
+			return live[:i]
+		}
+	}
+	return live
+}
+
 // TargetShards picks how many shards to cut for `items` independent
 // work items: one per live in-topology DPU, fewer when there are fewer
 // items (always ≥ 1; a fully dead system surfaces ErrNoLiveDPUs at
 // Run time instead).
 func (s *Scheduler) TargetShards(items int) int {
-	live := 0
-	for _, id := range s.Sys.LiveDPUIDs() {
-		if id < s.Topo.NumDPUs() {
-			live++
-		}
-	}
-	n := live
-	if items < n {
-		n = items
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, min(items, len(s.liveDPUs())))
 }
 
 // chunk is the launch granularity: one rank's shards of one wave. The
@@ -83,12 +81,7 @@ type chunk struct {
 // in ID order (wave after wave when there are fewer live DPUs than
 // shards), and each wave splits at rank boundaries.
 func (s *Scheduler) place(nPending int) ([]chunk, error) {
-	live := make([]int, 0, s.Topo.NumDPUs())
-	for _, id := range s.Sys.LiveDPUIDs() {
-		if id < s.Topo.NumDPUs() {
-			live = append(live, id)
-		}
-	}
+	live := s.liveDPUs()
 	if len(live) == 0 {
 		return nil, pim.ErrNoLiveDPUs
 	}
@@ -228,7 +221,6 @@ func (s *Scheduler) runRound(shards []Shard, pending []int, tl *timeline, rep *R
 	if err != nil {
 		return nil, err
 	}
-	rep.Chunks += len(chunks)
 	rep.Launches += len(chunks)
 	if rep.ActiveDPUs == 0 {
 		seen := map[int]bool{}
@@ -348,10 +340,10 @@ func (s *Scheduler) runRound(shards []Shard, pending []int, tl *timeline, rep *R
 }
 
 // accountChunk folds one chunk's launch into the report and the
-// timeline. tK comes from the chunk's critical-path cycles (the max
-// over its DPUs, straggler inflation included) plus the per-launch
-// overhead; tIn/tOut price the chunk's largest per-DPU declared
-// transfer. Faulted slots still charge their copy-in — the bytes
+// timeline. tK is the launch's kernel time: the chunk's critical-path
+// cycles (the max over its DPUs, straggler inflation included) plus the
+// per-launch overhead; tIn/tOut price the chunk's largest per-DPU
+// declared transfer. Faulted slots still charge their copy-in — the bytes
 // moved before the fault are not refunded.
 func (s *Scheduler) accountChunk(rep *Report, tl *timeline, c *chunk, crep *pim.Report, errs []error, shards []Shard, pending []int) {
 	var maxIn, maxOut int64
@@ -365,7 +357,7 @@ func (s *Scheduler) accountChunk(rep *Report, tl *timeline, c *chunk, crep *pim.
 		}
 	}
 	tIn := s.Xfer.InSeconds(maxIn)
-	tK := float64(crep.KernelCycles)/s.Sys.Config.ClockHz + s.Sys.Config.LaunchOverheadSec
+	tK := crep.KernelSeconds
 	tOut := s.Xfer.OutSeconds(maxOut)
 	tl.advance(c.rank, tIn, tK, tOut)
 
@@ -378,10 +370,10 @@ func (s *Scheduler) accountChunk(rep *Report, tl *timeline, c *chunk, crep *pim.
 	rep.Counts.Add(&crep.Counts)
 }
 
-// Retry rounds re-stage their inputs, so re-run shards charge their
-// copy-in again; declared BytesIn/BytesOut in the report stay the
-// logical volume of the workload (one pass), matching how the
-// monolithic drivers account transfers.
+// priceEnergy prices the run's kernel and transfer energy. Retry
+// rounds re-stage their inputs, so re-run shards charge their copy-in
+// time again; the declared BytesIn/BytesOut that transfer energy is
+// priced on stay the logical volume of the workload (one pass).
 func (s *Scheduler) priceEnergy(rep *Report) {
 	em := pim.DefaultEnergyModel()
 	krep := &pim.Report{

@@ -115,8 +115,8 @@ func TestVectorAddBitIdentical(t *testing.T) {
 	_, _, want := testVectors(1000)
 	// More shards than DPUs: exercises multiple waves through the pipeline.
 	rep := runAdd(t, testSystem(t, topo), topo, true, 1000, 48, want)
-	if rep.Shards != 48 || rep.Chunks < 4 {
-		t.Errorf("report: %d shards in %d chunks, want 48 shards across ≥4 chunks", rep.Shards, rep.Chunks)
+	if rep.Shards != 48 || rep.Launches < 4 {
+		t.Errorf("report: %d shards in %d launches, want 48 shards across ≥4 launches", rep.Shards, rep.Launches)
 	}
 	if rep.RanksUsed != 4 || rep.ActiveDPUs != 32 {
 		t.Errorf("RanksUsed=%d ActiveDPUs=%d, want 4 and 32", rep.RanksUsed, rep.ActiveDPUs)

@@ -4,21 +4,25 @@
 // and gathering so one rank's copy-in overlaps another rank's compute.
 //
 // The package sits between the raw simulator (internal/pim: one
-// System, synchronous launches, aggregate transfer pricing) and the HE
-// server (internal/hepim): drivers describe their work as a slice of
-// Shard values — stage/kernel/gather closures plus declared transfer
-// bytes — and Scheduler.Run places them on live DPUs, executes them
-// chunk by chunk (a chunk is one rank's shards of one wave), and
-// returns a Report with both the pipelined makespan and the no-overlap
-// serial time, so the benefit of double-buffering is a measured, not
-// asserted, quantity.
+// System, synchronous launches, byte counters) and everything that
+// runs a kernel on it — the HE server (internal/hepim), the figures
+// and the performance model. It is the only place that knows how work
+// is placed on DPUs, retried after faults and priced for transfer:
+// the drivers in internal/pim/kernels describe their work as a slice
+// of Shard values — stage/kernel/gather closures plus declared
+// transfer bytes — and Scheduler.Run places them on live DPUs,
+// executes them chunk by chunk (a chunk is one rank's shards of one
+// wave), and returns a Report with both the pipelined makespan and the
+// no-overlap serial time, so the benefit of double-buffering is a
+// measured, not asserted, quantity.
 //
 // Execution remains bit-exact and fault-deterministic: kernels run for
 // real over real data, all LaunchOn calls are issued by a single
 // dispatcher goroutine in chunk order (the launch sequence keys the
 // fault schedule), and only the staging/gathering memcpys run
-// concurrently. A dead DPU's shards are re-placed on survivors in
-// bounded retry rounds, exactly like the monolithic kernels path.
+// concurrently. A transient fault retries the shard and a dead DPU's
+// shards are re-placed on survivors, inputs re-staged, in bounded retry
+// rounds.
 package pimsched
 
 import "fmt"
