@@ -60,9 +60,9 @@
 // deferred form, every SIMD tier and every fault schedule produces
 // ciphertexts bit-identical to the O(n²) schoolbook evaluator
 // (bfv.NewSchoolbookEvaluator), which stays in the tree as the oracle
-// and as the metered PIM cost model (an Evaluator with a limb32.Meter
-// attached runs it, because its instruction stream is what the paper's
-// kernels execute). Scheduling, routing, coalescing, sharding and
+// and as the metered PIM cost model (an Evaluator whose Meter points at
+// a limb32.Counts tally runs it, because its instruction stream is what
+// the paper's kernels execute). Scheduling, routing, coalescing, sharding and
 // failover move work; they never change arithmetic. The big.Int
 // rescale, key-switch and decrypt code also stays: it is the only path
 // for moduli outside dcrt.Context.RNSNative and outside decryptRNS's

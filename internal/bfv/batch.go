@@ -33,9 +33,9 @@ func NewBatchEvaluator(params *Parameters, rlk *RelinKey) *BatchEvaluator {
 
 // NewBatchEvaluatorFrom wraps an existing evaluator (e.g. a schoolbook
 // oracle for differential testing). A metered evaluator is supported but
-// runs its batch items sequentially: limb32.Meter.Tick is unsynchronized
-// by design (the PIM cost model wants a deterministic instruction
-// stream), so its items must not run concurrently.
+// runs its batch items sequentially: its Meter is one limb32.Counts
+// tally — plain memory, added to without synchronization by design —
+// so its items must not run concurrently.
 func NewBatchEvaluatorFrom(ev *Evaluator) *BatchEvaluator {
 	return &BatchEvaluator{ev: ev}
 }

@@ -167,7 +167,7 @@ func TestBatchMulAddMany(t *testing.T) {
 }
 
 // TestBatchMeteredSequential: a metered evaluator's batch items must run
-// sequentially — Meter.Tick is unsynchronized by design — and charge
+// sequentially — the tally is unsynchronized by design — and charge
 // exactly what the sequential loop charges.
 func TestBatchMeteredSequential(t *testing.T) {
 	params := ParamsToy()

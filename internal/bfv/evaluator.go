@@ -17,9 +17,9 @@ import (
 // Multiplicative operations run on one of two backends. The default is
 // the double-CRT (RNS + NTT) backend — O(n log n) per limb, the
 // optimization the paper's SEAL baseline owes its multiplication lead to
-// and defers to future work for PIM (§3, §4.1). Attaching a limb32.Meter
-// switches the evaluator to the metered O(n²) schoolbook path, which
-// charges every limb operation: that path is the PIM-simulator cost
+// and defers to future work for PIM (§3, §4.1). Pointing Meter at a
+// limb32.Counts tally switches the evaluator to the metered O(n²)
+// schoolbook path, which charges every limb operation: that path is the PIM-simulator cost
 // model and stays bit-identical to the double-CRT results, so the two
 // backends differentially validate each other.
 type Evaluator struct {

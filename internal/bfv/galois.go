@@ -35,18 +35,12 @@ func applyGaloisPoly(p *poly.Poly, g uint64, mod *poly.Modulus, m limb32.Meter) 
 		src := p.Coeff(i)
 		if j < n {
 			out.Coeff(j).Set(src)
-			tick2(m, limb32.OpMove, p.W)
+			m.Tick(limb32.OpMove, p.W)
 		} else {
 			limb32.NegMod(out.Coeff(j-n), src, mod.Q, m)
 		}
 	}
 	return out
-}
-
-func tick2(m limb32.Meter, op limb32.Op, n int) {
-	if m != nil {
-		m.Tick(op, n)
-	}
 }
 
 // GenGaloisKey derives the key-switching key for the automorphism X→X^g.

@@ -15,18 +15,25 @@ import (
 // topology so the sharded breakdown exercises the overlap path.
 func multiRankFixture(t *testing.T, overlap bool) *fixture {
 	t.Helper()
-	params := bfv.ParamsToy()
+	return topologyFixture(t, bfv.ParamsToy(), pimsched.Topology{Ranks: 4, DPUsPerRank: 4}, overlap, true)
+}
+
+// topologyFixture builds keys and a server over an explicit topology.
+// The relinearization key is generated only when a test multiplies.
+func topologyFixture(tb testing.TB, params *bfv.Parameters, topo pimsched.Topology, overlap, relin bool) *fixture {
+	tb.Helper()
 	src := sampling.NewSourceFromUint64(5)
 	kg := bfv.NewKeyGenerator(params, src)
 	sk, pk := kg.GenKeyPair()
-	rlk := kg.GenRelinKey(sk)
-
+	var rlk *bfv.RelinKey
+	if relin {
+		rlk = kg.GenRelinKey(sk)
+	}
 	cfg := pim.DefaultConfig()
-	topo := pimsched.Topology{Ranks: 4, DPUsPerRank: 4}
 	cfg.NumDPUs = topo.NumDPUs()
 	srv, err := NewServerWithTopology(cfg, params, rlk, topo, overlap)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return &fixture{
 		params: params,

@@ -1,0 +1,180 @@
+package hepim
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/bfv"
+	"repro/internal/pimsched"
+)
+
+// rackFixture builds a server over the benchmark's 4 ranks × 64 DPUs.
+func rackFixture(tb testing.TB, params *bfv.Parameters, relin bool) *fixture {
+	tb.Helper()
+	return topologyFixture(tb, params, pimsched.Topology{Ranks: 4, DPUsPerRank: 64}, true, relin)
+}
+
+func (f *fixture) encryptMany(tb testing.TB, count int) []*bfv.Ciphertext {
+	tb.Helper()
+	cts := make([]*bfv.Ciphertext, count)
+	for i := range cts {
+		ct, err := f.enc.EncryptValue(uint64(i % 7))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cts[i] = ct
+	}
+	return cts
+}
+
+// hostSum folds cts with the host evaluator.
+func (f *fixture) hostSum(cts []*bfv.Ciphertext) *bfv.Ciphertext {
+	sum := cts[0]
+	for _, ct := range cts[1:] {
+		sum = f.eval.Add(sum, ct)
+	}
+	return sum
+}
+
+// simCycles is the critical-path DPU cycles the server has simulated.
+func (f *fixture) simCycles() float64 { return float64(f.srv.Breakdown().KernelCycles) }
+
+// BenchmarkPIMMul27 is the host cost of simulating the paper's headline
+// operation: one relinearized 27-bit Mul (n=1024) on 4×64 DPUs, whose
+// tensor products run under the 8-limb lift modulus. simcycles/run is the
+// simulated work it stands for and must not move.
+func BenchmarkPIMMul27(b *testing.B) {
+	f := rackFixture(b, bfv.ParamsSec27(), true)
+	cts := f.encryptMany(b, 2)
+	ct0, ct1 := cts[0], cts[1]
+	want, err := f.eval.Mul(ct0, ct1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mul := func() {
+		got, err := f.srv.Mul(ct0, ct1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !got.Equal(want) {
+			b.Fatal("PIM Mul differs from host evaluator")
+		}
+	}
+	mul() // the first call on a server grows every DPU's MRAM and WRAM
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := f.simCycles()
+	for i := 0; i < b.N; i++ {
+		mul()
+	}
+	b.ReportMetric((f.simCycles()-before)/float64(b.N), "simcycles/run")
+}
+
+// BenchmarkPIMSum64 is the host cost of simulating the arithmetic-mean
+// aggregation: 64 ciphertexts at n=4096 (109-bit) on 4×64 DPUs.
+func BenchmarkPIMSum64(b *testing.B) {
+	f := rackFixture(b, bfv.ParamsSec109(), false)
+	cts := f.encryptMany(b, 64)
+	want := f.hostSum(cts)
+	sum := func() {
+		got, err := f.srv.Sum(cts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !got.Equal(want) {
+			b.Fatal("PIM Sum differs from host evaluator")
+		}
+	}
+	sum() // the first call on a server grows every DPU's MRAM and WRAM
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := f.simCycles()
+	for i := 0; i < b.N; i++ {
+		sum()
+	}
+	b.ReportMetric((f.simCycles()-before)/float64(b.N), "simcycles/run")
+}
+
+// TestSumAllocatesShardSizedScratch gates the simulator's memory cost: a
+// DPU that owns 16 coefficients of a sum must not pay for whole WRAM
+// tiles per tasklet. When every tasklet allocated full tiles this Sum
+// cost 101.6 MB per call; what remains is the staged operands' bookkeeping
+// and the two output polynomials.
+func TestSumAllocatesShardSizedScratch(t *testing.T) {
+	f := rackFixture(t, bfv.ParamsSec109(), false)
+	cts := f.encryptMany(t, 64)
+	want := f.hostSum(cts)
+	sum := func() *bfv.Ciphertext {
+		got, err := f.srv.Sum(cts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if !sum().Equal(want) { // also warms the DPUs' MRAM and WRAM
+		t.Fatal("PIM Sum differs from host evaluator")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sum()
+	runtime.ReadMemStats(&after)
+	const limit = 4 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("steady-state Sum of 64 allocated %d bytes, limit %d", got, limit)
+	} else {
+		t.Logf("steady-state Sum of 64 allocated %d bytes", got)
+	}
+}
+
+// TestResultsWrapDriverOutputs checks the invariant that lets Add, Sum
+// and Mul hand back the drivers' output slices without copying them:
+// every result owns its storage. No component shares a word with an
+// operand, with another component, or with the result of the next call.
+func TestResultsWrapDriverOutputs(t *testing.T) {
+	f := multiRankFixture(t, true)
+	ct0, _ := f.enc.EncryptValue(3)
+	ct1, _ := f.enc.EncryptValue(9)
+	ops := map[string]func() (*bfv.Ciphertext, error){
+		"Add": func() (*bfv.Ciphertext, error) { return f.srv.Add(ct0, ct1) },
+		"Sum": func() (*bfv.Ciphertext, error) { return f.srv.Sum([]*bfv.Ciphertext{ct0, ct1, ct0}) },
+		"Mul": func() (*bfv.Ciphertext, error) { return f.srv.Mul(ct0, ct1) },
+	}
+	for name, op := range ops {
+		first, err := op()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := first.Clone()
+		in0, in1 := ct0.Clone(), ct1.Clone()
+		second, err := op()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Scribbling over one result must leave everything else intact.
+		for _, p := range second.Polys {
+			for i := range p.C {
+				p.C[i] = ^p.C[i]
+			}
+		}
+		if !first.Equal(keep) {
+			t.Errorf("%s: a later result aliases an earlier one", name)
+		}
+		if !ct0.Equal(in0) || !ct1.Equal(in1) {
+			t.Errorf("%s: the result aliases an operand", name)
+		}
+		for i, p := range first.Polys {
+			for j := range p.C {
+				p.C[j] = ^p.C[j]
+			}
+			for k, other := range first.Polys {
+				if k != i && !other.Equal(keep.Polys[k]) {
+					t.Errorf("%s: components %d and %d share storage", name, i, k)
+				}
+			}
+			if cap(p.C) != len(p.C) {
+				t.Errorf("%s: component %d can grow into its neighbour (len %d cap %d)", name, i, len(p.C), cap(p.C))
+			}
+			copy(p.C, keep.Polys[i].C)
+		}
+	}
+}

@@ -194,20 +194,19 @@ func (s *Server) Sum(cts []*bfv.Ciphertext) (*bfv.Ciphertext, error) {
 			return nil, err
 		}
 		s.record(rep)
-		p := poly.NewPoly(n, w)
-		copy(p.C, out)
-		outPolys[c] = p
+		outPolys[c] = poly.NewPolyBacked(n, w, out)
 	}
 	return &bfv.Ciphertext{Polys: outPolys}, nil
 }
 
-// unflatten splits a flat limb vector back into ciphertext polynomials.
+// unflatten splits a flat limb vector into ciphertext polynomials that
+// wrap it: a driver's output is allocated by the run that returns it, so
+// the server owns flat and nothing else aliases it.
 func unflatten(flat []uint32, comps, n, w int) *bfv.Ciphertext {
 	polys := make([]*poly.Poly, comps)
 	for c := 0; c < comps; c++ {
-		p := poly.NewPoly(n, w)
-		copy(p.C, flat[c*n*w:(c+1)*n*w])
-		polys[c] = p
+		lo, hi := c*n*w, (c+1)*n*w
+		polys[c] = poly.NewPolyBacked(n, w, flat[lo:hi:hi])
 	}
 	return &bfv.Ciphertext{Polys: polys}
 }
@@ -255,9 +254,7 @@ func (s *Server) Mul(ct0, ct1 *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 	// Host: centered-lift each product back to Z, combine the cross terms,
 	// rescale by t/q.
 	productZ := func(idx int) []*big.Int {
-		p := poly.NewPoly(n, lw)
-		copy(p.C, prods[idx*n*lw:(idx+1)*n*lw])
-		return p.ToCenteredCoeffs(s.lift)
+		return poly.NewPolyBacked(n, lw, prods[idx*n*lw:(idx+1)*n*lw]).ToCenteredCoeffs(s.lift)
 	}
 	d0z := productZ(0)
 	d1z := productZ(1)
@@ -307,8 +304,7 @@ func (s *Server) keySwitch(digits, k0, k1 []*poly.Poly, acc0, acc1 [][]uint32) (
 			return nil, err
 		}
 		s.record(rep)
-		out.Polys[c] = poly.NewPoly(n, w)
-		copy(out.Polys[c].C, flat)
+		out.Polys[c] = poly.NewPolyBacked(n, w, flat)
 	}
 	return out, nil
 }

@@ -40,7 +40,7 @@ func (br *Barrett) Reduce(dst Nat, x Nat, m Meter) {
 
 	// q1 = floor(x / b^{k-1}): top k+1 limbs of x.
 	q1 := x[k-1:] // k+1 limbs, borrowed view
-	tick(m, OpMove, k+1)
+	m.Tick(OpMove, k+1)
 
 	// q2 = q1 * mu (2k+2 limbs); q3 = floor(q2 / b^{k+1}): top k+1 limbs.
 	q2 := NewNat(2*k + 2)
@@ -50,7 +50,7 @@ func (br *Barrett) Reduce(dst Nat, x Nat, m Meter) {
 	// r1 = x mod b^{k+1}; r2 = (q3*q) mod b^{k+1}; r = r1 - r2 (mod b^{k+1}).
 	r1 := NewNat(k + 1)
 	copy(r1, x[:k+1])
-	tick(m, OpMove, k+1)
+	m.Tick(OpMove, k+1)
 
 	prod := NewNat(2*k + 2)
 	MulSchoolbook(prod, Nat(q3), padTo(br.Q, k+1), m)
@@ -68,7 +68,7 @@ func (br *Barrett) Reduce(dst Nat, x Nat, m Meter) {
 	for i := k; i < len(dst); i++ {
 		dst[i] = 0
 	}
-	tick(m, OpStore, k)
+	m.Tick(OpStore, k)
 }
 
 // MulMod sets dst = (a * b) mod q for a, b < q, using a Karatsuba product

@@ -31,7 +31,7 @@ func DivMod(quot, rem Nat, u, v Nat, m Meter) {
 		if rem != nil {
 			copy(rem, u[:min(len(rem), len(u))])
 		}
-		tick(m, OpLogic, n)
+		m.Tick(OpLogic, n)
 		return
 	}
 
@@ -49,9 +49,10 @@ func DivMod(quot, rem Nat, u, v Nat, m Meter) {
 	if s > 0 {
 		un[ulen] = u[ulen-1] >> (32 - s)
 	}
-	tick(m, OpShift, 2*(n+ulen))
+	m.Tick(OpShift, 2*(n+ulen))
 
 	const b = 1 << 32
+	var addBacks, stored int
 	for j := ulen - n; j >= 0; j-- {
 		// Estimate qhat from the top two limbs of the current remainder.
 		top := uint64(un[j+n])<<32 | uint64(un[j+n-1])
@@ -64,8 +65,6 @@ func DivMod(quot, rem Nat, u, v Nat, m Meter) {
 				break
 			}
 		}
-		tick(m, OpMul32, 2) // divide step modeled as multiplies on the DPU
-		tick(m, OpLogic, 3)
 
 		// Multiply-and-subtract: un[j..j+n] -= qhat * vn.
 		var borrow, carry uint64
@@ -76,14 +75,9 @@ func DivMod(quot, rem Nat, u, v Nat, m Meter) {
 			d := uint64(un[j+i]) - (pl & 0xffffffff) - borrow
 			un[j+i] = uint32(d)
 			borrow = (d >> 32) & 1
-			tick(m, OpMul32, 1)
-			tick(m, OpAddC, 1)
-			tick(m, OpSubB, 1)
-			tick(m, OpLoop, 1)
 		}
 		d := uint64(un[j+n]) - carry - borrow
 		un[j+n] = uint32(d)
-		tick(m, OpSubB, 1)
 
 		if (d>>32)&1 != 0 {
 			// qhat was one too large: add back.
@@ -93,14 +87,27 @@ func DivMod(quot, rem Nat, u, v Nat, m Meter) {
 				s := uint64(un[j+i]) + uint64(vn[i]) + c
 				un[j+i] = uint32(s)
 				c = s >> 32
-				tick(m, OpAddC, 1)
 			}
 			un[j+n] = uint32(uint64(un[j+n]) + c)
+			addBacks++
 		}
 		if quot != nil && j < len(quot) {
 			quot[j] = uint32(qhat)
-			tick(m, OpStore, 1)
+			stored++
 		}
+	}
+	if m != nil {
+		// Per quotient limb: the qhat estimate (its divide modeled as two
+		// multiplies on the DPU, three compares) and an n-limb
+		// multiply-and-subtract with its top-limb borrow; an add-back is
+		// n addc.
+		steps := ulen - n + 1
+		m[OpMul32] += int64(steps * (2 + n))
+		m[OpLogic] += int64(3 * steps)
+		m[OpAddC] += int64((steps + addBacks) * n)
+		m[OpSubB] += int64(steps * (n + 1))
+		m[OpLoop] += int64(steps * n)
+		m[OpStore] += int64(stored)
 	}
 
 	if rem != nil {
@@ -112,7 +119,7 @@ func DivMod(quot, rem Nat, u, v Nat, m Meter) {
 			}
 			rem[i] = r
 		}
-		tick(m, OpShift, 2*n)
+		m.Tick(OpShift, 2*n)
 	}
 }
 
@@ -126,9 +133,9 @@ func divModShort(quot, rem Nat, u []uint32, d uint32, m Meter) {
 		if quot != nil && i < len(quot) {
 			quot[i] = uint32(q)
 		}
-		tick(m, OpMul32, 1)
-		tick(m, OpLoop, 1)
 	}
+	m.Tick(OpMul32, len(u))
+	m.Tick(OpLoop, len(u))
 	if rem != nil {
 		rem[0] = uint32(r)
 	}

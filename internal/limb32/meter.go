@@ -1,12 +1,21 @@
 // Package limb32 implements fixed-width natural-number arithmetic on
 // little-endian base-2³² limbs, the native word size of the UPMEM DPU.
 //
-// Every routine accepts a Meter. When the Meter is non-nil, the routine
-// charges it one tick per dynamic instruction the equivalent DPU code would
-// execute (register loads, stores, adds with carry, software multiplies,
-// loop overhead). Host-side callers pass nil and pay nothing. This is how
-// the same arithmetic code serves both as the functional implementation and
-// as the instruction-count source for the PIM cycle model.
+// Every routine accepts a Meter — a *Counts, nil for unmetered. A metered
+// routine adds to the tally the dynamic instructions the equivalent DPU
+// code would execute (register loads, stores, adds with carry, software
+// multiplies, loop overhead); host-side callers pass nil and pay nothing.
+// This is how the same arithmetic code serves both as the functional
+// implementation and as the instruction-count source for the PIM cycle
+// model.
+//
+// The metering contract: a tally is a sum per instruction class and
+// nothing else. The order in which a routine charges is free, so routines
+// count loop trips, carries and skipped rows in locals and charge each
+// class once per call; a tally carries no prices — whoever owns it (the
+// PIM simulator, a perf model) prices the totals, once, when it folds
+// them. The instruction-by-instruction charging these totals stand for is
+// kept as the oracle in this package's tests.
 //
 // The paper (§3) represents 27-, 54- and 109-bit polynomial coefficients as
 // 32-, 64- and 128-bit integers, i.e. 1, 2 and 4 limbs, "because the UPMEM
@@ -51,19 +60,20 @@ func (o Op) String() string {
 	return opNames[o]
 }
 
-// Meter receives dynamic instruction counts from arithmetic routines.
-// Implementations must tolerate n == 0.
-type Meter interface {
-	// Tick records n dynamic instructions of class op.
-	Tick(op Op, n int)
-}
-
-// Counts is a Meter that tallies instructions per class. The zero value is
-// ready to use.
+// Counts tallies dynamic instructions per class. The zero value is ready
+// to use.
 type Counts [NumOps]int64
 
-// Tick implements Meter.
-func (c *Counts) Tick(op Op, n int) { c[op] += int64(n) }
+// Meter is what metered routines charge: a tally, or nil for unmetered.
+type Meter = *Counts
+
+// Tick records n dynamic instructions of class op; a nil tally records
+// nothing.
+func (c *Counts) Tick(op Op, n int) {
+	if c != nil {
+		c[op] += int64(n)
+	}
+}
 
 // Total returns the total dynamic instruction count across all classes.
 func (c *Counts) Total() int64 {
@@ -83,11 +93,3 @@ func (c *Counts) Add(d *Counts) {
 
 // Reset zeroes the tally.
 func (c *Counts) Reset() { *c = Counts{} }
-
-// tick charges m if it is non-nil. All limb32 routines funnel through this
-// helper so that the nil-Meter fast path costs a single branch.
-func tick(m Meter, op Op, n int) {
-	if m != nil && n > 0 {
-		m.Tick(op, n)
-	}
-}

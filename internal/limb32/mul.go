@@ -12,51 +12,49 @@ package limb32
 // into 32-bit chunks and applies the Karatsuba algorithm; Mul follows the
 // same strategy (3 sub-products for 2 limbs, 9 for 4 limbs).
 
-// mul32 returns the 64-bit product of two limbs and charges one software
-// multiply plus the surrounding register traffic.
-func mul32(a, b uint32, m Meter) uint64 {
-	tick(m, OpLoad, 2)
-	tick(m, OpMul32, 1)
-	return uint64(a) * uint64(b)
-}
-
 // MulSchoolbook computes dst = a * b by long multiplication.
 // dst must have width len(a)+len(b) and must not alias a or b.
+//
+// Per row of a the DPU code loads the limb and pays the loop bookkeeping;
+// a zero limb skips the row. Per inner step it loads both factors for the
+// software multiply, loads the destination limb and folds the product in
+// with one add and two addc, stores and loops; each carry limb rippled
+// past the row costs a load, an addc and a store.
 func MulSchoolbook(dst, a, b Nat, m Meter) {
 	if len(dst) != len(a)+len(b) {
 		panic("limb32: MulSchoolbook dst width must be len(a)+len(b)")
 	}
 	dst.SetZero()
-	for i := range a {
-		var carry uint64
-		ai := a[i]
+	var skipped, ripples int
+	for i, ai := range a {
 		if ai == 0 {
-			tick(m, OpLoad, 1)
-			tick(m, OpLoop, 1)
+			skipped++
 			continue
 		}
-		for j := range b {
-			p := mul32(ai, b[j], m)
-			s := uint64(dst[i+j]) + (p & 0xffffffff) + carry
-			dst[i+j] = uint32(s)
+		var carry uint64
+		row := dst[i : i+len(b)]
+		for j, bj := range b {
+			p := uint64(ai) * uint64(bj)
+			s := uint64(row[j]) + (p & 0xffffffff) + carry
+			row[j] = uint32(s)
 			carry = (s >> 32) + (p >> 32)
-			tick(m, OpLoad, 1)
-			tick(m, OpAdd, 1)
-			tick(m, OpAddC, 2)
-			tick(m, OpStore, 1)
-			tick(m, OpLoop, 1)
 		}
-		k := i + len(b)
-		for carry != 0 && k < len(dst) {
+		for k := i + len(b); carry != 0 && k < len(dst); k++ {
 			s := uint64(dst[k]) + carry
 			dst[k] = uint32(s)
 			carry = s >> 32
-			k++
-			tick(m, OpLoad, 1)
-			tick(m, OpAddC, 1)
-			tick(m, OpStore, 1)
+			ripples++
 		}
-		tick(m, OpLoop, 1)
+	}
+	if m != nil {
+		rows := len(a) - skipped
+		steps := rows * len(b)
+		m[OpLoad] += int64(skipped + 3*steps + ripples)
+		m[OpMul32] += int64(steps)
+		m[OpAdd] += int64(steps)
+		m[OpAddC] += int64(2*steps + ripples)
+		m[OpStore] += int64(steps + ripples)
+		m[OpLoop] += int64(skipped + steps + rows)
 	}
 }
 
@@ -68,10 +66,14 @@ func MulSchoolbook(dst, a, b Nat, m Meter) {
 func Mul(dst, a, b Nat, m Meter) {
 	switch {
 	case len(a) == 1 && len(b) == 1:
-		p := mul32(a[0], b[0], m)
+		p := uint64(a[0]) * uint64(b[0])
 		dst[0] = uint32(p)
 		dst[1] = uint32(p >> 32)
-		tick(m, OpStore, 2)
+		if m != nil {
+			m[OpLoad] += 2
+			m[OpMul32]++
+			m[OpStore] += 2
+		}
 	case len(a) == len(b) && len(a) == 2:
 		karatsuba2(dst, a, b, m)
 	case len(a) == len(b) && len(a) == 4:
@@ -87,9 +89,14 @@ func Mul(dst, a, b Nat, m Meter) {
 //	a = a1·B + a0, b = b1·B + b0  (B = 2³²)
 //	z0 = a0·b0, z2 = a1·b1, z1 = (a0+a1)(b0+b1) − z0 − z2
 //	a·b = z2·B² + z1·B + z0
+//
+// The code is straight-line, so its tally is a constant: three software
+// multiplies with their operand loads, the two 33-bit operand sums, the
+// conditional cross terms, and the add/sub chains that fold and assemble
+// the 128-bit result.
 func karatsuba2(dst, a, b Nat, m Meter) {
-	z0 := mul32(a[0], b[0], m)
-	z2 := mul32(a[1], b[1], m)
+	z0 := uint64(a[0]) * uint64(b[0])
+	z2 := uint64(a[1]) * uint64(b[1])
 
 	// (a0+a1) and (b0+b1) fit in 33 bits; split off the top bit the way the
 	// DPU code tracks carries.
@@ -97,14 +104,12 @@ func karatsuba2(dst, a, b Nat, m Meter) {
 	sb := uint64(b[0]) + uint64(b[1])
 	saH, saL := sa>>32, sa&0xffffffff
 	sbH, sbL := sb>>32, sb&0xffffffff
-	tick(m, OpAdd, 2)
 
-	zm := mul32(uint32(saL), uint32(sbL), m)
+	zm := saL * sbL
 	// sa·sb = zm + cross·2³² + (saH·sbH)·2⁶⁴ where cross = saH·sbL + sbH·saL
 	// (saH, sbH ∈ {0,1}, so these "multiplies" are conditional adds on the DPU).
 	cross := saH*sbL + sbH*saL
 	hh := saH & sbH
-	tick(m, OpLogic, 3)
 
 	// Fold sa·sb into a 128-bit (lo, hi) pair.
 	lo := zm + cross<<32
@@ -112,8 +117,6 @@ func karatsuba2(dst, a, b Nat, m Meter) {
 	if lo < zm {
 		hi++
 	}
-	tick(m, OpAdd, 1)
-	tick(m, OpAddC, 1)
 
 	// z1 = sa·sb − z0 − z2 over 128 bits (non-negative by construction).
 	if lo < z0 {
@@ -124,22 +127,24 @@ func karatsuba2(dst, a, b Nat, m Meter) {
 		hi--
 	}
 	lo -= z2
-	tick(m, OpSub, 2)
-	tick(m, OpSubB, 2)
 	z1lo, z1hi := lo, hi // z1hi ≤ 1 for 64-bit operands
 
 	// Assemble dst = z2·2⁶⁴ + z1·2³² + z0.
-	r0 := uint32(z0)
 	s1 := z0>>32 + z1lo&0xffffffff
-	r1 := uint32(s1)
 	s2 := z2&0xffffffff + z1lo>>32 + s1>>32
-	r2 := uint32(s2)
 	s3 := z2>>32 + z1hi&0xffffffff + s2>>32
-	r3 := uint32(s3)
-	tick(m, OpAdd, 2)
-	tick(m, OpAddC, 3)
-	dst[0], dst[1], dst[2], dst[3] = r0, r1, r2, r3
-	tick(m, OpStore, 4)
+	dst[0], dst[1], dst[2], dst[3] = uint32(z0), uint32(s1), uint32(s2), uint32(s3)
+
+	if m != nil {
+		m[OpLoad] += 6  // two operands per multiply
+		m[OpMul32] += 3 // z0, z2, zm
+		m[OpAdd] += 5   // sa, sb; fold; assemble ×2
+		m[OpAddC] += 4  // fold; assemble ×3
+		m[OpLogic] += 3 // cross terms and the top bit
+		m[OpSub] += 2   // − z0, − z2
+		m[OpSubB] += 2
+		m[OpStore] += 4
+	}
 }
 
 // karatsuba4 multiplies two 4-limb (128-bit) values into an 8-limb product
@@ -181,7 +186,7 @@ func karatsuba4(dst, a, b Nat, m Meter) {
 	dst.SetZero()
 	copy(dst[0:4], z0[:])
 	copy(dst[4:8], z2[:])
-	tick(m, OpStore, 8)
+	m.Tick(OpStore, 8)
 	addAt(dst, zmFull[:], 2, m)
 }
 
@@ -196,20 +201,21 @@ func addAt(dst, src []uint32, k int, m Meter) {
 		dst[k+i] = uint32(s)
 		carry = s >> 32
 	}
-	tick(m, OpLoad, 2*i)
-	tick(m, OpAddC, i)
-	tick(m, OpStore, i)
-	tick(m, OpLoop, i)
+	ripples := 0
 	for j := k + i; carry != 0 && j < len(dst); j++ {
 		s := uint64(dst[j]) + carry
 		dst[j] = uint32(s)
 		carry = s >> 32
-		tick(m, OpAddC, 1)
-		tick(m, OpLoad, 1)
-		tick(m, OpStore, 1)
+		ripples++
 	}
 	if carry != 0 {
 		panic("limb32: addAt overflow")
+	}
+	if m != nil {
+		m[OpLoad] += int64(2*i + ripples)
+		m[OpAddC] += int64(i + ripples)
+		m[OpStore] += int64(i + ripples)
+		m[OpLoop] += int64(i)
 	}
 }
 
@@ -223,20 +229,21 @@ func subAt(dst, src []uint32, k int, m Meter) {
 		dst[k+i] = uint32(d)
 		borrow = (d >> 32) & 1
 	}
-	tick(m, OpLoad, 2*i)
-	tick(m, OpSubB, i)
-	tick(m, OpStore, i)
-	tick(m, OpLoop, i)
+	ripples := 0
 	for j := k + i; borrow != 0 && j < len(dst); j++ {
 		d := uint64(dst[j]) - borrow
 		dst[j] = uint32(d)
 		borrow = (d >> 32) & 1
-		tick(m, OpSubB, 1)
-		tick(m, OpLoad, 1)
-		tick(m, OpStore, 1)
+		ripples++
 	}
 	if borrow != 0 {
 		panic("limb32: subAt underflow")
+	}
+	if m != nil {
+		m[OpLoad] += int64(2*i + ripples)
+		m[OpSubB] += int64(i + ripples)
+		m[OpStore] += int64(i + ripples)
+		m[OpLoop] += int64(i)
 	}
 }
 

@@ -156,22 +156,30 @@ func (n Nat) TrimmedLen() int {
 func (n Nat) String() string { return "0x" + n.Big().Text(16) }
 
 // Cmp compares a and b limb-wise, returning -1, 0 or +1. Widths must match.
-// Charges one compare per limb examined (most-significant first, early out).
+// Charges two loads and one compare per limb examined (most-significant
+// first, early out).
 func Cmp(a, b Nat, m Meter) int {
+	c, examined := cmp(a, b)
+	m.Tick(OpLoad, 2*examined)
+	m.Tick(OpLogic, examined)
+	return c
+}
+
+// cmp is the unmetered comparison; it also reports how many limbs it
+// examined before deciding.
+func cmp(a, b Nat) (c, examined int) {
 	if len(a) != len(b) {
 		panic("limb32: Cmp width mismatch")
 	}
 	for i := len(a) - 1; i >= 0; i-- {
-		tick(m, OpLoad, 2)
-		tick(m, OpLogic, 1)
 		switch {
 		case a[i] < b[i]:
-			return -1
+			return -1, len(a) - i
 		case a[i] > b[i]:
-			return 1
+			return 1, len(a) - i
 		}
 	}
-	return 0
+	return 0, len(a)
 }
 
 // Add computes dst = a + b, returning the carry-out (0 or 1). All operands
@@ -180,6 +188,14 @@ func Cmp(a, b Nat, m Meter) int {
 // loads, one add (addc after the first limb), one store, plus loop
 // bookkeeping.
 func Add(dst, a, b Nat, m Meter) uint32 {
+	carry := add(dst, a, b)
+	if m != nil {
+		chargeChain(m, OpAdd, OpAddC, len(dst))
+	}
+	return carry
+}
+
+func add(dst, a, b Nat) uint32 {
 	w := len(dst)
 	if len(a) != w || len(b) != w {
 		panic("limb32: Add width mismatch")
@@ -190,20 +206,19 @@ func Add(dst, a, b Nat, m Meter) uint32 {
 		dst[i] = uint32(s)
 		carry = s >> 32
 	}
-	if m != nil {
-		m.Tick(OpLoad, 2*w)
-		m.Tick(OpAdd, 1)
-		if w > 1 {
-			m.Tick(OpAddC, w-1)
-		}
-		m.Tick(OpStore, w)
-		m.Tick(OpLoop, w)
-	}
 	return uint32(carry)
 }
 
 // Sub computes dst = a - b, returning the borrow-out (0 or 1).
 func Sub(dst, a, b Nat, m Meter) uint32 {
+	borrow := sub(dst, a, b)
+	if m != nil {
+		chargeChain(m, OpSub, OpSubB, len(dst))
+	}
+	return borrow
+}
+
+func sub(dst, a, b Nat) uint32 {
 	w := len(dst)
 	if len(a) != w || len(b) != w {
 		panic("limb32: Sub width mismatch")
@@ -214,32 +229,54 @@ func Sub(dst, a, b Nat, m Meter) uint32 {
 		dst[i] = uint32(d)
 		borrow = (d >> 32) & 1
 	}
-	if m != nil {
-		m.Tick(OpLoad, 2*w)
-		m.Tick(OpSub, 1)
-		if w > 1 {
-			m.Tick(OpSubB, w-1)
-		}
-		m.Tick(OpStore, w)
-		m.Tick(OpLoop, w)
-	}
 	return uint32(borrow)
 }
 
+// chargeChain charges one w-limb add or sub chain: per limb two loads, a
+// store and the loop bookkeeping; the first limb's arithmetic is class
+// first, the remaining w-1 limbs class rest (the carry-in form).
+func chargeChain(m Meter, first, rest Op, w int) {
+	m[OpLoad] += int64(2 * w)
+	m[first]++
+	m[rest] += int64(w - 1)
+	m[OpStore] += int64(w)
+	m[OpLoop] += int64(w)
+}
+
 // AddMod computes dst = (a + b) mod q, assuming a, b < q. It performs the
-// add followed by a conditional subtract, the standard lazy modular add.
+// add followed by a conditional subtract, the standard lazy modular add:
+// q is subtracted when the sum overflowed the width or compares ≥ q.
 func AddMod(dst, a, b, q Nat, m Meter) {
-	carry := Add(dst, a, b, m)
-	// Subtract q when the sum overflowed the width or reached q.
-	if carry != 0 || Cmp(dst, q, m) >= 0 {
-		Sub(dst, dst, q, m)
+	reduce, examined := add(dst, a, b) != 0, 0
+	if !reduce {
+		var c int
+		c, examined = cmp(dst, q)
+		reduce = c >= 0
+	}
+	if reduce {
+		sub(dst, dst, q)
+	}
+	if m != nil {
+		chargeChain(m, OpAdd, OpAddC, len(dst))
+		m[OpLoad] += int64(2 * examined) // the compare against q, as Cmp charges it
+		m[OpLogic] += int64(examined)
+		if reduce {
+			chargeChain(m, OpSub, OpSubB, len(dst))
+		}
 	}
 }
 
 // SubMod computes dst = (a - b) mod q, assuming a, b < q.
 func SubMod(dst, a, b, q Nat, m Meter) {
-	if Sub(dst, a, b, m) != 0 {
-		Add(dst, dst, q, m)
+	wrapped := sub(dst, a, b) != 0
+	if wrapped {
+		add(dst, dst, q)
+	}
+	if m != nil {
+		chargeChain(m, OpSub, OpSubB, len(dst))
+		if wrapped {
+			chargeChain(m, OpAdd, OpAddC, len(dst))
+		}
 	}
 }
 
@@ -247,7 +284,7 @@ func SubMod(dst, a, b, q Nat, m Meter) {
 func NegMod(dst, a, q Nat, m Meter) {
 	if a.IsZero() {
 		dst.SetZero()
-		tick(m, OpLogic, len(a))
+		m.Tick(OpLogic, len(a))
 		return
 	}
 	Sub(dst, q, a, m)
@@ -264,7 +301,7 @@ func ShiftLeftLimbs(dst, a Nat, k int, m Meter) {
 		}
 		dst[i] = v
 	}
-	tick(m, OpMove, w)
+	m.Tick(OpMove, w)
 }
 
 // ShiftRightLimbs sets dst = a >> (32*k) within dst's width, zero filling.
@@ -277,7 +314,7 @@ func ShiftRightLimbs(dst, a Nat, k int, m Meter) {
 		}
 		dst[i] = v
 	}
-	tick(m, OpMove, w)
+	m.Tick(OpMove, w)
 }
 
 // ShiftRightBits sets dst = a >> s for 0 <= s < 32, within dst's width.
@@ -288,7 +325,7 @@ func ShiftRightBits(dst, a Nat, s uint, m Meter) {
 	}
 	if s == 0 {
 		copy(dst, a)
-		tick(m, OpMove, w)
+		m.Tick(OpMove, w)
 		return
 	}
 	for i := 0; i < w; i++ {
@@ -298,6 +335,6 @@ func ShiftRightBits(dst, a Nat, s uint, m Meter) {
 		}
 		dst[i] = v
 	}
-	tick(m, OpShift, 2*w)
-	tick(m, OpLogic, w)
+	m.Tick(OpShift, 2*w)
+	m.Tick(OpLogic, w)
 }

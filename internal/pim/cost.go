@@ -18,6 +18,23 @@
 // Constants default to the first-generation UPMEM system of the paper
 // (2,524 DPUs at 425 MHz) with per-instruction and DMA costs taken from
 // the PrIM characterization (Gómez-Luna et al., IEEE Access 2022).
+//
+// The metering contract. A tasklet charges into its own TaskletCtx: a
+// limb32.Counts tally (TaskletCtx.Meter), raw instructions and DMA
+// cycles, none of it shared with another tasklet or DPU. Tallies are
+// sums, so kernels and limb32 routines may charge in any order and in
+// any granularity — once per call, once per tile — and no price is
+// attached while they run: the cost model prices each tasklet's totals
+// once, when the tasklet returns and its context is folded into the
+// DPU. Instruction pricing is linear in the counts, so this yields the
+// same integers as pricing every instruction where it executes; the
+// host cost of a simulated instruction is an add, not a call.
+//
+// WRAM is an arena with a checked capacity. Kernels take their scratch
+// from TaskletCtx.WRAM, sized to the data they own, and a request past
+// WRAMWords is a kernel error. Tasklets of a DPU run one after another
+// and each starts the arena over, so each may use up to a whole WRAM;
+// the kernels' budgets are written to that assumption.
 package pim
 
 import "repro/internal/limb32"

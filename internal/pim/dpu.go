@@ -13,15 +13,18 @@ const WRAMWords = 64 * 1024 / 4
 // MRAMWords is the per-DPU main RAM capacity in 32-bit words (64 MB).
 const MRAMWords = 64 * 1024 * 1024 / 4
 
-// DPU models one DRAM Processing Unit: its MRAM bank and the cycle
-// accounting of the tasklets that ran on it. MRAM is allocated lazily so a
-// 2,524-DPU system does not reserve 158 GB of host memory.
+// DPU models one DRAM Processing Unit: its MRAM bank, its WRAM scratch
+// and the cycle accounting of the tasklets that ran on it. MRAM is
+// allocated lazily so a 2,524-DPU system does not reserve 158 GB of host
+// memory.
 type DPU struct {
 	ID   int
 	mram []uint32
-	dead bool // permanently failed (fault model); excluded from live sets
+	wram []uint32 // arena behind TaskletCtx.WRAM; grown on demand, never past WRAMWords
+	dead bool     // permanently failed (fault model); excluded from live sets
 
-	// Accounting for the most recent kernel launch.
+	// Accounting for the most recent kernel launch, folded from each
+	// tasklet's context when the tasklet returns.
 	taskletInstr []int64 // dynamic instructions per tasklet
 	taskletDMA   []int64 // DMA cycles issued per tasklet
 	counts       limb32.Counts
@@ -44,11 +47,48 @@ func (d *DPU) EnsureMRAM(words int) error {
 // MRAM returns the raw MRAM image (host-side access, not charged).
 func (d *DPU) MRAM() []uint32 { return d.mram }
 
-// resetAccounting prepares per-tasklet counters for a launch.
+// resetAccounting prepares per-tasklet counters for a launch, reusing
+// the previous launch's slices.
 func (d *DPU) resetAccounting(tasklets int) {
-	d.taskletInstr = make([]int64, tasklets)
-	d.taskletDMA = make([]int64, tasklets)
+	if cap(d.taskletInstr) < tasklets {
+		d.taskletInstr = make([]int64, tasklets)
+		d.taskletDMA = make([]int64, tasklets)
+	}
+	d.taskletInstr = d.taskletInstr[:tasklets]
+	d.taskletDMA = d.taskletDMA[:tasklets]
+	clear(d.taskletInstr)
+	clear(d.taskletDMA)
 	d.counts.Reset()
+}
+
+// run executes kernel as each of the DPU's tasklets in turn and folds
+// every tasklet's tally into the DPU's accounting as it returns. This
+// is the one place a tally meets the cost model: instruction pricing is
+// linear in the per-class counts, so pricing the tasklet's total once
+// gives the same integers as pricing each charge as it is made.
+//
+// A kernel panic — an out-of-bounds DMA, a nil layout — is a bug in the
+// kernel or its plan, but it fires on a simulator goroutine no caller
+// can guard; it comes back as an ordinary error naming the DPU and
+// tasklet, so one bad shard fails its run instead of the process.
+func (d *DPU) run(kernel KernelFunc, cost *CostModel, tasklets int) (err error) {
+	ctx := &TaskletCtx{}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("pim: DPU %d tasklet %d: kernel panic: %v", d.ID, ctx.TaskletID, r)
+		}
+	}()
+	d.resetAccounting(tasklets)
+	for t := 0; t < tasklets; t++ {
+		*ctx = TaskletCtx{dpu: d, cost: cost, TaskletID: t, NumTasklets: tasklets}
+		if err := kernel(ctx); err != nil {
+			return fmt.Errorf("pim: DPU %d tasklet %d: %w", d.ID, t, err)
+		}
+		d.taskletInstr[t] = ctx.instr + cost.InstrTotal(&ctx.counts)
+		d.taskletDMA[t] = ctx.dma
+		d.counts.Add(&ctx.counts)
+	}
+	return nil
 }
 
 // cycles folds the per-tasklet accounting into the DPU's kernel cycle
@@ -74,22 +114,48 @@ func (d *DPU) cycles(cost *CostModel) int64 {
 }
 
 // TaskletCtx is the execution context handed to kernel code running as
-// one tasklet on one DPU. It implements limb32.Meter, so kernel arithmetic
-// charges the tasklet transparently.
+// one tasklet on one DPU. Everything a kernel charges — the limb32 tally
+// behind Meter, raw instructions, DMA cycles — accumulates in the context
+// itself, which only its own tasklet touches; the DPU sees the totals
+// when the tasklet returns.
 type TaskletCtx struct {
 	dpu         *DPU
 	cost        *CostModel
 	TaskletID   int
 	NumTasklets int
+
+	counts   limb32.Counts // operation tally, priced at fold
+	instr    int64         // raw instructions (ChargeInstr)
+	dma      int64         // DMA cycles
+	wramUsed int           // words of the DPU's WRAM arena handed out
 }
 
-var _ limb32.Meter = (*TaskletCtx)(nil)
+// Meter returns the tasklet's tally: kernels pass it to limb32 routines
+// (or Tick it directly) to charge arithmetic to this tasklet.
+func (c *TaskletCtx) Meter() limb32.Meter { return &c.counts }
 
-// Tick implements limb32.Meter: n operations of class op become dynamic
-// instructions under the cost model.
-func (c *TaskletCtx) Tick(op limb32.Op, n int) {
-	c.dpu.taskletInstr[c.TaskletID] += c.cost.InstrFor(op, int64(n))
-	c.dpu.counts[op] += int64(n)
+// WRAM returns a zeroed scratch buffer of the given size from the DPU's
+// working RAM. Buffers are bump-allocated from one arena per DPU that
+// every tasklet starts over, so a kernel's scratch costs the host an
+// allocation only the first time a DPU needs that much; a tasklet asking
+// for more than WRAMWords in total gets an error, as the data would not
+// fit the hardware.
+func (c *TaskletCtx) WRAM(words int) ([]uint32, error) {
+	end := c.wramUsed + words
+	if words < 0 || end > WRAMWords {
+		return nil, fmt.Errorf("pim: WRAM request of %d words on top of %d exceeds capacity %d",
+			words, c.wramUsed, WRAMWords)
+	}
+	d := c.dpu
+	if len(d.wram) < end {
+		// Buffers already handed out keep the old array; only this and
+		// later requests need the room.
+		d.wram = make([]uint32, min(WRAMWords, max(end, 2*len(d.wram))))
+	}
+	buf := d.wram[c.wramUsed:end:end]
+	clear(buf)
+	c.wramUsed = end
+	return buf, nil
 }
 
 // MRAMRead DMAs words from MRAM (word offset off) into the WRAM buffer
@@ -103,7 +169,7 @@ func (c *TaskletCtx) MRAMRead(off int, dst []uint32) {
 			c.dpu.ID, off, off+len(dst), len(c.dpu.mram)))
 	}
 	copy(dst, c.dpu.mram[off:off+len(dst)])
-	c.dpu.taskletDMA[c.TaskletID] += c.cost.DMACycles(4 * len(dst))
+	c.dma += c.cost.DMACycles(4 * len(dst))
 }
 
 // MRAMWrite DMAs the WRAM buffer src into MRAM at word offset off.
@@ -116,14 +182,12 @@ func (c *TaskletCtx) MRAMWrite(off int, src []uint32) {
 			c.dpu.ID, off, off+len(src), len(c.dpu.mram)))
 	}
 	copy(c.dpu.mram[off:off+len(src)], src)
-	c.dpu.taskletDMA[c.TaskletID] += c.cost.DMACycles(4 * len(src))
+	c.dma += c.cost.DMACycles(4 * len(src))
 }
 
 // ChargeInstr charges raw dynamic instructions (loop setup, address
 // arithmetic) that are not expressed through limb32 operations.
-func (c *TaskletCtx) ChargeInstr(n int64) {
-	c.dpu.taskletInstr[c.TaskletID] += n
-}
+func (c *TaskletCtx) ChargeInstr(n int64) { c.instr += n }
 
 // DPUID returns the ID of the DPU this tasklet runs on.
 func (c *TaskletCtx) DPUID() int { return c.dpu.ID }

@@ -11,7 +11,7 @@ func TestKernelEnergyComposition(t *testing.T) {
 	sys.DPUs[0].EnsureMRAM(1024)
 	sys.DPUs[1].EnsureMRAM(1024)
 	rep, err := sys.Launch(2, func(ctx *TaskletCtx) error {
-		ctx.Tick(limb32.OpAdd, 1000)
+		ctx.Meter().Tick(limb32.OpAdd, 1000)
 		if ctx.TaskletID == 0 {
 			buf := make([]uint32, 256)
 			ctx.MRAMRead(0, buf)

@@ -30,14 +30,12 @@ type VecAddLayout struct {
 	BR     *limb32.Barrett // unused by addition; kept for symmetry
 }
 
-// addTile returns the DMA tile size (in coefficients) for width w: three
-// buffers (a, b, out) must fit comfortably in WRAM.
-func addTile(w int) int {
+// addTile returns the DMA tile size (in coefficients) for a tasklet that
+// owns span coefficients of width w: three buffers (a, b, out) must fit
+// comfortably in WRAM, and none needs to be longer than the span.
+func addTile(w, span int) int {
 	t := (pim.WRAMWords / 4) / (3 * w) // quarter of WRAM for data tiles
-	if t < 1 {
-		t = 1
-	}
-	return t
+	return max(1, min(t, span))
 }
 
 // VectorAdd returns the tasklet program computing out[i] = (a[i]+b[i]) mod q.
@@ -51,15 +49,15 @@ func VectorAdd(l VecAddLayout) pim.KernelFunc {
 			return nil
 		}
 		w := l.W
-		tile := addTile(w)
-		bufA := make([]uint32, tile*w)
-		bufB := make([]uint32, tile*w)
-		bufO := make([]uint32, tile*w)
+		tile := addTile(w, end-start)
+		buf, err := ctx.WRAM(3 * tile * w)
+		if err != nil {
+			return err
+		}
+		bufA, bufB, bufO := buf[:tile*w], buf[tile*w:2*tile*w], buf[2*tile*w:]
+		m := ctx.Meter()
 		for c := start; c < end; c += tile {
-			cnt := tile
-			if c+cnt > end {
-				cnt = end - c
-			}
+			cnt := min(tile, end-c)
 			ctx.MRAMRead(l.OffA+c*w, bufA[:cnt*w])
 			ctx.MRAMRead(l.OffB+c*w, bufB[:cnt*w])
 			for i := 0; i < cnt; i++ {
@@ -67,9 +65,9 @@ func VectorAdd(l VecAddLayout) pim.KernelFunc {
 					limb32.Nat(bufO[i*w:(i+1)*w]),
 					limb32.Nat(bufA[i*w:(i+1)*w]),
 					limb32.Nat(bufB[i*w:(i+1)*w]),
-					l.Q, ctx)
-				ctx.ChargeInstr(2) // loop index + branch
+					l.Q, m)
 			}
+			ctx.ChargeInstr(int64(2 * cnt)) // per coefficient: loop index + branch
 			ctx.MRAMWrite(l.OffOut+c*w, bufO[:cnt*w])
 		}
 		return nil
@@ -120,30 +118,36 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 			tile = n
 		}
 
-		accPos := make([]uint32, K*accW)
-		accNeg := make([]uint32, K*accW)
-		aTile := make([]uint32, tile*w)
-		bWin := make([]uint32, (K+tile-1)*w)
-		prod := limb32.NewNat(2 * w)
-		rp := limb32.NewNat(w)
-		rn := limb32.NewNat(w)
-		out := make([]uint32, K*w)
+		wram, err := ctx.WRAM(2*K*accW + tile*w + (K+tile-1)*w + 4*w)
+		if err != nil {
+			return err
+		}
+		carve := func(words int) []uint32 {
+			buf := wram[:words:words]
+			wram = wram[words:]
+			return buf
+		}
+		accPos := carve(K * accW)
+		accNeg := carve(K * accW)
+		aTile := carve(tile * w)
+		bWin := carve((K + tile - 1) * w)
+		prod := limb32.Nat(carve(2 * w))
+		rp := limb32.Nat(carve(w))
+		rn := limb32.Nat(carve(w))
+		// The reduced outputs overwrite the low end of accPos: output k
+		// ends at (k+1)·w ≤ k·accW for k ≥ 1, below accumulator k, and by
+		// the time it is written accumulators 0..k have been reduced.
+		out := accPos[:K*w]
+		m := ctx.Meter()
 
 		for p := 0; p < l.Pairs; p++ {
 			offA := l.OffA + p*n*w
 			offB := l.OffB + p*n*w
-			for i := range accPos {
-				accPos[i] = 0
-			}
-			for i := range accNeg {
-				accNeg[i] = 0
-			}
+			clear(accPos)
+			clear(accNeg)
 
 			for i0 := 0; i0 < n; i0 += tile {
-				cnt := tile
-				if i0+cnt > n {
-					cnt = n - i0
-				}
+				cnt := min(tile, n-i0)
 				ctx.MRAMRead(offA+i0*w, aTile[:cnt*w])
 
 				// b indices needed: j = (k−i) mod n for k∈[k0,k1), i∈[i0,i0+cnt)
@@ -167,22 +171,22 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 						}
 						ai := limb32.Nat(aTile[(i-i0)*w : (i-i0+1)*w])
 						bj := limb32.Nat(bWin[wi*w : (wi+1)*w])
-						limb32.Mul(prod, ai, bj, ctx)
+						limb32.Mul(prod, ai, bj, m)
 						acc := accPos
 						if negTerm {
 							acc = accNeg
 						}
-						accumAdd(acc[(k-k0)*accW:(k-k0+1)*accW], prod, ctx)
-						ctx.ChargeInstr(3) // index arithmetic + wrap test + branch
+						accumAdd(acc[(k-k0)*accW:(k-k0+1)*accW], prod, m)
 					}
 				}
+				ctx.ChargeInstr(int64(3 * K * cnt)) // per product: index arithmetic + wrap test + branch
 			}
 
 			// Reduce accumulators mod q and write the shard's outputs.
 			for k := 0; k < K; k++ {
-				limb32.Mod(rp, limb32.Nat(accPos[k*accW:(k+1)*accW]), l.Q, ctx)
-				limb32.Mod(rn, limb32.Nat(accNeg[k*accW:(k+1)*accW]), l.Q, ctx)
-				limb32.SubMod(limb32.Nat(out[k*w:(k+1)*w]), rp, rn, l.Q, ctx)
+				limb32.Mod(rp, limb32.Nat(accPos[k*accW:(k+1)*accW]), l.Q, m)
+				limb32.Mod(rn, limb32.Nat(accNeg[k*accW:(k+1)*accW]), l.Q, m)
+				limb32.SubMod(limb32.Nat(out[k*w:(k+1)*w]), rp, rn, l.Q, m)
 			}
 			ctx.MRAMWrite(l.OffOut+p*n*w+k0*w, out[:K*w])
 		}
@@ -216,10 +220,8 @@ func accumAdd(acc []uint32, src limb32.Nat, m limb32.Meter) {
 	if carry != 0 {
 		acc[len(src)] += uint32(carry) // accumulator is sized to never carry out
 	}
-	if m != nil {
-		m.Tick(limb32.OpLoad, len(src))
-		m.Tick(limb32.OpAddC, len(src)+1)
-		m.Tick(limb32.OpStore, len(src))
-		m.Tick(limb32.OpLoop, len(src))
-	}
+	m.Tick(limb32.OpLoad, len(src))
+	m.Tick(limb32.OpAddC, len(src)+1)
+	m.Tick(limb32.OpStore, len(src))
+	m.Tick(limb32.OpLoop, len(src))
 }

@@ -75,72 +75,76 @@ func NewNTTPlan(q uint64, n int) (*NTTPlan, error) {
 	return plan, nil
 }
 
-// mulModCharged is a 32-bit modular product as the DPU executes it: one
-// software 32×32 multiply plus a Barrett-style reduction (two more
-// multiplies) and corrections.
-func (p *NTTPlan) mulModCharged(a, b uint32, ctx *pim.TaskletCtx) uint32 {
-	ctx.Tick(limb32.OpMul32, 3) // product + 2 Barrett multiplies
-	ctx.Tick(limb32.OpShift, 2)
-	ctx.Tick(limb32.OpSub, 1)
-	ctx.Tick(limb32.OpLogic, 1)
-	return uint32(p.ring.Mul(uint64(a), uint64(b)))
+// chargeMulMods charges k 32-bit modular products as the DPU executes
+// them: one software 32×32 multiply plus a Barrett-style reduction (two
+// more multiplies) and corrections.
+func chargeMulMods(m limb32.Meter, k int) {
+	m.Tick(limb32.OpMul32, 3*k) // product + 2 Barrett multiplies
+	m.Tick(limb32.OpShift, 2*k)
+	m.Tick(limb32.OpSub, k)
+	m.Tick(limb32.OpLogic, k)
 }
 
-func (p *NTTPlan) addModCharged(a, b uint32, ctx *pim.TaskletCtx) uint32 {
-	ctx.Tick(limb32.OpAdd, 1)
-	ctx.Tick(limb32.OpLogic, 1)
-	return uint32(p.ring.Add(uint64(a), uint64(b)))
+// chargeButterflies charges k butterflies: a modular product, a modular
+// add and a modular subtract (each an add or sub plus the correcting
+// compare), and the loads and stores around them.
+func chargeButterflies(ctx *pim.TaskletCtx, k int) {
+	m := ctx.Meter()
+	chargeMulMods(m, k)
+	m.Tick(limb32.OpAdd, k)
+	m.Tick(limb32.OpSub, k)
+	m.Tick(limb32.OpLogic, 2*k)
+	ctx.ChargeInstr(int64(4 * k))
 }
 
-func (p *NTTPlan) subModCharged(a, b uint32, ctx *pim.TaskletCtx) uint32 {
-	ctx.Tick(limb32.OpSub, 1)
-	ctx.Tick(limb32.OpLogic, 1)
-	return uint32(p.ring.Sub(uint64(a), uint64(b)))
-}
-
-// forwardInPlace runs the Cooley–Tukey NTT on a WRAM buffer, charging the
-// tasklet per butterfly.
+// forwardInPlace runs the Cooley–Tukey NTT on a WRAM buffer and charges
+// the tasklet for its butterflies.
 func (p *NTTPlan) forwardInPlace(a []uint32, ctx *pim.TaskletCtx) {
-	n := p.N
+	n, r := p.N, p.ring
 	step := n
+	butterflies := 0
 	for m := 1; m < n; m <<= 1 {
 		step >>= 1
 		for i := 0; i < m; i++ {
-			w := p.psiRev[m+i]
+			w := uint64(p.psiRev[m+i])
 			j1 := 2 * i * step
 			for j := j1; j < j1+step; j++ {
-				u := a[j]
-				v := p.mulModCharged(a[j+step], w, ctx)
-				a[j] = p.addModCharged(u, v, ctx)
-				a[j+step] = p.subModCharged(u, v, ctx)
-				ctx.ChargeInstr(4) // loads/stores around the butterfly
+				u := uint64(a[j])
+				v := r.Mul(uint64(a[j+step]), w)
+				a[j] = uint32(r.Add(u, v))
+				a[j+step] = uint32(r.Sub(u, v))
 			}
+			butterflies += step
 		}
 	}
+	chargeButterflies(ctx, butterflies)
 }
 
 // inverseInPlace runs the Gentleman–Sande inverse NTT and the final n⁻¹
 // scaling.
 func (p *NTTPlan) inverseInPlace(a []uint32, ctx *pim.TaskletCtx) {
-	n := p.N
+	n, r := p.N, p.ring
 	step := 1
+	butterflies := 0
 	for m := n >> 1; m >= 1; m >>= 1 {
 		for i := 0; i < m; i++ {
-			w := p.psiInvRev[m+i]
+			w := uint64(p.psiInvRev[m+i])
 			j1 := 2 * i * step
 			for j := j1; j < j1+step; j++ {
-				u := a[j]
-				v := a[j+step]
-				a[j] = p.addModCharged(u, v, ctx)
-				a[j+step] = p.mulModCharged(p.subModCharged(u, v, ctx), w, ctx)
-				ctx.ChargeInstr(4)
+				u := uint64(a[j])
+				v := uint64(a[j+step])
+				a[j] = uint32(r.Add(u, v))
+				a[j+step] = uint32(r.Mul(r.Sub(u, v), w))
 			}
+			butterflies += step
 		}
 		step <<= 1
 	}
 	for i := range a {
-		a[i] = p.mulModCharged(a[i], p.nInv, ctx)
+		a[i] = uint32(r.Mul(uint64(a[i]), uint64(p.nInv)))
 	}
+	chargeButterflies(ctx, butterflies)
+	chargeMulMods(ctx.Meter(), n)
 }
 
 // NTTMulLayout describes one DPU's shard of an NTT-based polynomial
@@ -167,17 +171,21 @@ func NTTPolyMul(l NTTMulLayout) pim.KernelFunc {
 		if start >= end {
 			return nil
 		}
-		bufA := make([]uint32, n)
-		bufB := make([]uint32, n)
+		wram, err := ctx.WRAM(2 * n)
+		if err != nil {
+			return err
+		}
+		bufA, bufB := wram[:n], wram[n:]
 		for p := start; p < end; p++ {
 			ctx.MRAMRead(l.OffA+p*n, bufA)
 			ctx.MRAMRead(l.OffB+p*n, bufB)
 			l.Plan.forwardInPlace(bufA, ctx)
 			l.Plan.forwardInPlace(bufB, ctx)
 			for i := 0; i < n; i++ {
-				bufA[i] = l.Plan.mulModCharged(bufA[i], bufB[i], ctx)
-				ctx.ChargeInstr(2)
+				bufA[i] = uint32(l.Plan.ring.Mul(uint64(bufA[i]), uint64(bufB[i])))
 			}
+			chargeMulMods(ctx.Meter(), n)
+			ctx.ChargeInstr(int64(2 * n)) // per product: loop index + branch
 			l.Plan.inverseInPlace(bufA, ctx)
 			ctx.MRAMWrite(l.OffOut+p*n, bufA)
 		}

@@ -36,12 +36,17 @@ func plan(sys *pim.System, ins [][]uint32, out []uint32, unitWords, nShards int,
 			BytesIn:  int64(4 * len(ins) * words),
 			BytesOut: int64(4 * words),
 			Stage: func(d int) error {
+				// Reserve the whole layout first, so a DPU's MRAM image
+				// grows once rather than once per input.
+				if err := sys.DPUs[d].EnsureMRAM((len(ins) + 1) * words); err != nil {
+					return err
+				}
 				for v, in := range ins {
 					if err := sys.CopyToDPU(d, v*words, in[lo:hi]); err != nil {
 						return err
 					}
 				}
-				return sys.DPUs[d].EnsureMRAM((len(ins) + 1) * words)
+				return nil
 			},
 			Kernel: kernel(e - s),
 			Gather: func(d int) error {

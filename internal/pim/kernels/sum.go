@@ -29,14 +29,15 @@ func VectorSum(l VecSumLayout) pim.KernelFunc {
 			return nil
 		}
 		w := l.W
-		tile := addTile(w)
-		acc := make([]uint32, tile*w)
-		buf := make([]uint32, tile*w)
+		tile := addTile(w, end-start)
+		wram, err := ctx.WRAM(2 * tile * w)
+		if err != nil {
+			return err
+		}
+		acc, buf := wram[:tile*w], wram[tile*w:]
+		m := ctx.Meter()
 		for c := start; c < end; c += tile {
-			cnt := tile
-			if c+cnt > end {
-				cnt = end - c
-			}
+			cnt := min(tile, end-c)
 			ctx.MRAMRead(l.OffIn+c*w, acc[:cnt*w]) // vector 0 seeds the accumulator
 			for v := 1; v < l.M; v++ {
 				ctx.MRAMRead(l.OffIn+(v*l.Coeffs+c)*w, buf[:cnt*w])
@@ -45,9 +46,9 @@ func VectorSum(l VecSumLayout) pim.KernelFunc {
 						limb32.Nat(acc[i*w:(i+1)*w]),
 						limb32.Nat(acc[i*w:(i+1)*w]),
 						limb32.Nat(buf[i*w:(i+1)*w]),
-						l.Q, ctx)
-					ctx.ChargeInstr(2)
+						l.Q, m)
 				}
+				ctx.ChargeInstr(int64(2 * cnt)) // per coefficient: loop index + branch
 			}
 			ctx.MRAMWrite(l.OffOut+c*w, acc[:cnt*w])
 		}

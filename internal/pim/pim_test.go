@@ -1,6 +1,7 @@
 package pim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/limb32"
@@ -73,8 +74,8 @@ func TestCopyRoundTrip(t *testing.T) {
 func TestLaunchChargesInstructions(t *testing.T) {
 	sys := testSystem(t, 4, 8)
 	rep, err := sys.Launch(4, func(ctx *TaskletCtx) error {
-		ctx.Tick(limb32.OpAdd, 100)
-		ctx.Tick(limb32.OpMul32, 10)
+		ctx.Meter().Tick(limb32.OpAdd, 100)
+		ctx.Meter().Tick(limb32.OpMul32, 10)
 		return nil
 	})
 	if err != nil {
@@ -165,6 +166,96 @@ func TestLaunchErrorPropagates(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("kernel error not propagated")
+	}
+}
+
+// TestKernelPanicBecomesLaunchError: a kernel that panics — here an
+// out-of-bounds DMA on one tasklet of one DPU — does so on a simulator
+// goroutine no caller can guard. The launch must hand it back as an
+// ordinary error naming the DPU and tasklet, not a fault (a retry would
+// panic again), and leave the system usable.
+func TestKernelPanicBecomesLaunchError(t *testing.T) {
+	sys := testSystem(t, 2, 2)
+	for d := range sys.DPUs {
+		if err := sys.DPUs[d].EnsureMRAM(8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kernels := map[string]KernelFunc{
+		"out-of-bounds DMA": func(ctx *TaskletCtx) error {
+			if ctx.DPUID() == 1 && ctx.TaskletID == 1 {
+				ctx.MRAMRead(4, make([]uint32, 8))
+			}
+			return nil
+		},
+		"nil kernel": nil,
+	}
+	for name, kernel := range kernels {
+		rep, err := sys.Launch(2, kernel)
+		if err == nil || rep != nil {
+			t.Fatalf("%s: Launch returned (%v, %v), want the panic as an error", name, rep, err)
+		}
+		if IsFault(err) {
+			t.Errorf("%s: panic reported as a retryable fault: %v", name, err)
+		}
+		if name == "out-of-bounds DMA" && !strings.Contains(err.Error(), "DPU 1 tasklet 1") {
+			t.Errorf("%s: error does not name the DPU and tasklet: %v", name, err)
+		}
+	}
+	rep, err := sys.Launch(2, func(ctx *TaskletCtx) error {
+		ctx.ChargeInstr(5)
+		return nil
+	})
+	if err != nil || rep.TotalInstr != 2*2*5 || len(sys.LiveDPUIDs()) != 2 {
+		t.Fatalf("system unusable after a kernel panic: report %+v, err %v, live %v", rep, err, sys.LiveDPUIDs())
+	}
+}
+
+// TestWRAMIsACheckedArena: scratch comes zeroed, distinct buffers do not
+// overlap, every tasklet starts over, and a tasklet asking for more than
+// the DPU has gets an error rather than memory the hardware lacks.
+func TestWRAMIsACheckedArena(t *testing.T) {
+	sys := testSystem(t, 1, 3)
+	_, err := sys.Launch(1, func(ctx *TaskletCtx) error {
+		a, err := ctx.WRAM(100)
+		if err != nil {
+			return err
+		}
+		b, err := ctx.WRAM(WRAMWords - 100)
+		if err != nil {
+			return err
+		}
+		for _, buf := range [][]uint32{a, b} {
+			for i, v := range buf {
+				if v != 0 {
+					t.Errorf("tasklet %d: WRAM word %d not zeroed: %#x", ctx.TaskletID, i, v)
+					break
+				}
+			}
+		}
+		for i := range a {
+			a[i] = 0xaaaaaaaa
+		}
+		for i := range b {
+			b[i] = 0xbbbbbbbb
+		}
+		if a[99] != 0xaaaaaaaa || len(a) != 100 || cap(a) != 100 {
+			t.Errorf("tasklet %d: buffers overlap or can grow into each other", ctx.TaskletID)
+		}
+		if _, err := ctx.WRAM(1); err == nil {
+			t.Errorf("tasklet %d: request past WRAMWords accepted", ctx.TaskletID)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sys.Launch(1, func(ctx *TaskletCtx) error {
+		_, err := ctx.WRAM(WRAMWords + 1)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "WRAM") {
+		t.Fatalf("kernel asking for more than WRAMWords: err = %v", err)
 	}
 }
 

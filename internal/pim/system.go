@@ -82,8 +82,9 @@ func (s *System) TransferBytes() (in, out int64) {
 }
 
 // KernelFunc is the code one tasklet executes. Kernels are ordinary Go:
-// they read/write MRAM through the context (charged DMA) and perform limb
-// arithmetic with the context as Meter (charged instructions).
+// they take scratch from the context's WRAM, read/write MRAM through the
+// context (charged DMA) and perform limb arithmetic against the context's
+// Meter (charged instructions).
 type KernelFunc func(ctx *TaskletCtx) error
 
 // Report is the outcome of one kernel launch.
@@ -129,7 +130,8 @@ func (s *System) Launch(activeDPUs int, kernel KernelFunc) (*Report, error) {
 // tasklet count, in parallel host goroutines. It returns the launch
 // report plus one error slot per listed DPU (aligned with ids): slots
 // are nil on success, a *FaultError for injected or pre-existing DPU
-// failures, and an ordinary error when the kernel itself failed. The
+// failures, and an ordinary error when the kernel itself failed or
+// panicked. The
 // report covers the DPUs that ran, so a partially faulted launch still
 // charges the cycles it consumed.
 //
@@ -190,21 +192,13 @@ func (s *System) LaunchOn(ids []int, kernel func(dpuID int) KernelFunc) (*Report
 		if !run[i] {
 			continue
 		}
-		d := s.DPUs[id]
-		d.resetAccounting(T)
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(d *DPU, slot int, kern KernelFunc) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			for t := 0; t < T; t++ {
-				ctx := &TaskletCtx{dpu: d, cost: s.Config.Cost, TaskletID: t, NumTasklets: T}
-				if err := kern(ctx); err != nil {
-					errs[slot] = fmt.Errorf("pim: DPU %d tasklet %d: %w", d.ID, t, err)
-					return
-				}
-			}
-		}(d, i, kernel(id))
+			errs[slot] = d.run(kern, s.Config.Cost, T)
+		}(s.DPUs[id], i, kernel(id))
 	}
 	wg.Wait()
 

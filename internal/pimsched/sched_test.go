@@ -38,7 +38,7 @@ func addKernel(coeffs int) pim.KernelFunc {
 		ctx.MRAMRead(coeffs+s, b)
 		q := limb32.Nat{testQ}
 		for i := 0; i < n; i++ {
-			limb32.AddMod(out[i:i+1], a[i:i+1], b[i:i+1], q, ctx)
+			limb32.AddMod(out[i:i+1], a[i:i+1], b[i:i+1], q, ctx.Meter())
 		}
 		ctx.MRAMWrite(2*coeffs+s, out)
 		return nil
@@ -127,6 +127,32 @@ func TestVectorAddBitIdentical(t *testing.T) {
 	if rep.MakespanSeconds <= 0 || rep.KernelCycles <= 0 || rep.EnergyKernelJoules <= 0 {
 		t.Errorf("degenerate report: %+v", rep)
 	}
+}
+
+// TestPanickingShardAbortsTheRunOnly: one shard whose kernel panics fails
+// its Run with an ordinary, non-fault error — no retry rounds, no crash —
+// and the same system then runs the next plan to the oracle's result.
+func TestPanickingShardAbortsTheRunOnly(t *testing.T) {
+	topo := Topology{Ranks: 2, DPUsPerRank: 4}
+	sys := testSystem(t, topo)
+	a, b, want := testVectors(200)
+	sched, err := New(sys, topo, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := vectorAddShards(sys, a, b, make([]uint32, 200), 8)
+	shards[5].Kernel = func(ctx *pim.TaskletCtx) error {
+		ctx.MRAMWrite(1<<20, []uint32{1}) // far outside the staged shard
+		return nil
+	}
+	rep, err := sched.Run(shards)
+	if err == nil || rep != nil || pim.IsFault(err) {
+		t.Fatalf("Run with a panicking shard returned (%v, %v), want a non-fault error", rep, err)
+	}
+	if fs := sys.FaultStats(); fs.Retries != 0 || fs.Redispatches != 0 {
+		t.Errorf("kernel panic was retried as a fault: %+v", fs)
+	}
+	runAdd(t, sys, topo, true, 200, 8, want)
 }
 
 func TestOverlapBeatsSerialOnMultiRank(t *testing.T) {

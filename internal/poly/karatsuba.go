@@ -44,11 +44,11 @@ func MulNegacyclicKaratsuba(dst, a, b *Poly, mod *Modulus, m limb32.Meter) {
 		if k+n < len(full) {
 			// c[k] - c[k+n] mod q
 			v = subMod64(v, full[k+n], q)
-			tick(m, limb32.OpSub, 1)
+			m.Tick(limb32.OpSub, 1)
 		}
 		dst.C[k] = uint32(v)
 	}
-	tick(m, limb32.OpStore, n)
+	m.Tick(limb32.OpStore, n)
 }
 
 // karatsubaFull returns the full product (len(a)+len(b)-1 coefficients)
@@ -71,7 +71,7 @@ func karatsubaFull(a, b []uint64, q uint64, m limb32.Meter) []uint64 {
 		sa[i] = addMod64(a0[i], a1[i], q)
 		sb[i] = addMod64(b0[i], b1[i], q)
 	}
-	tick(m, limb32.OpAdd, 2*h)
+	m.Tick(limb32.OpAdd, 2*h)
 	zm := karatsubaFull(sa, sb, q, m)
 	// z1 = zm - z0 - z2
 	for i := range zm {
@@ -84,7 +84,7 @@ func karatsubaFull(a, b []uint64, q uint64, m limb32.Meter) []uint64 {
 		}
 		zm[i] = v
 	}
-	tick(m, limb32.OpSub, 2*len(zm))
+	m.Tick(limb32.OpSub, 2*len(zm))
 
 	out := make([]uint64, 2*n-1)
 	copy(out, z0)
@@ -94,7 +94,7 @@ func karatsubaFull(a, b []uint64, q uint64, m limb32.Meter) []uint64 {
 	for i, v := range z2 {
 		out[2*h+i] = addMod64(out[2*h+i], v, q)
 	}
-	tick(m, limb32.OpAdd, len(zm)+len(z2))
+	m.Tick(limb32.OpAdd, len(zm)+len(z2))
 	return out
 }
 
@@ -114,8 +114,8 @@ func schoolbookFull(a, b []uint64, q uint64, m limb32.Meter) []uint64 {
 			out[i+j] = addMod64(out[i+j], rem, q)
 		}
 	}
-	tick(m, limb32.OpMul32, len(a)*len(b))
-	tick(m, limb32.OpAddC, len(a)*len(b))
+	m.Tick(limb32.OpMul32, len(a)*len(b))
+	m.Tick(limb32.OpAddC, len(a)*len(b))
 	return out
 }
 
@@ -132,10 +132,4 @@ func subMod64(a, b, q uint64) uint64 {
 		return a - b
 	}
 	return a + q - b
-}
-
-func tick(m limb32.Meter, op limb32.Op, n int) {
-	if m != nil && n > 0 {
-		m.Tick(op, n)
-	}
 }

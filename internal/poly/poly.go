@@ -5,8 +5,9 @@
 // and 109-bit security levels — in one flat slice, mirroring the memory
 // layout the PIM kernels stream out of MRAM.
 //
-// All mutating operations accept a limb32.Meter so the PIM simulator can
-// charge exact per-instruction costs while host callers pass nil.
+// All mutating operations accept a limb32.Meter — a tally, or nil — so
+// the PIM simulator can count exact per-class instructions while host
+// callers pass nil.
 package poly
 
 import (
