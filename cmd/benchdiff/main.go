@@ -58,18 +58,7 @@ func main() {
 	baseline := flag.String("baseline", "", "checked-in `go test -bench` output to compare against")
 	fresh := flag.String("new", "", "freshly measured `go test -bench` output")
 	threshold := flag.Float64("threshold", 1.25, "fail when new/baseline exceeds this factor")
-	serveBaseline := flag.String("serve-baseline", "", "checked-in hebfv-loadgen JSON report to compare against")
-	serveNew := flag.String("serve-new", "", "freshly measured hebfv-loadgen JSON report")
-	serveOps := flag.Float64("serve-ops-threshold", 2.0, "fail when baseline/new ops/sec exceeds this factor (total and per-op)")
-	serveP99 := flag.Float64("serve-p99-threshold", 2.0, "fail when new/baseline per-op p99 exceeds this factor")
 	flag.Parse()
-	if *serveBaseline != "" || *serveNew != "" {
-		if *serveBaseline == "" || *serveNew == "" {
-			fmt.Fprintln(os.Stderr, "benchdiff: -serve-baseline and -serve-new are both required for the serve gate")
-			os.Exit(2)
-		}
-		os.Exit(serveGate(*serveBaseline, *serveNew, *serveOps, *serveP99))
-	}
 	if *baseline == "" || *fresh == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -baseline and -new are required")
 		os.Exit(2)

@@ -16,7 +16,8 @@
 //     Tenants are evaluation-only key sets in an LRU context cache;
 //     concurrent single-op requests coalesce into the facade's batch
 //     calls; ciphertexts stream in O(chunk) memory through a pooled
-//     decode path. cmd/hebfv-loadgen drives and byte-checks it.
+//     decode path. cmd/hebfvd's own test byte-checks the binary's
+//     wiring; the benchmark's served workloads measure it.
 //   - repro/hebfv: the public facade and the only compatibility
 //     surface. A Context owns parameters, keys, encoders and one Engine;
 //     callers speak in slots and rotation steps, never Galois elements.
@@ -46,9 +47,11 @@
 //     under the deterministic fault model (internal/faultinject), and
 //     prices cycles, transfers and energy into one report shape —
 //     the server, the figures and the performance model all run it.
-//   - internal/perfmodel, internal/bench, cmd/hepim-bench, benchmark/:
-//     the paper's analytic platform models, the figure and BENCH_*.json
-//     emitters, and the repo's end-to-end benchmark (BENCHMARK.json).
+//   - internal/perfmodel, internal/bench, cmd/hepim-bench: the paper's
+//     analytic platform models and the emitters of its figures.
+//   - benchmark/ (BENCHMARK.json), with the Go benchmarks cmd/benchdiff
+//     gates in CI: the one place this repo's own performance is
+//     measured.
 //
 // Everything under internal/ is private by policy as well as by Go
 // visibility; new consumers go through the facade, adding what it lacks

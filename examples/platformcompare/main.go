@@ -53,7 +53,7 @@ func main() {
 	// batched addition, metered end to end (kernel cycles + modeled
 	// host↔DPU transfers with copy-in/launch overlap) as the topology
 	// grows from one DPU to the full machine.
-	_, rep, err := bench.MeasurePIMScale(nil, 0)
+	_, sweep, err := bench.MeasurePIMScale(nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,12 +61,12 @@ func main() {
 	fmt.Printf("%6s %6s %8s %14s %12s %12s %10s\n",
 		"n", "dpus", "ranks", "kernel cycles", "xfer bytes", "makespan", "speedup")
 	base := map[int]float64{} // n -> 1-DPU pipelined makespan
-	for _, p := range rep.Points {
+	for _, p := range sweep {
 		if p.DPUs == 1 {
 			base[p.N] = p.OverlapSeconds
 		}
 	}
-	for _, p := range rep.Points {
+	for _, p := range sweep {
 		fmt.Printf("%6d %6d %8d %14d %12d %11.3fms %9.1fx\n",
 			p.N, p.DPUs, p.Ranks, p.KernelCycles, p.BytesIn+p.BytesOut,
 			p.OverlapSeconds*1e3, base[p.N]/p.OverlapSeconds)

@@ -78,8 +78,7 @@
 //
 // The serve package applies these rules automatically: request handles
 // and the response handle are released once the response is flushed,
-// and the server's /v1/stats reports the aggregated pool counters next
-// to a runtime.MemStats excerpt.
+// and the server's /v1/stats reports the aggregated pool counters.
 //
 // # Serving
 //

@@ -2,7 +2,8 @@
 // the reusable pieces of an HE-as-a-service deployment, where clients
 // keep the secret key, onboard their public evaluation keys once, and
 // submit ciphertext operations over HTTP. The hebfvd command wires this
-// package to a listener; hebfv-loadgen drives it.
+// package to a listener; `go run ./benchmark` (serve_mixed, serve_churn)
+// measures it.
 //
 // Three pieces compose the plane:
 //
@@ -44,7 +45,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -410,50 +410,6 @@ type ServerStats struct {
 	// handles (in_use — the leak balance), and steady-state retained
 	// bytes across the cache.
 	Pool hebfv.PoolStats `json:"pool"`
-	// Mem is the serving process's runtime memory view, for
-	// cross-process GC-pressure measurement: a load generator snapshots
-	// it before and after a run and diffs allocs/bytes per op and GC
-	// pauses (hebfv-loadgen's GC axis).
-	Mem MemStats `json:"mem"`
-}
-
-// MemStats is the runtime.ReadMemStats excerpt exposed in /v1/stats.
-// Cumulative counters (TotalAllocBytes, Mallocs, NumGC, PauseTotalNs)
-// diff cleanly across two snapshots; RecentPausesNs holds up to the
-// last 256 GC pause durations, oldest first, so a diff with ΔNumGC ≤
-// 256 recovers the exact pauses of the measured window.
-type MemStats struct {
-	HeapAllocBytes  uint64   `json:"heap_alloc_bytes"`
-	TotalAllocBytes uint64   `json:"total_alloc_bytes"`
-	Mallocs         uint64   `json:"mallocs"`
-	NumGC           uint32   `json:"num_gc"`
-	PauseTotalNs    uint64   `json:"pause_total_ns"`
-	RecentPausesNs  []uint64 `json:"recent_pauses_ns"`
-}
-
-// readMemStats snapshots the runtime counters for /v1/stats.
-func readMemStats() MemStats {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	st := MemStats{
-		HeapAllocBytes:  m.HeapAlloc,
-		TotalAllocBytes: m.TotalAlloc,
-		Mallocs:         m.Mallocs,
-		NumGC:           m.NumGC,
-		PauseTotalNs:    m.PauseTotalNs,
-	}
-	// PauseNs is a circular buffer indexed by GC number mod 256;
-	// unwind it oldest-first over the window it still covers.
-	n := uint32(len(m.PauseNs))
-	count := m.NumGC
-	if count > n {
-		count = n
-	}
-	st.RecentPausesNs = make([]uint64, 0, count)
-	for i := m.NumGC - count; i < m.NumGC; i++ {
-		st.RecentPausesNs = append(st.RecentPausesNs, m.PauseNs[i%n])
-	}
-	return st
 }
 
 // Stats snapshots the serving counters.
@@ -468,7 +424,6 @@ func (s *Server) Stats() ServerStats {
 	st.Cache = s.cache.Stats()
 	st.Coalescer = s.coal.Stats()
 	st.Pool = s.cache.PoolStats()
-	st.Mem = readMemStats()
 	return st
 }
 

@@ -213,9 +213,6 @@ func TestServeEndToEnd(t *testing.T) {
 	if st.Pool.InUse != 0 {
 		t.Fatalf("server leaks pooled handles after responses: %+v", st.Pool)
 	}
-	if st.Mem.Mallocs == 0 || st.Mem.TotalAllocBytes == 0 {
-		t.Fatal("server memstats excerpt missing from stats")
-	}
 }
 
 // TestServeTypedRejections pins the error contract: corrupt blobs 400,

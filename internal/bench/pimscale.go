@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/big"
-	"os"
 
 	"repro/internal/limb32"
 	"repro/internal/pim"
@@ -24,54 +22,36 @@ import (
 // makespan vs no-overlap serial), so the benefit of overlapping staging
 // with compute is a measured quantity at every scale.
 
-// PIMScaleSchema versions BENCH_pim.json.
-const PIMScaleSchema = "repro/pim-scale/v1"
-
 // DefaultPIMScaleDPUs is the tracked DPU sweep: single DPU, one rank,
 // and whole-rank scales up to the paper machine (2,524 functional DPUs
 // → 39 whole ranks; 2,560 = the 40-rank ceiling).
 var DefaultPIMScaleDPUs = []int{1, 64, 256, 1024, 2048, 2560}
 
-// PIMScalePoint is one (ring degree, DPU count) cell of the sweep.
+// PIMScalePoint is one (ring degree, DPU count) cell of the sweep, in
+// full precision — what TestPaperValidation pins.
 type PIMScalePoint struct {
-	N     int `json:"n"`     // ring degree
-	Width int `json:"width"` // limb width of the modulus
-	DPUs  int `json:"dpus"`  // requested DPU count
+	N     int // ring degree
+	DPUs  int // requested DPU count
+	Ranks int // whole ranks of the scheduled topology
 
-	Ranks       int `json:"ranks"` // scheduled topology (whole ranks)
-	DPUsPerRank int `json:"dpus_per_rank"`
-	Coeffs      int `json:"coeffs"` // coefficients in the workload
-	Shards      int `json:"shards"`
-	Launches    int `json:"launches"` // rank-granularity LaunchOn calls
-
-	KernelCycles   int64   `json:"kernel_cycles"`
-	KernelSeconds  float64 `json:"kernel_seconds"`
-	CopyInSeconds  float64 `json:"copy_in_seconds"`
-	CopyOutSeconds float64 `json:"copy_out_seconds"`
-	BytesIn        int64   `json:"bytes_in"`
-	BytesOut       int64   `json:"bytes_out"`
+	KernelCycles   int64
+	KernelSeconds  float64
+	CopyInSeconds  float64
+	CopyOutSeconds float64
+	BytesIn        int64
+	BytesOut       int64
 
 	// The two end-to-end modeled times: the pipelined makespan of the
 	// overlap-enabled run and the makespan of the overlap-disabled run
 	// (== the serial sum of per-chunk phases). Their ratio is the
 	// overlap speedup.
-	OverlapSeconds float64 `json:"overlap_seconds"`
-	SerialSeconds  float64 `json:"serial_seconds"`
-	OverlapSpeedup float64 `json:"overlap_speedup"`
-
-	EnergyKernelJoules   float64 `json:"energy_kernel_joules"`
-	EnergyTransferJoules float64 `json:"energy_transfer_joules"`
+	OverlapSeconds float64
+	SerialSeconds  float64
+	OverlapSpeedup float64
 
 	// BitIdentical reports both runs matched the host oracle word for
 	// word — the sweep's correctness gate.
-	BitIdentical bool `json:"bit_identical"`
-}
-
-// PIMScaleReport is the BENCH_pim.json payload.
-type PIMScaleReport struct {
-	Schema  string          `json:"schema"`
-	CtPairs int             `json:"ct_pairs"` // ciphertext pairs per workload
-	Points  []PIMScalePoint `json:"points"`
+	BitIdentical bool
 }
 
 // paperModulus54 is the 54-bit (width 2) paper modulus.
@@ -143,12 +123,7 @@ func runPIMScalePoint(cs pimScaleCase, dpus, ctPairs int, a, b, want []uint32) (
 		}
 	}
 	return PIMScalePoint{
-		N: cs.n, Width: cs.mod.W, DPUs: dpus,
-		Ranks:       topo.Ranks,
-		DPUsPerRank: topo.DPUsPerRank,
-		Coeffs:      len(a) / cs.mod.W,
-		Shards:      repOn.Shards,
-		Launches:    repOn.Launches,
+		N: cs.n, DPUs: dpus, Ranks: topo.Ranks,
 
 		KernelCycles:   repOn.KernelCycles,
 		KernelSeconds:  repOn.KernelSeconds,
@@ -161,9 +136,6 @@ func runPIMScalePoint(cs pimScaleCase, dpus, ctPairs int, a, b, want []uint32) (
 		SerialSeconds:  repOff.MakespanSeconds,
 		OverlapSpeedup: repOff.MakespanSeconds / repOn.MakespanSeconds,
 
-		EnergyKernelJoules:   repOn.EnergyKernelJoules,
-		EnergyTransferJoules: repOn.EnergyTransferJoules,
-
 		BitIdentical: identical,
 	}, nil
 }
@@ -172,7 +144,7 @@ func runPIMScalePoint(cs pimScaleCase, dpus, ctPairs int, a, b, want []uint32) (
 // n-coefficient polynomials each) executed through the async execution
 // plane at every DPU count, with overlap on and off. Every point is
 // checked bit-for-bit against the host oracle.
-func MeasurePIMScale(dpuCounts []int, ctPairs int) (*Figure, *PIMScaleReport, error) {
+func MeasurePIMScale(dpuCounts []int, ctPairs int) (*Figure, []PIMScalePoint, error) {
 	if len(dpuCounts) == 0 {
 		dpuCounts = DefaultPIMScaleDPUs
 	}
@@ -183,7 +155,7 @@ func MeasurePIMScale(dpuCounts []int, ctPairs int) (*Figure, *PIMScaleReport, er
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &PIMScaleReport{Schema: PIMScaleSchema, CtPairs: ctPairs}
+	var points []PIMScalePoint
 	fig := &Figure{
 		ID:     "pim-scale",
 		Title:  fmt.Sprintf("Sharded async execution: %d-ciphertext addition across DPU counts", ctPairs),
@@ -206,7 +178,7 @@ func MeasurePIMScale(dpuCounts []int, ctPairs int) (*Figure, *PIMScaleReport, er
 			if !pt.BitIdentical {
 				return nil, nil, fmt.Errorf("pim-scale n=%d dpus=%d: results diverged from the host oracle", cs.n, dpus)
 			}
-			rep.Points = append(rep.Points, pt)
+			points = append(points, pt)
 			fig.Rows = append(fig.Rows, Row{
 				Label: fmt.Sprintf("n=%d dpus=%d", cs.n, dpus),
 				Seconds: map[string]float64{
@@ -219,15 +191,5 @@ func MeasurePIMScale(dpuCounts []int, ctPairs int) (*Figure, *PIMScaleReport, er
 			})
 		}
 	}
-	return fig, rep, nil
-}
-
-// WritePIMScaleJSON writes the report to path (conventionally
-// BENCH_pim.json at the repo root).
-func WritePIMScaleJSON(path string, rep *PIMScaleReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return fig, points, nil
 }

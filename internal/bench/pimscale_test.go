@@ -73,12 +73,12 @@ func TestPaperValidation(t *testing.T) {
 			dpus = append(dpus, e.DPUs)
 		}
 	}
-	_, rep, err := MeasurePIMScale(dpus, tab.CtPairs)
+	_, sweep, err := MeasurePIMScale(dpus, tab.CtPairs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	points := map[string]PIMScalePoint{}
-	for _, p := range rep.Points {
+	for _, p := range sweep {
 		points[fmt.Sprintf("%d/%d", p.N, p.DPUs)] = p
 	}
 	for _, e := range tab.Entries {
@@ -121,15 +121,15 @@ func TestPIMScaleSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full DPU sweep in -short mode")
 	}
-	_, rep, err := MeasurePIMScale(nil, 0)
+	_, sweep, err := MeasurePIMScale(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) < 8 {
-		t.Fatalf("default sweep produced only %d points", len(rep.Points))
+	if len(sweep) < 8 {
+		t.Fatalf("default sweep produced only %d points", len(sweep))
 	}
 	maxDPUs := 0
-	for _, p := range rep.Points {
+	for _, p := range sweep {
 		if p.DPUs > maxDPUs {
 			maxDPUs = p.DPUs
 		}

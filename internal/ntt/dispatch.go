@@ -27,9 +27,9 @@
 // butterfly passes and the Shoup pointwise kernels, while the
 // Barrett-reduction kernels (pointwise-mul, mul-pair-add, the 128-bit
 // accumulators) need the AVX-512 carry masks to pay off and stay
-// scalar on AVX2-only hosts. KernelPaths reports the live decision per
-// kernel. NEON is detected on arm64 but has no kernels yet; it reports
-// as detected-but-scalar.
+// scalar on AVX2-only hosts; so do the step-1 butterfly passes (the
+// forward transform's last, the inverse's first). NEON is detected on
+// arm64 but has no kernels yet; it reports as detected-but-scalar.
 package ntt
 
 import (
@@ -53,8 +53,8 @@ const VectorEnv = "HEPIM_VECTOR"
 
 var (
 	activeISA atomic.Uint32
-	// envNote records an ignored/invalid HEPIM_VECTOR value so
-	// diagnostic tools (hepim-bench -kernels) can surface it.
+	// envNote records an ignored/invalid HEPIM_VECTOR value: hebfvd
+	// logs it at start-up and the vector tests fail on it.
 	envNote string
 )
 
@@ -129,41 +129,3 @@ func VectorMode() string {
 // EnvNote reports a diagnostic when HEPIM_VECTOR held an unusable
 // value at init ("" when the variable was absent or honored).
 func EnvNote() string { return envNote }
-
-// KernelPath is one kernel's live dispatch decision.
-type KernelPath struct {
-	Kernel string // dispatch-table name, e.g. "ntt-forward"
-	Path   string // "scalar" | "avx2" | "avx512"
-	Note   string // tier-specific caveat, e.g. which passes stay scalar
-}
-
-// KernelPaths reports, for the current mode, which implementation each
-// dispatched kernel runs. This is what hepim-bench -kernels prints and
-// what the BENCH_dcrt.json kernel-dispatch section records.
-func KernelPaths() []KernelPath {
-	isa := currentISA()
-	pick := func(avx2OK bool, note2 string) (string, string) {
-		switch {
-		case isa == isaAVX512:
-			return "avx512", ""
-		case isa == isaAVX2 && avx2OK:
-			return "avx2", note2
-		case isa == isaAVX2:
-			return "scalar", "barrett carry chains need AVX-512 masks"
-		}
-		return "scalar", ""
-	}
-	var out []KernelPath
-	add := func(kernel string, avx2OK bool, note2 string) {
-		path, note := pick(avx2OK, note2)
-		out = append(out, KernelPath{Kernel: kernel, Path: path, Note: note})
-	}
-	add("ntt-forward", true, "radix-4 passes; final step-1 pass scalar")
-	add("ntt-inverse", true, "radix-4 + final passes; leading step-1 pass scalar")
-	add("pointwise-mul", false, "")
-	add("pointwise-mul-shoup", true, "")
-	add("mul-pair-add", false, "")
-	add("acc-pair-128", false, "")
-	add("galois-acc-128", false, "")
-	return out
-}

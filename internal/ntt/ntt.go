@@ -535,7 +535,7 @@ func (t *Table) pointwiseMul(dst, a, b []uint64, isa uint32) {
 	b = b[:len(dst)]
 	i := 0
 	// The Barrett fold needs AVX-512 (mask-register carries); the AVX2
-	// tier keeps this kernel scalar — see KernelPaths.
+	// tier keeps this kernel scalar (see dispatch.go).
 	if isa == isaAVX512 && len(dst) >= 8 {
 		i = len(dst) &^ 7
 		muHi, muLo := r.BarrettConsts()

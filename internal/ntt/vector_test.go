@@ -63,6 +63,12 @@ func advFill(rng *rand.Rand, a []uint64, q, bound uint64) {
 }
 
 func TestVectorForwardMatchesScalar(t *testing.T) {
+	// CI picks each leg's tier through VectorEnv; a value init could not
+	// honour (a typo, a tier this host lacks) was replaced by auto, and
+	// both legs would then quietly test the same kernels.
+	if note := EnvNote(); note != "" {
+		t.Fatalf("%s is not in force: %s", VectorEnv, note)
+	}
 	forEachVectorMode(t, func(t *testing.T, mode string) {
 		rng := rand.New(rand.NewSource(101))
 		for _, n := range []int{64, 128, 256, 1024, 2048, 4096} {
@@ -366,8 +372,8 @@ func FuzzForwardLazyVector(f *testing.F) {
 }
 
 // Pointwise kernel benchmarks at the paper's hot point (n=4096, 60-bit
-// prime) — the rows hepim-bench -kernels and the CI regression gate
-// compare across dispatch modes.
+// prime) — rows of the CI regression gate; run them under
+// HEPIM_VECTOR=off|auto to compare dispatch modes.
 
 func benchTable(b *testing.B) *Table {
 	b.Helper()

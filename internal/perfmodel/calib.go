@@ -6,8 +6,8 @@ package perfmodel
 // parameter, (b) a mechanistic instruction-count estimate, or (c) a
 // calibration chosen to reproduce a specific ratio the paper reports,
 // marked "calibrated to". The PIM side has NO constants here — it is
-// measured from the cycle-level simulator. EXPERIMENTS.md tabulates the
-// resulting paper-vs-model factors for every figure.
+// measured from the cycle-level simulator. The resulting PIM/CPU factors
+// for every figure are pinned by internal/bench's TestGoldenSpeedups.
 
 // ---------------------------------------------------------------- CPU --
 

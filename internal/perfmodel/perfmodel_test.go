@@ -196,8 +196,9 @@ func TestFig2bBands(t *testing.T) {
 	pimM, cpu, seal, gpu := newPIM(t), NewCPUModel(), NewSEALModel(), NewGPUModel()
 	// Paper: PIM over CPU 6–25× (growing with users); CPU-SEAL 2–10×
 	// faster; GPU 13–50× faster. Our consistent-pipeline model runs
-	// ~1.7× above the paper's PIM/CPU points (see EXPERIMENTS.md); the
-	// bands assert ordering plus the doubling shape.
+	// ~1.7× above the paper's PIM/CPU points (internal/bench
+	// TestGoldenSpeedups pins ours); the bands assert ordering plus the
+	// doubling shape.
 	prev := 0.0
 	for _, u := range []int{640, 1280, 2560} {
 		s := PaperStatsSpec(u)

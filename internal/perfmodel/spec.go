@@ -35,7 +35,7 @@ func (v VectorSpec) Bytes() int { return v.Coeffs() * v.W * 4 }
 // StatsSpec describes a §4.3 statistical workload over BFV ciphertexts.
 type StatsSpec struct {
 	Users      int
-	CtsPerUser int // sample ciphertexts a user contributes (see EXPERIMENTS.md)
+	CtsPerUser int // sample ciphertexts a user contributes (a model assumption; internal/bench TestGoldenSpeedups pins its effect)
 	Features   int // linear regression feature count (paper: 3)
 
 	N           int // ring degree
