@@ -66,10 +66,15 @@
 // and as the metered PIM cost model (an Evaluator whose Meter points at
 // a limb32.Counts tally runs it, because its instruction stream is what
 // the paper's kernels execute). Scheduling, routing, coalescing, sharding and
-// failover move work; they never change arithmetic. The big.Int
-// rescale, key-switch and decrypt code also stays: it is the only path
-// for moduli outside dcrt.Context.RNSNative and outside decryptRNS's
-// window, and the in-package differential tests pin it.
+// failover move work; they never change arithmetic. The host multiplies
+// on one pipeline: bfv.NewParameters refuses a modulus the word-sized
+// double-CRT base conversion cannot serve (dcrt.NewContext), so the
+// double-CRT evaluator has no big.Int middle path. The big.Int code that
+// stays is the oracle's: the schoolbook evaluator's scaleRound,
+// decomposePoly and mulZ, which the PIM server's host rescale
+// (bfv.ScaleRoundCoeffs, bfv.DecomposeForRelin) also runs, and
+// decryptBig, the rounding oracle and the fallback outside decryptRNS's
+// window.
 //
 // No aliasing. An engine output never shares backing memory with an
 // input, and every facade operation — identity rotations included —

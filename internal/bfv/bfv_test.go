@@ -1,6 +1,7 @@
 package bfv
 
 import (
+	"math/big"
 	"testing"
 
 	"repro/internal/sampling"
@@ -50,6 +51,18 @@ func TestParamsValidation(t *testing.T) {
 	}
 	if _, err := NewParameters(64, q, 16, 40); err == nil {
 		t.Error("relin base 40 accepted")
+	}
+	// Moduli the double-CRT backend cannot serve are refused up front
+	// rather than given a slower evaluator.
+	one := big.NewInt(1)
+	for name, bad := range map[string]*big.Int{
+		"even q":        new(big.Int).Lsh(one, 40),
+		"63-bit odd q":  new(big.Int).Sub(new(big.Int).Lsh(one, 63), one),
+		"125-bit odd q": new(big.Int).Add(new(big.Int).Lsh(one, 124), one),
+	} {
+		if _, err := NewParameters(64, bad, 16, 20); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -152,13 +165,17 @@ func TestHomomorphicSubNeg(t *testing.T) {
 
 func TestAddPlainMulPlain(t *testing.T) {
 	c := newCtx(t, ParamsToy(), 6, false)
-	ie := NewIntegerEncoder(c.params)
+	constant := func(v uint64) *Plaintext {
+		pt := NewPlaintext(c.params)
+		pt.Coeffs[0] = v
+		return pt
+	}
 	ct, _ := c.enc.EncryptValue(5)
-	ct2 := c.eval.AddPlain(ct, ie.Encode(4))
+	ct2 := c.eval.AddPlain(ct, constant(4))
 	if got := c.dec.DecryptValue(ct2); got != 9 {
 		t.Errorf("5 + plain 4 = %d", got)
 	}
-	ct3 := c.eval.MulPlain(ct, ie.Encode(3))
+	ct3 := c.eval.MulPlain(ct, constant(3))
 	if got := c.dec.DecryptValue(ct3); got != 15 {
 		t.Errorf("5 * plain 3 = %d", got)
 	}

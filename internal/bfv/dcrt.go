@@ -18,46 +18,35 @@ import (
 // instruction stream), and it is the correctness oracle the double-CRT
 // backend is differentially tested against (NewSchoolbookEvaluator).
 
-// dcrtFor returns the process-shared double-CRT context for par. The
-// basis is sized for the largest exact integer the evaluation produces:
-// tensor-product coefficients reach n·q²/4 on centered lifts (and ring
-// products n·q² on canonical ones), key-switching accumulators reach
-// D·n·q·2^base. Construction cannot fail for any parameter set
-// NewParameters accepts with q below ~2^3500 (basis primes run out only
-// then), so failure panics rather than threading errors through
-// infallible APIs.
-func dcrtFor(par *Parameters) *dcrt.Context {
-	par.dcrtOnce.Do(func() {
-		logN := bits.TrailingZeros(uint(par.N))
-		qb := par.Q.Bits()
-		tensor := 2*qb + logN + 1
-		keySwitch := qb + int(par.RelinBaseBits) + bits.Len(uint(par.RelinDigits())) + logN + 1
-		bound := tensor
-		if keySwitch > bound {
-			bound = keySwitch
-		}
-		ctx, err := dcrt.GetContext(par.Q, par.N, bound+1)
-		if err != nil {
-			panic(fmt.Sprintf("bfv: double-CRT context for %v: %v", par, err))
-		}
-		par.dcrtCtx = ctx
-		// Key-switching accumulators are bounded by keySwitch bits — far
-		// below the tensor bound the basis is sized for — so their digit
-		// transforms and accumulation run on a basis prefix and extend to
-		// the remaining channels in the residue domain (ExtendResidues).
-		par.dcrtSubK = ctx.SubBasisFor(keySwitch + 1)
-	})
-	if par.dcrtCtx == nil {
-		// A recovered first-build panic leaves the Once spent; keep the
-		// descriptive failure instead of a nil dereference downstream.
-		panic(fmt.Sprintf("bfv: double-CRT context for %v unavailable", par))
+// attachDCRT builds (or fetches from the process-wide cache) the
+// double-CRT context for par. The basis is sized for the largest exact
+// integer the evaluation produces: tensor-product coefficients reach
+// n·q²/4 on centered lifts (and ring products n·q² on canonical ones),
+// key-switching accumulators reach D·n·q·2^base. It fails for moduli the
+// word-sized base conversion cannot serve (dcrt.NewContext);
+// NewParameters returns that error, since the double-CRT evaluator has no
+// other way out of the RNS domain.
+func attachDCRT(par *Parameters) error {
+	logN := bits.TrailingZeros(uint(par.N))
+	qb := par.Q.Bits()
+	tensor := 2*qb + logN + 1
+	keySwitch := qb + int(par.RelinBaseBits) + bits.Len(uint(par.RelinDigits())) + logN + 1
+	ctx, err := dcrt.GetContext(par.Q, par.N, max(tensor, keySwitch)+1)
+	if err != nil {
+		return fmt.Errorf("bfv: double-CRT context for %v: %w", par, err)
 	}
-	return par.dcrtCtx
+	par.dcrtCtx = ctx
+	// Key-switching accumulators are bounded by keySwitch bits — far below
+	// the tensor bound the basis is sized for — so their digit transforms
+	// and accumulation run on a basis prefix and extend to the remaining
+	// channels in the residue domain (ExtendResidues).
+	par.dcrtSubK = ctx.SubBasisFor(keySwitch + 1)
+	return nil
 }
 
 // mulRq multiplies two R_q polynomials on the double-CRT backend.
 func mulRq(par *Parameters, a, b *poly.Poly) *poly.Poly {
-	return dcrtFor(par).MulRq(a, b)
+	return par.dcrtCtx.MulRq(a, b)
 }
 
 // keyForms caches the double-CRT NTT forms of a key-switching key's
@@ -111,7 +100,7 @@ func keySwitchAcc(ctx *dcrt.Context, digits []*dcrt.Poly, k0, k1 []*dcrt.Poly) (
 // and returns the accumulators as full-basis residue-domain elements:
 // inverse transforms over the prefix, then an exact base extension into
 // the remaining channels (the accumulator magnitude fits the prefix, see
-// dcrtFor). Pooled; the caller owns them. Digits are consumed.
+// attachDCRT). Pooled; the caller owns them. Digits are consumed.
 func keySwitchAccResidues(ctx *dcrt.Context, digits []*dcrt.Poly, k0, k1 []*dcrt.Poly, limbs int) (acc0, acc1 *dcrt.Poly) {
 	acc0 = ctx.GetScratch()
 	acc1 = ctx.GetScratch()
@@ -142,26 +131,4 @@ func relinDigits(ctx *dcrt.Context, par *Parameters, p *poly.Poly, keyLen int) [
 // across many Galois elements, so ownership stays with the caller.
 func galoisKeySwitchAcc(ctx *dcrt.Context, acc0, acc1 *dcrt.Poly, digits []*dcrt.Poly, idx []uint32, k0, k1 []*dcrt.Poly) {
 	ctx.GaloisAccAllNTT(acc0, acc1, k0, k1, digits, idx)
-}
-
-// keySwitchAccLegacy is the big.Int key-switching path: big.Int digit
-// decomposition, per-digit ToRNS, and big.Int CRT recombination on the
-// way out — the only path for moduli outside dcrt.Context.RNSNative
-// (even q, 63/64-bit q, a factor shared with a basis prime). Digits enter
-// through the centered decomposition: for plain relinearization digits
-// (small canonical values) centering is the identity, and for permuted
-// Galois digits it maps the mod-q-negated coefficients q−v to the small
-// integers −v, keeping the exact accumulator inside the basis bound.
-func keySwitchAccLegacy(ctx *dcrt.Context, digits []*poly.Poly, k0, k1 []*dcrt.Poly) (s0, s1 *poly.Poly) {
-	acc0 := ctx.NewPoly()
-	acc1 := ctx.NewPoly()
-	for i, d := range digits {
-		if i >= len(k0) {
-			break
-		}
-		dR := ctx.ToRNSCentered(d)
-		ctx.MulAddNTT(acc0, k0[i], dR)
-		ctx.MulAddNTT(acc1, k1[i], dR)
-	}
-	return ctx.FromRNSRecombine(acc0), ctx.FromRNSRecombine(acc1)
 }

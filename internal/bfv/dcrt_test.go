@@ -116,10 +116,7 @@ func runDifferential(t *testing.T, params *Parameters, seed uint64) {
 // after every operation — the NTT-resident chain against the schoolbook
 // oracle. Noise overflows long before the chain ends at the smaller
 // levels; bit-identity is unaffected, which is exactly the property
-// differential testing relies on. The final round is also checked
-// against the big.Int rescale path non-RNS-native moduli take (forced
-// through the unexported bigRescale field), pinning all three
-// implementations of the multiplication pipeline to the same bits.
+// differential testing relies on.
 func runDifferentialDepth(t *testing.T, params *Parameters, seed uint64, depth int) {
 	r := newDiffRig(t, params, seed)
 	ctB, err := r.enc.EncryptValue(5)
@@ -156,34 +153,6 @@ func runDifferentialDepth(t *testing.T, params *Parameters, seed uint64, depth i
 		oracle = r.oracle.Add(or, ctB)
 		r.mustEqual(t, "depth Add", fast, oracle)
 	}
-	legacy := NewEvaluator(params, r.rlk)
-	legacy.bigRescale = true
-	lm, err := legacy.Mul(fast, ctB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm, err := r.fast.Mul(fast, ctB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.mustEqual(t, "legacy big.Int rescale Mul", fm, lm)
-
-	// The big.Int key switch behind rotations, per-rotation and through
-	// the batched front end's un-hoisted fallback.
-	lr, err := legacy.ApplyGalois(fast, r.gk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := r.fast.ApplyGalois(fast, r.gk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.mustEqual(t, "legacy big.Int ApplyGalois", fr, lr)
-	ls, err := NewBatchEvaluatorFrom(legacy).RotateAndSum([]*Ciphertext{fast}, []*GaloisKey{r.gk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.mustEqual(t, "legacy big.Int RotateAndSum", r.fast.Add(fast, fr), ls[0])
 }
 
 // TestDCRTDifferentialDepthSec27 chains depth 3 with rotations at the

@@ -8,36 +8,6 @@ import (
 	"repro/internal/ntt"
 )
 
-// IntegerEncoder places one value in the constant coefficient — the
-// encoding the paper's statistical workloads use. Signed values are
-// represented mod t.
-type IntegerEncoder struct {
-	params *Parameters
-}
-
-// NewIntegerEncoder returns an IntegerEncoder.
-func NewIntegerEncoder(params *Parameters) *IntegerEncoder {
-	return &IntegerEncoder{params: params}
-}
-
-// Encode returns a plaintext with v (mod t) in the constant coefficient.
-func (ie *IntegerEncoder) Encode(v int64) *Plaintext {
-	pt := NewPlaintext(ie.params)
-	t := int64(ie.params.T)
-	pt.Coeffs[0] = uint64(((v % t) + t) % t)
-	return pt
-}
-
-// Decode returns the signed value in the constant coefficient, using the
-// centered representative in [-t/2, t/2).
-func (ie *IntegerEncoder) Decode(pt *Plaintext) int64 {
-	v := pt.Coeffs[0] % ie.params.T
-	if v >= ie.params.T/2+ie.params.T%2 {
-		return int64(v) - int64(ie.params.T)
-	}
-	return int64(v)
-}
-
 // BatchEncoder packs N values into the N plaintext "slots" via the CRT
 // isomorphism Z_t[X]/(Xⁿ+1) ≅ Z_tᴺ, available when t is a prime with
 // t ≡ 1 (mod 2N). Homomorphic add/mul then act slot-wise (SIMD) — the

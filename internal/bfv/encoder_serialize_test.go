@@ -10,19 +10,6 @@ import (
 // limbCounts aliases limb32.Counts for brevity in tests.
 type limbCounts = limb32.Counts
 
-func TestIntegerEncoderRoundTrip(t *testing.T) {
-	ie := NewIntegerEncoder(ParamsToy()) // t = 16
-	for _, v := range []int64{0, 1, 7, -1, -8} {
-		if got := ie.Decode(ie.Encode(v)); got != v {
-			t.Errorf("Decode(Encode(%d)) = %d", v, got)
-		}
-	}
-	// Values wrap mod t.
-	if got := ie.Decode(ie.Encode(17)); got != 1 {
-		t.Errorf("17 mod 16 = %d, want 1", got)
-	}
-}
-
 func TestBatchEncoderRoundTrip(t *testing.T) {
 	params := mustParams(64, prime109, 65537, 28) // t ≡ 1 mod 128
 	be, err := NewBatchEncoder(params)

@@ -55,7 +55,7 @@ func (e *Encryptor) Encrypt(pt *Plaintext) (*Ciphertext, error) {
 	// Both masking products p0·u and p1·u run on the double-CRT backend:
 	// the public key's NTT forms are cached across encryptions and the
 	// ephemeral u pays one forward transform set for both products.
-	ctx := dcrtFor(par)
+	ctx := par.dcrtCtx
 	p0R, p1R := e.pk.forms.get(ctx, []*poly.Poly{e.pk.P0}, []*poly.Poly{e.pk.P1})
 	uR := ctx.ToRNS(u)
 
@@ -81,13 +81,12 @@ func (e *Encryptor) EncryptValue(v uint64) (*Ciphertext, error) {
 	return e.Encrypt(pt)
 }
 
-// Decryptor decrypts ciphertexts with the secret key. On RNS-native
-// parameter sets the unmetered Decrypt path runs entirely in word
-// arithmetic: the phase c0 + c1·s (+ c2·s²) accumulates on the cached
-// double-CRT NTT forms and the exact t/q rounding folds straight to
-// mod t per limb (dcrt.ScaleRounder.RoundModT) — no big.Int. The
-// big.Int path remains as the oracle and the fallback for moduli or
-// degrees outside the word-sized window.
+// Decryptor decrypts ciphertexts with the secret key. Decrypt runs
+// entirely in word arithmetic: the phase c0 + c1·s (+ c2·s²) accumulates
+// on the cached double-CRT NTT forms and the exact t/q rounding folds
+// straight to mod t per limb (dcrt.ScaleRounder.RoundModT) — no big.Int.
+// The big.Int path remains as the oracle and the fallback for degrees or
+// magnitudes outside the word-sized window.
 type Decryptor struct {
 	params *Parameters
 	sk     *SecretKey
@@ -132,9 +131,9 @@ func (d *Decryptor) phase(ct *Ciphertext) *poly.Poly {
 }
 
 // Decrypt recovers the plaintext: m = ⌊t·phase/q⌉ mod t, coefficient-wise
-// on centered representatives. Degree-1 and degree-2 ciphertexts on
-// RNS-native parameter sets decrypt without big.Int (see decryptRNS);
-// other shapes fall back to the big.Int path, bit-identically.
+// on centered representatives. Degree-1 and degree-2 ciphertexts decrypt
+// without big.Int (see decryptRNS); other shapes fall back to the big.Int
+// path, bit-identically.
 func (d *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 	if pt, ok := d.decryptRNS(ct); ok {
 		return pt
@@ -149,17 +148,14 @@ func (d *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 // big.Int path's mod-q representative by a multiple of q, which shifts
 // the rounded quotient by a multiple of t — invisible mod t, so the
 // result is bit-identical to the oracle. Returns ok=false when the
-// modulus shape or ciphertext degree is outside the word-sized window.
+// ciphertext degree or phase magnitude is outside the word-sized window.
 func (d *Decryptor) decryptRNS(ct *Ciphertext) (*Plaintext, bool) {
 	par := d.params
 	deg := ct.Degree()
 	if deg < 1 || deg > 2 {
 		return nil, false
 	}
-	ctx := dcrtFor(par)
-	if !ctx.RNSNative() {
-		return nil, false
-	}
+	ctx := par.dcrtCtx
 	sr := ctx.ScaleRounder(par.T)
 	magBits := par.Q.Bits() + deg*bits.Len(uint(par.N)) + 1
 	if !sr.CanRoundModT(magBits) {

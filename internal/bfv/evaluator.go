@@ -26,18 +26,15 @@ type Evaluator struct {
 	params     *Parameters
 	rlk        *RelinKey
 	schoolbook bool
-	// bigRescale forces the big.Int rescale/key-switch round trip — the
-	// path moduli outside dcrt.Context.RNSNative take — so the in-package
-	// differential tests can pin it on native moduli too.
-	bigRescale bool
 	Meter      limb32.Meter
 
-	scratch sync.Pool // *evScratch, big.Int workspace for the legacy paths
+	scratch sync.Pool // *evScratch, big.Int workspace for scaleRound
 }
 
-// evScratch is the reusable big.Int workspace of the schoolbook and
-// legacy-rescale paths, pooled so concurrent evaluations on one
-// Evaluator stop thrashing the GC with per-coefficient allocations.
+// evScratch is the reusable big.Int workspace of the schoolbook rescale
+// (and of ScaleRoundCoeffs, the PIM server's host rescale), pooled so
+// concurrent evaluations on one Evaluator stop thrashing the GC with
+// per-coefficient allocations.
 type evScratch struct {
 	num, m, tBig *big.Int
 }
@@ -55,13 +52,6 @@ func (ev *Evaluator) getScratch() *evScratch {
 
 func (ev *Evaluator) putScratch(s *evScratch) { ev.scratch.Put(s) }
 
-// useRNSNative reports whether multiplicative operations run the fully
-// RNS-native path: word-sized scale-and-round, limb-shift digit
-// decomposition, and fast base conversion out of the extended basis.
-func (ev *Evaluator) useRNSNative() bool {
-	return ev.useDCRT() && !ev.bigRescale && dcrtFor(ev.params).RNSNative()
-}
-
 // NewEvaluator returns an evaluator on the double-CRT backend; rlk may be
 // nil if Relinearize and Mul (which relinearizes by default) are not
 // used.
@@ -76,7 +66,9 @@ func NewSchoolbookEvaluator(params *Parameters, rlk *RelinKey) *Evaluator {
 	return &Evaluator{params: params, rlk: rlk, schoolbook: true}
 }
 
-// useDCRT reports whether this evaluator runs the double-CRT backend: a
+// useDCRT reports whether this evaluator runs the double-CRT backend —
+// the fully RNS-native path: word-sized scale-and-round, limb-shift digit
+// decomposition, and fast base conversion out of the extended basis. A
 // metered evaluator always runs the schoolbook path, whose instruction
 // stream is the quantity the meter exists to count.
 func (ev *Evaluator) useDCRT() bool { return ev.Meter == nil && !ev.schoolbook }
@@ -141,7 +133,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	mp := poly.FromBigCoeffs(coeffs, par.Q)
 	out := &Ciphertext{Polys: make([]*poly.Poly, len(ct.Polys))}
 	if ev.useDCRT() {
-		ctx := dcrtFor(par)
+		ctx := par.dcrtCtx
 		mpR := ctx.ToRNS(mp)
 		for i, p := range ct.Polys {
 			pR := ctx.ToRNS(p)
@@ -197,8 +189,8 @@ func mulZAcc(out []*big.Int, a, b []*big.Int) {
 
 // scaleRound maps each coefficient c to round(t·c/q) mod q and packs the
 // result into a polynomial, reusing pooled big.Int scratch so the
-// schoolbook (PIM cost model) and legacy-rescale paths allocate only the
-// result polynomial.
+// schoolbook (PIM cost model) rescale allocates only the result
+// polynomial.
 func (ev *Evaluator) scaleRound(coeffs []*big.Int) *poly.Poly {
 	par := ev.params
 	s := ev.getScratch()
@@ -228,7 +220,7 @@ func (ev *Evaluator) MulNoRelin(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 		// squared operands pay no repeat transforms), the three tensor
 		// components are pointwise products, and rescaling runs RNS-native
 		// — word-sized base conversion and exact division, no big.Int.
-		ctx := dcrtFor(par)
+		ctx := par.dcrtCtx
 		ra0 := ct0.rnsNTT(ctx, 0)
 		ra1 := ct0.rnsNTT(ctx, 1)
 		rb0 := ct1.rnsNTT(ctx, 0)
@@ -245,18 +237,9 @@ func (ev *Evaluator) MulNoRelin(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 		defer ctx.PutScratch(rd2)
 		ctx.MulNTT(rd2, ra1, rb1)
 
-		if ev.useRNSNative() {
-			sr := ctx.ScaleRounder(par.T)
-			return &Ciphertext{Polys: []*poly.Poly{
-				sr.ScaleRound(rd0), sr.ScaleRound(rd1), sr.ScaleRound(rd2),
-			}}, nil
-		}
-		// PR-1 round-trip path: exact integer coefficients through big.Int
-		// CRT recombination, then the big.Int t/q rounding.
+		sr := ctx.ScaleRounder(par.T)
 		return &Ciphertext{Polys: []*poly.Poly{
-			ev.scaleRound(ctx.FromRNSBig(rd0)),
-			ev.scaleRound(ctx.FromRNSBig(rd1)),
-			ev.scaleRound(ctx.FromRNSBig(rd2)),
+			sr.ScaleRound(rd0), sr.ScaleRound(rd1), sr.ScaleRound(rd2),
 		}}, nil
 	}
 	a0 := ct0.Polys[0].ToCenteredCoeffs(par.Q)
@@ -300,16 +283,11 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	c1 := ct.Polys[1].Clone()
 
 	if ev.useDCRT() {
-		ctx := dcrtFor(par)
+		ctx := par.dcrtCtx
 		k0, k1 := ev.rlk.forms.get(ctx, ev.rlk.K0, ev.rlk.K1)
-		var s0, s1 *poly.Poly
-		if ev.useRNSNative() {
-			// Digit decomposition by limb shifts, accumulation in the NTT
-			// domain, fast base conversion out — the big.Int-free path.
-			s0, s1 = keySwitchAcc(ctx, relinDigits(ctx, par, ct.Polys[2], len(k0)), k0, k1)
-		} else {
-			s0, s1 = keySwitchAccLegacy(ctx, decomposePoly(ct.Polys[2], par), k0, k1)
-		}
+		// Digit decomposition by limb shifts, accumulation in the NTT
+		// domain, fast base conversion out — no big.Int on the path.
+		s0, s1 := keySwitchAcc(ctx, relinDigits(ctx, par, ct.Polys[2], len(k0)), k0, k1)
 		poly.Add(c0, c0, s0, par.Q, nil)
 		poly.Add(c1, c1, s1, par.Q, nil)
 		return &Ciphertext{Polys: []*poly.Poly{c0, c1}}, nil
@@ -330,7 +308,7 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 }
 
 // Mul returns the relinearized product of two degree-1 ciphertexts. On
-// the RNS-native backend the tensor, rescale and key switch fuse through
+// the double-CRT backend the tensor, rescale and key switch fuse through
 // the deferred-product pipeline (see mul_ntt.go): the rescaled components
 // and the key-switching accumulators sum as exact integers in the
 // extended basis and leave through a single base conversion each — one
@@ -338,10 +316,10 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 // key-switching separately, with bit-identical results.
 func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 	if ev.CanDeferMuls() && ct0.Degree() == 1 && ct1.Degree() == 1 {
+		ctx := ev.params.dcrtCtx
 		res0, res1 := ev.mulDeferred(ct0, ct1)
-		defer dcrtFor(ev.params).PutScratch(res0)
-		defer dcrtFor(ev.params).PutScratch(res1)
-		ctx := dcrtFor(ev.params)
+		defer ctx.PutScratch(res0)
+		defer ctx.PutScratch(res1)
 		return &Ciphertext{Polys: []*poly.Poly{
 			ctx.FromResidues(res0), ctx.FromResidues(res1),
 		}}, nil

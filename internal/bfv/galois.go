@@ -104,17 +104,11 @@ func (ev *Evaluator) ApplyGalois(ct *Ciphertext, gk *GaloisKey) (*Ciphertext, er
 	c0 := applyGaloisPoly(ct.Polys[0], gk.G, par.Q, ev.Meter)
 
 	if ev.useDCRT() {
-		ctx := dcrtFor(par)
-		k0, k1 := gk.forms.get(ctx, gk.K0, gk.K1)
-		var s0, outC1 *poly.Poly
-		if ev.useRNSNative() {
-			digits := relinDigits(ctx, par, ct.Polys[1], len(k0))
-			s0, outC1 = galoisKeySwitch(ctx, digits, gk)
-			for _, d := range digits {
-				ctx.PutScratch(d)
-			}
-		} else {
-			s0, outC1 = keySwitchAccLegacy(ctx, permuteDigits(decomposePoly(ct.Polys[1], par), gk.G, par, nil), k0, k1)
+		ctx := par.dcrtCtx
+		digits := relinDigits(ctx, par, ct.Polys[1], len(gk.K0))
+		s0, outC1 := galoisKeySwitch(ctx, digits, gk)
+		for _, d := range digits {
+			ctx.PutScratch(d)
 		}
 		poly.Add(c0, c0, s0, par.Q, nil)
 		return &Ciphertext{Polys: []*poly.Poly{c0, outC1}}, nil
@@ -134,10 +128,10 @@ func (ev *Evaluator) ApplyGalois(ct *Ciphertext, gk *GaloisKey) (*Ciphertext, er
 	return &Ciphertext{Polys: []*poly.Poly{c0, outC1}}, nil
 }
 
-// galoisKeySwitch runs the RNS-native Galois key switch for one element
+// galoisKeySwitch runs the double-CRT Galois key switch for one element
 // over an existing digit decomposition of c1 (not consumed): the slot
 // gather realizes τ_g on each digit, the products accumulate in the NTT
-// domain against the key's cached Shoup forms, and both components leave
+// domain against the key's cached NTT forms, and both components leave
 // through the fast base conversion.
 func galoisKeySwitch(ctx *dcrt.Context, digits []*dcrt.Poly, gk *GaloisKey) (s0, s1 *poly.Poly) {
 	k0, k1 := gk.forms.get(ctx, gk.K0, gk.K1)
@@ -154,11 +148,11 @@ func galoisKeySwitch(ctx *dcrt.Context, digits []*dcrt.Poly, gk *GaloisKey) (s0,
 
 // permuteDigits applies τ_g to each digit polynomial — the coefficient-
 // domain form of the decompose-then-permute convention, used by the
-// schoolbook (metered) and legacy big.Int paths. Negated coefficients
-// become q−v; the double-CRT paths' centered lift maps them back to the
-// small integers −v, so all backends agree mod q. The metered path
-// charges one permutation per digit: that is the data movement this
-// convention really costs a hoisting-capable kernel.
+// schoolbook (metered) path. Negated coefficients become q−v, congruent
+// mod q to the −v the double-CRT slot gather produces, so all backends
+// agree mod q. The metered path charges one permutation per digit: that
+// is the data movement this convention really costs a hoisting-capable
+// kernel.
 func permuteDigits(digits []*poly.Poly, g uint64, par *Parameters, m limb32.Meter) []*poly.Poly {
 	out := make([]*poly.Poly, len(digits))
 	for i, d := range digits {
@@ -173,18 +167,6 @@ func permuteDigits(digits []*poly.Poly, g uint64, par *Parameters, m limb32.Mete
 // under the decompose-then-permute convention.
 func PermuteGaloisPoly(p *poly.Poly, g uint64, params *Parameters) *poly.Poly {
 	return applyGaloisPoly(p, g, params.Q, nil)
-}
-
-// PermuteGalois applies the coefficient permutation τ_g to every
-// component of ct without key switching — exported for accelerator
-// backends that run the key-switching products themselves. The result
-// decrypts under s(X^g), not s.
-func PermuteGalois(ct *Ciphertext, g uint64, params *Parameters) *Ciphertext {
-	out := &Ciphertext{Polys: make([]*poly.Poly, len(ct.Polys))}
-	for i, p := range ct.Polys {
-		out.Polys[i] = applyGaloisPoly(p, g, params.Q, nil)
-	}
-	return out
 }
 
 // GaloisPlaintext applies τ_g to a plaintext — the reference the

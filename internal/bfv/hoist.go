@@ -32,7 +32,7 @@ import (
 // per-ciphertext NTT cache follows.
 type Hoisted struct {
 	ct  *Ciphertext
-	ctx *dcrt.Context // nil when the evaluator cannot hoist (no RNS-native backend)
+	ctx *dcrt.Context // nil when built by a schoolbook or metered evaluator
 
 	mu     sync.Mutex
 	src    *poly.Poly // ct.Polys[1] at decomposition time
@@ -40,17 +40,17 @@ type Hoisted struct {
 }
 
 // Hoist decomposes ct's c1 component into double-CRT digit form, shared
-// by all subsequent ApplyGaloisHoisted calls. On backends that cannot
-// hoist (schoolbook/metered evaluators, or non-RNS-native moduli) the
-// returned handle transparently falls back to per-rotation ApplyGalois —
-// results are bit-identical either way.
+// by all subsequent ApplyGaloisHoisted calls. On the schoolbook and
+// metered evaluators, which cannot hoist, the returned handle
+// transparently falls back to per-rotation ApplyGalois — results are
+// bit-identical either way.
 func (ev *Evaluator) Hoist(ct *Ciphertext) (*Hoisted, error) {
 	if ct.Degree() != 1 {
 		return nil, errors.New("bfv: Hoist requires a degree-1 ciphertext")
 	}
 	h := &Hoisted{ct: ct}
-	if ev.useRNSNative() {
-		h.ctx = dcrtFor(ev.params)
+	if ev.useDCRT() {
+		h.ctx = ev.params.dcrtCtx
 		h.decompose(ev.params)
 	}
 	return h, nil
@@ -108,7 +108,7 @@ func (ev *Evaluator) ApplyGaloisHoisted(h *Hoisted, gk *GaloisKey) (*Ciphertext,
 	if gk == nil {
 		return nil, errors.New("bfv: nil Galois key")
 	}
-	if h.ctx == nil || !ev.useRNSNative() {
+	if h.ctx == nil || !ev.useDCRT() {
 		return ev.ApplyGalois(h.ct, gk)
 	}
 	par := ev.params

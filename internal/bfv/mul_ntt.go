@@ -163,12 +163,11 @@ func (r *ProductNTT) freeLocked() {
 }
 
 // CanDeferMuls reports whether this evaluator's products can actually
-// stay NTT-resident: only the RNS-native double-CRT backend (with a
-// relinearization key) defers; other backends' MulNTT transparently
-// materializes. Capability queries gate on this instead of assuming
-// deferral happened.
+// stay NTT-resident: only the double-CRT backend (with a relinearization
+// key) defers; other backends' MulNTT transparently materializes.
+// Capability queries gate on this instead of assuming deferral happened.
 func (ev *Evaluator) CanDeferMuls() bool {
-	return ev.useRNSNative() && ev.rlk != nil && mulMagBits(ev.params)+1 < dcrtFor(ev.params).BoundBits
+	return ev.useDCRT() && ev.rlk != nil && mulMagBits(ev.params)+1 < ev.params.dcrtCtx.BoundBits
 }
 
 // MulNTT returns the relinearized product of two degree-1 operands in
@@ -203,7 +202,7 @@ func (ev *Evaluator) MulNTT(av, bv Value) (*ProductNTT, error) {
 	}
 	res0, res1 := ev.mulDeferred(a, b)
 	return &ProductNTT{
-		par: ev.params, ctx: dcrtFor(ev.params),
+		par: ev.params, ctx: ev.params.dcrtCtx,
 		seq:  productSeq.Add(1),
 		res0: res0, res1: res1,
 		magBits: mulMagBits(ev.params),
@@ -216,7 +215,7 @@ func (ev *Evaluator) MulNTT(av, bv Value) (*ProductNTT, error) {
 // CanDeferMuls.
 func (ev *Evaluator) mulDeferred(a, b mulOperand) (res0, res1 *dcrt.Poly) {
 	par := ev.params
-	ctx := dcrtFor(par)
+	ctx := par.dcrtCtx
 	ra0 := a.tensorOperand(ctx, 0)
 	ra1 := a.tensorOperand(ctx, 1)
 	// Repeat multiplicands (chained products against one operand, shared

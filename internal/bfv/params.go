@@ -2,8 +2,8 @@
 // homomorphic encryption scheme — the scheme the paper accelerates on the
 // UPMEM PIM system (§1, §3). It provides key generation, encryption,
 // decryption, homomorphic addition and multiplication (with tensor
-// scaling and relinearization), noise-budget tracking, integer and batch
-// encoders, and binary serialization.
+// scaling and relinearization), noise-budget tracking, a batch encoder,
+// and binary serialization.
 //
 // The three parameter presets correspond to the paper's security levels:
 // 27-bit coefficients with 1024-coefficient polynomials, 54-bit with 2048,
@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync"
 
 	"repro/internal/dcrt"
 	"repro/internal/poly"
@@ -33,14 +32,17 @@ type Parameters struct {
 
 	relinDigits int // ⌈bits(Q)/RelinBaseBits⌉
 
-	// Memoized double-CRT context (see dcrtFor): looked up once instead
-	// of hashing the modulus string on every evaluator operation.
-	dcrtOnce sync.Once
+	// The shared double-CRT context (see attachDCRT), built with the
+	// parameter set so evaluator operations read a field instead of
+	// hashing the modulus string.
 	dcrtCtx  *dcrt.Context
-	dcrtSubK int // sub-basis length for key-switching accumulators (dcrtFor)
+	dcrtSubK int // sub-basis length for key-switching accumulators
 }
 
-// NewParameters validates and assembles a parameter set.
+// NewParameters validates and assembles a parameter set. It fails for a
+// modulus the double-CRT backend cannot serve (dcrt.NewContext: an even
+// q, a 63/64-bit q, a q above 2¹²⁴, or one sharing a factor with a basis
+// prime); every paper modulus and the toy modulus qualify.
 func NewParameters(n int, q *big.Int, t uint64, relinBaseBits uint) (*Parameters, error) {
 	if n <= 1 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("bfv: N=%d must be a power of two > 1", n)
@@ -60,14 +62,18 @@ func NewParameters(n int, q *big.Int, t uint64, relinBaseBits uint) (*Parameters
 	}
 	delta := new(big.Int).Div(q, new(big.Int).SetUint64(t))
 	digits := (q.BitLen() + int(relinBaseBits) - 1) / int(relinBaseBits)
-	return &Parameters{
+	par := &Parameters{
 		N:             n,
 		Q:             mod,
 		T:             t,
 		Delta:         delta,
 		RelinBaseBits: relinBaseBits,
 		relinDigits:   digits,
-	}, nil
+	}
+	if err := attachDCRT(par); err != nil {
+		return nil, err
+	}
+	return par, nil
 }
 
 // The paper's moduli: the largest primes below 2^27, 2^54 and 2^109.

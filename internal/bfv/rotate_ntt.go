@@ -24,9 +24,9 @@ import (
 // RotatedNTT is a degree-1 rotation output held in deferred double-CRT
 // form. The two accumulators hold the exact integer values of the output
 // components (congruent mod q to the materialized polynomials), so
-// Materialize is bit-identical to ApplyGaloisHoisted. On backends that
-// cannot defer (schoolbook/metered evaluators, non-RNS-native moduli)
-// the handle is created already materialized and behaves identically.
+// Materialize is bit-identical to ApplyGaloisHoisted. On the schoolbook
+// and metered evaluators, which cannot defer, the handle is created
+// already materialized and behaves identically.
 //
 // Materialize, Add and Release are mutually safe: each takes the
 // handle's lock (Add takes both operands' locks in allocation order),
@@ -65,7 +65,7 @@ func (ev *Evaluator) ApplyGaloisHoistedNTT(h *Hoisted, gk *GaloisKey) (*RotatedN
 	if gk == nil {
 		return nil, errors.New("bfv: nil Galois key")
 	}
-	if h.ctx == nil || !ev.useRNSNative() {
+	if h.ctx == nil || !ev.useDCRT() {
 		ct, err := ev.ApplyGaloisHoisted(h, gk)
 		if err != nil {
 			return nil, err

@@ -22,6 +22,7 @@
 package dcrt
 
 import (
+	"fmt"
 	"math/big"
 	"math/bits"
 	"sync"
@@ -30,9 +31,8 @@ import (
 )
 
 // convState holds the precomputed tables of the fast base conversion
-// basis → q. It exists only when the modulus shape supports the
-// word-sized path (see newQring); otherwise the Context falls back to
-// big.Int CRT recombination.
+// basis → q. Every Context has one: NewContext refuses modulus shapes the
+// word-sized path cannot serve (see newConvState).
 type convState struct {
 	qr *qring
 
@@ -57,14 +57,14 @@ type convState struct {
 	rounders sync.Map // t (uint64) → *ScaleRounder
 }
 
-// newConvState builds the conversion tables, or returns nil when the
+// newConvState builds the conversion tables, or returns an error when the
 // modulus or basis shape rules the word-sized path out (q even, 63/64
 // bits, above 2¹²⁴, sharing a factor with a basis prime, or basis primes
-// too narrow for the ν trick). Callers then keep the big.Int path.
-func newConvState(c *Context) *convState {
-	qr := newQring(c.Mod.QBig)
-	if qr == nil {
-		return nil
+// too narrow for the ν trick).
+func newConvState(c *Context) (*convState, error) {
+	qr, err := newQring(c.Mod.QBig)
+	if err != nil {
+		return nil, err
 	}
 	k := c.K()
 	cv := &convState{qr: qr}
@@ -74,7 +74,7 @@ func newConvState(c *Context) *convState {
 	for i, p := range c.Basis.Primes {
 		nu := c.Basis.Nu96(i)
 		if nu == 0 {
-			return nil
+			return nil, fmt.Errorf("dcrt: basis prime %d ≤ 2³² is too narrow for the fixed-point lift", p)
 		}
 		inv, shoup := c.Basis.QHatInv(i)
 		cv.omega = append(cv.omega, inv)
@@ -84,7 +84,7 @@ func newConvState(c *Context) *convState {
 		cv.deltaP = append(cv.deltaP, t.Mod(delta, pb).Uint64())
 		qInv := new(big.Int).ModInverse(t.Mod(q, pb), pb)
 		if qInv == nil {
-			return nil
+			return nil, fmt.Errorf("dcrt: modulus q shares a factor with basis prime %d", p)
 		}
 		cv.qInvP = append(cv.qInvP, qInv.Uint64())
 		cv.qInvPShoup = append(cv.qInvPShoup, c.Tabs[i].R.ShoupConst(qInv.Uint64()))
@@ -100,12 +100,12 @@ func newConvState(c *Context) *convState {
 		cv.eLo = append(cv.eLo, bigWord(t, 0))
 		cv.eHi = append(cv.eHi, bigWord(t, 1))
 	}
-	return cv
+	return cv, nil
 }
 
-// RNSNative reports whether this context can leave the RNS domain
-// through the word-sized fast base conversion. When false, FromRNS and
-// the bfv evaluator transparently use big.Int CRT recombination instead.
+// RNSNative reports whether this context leaves the RNS domain through
+// the word-sized fast base conversion — always true for a context
+// NewContext returned, which refuses every other modulus shape.
 func (c *Context) RNSNative() bool { return c.conv != nil }
 
 // convModQ converts a residue-domain element (representing exact integer

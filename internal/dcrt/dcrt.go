@@ -10,10 +10,13 @@
 // modulus — this package keeps the paper's exact prime moduli q
 // (27/54/109-bit): the basis is an
 // *extended* basis whose product Q' is sized so that the exact integer
-// (negacyclic) products never wrap, and results are CRT-recombined and
-// reduced mod q, bit-identical to the schoolbook path. That makes the
-// backend a drop-in replacement which the metered schoolbook
-// (PIM-simulator cost model) differentially validates against.
+// (negacyclic) products never wrap, and results leave through a
+// word-sized fast base conversion to mod q (baseconv.go), bit-identical
+// to the schoolbook path. That makes the backend a drop-in replacement
+// which the metered schoolbook (PIM-simulator cost model) differentially
+// validates against. A context exists only for moduli that conversion
+// serves — odd q of at most 62 or of 65 to 124 bits, every paper modulus
+// — and NewContext refuses the rest.
 //
 // Limb channels are independent, so transforms and pointwise passes are
 // parallelized across a process-wide bounded worker pool; scratch
@@ -25,6 +28,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/limb32"
@@ -49,8 +53,7 @@ type Context struct {
 	two32      []uint64   // 2^32 mod p_i, for limb-wise residue folding
 	two32Shoup []uint64
 
-	// conv holds the fast base-conversion tables (see baseconv.go); nil
-	// when the modulus shape forces the big.Int recombination fallback.
+	// conv holds the fast base-conversion tables (see baseconv.go).
 	conv *convState
 
 	// fuseCap bounds how many key·digit products (on top of the
@@ -59,8 +62,8 @@ type Context struct {
 	// basis prime — the fold is valid only below p·2⁶⁴ and the
 	// per-limb capacity 2⁶⁴/(4p−1) shrinks as p grows, so the widest
 	// prime binds — for a strict key operand and a lazily-reduced
-	// (< 4p, the unfolded ForwardLazy bound) digit operand. Below 1 the
-	// fused kernels fall back to per-digit passes.
+	// (< 4p, the unfolded ForwardLazy bound) digit operand. Never zero:
+	// NewContext refuses a basis that leaves no room for one product.
 	fuseCap int
 
 	scratch sync.Pool // *Poly buffers for transforms and accumulators
@@ -98,9 +101,11 @@ func GetContext(mod *poly.Modulus, n, boundBits int) (*Context, error) {
 const basisPrimeBits = 60
 
 // NewContext builds a context whose basis product Q' exceeds
-// 2^(boundBits+3), so any integer v with |v| ≤ 2^boundBits is recovered
-// exactly by centered recombination and the fast base conversion's
-// quarter-shift fraction never leaves its exactness window (buildBasis).
+// 2^(boundBits+3), so any integer v with |v| ≤ 2^boundBits is held
+// exactly and the fast base conversion's quarter-shift fraction never
+// leaves its exactness window (buildBasis). It returns an error when the
+// modulus shape rules the word-sized conversion out (newConvState) or the
+// basis leaves the fused key-switching kernels no capacity.
 func NewContext(mod *poly.Modulus, n, boundBits int) (*Context, error) {
 	if n <= 1 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("dcrt: n=%d must be a power of two > 1", n)
@@ -139,14 +144,13 @@ func NewContext(mod *poly.Modulus, n, boundBits int) (*Context, error) {
 		s := make([]uint64, c.N)
 		return &s
 	}
-	c.conv = newConvState(c)
-	maxP := basis.Primes[0]
-	for _, p := range basis.Primes[1:] {
-		if p > maxP {
-			maxP = p
-		}
+	if c.conv, err = newConvState(c); err != nil {
+		return nil, err
 	}
-	c.fuseCap = ntt.Acc128Capacity(maxP, maxP-1, 4*maxP-1)
+	maxP := slices.Max(basis.Primes)
+	if c.fuseCap = ntt.Acc128Capacity(maxP, maxP-1, 4*maxP-1); c.fuseCap == 0 {
+		return nil, fmt.Errorf("dcrt: basis prime %d leaves the fused key-switching accumulators no capacity", maxP)
+	}
 	return c, nil
 }
 
@@ -273,31 +277,11 @@ func (c *Context) ToRNS(p *poly.Poly) *Poly { return c.toRNS(p, false) }
 // operands of the BFV tensor product (see decompose).
 func (c *Context) ToRNSCentered(p *poly.Poly) *Poly { return c.toRNS(p, true) }
 
-// FromRNSBig leaves the NTT domain and CRT-recombines to the exact
-// centered integer coefficients (valid while |coeff| < Q'/2, which the
-// context's BoundBits sizing guarantees). p is not mutated. The result
-// headers share one backing slice, so the callback path allocates once
-// for headers plus only each coefficient's limb storage.
-func (c *Context) FromRNSBig(p *Poly) []*big.Int {
-	tmp := c.intt(p)
-	defer c.PutScratch(tmp)
-	out := make([]*big.Int, c.N)
-	vals := make([]big.Int, c.N)
-	c.recombine(tmp, func(j int, v *big.Int) {
-		out[j] = vals[j].Set(v)
-	})
-	return out
-}
-
-// FromRNS leaves the NTT domain and reduces mod q, packing the result
-// into a coefficient-domain R_q polynomial. Because the basis never
-// wraps, this equals the schoolbook result bit-for-bit. On RNS-native
-// contexts it runs the word-sized fast base conversion; otherwise it
-// falls back to big.Int CRT recombination.
+// FromRNS leaves the NTT domain and reduces mod q through the word-sized
+// fast base conversion, packing the result into a coefficient-domain R_q
+// polynomial. Because the basis never wraps, this equals the schoolbook
+// result bit-for-bit.
 func (c *Context) FromRNS(p *Poly) *poly.Poly {
-	if c.conv == nil {
-		return c.FromRNSRecombine(p)
-	}
 	tmp := c.inttLazy(p)
 	defer c.PutScratch(tmp)
 	return c.FromResidues(tmp)
@@ -306,7 +290,7 @@ func (c *Context) FromRNS(p *Poly) *poly.Poly {
 // FromResidues is the residue-domain tail of FromRNS: it base-converts an
 // element already in the residue (coefficient) domain — e.g. a deferred
 // product accumulator — to mod q and packs it. Limb values may be lazily
-// reduced (< 2p). Requires an RNS-native context.
+// reduced (< 2p).
 func (c *Context) FromResidues(p *Poly) *poly.Poly {
 	uLo := c.getU64()
 	defer c.putU64(uLo)
@@ -322,26 +306,10 @@ func (c *Context) FromResidues(p *Poly) *poly.Poly {
 	return out
 }
 
-// FromRNSRecombine is FromRNS through per-coefficient big.Int CRT
-// recombination — the PR-1 evaluation path, kept as the fallback for
-// modulus shapes the word-sized conversion rejects and as the baseline
-// the perf-tracking benchmarks compare against.
-func (c *Context) FromRNSRecombine(p *Poly) *poly.Poly {
-	tmp := c.intt(p)
-	defer c.PutScratch(tmp)
-	out := poly.NewPoly(c.N, c.Mod.W)
-	w := c.Mod.W
-	c.recombine(tmp, func(j int, v *big.Int) {
-		v.Mod(v, c.Mod.QBig)
-		limb32.Nat(out.C[j*w : (j+1)*w]).Set(limb32.FromBig(v, w))
-	})
-	return out
-}
-
-// intt returns a pooled copy of p transformed to the residue
-// (coefficient) domain, limb-parallel, with canonical (< p) values — the
-// form the big.Int recombination paths require.
-func (c *Context) intt(p *Poly) *Poly {
+// ToResidues returns a pooled copy of p transformed from the NTT domain
+// to the residue (coefficient) domain with canonical (< p) values.
+// Callers return the element via PutScratch.
+func (c *Context) ToResidues(p *Poly) *Poly {
 	tmp := c.getScratch()
 	parallelFor(c.K(), func(i int) {
 		copy(tmp.Coeffs[i], p.Coeffs[i])
@@ -349,18 +317,6 @@ func (c *Context) intt(p *Poly) *Poly {
 	})
 	return tmp
 }
-
-// ToResidues returns a pooled copy of p transformed from the NTT domain
-// to the residue (coefficient) domain with canonical (< p) values — the
-// deferred-product pipeline's bridge from an NTT-domain key-switching
-// accumulator to exact-integer residue arithmetic. Callers return the
-// element via PutScratch (or hand it to a handle that does).
-func (c *Context) ToResidues(p *Poly) *Poly { return c.intt(p) }
-
-// ToResiduesLazy is ToResidues with lazily-reduced (< 2p) values — the
-// form AddLazyNTT and the base-conversion γ pass accept directly, saving
-// the strict reduction pass.
-func (c *Context) ToResiduesLazy(p *Poly) *Poly { return c.inttLazy(p) }
 
 // IntoResiduesLazyLimbs inverse-transforms the first `limbs` limb
 // channels of p in place (lazily, < 2p) — for accumulators the caller
@@ -383,27 +339,6 @@ func (c *Context) inttLazy(p *Poly) *Poly {
 		c.Tabs[i].InverseLazy(tmp.Coeffs[i])
 	})
 	return tmp
-}
-
-// recombine CRT-recombines every coefficient of a residue-domain element,
-// calling visit(j, v) with the centered value. v is scratch reused across
-// calls within a chunk; visit must copy what it keeps. Chunks of
-// coefficients run on the worker pool; visit must be safe for concurrent
-// calls on distinct j (writes to disjoint indices are).
-func (c *Context) recombine(tmp *Poly, visit func(j int, v *big.Int)) {
-	k := c.K()
-	parallelChunks(c.N, func(lo, hi int) {
-		res := make([]uint64, k)
-		v := new(big.Int)
-		t := new(big.Int)
-		for j := lo; j < hi; j++ {
-			for i := 0; i < k; i++ {
-				res[i] = tmp.Coeffs[i][j]
-			}
-			c.Basis.RecombineCenteredInto(v, t, res)
-			visit(j, v)
-		}
-	})
 }
 
 // AddNTT sets dst = a + b (pointwise in every limb). dst may alias a or b.
@@ -510,18 +445,6 @@ func (c *Context) ShoupConsts(a *Poly) *Poly {
 	return out
 }
 
-// MulAddShoupNTT sets dst += a·b pointwise, with aShoup = ShoupConsts(a)
-// — the fast form of MulAddNTT for immutable a. Results are identical.
-func (c *Context) MulAddShoupNTT(dst, a, aShoup, b *Poly) {
-	parallelFor(c.K(), func(i int) {
-		r := c.Tabs[i].R
-		da, ds, db, dd := a.Coeffs[i], aShoup.Coeffs[i], b.Coeffs[i], dst.Coeffs[i]
-		for j := range dd {
-			dd[j] = r.Add(dd[j], r.MulShoup(db[j], da[j], ds[j]))
-		}
-	})
-}
-
 // maxFusedChunk caps the per-call digit fan-in of the fused key-switching
 // kernels: chunks of at most this many digits (and at most fuseCap, the
 // Barrett-domain bound — Acc128Capacity already budgets the sub-2⁶⁴
@@ -530,67 +453,29 @@ func (c *Context) MulAddShoupNTT(dst, a, aShoup, b *Poly) {
 // stack.
 const maxFusedChunk = 32
 
-// MulAddPairAllNTT folds a whole key-switching digit sum into both
-// component accumulators in one memory pass:
+// MulPairAllNTT sets both component accumulators to a whole key-switching
+// digit sum in one memory pass:
 //
-//	acc0 += Σ_d k0[d]·digits[d],  acc1 += Σ_d k1[d]·digits[d]
+//	acc0 = Σ_d k0[d]·digits[d],  acc1 = Σ_d k1[d]·digits[d]
 //
 // with the per-slot digit sums accumulated lazily in 128 bits and folded
-// by a single Barrett reduction (ntt.MulAddPair128) — one reduction per
-// slot per component instead of one per digit. Digits may be lazily
-// reduced (DigitsToRNS emits < 2p); keys and accumulators are canonical.
-// Results are bit-identical to the per-digit MulAddNTT loop. Uses at most
-// min(len(digits), len(k0)) digits.
-func (c *Context) MulAddPairAllNTT(acc0, acc1 *Poly, k0, k1, digits []*Poly) {
-	c.mulPairAll(acc0, acc1, k0, k1, digits, c.K(), false)
-}
-
-// MulPairAllNTT is MulAddPairAllNTT in overwrite mode (acc = Σ rather
-// than +=): a key switch that starts from zero skips the clearing pass.
+// by a single Barrett reduction (ntt.MulPair128/MulAddPair128) — one
+// reduction per slot per component instead of one per digit. Digits may
+// be lazily reduced (DigitsToRNS emits < 2p); keys are canonical. Results
+// are bit-identical to a per-digit MulAddNTT loop from zero. Uses at
+// most min(len(digits), len(k0)) digits.
 func (c *Context) MulPairAllNTT(acc0, acc1 *Poly, k0, k1, digits []*Poly) {
-	c.mulPairAll(acc0, acc1, k0, k1, digits, c.K(), true)
+	c.MulPairLimbsNTT(acc0, acc1, k0, k1, digits, c.K())
 }
 
 // MulPairLimbsNTT is MulPairAllNTT restricted to the first `limbs` limb
 // channels — the sub-basis key switch, whose accumulator is extended to
 // the remaining channels afterwards (ExtendResidues).
 func (c *Context) MulPairLimbsNTT(acc0, acc1 *Poly, k0, k1, digits []*Poly, limbs int) {
-	c.mulPairAll(acc0, acc1, k0, k1, digits, limbs, true)
-}
-
-func (c *Context) mulPairAll(acc0, acc1 *Poly, k0, k1, digits []*Poly, limbs int, overwrite bool) {
-	nd := len(digits)
-	if len(k0) < nd {
-		nd = len(k0)
-	}
+	nd := min(len(digits), len(k0))
 	if nd == 0 {
-		if overwrite {
-			acc0.Zero()
-			acc1.Zero()
-		}
-		return
-	}
-	if c.fuseCap < 1 {
-		// Per-digit fallback (unreachable for modring-representable
-		// primes, where the capacity is always ≥ 2); limb-aware so the
-		// sub-basis path stays correct.
-		parallelFor(limbs, func(i int) {
-			r := c.Tabs[i].R
-			a0, a1 := acc0.Coeffs[i], acc1.Coeffs[i]
-			if overwrite {
-				for j := range a0 {
-					a0[j], a1[j] = 0, 0
-				}
-			}
-			for d := 0; d < nd; d++ {
-				f0, f1, dd := k0[d].Coeffs[i], k1[d].Coeffs[i], digits[d].Coeffs[i]
-				for j := range a0 {
-					v := dd[j]
-					a0[j] = r.Add(a0[j], r.Mul(f0[j], v))
-					a1[j] = r.Add(a1[j], r.Mul(f1[j], v))
-				}
-			}
-		})
+		acc0.Zero()
+		acc1.Zero()
 		return
 	}
 	chunk := c.fuseCap
@@ -611,7 +496,7 @@ func (c *Context) mulPairAll(acc0, acc1 *Poly, k0, k1, digits []*Poly, limbs int
 				bd[d-lo] = digits[d].Coeffs[i]
 			}
 			m := hi - lo
-			if overwrite && lo == 0 {
+			if lo == 0 {
 				ntt.MulPair128(r, acc0.Coeffs[i], acc1.Coeffs[i], b0[:m], b1[:m], bd[:m])
 			} else {
 				ntt.MulAddPair128(r, acc0.Coeffs[i], acc1.Coeffs[i], b0[:m], b1[:m], bd[:m])

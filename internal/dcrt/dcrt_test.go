@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"testing"
 
+	"repro/internal/nt"
 	"repro/internal/poly"
 	"repro/internal/sampling"
 )
@@ -65,7 +66,7 @@ func TestRoundTripAndCentered(t *testing.T) {
 
 	// Centered decomposition must recombine to the centered lift.
 	want := p.ToCenteredCoeffs(mod)
-	got := ctx.FromRNSBig(ctx.ToRNSCentered(p))
+	got := recombineCentered(t, ctx, ctx.ToRNSCentered(p))
 	for i := range want {
 		if want[i].Cmp(got[i]) != 0 {
 			t.Fatalf("coeff %d: centered lift %v != %v", i, got[i], want[i])
@@ -93,7 +94,7 @@ func TestTensorAccumulation(t *testing.T) {
 	d := ctx.NewPoly()
 	ctx.MulNTT(d, ra0, rb1)
 	ctx.MulAddNTT(d, ra1, rb0)
-	got := ctx.FromRNSBig(d)
+	got := recombineCentered(t, ctx, d)
 
 	want := mulZRef(a0.ToCenteredCoeffs(mod), b1.ToCenteredCoeffs(mod))
 	for i, c := range mulZRef(a1.ToCenteredCoeffs(mod), b0.ToCenteredCoeffs(mod)) {
@@ -104,6 +105,27 @@ func TestTensorAccumulation(t *testing.T) {
 			t.Fatalf("coeff %d: %v != %v", i, got[i], want[i])
 		}
 	}
+}
+
+// recombineCentered is the big.Int CRT reference: it leaves the NTT
+// domain and recombines every coefficient to its centered integer value.
+func recombineCentered(t *testing.T, c *Context, p *Poly) []*big.Int {
+	t.Helper()
+	tmp := c.ToResidues(p)
+	defer c.PutScratch(tmp)
+	out := make([]*big.Int, c.N)
+	res := make([]uint64, c.K())
+	for j := range out {
+		for i := range res {
+			res[i] = tmp.Coeffs[i][j]
+		}
+		v, err := c.Basis.RecombineCentered(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[j] = v
+	}
+	return out
 }
 
 // mulZRef is the O(n²) negacyclic integer product (the evaluator's
@@ -126,4 +148,34 @@ func mulZRef(a, b []*big.Int) []*big.Int {
 		}
 	}
 	return out
+}
+
+// TestNewContextRejectsNonNativeModuli: a modulus the word-sized base
+// conversion cannot serve gets an error from NewContext (and GetContext)
+// instead of a context without conversion tables.
+func TestNewContextRejectsNonNativeModuli(t *testing.T) {
+	const n = 64
+	p0, err := nt.NTTPrimes(basisPrimeBits, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := big.NewInt(1)
+	cases := map[string]*big.Int{
+		"even":               new(big.Int).Lsh(one, 40),
+		"63-bit":             new(big.Int).Sub(new(big.Int).Lsh(one, 63), one),
+		"125-bit":            new(big.Int).Add(new(big.Int).Lsh(one, 124), one),
+		"shares basis prime": new(big.Int).Mul(big.NewInt(3), new(big.Int).SetUint64(p0[0])),
+	}
+	for name, q := range cases {
+		mod, err := poly.NewModulus(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := NewContext(mod, n, 0); err == nil {
+			t.Errorf("%s q: NewContext returned a context (RNSNative=%v), want an error", name, c.RNSNative())
+		}
+		if _, err := GetContext(mod, n, 0); err == nil {
+			t.Errorf("%s q: GetContext returned a context, want an error", name)
+		}
+	}
 }

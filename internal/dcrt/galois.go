@@ -75,55 +75,21 @@ func (c *Context) PermuteNTT(dst, src *Poly, idx []uint32) {
 	})
 }
 
-// MulAddGatherNTT sets dst += a·τ(b) pointwise, with τ applied to b as
-// the slot gather idx — the hoisted key-switching inner loop, fusing the
-// digit permutation into the accumulation so permuted digits are never
-// materialized. dst must not alias b.
-func (c *Context) MulAddGatherNTT(dst, a, b *Poly, idx []uint32) {
-	parallelFor(c.K(), func(i int) {
-		r := c.Tabs[i].R
-		da, db, dd := a.Coeffs[i], b.Coeffs[i], dst.Coeffs[i]
-		for j := range dd {
-			dd[j] = r.Add(dd[j], r.Mul(da[j], db[idx[j]]))
-		}
-	})
-}
-
-// MulAddGatherShoupNTT is MulAddGatherNTT with aShoup = ShoupConsts(a) —
-// the fast form for immutable a (cached key forms). Results identical.
-func (c *Context) MulAddGatherShoupNTT(dst, a, aShoup, b *Poly, idx []uint32) {
-	parallelFor(c.K(), func(i int) {
-		r := c.Tabs[i].R
-		da, ds, db, dd := a.Coeffs[i], aShoup.Coeffs[i], b.Coeffs[i], dst.Coeffs[i]
-		for j := range dd {
-			dd[j] = r.Add(dd[j], r.MulShoup(db[idx[j]], da[j], ds[j]))
-		}
-	})
-}
-
 // GaloisAccAllNTT folds a whole hoisted Galois key switch into both
 // component accumulators in one memory pass:
 //
 //	acc0 += Σ_d k0[d]·τ(digits[d]),  acc1 += Σ_d k1[d]·τ(digits[d])
 //
-// with τ as the slot gather idx, each gathered digit slot loaded once per
-// product pair, and the per-slot digit sums accumulated lazily in 128
-// bits before a single Barrett fold (ntt.GaloisAccPair128). Digits may be
-// lazily reduced (< 2p); results are bit-identical to the per-digit
-// GaloisAccNTT loop. Uses at most min(len(digits), len(k0)) digits.
+// with τ as the slot gather idx — the digit permutation fused into the
+// accumulation, so permuted digits are never materialized — each
+// gathered digit slot loaded once per product pair, and the per-slot
+// digit sums accumulated lazily in 128 bits before a single Barrett fold
+// (ntt.GaloisAccPair128). Digits may be lazily reduced (< 2p); results
+// are bit-identical to a per-digit PermuteNTT + MulAddNTT loop. Uses at
+// most min(len(digits), len(k0)) digits.
 func (c *Context) GaloisAccAllNTT(acc0, acc1 *Poly, k0, k1, digits []*Poly, idx []uint32) {
-	nd := len(digits)
-	if len(k0) < nd {
-		nd = len(k0)
-	}
+	nd := min(len(digits), len(k0))
 	if nd == 0 {
-		return
-	}
-	if c.fuseCap < 1 {
-		for d := 0; d < nd; d++ {
-			c.MulAddGatherNTT(acc0, k0[d], digits[d], idx)
-			c.MulAddGatherNTT(acc1, k1[d], digits[d], idx)
-		}
 		return
 	}
 	chunk := c.fuseCap
@@ -145,27 +111,6 @@ func (c *Context) GaloisAccAllNTT(acc0, acc1 *Poly, k0, k1, digits []*Poly, idx 
 			}
 			m := hi - lo
 			ntt.GaloisAccPair128(r, acc0.Coeffs[i], acc1.Coeffs[i], b0[:m], b1[:m], bd[:m], idx)
-		}
-	})
-}
-
-// GaloisAccNTT accumulates one key-switching digit into both component
-// accumulators in a single pass: acc0 += k0·τ(d), acc1 += k1·τ(d), with
-// τ as the slot gather idx and k0s/k1s the keys' Shoup companions. Each
-// gathered digit slot is read once and feeds both products — the
-// innermost loop of (hoisted) rotation, where the per-element cost
-// bounds how close hoisting gets to its ideal k× saving.
-func (c *Context) GaloisAccNTT(acc0, acc1, k0, k0s, k1, k1s, d *Poly, idx []uint32) {
-	parallelFor(c.K(), func(i int) {
-		r := c.Tabs[i].R
-		a0, a1 := acc0.Coeffs[i], acc1.Coeffs[i]
-		f0, s0 := k0.Coeffs[i], k0s.Coeffs[i]
-		f1, s1 := k1.Coeffs[i], k1s.Coeffs[i]
-		dd := d.Coeffs[i]
-		for j := range a0 {
-			v := dd[idx[j]]
-			a0[j] = r.Add(a0[j], r.MulShoup(v, f0[j], s0[j]))
-			a1[j] = r.Add(a1[j], r.MulShoup(v, f1[j], s1[j]))
 		}
 	})
 }

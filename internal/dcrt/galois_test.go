@@ -68,8 +68,10 @@ func TestGaloisNTTPermutation(t *testing.T) {
 	}
 }
 
-// TestMulAddGatherNTT checks the fused gather-multiply-accumulate against
-// the unfused PermuteNTT + MulAddNTT pair.
+// TestMulAddGatherNTT checks the fused gather-multiply-accumulate
+// (GaloisAccAllNTT with one digit) against the unfused PermuteNTT +
+// MulAddNTT pair, called twice so the second pass accumulates onto a
+// non-zero sum.
 func TestMulAddGatherNTT(t *testing.T) {
 	q, _ := new(big.Int).SetString(testModuli[1], 10)
 	mod, _ := poly.NewModulus(q)
@@ -89,14 +91,16 @@ func TestMulAddGatherNTT(t *testing.T) {
 	ctx.MulAddNTT(want, a, perm)
 	ctx.MulAddNTT(want, a, perm)
 
-	got := ctx.NewPoly()
-	ctx.MulAddGatherNTT(got, a, b, idx)
-	ctx.MulAddGatherNTT(got, a, b, idx)
+	got, other := ctx.NewPoly(), ctx.NewPoly()
+	for range 2 {
+		ctx.GaloisAccAllNTT(got, other, []*Poly{a}, []*Poly{a}, []*Poly{b}, idx)
+	}
 
 	for i := range got.Coeffs {
 		for j := range got.Coeffs[i] {
-			if got.Coeffs[i][j] != want.Coeffs[i][j] {
-				t.Fatalf("limb %d slot %d: fused %d want %d", i, j, got.Coeffs[i][j], want.Coeffs[i][j])
+			if got.Coeffs[i][j] != want.Coeffs[i][j] || other.Coeffs[i][j] != want.Coeffs[i][j] {
+				t.Fatalf("limb %d slot %d: fused %d/%d want %d", i, j,
+					got.Coeffs[i][j], other.Coeffs[i][j], want.Coeffs[i][j])
 			}
 		}
 	}

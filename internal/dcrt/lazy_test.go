@@ -265,7 +265,7 @@ func TestMulPairAddNTTOracle(t *testing.T) {
 	}
 }
 
-// TestFusedKeySwitchKernels: MulPairAllNTT / MulAddPairAllNTT /
+// TestFusedKeySwitchKernels: MulPairAllNTT / MulPairLimbsNTT /
 // GaloisAccAllNTT equal the strict per-digit kernels over lazy digit
 // sets, including sub-basis limb restriction.
 func TestFusedKeySwitchKernels(t *testing.T) {
@@ -302,21 +302,7 @@ func TestFusedKeySwitchKernels(t *testing.T) {
 	}
 	idx := GaloisNTTIndices(n, 3)
 
-	// Accumulate-mode pair kernel vs per-digit MulAddNTT.
 	seed := mk(1)
-	accG0, accG1 := c.NewPoly(), c.NewPoly()
-	accW0, accW1 := c.NewPoly(), c.NewPoly()
-	for _, acc := range []*Poly{accG0, accG1, accW0, accW1} {
-		for i := range acc.Coeffs {
-			copy(acc.Coeffs[i], seed.Coeffs[i])
-		}
-	}
-	c.MulAddPairAllNTT(accG0, accG1, k0, k1, digits)
-	for d := 0; d < nd; d++ {
-		sd := strictDigit(digits[d])
-		c.MulAddNTT(accW0, k0[d], sd)
-		c.MulAddNTT(accW1, k1[d], sd)
-	}
 	cmp := func(name string, g, w *Poly, limbs int) {
 		t.Helper()
 		for i := 0; i < limbs; i++ {
@@ -328,13 +314,17 @@ func TestFusedKeySwitchKernels(t *testing.T) {
 			}
 		}
 	}
-	cmp("mulAddPair", accG0, accW0, k)
-	cmp("mulAddPair", accG1, accW1, k)
 
-	// Overwrite-mode with sub-basis limb restriction.
+	// Pair kernel, full basis (MulPairAllNTT) and every sub-basis prefix,
+	// vs per-digit MulAddNTT from zero. The outputs start dirty: the
+	// kernel overwrites rather than accumulates.
 	for limbs := 1; limbs <= k; limbs++ {
-		g0, g1 := c.NewPoly(), c.NewPoly()
-		c.MulPairLimbsNTT(g0, g1, k0, k1, digits, limbs)
+		g0, g1 := mk(1), mk(1)
+		if limbs == k {
+			c.MulPairAllNTT(g0, g1, k0, k1, digits)
+		} else {
+			c.MulPairLimbsNTT(g0, g1, k0, k1, digits, limbs)
+		}
 		w0, w1 := c.NewPoly(), c.NewPoly()
 		for d := 0; d < nd; d++ {
 			sd := strictDigit(digits[d])
@@ -345,8 +335,8 @@ func TestFusedKeySwitchKernels(t *testing.T) {
 		cmp("mulPairLimbs", g1, w1, limbs)
 	}
 
-	// Gathered (Galois) kernel vs per-digit GaloisAccNTT with Shoup
-	// companions — the retained strict path.
+	// Gathered (Galois) kernel vs per-digit PermuteNTT + MulAddNTT on the
+	// same seeded accumulators.
 	gG0, gG1 := c.NewPoly(), c.NewPoly()
 	gW0, gW1 := c.NewPoly(), c.NewPoly()
 	for _, acc := range []*Poly{gG0, gG1, gW0, gW1} {
@@ -357,7 +347,10 @@ func TestFusedKeySwitchKernels(t *testing.T) {
 	c.GaloisAccAllNTT(gG0, gG1, k0, k1, digits, idx)
 	for d := 0; d < nd; d++ {
 		sd := strictDigit(digits[d])
-		c.GaloisAccNTT(gW0, gW1, k0[d], c.ShoupConsts(k0[d]), k1[d], c.ShoupConsts(k1[d]), sd, idx)
+		perm := c.NewPoly()
+		c.PermuteNTT(perm, sd, idx)
+		c.MulAddNTT(gW0, k0[d], perm)
+		c.MulAddNTT(gW1, k1[d], perm)
 	}
 	cmp("galoisAcc", gG0, gW0, k)
 	cmp("galoisAcc", gG1, gW1, k)

@@ -1,6 +1,8 @@
 package dcrt
 
 import (
+	"errors"
+	"fmt"
 	"math/big"
 	"math/bits"
 
@@ -18,8 +20,7 @@ import (
 // Moduli with 63/64 bits (no headroom for either path), above 2¹²⁴, or
 // even (the centered remainder could tie at exactly q/2, which the
 // round-half-away-from-zero oracle and the tie-free centering here would
-// resolve differently) are rejected; the Context then keeps the big.Int
-// recombination path.
+// resolve differently) are rejected, and NewContext with them.
 type qring struct {
 	words int           // 1 or 2
 	r1    *modring.Ring // one-word path (q < 2⁶²)
@@ -31,11 +32,11 @@ type qring struct {
 	half0, half1 uint64 // ⌊q/2⌋
 }
 
-// newQring returns the fixed-width ring for q, or nil when q's shape
-// rules the word-sized path out.
-func newQring(q *big.Int) *qring {
+// newQring returns the fixed-width ring for q, or an error naming the
+// shape that rules the word-sized path out.
+func newQring(q *big.Int) (*qring, error) {
 	if q.Bit(0) == 0 {
-		return nil // even q could tie at q/2 during centering
+		return nil, errors.New("dcrt: even modulus q could tie at q/2 during centering")
 	}
 	b := q.BitLen()
 	half := new(big.Int).Rsh(q, 1)
@@ -46,7 +47,7 @@ func newQring(q *big.Int) *qring {
 			r1:    modring.New(q.Uint64()),
 			q0:    q.Uint64(),
 			half0: half.Uint64(),
-		}
+		}, nil
 	case b >= 65 && b <= 124:
 		mu := new(big.Int).Lsh(big.NewInt(1), 256)
 		mu.Div(mu, q)
@@ -58,9 +59,9 @@ func newQring(q *big.Int) *qring {
 			half1: bigWord(half, 1),
 		}
 		qr.mu[0], qr.mu[1], qr.mu[2] = bigWord(mu, 0), bigWord(mu, 1), bigWord(mu, 2)
-		return qr
+		return qr, nil
 	default:
-		return nil
+		return nil, fmt.Errorf("dcrt: %d-bit modulus q fits neither the one-word (≤ 62-bit) nor the two-word (65–124-bit) path", b)
 	}
 }
 

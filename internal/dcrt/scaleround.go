@@ -8,8 +8,8 @@ import (
 )
 
 // ScaleRounder performs the BFV tensor rescaling x ↦ ⌊t·x/q⌉ mod q
-// entirely in the RNS domain — the step that previously left through a
-// per-coefficient big.Int CRT recombination and division.
+// entirely in the RNS domain, with no per-coefficient big.Int CRT
+// recombination or division.
 //
 // With r = t·X cmod q the centered remainder (|r| ≤ (q−1)/2, tie-free
 // because q is odd), the rounded quotient is the exact integer
@@ -29,12 +29,8 @@ type ScaleRounder struct {
 }
 
 // ScaleRounder returns the shared rescaler for plaintext modulus t
-// (0 < t < q). It requires an RNS-native context: callers check
-// RNSNative() and keep the big.Int path otherwise.
+// (0 < t < q).
 func (c *Context) ScaleRounder(t uint64) *ScaleRounder {
-	if c.conv == nil {
-		panic("dcrt: ScaleRounder requires an RNS-native context (check RNSNative)")
-	}
 	if v, ok := c.conv.rounders.Load(t); ok {
 		return v.(*ScaleRounder)
 	}
@@ -137,9 +133,10 @@ func (sr *ScaleRounder) RoundModT(x *Poly, out []uint64) {
 
 // ScaleRound maps the exact integer coefficients X of x (NTT domain,
 // |X| ≤ 2^BoundBits) to ⌊t·X/q⌉ mod q, packed as a coefficient-domain
-// R_q polynomial. It replaces scaleRound(FromRNSBig(x)) with no big.Int
-// on the path: two fast base conversions, one word-sized modular
-// multiply per coefficient, and one Shoup pass per limb channel.
+// R_q polynomial, bit-identical to the schoolbook evaluator's big.Int
+// rescale with no big.Int on the path: two fast base conversions, one
+// word-sized modular multiply per coefficient, and one Shoup pass per
+// limb channel.
 func (sr *ScaleRounder) ScaleRound(x *Poly) *poly.Poly {
 	tmp := sr.ScaleRoundResidues(x)
 	defer sr.c.PutScratch(tmp)
@@ -327,7 +324,7 @@ func (sr *ScaleRounder) ScaleRoundDigits(x *Poly, baseBits uint, count, limbs in
 // reduces into each limb channel as a word-pair fold, and the limb
 // channels transform forward (lazily: the form feeds pointwise Barrett
 // products, which reduce any operand exactly). The result is pooled;
-// callers return it via PutScratch. Requires an RNS-native context.
+// callers return it via PutScratch.
 func (c *Context) CenteredNTTFromResidues(x *Poly) *Poly {
 	cv := c.conv
 	uLo := c.getU64()

@@ -23,12 +23,15 @@ import (
 	"repro/internal/poly"
 )
 
-// Server is a PIM-resident BFV evaluation service. All kernels run
-// through the async multi-DPU execution plane (internal/pimsched):
-// work is sharded over the scheduler's rank×DPU topology and every
-// kernel run's report — the sharded cycle/transfer/energy breakdown,
-// with both the pipelined makespan and the no-overlap serial time — is
-// folded into one running total. Nothing is retained per run.
+// Server is a BFV evaluation service on the simulated PIM system.
+// Operands are not resident: every operation stages its ciphertexts into
+// DPU memory, runs its kernels and gathers the results back, so each
+// call pays its own transfers. All kernels run through the async
+// multi-DPU execution plane (internal/pimsched): work is sharded over
+// the scheduler's rank×DPU topology and every kernel run's report — the
+// sharded cycle/transfer/energy breakdown, with both the pipelined
+// makespan and the no-overlap serial time — is folded into one running
+// total. Nothing is retained per run.
 type Server struct {
 	Sys    *pim.System
 	Sched  *pimsched.Scheduler

@@ -115,53 +115,6 @@ func (v *EncryptedVariance) Decrypt(dec *bfv.Decryptor) float64 {
 	return meanSq - mean*mean
 }
 
-// EncryptedCovariance is the server-side result of the covariance
-// workload: encrypted Σx, Σy and Σxy. The client computes
-// E[xy] − E[x]E[y].
-type EncryptedCovariance struct {
-	SumX, SumY, SumXY *bfv.Ciphertext
-	Count             int
-}
-
-// Covariance multiplies paired samples homomorphically and aggregates
-// the three moments — the natural extension of the variance workload to
-// two variables.
-func Covariance(e Engine, xs, ys []*bfv.Ciphertext) (*EncryptedCovariance, error) {
-	if len(xs) == 0 || len(xs) != len(ys) {
-		return nil, errors.New("hestats: covariance needs equal-length non-empty samples")
-	}
-	prods := make([]*bfv.Ciphertext, len(xs))
-	for i := range xs {
-		p, err := e.Mul(xs[i], ys[i])
-		if err != nil {
-			return nil, fmt.Errorf("hestats: product %d: %w", i, err)
-		}
-		prods[i] = p
-	}
-	sumX, err := e.Sum(xs)
-	if err != nil {
-		return nil, err
-	}
-	sumY, err := e.Sum(ys)
-	if err != nil {
-		return nil, err
-	}
-	sumXY, err := e.Sum(prods)
-	if err != nil {
-		return nil, err
-	}
-	return &EncryptedCovariance{SumX: sumX, SumY: sumY, SumXY: sumXY, Count: len(xs)}, nil
-}
-
-// Decrypt finishes the covariance on the client: Σxy/n − (Σx/n)(Σy/n).
-func (c *EncryptedCovariance) Decrypt(dec *bfv.Decryptor) float64 {
-	n := float64(c.Count)
-	ex := float64(dec.DecryptValue(c.SumX)) / n
-	ey := float64(dec.DecryptValue(c.SumY)) / n
-	exy := float64(dec.DecryptValue(c.SumXY)) / n
-	return exy - ex*ey
-}
-
 // LinRegModel holds encrypted model weights (one ciphertext per feature).
 // The model owner never reveals the weights to the server.
 type LinRegModel struct {

@@ -175,49 +175,6 @@ func TestPIMAndHostAgreeBitExact(t *testing.T) {
 	}
 }
 
-func TestCovarianceOnBothEngines(t *testing.T) {
-	r := newRig(t, 9)
-	xs := []uint64{1, 2, 3, 4}
-	ys := []uint64{2, 4, 6, 8} // y = 2x → cov = 2·var(x) = 2·1.25
-	want := 2.5
-	for _, eng := range []Engine{r.host, Engine(r.pimSrv)} {
-		cx := r.encryptAll(t, xs)
-		cy := r.encryptAll(t, ys)
-		cov, err := Covariance(eng, cx, cy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := cov.Decrypt(r.dec); math.Abs(got-want) > 1e-9 {
-			t.Errorf("covariance = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestCovarianceIndependentVarsNearZero(t *testing.T) {
-	r := newRig(t, 10)
-	xs := []uint64{1, 1, 5, 5}
-	ys := []uint64{3, 7, 3, 7} // orthogonal pattern → cov = 0
-	cov, err := Covariance(r.host, r.encryptAll(t, xs), r.encryptAll(t, ys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cov.Decrypt(r.dec); got != 0 {
-		t.Errorf("covariance of orthogonal vars = %v", got)
-	}
-}
-
-func TestCovarianceValidation(t *testing.T) {
-	r := newRig(t, 11)
-	if _, err := Covariance(r.host, nil, nil); err == nil {
-		t.Error("empty covariance accepted")
-	}
-	xs := r.encryptAll(t, []uint64{1, 2})
-	ys := r.encryptAll(t, []uint64{1})
-	if _, err := Covariance(r.host, xs, ys); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
 func TestHostEngineSumEmpty(t *testing.T) {
 	r := newRig(t, 8)
 	if _, err := r.host.Sum(nil); err == nil {

@@ -584,10 +584,3 @@ func (t *Table) Convolve(dst, a, b []uint64) {
 	t.putScratch(ta)
 	t.putScratch(tb)
 }
-
-// OpCount returns the number of (mulmod, addmod) operation pairs a forward
-// or inverse transform performs: (n/2)·log2(n) butterflies. Used by the
-// CPU-SEAL performance model.
-func (t *Table) OpCount() int {
-	return t.N / 2 * bits.TrailingZeros(uint(t.N))
-}

@@ -159,13 +159,6 @@ func TestNewTableErrors(t *testing.T) {
 	}
 }
 
-func TestOpCount(t *testing.T) {
-	tab := testTable(t, 50, 1024)
-	if got := tab.OpCount(); got != 512*10 {
-		t.Errorf("OpCount(1024) = %d, want 5120", got)
-	}
-}
-
 func BenchmarkForward4096(b *testing.B) {
 	q, _ := nt.NTTPrime(50, 4096)
 	tab, _ := NewTable(q, 4096)

@@ -27,8 +27,11 @@ const (
 
 	// cpuAddCyclesPerLimb: scalar multi-limb modular addition costs ~3
 	// cycles per 32-bit limb per coefficient (load/adc/store chain plus
-	// compare-and-correct, IPC-adjusted). Mechanistic estimate; with 4
-	// threads it reproduces Fig. 1(a)'s 21–28× PIM-over-CPU band.
+	// compare-and-correct, IPC-adjusted). Mechanistic estimate. With 4
+	// threads the model puts Fig. 1(a)'s PIM-over-CPU speedup at
+	// 84.9–86.4× (`hepim-bench -fig 1a`), where the paper's annotations
+	// read 21.4–27.7×: 3.1–4.0× high, row for row. The cause is open
+	// (ROADMAP, reproduction-error item).
 	cpuAddCyclesPerLimb = 3.0
 
 	// cpuMulCyclesPerProduct[w]: one W-limb coefficient product including

@@ -1,8 +1,9 @@
-// Package rns implements the Residue Number System representation used by
-// the SEAL-style CPU baseline: a wide coefficient modulus Q = q₁·q₂·…·q_k
-// is replaced by its residues modulo word-sized NTT-friendly primes, so
-// all arithmetic happens on independent uint64 channels (HORNS/SEAL
-// style, paper refs [97], [79]).
+// Package rns holds the Residue Number System basis behind the double-CRT
+// backend (package dcrt): a wide integer range Q = q₁·q₂·…·q_k is
+// represented by residues modulo word-sized NTT-friendly primes, so all
+// arithmetic happens on independent uint64 channels (HORNS/SEAL style,
+// paper refs [97], [79]). A Basis carries the constants of the fast base
+// conversion out of it; Recombine is the big.Int CRT reference.
 package rns
 
 import (
@@ -66,9 +67,9 @@ func NewBasis(primes []uint64) (*Basis, error) {
 		b.qi = append(b.qi, Qi)
 		b.qiInv = append(b.qiInv, inv.Uint64())
 		b.qiInvShoup = append(b.qiInvShoup, b.Rings[i].ShoupConst(inv.Uint64()))
-		// ν only fits a word for primes above 2³²; narrower bases (legal
-		// for the SEAL-style layer) simply don't get the fast-conversion
-		// constants — Nu96 returns 0 and callers fall back to big.Int.
+		// ν only fits a word for primes above 2³²; narrower bases simply
+		// don't get the fast-conversion constants — Nu96 returns 0 and
+		// dcrt.NewContext refuses such a basis.
 		if p > 1<<32 {
 			nu := new(big.Int).Lsh(big.NewInt(1), 96)
 			b.nu96 = append(b.nu96, nu.Div(nu, pi).Uint64())
@@ -94,28 +95,9 @@ func (b *Basis) QHatInv(i int) (inv, shoup uint64) { return b.qiInv[i], b.qiInvS
 // fixed-point lift-counter trick).
 func (b *Basis) Nu96(i int) uint64 { return b.nu96[i] }
 
-// Decompose returns the residues of x (taken mod Q, so negative values are
-// lifted) in each channel.
-func (b *Basis) Decompose(x *big.Int) []uint64 {
-	v := new(big.Int).Mod(x, b.Q) // canonical representative in [0, Q)
-	out := make([]uint64, b.K())
-	t := new(big.Int)
-	for i, p := range b.Primes {
-		out[i] = t.Mod(v, new(big.Int).SetUint64(p)).Uint64()
-	}
-	return out
-}
-
-// DecomposeUint64 is a fast path for x < 2⁶⁴.
-func (b *Basis) DecomposeUint64(x uint64) []uint64 {
-	out := make([]uint64, b.K())
-	for i, p := range b.Primes {
-		out[i] = x % p
-	}
-	return out
-}
-
-// Recombine returns the unique value in [0, Q) with the given residues.
+// Recombine returns the unique value in [0, Q) with the given residues —
+// the CRT reference the word-sized conversions in package dcrt are
+// tested against.
 func (b *Basis) Recombine(residues []uint64) (*big.Int, error) {
 	if len(residues) != b.K() {
 		return nil, errors.New("rns: residue count mismatch")
@@ -142,77 +124,4 @@ func (b *Basis) RecombineCentered(residues []uint64) (*big.Int, error) {
 		x.Sub(x, b.Q)
 	}
 	return x, nil
-}
-
-// RecombineCenteredInto is RecombineCentered for hot loops: it writes the
-// centered representative into x and uses t as scratch, so per-coefficient
-// recombination in the double-CRT backend allocates no fresh big.Ints
-// beyond what x grows to. residues must have exactly K() entries (not
-// validated — setup-time callers use RecombineCentered).
-func (b *Basis) RecombineCenteredInto(x, t *big.Int, residues []uint64) {
-	x.SetUint64(0)
-	for i := range residues {
-		ri := nt.MulMod(residues[i]%b.Primes[i], b.qiInv[i], b.Primes[i])
-		t.SetUint64(ri)
-		t.Mul(t, b.qi[i])
-		x.Add(x, t)
-	}
-	x.Mod(x, b.Q)
-	if x.Cmp(b.half) >= 0 {
-		x.Sub(x, b.Q)
-	}
-}
-
-// DecomposePoly decomposes every coefficient of a big-integer polynomial
-// into per-channel residue polynomials: out[channel][coeff].
-func (b *Basis) DecomposePoly(coeffs []*big.Int) [][]uint64 {
-	out := make([][]uint64, b.K())
-	for c := range out {
-		out[c] = make([]uint64, len(coeffs))
-	}
-	t := new(big.Int)
-	for j, x := range coeffs {
-		v := t.Mod(x, b.Q)
-		for c, p := range b.Primes {
-			out[c][j] = new(big.Int).Mod(v, new(big.Int).SetUint64(p)).Uint64()
-		}
-	}
-	return out
-}
-
-// RecombinePoly inverts DecomposePoly, producing centered big-integer
-// coefficients.
-func (b *Basis) RecombinePoly(channels [][]uint64) ([]*big.Int, error) {
-	if len(channels) != b.K() {
-		return nil, errors.New("rns: channel count mismatch")
-	}
-	n := len(channels[0])
-	res := make([]uint64, b.K())
-	out := make([]*big.Int, n)
-	for j := 0; j < n; j++ {
-		for c := range channels {
-			res[c] = channels[c][j]
-		}
-		x, err := b.RecombineCentered(res)
-		if err != nil {
-			return nil, err
-		}
-		out[j] = x
-	}
-	return out, nil
-}
-
-// ForBFV builds the standard RNS basis for a target coefficient-modulus
-// bit size: enough primeBits-sized NTT-friendly primes (for ring degree n)
-// to cover targetBits.
-func ForBFV(targetBits int, primeBits uint, n int) (*Basis, error) {
-	k := (targetBits + int(primeBits) - 1) / int(primeBits)
-	if k == 0 {
-		k = 1
-	}
-	primes, err := nt.NTTPrimes(primeBits, n, k)
-	if err != nil {
-		return nil, err
-	}
-	return NewBasis(primes)
 }

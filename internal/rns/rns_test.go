@@ -4,7 +4,6 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/nt"
 )
@@ -22,12 +21,24 @@ func testBasis(t *testing.T) *Basis {
 	return b
 }
 
+// decompose returns the residues of x (taken mod Q, so negative values
+// are lifted) in each channel — the big.Int reference input for the
+// recombination tests.
+func decompose(b *Basis, x *big.Int) []uint64 {
+	v := new(big.Int).Mod(x, b.Q)
+	out := make([]uint64, b.K())
+	for i, p := range b.Primes {
+		out[i] = new(big.Int).Mod(v, new(big.Int).SetUint64(p)).Uint64()
+	}
+	return out
+}
+
 func TestDecomposeRecombineRoundTrip(t *testing.T) {
 	b := testBasis(t)
 	rng := rand.New(rand.NewSource(70))
 	for i := 0; i < 200; i++ {
 		x := new(big.Int).Rand(rng, b.Q)
-		res := b.Decompose(x)
+		res := decompose(b, x)
 		got, err := b.Recombine(res)
 		if err != nil {
 			t.Fatal(err)
@@ -41,7 +52,7 @@ func TestDecomposeRecombineRoundTrip(t *testing.T) {
 func TestDecomposeNegative(t *testing.T) {
 	b := testBasis(t)
 	x := big.NewInt(-42)
-	res := b.Decompose(x)
+	res := decompose(b, x)
 	got, err := b.RecombineCentered(res)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +69,7 @@ func TestRecombineCenteredRange(t *testing.T) {
 	negHalf := new(big.Int).Neg(half)
 	for i := 0; i < 100; i++ {
 		x := new(big.Int).Rand(rng, b.Q)
-		got, err := b.RecombineCentered(b.Decompose(x))
+		got, err := b.RecombineCentered(decompose(b, x))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +86,7 @@ func TestHomomorphicAddMul(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		x := new(big.Int).Rand(rng, b.Q)
 		y := new(big.Int).Rand(rng, b.Q)
-		rx, ry := b.Decompose(x), b.Decompose(y)
+		rx, ry := decompose(b, x), decompose(b, y)
 
 		sum := make([]uint64, b.K())
 		prod := make([]uint64, b.K())
@@ -99,49 +110,6 @@ func TestHomomorphicAddMul(t *testing.T) {
 	}
 }
 
-func TestDecomposeUint64(t *testing.T) {
-	b := testBasis(t)
-	f := func(x uint64) bool {
-		fast := b.DecomposeUint64(x)
-		slow := b.Decompose(new(big.Int).SetUint64(x))
-		for i := range fast {
-			if fast[i] != slow[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecomposeRecombinePoly(t *testing.T) {
-	b := testBasis(t)
-	rng := rand.New(rand.NewSource(73))
-	n := 16
-	coeffs := make([]*big.Int, n)
-	half := new(big.Int).Rsh(b.Q, 1)
-	for i := range coeffs {
-		c := new(big.Int).Rand(rng, b.Q)
-		c.Sub(c, half) // exercise negative coefficients
-		coeffs[i] = c
-	}
-	ch := b.DecomposePoly(coeffs)
-	if len(ch) != b.K() || len(ch[0]) != n {
-		t.Fatalf("DecomposePoly shape %dx%d", len(ch), len(ch[0]))
-	}
-	back, err := b.RecombinePoly(ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range coeffs {
-		if back[i].Cmp(coeffs[i]) != 0 {
-			t.Fatalf("poly round trip at %d: %v != %v", i, back[i], coeffs[i])
-		}
-	}
-}
-
 func TestNewBasisErrors(t *testing.T) {
 	if _, err := NewBasis(nil); err == nil {
 		t.Error("expected error for empty basis")
@@ -151,23 +119,5 @@ func TestNewBasisErrors(t *testing.T) {
 	}
 	if _, err := NewBasis([]uint64{97, 97}); err == nil {
 		t.Error("expected error for duplicate primes")
-	}
-}
-
-func TestForBFV(t *testing.T) {
-	b, err := ForBFV(109, 50, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Q.BitLen() < 109 {
-		t.Errorf("basis covers only %d bits, need ≥ 109", b.Q.BitLen())
-	}
-	if b.K() != 3 {
-		t.Errorf("expected 3 channels for 109 bits at 50-bit primes, got %d", b.K())
-	}
-	for _, p := range b.Primes {
-		if (p-1)%uint64(2*4096) != 0 {
-			t.Errorf("prime %d not NTT-friendly for n=4096", p)
-		}
 	}
 }
