@@ -11,7 +11,7 @@
 //	hebfvd -backend pim             # evaluate on the modeled-PIM backend
 //	hebfvd -toy                     # insecure N=64 parameters, for smoke tests
 //	hebfvd -cache-mb 64             # tenant key-set cache budget (LRU past it)
-//	hebfvd -window 2ms -max-batch 32            # request coalescing bounds
+//	hebfvd -max-batch 32            # most ops in one coalesced batch
 //	hebfvd -tenant-inflight 4 -total-inflight 64  # admission quotas (429 / 503)
 //	hebfvd -pool-mb 32              # per-tenant decode-pool retention (0 = pooling off)
 //
@@ -74,8 +74,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	backend := fs.String("backend", hebfv.DefaultBackend,
 		fmt.Sprintf("evaluation backend %v", hebfv.Backends()))
 	cacheMB := fs.Int64("cache-mb", 256, "tenant key-set cache budget in MiB (0 = unbounded)")
-	window := fs.Duration("window", 2*time.Millisecond, "coalescing window per op batch")
-	maxBatch := fs.Int("max-batch", 32, "flush an op batch at this size even inside the window")
+	maxBatch := fs.Int("max-batch", 32, "most ops in one coalesced batch")
 	tenantInflight := fs.Int("tenant-inflight", 4, "per-tenant concurrent evaluation quota (429 past it)")
 	totalInflight := fs.Int("total-inflight", 64, "global concurrent evaluation quota (503 past it)")
 	poolMB := fs.Int64("pool-mb", 32, "per-tenant ciphertext decode-pool retention in MiB (0 = pooling off)")
@@ -104,7 +103,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	srv := serve.NewServer(serve.Options{
 		ContextOptions: ctxOpts,
 		MaxCacheBytes:  *cacheMB << 20,
-		Window:         *window,
 		MaxBatch:       *maxBatch,
 		TenantInflight: *tenantInflight,
 		TotalInflight:  *totalInflight,
@@ -115,8 +113,8 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("hebfvd: serving on %s (backend=%s, vector=%s, quotas tenant=%d total=%d, window=%v)",
-		ln.Addr(), *backend, ntt.VectorMode(), *tenantInflight, *totalInflight, *window)
+	log.Printf("hebfvd: serving on %s (backend=%s, vector=%s, quotas tenant=%d total=%d)",
+		ln.Addr(), *backend, ntt.VectorMode(), *tenantInflight, *totalInflight)
 	if note := ntt.EnvNote(); note != "" {
 		log.Printf("hebfvd: %s", note)
 	}

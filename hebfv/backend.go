@@ -108,11 +108,6 @@ type Config struct {
 	PIMRanks       int
 	PIMDPUsPerRank int
 
-	// PIMNoOverlap disables the async plane's staging/compute
-	// pipelining, so modeled makespans equal the serial sums. Results
-	// are unaffected.
-	PIMNoOverlap bool
-
 	// PIMFaultSeed/PIMFaultRates arm the "pim" backend's deterministic
 	// fault injector: rates maps injection sites (pim.SiteDPUTransient,
 	// pim.SiteDPUDead, pim.SiteDPUStraggler) to per-launch-per-DPU
@@ -168,7 +163,7 @@ func newPIMEngine(cfg Config) (*pimEngine, error) {
 			sys.NumDPUs = topo.NumDPUs()
 		}
 	}
-	srv, err := hepim.NewServerWithTopology(sys, cfg.Params, cfg.Relin, topo, !cfg.PIMNoOverlap)
+	srv, err := hepim.NewServerWithTopology(sys, cfg.Params, cfg.Relin, topo, true)
 	if err != nil {
 		return nil, err
 	}

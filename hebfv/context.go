@@ -59,9 +59,9 @@ type Context struct {
 }
 
 // defaultPoolRetainBytes sizes the decode pool when WithPoolRetention
-// is not given: 32 MiB retains a full coalescing window's operand
-// backings at n=4096/W=4 (64 KiB per polynomial, 128 KiB per
-// two-component ciphertext — roughly 256 in-flight ciphertexts).
+// is not given: 32 MiB retains the backings of roughly 256 decoded
+// ciphertexts at n=4096/W=4 (64 KiB per polynomial, 128 KiB per
+// two-component ciphertext).
 const defaultPoolRetainBytes = 32 << 20
 
 // New builds a Context from functional options: parameter preset
@@ -144,7 +144,6 @@ func New(opts ...Option) (*Context, error) {
 		PIMDPUs:        cfg.pimDPUs,
 		PIMRanks:       cfg.pimRanks,
 		PIMDPUsPerRank: cfg.pimDPUsPerRank,
-		PIMNoOverlap:   cfg.pimNoOverlap,
 		PIMFaultSeed:   cfg.pimFaultSeed,
 		PIMFaultRates:  cfg.pimFaultRates,
 	}); err != nil {

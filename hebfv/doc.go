@@ -73,8 +73,7 @@
 //     handle came back) and keeps working after Close for
 //     post-eviction leak audits.
 //   - WithPoolRetention bounds the bytes kept warm per context
-//     (default 32 MiB; 0 disables retention so every Get allocates —
-//     the A/B arm the GC benchmarks diff against).
+//     (default 32 MiB; 0 disables retention so every Get allocates).
 //
 // The serve package applies these rules automatically: request handles
 // and the response handle are released once the response is flushed,

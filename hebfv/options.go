@@ -21,9 +21,8 @@ type config struct {
 	keySet    []byte
 	keySetR   io.Reader
 
-	pimRanks       int  // explicit rank×DPU topology; 0 = derive
-	pimDPUsPerRank int  //
-	pimNoOverlap   bool // disable the async plane's pipelining
+	pimRanks       int // explicit rank×DPU topology; 0 = derive
+	pimDPUsPerRank int //
 
 	pimFaultSeed  uint64
 	pimFaultRates map[string]float64 // injection site -> probability
@@ -147,20 +146,6 @@ func WithPIMTopology(ranks, dpusPerRank int) Option {
 	}
 }
 
-// WithPIMOverlap toggles the async execution plane's double-buffering:
-// with overlap on (the default) one rank's copy-in overlaps another
-// rank's kernel, and the modeled makespan is the pipelined completion
-// time; with it off every chunk runs stage→launch→gather back to back
-// and the makespan equals the serial sum. Results are bit-identical
-// either way — only Context.PIMBreakdown's modeled times move. Other
-// backends ignore the option.
-func WithPIMOverlap(on bool) Option {
-	return func(c *config) error {
-		c.pimNoOverlap = !on
-		return nil
-	}
-}
-
 // WithPIMFaultInjection arms the "pim" backend's deterministic fault
 // injector: each DPU launch independently suffers a transient failure,
 // permanent death, or straggler slowdown with the given probabilities
@@ -196,12 +181,10 @@ func WithPIMFaultInjection(seed uint64, transient, dead, straggler float64) Opti
 // WithPoolRetention caps how many bytes of free ciphertext backings
 // the context's decode pool retains between requests (see Context.
 // PoolStats and the package's "Memory management and handle lifecycle"
-// section). The default retains enough for a typical coalescing
-// window's working set. A cap of 0 disables recycling entirely —
-// every release drops its backings, restoring per-request allocation —
-// which is the pooling-off arm of the serving GC benchmarks; the
-// acquire/release accounting and the leak-balance invariant stay
-// active either way.
+// section); the default is 32 MiB. A cap of 0 disables recycling
+// entirely — every release drops its backings, restoring per-request
+// allocation, as hebfvd -pool-mb 0 does; the acquire/release accounting
+// and the leak-balance invariant stay active either way.
 func WithPoolRetention(bytes int64) Option {
 	return func(c *config) error {
 		if bytes < 0 {

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/hebfv"
 )
@@ -34,20 +33,27 @@ func (k OpKind) String() string {
 // MulMany (the backend's NTT-resident batch pipeline), and same-step
 // row rotations into RotateRowsEach. Requests group per (context, op
 // kind, rotation step) — homomorphic operations never mix tenants, a
-// rotation batch shares one Galois key — and a group flushes when it
-// reaches MaxBatch or when its oldest member has waited Window.
+// rotation batch shares one Galois key.
 //
-// Coalescing trades a bounded queueing delay (≤ Window) for batch
-// efficiency: one digit-decomposition setup, one worker-pool dispatch
-// and one scratch reservation serve the whole group. Results are
-// bit-identical to the single-op calls — batching in this codebase is
-// a scheduling construct, never an approximation.
+// Batching is natural (group commit): a submission whose group has no
+// batch running runs at once, on its own goroutine, as a batch of one.
+// Submissions that arrive while their group's batch runs queue up, and
+// run together on the first one's goroutine as the group's next batch
+// as soon as that one finishes — at most maxBatch to a batch. A request
+// waits only for the batch ahead of it, never for a timer: a lone
+// request waits for nothing, and batches grow with the load. One
+// digit-decomposition setup, one worker-pool dispatch and one scratch
+// reservation serve each batch, and results are bit-identical to the
+// single-op calls — batching in this codebase is a scheduling
+// construct, never an approximation.
 type Coalescer struct {
-	window   time.Duration
 	maxBatch int
+	eval     func(*batch) // evaluate; a package test wraps it to hold a batch open
 
-	mu      sync.Mutex
-	pending map[groupKey]*group
+	mu sync.Mutex
+	// queues has an entry for each group with a batch running: the
+	// batches waiting behind it, oldest first.
+	queues map[groupKey][]*batch
 
 	ops, batches int64
 	maxObserved  int
@@ -59,44 +65,44 @@ type groupKey struct {
 	step int // rotation step; 0 for add/mul
 }
 
-// group is one open batch: operands accumulate until flush, then every
-// waiter reads its slot of outs.
-type group struct {
+// batch is one group's batch: operands accumulate while it queues, its
+// first submitter runs it when its turn comes, and every waiter then
+// reads its slot of outs.
+type batch struct {
 	key    groupKey
 	as, bs []*hebfv.Ciphertext
+	turn   chan struct{} // closed when the batch may run
 	done   chan struct{}
 	outs   []*hebfv.Ciphertext
 	err    error
 }
 
-// NewCoalescer builds a coalescer flushing groups at maxBatch ops (≥ 1)
-// or after window, whichever comes first. window 0 still coalesces
-// whatever arrives within one scheduler pass — the timer fires
-// immediately but submissions already queued join the batch.
-func NewCoalescer(window time.Duration, maxBatch int) *Coalescer {
+// NewCoalescer builds a coalescer running at most maxBatch ops (≥ 1)
+// per batch.
+func NewCoalescer(maxBatch int) *Coalescer {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
 	return &Coalescer{
-		window:   window,
 		maxBatch: maxBatch,
-		pending:  map[groupKey]*group{},
+		eval:     evaluate,
+		queues:   map[groupKey][]*batch{},
 	}
 }
 
-// Add submits a + b and blocks until its batch flushes.
+// Add submits a + b and blocks until its batch has run.
 func (co *Coalescer) Add(ctx *hebfv.Context, a, b *hebfv.Ciphertext) (*hebfv.Ciphertext, error) {
 	return co.submit(groupKey{ctx: ctx, kind: OpAdd}, a, b)
 }
 
 // Mul submits the relinearized product a·b and blocks until its batch
-// flushes.
+// has run.
 func (co *Coalescer) Mul(ctx *hebfv.Context, a, b *hebfv.Ciphertext) (*hebfv.Ciphertext, error) {
 	return co.submit(groupKey{ctx: ctx, kind: OpMul}, a, b)
 }
 
 // RotateRows submits a row rotation by k steps and blocks until its
-// batch flushes. Only same-step submissions share a batch (they share
+// batch has run. Only same-step submissions share a batch (they share
 // the Galois key).
 func (co *Coalescer) RotateRows(ctx *hebfv.Context, a *hebfv.Ciphertext, k int) (*hebfv.Ciphertext, error) {
 	return co.submit(groupKey{ctx: ctx, kind: OpRotateRows, step: k}, a, nil)
@@ -104,58 +110,67 @@ func (co *Coalescer) RotateRows(ctx *hebfv.Context, a *hebfv.Ciphertext, k int) 
 
 func (co *Coalescer) submit(key groupKey, a, b *hebfv.Ciphertext) (*hebfv.Ciphertext, error) {
 	co.mu.Lock()
-	g, ok := co.pending[key]
-	if !ok {
-		g = &group{key: key, done: make(chan struct{})}
-		co.pending[key] = g
-		// The window timer flushes the group unless MaxBatch got there
-		// first (flushLocked removes it from pending, making the timer's
-		// lookup miss).
-		time.AfterFunc(co.window, func() {
-			co.mu.Lock()
-			if co.pending[key] == g {
-				co.flushLocked(g)
-			}
-			co.mu.Unlock()
-		})
-	}
-	idx := len(g.as)
-	g.as = append(g.as, a)
-	g.bs = append(g.bs, b)
 	co.ops++
-	if len(g.as) >= co.maxBatch {
-		co.flushLocked(g)
+	queue, busy := co.queues[key]
+	var bt *batch
+	if n := len(queue); n > 0 && len(queue[n-1].as) < co.maxBatch {
+		bt = queue[n-1]
+	} else {
+		bt = &batch{key: key, turn: make(chan struct{}), done: make(chan struct{})}
+		co.queues[key] = append(queue, bt)
+	}
+	idx := len(bt.as)
+	bt.as = append(bt.as, a)
+	bt.bs = append(bt.bs, b)
+	if !busy {
+		co.nextLocked(key) // bt, alone: nothing to wait for
 	}
 	co.mu.Unlock()
 
-	<-g.done
-	if g.err != nil {
-		return nil, g.err
+	if idx == 0 { // the first submitter runs the batch
+		<-bt.turn
+		co.eval(bt)
+		co.mu.Lock()
+		co.nextLocked(key)
+		co.mu.Unlock()
+		close(bt.done)
 	}
-	return g.outs[idx], nil
+	<-bt.done
+	if bt.err != nil {
+		return nil, bt.err
+	}
+	return bt.outs[idx], nil
 }
 
-// flushLocked detaches the group and runs its batch call on a fresh
-// goroutine (the caller holds co.mu; evaluation must not).
-func (co *Coalescer) flushLocked(g *group) {
-	delete(co.pending, g.key)
-	co.batches++
-	if len(g.as) > co.maxObserved {
-		co.maxObserved = len(g.as)
+// nextLocked starts the group's oldest queued batch — off the queue it
+// takes no more operands — or, with none queued, marks the group idle.
+// The caller holds co.mu.
+func (co *Coalescer) nextLocked(key groupKey) {
+	queue := co.queues[key]
+	if len(queue) == 0 {
+		delete(co.queues, key)
+		return
 	}
-	go func() {
-		defer close(g.done)
-		switch g.key.kind {
-		case OpAdd:
-			g.outs, g.err = g.key.ctx.AddMany(g.as, g.bs)
-		case OpMul:
-			g.outs, g.err = g.key.ctx.MulMany(g.as, g.bs)
-		case OpRotateRows:
-			g.outs, g.err = g.key.ctx.RotateRowsEach(g.as, g.key.step)
-		default:
-			g.err = fmt.Errorf("serve: unknown op kind %v", g.key.kind)
-		}
-	}()
+	bt := queue[0]
+	queue[0] = nil
+	co.queues[key] = queue[1:]
+	co.batches++
+	co.maxObserved = max(co.maxObserved, len(bt.as))
+	close(bt.turn)
+}
+
+// evaluate makes bt's one batch call.
+func evaluate(bt *batch) {
+	switch bt.key.kind {
+	case OpAdd:
+		bt.outs, bt.err = bt.key.ctx.AddMany(bt.as, bt.bs)
+	case OpMul:
+		bt.outs, bt.err = bt.key.ctx.MulMany(bt.as, bt.bs)
+	case OpRotateRows:
+		bt.outs, bt.err = bt.key.ctx.RotateRowsEach(bt.as, bt.key.step)
+	default:
+		bt.err = fmt.Errorf("serve: unknown op kind %v", bt.key.kind)
+	}
 }
 
 // CoalescerStats is a point-in-time snapshot of the batching counters.

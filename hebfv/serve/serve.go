@@ -10,9 +10,10 @@
 //   - ContextCache: evaluation-only Contexts keyed by key-set
 //     fingerprint (LRU under a byte budget, singleflight construction,
 //     eviction deferred past in-flight work).
-//   - Coalescer: concurrent tenants' single ops gathered into the
-//     facade's batch pipelines (AddMany, MulMany, RotateRowsEach)
-//     within a bounded window — batch efficiency without changing
+//   - Coalescer: each tenant's concurrent single ops gathered into the
+//     facade's batch pipelines (AddMany, MulMany, RotateRowsEach) —
+//     requests arriving while a batch runs form the next one, a lone
+//     request runs at once — batch efficiency without changing
 //     results; everything stays bit-identical.
 //   - Server: the HTTP surface — streaming ciphertext bodies in and
 //     out (O(chunk) memory per transfer, exact Content-Length from
@@ -47,7 +48,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/hebfv"
 )
@@ -77,11 +77,7 @@ type Options struct {
 	// unbounded). Sizing uses the onboarded blob length — the key
 	// material dominates a context's footprint.
 	MaxCacheBytes int64
-	// Window bounds how long a submitted op may wait for batch-mates
-	// (default 2ms).
-	Window time.Duration
-	// MaxBatch flushes a batch at this many ops even inside the window
-	// (default 32).
+	// MaxBatch caps the ops in one coalesced batch (default 32).
 	MaxBatch int
 	// TenantInflight is the per-tenant concurrent evaluation quota
 	// (default 4; exceeding it is a 429).
@@ -109,9 +105,6 @@ type Server struct {
 // NewServer builds the serving plane from opts (zero values take the
 // documented defaults).
 func NewServer(opts Options) *Server {
-	if opts.Window <= 0 {
-		opts.Window = 2 * time.Millisecond
-	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 32
 	}
@@ -124,7 +117,7 @@ func NewServer(opts Options) *Server {
 	return &Server{
 		opts:       opts,
 		cache:      NewContextCache(opts.MaxCacheBytes),
-		coal:       NewCoalescer(opts.Window, opts.MaxBatch),
+		coal:       NewCoalescer(opts.MaxBatch),
 		tenantLoad: map[[32]byte]int{},
 	}
 }

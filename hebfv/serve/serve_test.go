@@ -93,6 +93,17 @@ func errCode(t *testing.T, resp *http.Response) string {
 	return e.Code
 }
 
+// waitFor polls ok until it holds — for states the code under test
+// publishes nowhere but in its stats — and fails the test after 10 s.
+func waitFor(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("never saw %s", what)
+		}
+	}
+}
+
 // TestServeEndToEnd runs the full deployment loop: onboard, evaluate
 // add/mul/rotate over HTTP, decrypt locally — and pins the responses
 // byte-identical to local evaluation (coalesced batches are scheduling,
@@ -198,20 +209,10 @@ func TestServeEndToEnd(t *testing.T) {
 	// Auto-release: the server recycles every request/response handle
 	// once the response is flushed, so the decode pool is used and
 	// balanced. The handler's deferred release may still be running
-	// when the client sees the last byte, hence the short poll.
-	var st ServerStats
-	for deadline := time.Now().Add(time.Second); ; {
-		st = s.Stats()
-		if st.Pool.InUse == 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st.Pool.Gets == 0 {
+	// when the client sees the last byte, hence the poll.
+	waitFor(t, "every pooled handle released", func() bool { return s.Stats().Pool.InUse == 0 })
+	if s.Stats().Pool.Gets == 0 {
 		t.Fatal("server decode pool was never used")
-	}
-	if st.Pool.InUse != 0 {
-		t.Fatalf("server leaks pooled handles after responses: %+v", st.Pool)
 	}
 }
 
@@ -291,15 +292,12 @@ func TestServeTypedRejections(t *testing.T) {
 }
 
 // TestServeQuota429 pins the backpressure contract: with a per-tenant
-// quota of 1 and a coalescing window long enough to hold requests in
-// flight, a concurrent burst sees typed 429s — and the server serves
-// normally afterwards (no pool poisoning).
+// quota of 1, a request whose upload is paused mid-record holds the
+// tenant's slot, so a concurrent burst sees typed 429s; the held request
+// still completes, and the server serves normally afterwards (no pool
+// poisoning).
 func TestServeQuota429(t *testing.T) {
-	_, hs := newTestServer(t, Options{
-		TenantInflight: 1,
-		Window:         150 * time.Millisecond,
-		MaxBatch:       1024, // only the window flushes: requests hold slots for the full window
-	})
+	s, hs := newTestServer(t, Options{TenantInflight: 1})
 	ctx := newClient(t, 11)
 	fp := onboard(t, hs.URL, ctx, false)
 	ct, err := ctx.EncryptValue(3)
@@ -308,44 +306,78 @@ func TestServeQuota429(t *testing.T) {
 	}
 	blob, _ := ct.MarshalBinary()
 	pair := append(append([]byte{}, blob...), blob...)
+	url := hs.URL + "/v1/eval/add?keyset=" + fp
+
+	// Admitted with one operand of two uploaded, the held request keeps
+	// the slot until the rest of its body arrives.
+	body, upload := io.Pipe()
+	defer upload.Close() // a failing test must not leave the handler waiting for the body
+	held := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Post(url, "application/octet-stream", body)
+		if err != nil {
+			t.Error(err)
+		}
+		held <- resp
+	}()
+	if _, err := upload.Write(blob); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the held request admitted", func() bool { return s.Stats().Inflight == 1 })
 
 	const burst = 4
-	codes := make(chan int, burst)
+	codes := make(chan string, burst)
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp := evalReq(t, hs.URL, "add", fp, "", pair)
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			codes <- resp.StatusCode
+			resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(pair))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var e struct {
+				Code string `json:"code"`
+			}
+			json.NewDecoder(resp.Body).Decode(&e)
+			codes <- fmt.Sprintf("%d %s", resp.StatusCode, e.Code)
 		}()
-		time.Sleep(10 * time.Millisecond) // stagger inside the window
 	}
 	wg.Wait()
 	close(codes)
-	var ok200, got429 int
 	for c := range codes {
-		switch c {
-		case http.StatusOK:
-			ok200++
-		case http.StatusTooManyRequests:
-			got429++
-		default:
-			t.Fatalf("unexpected status %d in burst", c)
+		if c != "429 tenant_busy" {
+			t.Errorf("burst request behind a held slot: %s, want 429 tenant_busy", c)
 		}
 	}
-	if ok200 == 0 || got429 == 0 {
-		t.Fatalf("burst saw %d OKs and %d 429s; want both backpressure and progress", ok200, got429)
+
+	if _, err := upload.Write(blob); err != nil {
+		t.Fatal(err)
 	}
-	// Quota slots released: a sequential request succeeds.
-	resp := evalReq(t, hs.URL, "add", fp, "", pair)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("request after burst: HTTP %d", resp.StatusCode)
+	upload.Close()
+	wantSix := func(what string, resp *http.Response) {
+		t.Helper()
+		if resp == nil {
+			t.FailNow() // the held POST already reported its error
+		}
+		payload, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d (%v): %s", what, resp.StatusCode, err, payload)
+		}
+		out, err := ctx.UnmarshalCiphertext(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := ctx.DecryptValue(out); err != nil || v != 6 {
+			t.Fatalf("%s: decrypted %d (%v), want 6", what, v, err)
+		}
 	}
+	wantSix("held request", <-held)
+	// Quota slot released: a sequential request succeeds.
+	wantSix("request after the burst", evalReq(t, hs.URL, "add", fp, "", pair))
 }
 
 // TestCacheEvictionCloses pins the cache lifecycle: LRU eviction under
@@ -463,54 +495,145 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestCoalescerBatching pins the batching semantics: concurrent
-// same-kind submissions on one context land in one flush, and every
-// waiter gets its own slot's result.
-func TestCoalescerBatching(t *testing.T) {
-	ctx := newClient(t, 44)
-	co := NewCoalescer(100*time.Millisecond, 64)
-	const k = 4
-	cts := make([]*hebfv.Ciphertext, k)
+// encryptValues encrypts 10, 11, … under ctx, one ciphertext each.
+func encryptValues(t *testing.T, ctx *hebfv.Context, n int) []*hebfv.Ciphertext {
+	t.Helper()
+	cts := make([]*hebfv.Ciphertext, n)
 	for i := range cts {
 		var err error
 		if cts[i], err = ctx.EncryptValue(uint64(10 + i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	one, err := ctx.EncryptValue(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make([]uint64, k)
+	return cts
+}
+
+// addOnes submits cts[i] + one for every i in [lo, hi), each on its own
+// goroutine, and records the decrypted sum in results[i]. Wait on the
+// returned group.
+func addOnes(t *testing.T, co *Coalescer, ctx *hebfv.Context, cts []*hebfv.Ciphertext, one *hebfv.Ciphertext, results []uint64, lo, hi int) *sync.WaitGroup {
 	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
+	for i := lo; i < hi; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			out, err := co.Add(ctx, cts[i], one)
+			if err == nil {
+				results[i], err = ctx.DecryptValue(out)
+			}
 			if err != nil {
 				t.Error(err)
-				return
 			}
-			v, err := ctx.DecryptValue(out)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = v
 		}(i)
 	}
-	wg.Wait()
+	return &wg
+}
+
+// wantSlots fails unless every waiter got its own operand plus one.
+func wantSlots(t *testing.T, results []uint64) {
+	t.Helper()
 	for i, v := range results {
 		if v != uint64(11+i) {
 			t.Errorf("waiter %d got %d, want %d (slot mix-up?)", i, v, 11+i)
 		}
 	}
-	st := co.Stats()
-	if st.Ops != k {
-		t.Fatalf("stats count %d ops, want %d", st.Ops, k)
+}
+
+// TestCoalescerBatching pins the batching semantics under free-running
+// concurrency: however the submissions interleave with the running
+// batches, every waiter gets its own slot's result, every op is counted
+// once and no batch exceeds the cap.
+func TestCoalescerBatching(t *testing.T) {
+	ctx := newClient(t, 44)
+	const k, maxBatch = 16, 4
+	co := NewCoalescer(maxBatch)
+	cts := encryptValues(t, ctx, k)
+	one, err := ctx.EncryptValue(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Batches >= k {
-		t.Fatalf("%d batches for %d concurrent ops: nothing coalesced", st.Batches, k)
+	results := make([]uint64, k)
+	addOnes(t, co, ctx, cts, one, results, 0, k).Wait()
+	wantSlots(t, results)
+	st := co.Stats()
+	if st.Ops != k || st.Batches < k/maxBatch || st.Batches > k || st.MaxBatch > maxBatch {
+		t.Fatalf("stats %+v for %d ops capped at %d a batch", st, k, maxBatch)
+	}
+}
+
+// TestCoalescerLoneRequestDoesNotWait: a request with no batch running
+// ahead of it runs at once — sequential adds through the default
+// server's coalescer cost their evaluation and nothing more.
+func TestCoalescerLoneRequestDoesNotWait(t *testing.T) {
+	co := NewServer(Options{}).Coalescer()
+	ctx := newClient(t, 45)
+	a, err := ctx.EncryptValue(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if _, err := co.Add(ctx, a, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(start); took >= 20*time.Millisecond {
+		t.Fatalf("%d sequential toy adds took %v; a lone request must not wait", n, took)
+	}
+	if st := co.Stats(); st.Ops != n || st.Batches != n {
+		t.Fatalf("stats %+v; want %d batches of one", st, n)
+	}
+}
+
+// TestCoalescerBatchesUnderContention pins natural batching: ops that
+// arrive while their group's batch runs queue, and run as the next
+// batch — exactly one, or batches of at most MaxBatch — as soon as it
+// finishes, each waiter reading its own slot. The first batch is held
+// open through the eval hook, so the schedule is deterministic.
+func TestCoalescerBatchesUnderContention(t *testing.T) {
+	ctx := newClient(t, 46)
+	const queued = 15
+	cts := encryptValues(t, ctx, 1+queued)
+	one, err := ctx.EncryptValue(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		maxBatch int
+		sizes    []int
+	}{
+		{32, []int{1, 15}},
+		{4, []int{1, 4, 4, 4, 3}},
+	} {
+		co := NewCoalescer(tc.maxBatch)
+		entered, release := make(chan struct{}), make(chan struct{})
+		var sizes []int // one group's batches run one at a time
+		co.eval = func(bt *batch) {
+			sizes = append(sizes, len(bt.as))
+			if len(sizes) == 1 {
+				close(entered)
+				<-release
+			}
+			evaluate(bt)
+		}
+		results := make([]uint64, 1+queued)
+		first := addOnes(t, co, ctx, cts, one, results, 0, 1)
+		<-entered
+		others := addOnes(t, co, ctx, cts, one, results, 1, 1+queued)
+		// Ops counts a submission in the same critical section that
+		// queues it.
+		waitFor(t, "every op queued", func() bool { return co.Stats().Ops == 1+queued })
+		close(release)
+		first.Wait()
+		others.Wait()
+
+		wantSlots(t, results)
+		if fmt.Sprint(sizes) != fmt.Sprint(tc.sizes) {
+			t.Errorf("MaxBatch %d: batch sizes %v, want %v", tc.maxBatch, sizes, tc.sizes)
+		}
+		if st := co.Stats(); st.Batches != int64(len(tc.sizes)) || st.MaxBatch != tc.sizes[1] {
+			t.Errorf("MaxBatch %d: stats %+v", tc.maxBatch, st)
+		}
 	}
 }
