@@ -20,7 +20,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/bfv"
 	"repro/internal/hepim"
-	"repro/internal/hestats"
 	"repro/internal/perfmodel"
 	"repro/internal/pim"
 	"repro/internal/pim/kernels"
@@ -168,7 +167,7 @@ func statsBench(b *testing.B, f func(perfmodel.Model, perfmodel.StatsSpec) float
 	enc := bfv.NewEncryptor(params, pk, src)
 	cfg := pim.DefaultConfig()
 	cfg.NumDPUs = 4
-	srv, err := hepim.NewServer(cfg, params, rlk)
+	srv, err := hepim.NewServerWithTopology(cfg, params, rlk, pimsched.FitTopology(cfg.NumDPUs), true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func statsBench(b *testing.B, f func(perfmodel.Model, perfmodel.StatsSpec) float
 	_ = sk
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hestats.Mean(srv, cts); err != nil {
+		if _, err := srv.Sum(cts); err != nil {
 			b.Fatal(err)
 		}
 	}

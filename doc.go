@@ -55,7 +55,9 @@
 //
 // Everything under internal/ is private by policy as well as by Go
 // visibility; new consumers go through the facade, adding what it lacks
-// rather than reaching around it.
+// rather than reaching around it. Every exported function and method
+// there has a caller in non-test code, and surface_test.go fails on one
+// that does not: a helper only tests use lives in those tests.
 //
 // # Invariants
 //

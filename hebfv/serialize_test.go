@@ -30,7 +30,7 @@ func TestSerializeCiphertextAgainstInternal(t *testing.T) {
 	// The payload after the facade header is exactly the internal
 	// ciphertext record: internal/bfv must parse it…
 	payload := blob[headerLen:]
-	internal, err := bfv.ReadCiphertext(bytes.NewReader(payload), ctx.params)
+	internal, err := bfv.ReadCiphertextBacked(bytes.NewReader(payload), ctx.params, nil)
 	if err != nil {
 		t.Fatalf("internal reader rejects facade payload: %v", err)
 	}

@@ -1,11 +1,13 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§4): the Fig. 1 microbenchmarks, the Fig. 2 statistical
 // workloads, the §4.2 bit-width sweep, the tasklet-saturation observation,
-// and the design ablations called out in DESIGN.md. Paper-scale execution
-// times come from the perfmodel layer (the PIM side anchored in the
-// cycle-level simulator); rendering produces the same rows/series the
-// paper reports, annotated with the PIM-over-CPU speedups the figures
-// carry.
+// and three ablations: the multiplication design choices (Karatsuba vs
+// schoolbook limbs, a native 32-bit multiplier, the deferred NTT kernel),
+// kernel-only vs transfer-inclusive timing, and in-memory compute energy
+// vs host-link transfer energy. Paper-scale execution times come from
+// the perfmodel layer (the PIM side anchored in the cycle-level
+// simulator); rendering produces the same rows/series the paper reports,
+// annotated with the PIM-over-CPU speedups the figures carry.
 package bench
 
 import (
@@ -318,7 +320,7 @@ func (r Row) sortedExtra(seen map[string]bool) []string {
 	return extra
 }
 
-// Transfers is the data-movement ablation (DESIGN.md): kernel-only vs
+// Transfers is the data-movement ablation: kernel-only vs
 // transfer-inclusive timing of the Fig. 1(a) addition workload. It
 // quantifies the paper's §2 motivation — when operands must first cross
 // the host link, transfers dwarf compute on both accelerators, so PIM's

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/bfv"
 	"repro/internal/hepim"
-	"repro/internal/hestats"
 	"repro/internal/pim"
+	"repro/internal/pimsched"
 	"repro/internal/sampling"
 )
 
@@ -50,12 +50,12 @@ func (w Workload) Flat() []uint64 {
 }
 
 // verifyRig is the scaled-down functional environment shared by the
-// verifiers: toy-sized ring, real keys, a PIM server and a host engine.
+// verifiers: toy-sized ring, real keys, a PIM server and a host evaluator.
 type verifyRig struct {
 	params *bfv.Parameters
 	enc    *bfv.Encryptor
 	dec    *bfv.Decryptor
-	host   *hestats.HostEngine
+	host   *bfv.Evaluator
 	srv    *hepim.Server
 }
 
@@ -74,7 +74,7 @@ func newVerifyRig(dpus int, seed uint64) (*verifyRig, error) {
 	rlk := kg.GenRelinKey(sk)
 	cfg := pim.DefaultConfig()
 	cfg.NumDPUs = dpus
-	srv, err := hepim.NewServer(cfg, params, rlk)
+	srv, err := hepim.NewServerWithTopology(cfg, params, rlk, pimsched.FitTopology(dpus), true)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func newVerifyRig(dpus int, seed uint64) (*verifyRig, error) {
 		params: params,
 		enc:    bfv.NewEncryptor(params, pk, src),
 		dec:    bfv.NewDecryptor(params, sk),
-		host:   &hestats.HostEngine{Eval: bfv.NewEvaluator(params, rlk)},
+		host:   bfv.NewEvaluator(params, rlk),
 		srv:    srv,
 	}, nil
 }
@@ -122,14 +122,10 @@ func VerifyFig1aFunctional() error {
 		if err != nil {
 			return err
 		}
-		hostSum, err := rig.host.Add(a[i], b[i])
-		if err != nil {
-			return err
-		}
-		if !sum.Equal(hostSum) {
+		if !sum.Equal(rig.host.Add(a[i], b[i])) {
 			return fmt.Errorf("bench: fig1a PIM/host divergence at element %d", i)
 		}
-		if got := rig.dec.DecryptValue(sum); got != 2*vals[i] {
+		if got := rig.dec.Decrypt(sum).Coeffs[0]; got != 2*vals[i] {
 			return fmt.Errorf("bench: fig1a element %d decrypts to %d, want %d", i, got, 2*vals[i])
 		}
 	}
@@ -166,7 +162,7 @@ func VerifyFig1bFunctional() error {
 			return fmt.Errorf("bench: fig1b PIM/host divergence at element %d", i)
 		}
 		want := (vals[i] * vals[i]) % rig.params.T
-		if got := rig.dec.DecryptValue(prod); got != want {
+		if got := rig.dec.Decrypt(prod).Coeffs[0]; got != want {
 			return fmt.Errorf("bench: fig1b element %d decrypts to %d, want %d", i, got, want)
 		}
 	}
@@ -187,8 +183,8 @@ func VerifyFig2Functional() error {
 		return err
 	}
 
-	// Mean.
-	m, err := hestats.Mean(rig.srv, cts)
+	// Mean: the encrypted sum; the client divides.
+	sumCt, err := rig.srv.Sum(cts)
 	if err != nil {
 		return err
 	}
@@ -196,12 +192,18 @@ func VerifyFig2Functional() error {
 	for _, v := range vals {
 		sum += v
 	}
-	if got := rig.dec.DecryptValue(m.Sum); got != sum%rig.params.T {
+	if got := rig.dec.Decrypt(sumCt).Coeffs[0]; got != sum%rig.params.T {
 		return fmt.Errorf("bench: fig2a sum = %d, want %d", got, sum)
 	}
 
-	// Variance moments.
-	v, err := hestats.Variance(rig.srv, cts)
+	// Variance moments: the encrypted sum of squares.
+	squares := make([]*bfv.Ciphertext, len(cts))
+	for i, ct := range cts {
+		if squares[i], err = rig.srv.Mul(ct, ct); err != nil {
+			return err
+		}
+	}
+	sumSqCt, err := rig.srv.Sum(squares)
 	if err != nil {
 		return err
 	}
@@ -209,26 +211,31 @@ func VerifyFig2Functional() error {
 	for _, x := range vals {
 		sumSq += x * x
 	}
-	if got := rig.dec.DecryptValue(v.SumSquares); got != sumSq%rig.params.T {
+	if got := rig.dec.Decrypt(sumSqCt).Coeffs[0]; got != sumSq%rig.params.T {
 		return fmt.Errorf("bench: fig2b sum of squares = %d, want %d", got, sumSq)
 	}
 
-	// Linear regression (3 features).
+	// Linear regression (3 features): Σ_j w_j·x_j.
 	weights, err := rig.encryptAll([]uint64{2, 3, 1})
 	if err != nil {
 		return err
 	}
-	model := &hestats.LinRegModel{Weights: weights}
 	sample, err := rig.encryptAll([]uint64{4, 5, 6})
 	if err != nil {
 		return err
 	}
-	preds, err := model.Predict(rig.srv, [][]*bfv.Ciphertext{sample})
+	terms := make([]*bfv.Ciphertext, len(sample))
+	for j, x := range sample {
+		if terms[j], err = rig.srv.Mul(weights[j], x); err != nil {
+			return err
+		}
+	}
+	pred, err := rig.srv.Sum(terms)
 	if err != nil {
 		return err
 	}
 	want := uint64(2*4 + 3*5 + 1*6)
-	if got := rig.dec.DecryptValue(preds[0]); got != want {
+	if got := rig.dec.Decrypt(pred).Coeffs[0]; got != want {
 		return fmt.Errorf("bench: fig2c prediction = %d, want %d", got, want)
 	}
 	return nil

@@ -40,9 +40,6 @@ func NewBatchEvaluatorFrom(ev *Evaluator) *BatchEvaluator {
 	return &BatchEvaluator{ev: ev}
 }
 
-// Evaluator returns the wrapped single-ciphertext evaluator.
-func (be *BatchEvaluator) Evaluator() *Evaluator { return be.ev }
-
 // forEach runs f over [0, n) — on the shared worker pool, or in slice
 // order when the wrapped evaluator meters (see NewBatchEvaluatorFrom) —
 // and returns the first error by index (deterministic even though

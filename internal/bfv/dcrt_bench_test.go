@@ -11,8 +11,12 @@ import (
 // it replaced, at the 54-bit modulus (the acceptance point of the
 // backend: ≥10× on EvalMul at n=4096) across two ring degrees.
 
+// paramsSec54AtDegree returns the 54-bit modulus at a custom power-of-two
+// ring degree — the axis the double-CRT perf-tracking benchmarks sweep.
+func paramsSec54AtDegree(n int) *Parameters { return mustParams(n, prime54, 16, 18) }
+
 func benchmarkEvalMul(b *testing.B, n int, schoolbook bool) {
-	params := ParamsSec54AtDegree(n)
+	params := paramsSec54AtDegree(n)
 	src := sampling.NewSourceFromUint64(uint64(n))
 	kg := NewKeyGenerator(params, src)
 	sk, pk := kg.GenKeyPair()
@@ -62,7 +66,7 @@ func BenchmarkEvalMulDCRT(b *testing.B) {
 // multiplications per iteration — the workload shape the NTT-resident
 // ciphertext cache and the RNS-native rescale exist for.
 func benchmarkEvalMulDepth(b *testing.B, n, depth int) {
-	params := ParamsSec54AtDegree(n)
+	params := paramsSec54AtDegree(n)
 	src := sampling.NewSourceFromUint64(uint64(n + depth))
 	kg := NewKeyGenerator(params, src)
 	sk, pk := kg.GenKeyPair()
@@ -110,7 +114,7 @@ func BenchmarkEvalMulDepth5(b *testing.B) { benchmarkDepth(b, 5) }
 // deferred handle and only the final result materializes — coefficients
 // are packed once per chain instead of once per level.
 func benchmarkMulChainDeferred(b *testing.B, n, depth int) {
-	params := ParamsSec54AtDegree(n)
+	params := paramsSec54AtDegree(n)
 	src := sampling.NewSourceFromUint64(uint64(n + depth))
 	kg := NewKeyGenerator(params, src)
 	sk, pk := kg.GenKeyPair()
@@ -160,7 +164,7 @@ func BenchmarkMulChainDeferred3(b *testing.B) { benchmarkMulChainDeferred(b, 409
 // domain Add fold, one final conversion pair).
 func BenchmarkMulManySum(b *testing.B) {
 	const pairs = 8
-	params := ParamsSec54AtDegree(4096)
+	params := paramsSec54AtDegree(4096)
 	src := sampling.NewSourceFromUint64(4096 + pairs)
 	kg := NewKeyGenerator(params, src)
 	sk, pk := kg.GenKeyPair()
@@ -182,7 +186,7 @@ func BenchmarkMulManySum(b *testing.B) {
 		aOps[i], bOps[i] = as[i], bs[i]
 	}
 	be := NewBatchEvaluator(params, rlk)
-	ev := be.Evaluator()
+	ev := be.ev
 	b.Run("path=materialized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			prods, err := be.MulMany(as, bs)
@@ -222,7 +226,7 @@ func BenchmarkMulManySum(b *testing.B) {
 func BenchmarkEncrypt(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			params := ParamsSec54AtDegree(n)
+			params := paramsSec54AtDegree(n)
 			src := sampling.NewSourceFromUint64(uint64(n))
 			kg := NewKeyGenerator(params, src)
 			_, pk := kg.GenKeyPair()
@@ -241,7 +245,7 @@ func BenchmarkEncrypt(b *testing.B) {
 // criterion is measured on: one ciphertext, k Galois keys.
 func rotationRig(b *testing.B, n, k int) (*Evaluator, *Ciphertext, []*GaloisKey) {
 	b.Helper()
-	params := ParamsSec54AtDegree(n)
+	params := paramsSec54AtDegree(n)
 	src := sampling.NewSourceFromUint64(uint64(n + k))
 	kg := NewKeyGenerator(params, src)
 	sk, pk := kg.GenKeyPair()
@@ -365,7 +369,7 @@ func BenchmarkRotateSumHoisted(b *testing.B) {
 // BenchmarkDecrypt tracks the RNS-native decryption (the path=rns name
 // is what .github/bench-baseline.txt tracks).
 func BenchmarkDecrypt(b *testing.B) {
-	params := ParamsSec54AtDegree(4096)
+	params := paramsSec54AtDegree(4096)
 	src := sampling.NewSourceFromUint64(99)
 	kg := NewKeyGenerator(params, src)
 	sk, pk := kg.GenKeyPair()

@@ -73,7 +73,7 @@ func runDifferential(t *testing.T, params *Parameters, seed uint64) {
 	}
 
 	r.mustEqual(t, "Add", r.fast.Add(ct0, ct1), r.oracle.Add(ct0, ct1))
-	r.mustEqual(t, "Sub", r.fast.Sub(ct0, ct1), r.oracle.Sub(ct0, ct1))
+	r.mustEqual(t, "Neg", r.fast.Neg(ct1), r.oracle.Neg(ct1))
 
 	pt := NewPlaintext(params)
 	pt.Coeffs[0] = 5

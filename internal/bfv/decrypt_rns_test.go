@@ -90,7 +90,7 @@ func TestDecryptRNSDegree3Fallback(t *testing.T) {
 	if _, ok := c.dec.decryptRNS(d3); ok {
 		t.Fatal("degree-3 ciphertext accepted by the RNS-native window")
 	}
-	if got := c.dec.DecryptValue(d3); got != 2 {
+	if got := c.dec.Decrypt(d3).Coeffs[0]; got != 2 {
 		t.Fatalf("degree-3 fallback decrypted to %d, want 2", got)
 	}
 }
@@ -118,7 +118,7 @@ func TestDecryptRNSParallel(t *testing.T) {
 			wg.Add(1)
 			go func(i int, ct *Ciphertext) {
 				defer wg.Done()
-				if got := c.dec.DecryptValue(ct); got != want[i] {
+				if got := c.dec.Decrypt(ct).Coeffs[0]; got != want[i] {
 					errc <- "parallel RNS decrypt diverged"
 				}
 			}(i, ct)

@@ -94,14 +94,14 @@ func TestCiphertextSerializationRoundTrip(t *testing.T) {
 	if buf.Len() != wantSize {
 		t.Errorf("serialized size %d, want %d", buf.Len(), wantSize)
 	}
-	back, err := ReadCiphertext(&buf, c.params)
+	back, err := ReadCiphertextBacked(&buf, c.params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !back.Equal(ct) {
 		t.Error("ciphertext round trip differs")
 	}
-	if got := c.dec.DecryptValue(back); got != 9 {
+	if got := c.dec.Decrypt(back).Coeffs[0]; got != 9 {
 		t.Errorf("deserialized ciphertext decrypts to %d", got)
 	}
 }
@@ -123,7 +123,7 @@ func TestSecretKeySerializationRoundTrip(t *testing.T) {
 
 func TestSerializationRejectsGarbage(t *testing.T) {
 	params := ParamsToy()
-	if _, err := ReadCiphertext(bytes.NewReader([]byte("nope")), params); err == nil {
+	if _, err := ReadCiphertextBacked(bytes.NewReader([]byte("nope")), params, nil); err == nil {
 		t.Error("garbage accepted as ciphertext")
 	}
 	if _, err := ReadSecretKey(bytes.NewReader([]byte("BFVcxxxxxxxx")), params); err == nil {
@@ -135,13 +135,13 @@ func TestSerializationRejectsGarbage(t *testing.T) {
 	var buf bytes.Buffer
 	ct.Serialize(&buf)
 	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadCiphertext(bytes.NewReader(trunc), params); err == nil {
+	if _, err := ReadCiphertextBacked(bytes.NewReader(trunc), params, nil); err == nil {
 		t.Error("truncated ciphertext accepted")
 	}
 	// Shape mismatch: serialize under toy params, read under sec27.
 	buf.Reset()
 	ct.Serialize(&buf)
-	if _, err := ReadCiphertext(&buf, ParamsSec27()); err == nil {
+	if _, err := ReadCiphertextBacked(&buf, ParamsSec27(), nil); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 }

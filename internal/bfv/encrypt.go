@@ -191,11 +191,6 @@ func (d *Decryptor) decryptBig(ct *Ciphertext) *Plaintext {
 	return pt
 }
 
-// DecryptValue decrypts the constant coefficient (EncryptValue's inverse).
-func (d *Decryptor) DecryptValue(ct *Ciphertext) uint64 {
-	return d.Decrypt(ct).Coeffs[0]
-}
-
 // NoiseBudget returns the remaining noise budget of ct in bits:
 // log2(q / (2·|v − Δ·m|_∞)) with m the decrypted plaintext. A negative or
 // zero budget means decryption is no longer guaranteed.

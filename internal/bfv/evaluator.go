@@ -97,11 +97,6 @@ func (ev *Evaluator) Add(ct0, ct1 *Ciphertext) *Ciphertext {
 	return out
 }
 
-// Sub returns ct0 - ct1.
-func (ev *Evaluator) Sub(ct0, ct1 *Ciphertext) *Ciphertext {
-	return ev.Add(ct0, ev.Neg(ct1))
-}
-
 // Neg returns -ct.
 func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 	par := ev.params
@@ -329,12 +324,6 @@ func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 		return nil, err
 	}
 	return ev.Relinearize(d2)
-}
-
-// Square returns the relinearized square of a ciphertext — the operation
-// the paper's variance workload is built on.
-func (ev *Evaluator) Square(ct *Ciphertext) (*Ciphertext, error) {
-	return ev.Mul(ct, ct)
 }
 
 // ScaleRoundCoeffs maps integer coefficients c to ⌊t·c/q⌉ mod q — the

@@ -168,21 +168,3 @@ func permuteDigits(digits []*poly.Poly, g uint64, par *Parameters, m limb32.Mete
 func PermuteGaloisPoly(p *poly.Poly, g uint64, params *Parameters) *poly.Poly {
 	return applyGaloisPoly(p, g, params.Q, nil)
 }
-
-// GaloisPlaintext applies τ_g to a plaintext — the reference the
-// homomorphic version must match after decryption.
-func GaloisPlaintext(params *Parameters, pt *Plaintext, g uint64) *Plaintext {
-	n := params.N
-	out := NewPlaintext(params)
-	t := params.T
-	for i := 0; i < n; i++ {
-		v := pt.Coeffs[i] % t
-		j := int((uint64(i) * g) % uint64(2*n))
-		if j < n {
-			out.Coeffs[j] = (out.Coeffs[j] + v) % t
-		} else {
-			out.Coeffs[j-n] = (out.Coeffs[j-n] + t - v) % t
-		}
-	}
-	return out
-}

@@ -157,7 +157,7 @@ func TestHoistedStaleCacheInvalidation(t *testing.T) {
 	// A pristine ciphertext with the same polynomials is the reference.
 	pristine := &Ciphertext{Polys: []*poly.Poly{ctA.Polys[0], ctA.Polys[1]}}
 
-	if got, want := c.dec.DecryptValue(ctA), c.dec.DecryptValue(pristine); got != want {
+	if got, want := c.dec.Decrypt(ctA).Coeffs[0], c.dec.Decrypt(pristine).Coeffs[0]; got != want {
 		t.Fatalf("Decrypt served stale NTT forms: got %d want %d", got, want)
 	}
 	gotMul, err := c.eval.Mul(ctA, ctA)
@@ -211,7 +211,7 @@ func TestHoistedCloneIndependence(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatal("mutating a clone changed the original's rotation")
 	}
-	if c.dec.DecryptValue(ct) != 5 {
+	if c.dec.Decrypt(ct).Coeffs[0] != 5 {
 		t.Fatal("mutating a clone changed the original's decryption")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // encryptions, the deferring evaluator and the schoolbook oracle.
 func mulNTTRig(t *testing.T, n int, seed uint64) (*Evaluator, *Evaluator, *Decryptor, *Ciphertext, *Ciphertext) {
 	t.Helper()
-	params := ParamsSec54AtDegree(n)
+	params := paramsSec54AtDegree(n)
 	src := sampling.NewSourceFromUint64(seed)
 	kg := NewKeyGenerator(params, src)
 	sk, pk := kg.GenKeyPair()
@@ -94,7 +94,7 @@ func TestMulNTTChain(t *testing.T) {
 	}
 	gotSq := sq.Materialize()
 	sq.Release()
-	wantSq, err := ev.Square(ct0)
+	wantSq, err := ev.Mul(ct0, ct0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestMulNTTChain(t *testing.T) {
 	}
 	gotSqD := sqd.Materialize()
 	sqd.Release()
-	wantSqD, err := ev.Square(ph.Materialize())
+	wantSqD, err := ev.Mul(ph.Materialize(), ph.Materialize())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestMulNTTFallback(t *testing.T) {
 // TestMulManyNTTSum: the batched deferred products and their RNS-domain
 // fold decrypt to the same dot product the materialized pipeline yields.
 func TestMulManyNTTSum(t *testing.T) {
-	params := ParamsSec54AtDegree(64)
+	params := paramsSec54AtDegree(64)
 	src := sampling.NewSourceFromUint64(35)
 	kg := NewKeyGenerator(params, src)
 	sk, pk := kg.GenKeyPair()
@@ -225,7 +225,7 @@ func TestMulManyNTTSum(t *testing.T) {
 	}
 	ref := want[0]
 	for _, ct := range want[1:] {
-		ref = be.Evaluator().Add(ref, ct)
+		ref = be.ev.Add(ref, ct)
 	}
 	if !got.Equal(ref) {
 		t.Fatal("deferred dot product ≠ materialized")

@@ -110,10 +110,6 @@ func ParamsSec54() *Parameters { return mustParams(2048, prime54, 16, 18) }
 // per coefficient. Supports multiplication with comfortable noise margin.
 func ParamsSec109() *Parameters { return mustParams(4096, prime109, 16, 28) }
 
-// ParamsSec54AtDegree returns the 54-bit modulus at a custom power-of-two
-// ring degree — the axis the double-CRT perf-tracking benchmarks sweep.
-func ParamsSec54AtDegree(n int) *Parameters { return mustParams(n, prime54, 16, 18) }
-
 // ParamsToy is a deliberately small instance (N=64, 60-bit q) for fast
 // functional tests. It offers no security.
 func ParamsToy() *Parameters { return mustParams(64, "1152921504606846883", 16, 20) }
@@ -125,31 +121,6 @@ func ParamsBatching() *Parameters { return mustParams(4096, prime109, 65537, 28)
 // RelinDigits returns the number of base-2^RelinBaseBits digits used to
 // decompose a ciphertext polynomial during relinearization.
 func (p *Parameters) RelinDigits() int { return p.relinDigits }
-
-// CiphertextBytes returns the size of a fresh (degree-1) ciphertext in
-// bytes: 2 polynomials × N coefficients × W limbs × 4 bytes. This is the
-// "ciphertext length" that drives the paper's data-movement argument.
-func (p *Parameters) CiphertextBytes() int { return 2 * p.N * p.Q.W * 4 }
-
-// PlaintextBytes returns the nominal size of the plain data a ciphertext
-// carries under constant-coefficient encoding (one T-ary value).
-func (p *Parameters) PlaintextBytes() int {
-	bits := 0
-	for v := p.T - 1; v > 0; v >>= 8 {
-		bits += 8
-	}
-	if bits == 0 {
-		bits = 8
-	}
-	return bits / 8
-}
-
-// Equal reports whether two parameter sets are interoperable.
-func (p *Parameters) Equal(o *Parameters) bool {
-	return p.N == o.N && p.T == o.T &&
-		p.Q.QBig.Cmp(o.Q.QBig) == 0 &&
-		p.RelinBaseBits == o.RelinBaseBits
-}
 
 // String summarizes the parameter set.
 func (p *Parameters) String() string {

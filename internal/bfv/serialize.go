@@ -136,13 +136,9 @@ func (ct *Ciphertext) Serialize(w io.Writer) error {
 	return nil
 }
 
-// ReadCiphertext deserializes a ciphertext and validates it against params.
-func ReadCiphertext(r io.Reader, params *Parameters) (*Ciphertext, error) {
-	return ReadCiphertextBacked(r, params, nil)
-}
-
-// ReadCiphertextBacked deserializes like ReadCiphertext but draws the
-// coefficient backings from alloc (pass nil for ordinary allocation).
+// ReadCiphertextBacked deserializes a ciphertext, validates it against
+// params and draws the coefficient backings from alloc (pass nil for
+// ordinary allocation).
 // On any decode error every backing already acquired is returned to
 // alloc, so a rejected blob leaves the allocator balanced.
 func ReadCiphertextBacked(r io.Reader, params *Parameters, alloc BackingAllocator) (*Ciphertext, error) {

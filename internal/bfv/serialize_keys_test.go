@@ -24,7 +24,7 @@ func TestPublicKeySerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.dec.DecryptValue(ct); got != 6 {
+	if got := c.dec.Decrypt(ct).Coeffs[0]; got != 6 {
 		t.Errorf("ciphertext from deserialized pk decrypts to %d", got)
 	}
 }
@@ -56,7 +56,7 @@ func TestRelinKeySerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.dec.DecryptValue(prod); got != 12 {
+	if got := c.dec.Decrypt(prod).Coeffs[0]; got != 12 {
 		t.Errorf("mul with deserialized rlk = %d", got)
 	}
 }

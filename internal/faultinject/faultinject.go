@@ -65,15 +65,6 @@ func (in *Injector) SetRate(site string, p float64) *Injector {
 	return in
 }
 
-// Rate returns the armed probability of a site (0 when unarmed or when
-// the injector is nil).
-func (in *Injector) Rate(site string) float64 {
-	if in == nil {
-		return 0
-	}
-	return in.rates[site]
-}
-
 // Hit reports whether the fault at (site, key) fires. The decision is a
 // pure function of the injector's seed, the site name, and the key, so
 // it is independent of call order and safe to consult from any

@@ -11,9 +11,6 @@ func TestNilInjectorNeverFires(t *testing.T) {
 	if in.Hit("any.site", 7) {
 		t.Fatal("nil injector fired")
 	}
-	if in.Rate("any.site") != 0 {
-		t.Fatal("nil injector has a rate")
-	}
 	if len(in.Stats()) != 0 {
 		t.Fatal("nil injector has stats")
 	}
@@ -97,8 +94,8 @@ func TestRateIsApproximatelyHonored(t *testing.T) {
 
 func TestRateClamping(t *testing.T) {
 	in := New(1).SetRate("lo", -2).SetRate("hi", 3)
-	if in.Rate("lo") != 0 || in.Rate("hi") != 1 {
-		t.Fatalf("clamping failed: lo=%g hi=%g", in.Rate("lo"), in.Rate("hi"))
+	if in.rates["lo"] != 0 || in.rates["hi"] != 1 {
+		t.Fatalf("clamping failed: lo=%g hi=%g", in.rates["lo"], in.rates["hi"])
 	}
 }
 

@@ -35,16 +35,10 @@ func TestServerApplyGaloisMatchesHostBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Bit-identity with the host evaluator carries its plaintext check
+	// (bfv's TestApplyGaloisMatchesPlaintextAutomorphism) over to PIM.
 	if !got.Equal(want) {
 		t.Fatal("PIM ApplyGalois differs from host evaluator")
-	}
-	// And it decrypts to the permuted plaintext.
-	dec := f.dec.Decrypt(got)
-	ref := bfv.GaloisPlaintext(f.params, pt, 3)
-	for i := range ref.Coeffs {
-		if dec.Coeffs[i] != ref.Coeffs[i] {
-			t.Fatalf("coeff %d: %d != %d", i, dec.Coeffs[i], ref.Coeffs[i])
-		}
 	}
 }
 
@@ -78,7 +72,7 @@ func TestServerDeterministic(t *testing.T) {
 		rlk := kg.GenRelinKey(sk)
 		cfg := pim.DefaultConfig()
 		cfg.NumDPUs = 8
-		srv, err := NewServer(cfg, params, rlk)
+		srv, err := newServer(cfg, params, rlk)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,13 +44,6 @@ type Server struct {
 	runs  int             // how many runs total holds
 }
 
-// NewServer builds a PIM evaluation server over the largest whole-rank
-// topology fitting cfg.NumDPUs, with transfer/compute overlap enabled.
-// rlk may be nil when Mul is not used.
-func NewServer(cfg pim.SystemConfig, params *bfv.Parameters, rlk *bfv.RelinKey) (*Server, error) {
-	return NewServerWithTopology(cfg, params, rlk, pimsched.FitTopology(cfg.NumDPUs), true)
-}
-
 // NewServerWithTopology builds a PIM evaluation server scheduling over
 // an explicit rank×DPU topology. The topology must fit within
 // cfg.NumDPUs; overlap selects whether the modeled makespan pipelines
@@ -148,16 +141,6 @@ func (s *Server) Neg(ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 		out.Polys[i] = np
 	}
 	return out, nil
-}
-
-// Sub returns ct0 − ct1 computed on the PIM system: the host negates ct1
-// (data recoding) and the addition kernel does the arithmetic.
-func (s *Server) Sub(ct0, ct1 *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	neg, err := s.Neg(ct1)
-	if err != nil {
-		return nil, err
-	}
-	return s.Add(ct0, neg)
 }
 
 // AddPlain returns ct + Δ·m with the addition on the PIM system.
@@ -310,11 +293,6 @@ func (s *Server) keySwitch(digits, k0, k1 []*poly.Poly, acc0, acc1 [][]uint32) (
 		out.Polys[c] = poly.NewPolyBacked(n, w, flat)
 	}
 	return out, nil
-}
-
-// Square is Mul(ct, ct) — the variance workload's inner operation.
-func (s *Server) Square(ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	return s.Mul(ct, ct)
 }
 
 // ApplyGalois applies the automorphism X→X^g to a degree-1 ciphertext

@@ -18,6 +18,12 @@ type fixture struct {
 	srv    *Server
 }
 
+// newServer builds a server over the largest whole-rank topology that
+// fits cfg.NumDPUs, with transfer/compute overlap on.
+func newServer(cfg pim.SystemConfig, params *bfv.Parameters, rlk *bfv.RelinKey) (*Server, error) {
+	return NewServerWithTopology(cfg, params, rlk, pimsched.FitTopology(cfg.NumDPUs), true)
+}
+
 func newFixture(t *testing.T, seed uint64) *fixture {
 	t.Helper()
 	params := bfv.ParamsToy()
@@ -28,7 +34,7 @@ func newFixture(t *testing.T, seed uint64) *fixture {
 
 	cfg := pim.DefaultConfig()
 	cfg.NumDPUs = 8
-	srv, err := NewServer(cfg, params, rlk)
+	srv, err := newServer(cfg, params, rlk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +60,7 @@ func TestServerAddMatchesHostBitExact(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatal("PIM Add differs from host evaluator")
 	}
-	if v := f.dec.DecryptValue(got); v != 12 {
+	if v := f.dec.Decrypt(got).Coeffs[0]; v != 12 {
 		t.Errorf("decrypt(PIM add) = %d", v)
 	}
 	if f.srv.Runs() == 0 || f.srv.Breakdown().KernelSeconds <= 0 {
@@ -83,7 +89,7 @@ func TestServerSumMatchesHost(t *testing.T) {
 	if !got.Equal(ref) {
 		t.Fatal("PIM Sum differs from host fold")
 	}
-	if v := f.dec.DecryptValue(got); v != want%f.params.T {
+	if v := f.dec.Decrypt(got).Coeffs[0]; v != want%f.params.T {
 		t.Errorf("decrypt(PIM sum) = %d, want %d", v, want%f.params.T)
 	}
 }
@@ -110,7 +116,7 @@ func TestServerMulMatchesHostBitExact(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatal("PIM Mul differs from host evaluator (not bit-exact)")
 	}
-	if v := f.dec.DecryptValue(got); v != 15 {
+	if v := f.dec.Decrypt(got).Coeffs[0]; v != 15 {
 		t.Errorf("decrypt(PIM mul) = %d, want 15", v)
 	}
 }
@@ -118,11 +124,11 @@ func TestServerMulMatchesHostBitExact(t *testing.T) {
 func TestServerSquareForVariance(t *testing.T) {
 	f := newFixture(t, 5)
 	ct, _ := f.enc.EncryptValue(3)
-	sq, err := f.srv.Square(ct)
+	sq, err := f.srv.Mul(ct, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := f.dec.DecryptValue(sq); v != 9 {
+	if v := f.dec.Decrypt(sq).Coeffs[0]; v != 9 {
 		t.Errorf("decrypt(PIM square) = %d, want 9", v)
 	}
 }
@@ -146,7 +152,7 @@ func TestServerMulThenAddPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := f.dec.DecryptValue(sum); v != 14 {
+	if v := f.dec.Decrypt(sum).Coeffs[0]; v != 14 {
 		t.Errorf("pipeline result = %d, want 14", v)
 	}
 }
@@ -159,7 +165,7 @@ func TestServerMulRequiresRelinKey(t *testing.T) {
 	_ = sk
 	cfg := pim.DefaultConfig()
 	cfg.NumDPUs = 2
-	srv, err := NewServer(cfg, params, nil)
+	srv, err := newServer(cfg, params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/bfv"
-	"repro/internal/hestats"
 	"repro/internal/pim"
 	"repro/internal/sampling"
 )
@@ -27,7 +26,7 @@ func TestSec109AdditionPipelineRealParams(t *testing.T) {
 
 	cfg := pim.DefaultConfig()
 	cfg.NumDPUs = 32
-	srv, err := NewServer(cfg, params, nil)
+	srv, err := newServer(cfg, params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +42,14 @@ func TestSec109AdditionPipelineRealParams(t *testing.T) {
 		cts = append(cts, ct)
 		want += v
 	}
-	m, err := hestats.Mean(srv, cts)
+	sum, err := srv.Sum(cts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dec.DecryptValue(m.Sum); got != want%params.T {
+	if got := dec.Decrypt(sum).Coeffs[0]; got != want%params.T {
 		t.Errorf("sec109 PIM sum = %d, want %d", got, want%params.T)
 	}
-	if b := dec.NoiseBudget(m.Sum); b <= 0 {
+	if b := dec.NoiseBudget(sum); b <= 0 {
 		t.Errorf("sec109 budget exhausted: %d", b)
 	}
 	// The kernel report must reflect the real 128-bit workload.

@@ -10,15 +10,19 @@ func TestServerSubMatchesHost(t *testing.T) {
 	f := newFixture(t, 30)
 	ct1, _ := f.enc.EncryptValue(9)
 	ct2, _ := f.enc.EncryptValue(3)
-	got, err := f.srv.Sub(ct1, ct2)
+	neg, err := f.srv.Neg(ct2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := f.eval.Sub(ct1, ct2)
+	got, err := f.srv.Add(ct1, neg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := f.eval.Add(ct1, f.eval.Neg(ct2))
 	if !got.Equal(want) {
 		t.Fatal("PIM Sub differs from host evaluator")
 	}
-	if v := f.dec.DecryptValue(got); v != 6 {
+	if v := f.dec.Decrypt(got).Coeffs[0]; v != 6 {
 		t.Errorf("9 - 3 = %d", v)
 	}
 }
@@ -34,7 +38,7 @@ func TestServerNegMatchesHost(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatal("PIM Neg differs from host evaluator")
 	}
-	if v := f.dec.DecryptValue(got); v != f.params.T-3 {
+	if v := f.dec.Decrypt(got).Coeffs[0]; v != f.params.T-3 {
 		t.Errorf("-3 mod t = %d", v)
 	}
 }
@@ -52,7 +56,7 @@ func TestServerAddPlainMatchesHost(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatal("PIM AddPlain differs from host evaluator")
 	}
-	if v := f.dec.DecryptValue(got); v != 9 {
+	if v := f.dec.Decrypt(got).Coeffs[0]; v != 9 {
 		t.Errorf("5 + plain 4 = %d", v)
 	}
 }

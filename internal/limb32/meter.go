@@ -75,15 +75,6 @@ func (c *Counts) Tick(op Op, n int) {
 	}
 }
 
-// Total returns the total dynamic instruction count across all classes.
-func (c *Counts) Total() int64 {
-	var t int64
-	for _, v := range c {
-		t += v
-	}
-	return t
-}
-
 // Add accumulates another tally into c.
 func (c *Counts) Add(d *Counts) {
 	for i := range c {

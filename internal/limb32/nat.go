@@ -19,28 +19,6 @@ func NewNat(width int) Nat {
 	return make(Nat, width)
 }
 
-// FromUint64 returns a width-limb Nat holding v. It panics if v does not
-// fit (width < 2 and v needs the high limb).
-func FromUint64(v uint64, width int) Nat {
-	n := NewNat(width)
-	n[0] = uint32(v)
-	if width >= 2 {
-		n[1] = uint32(v >> 32)
-	} else if v>>32 != 0 {
-		panic("limb32: uint64 value does not fit in one limb")
-	}
-	return n
-}
-
-// Uint64 returns the low 64 bits of n.
-func (n Nat) Uint64() uint64 {
-	v := uint64(n[0])
-	if len(n) >= 2 {
-		v |= uint64(n[1]) << 32
-	}
-	return v
-}
-
 // FromBig returns a width-limb Nat holding v, which must be non-negative
 // and fit in width limbs.
 func FromBig(v *big.Int, width int) Nat {
@@ -288,53 +266,4 @@ func NegMod(dst, a, q Nat, m Meter) {
 		return
 	}
 	Sub(dst, q, a, m)
-}
-
-// ShiftLeftLimbs sets dst = a << (32*k) within dst's width, zero filling.
-// dst and a may alias.
-func ShiftLeftLimbs(dst, a Nat, k int, m Meter) {
-	w := len(dst)
-	for i := w - 1; i >= 0; i-- {
-		var v uint32
-		if i-k >= 0 && i-k < len(a) {
-			v = a[i-k]
-		}
-		dst[i] = v
-	}
-	m.Tick(OpMove, w)
-}
-
-// ShiftRightLimbs sets dst = a >> (32*k) within dst's width, zero filling.
-func ShiftRightLimbs(dst, a Nat, k int, m Meter) {
-	w := len(dst)
-	for i := 0; i < w; i++ {
-		var v uint32
-		if i+k < len(a) {
-			v = a[i+k]
-		}
-		dst[i] = v
-	}
-	m.Tick(OpMove, w)
-}
-
-// ShiftRightBits sets dst = a >> s for 0 <= s < 32, within dst's width.
-func ShiftRightBits(dst, a Nat, s uint, m Meter) {
-	w := len(dst)
-	if len(a) != w {
-		panic("limb32: ShiftRightBits width mismatch")
-	}
-	if s == 0 {
-		copy(dst, a)
-		m.Tick(OpMove, w)
-		return
-	}
-	for i := 0; i < w; i++ {
-		v := a[i] >> s
-		if i+1 < w {
-			v |= a[i+1] << (32 - s)
-		}
-		dst[i] = v
-	}
-	m.Tick(OpShift, 2*w)
-	m.Tick(OpLogic, w)
 }

@@ -15,25 +15,6 @@ func randNat(rng *rand.Rand, width int) Nat {
 	return n
 }
 
-func TestFromUint64RoundTrip(t *testing.T) {
-	cases := []uint64{0, 1, 0xffffffff, 0x100000000, 0xdeadbeefcafebabe, 1<<64 - 1}
-	for _, v := range cases {
-		n := FromUint64(v, 2)
-		if got := n.Uint64(); got != v {
-			t.Errorf("FromUint64(%#x) round trip = %#x", v, got)
-		}
-	}
-}
-
-func TestFromUint64PanicsWhenTooWide(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for 64-bit value in 1 limb")
-		}
-	}()
-	FromUint64(1<<40, 1)
-}
-
 func TestBigRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for w := 1; w <= 9; w++ {
@@ -53,9 +34,9 @@ func TestBitLen(t *testing.T) {
 		want int
 	}{
 		{NewNat(4), 0},
-		{FromUint64(1, 4), 1},
-		{FromUint64(0x80000000, 4), 32},
-		{FromUint64(1<<33, 4), 34},
+		{Nat{1, 0, 0, 0}, 1},
+		{Nat{0x80000000, 0, 0, 0}, 32},
+		{Nat{0, 2, 0, 0}, 34},
 		{Nat{0, 0, 0, 1}, 97},
 	}
 	for _, c := range cases {
@@ -174,39 +155,6 @@ func TestAddModSubModNegMod(t *testing.T) {
 	}
 }
 
-func TestShiftLimbs(t *testing.T) {
-	a := Nat{1, 2, 3, 4}
-	dst := NewNat(4)
-	ShiftLeftLimbs(dst, a, 1, nil)
-	if dst[0] != 0 || dst[1] != 1 || dst[2] != 2 || dst[3] != 3 {
-		t.Errorf("ShiftLeftLimbs = %v", dst)
-	}
-	ShiftRightLimbs(dst, a, 2, nil)
-	if dst[0] != 3 || dst[1] != 4 || dst[2] != 0 || dst[3] != 0 {
-		t.Errorf("ShiftRightLimbs = %v", dst)
-	}
-	// In-place shift must also work.
-	b := Nat{9, 8, 7, 6}
-	ShiftLeftLimbs(b, b, 1, nil)
-	if b[0] != 0 || b[1] != 9 || b[2] != 8 || b[3] != 7 {
-		t.Errorf("in-place ShiftLeftLimbs = %v", b)
-	}
-}
-
-func TestShiftRightBits(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 100; i++ {
-		a := randNat(rng, 4)
-		s := uint(rng.Intn(32))
-		dst := NewNat(4)
-		ShiftRightBits(dst, a, s, nil)
-		want := new(big.Int).Rsh(a.Big(), s)
-		if dst.Big().Cmp(want) != 0 {
-			t.Fatalf("ShiftRightBits(%v, %d) = %v, want %v", a, s, dst, want)
-		}
-	}
-}
-
 func TestCmp(t *testing.T) {
 	a := Nat{0, 1}
 	b := Nat{0xffffffff, 0}
@@ -217,7 +165,7 @@ func TestCmp(t *testing.T) {
 
 func TestMeterCharges(t *testing.T) {
 	var m Counts
-	a, b := FromUint64(1, 4), FromUint64(2, 4)
+	a, b := Nat{1, 0, 0, 0}, Nat{2, 0, 0, 0}
 	dst := NewNat(4)
 	Add(dst, a, b, &m)
 	if m[OpAdd] != 1 || m[OpAddC] != 3 {
@@ -226,11 +174,8 @@ func TestMeterCharges(t *testing.T) {
 	if m[OpLoad] != 8 || m[OpStore] != 4 {
 		t.Errorf("Add metering: load=%d store=%d, want 8/4", m[OpLoad], m[OpStore])
 	}
-	if m.Total() == 0 {
-		t.Error("Total should be non-zero")
-	}
 	m.Reset()
-	if m.Total() != 0 {
+	if m != (Counts{}) {
 		t.Error("Reset failed")
 	}
 }

@@ -26,9 +26,6 @@ func New(q uint64) *Ring {
 	return &Ring{Q: q, barrettHi: hi, barrettLo: lo}
 }
 
-// Reduce returns x mod q for x < 2^64.
-func (r *Ring) Reduce(x uint64) uint64 { return x % r.Q }
-
 // Add returns (a + b) mod q for a, b < q.
 func (r *Ring) Add(a, b uint64) uint64 {
 	s := a + b

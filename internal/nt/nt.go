@@ -1,14 +1,12 @@
 // Package nt provides the number-theoretic utilities the homomorphic
 // encryption stack is built on: deterministic Miller–Rabin primality for
 // 64-bit integers, generation of NTT-friendly primes (p ≡ 1 mod 2n),
-// primitive roots and 2n-th roots of unity, modular exponentiation and
-// inverses, and CRT recombination for the RNS representation used by the
-// SEAL-style baseline.
+// primitive roots and 2n-th roots of unity, and modular multiplication
+// and exponentiation.
 package nt
 
 import (
 	"errors"
-	"math/big"
 	"math/bits"
 )
 
@@ -79,20 +77,6 @@ func IsPrime(n uint64) bool {
 		}
 	}
 	return true
-}
-
-// InvMod returns the multiplicative inverse of a modulo m, or an error when
-// gcd(a, m) != 1.
-func InvMod(a, m uint64) (uint64, error) {
-	// Extended Euclid on signed 128-bit-safe arithmetic via big.Int is
-	// simplest and runs only at setup time.
-	ai := new(big.Int).SetUint64(a)
-	mi := new(big.Int).SetUint64(m)
-	inv := new(big.Int).ModInverse(ai, mi)
-	if inv == nil {
-		return 0, errors.New("nt: no modular inverse")
-	}
-	return inv.Uint64(), nil
 }
 
 // factorize returns the distinct prime factors of n (trial division plus
@@ -233,30 +217,4 @@ func RootOfUnity(p uint64, n int) (uint64, error) {
 		return 0, errors.New("nt: candidate root has wrong order")
 	}
 	return psi, nil
-}
-
-// CRT recombines residues modulo pairwise-coprime moduli into the unique
-// value modulo the product of the moduli, returned as a big.Int.
-func CRT(residues, moduli []uint64) (*big.Int, error) {
-	if len(residues) != len(moduli) || len(moduli) == 0 {
-		return nil, errors.New("nt: CRT length mismatch")
-	}
-	prod := big.NewInt(1)
-	for _, m := range moduli {
-		prod.Mul(prod, new(big.Int).SetUint64(m))
-	}
-	x := new(big.Int)
-	for i, m := range moduli {
-		mi := new(big.Int).SetUint64(m)
-		ni := new(big.Int).Div(prod, mi)
-		inv := new(big.Int).ModInverse(new(big.Int).Mod(ni, mi), mi)
-		if inv == nil {
-			return nil, errors.New("nt: CRT moduli not coprime")
-		}
-		term := new(big.Int).SetUint64(residues[i])
-		term.Mul(term, ni)
-		term.Mul(term, inv)
-		x.Add(x, term)
-	}
-	return x.Mod(x, prod), nil
 }

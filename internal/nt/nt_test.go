@@ -81,24 +81,6 @@ func TestPowModMatchesBig(t *testing.T) {
 	}
 }
 
-func TestInvMod(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	m := uint64(18014398509481951) // prime
-	for i := 0; i < 100; i++ {
-		a := rng.Uint64()%(m-1) + 1
-		inv, err := InvMod(a, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if MulMod(a, inv, m) != 1 {
-			t.Fatalf("a*inv != 1 for a=%d", a)
-		}
-	}
-	if _, err := InvMod(6, 9); err == nil {
-		t.Error("expected error for non-coprime inverse")
-	}
-}
-
 func TestPrimitiveRoot(t *testing.T) {
 	for _, p := range []uint64{3, 5, 7, 11, 13, 17, 65537, 134217689} {
 		g := PrimitiveRoot(p)
@@ -208,33 +190,5 @@ func TestRootOfUnity(t *testing.T) {
 	}
 	if _, err := RootOfUnity(13, 1024); err == nil {
 		t.Error("expected error when p-1 not divisible by 2n")
-	}
-}
-
-func TestCRT(t *testing.T) {
-	moduli := []uint64{1125899906842597, 1125899906842589} // two large primes
-	rng := rand.New(rand.NewSource(43))
-	prod := new(big.Int).Mul(
-		new(big.Int).SetUint64(moduli[0]),
-		new(big.Int).SetUint64(moduli[1]))
-	for i := 0; i < 50; i++ {
-		x := new(big.Int).Rand(rng, prod)
-		residues := []uint64{
-			new(big.Int).Mod(x, new(big.Int).SetUint64(moduli[0])).Uint64(),
-			new(big.Int).Mod(x, new(big.Int).SetUint64(moduli[1])).Uint64(),
-		}
-		got, err := CRT(residues, moduli)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(x) != 0 {
-			t.Fatalf("CRT = %v, want %v", got, x)
-		}
-	}
-	if _, err := CRT([]uint64{1}, []uint64{2, 3}); err == nil {
-		t.Error("expected length-mismatch error")
-	}
-	if _, err := CRT([]uint64{1, 2}, []uint64{4, 6}); err == nil {
-		t.Error("expected non-coprime error")
 	}
 }

@@ -14,7 +14,8 @@ import (
 // contexts run at, where the 4q and 128-bit headroom arguments are
 // tightest — with inputs pinned at the lazy-bound corner cases 0, q−1,
 // 2q−1 and 4q−1 alongside random values, cross-checked against the
-// strict-reduction kernels and (for Convolve) the schoolbook oracle.
+// strict-reduction kernels and (for the composed forward → pointwise →
+// inverse pipeline) the schoolbook oracle.
 
 // lazyTable returns a table at the 60-bit prime ceiling.
 func lazyTable(t testing.TB, n int) *Table {
@@ -102,7 +103,9 @@ func TestInverseLazyBounds(t *testing.T) {
 }
 
 // TestPointwiseMulLazyInputs: the Barrett pointwise product reduces
-// lazily-bounded operands exactly.
+// lazily-bounded operands exactly, and composed with the transforms —
+// ForwardLazy's < 4q outputs fed straight in, Inverse restoring < q —
+// it is the schoolbook negacyclic product.
 func TestPointwiseMulLazyInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	tab := lazyTable(t, 256)
@@ -110,33 +113,33 @@ func TestPointwiseMulLazyInputs(t *testing.T) {
 	a := pinnedLazy(rng, 256, q, 4*q)
 	b := pinnedLazy(rng, 256, q, 4*q)
 	got := make([]uint64, 256)
-	tab.PointwiseMulLazy(got, a, b)
+	tab.PointwiseMul(got, a, b)
 	for i := range got {
 		want := tab.R.Mul(a[i]%q, b[i]%q)
 		if got[i] != want {
-			t.Fatalf("PointwiseMulLazy mismatch at %d: %d != %d", i, got[i], want)
+			t.Fatalf("PointwiseMul mismatch at %d: %d != %d", i, got[i], want)
 		}
 		if got[i] >= q {
-			t.Fatalf("PointwiseMulLazy output %d not canonical", i)
+			t.Fatalf("PointwiseMul output %d not canonical", i)
 		}
 	}
-}
 
-// TestConvolveOracle: the fused lazy Convolve pipeline matches the
-// schoolbook negacyclic product at the 60-bit ceiling.
-func TestConvolveOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
 	for _, n := range []int{4, 16, 64} {
 		tab := lazyTable(t, n)
 		q := tab.R.Q
 		a := pinnedLazy(rng, n, q, q)
 		b := pinnedLazy(rng, n, q, q)
-		got := make([]uint64, n)
-		tab.Convolve(got, a, b)
 		want := schoolbookNegacyclic(tab.R, a, b)
+		fa := append([]uint64(nil), a...)
+		fb := append([]uint64(nil), b...)
+		tab.ForwardLazy(fa)
+		tab.ForwardLazy(fb)
+		got := make([]uint64, n)
+		tab.PointwiseMul(got, fa, fb)
+		tab.Inverse(got)
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("n=%d: Convolve ≠ schoolbook at %d: %d != %d", n, i, got[i], want[i])
+				t.Fatalf("n=%d: lazy NTT product ≠ schoolbook at %d: %d != %d", n, i, got[i], want[i])
 			}
 		}
 	}
@@ -266,11 +269,8 @@ func TestAcc128Capacity(t *testing.T) {
 }
 
 // TestAllocs asserts zero steady-state allocations on the NTT,
-// pointwise-mul, convolve and fused-accumulation kernels.
+// pointwise-mul and fused-accumulation kernels.
 func TestAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
 	tab := lazyTable(t, 1024)
 	q := tab.R.Q
 	rng := rand.New(rand.NewSource(76))
@@ -283,14 +283,12 @@ func TestAllocs(t *testing.T) {
 	idx := make([]uint32, 1024)
 	acc0 := make([]uint64, 1024)
 	acc1 := make([]uint64, 1024)
-	tab.Convolve(dst, a, b) // warm the scratch pool
 	for name, fn := range map[string]func(){
 		"Forward":      func() { tab.Forward(a) },
 		"ForwardLazy":  func() { tab.ForwardLazy(a) },
 		"Inverse":      func() { tab.Inverse(a) },
 		"InverseLazy":  func() { tab.InverseLazy(a) },
 		"PointwiseMul": func() { tab.PointwiseMul(dst, a, b) },
-		"Convolve":     func() { tab.Convolve(dst, a, b) },
 		"MulAddPair":   func() { MulAddPair128(tab.R, acc0, acc1, k0, k1, digits) },
 		"GaloisAcc":    func() { GaloisAccPair128(tab.R, acc0, acc1, k0, k1, digits, idx) },
 	} {
@@ -343,18 +341,6 @@ func BenchmarkNTTInverse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tab.Inverse(a)
-	}
-}
-
-func BenchmarkNTTConvolve(b *testing.B) {
-	tab := lazyTable(b, 4096)
-	x := benchVec(tab, 12345)
-	y := benchVec(tab, 54321)
-	dst := make([]uint64, 4096)
-	tab.Convolve(dst, x, y)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.Convolve(dst, x, y)
 	}
 }
 

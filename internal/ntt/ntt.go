@@ -9,9 +9,10 @@
 // butterfly layers are merged into one radix-4 memory pass (halving the
 // load/store traffic of a transform), the inner loops run over re-sliced
 // quarters so the compiler drops every bounds check, and the lazy entry
-// points (ForwardLazy, InverseLazy, PointwiseMulLazy) let fused pipelines
-// such as Convolve and the key-switching accumulators skip the final
-// reduction pass of each individual op and reduce once at the end.
+// points (ForwardLazy, InverseLazy) and PointwiseMul's lazy operands let
+// fused pipelines such as the double-CRT products and the key-switching
+// accumulators skip the final reduction pass of each individual op and
+// reduce once at the end.
 //
 // Lazy-bound contract (q < 2⁶², so 4q < 2⁶⁴ never wraps):
 //
@@ -19,8 +20,8 @@
 //   - ForwardLazy takes values < q (or lazily, < 4q: the first layer folds)
 //     and produces values < 4q.
 //   - InverseLazy takes values < 2q and produces values < 2q.
-//   - PointwiseMulLazy takes operands < 2⁶² and produces values < q
-//     (the Barrett reduction is exact for any 128-bit product).
+//   - PointwiseMul takes operands < 4q and produces values < q (each
+//     operand is folded below 2q before the Barrett product).
 //
 // This is the algorithmic core of the CPU-SEAL baseline in the paper
 // (§4.1): SEAL "leverages the Residue Number System (RNS) and the Number
@@ -56,8 +57,6 @@ type Table struct {
 	// stage's twiddle pre-multiplied by n⁻¹, so the inverse transform
 	// needs no separate scaling pass.
 	lastW, lastWShoup uint64
-
-	scratch sync.Pool // *[]uint64 buffers of length N for Convolve
 }
 
 // tableKey identifies a twiddle table: one per (prime, ring degree) pair.
@@ -131,17 +130,8 @@ func NewTable(q uint64, n int) (*Table, error) {
 		t.lastW = r.Mul(t.psiInvRev[1], t.nInv)
 		t.lastWShoup = r.ShoupConst(t.lastW)
 	}
-	t.scratch.New = func() any {
-		buf := make([]uint64, n)
-		return &buf
-	}
 	return t, nil
 }
-
-// getScratch returns a length-N scratch buffer from the table's pool.
-func (t *Table) getScratch() *[]uint64 { return t.scratch.Get().(*[]uint64) }
-
-func (t *Table) putScratch(buf *[]uint64) { t.scratch.Put(buf) }
 
 func bitrev(x uint, bits int) uint {
 	var r uint
@@ -551,36 +541,4 @@ func (t *Table) pointwiseMul(dst, a, b []uint64, isa uint32) {
 		}
 		dst[i] = r.Mul(x, y)
 	}
-}
-
-// PointwiseMulLazy is the lazy-input entry point of PointwiseMul, fusing
-// with ForwardLazy: operands may carry the [0, 4q) transform bound, so a
-// Forward→PointwiseMul pipeline pays no reduction pass between the
-// stages. Outputs are canonical (< q); dst may alias a or b.
-func (t *Table) PointwiseMulLazy(dst, a, b []uint64) {
-	t.PointwiseMul(dst, a, b)
-}
-
-// Convolve computes the negacyclic convolution dst = a ⊛ b (i.e. the
-// product of the polynomials in Z_q[X]/(Xⁿ+1)) without mutating a or b.
-// The pipeline is fused through the lazy entry points: both forward
-// transforms stay lazy (< 4q), the pointwise Barrett products reduce them
-// exactly, and only the inverse transform's final scaling pass restores
-// the < q contract — one reduction per coefficient for the whole
-// convolution instead of one per stage. Scratch comes from the table's
-// pool, so steady-state calls are allocation-free.
-func (t *Table) Convolve(dst, a, b []uint64) {
-	if len(a) != t.N || len(b) != t.N {
-		panic("ntt: Convolve length mismatch")
-	}
-	ta := t.getScratch()
-	tb := t.getScratch()
-	copy(*ta, a)
-	copy(*tb, b)
-	t.ForwardLazy(*ta)
-	t.ForwardLazy(*tb)
-	t.PointwiseMulLazy(dst, *ta, *tb)
-	t.Inverse(dst)
-	t.putScratch(ta)
-	t.putScratch(tb)
 }

@@ -1,7 +1,6 @@
 package ntt
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 
@@ -62,93 +61,6 @@ func TestForwardIsLinear(t *testing.T) {
 	}
 }
 
-// naiveNegacyclic computes a ⊛ b in Z_q[X]/(X^n+1) by schoolbook.
-func naiveNegacyclic(a, b []uint64, q uint64) []uint64 {
-	n := len(a)
-	qb := new(big.Int).SetUint64(q)
-	acc := make([]*big.Int, n)
-	for i := range acc {
-		acc[i] = new(big.Int)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			p := new(big.Int).Mul(new(big.Int).SetUint64(a[i]), new(big.Int).SetUint64(b[j]))
-			k := i + j
-			if k < n {
-				acc[k].Add(acc[k], p)
-			} else {
-				acc[k-n].Sub(acc[k-n], p)
-			}
-		}
-	}
-	out := make([]uint64, n)
-	for i := range acc {
-		out[i] = acc[i].Mod(acc[i], qb).Uint64()
-	}
-	return out
-}
-
-func TestConvolveMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	for _, n := range []int{4, 8, 32, 128} {
-		tab := testTable(t, 50, n)
-		a := make([]uint64, n)
-		b := make([]uint64, n)
-		for i := range a {
-			a[i] = rng.Uint64() % tab.R.Q
-			b[i] = rng.Uint64() % tab.R.Q
-		}
-		got := make([]uint64, n)
-		tab.Convolve(got, a, b)
-		want := naiveNegacyclic(a, b, tab.R.Q)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: convolution mismatch at %d: %d != %d", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestConvolveNegacyclicWraparound(t *testing.T) {
-	// X^(n-1) * X = X^n ≡ -1 (mod X^n + 1): the defining identity.
-	tab := testTable(t, 50, 8)
-	n := tab.N
-	a := make([]uint64, n)
-	b := make([]uint64, n)
-	a[n-1] = 1 // X^{n-1}
-	b[1] = 1   // X
-	dst := make([]uint64, n)
-	tab.Convolve(dst, a, b)
-	for i, v := range dst {
-		want := uint64(0)
-		if i == 0 {
-			want = tab.R.Q - 1 // -1 mod q
-		}
-		if v != want {
-			t.Fatalf("X^{n-1}·X: coeff %d = %d, want %d", i, v, want)
-		}
-	}
-}
-
-func TestConvolveIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	tab := testTable(t, 50, 64)
-	n := tab.N
-	a := make([]uint64, n)
-	for i := range a {
-		a[i] = rng.Uint64() % tab.R.Q
-	}
-	one := make([]uint64, n)
-	one[0] = 1
-	dst := make([]uint64, n)
-	tab.Convolve(dst, a, one)
-	for i := range dst {
-		if dst[i] != a[i] {
-			t.Fatalf("a * 1 != a at %d", i)
-		}
-	}
-}
-
 func TestNewTableErrors(t *testing.T) {
 	if _, err := NewTable(97, 3); err == nil {
 		t.Error("expected error for non-power-of-two size")
@@ -198,27 +110,6 @@ func TestGetTableCachesPerPair(t *testing.T) {
 	}
 	if _, err := GetTable(q+2, 128); err == nil {
 		t.Error("GetTable accepted a non-NTT-friendly modulus")
-	}
-}
-
-func TestConvolveAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
-	tab := testTable(t, 50, 256)
-	rng := rand.New(rand.NewSource(61))
-	a := make([]uint64, 256)
-	b := make([]uint64, 256)
-	dst := make([]uint64, 256)
-	for i := range a {
-		a[i] = rng.Uint64() % tab.R.Q
-		b[i] = rng.Uint64() % tab.R.Q
-	}
-	tab.Convolve(dst, a, b) // prime the scratch pool
-	if allocs := testing.AllocsPerRun(20, func() {
-		tab.Convolve(dst, a, b)
-	}); allocs > 0 {
-		t.Errorf("Convolve allocates %.0f objects per call, want 0", allocs)
 	}
 }
 

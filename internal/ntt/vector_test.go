@@ -248,7 +248,7 @@ func TestVectorLimbKernelsMatchScalar(t *testing.T) {
 					}
 					return x
 				}
-				want[i] = r.Reduce(r.Mul(f(c0[i]), f(b0[i])) + r.Mul(f(c1[i]), f(b1[i])))
+				want[i] = r.Add(r.Mul(f(c0[i]), f(b0[i])), r.Mul(f(c1[i]), f(b1[i])))
 			}
 			MulPairAddVec(r, got, c0, b0, c1, b1)
 			for i := range want {

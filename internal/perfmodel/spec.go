@@ -15,8 +15,6 @@
 // what factor, and where the crossovers fall.
 package perfmodel
 
-import "fmt"
-
 // VectorSpec describes a §4.2 microbenchmark: Elems ciphertext elements,
 // each one polynomial of N coefficients of W limbs (the paper's 27/54/109-
 // bit levels use N=1024/2048/4096 with W=1/2/4).
@@ -82,19 +80,3 @@ func polyMulsPerCtMul(relinDigits int) int { return 4 + 2*relinDigits }
 
 // ctAddPolys: a ciphertext addition adds both component polynomials.
 const ctAddPolys = 2
-
-// Speedup returns how much faster b is than a (time_a / time_b).
-func Speedup(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-// CheckSpec validates a vector spec.
-func (v VectorSpec) Check() error {
-	if v.Elems <= 0 || v.N <= 0 || v.W <= 0 {
-		return fmt.Errorf("perfmodel: invalid vector spec %+v", v)
-	}
-	return nil
-}

@@ -44,9 +44,6 @@ func (d *DPU) EnsureMRAM(words int) error {
 	return nil
 }
 
-// MRAM returns the raw MRAM image (host-side access, not charged).
-func (d *DPU) MRAM() []uint32 { return d.mram }
-
 // resetAccounting prepares per-tasklet counters for a launch, reusing
 // the previous launch's slices.
 func (d *DPU) resetAccounting(tasklets int) {
@@ -188,6 +185,3 @@ func (c *TaskletCtx) MRAMWrite(off int, src []uint32) {
 // ChargeInstr charges raw dynamic instructions (loop setup, address
 // arithmetic) that are not expressed through limb32 operations.
 func (c *TaskletCtx) ChargeInstr(n int64) { c.instr += n }
-
-// DPUID returns the ID of the DPU this tasklet runs on.
-func (c *TaskletCtx) DPUID() int { return c.dpu.ID }

@@ -1,7 +1,5 @@
 package pim
 
-import "repro/internal/limb32"
-
 // Energy model. The paper motivates PIM partly through the energy cost of
 // data movement (§2: "it is challenging to efficiently offset the
 // performance and energy expenses incurred when transferring large
@@ -54,19 +52,4 @@ func (e *EnergyModel) KernelEnergyJoules(rep *Report, cfg *SystemConfig) float64
 // the host↔DPU interface.
 func (e *EnergyModel) HostTransferEnergyJoules(bytes int64) float64 {
 	return float64(bytes) * e.PicojoulesPerHostByte * 1e-12
-}
-
-// InstrEnergyBreakdown splits dynamic energy by instruction class, with
-// multiplies priced at their software-loop instruction counts — making
-// the energy cost of the missing 32-bit multiplier visible.
-func (e *EnergyModel) InstrEnergyBreakdown(counts *limb32.Counts, cost *CostModel) map[string]float64 {
-	out := make(map[string]float64, int(limb32.NumOps))
-	for op := limb32.Op(0); op < limb32.NumOps; op++ {
-		if counts[op] == 0 {
-			continue
-		}
-		instr := cost.InstrFor(op, counts[op])
-		out[op.String()] = float64(instr) * e.PicojoulesPerInstr * 1e-12
-	}
-	return out
 }

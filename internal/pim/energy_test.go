@@ -10,7 +10,7 @@ func TestKernelEnergyComposition(t *testing.T) {
 	sys := testSystem(t, 2, 16)
 	sys.DPUs[0].EnsureMRAM(1024)
 	sys.DPUs[1].EnsureMRAM(1024)
-	rep, err := sys.Launch(2, func(ctx *TaskletCtx) error {
+	rep, err := launch(sys, 2, func(ctx *TaskletCtx) error {
 		ctx.Meter().Tick(limb32.OpAdd, 1000)
 		if ctx.TaskletID == 0 {
 			buf := make([]uint32, 256)
@@ -42,18 +42,27 @@ func TestKernelEnergyComposition(t *testing.T) {
 
 func TestMulEnergyDominatesUnderSoftwareMultiplier(t *testing.T) {
 	// The energy argument behind Key Takeaway 2: with the shift-and-add
-	// multiplier, mul32 energy dwarfs add energy for equal op counts.
-	var counts limb32.Counts
-	counts[limb32.OpAdd] = 1000
-	counts[limb32.OpMul32] = 1000
+	// multiplier, a kernel of mul32s costs far more energy than one of
+	// as many adds.
 	em := DefaultEnergyModel()
-	br := em.InstrEnergyBreakdown(&counts, DefaultCostModel())
-	if br["mul32"] <= 10*br["add"] {
-		t.Errorf("mul32 energy %g should dwarf add energy %g", br["mul32"], br["add"])
+	energy := func(cost *CostModel, op limb32.Op) float64 {
+		sys := testSystem(t, 1, 1)
+		sys.Config.Cost = cost
+		rep, err := launch(sys, 1, func(ctx *TaskletCtx) error {
+			ctx.Meter().Tick(op, 1000)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return em.KernelEnergyJoules(rep, &sys.Config)
 	}
-	brNative := em.InstrEnergyBreakdown(&counts, NativeMul32CostModel())
-	if brNative["mul32"] >= br["mul32"]/5 {
-		t.Errorf("native multiplier should slash mul energy: %g vs %g", brNative["mul32"], br["mul32"])
+	mul, add := energy(DefaultCostModel(), limb32.OpMul32), energy(DefaultCostModel(), limb32.OpAdd)
+	if mul <= 10*add {
+		t.Errorf("mul32 energy %g should dwarf add energy %g", mul, add)
+	}
+	if native := energy(NativeMul32CostModel(), limb32.OpMul32); native >= mul/5 {
+		t.Errorf("native multiplier should slash mul energy: %g vs %g", native, mul)
 	}
 }
 

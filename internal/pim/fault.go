@@ -84,9 +84,6 @@ type FaultStats struct {
 // injector. Call before launching kernels, not concurrently with them.
 func (s *System) SetFaultInjector(in *faultinject.Injector) { s.faults = in }
 
-// FaultInjector returns the attached injector (nil when disabled).
-func (s *System) FaultInjector() *faultinject.Injector { return s.faults }
-
 // FaultStats returns a snapshot of the fault counters.
 func (s *System) FaultStats() FaultStats {
 	s.faultMu.Lock()

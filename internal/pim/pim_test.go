@@ -19,6 +19,22 @@ func testSystem(t *testing.T, dpus, tasklets int) *System {
 	return sys
 }
 
+// launch runs kernel on DPUs [0, active) through LaunchOn and fails on
+// the first per-DPU error: the all-or-nothing launch these tests want.
+func launch(sys *System, active int, kernel KernelFunc) (*Report, error) {
+	ids := make([]int, active)
+	for i := range ids {
+		ids[i] = i
+	}
+	rep, errs := sys.LaunchOn(ids, func(int) KernelFunc { return kernel })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []SystemConfig{
 		{NumDPUs: 0, ClockHz: 1, Tasklets: 1, Cost: DefaultCostModel()},
@@ -46,7 +62,7 @@ func TestMRAMBounds(t *testing.T) {
 	if err := d.EnsureMRAM(1024); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.MRAM()) < 1024 {
+	if len(d.mram) < 1024 {
 		t.Error("EnsureMRAM did not grow")
 	}
 }
@@ -73,7 +89,7 @@ func TestCopyRoundTrip(t *testing.T) {
 
 func TestLaunchChargesInstructions(t *testing.T) {
 	sys := testSystem(t, 4, 8)
-	rep, err := sys.Launch(4, func(ctx *TaskletCtx) error {
+	rep, err := launch(sys, 4, func(ctx *TaskletCtx) error {
 		ctx.Meter().Tick(limb32.OpAdd, 100)
 		ctx.Meter().Tick(limb32.OpMul32, 10)
 		return nil
@@ -100,7 +116,7 @@ func TestPipelineSaturationAtEleven(t *testing.T) {
 	perTasklet := int64(1000)
 	cyclesAt := func(tasklets int) int64 {
 		sys := testSystem(t, 1, tasklets)
-		rep, err := sys.Launch(1, func(ctx *TaskletCtx) error {
+		rep, err := launch(sys, 1, func(ctx *TaskletCtx) error {
 			ctx.ChargeInstr(perTasklet)
 			return nil
 		})
@@ -133,7 +149,7 @@ func TestDMARoofline(t *testing.T) {
 	sys := testSystem(t, 1, 16)
 	words := 4096
 	sys.DPUs[0].EnsureMRAM(2 * words)
-	rep, err := sys.Launch(1, func(ctx *TaskletCtx) error {
+	rep, err := launch(sys, 1, func(ctx *TaskletCtx) error {
 		if ctx.TaskletID != 0 {
 			return nil
 		}
@@ -158,8 +174,8 @@ func TestDMARoofline(t *testing.T) {
 
 func TestLaunchErrorPropagates(t *testing.T) {
 	sys := testSystem(t, 2, 2)
-	_, err := sys.Launch(2, func(ctx *TaskletCtx) error {
-		if ctx.DPUID() == 1 && ctx.TaskletID == 1 {
+	_, err := launch(sys, 2, func(ctx *TaskletCtx) error {
+		if ctx.dpu.ID == 1 && ctx.TaskletID == 1 {
 			return errConfig("boom")
 		}
 		return nil
@@ -183,7 +199,7 @@ func TestKernelPanicBecomesLaunchError(t *testing.T) {
 	}
 	kernels := map[string]KernelFunc{
 		"out-of-bounds DMA": func(ctx *TaskletCtx) error {
-			if ctx.DPUID() == 1 && ctx.TaskletID == 1 {
+			if ctx.dpu.ID == 1 && ctx.TaskletID == 1 {
 				ctx.MRAMRead(4, make([]uint32, 8))
 			}
 			return nil
@@ -191,9 +207,9 @@ func TestKernelPanicBecomesLaunchError(t *testing.T) {
 		"nil kernel": nil,
 	}
 	for name, kernel := range kernels {
-		rep, err := sys.Launch(2, kernel)
+		rep, err := launch(sys, 2, kernel)
 		if err == nil || rep != nil {
-			t.Fatalf("%s: Launch returned (%v, %v), want the panic as an error", name, rep, err)
+			t.Fatalf("%s: launch returned (%v, %v), want the panic as an error", name, rep, err)
 		}
 		if IsFault(err) {
 			t.Errorf("%s: panic reported as a retryable fault: %v", name, err)
@@ -202,7 +218,7 @@ func TestKernelPanicBecomesLaunchError(t *testing.T) {
 			t.Errorf("%s: error does not name the DPU and tasklet: %v", name, err)
 		}
 	}
-	rep, err := sys.Launch(2, func(ctx *TaskletCtx) error {
+	rep, err := launch(sys, 2, func(ctx *TaskletCtx) error {
 		ctx.ChargeInstr(5)
 		return nil
 	})
@@ -216,7 +232,7 @@ func TestKernelPanicBecomesLaunchError(t *testing.T) {
 // the DPU has gets an error rather than memory the hardware lacks.
 func TestWRAMIsACheckedArena(t *testing.T) {
 	sys := testSystem(t, 1, 3)
-	_, err := sys.Launch(1, func(ctx *TaskletCtx) error {
+	_, err := launch(sys, 1, func(ctx *TaskletCtx) error {
 		a, err := ctx.WRAM(100)
 		if err != nil {
 			return err
@@ -250,7 +266,7 @@ func TestWRAMIsACheckedArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sys.Launch(1, func(ctx *TaskletCtx) error {
+	_, err = launch(sys, 1, func(ctx *TaskletCtx) error {
 		_, err := ctx.WRAM(WRAMWords + 1)
 		return err
 	})
@@ -261,11 +277,14 @@ func TestWRAMIsACheckedArena(t *testing.T) {
 
 func TestLaunchValidatesActiveDPUs(t *testing.T) {
 	sys := testSystem(t, 2, 2)
-	if _, err := sys.Launch(0, func(*TaskletCtx) error { return nil }); err == nil {
-		t.Error("activeDPUs=0 accepted")
+	_, errs := sys.LaunchOn([]int{-1, 0, 2}, func(int) KernelFunc {
+		return func(*TaskletCtx) error { return nil }
+	})
+	if errs[0] == nil || errs[2] == nil {
+		t.Errorf("out-of-range DPU ids accepted: %v", errs)
 	}
-	if _, err := sys.Launch(3, func(*TaskletCtx) error { return nil }); err == nil {
-		t.Error("activeDPUs>NumDPUs accepted")
+	if errs[1] != nil {
+		t.Errorf("DPU 0 failed next to invalid ids: %v", errs[1])
 	}
 }
 

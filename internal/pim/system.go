@@ -103,29 +103,6 @@ type Report struct {
 	ActiveDPUs int
 }
 
-// Launch runs kernel on DPUs [0, activeDPUs) with the configured tasklet
-// count, in parallel host goroutines (the simulation is deterministic:
-// tasklets within a DPU run sequentially and DPUs do not share state).
-// The first per-DPU error — including injected faults — aborts the
-// launch; fault-tolerant callers use LaunchOn and handle per-DPU
-// failures individually.
-func (s *System) Launch(activeDPUs int, kernel KernelFunc) (*Report, error) {
-	if activeDPUs <= 0 || activeDPUs > len(s.DPUs) {
-		return nil, fmt.Errorf("pim: activeDPUs=%d out of range 1..%d", activeDPUs, len(s.DPUs))
-	}
-	ids := make([]int, activeDPUs)
-	for i := range ids {
-		ids[i] = i
-	}
-	rep, errs := s.LaunchOn(ids, func(int) KernelFunc { return kernel })
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
-}
-
 // LaunchOn runs kernel(id) on each listed DPU with the configured
 // tasklet count, in parallel host goroutines. It returns the launch
 // report plus one error slot per listed DPU (aligned with ids): slots

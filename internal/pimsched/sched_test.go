@@ -287,19 +287,16 @@ func TestTransientFaultBudgetExhausted(t *testing.T) {
 }
 
 func TestTopologyHelpers(t *testing.T) {
-	if got := DefaultTopology().NumDPUs(); got != 2560 {
-		t.Errorf("default topology has %d DPUs, want 2560", got)
-	}
 	cases := []struct{ n, ranks, per int }{
-		{1, 1, 1}, {17, 1, 17}, {64, 1, 64}, {65, 2, 64}, {2048, 32, 64}, {2524, 40, 64},
+		{1, 1, 1}, {17, 1, 17}, {64, 1, 64}, {65, 1, 64}, {2048, 32, 64}, {2524, 39, 64},
 	}
 	for _, c := range cases {
-		topo := TopologyFor(c.n)
+		topo := FitTopology(c.n)
 		if topo.Ranks != c.ranks || topo.DPUsPerRank != c.per {
-			t.Errorf("TopologyFor(%d) = %v, want %d×%d", c.n, topo, c.ranks, c.per)
+			t.Errorf("FitTopology(%d) = %v, want %d×%d", c.n, topo, c.ranks, c.per)
 		}
-		if topo.NumDPUs() < c.n {
-			t.Errorf("TopologyFor(%d) holds only %d DPUs", c.n, topo.NumDPUs())
+		if topo.NumDPUs() > c.n {
+			t.Errorf("FitTopology(%d) needs %d DPUs", c.n, topo.NumDPUs())
 		}
 	}
 	if (Topology{Ranks: 0, DPUsPerRank: 4}).Validate() == nil {

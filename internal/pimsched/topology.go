@@ -39,33 +39,12 @@ type Topology struct {
 	DPUsPerRank int
 }
 
-// DefaultTopology is the paper's server rounded to whole ranks:
-// 40 ranks × 64 DPUs = 2560 DPUs (the machine's 2524 functional DPUs
-// live in 40 ranks with a few dead units).
-func DefaultTopology() Topology {
-	return Topology{Ranks: 40, DPUsPerRank: DefaultDPUsPerRank}
-}
-
-// TopologyFor derives the smallest whole-rank topology holding numDPUs
-// at the default rank width. Small systems (≤ one rank) get a single
-// rank of exactly numDPUs.
-func TopologyFor(numDPUs int) Topology {
-	if numDPUs <= 0 {
-		numDPUs = 1
-	}
-	if numDPUs <= DefaultDPUsPerRank {
-		return Topology{Ranks: 1, DPUsPerRank: numDPUs}
-	}
-	ranks := (numDPUs + DefaultDPUsPerRank - 1) / DefaultDPUsPerRank
-	return Topology{Ranks: ranks, DPUsPerRank: DefaultDPUsPerRank}
-}
-
 // FitTopology derives the largest whole-rank topology that fits
-// *inside* an existing system of numDPUs (TopologyFor rounds up and is
-// for sizing new systems; FitTopology rounds down and is for
-// scheduling over systems whose DPU count is not rank-aligned, like
-// the paper machine's 2524 functional DPUs). Leftover DPUs beyond the
-// last whole rank are not scheduled.
+// *inside* an existing system of numDPUs: it rounds down, so it can
+// schedule over systems whose DPU count is not rank-aligned, like the
+// paper machine's 2524 functional DPUs. Small systems (≤ one rank) get
+// a single rank of exactly numDPUs; leftover DPUs beyond the last whole
+// rank are not scheduled.
 func FitTopology(numDPUs int) Topology {
 	if numDPUs <= 0 {
 		numDPUs = 1

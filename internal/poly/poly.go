@@ -102,23 +102,6 @@ func (p *Poly) Clone() *Poly {
 	return c
 }
 
-// Zero clears all coefficients.
-func (p *Poly) Zero() {
-	for i := range p.C {
-		p.C[i] = 0
-	}
-}
-
-// IsZero reports whether all coefficients are zero.
-func (p *Poly) IsZero() bool {
-	for _, v := range p.C {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports coefficient-wise equality.
 func (p *Poly) Equal(o *Poly) bool {
 	if p.N != o.N || p.W != o.W {

@@ -98,7 +98,7 @@ func TestAddSubNegMatchBig(t *testing.T) {
 		Neg(dst, a, mod, nil)
 		sum := NewPoly(n, mod.W)
 		Add(sum, dst, a, mod, nil)
-		if !sum.IsZero() {
+		if !sum.Equal(NewPoly(n, mod.W)) {
 			t.Fatal("a + (-a) != 0")
 		}
 	}
@@ -160,7 +160,7 @@ func TestMulNegacyclicIdentityAndWraparound(t *testing.T) {
 	a := randPoly(rng, n, mod)
 
 	one := NewPoly(n, mod.W)
-	one.Coeff(0).Set(limb32.FromUint64(1, mod.W))
+	one.Coeff(0)[0] = 1
 	dst := NewPoly(n, mod.W)
 	MulNegacyclic(dst, a, one, mod, nil)
 	if !dst.Equal(a) {
@@ -169,9 +169,9 @@ func TestMulNegacyclicIdentityAndWraparound(t *testing.T) {
 
 	// X^{n-1} * X = -1.
 	x := NewPoly(n, mod.W)
-	x.Coeff(1).Set(limb32.FromUint64(1, mod.W))
+	x.Coeff(1)[0] = 1
 	xn1 := NewPoly(n, mod.W)
-	xn1.Coeff(n - 1).Set(limb32.FromUint64(1, mod.W))
+	xn1.Coeff(n - 1)[0] = 1
 	MulNegacyclic(dst, x, xn1, mod, nil)
 	wantC := new(big.Int).Sub(mod.QBig, big.NewInt(1))
 	if dst.Coeff(0).Big().Cmp(wantC) != 0 {
@@ -306,5 +306,16 @@ func TestMeteredMulChargesKaratsubaCounts(t *testing.T) {
 	wantMin := int64(9 * n * n) // products only; Mod charges extra
 	if m[limb32.OpMul32] < wantMin {
 		t.Errorf("metered mul32 = %d, want >= %d", m[limb32.OpMul32], wantMin)
+	}
+}
+
+func BenchmarkMulNegacyclicSchoolbook1024(b *testing.B) {
+	q, _ := NewModulus(big.NewInt(134217689))
+	rng := rand.New(rand.NewSource(93))
+	x, y := randPoly(rng, 1024, q), randPoly(rng, 1024, q)
+	dst := NewPoly(1024, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MulNegacyclic(dst, x, y, q, nil)
 	}
 }

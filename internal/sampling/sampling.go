@@ -59,18 +59,8 @@ func NewSystemSource() (*Source, error) {
 	return NewSource(seed), nil
 }
 
-// Uint64 returns a uniform 64-bit value.
-func (s *Source) Uint64() uint64 { return s.rng.Uint64() }
-
 // Uint64N returns a uniform value in [0, n).
 func (s *Source) Uint64N(n uint64) uint64 { return s.rng.Uint64N(n) }
-
-// UniformMod fills out with independent uniform values in [0, q).
-func (s *Source) UniformMod(out []uint64, q uint64) {
-	for i := range out {
-		out[i] = s.rng.Uint64N(q)
-	}
-}
 
 // UniformNat returns a uniform value in [0, q) as a width-limb Nat, by
 // rejection sampling on q.BitLen() bits (expected < 2 draws).
@@ -159,6 +149,3 @@ func (s *Source) Gaussian(out []int8) {
 		out[i] = int8(lo - s.gauss.bound)
 	}
 }
-
-// GaussianBound returns the maximum magnitude Gaussian can emit.
-func (s *Source) GaussianBound() int { return s.gauss.bound }

@@ -12,14 +12,14 @@ func TestDeterminism(t *testing.T) {
 	a := NewSourceFromUint64(42)
 	b := NewSourceFromUint64(42)
 	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.rng.Uint64() != b.rng.Uint64() {
 			t.Fatal("same seed must give same stream")
 		}
 	}
 	c := NewSourceFromUint64(43)
 	same := true
 	for i := 0; i < 10; i++ {
-		if a.Uint64() != c.Uint64() {
+		if a.rng.Uint64() != c.rng.Uint64() {
 			same = false
 		}
 	}
@@ -33,7 +33,7 @@ func TestSystemSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, y := s.Uint64(), s.Uint64()
+	x, y := s.rng.Uint64(), s.rng.Uint64()
 	if x == 0 && y == 0 {
 		t.Error("system source produced zeros (astronomically unlikely)")
 	}
@@ -43,7 +43,9 @@ func TestUniformModRange(t *testing.T) {
 	s := NewSourceFromUint64(1)
 	out := make([]uint64, 10000)
 	q := uint64(134217689)
-	s.UniformMod(out, q)
+	for i := range out {
+		out[i] = s.Uint64N(q)
+	}
 	var sum float64
 	for _, v := range out {
 		if v >= q {
@@ -116,7 +118,7 @@ func TestGaussianShape(t *testing.T) {
 	s := NewSourceFromUint64(5)
 	out := make([]int8, 100000)
 	s.Gaussian(out)
-	bound := s.GaussianBound()
+	bound := s.gauss.bound
 	var sum, sumSq float64
 	for _, v := range out {
 		if int(v) < -bound || int(v) > bound {
@@ -138,8 +140,8 @@ func TestGaussianShape(t *testing.T) {
 
 func TestGaussianBound(t *testing.T) {
 	s := NewSourceFromUint64(6)
-	if got, want := s.GaussianBound(), int(math.Ceil(6*DefaultSigma)); got != want {
-		t.Errorf("GaussianBound = %d, want %d", got, want)
+	if got, want := s.gauss.bound, int(math.Ceil(6*DefaultSigma)); got != want {
+		t.Errorf("Gaussian bound = %d, want %d", got, want)
 	}
 }
 
