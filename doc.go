@@ -91,7 +91,12 @@
 // every kernel states the bound it accepts and emits. A vector kernel
 // must match its scalar counterpart's contract exactly and is pinned to
 // it bit for bit in internal/ntt/vector_test.go on adversarial lanes;
-// the 128-bit fused accumulators are bounded by ntt.Acc128Capacity.
+// the 128-bit fused accumulators are bounded by ntt.Acc128Capacity, and
+// the 128-bit coefficient accumulators of a lazily reduced Sum by
+// poly's sumCapacity (⌊(2¹²⁸−1)/q⌋ residues, then the sum reduces on its
+// own). Both host additions that skip the limb32 routine the metered PIM
+// cost model runs — the 109-bit unmetered Add and that Sum — are pinned
+// to it on adversarial operands in internal/poly's tests.
 // Deferred sums carry a magnitude bound and refuse to fuse (the caller
 // falls back to coefficients) rather than leave the basis exactness
 // window.

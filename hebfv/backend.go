@@ -62,8 +62,9 @@ type Engine interface {
 	Neg(a bfv.Value) (bfv.Value, error)
 	AddPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error)
 	MulPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error)
-	// Sum folds in slice order — the convention every backend shares,
-	// so results stay mutually bit-identical.
+	// Sum returns the total of cts. Addition of canonical residues mod q
+	// is order-independent, so any evaluation order and any lazy
+	// reduction give the same bits.
 	Sum(cts []bfv.Value) (bfv.Value, error)
 	// Rotate returns out[i][j] = τ_{gks[j]}(cts[i]).
 	Rotate(cts []bfv.Value, gks []*bfv.GaloisKey) ([][]bfv.Value, error)
@@ -273,7 +274,7 @@ func (e *evalEngine) MulPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error)
 
 // Sum folds all-product inputs (a Mul-then-Sum dot product) in the
 // residue domain — the whole reduction pays one base-conversion pair —
-// and everything else in coefficients.
+// and everything else in coefficients, into one output ciphertext.
 func (e *evalEngine) Sum(cts []bfv.Value) (bfv.Value, error) {
 	if len(cts) == 0 {
 		return nil, errors.New("hebfv: empty sum")
@@ -281,18 +282,7 @@ func (e *evalEngine) Sum(cts []bfv.Value) (bfv.Value, error) {
 	if sum, ok := sumProducts(cts); ok {
 		return sum, nil
 	}
-	raw := materialize(cts)
-	if len(raw) == 1 {
-		// Engine outputs never alias inputs: a single-element sum must
-		// not hand the caller's ciphertext back (the facade may recycle
-		// an input's backings after the call).
-		return raw[0].Clone(), nil
-	}
-	acc := raw[0]
-	for _, ct := range raw[1:] {
-		acc = e.ev.Add(acc, ct)
-	}
-	return acc, nil
+	return e.ev.Sum(materialize(cts)), nil
 }
 
 // sumProducts folds (…(c0+c1)+c2)+… while every input is a live

@@ -223,11 +223,12 @@ func (c *Context) MulPlain(a *Ciphertext, pt *Plaintext) (_ *Ciphertext, err err
 	return c.plainOp(a, pt, c.eng.MulPlain)
 }
 
-// Sum folds the ciphertexts into their total in slice order — the
-// aggregation kernel of the paper's mean/variance workloads. When every
-// input is a deferred product (a MulMany-then-Sum dot product), the fold
-// fuses in the RNS domain and the whole reduction pays one base-
-// conversion pair; the result is bit-identical to the materialized fold.
+// Sum returns the total of the ciphertexts — the aggregation kernel of
+// the paper's mean/variance workloads. When every input is a deferred
+// product (a MulMany-then-Sum dot product), the sum fuses in the RNS
+// domain and the whole reduction pays one base-conversion pair; the
+// result is bit-identical to adding the materialized inputs in any
+// order.
 func (c *Context) Sum(cts []*Ciphertext) (_ *Ciphertext, err error) {
 	defer guard(&err)
 	if len(cts) == 0 {

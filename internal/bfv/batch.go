@@ -173,14 +173,17 @@ func (be *BatchEvaluator) rotateAndSumOne(ct *Ciphertext, gks []*GaloisKey) (*Ci
 	}
 	defer h.Release()
 	if h.ctx == nil || !fusedSumOK(h.ctx, par, len(gks)) {
-		// Per-rotation fallback: hoisting still shares the decomposition.
+		// Per-rotation fallback: hoisting still shares the decomposition,
+		// and every rotation adds into the one owned accumulator.
 		acc := ct.Clone()
 		for _, gk := range gks {
 			r, err := ev.ApplyGaloisHoisted(h, gk)
 			if err != nil {
 				return nil, err
 			}
-			acc = ev.Add(acc, r)
+			for i, p := range acc.Polys {
+				poly.Add(p, p, r.Polys[i], par.Q, ev.Meter)
+			}
 		}
 		return acc, nil
 	}

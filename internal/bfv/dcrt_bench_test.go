@@ -221,6 +221,31 @@ func BenchmarkMulManySum(b *testing.B) {
 	})
 }
 
+// BenchmarkSum256 times the mean's aggregation at the served parameters
+// (ParamsBatching: 109-bit q, n=4096): one Sum of 256 ciphertexts, 32 MB
+// of operands read once into one output.
+func BenchmarkSum256(b *testing.B) {
+	params := ParamsBatching()
+	src := sampling.NewSourceFromUint64(256)
+	kg := NewKeyGenerator(params, src)
+	_, pk := kg.GenKeyPair()
+	enc := NewEncryptor(params, pk, src)
+	cts := make([]*Ciphertext, 256)
+	for i := range cts {
+		ct, err := enc.EncryptValue(uint64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cts[i] = ct
+	}
+	ev := NewEvaluator(params, nil)
+	ev.Sum(cts) // start the worker pool
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.Sum(cts)
+	}
+}
+
 // BenchmarkEncrypt tracks the non-Mul side of the double-CRT win: fresh
 // encryption was two schoolbook products per ciphertext.
 func BenchmarkEncrypt(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"sync"
 
+	"repro/internal/dcrt"
 	"repro/internal/limb32"
 	"repro/internal/poly"
 )
@@ -94,6 +95,51 @@ func (ev *Evaluator) Add(ct0, ct1 *Ciphertext) *Ciphertext {
 			out.Polys[i] = p
 		}
 	}
+	return out
+}
+
+// Sum returns Σ cts, a fresh ciphertext that never aliases an input (a
+// single operand is cloned). Components missing from lower-degree
+// operands count as zero. On the double-CRT backend it allocates only
+// the output and sums each (component, poly.SumBlock-coefficient chunk)
+// as one task on the worker pool, reducing every coefficient once
+// (poly.SumRange). The schoolbook and metered evaluators fold Add in
+// slice order — the oracle and the PIM cost model. Addition of residues
+// mod q does not depend on order or on when it reduces, so both give the
+// same bits.
+func (ev *Evaluator) Sum(cts []*Ciphertext) *Ciphertext {
+	if len(cts) == 0 {
+		panic("bfv: Sum of no ciphertexts")
+	}
+	if len(cts) == 1 {
+		return cts[0].Clone()
+	}
+	if !ev.useDCRT() {
+		acc := cts[0]
+		for _, ct := range cts[1:] {
+			acc = ev.Add(acc, ct)
+		}
+		return acc
+	}
+	par := ev.params
+	var terms [][]*poly.Poly // terms[c] holds every operand's component c
+	for _, ct := range cts {
+		for c, p := range ct.Polys {
+			if c == len(terms) {
+				terms = append(terms, make([]*poly.Poly, 0, len(cts)))
+			}
+			terms[c] = append(terms[c], p)
+		}
+	}
+	out := &Ciphertext{Polys: make([]*poly.Poly, len(terms))}
+	for c := range out.Polys {
+		out.Polys[c] = poly.NewPoly(par.N, par.Q.W)
+	}
+	chunks := (par.N + poly.SumBlock - 1) / poly.SumBlock
+	dcrt.Parallel(len(terms)*chunks, func(i int) {
+		c, lo := i/chunks, i%chunks*poly.SumBlock
+		poly.SumRange(out.Polys[c], terms[c], lo, min(lo+poly.SumBlock, par.N), par.Q)
+	})
 	return out
 }
 

@@ -7,7 +7,22 @@
 //
 // All mutating operations accept a limb32.Meter — a tally, or nil — so
 // the PIM simulator can count exact per-class instructions while host
-// callers pass nil.
+// callers pass nil. With a tally, every coefficient walks the limb32
+// routines: that instruction stream is the PIM cost model the simulator
+// prices, and it stays as it is. With nil, two additions skip it and
+// work on the flat backing, reducing by a branchless mask-select:
+//
+//   - Add at W = 4, the 109-bit preset every served workload runs, adds
+//     each coefficient as a two-word bits.Add64 pair. Other widths, Sub
+//     and Neg walk limb32 either way.
+//   - SumRange adds k polynomials at once: each coefficient accumulates
+//     in 128 bits with no reduction per addend and is reduced once at the
+//     end. The accumulator holds sumCapacity(q) = ⌊(2¹²⁸−1)/q⌋ residues —
+//     2¹⁹ for the 109-bit modulus, at least 16 up to the 124 bits the
+//     double-CRT backend accepts — and a longer sum reduces on the way
+//     when it fills.
+//
+// Both give the bits the limb32 routines give.
 package poly
 
 import (
@@ -26,6 +41,9 @@ type Modulus struct {
 	QBig *big.Int   // q as a big integer
 	Half *big.Int   // floor(q/2), for centered lifts
 	BR   *limb32.Barrett
+
+	q0, q1 uint64 // q as two 64-bit words, low first, when W ≤ 4
+	sumCap int    // sumCapacity(QBig)
 }
 
 // NewModulus builds a Modulus for q > 1. The limb width is the smallest of
@@ -48,12 +66,19 @@ func NewModulus(q *big.Int) (*Modulus, error) {
 		w = (bits + 31) / 32
 	}
 	qn := limb32.FromBig(q, w)
+	var q0, q1 uint64
+	if w <= 4 {
+		q0, q1 = load128(limb32.FromBig(q, 4))
+	}
 	return &Modulus{
-		W:    w,
-		Q:    qn,
-		QBig: new(big.Int).Set(q),
-		Half: new(big.Int).Rsh(q, 1),
-		BR:   limb32.NewBarrett(qn),
+		W:      w,
+		Q:      qn,
+		QBig:   new(big.Int).Set(q),
+		Half:   new(big.Int).Rsh(q, 1),
+		BR:     limb32.NewBarrett(qn),
+		q0:     q0,
+		q1:     q1,
+		sumCap: sumCapacity(q),
 	}, nil
 }
 
@@ -124,6 +149,10 @@ func checkShapes(dst, a, b *Poly, mod *Modulus) {
 // Add sets dst = a + b in R_q. dst may alias a or b.
 func Add(dst, a, b *Poly, mod *Modulus, m limb32.Meter) {
 	checkShapes(dst, a, b, mod)
+	if m == nil && mod.W == 4 {
+		addW4(dst.C, a.C, b.C, mod.q0, mod.q1)
+		return
+	}
 	for i := 0; i < dst.N; i++ {
 		limb32.AddMod(dst.Coeff(i), a.Coeff(i), b.Coeff(i), mod.Q, m)
 	}

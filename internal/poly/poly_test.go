@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -70,36 +71,147 @@ func TestNewModulusWidths(t *testing.T) {
 	}
 }
 
+// adversarialPair fills a and b with every ordered pair of the values
+// the unmetered add's carries and reduction masks turn on — 0,
+// 1, q−1, q−2, pairs summing to exactly q−1, q and 2q−2, and 2^(32k)−1
+// and 2^(32k) below q, whose limb (and, at W = 4, word) carries into the
+// next — and pads the rest of the n coefficients with random residues.
+func adversarialPair(rng *rand.Rand, n int, mod *Modulus) (a, b *Poly) {
+	q := mod.QBig
+	one := big.NewInt(1)
+	h := new(big.Int).Rsh(q, 1)
+	vals := []*big.Int{
+		new(big.Int), one, big.NewInt(2),
+		new(big.Int).Sub(q, one), new(big.Int).Sub(q, big.NewInt(2)),
+		h, new(big.Int).Sub(q, h), new(big.Int).Sub(new(big.Int).Sub(q, one), h),
+	}
+	for k := uint(32); k < uint(q.BitLen()); k += 32 {
+		p := new(big.Int).Lsh(one, k)
+		vals = append(vals, new(big.Int).Sub(p, one), p)
+	}
+	a, b = randPoly(rng, n, mod), randPoly(rng, n, mod)
+	i := 0
+	for _, x := range vals {
+		for _, y := range vals {
+			a.Coeff(i).SetBig(x)
+			b.Coeff(i).SetBig(y)
+			i++
+		}
+	}
+	return a, b
+}
+
+// TestAddSubNegMatchBig pins unmetered Add/Sub/Neg to
+// limb32.AddMod/SubMod/NegMod and to big.Int, on adversarial operands
+// and random residues, at the preset widths (Add at W = 4 is addW4) and
+// at W = 8. Beside the presets, a q just below 2¹²⁸ makes addW4's sum
+// carry out of the top word, which the 109-bit preset never does.
 func TestAddSubNegMatchBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
-	for _, mod := range testModuli(t) {
-		n := 32
-		a, b := randPoly(rng, n, mod), randPoly(rng, n, mod)
+	mods := testModuli(t)
+	for _, top := range []struct{ bits, minus int64 }{{128, 159}, {255, 19}} {
+		q := new(big.Int).Lsh(big.NewInt(1), uint(top.bits))
+		mod, err := NewModulus(q.Sub(q, big.NewInt(top.minus)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods = append(mods, mod)
+	}
+	for _, mod := range mods {
+		n := 512
+		a, b := adversarialPair(rng, n, mod)
 		dst := NewPoly(n, mod.W)
+		ref := limb32.NewNat(mod.W)
+		check := func(op string, i int, want *big.Int) {
+			t.Helper()
+			want.Mod(want, mod.QBig)
+			if got := dst.Coeff(i); got.Big().Cmp(want) != 0 || got.Big().Cmp(ref.Big()) != 0 {
+				t.Fatalf("W=%d %s(%v, %v) = %v, limb32 %v, want %v",
+					mod.W, op, a.Coeff(i), b.Coeff(i), got, ref, want)
+			}
+		}
 
 		Add(dst, a, b, mod, nil)
 		for i := 0; i < n; i++ {
-			want := new(big.Int).Add(a.Coeff(i).Big(), b.Coeff(i).Big())
-			want.Mod(want, mod.QBig)
-			if dst.Coeff(i).Big().Cmp(want) != 0 {
-				t.Fatalf("Add coeff %d mismatch", i)
-			}
+			limb32.AddMod(ref, a.Coeff(i), b.Coeff(i), mod.Q, nil)
+			check("Add", i, new(big.Int).Add(a.Coeff(i).Big(), b.Coeff(i).Big()))
 		}
 
 		Sub(dst, a, b, mod, nil)
 		for i := 0; i < n; i++ {
-			want := new(big.Int).Sub(a.Coeff(i).Big(), b.Coeff(i).Big())
-			want.Mod(want, mod.QBig)
-			if dst.Coeff(i).Big().Cmp(want) != 0 {
-				t.Fatalf("Sub coeff %d mismatch", i)
-			}
+			limb32.SubMod(ref, a.Coeff(i), b.Coeff(i), mod.Q, nil)
+			check("Sub", i, new(big.Int).Sub(a.Coeff(i).Big(), b.Coeff(i).Big()))
 		}
 
 		Neg(dst, a, mod, nil)
+		for i := 0; i < n; i++ {
+			limb32.NegMod(ref, a.Coeff(i), mod.Q, nil)
+			check("Neg", i, new(big.Int).Neg(a.Coeff(i).Big()))
+		}
 		sum := NewPoly(n, mod.W)
 		Add(sum, dst, a, mod, nil)
 		if !sum.Equal(NewPoly(n, mod.W)) {
 			t.Fatal("a + (-a) != 0")
+		}
+	}
+}
+
+// TestSumRange checks the lazily reduced sum against the limb32 Add fold
+// on adversarial and random operands at the preset moduli and a 124-bit
+// one, summed in whole blocks and in pieces that straddle them, and — at
+// the 124-bit modulus, the widest the double-CRT backend accepts — with
+// all-(q−1) operands numbering 3·sumCapacity+1, so the accumulators fill
+// and must reduce three times on the way.
+func TestSumRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(88))
+	q124 := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 124), big.NewInt(1))
+	m124, err := NewModulus(q124)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mods := append(testModuli(t), m124)
+	for i, want := range []int{math.MaxInt, math.MaxInt, 1 << 19, 16} {
+		if got := mods[i].sumCap; got != want {
+			t.Errorf("sumCapacity(%d-bit q) = %d, want %d", mods[i].Bits(), got, want)
+		}
+	}
+
+	n := 1024
+	for _, mod := range mods {
+		a, b := adversarialPair(rng, n, mod)
+		ps := []*Poly{a, b, randPoly(rng, n, mod), a, b}
+		want := ps[0].Clone()
+		for _, p := range ps[1:] {
+			Add(want, want, p, mod, &limb32.Counts{})
+		}
+		for _, step := range []int{SumBlock, 300} {
+			got := NewPoly(n, mod.W)
+			for lo := 0; lo < n; lo += step {
+				SumRange(got, ps, lo, min(lo+step, n), mod)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("W=%d: SumRange in %d-coefficient pieces differs from the limb32 fold", mod.W, step)
+			}
+		}
+	}
+
+	k := 3*m124.sumCap + 1
+	top := NewPoly(8, m124.W)
+	qm1 := new(big.Int).Sub(q124, big.NewInt(1))
+	for i := 0; i < top.N; i++ {
+		top.Coeff(i).SetBig(qm1)
+	}
+	ps := make([]*Poly, k)
+	for i := range ps {
+		ps[i] = top
+	}
+	got := NewPoly(8, m124.W)
+	SumRange(got, ps, 0, 8, m124)
+	want := new(big.Int).Mul(qm1, big.NewInt(int64(k)))
+	want.Mod(want, q124)
+	for i := 0; i < got.N; i++ {
+		if got.Coeff(i).Big().Cmp(want) != 0 {
+			t.Fatalf("sum of %d × (q−1) at coefficient %d = %v, want %v", k, i, got.Coeff(i), want)
 		}
 	}
 }
