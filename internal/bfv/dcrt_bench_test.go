@@ -159,6 +159,53 @@ func benchmarkMulChainDeferred(b *testing.B, n, depth int) {
 func BenchmarkMulChainDeferred1(b *testing.B) { benchmarkMulChainDeferred(b, 4096, 1) }
 func BenchmarkMulChainDeferred3(b *testing.B) { benchmarkMulChainDeferred(b, 4096, 3) }
 
+// batchingMulRig builds the served-parameter product fixture
+// (ParamsBatching: 109-bit q, n=4096, t=65537, four relinearization
+// digits): the deferring evaluator and two fresh ciphertexts whose NTT
+// forms one warm-up product has cached.
+func batchingMulRig(tb testing.TB) (*Evaluator, *Ciphertext, *Ciphertext) {
+	tb.Helper()
+	params := ParamsBatching()
+	src := sampling.NewSourceFromUint64(4109)
+	kg := NewKeyGenerator(params, src)
+	sk, pk := kg.GenKeyPair()
+	ev := NewEvaluator(params, kg.GenRelinKey(sk))
+	enc := NewEncryptor(params, pk, src)
+	ct0, err := enc.EncryptValue(11)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ct1, err := enc.EncryptValue(13)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !ev.CanDeferMuls() {
+		tb.Fatal("deferred multiplication unavailable at ParamsBatching")
+	}
+	warm, err := ev.MulNTT(ct0, ct1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	warm.Release()
+	return ev, ct0, ct1
+}
+
+// BenchmarkMulNTTBatching times one deferred product plus its
+// materialization at the parameters every measured host workload runs —
+// the two-word (109-bit) base conversions and scale-and-round, which no
+// 54-bit row reaches.
+func BenchmarkMulNTTBatching(b *testing.B) {
+	ev, ct0, ct1 := batchingMulRig(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := ev.MulNTT(ct0, ct1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Materialize()
+	}
+}
+
 // BenchmarkMulManySum measures the dot-product reduction Σᵢ aᵢ·bᵢ over 8
 // pairs, materialized (MulMany + Add fold) vs deferred (MulManyNTT + RNS
 // domain Add fold, one final conversion pair).

@@ -27,6 +27,30 @@ func mulNTTRig(t *testing.T, n int, seed uint64) (*Evaluator, *Evaluator, *Decry
 	return NewEvaluator(params, rlk), NewSchoolbookEvaluator(params, rlk), NewDecryptor(params, sk), ct0, ct1
 }
 
+// TestMulNTTAllocs pins the steady-state allocation count of one warm
+// deferred product at ParamsBatching (MulNTT plus Release): the
+// conversions and scale-and-round run on pooled scratch, so only the
+// handle and small per-call headers may allocate. The bound is the count
+// measured before the two-word conversion kernels were rewritten.
+func TestMulNTTAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	const maxAllocs = 37
+	ev, ct0, ct1 := batchingMulRig(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		p, err := ev.MulNTT(ct0, ct1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+	})
+	t.Logf("warm MulNTT + Release: %.0f allocations per run", allocs)
+	if allocs > maxAllocs {
+		t.Fatalf("warm MulNTT + Release allocates %.0f times per run, want ≤ %d", allocs, maxAllocs)
+	}
+}
+
 // TestMulNTTMaterializeBitIdentical: a deferred product materializes to
 // exactly Evaluator.Mul's (and the schoolbook oracle's) ciphertext.
 func TestMulNTTBitIdentical(t *testing.T) {

@@ -1,19 +1,26 @@
 // Fast exact base conversion out of the extended RNS basis.
 //
 // The BEHZ/HPS-style conversion computes, for an integer X held as
-// residues x_i over the basis primes p_i, the value X mod q for the ring
-// modulus q — entirely in word arithmetic. Writing γ_i = [x_i·(Q'/p_i)⁻¹
-// mod p_i], the CRT gives X = Σ γ_i·(Q'/p_i) − e·Q' for a small lift
-// counter e = ⌊Σ γ_i/p_i⌋ < k, so
+// residues x_i over the basis primes p_i, the value t·X mod q for the ring
+// modulus q and a word-sized factor t (t = 1 for a plain conversion; the
+// scale-and-round folds its plaintext modulus in) — entirely in word
+// arithmetic. Writing γ_i = [x_i·(Q'/p_i)⁻¹ mod p_i], the CRT gives
+// X = Σ γ_i·(Q'/p_i) − e·Q' for a small lift counter e = ⌊Σ γ_i/p_i⌋ < k,
+// so
 //
-//	X mod q = ( Σ γ_i·[(Q'/p_i) mod q] − e·[Q' mod q] ) mod q .
+//	t·X mod q = ( Σ γ_i·C_i + E_e ) mod q ,
+//	C_i = t·(Q'/p_i) mod q ,  E_e = −t·(e·Q' + δ) mod q .
+//
+// Both tables are precomputed (convTabs), so t costs nothing per
+// coefficient, and the sum is below K·2⁶⁰·q — one word of quotient — so a
+// single bound-specialised reduction finishes it (see qring).
 //
 // The only hazard is e: the classic approximate conversion estimates the
 // sum Σ γ_i/p_i in fixed point and can be off by one when the fractional
 // part X/Q' lands near 0 or 1. Instead of absorbing that error into
 // noise (this backend must stay bit-identical to the schoolbook oracle),
 // the kernel converts the shifted value Z = X + δ with δ = ⌊Q'/4⌋ and
-// subtracts δ mod q afterwards. The Context sizes the basis so
+// subtracts t·δ mod q (inside E_e). The Context sizes the basis so
 // |X| ≤ 2^BoundBits ≤ Q'/8, which pins frac(Z/Q') into [1/8−ε, 3/8] —
 // while the fixed-point estimate Σ ⌊γ_i·⌊2⁹⁶/p_i⌋/2³²⌋ undershoots
 // Σ γ_i·2⁶⁴/p_i by less than k·(2²⁸+1) ≪ 2⁶⁴/8. The floor of the
@@ -30,76 +37,132 @@ import (
 	"repro/internal/poly"
 )
 
+// maxConvLimbs caps the basis size K. The conversion's recombination sum
+// Σ γ_i·C_i + E_e stays below K·2⁶⁰·q, and both word widths reduce it with
+// a one-word quotient: qring.reduce3 needs it below 2⁶³·q, the one-word
+// ReduceWide below 2⁶⁴·q, and ExtendResidues' per-channel sums the same
+// for its sub-basis. K ≤ 8 holds all three; every paper parameter set
+// needs at most 5 limbs. NewContext refuses a larger basis.
+const maxConvLimbs = 8
+
 // convState holds the precomputed tables of the fast base conversion
 // basis → q. Every Context has one: NewContext refuses modulus shapes the
 // word-sized path cannot serve (see newConvState).
 type convState struct {
 	qr *qring
 
-	// Per-prime: ω_i = (Q'/p_i)⁻¹ mod p_i with Shoup companion, the
-	// fixed-point constant ν_i = ⌊2⁹⁶/p_i⌋, δ mod p_i, and q⁻¹ mod p_i
-	// (the exact-division constant of the scale-and-round step).
-	omega, omegaShoup []uint64
-	nu                []uint64
-	deltaP            []uint64
-	qInvP, qInvPShoup []uint64
+	// Per prime, with Shoup companions, the constants that bring a
+	// conversion output v = v_lo + 2⁶⁴·v_hi back into limb channel i:
+	// −q⁻¹ and −2⁶⁴·q⁻¹ mod p_i (the scale-and-round division), and 1 and
+	// 2⁶⁴ mod p_i (the centered re-entry, with −q mod p_i).
+	nqInv, nqInvShoup     []uint64
+	nqInv64, nqInv64Shoup []uint64
+	oneShoup              []uint64
+	two64, two64Shoup     []uint64
+	negQ                  []uint64
 
-	// Per-prime (Q'/p_i) mod q and the lift table (e·Q' + δ) mod q for
-	// e = 0..k, both as (lo, hi) word pairs.
-	cLo, cHi []uint64
-	eLo, eHi []uint64
-
-	// remFits[i] reports q ≤ p_i for a one-word q: a mod-q remainder
-	// magnitude is then already a canonical residue in limb channel i and
-	// the per-coefficient ReduceWide fold is skipped.
-	remFits []bool
+	unit convTabs // t = 1: the plain conversion X mod q
 
 	rounders sync.Map // t (uint64) → *ScaleRounder
 }
 
+// convTabs are the constants of one conversion target t·X mod q: per
+// prime a convLimb, and per lift counter e = 0..K the complement
+// E_e = −t·(e·Q' + δ) mod q as a (lo, hi) word pair, added rather than
+// subtracted so the reduction absorbs it.
+type convTabs struct {
+	limbs    []convLimb
+	eLo, eHi []uint64
+}
+
+// convLimb gathers one prime's sweep constants, so the sweep's inner
+// loop reads one struct per limb: the γ pass's ω = (Q'/p)⁻¹ mod p with
+// Shoup companion and δ mod p, the lift counter's fixed-point
+// ν = ⌊2⁹⁶/p⌋, and C = t·(Q'/p) mod q as a (lo, hi) word pair.
+type convLimb struct {
+	p, delta, omega, omegaShoup, nu, cLo, cHi uint64
+}
+
+// gamma returns γ = [(x + δ)·ω] mod p for a lazy (< 2p) residue x: the
+// plain add never wraps (x < 2p, δ < p, 3p < 2⁶⁴) and the Shoup multiply
+// reduces any word-sized operand exactly.
+func (l *convLimb) gamma(x uint64) uint64 {
+	v := x + l.delta
+	qh, _ := bits.Mul64(v, l.omegaShoup)
+	g := v*l.omega - qh*l.p
+	if g >= l.p {
+		g -= l.p
+	}
+	return g
+}
+
+// newConvTabs builds the conversion constants for factor t.
+func newConvTabs(c *Context, t uint64) convTabs {
+	q := c.Mod.QBig
+	tb := new(big.Int).SetUint64(t)
+	delta := new(big.Int).Rsh(c.Basis.Q, 2)
+	v := new(big.Int)
+	var ct convTabs
+	for i, p := range c.Basis.Primes {
+		omega, omegaShoup := c.Basis.QHatInv(i)
+		v.Mul(c.Basis.QHat(i), tb)
+		v.Mod(v, q)
+		ct.limbs = append(ct.limbs, convLimb{
+			p:     p,
+			delta: new(big.Int).Mod(delta, new(big.Int).SetUint64(p)).Uint64(),
+			omega: omega, omegaShoup: omegaShoup,
+			nu:  c.Basis.Nu96(i),
+			cLo: bigWord(v, 0), cHi: bigWord(v, 1),
+		})
+	}
+	for e := 0; e <= c.K(); e++ {
+		v.Mul(big.NewInt(int64(e)), c.Basis.Q)
+		v.Add(v, delta)
+		v.Mul(v, tb)
+		v.Neg(v)
+		v.Mod(v, q) // Euclidean: in [0, q)
+		ct.eLo = append(ct.eLo, bigWord(v, 0))
+		ct.eHi = append(ct.eHi, bigWord(v, 1))
+	}
+	return ct
+}
+
 // newConvState builds the conversion tables, or returns an error when the
 // modulus or basis shape rules the word-sized path out (q even, 63/64
-// bits, above 2¹²⁴, sharing a factor with a basis prime, or basis primes
-// too narrow for the ν trick).
+// bits, above 2¹²⁴, sharing a factor with a basis prime, more than
+// maxConvLimbs basis primes, or basis primes too narrow for the ν trick).
 func newConvState(c *Context) (*convState, error) {
 	qr, err := newQring(c.Mod.QBig)
 	if err != nil {
 		return nil, err
 	}
-	k := c.K()
+	if k := c.K(); k > maxConvLimbs {
+		return nil, fmt.Errorf("dcrt: %d basis primes exceed the %d the base conversion's one-word quotient allows", k, maxConvLimbs)
+	}
 	cv := &convState{qr: qr}
-	q := c.Mod.QBig
-	delta := new(big.Int).Rsh(c.Basis.Q, 2)
-	t := new(big.Int)
 	for i, p := range c.Basis.Primes {
-		nu := c.Basis.Nu96(i)
-		if nu == 0 {
+		if c.Basis.Nu96(i) == 0 {
 			return nil, fmt.Errorf("dcrt: basis prime %d ≤ 2³² is too narrow for the fixed-point lift", p)
 		}
-		inv, shoup := c.Basis.QHatInv(i)
-		cv.omega = append(cv.omega, inv)
-		cv.omegaShoup = append(cv.omegaShoup, shoup)
-		cv.nu = append(cv.nu, nu)
 		pb := new(big.Int).SetUint64(p)
-		cv.deltaP = append(cv.deltaP, t.Mod(delta, pb).Uint64())
-		qInv := new(big.Int).ModInverse(t.Mod(q, pb), pb)
+		qInv := new(big.Int).ModInverse(new(big.Int).SetUint64(c.qModP[i]), pb)
 		if qInv == nil {
 			return nil, fmt.Errorf("dcrt: modulus q shares a factor with basis prime %d", p)
 		}
-		cv.qInvP = append(cv.qInvP, qInv.Uint64())
-		cv.qInvPShoup = append(cv.qInvPShoup, c.Tabs[i].R.ShoupConst(qInv.Uint64()))
-		t.Mod(c.Basis.QHat(i), q)
-		cv.cLo = append(cv.cLo, bigWord(t, 0))
-		cv.cHi = append(cv.cHi, bigWord(t, 1))
-		cv.remFits = append(cv.remFits, qr.words == 1 && qr.q0 <= p)
+		r := c.Tabs[i].R
+		nq := p - qInv.Uint64() // −q⁻¹
+		t64 := bits.Rem64(1, 0, p)
+		nq64 := r.Mul(nq, t64)
+		cv.nqInv = append(cv.nqInv, nq)
+		cv.nqInvShoup = append(cv.nqInvShoup, r.ShoupConst(nq))
+		cv.nqInv64 = append(cv.nqInv64, nq64)
+		cv.nqInv64Shoup = append(cv.nqInv64Shoup, r.ShoupConst(nq64))
+		cv.oneShoup = append(cv.oneShoup, r.ShoupConst(1))
+		cv.two64 = append(cv.two64, t64)
+		cv.two64Shoup = append(cv.two64Shoup, r.ShoupConst(t64))
+		cv.negQ = append(cv.negQ, p-c.qModP[i])
 	}
-	for e := 0; e <= k; e++ {
-		t.Mul(big.NewInt(int64(e)), c.Basis.Q)
-		t.Add(t, delta)
-		t.Mod(t, q)
-		cv.eLo = append(cv.eLo, bigWord(t, 0))
-		cv.eHi = append(cv.eHi, bigWord(t, 1))
-	}
+	cv.unit = newConvTabs(c, 1)
 	return cv, nil
 }
 
@@ -109,32 +172,59 @@ func newConvState(c *Context) (*convState, error) {
 func (c *Context) RNSNative() bool { return c.conv != nil }
 
 // convModQ converts a residue-domain element (representing exact integer
-// coefficients X with |X| ≤ 2^BoundBits) to X mod q, writing the
-// canonical values into the (lo, hi) word slabs. Limb values may be
-// lazily reduced (< 2p, the InverseLazy bound): the γ pass folds them
-// exactly. dstHi may be nil for one-word moduli.
-func (c *Context) convModQ(x *Poly, dstLo, dstHi []uint64) {
+// coefficients X with |X| ≤ 2^BoundBits) to t·X mod q for the factor t
+// tb was built for, writing the canonical values into the (lo, hi) word
+// slabs. Each coefficient takes one sweep: its γ_i values, the lift
+// counter and the recombination sum live in registers, and one
+// reduction finishes it. Limb values may be lazily reduced (< 2p, see
+// convLimb.gamma). dstHi is nil, and untouched, when q fits one word.
+func (c *Context) convModQ(x *Poly, tb *convTabs, dstLo, dstHi []uint64) {
 	cv := c.conv
-	k := c.K()
+	if cv.qr.words == 2 {
+		// Σ γ_i·C_i + E_e accumulates in three words (< K·2⁶⁰·q ≤ 2¹⁸⁷)
+		// and qring.reduce3 reduces it once.
+		qr := cv.qr
+		lt := tb.limbs
+		xs := x.Coeffs[:len(lt)]
+		parallelChunks(c.N, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				var sLo, sHi, a0, a1, a2, cc uint64
+				for i := range lt {
+					l := &lt[i]
+					g := l.gamma(xs[i][j])
+					ph, pl := bits.Mul64(g, l.nu)
+					sLo, cc = bits.Add64(sLo, ph<<32|pl>>32, 0)
+					sHi += cc
+					h0, l0 := bits.Mul64(g, l.cLo)
+					h1, l1 := bits.Mul64(g, l.cHi)
+					a0, cc = bits.Add64(a0, l0, 0)
+					a1, cc = bits.Add64(a1, h0, cc)
+					a2 += h1 + cc
+					a1, cc = bits.Add64(a1, l1, 0)
+					a2 += cc
+				}
+				a0, cc = bits.Add64(a0, tb.eLo[sHi], 0)
+				a1, cc = bits.Add64(a1, tb.eHi[sHi], cc)
+				dstLo[j], dstHi[j] = qr.reduce3(a0, a1, a2+cc)
+			}
+		})
+		return
+	}
 
-	// One-word moduli run the γ pass fused into the recombination sweep:
-	// each coefficient's γ_i = [(x_i + δ_i)·ω_i] mod p_i values are
-	// computed in registers and consumed immediately by the fixed-point
-	// lift sum and the Σ γ_i·C_i dot product — the γ scratch element and
-	// its write/read round trip disappear. The plain add never wraps
-	// (x_i < 2p, δ_i < p, 3p < 2⁶⁴) and the Shoup multiply reduces any
-	// word-sized operand exactly.
-	if cv.qr.words == 1 && k == 3 {
-		// Fully unrolled three-limb form — the shape of every paper
-		// parameter set — with the per-limb constants held in registers.
-		r1 := cv.qr.r1
+	// One-word moduli: Σ γ_i·C_i + E_e < K·2⁶⁰·q fits 128 bits and one
+	// Barrett reduction (ReduceWide) finishes it.
+	r1 := cv.qr.r1
+	if c.K() == 3 {
+		// Fully unrolled three-limb form — the shape of every one-word
+		// paper parameter set — with the per-limb constants in registers.
 		x0, x1, x2 := x.Coeffs[0], x.Coeffs[1], x.Coeffs[2]
-		p0, p1, p2 := c.Basis.Primes[0], c.Basis.Primes[1], c.Basis.Primes[2]
-		d0, d1, d2 := cv.deltaP[0], cv.deltaP[1], cv.deltaP[2]
-		om0, om1, om2 := cv.omega[0], cv.omega[1], cv.omega[2]
-		os0, os1, os2 := cv.omegaShoup[0], cv.omegaShoup[1], cv.omegaShoup[2]
-		nu0, nu1, nu2 := cv.nu[0], cv.nu[1], cv.nu[2]
-		c0, c1, c2 := cv.cLo[0], cv.cLo[1], cv.cLo[2]
+		l0, l1, l2 := &tb.limbs[0], &tb.limbs[1], &tb.limbs[2]
+		p0, p1, p2 := l0.p, l1.p, l2.p
+		d0, d1, d2 := l0.delta, l1.delta, l2.delta
+		om0, om1, om2 := l0.omega, l1.omega, l2.omega
+		os0, os1, os2 := l0.omegaShoup, l1.omegaShoup, l2.omegaShoup
+		nu0, nu1, nu2 := l0.nu, l1.nu, l2.nu
+		c0, c1, c2 := l0.cLo, l1.cLo, l2.cLo
 		parallelChunks(c.N, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				v := x0[j] + d0
@@ -172,115 +262,39 @@ func (c *Context) convModQ(x *Poly, dstLo, dstHi []uint64) {
 				ph, pl = bits.Mul64(g2, c2)
 				aLo, cc = bits.Add64(aLo, pl, 0)
 				aHi += ph + cc
-				dstLo[j] = r1.Sub(r1.ReduceWide(aHi, aLo), cv.eLo[sHi])
-			}
-			if dstHi != nil {
-				for j := lo; j < hi; j++ {
-					dstHi[j] = 0
-				}
+				aLo, cc = bits.Add64(aLo, tb.eLo[sHi], 0)
+				dstLo[j] = r1.ReduceWide(aHi+cc, aLo)
 			}
 		})
 		return
 	}
-	if cv.qr.words == 1 && k <= maxFusedChunk {
-		r1 := cv.qr.r1
-		var xs [maxFusedChunk][]uint64
-		for i := 0; i < k; i++ {
-			xs[i] = x.Coeffs[i]
-		}
-		primes := c.Basis.Primes
-		parallelChunks(c.N, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				var sLo, sHi, aLo, aHi, cc uint64
-				for i := 0; i < k; i++ {
-					p := primes[i]
-					v := xs[i][j] + cv.deltaP[i]
-					qh, _ := bits.Mul64(v, cv.omegaShoup[i])
-					gij := v*cv.omega[i] - qh*p
-					if gij >= p {
-						gij -= p
-					}
-					ph, pl := bits.Mul64(gij, cv.nu[i])
-					sLo, cc = bits.Add64(sLo, ph<<32|pl>>32, 0)
-					sHi += cc
-					ph, pl = bits.Mul64(gij, cv.cLo[i])
-					aLo, cc = bits.Add64(aLo, pl, 0)
-					aHi += ph + cc
-				}
-				dstLo[j] = r1.Sub(r1.ReduceWide(aHi, aLo), cv.eLo[sHi])
-			}
-			if dstHi != nil {
-				for j := lo; j < hi; j++ {
-					dstHi[j] = 0
-				}
-			}
-		})
-		return
-	}
-
-	g := c.getScratch()
-	defer c.PutScratch(g)
-
-	// γ pass, limb-parallel: γ_i = [(x_i + δ_i)·ω_i] mod p_i.
-	parallelFor(k, func(i int) {
-		r := c.Tabs[i].R
-		xi, gi := x.Coeffs[i], g.Coeffs[i]
-		d, om, oms := cv.deltaP[i], cv.omega[i], cv.omegaShoup[i]
-		xi = xi[:len(gi)]
-		for j := range gi {
-			gi[j] = r.MulShoup(xi[j]+d, om, oms)
-		}
-	})
-
-	// Recombination pass, coefficient-chunk-parallel: the lift counter e
-	// from the 128-bit fixed-point sum, the Σ γ_i·C_i dot product, one
-	// Barrett reduction, and the table subtraction.
-	if cv.qr.words == 1 {
-		r1 := cv.qr.r1
-		parallelChunks(c.N, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				var sLo, sHi, aLo, aHi, cc uint64
-				for i := 0; i < k; i++ {
-					gij := g.Coeffs[i][j]
-					ph, pl := bits.Mul64(gij, cv.nu[i])
-					sLo, cc = bits.Add64(sLo, ph<<32|pl>>32, 0)
-					sHi += cc
-					ph, pl = bits.Mul64(gij, cv.cLo[i])
-					aLo, cc = bits.Add64(aLo, pl, 0)
-					aHi += ph + cc
-				}
-				dstLo[j] = r1.Sub(r1.ReduceWide(aHi, aLo), cv.eLo[sHi])
-			}
-			if dstHi != nil {
-				for j := lo; j < hi; j++ {
-					dstHi[j] = 0
-				}
-			}
-		})
-		return
-	}
+	lt := tb.limbs
+	xs := x.Coeffs[:len(lt)]
 	parallelChunks(c.N, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			var sLo, sHi, cc uint64
-			var acc [4]uint64
-			for i := 0; i < k; i++ {
-				gij := g.Coeffs[i][j]
-				ph, pl := bits.Mul64(gij, cv.nu[i])
+			var sLo, sHi, aLo, aHi, cc uint64
+			for i := range lt {
+				l := &lt[i]
+				g := l.gamma(xs[i][j])
+				ph, pl := bits.Mul64(g, l.nu)
 				sLo, cc = bits.Add64(sLo, ph<<32|pl>>32, 0)
 				sHi += cc
-				h0, l0 := bits.Mul64(gij, cv.cLo[i])
-				h1, l1 := bits.Mul64(gij, cv.cHi[i])
-				var c1, c3 uint64
-				acc[0], c1 = bits.Add64(acc[0], l0, 0)
-				mid, c2 := bits.Add64(h0, l1, 0)
-				acc[1], c3 = bits.Add64(acc[1], mid, c1)
-				acc[2] += h1 + c2 + c3 // Σ γ·C < 2¹⁹², no overflow
+				ph, pl = bits.Mul64(g, l.cLo)
+				aLo, cc = bits.Add64(aLo, pl, 0)
+				aHi += ph + cc
 			}
-			uLo, uHi := cv.qr.reduce256(&acc)
-			dstLo[j], dstHi[j] = cv.qr.subMod(uLo, uHi, cv.eLo[sHi], cv.eHi[sHi])
+			aLo, cc = bits.Add64(aLo, tb.eLo[sHi], 0)
+			dstLo[j] = r1.ReduceWide(aHi+cc, aLo)
 		}
 	})
 }
+
+// convOut is a pooled pair of length-N slabs receiving one conversion's
+// mod-q word pairs; hi is nil when q fits one word.
+type convOut struct{ lo, hi []uint64 }
+
+func (c *Context) getConvOut() *convOut  { return c.outs.Get().(*convOut) }
+func (c *Context) putConvOut(w *convOut) { c.outs.Put(w) }
 
 // packModQ packs canonical mod-q word pairs into a coefficient-domain
 // R_q polynomial (W ≤ 4 limbs, guaranteed by the qring width limits).
@@ -298,11 +312,6 @@ func (c *Context) packModQ(dst *poly.Poly, lo, hi []uint64) {
 		}
 	}
 }
-
-// getU64 returns a pooled length-N word slab.
-func (c *Context) getU64() *[]uint64 { return c.u64s.Get().(*[]uint64) }
-
-func (c *Context) putU64(s *[]uint64) { c.u64s.Put(s) }
 
 // DigitsToRNS splits p into its base-2^baseBits digit polynomials and
 // returns each directly in double-CRT (NTT) form — the relinearization

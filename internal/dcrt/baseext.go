@@ -26,10 +26,11 @@ import (
 type extState struct {
 	subK int
 
-	// Per sub-basis prime: ω'_i = (P'/p_i)⁻¹ mod p_i with Shoup
-	// companion, δ' = ⌊P'/4⌋ mod p_i, and the fixed-point constant
-	// ν_i = ⌊2⁹⁶/p_i⌋.
-	omega, omegaShoup, deltaP, nu []uint64
+	// Per sub-basis prime, the base conversion's γ and lift constants
+	// (convLimb) over P': ω'_i = (P'/p_i)⁻¹ mod p_i with Shoup companion,
+	// δ' = ⌊P'/4⌋ mod p_i and ν_i = ⌊2⁹⁶/p_i⌋. cLo/cHi are unused: the
+	// recombination targets the limb channels in cT, not q.
+	limbs []convLimb
 
 	// Per target limb t ≥ subK: cT[t−subK][i] = (P'/p_i) mod p_t and the
 	// lift table liftT[t−subK][e] = (e·P' + δ') mod p_t for e = 0..subK.
@@ -69,11 +70,13 @@ func (c *Context) extFor(subK int) *extState {
 		p := c.Basis.Primes[i]
 		pb := new(big.Int).SetUint64(p)
 		phat := new(big.Int).Div(pSub, pb)
-		inv := new(big.Int).ModInverse(t.Mod(phat, pb), pb)
-		st.omega = append(st.omega, inv.Uint64())
-		st.omegaShoup = append(st.omegaShoup, c.Tabs[i].R.ShoupConst(inv.Uint64()))
-		st.deltaP = append(st.deltaP, t.Mod(delta, pb).Uint64())
-		st.nu = append(st.nu, new(big.Int).Div(new(big.Int).Lsh(big.NewInt(1), 96), pb).Uint64())
+		inv := new(big.Int).ModInverse(t.Mod(phat, pb), pb).Uint64()
+		st.limbs = append(st.limbs, convLimb{
+			p:     p,
+			delta: t.Mod(delta, pb).Uint64(),
+			omega: inv, omegaShoup: c.Tabs[i].R.ShoupConst(inv),
+			nu: c.Basis.Nu96(i),
+		})
 	}
 	for tgt := subK; tgt < k; tgt++ {
 		pt := new(big.Int).SetUint64(c.Basis.Primes[tgt])
@@ -107,20 +110,20 @@ func (c *Context) ExtendResidues(x *Poly, subK int) {
 	if subK >= k {
 		return
 	}
-	if subK < 1 || subK > maxFusedChunk {
+	if subK < 1 {
 		panic("dcrt: ExtendResidues sub-basis length out of range")
 	}
 	st := c.extFor(subK)
-	primes := c.Basis.Primes
 	if subK == 2 && k == 3 {
 		// Unrolled two-limb → one-limb form, the shape of every 54-bit
 		// parameter set, with the constants held in registers.
 		x0, x1, x2 := x.Coeffs[0], x.Coeffs[1], x.Coeffs[2]
-		p0, p1 := primes[0], primes[1]
-		d0, d1 := st.deltaP[0], st.deltaP[1]
-		om0, om1 := st.omega[0], st.omega[1]
-		os0, os1 := st.omegaShoup[0], st.omegaShoup[1]
-		nu0, nu1 := st.nu[0], st.nu[1]
+		l0, l1 := &st.limbs[0], &st.limbs[1]
+		p0, p1 := l0.p, l1.p
+		d0, d1 := l0.delta, l1.delta
+		om0, om1 := l0.omega, l1.omega
+		os0, os1 := l0.omegaShoup, l1.omegaShoup
+		nu0, nu1 := l0.nu, l1.nu
 		c0, c1 := st.cT[0][0], st.cT[0][1]
 		lift := st.liftT[0]
 		rt := c.Tabs[2].R
@@ -153,20 +156,17 @@ func (c *Context) ExtendResidues(x *Poly, subK int) {
 		})
 		return
 	}
+	lt := st.limbs
+	xs := x.Coeffs[:subK]
 	parallelChunks(c.N, func(lo, hi int) {
-		var g [maxFusedChunk]uint64
+		var g [maxConvLimbs]uint64
 		for j := lo; j < hi; j++ {
 			var sLo, sHi, cc uint64
-			for i := 0; i < subK; i++ {
-				p := primes[i]
-				v := x.Coeffs[i][j] + st.deltaP[i]
-				qh, _ := bits.Mul64(v, st.omegaShoup[i])
-				gij := v*st.omega[i] - qh*p
-				if gij >= p {
-					gij -= p
-				}
+			for i := range lt {
+				l := &lt[i]
+				gij := l.gamma(xs[i][j])
 				g[i] = gij
-				ph, pl := bits.Mul64(gij, st.nu[i])
+				ph, pl := bits.Mul64(gij, l.nu)
 				sLo, cc = bits.Add64(sLo, ph<<32|pl>>32, 0)
 				sHi += cc
 			}

@@ -15,8 +15,9 @@
 // to the schoolbook path. That makes the backend a drop-in replacement
 // which the metered schoolbook (PIM-simulator cost model) differentially
 // validates against. A context exists only for moduli that conversion
-// serves — odd q of at most 62 or of 65 to 124 bits, every paper modulus
-// — and NewContext refuses the rest.
+// serves — odd q of at most 62 or of 65 to 124 bits, every paper modulus,
+// over a basis of at most maxConvLimbs primes — and NewContext refuses
+// the rest.
 //
 // Limb channels are independent, so transforms and pointwise passes are
 // parallelized across a process-wide bounded worker pool; scratch
@@ -67,7 +68,7 @@ type Context struct {
 	fuseCap int
 
 	scratch sync.Pool // *Poly buffers for transforms and accumulators
-	u64s    sync.Pool // *[]uint64 length-N slabs for the conversion kernels
+	outs    sync.Pool // *convOut slabs for the conversion kernels' outputs
 	exts    sync.Map  // sub-basis length → *extState (see baseext.go)
 }
 
@@ -104,8 +105,9 @@ const basisPrimeBits = 60
 // 2^(boundBits+3), so any integer v with |v| ≤ 2^boundBits is held
 // exactly and the fast base conversion's quarter-shift fraction never
 // leaves its exactness window (buildBasis). It returns an error when the
-// modulus shape rules the word-sized conversion out (newConvState) or the
-// basis leaves the fused key-switching kernels no capacity.
+// modulus or basis shape rules the word-sized conversion out
+// (newConvState: among others, more than maxConvLimbs basis primes) or
+// the basis leaves the fused key-switching kernels no capacity.
 func NewContext(mod *poly.Modulus, n, boundBits int) (*Context, error) {
 	if n <= 1 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("dcrt: n=%d must be a power of two > 1", n)
@@ -140,12 +142,15 @@ func NewContext(mod *poly.Modulus, n, boundBits int) (*Context, error) {
 		c.two32Shoup = append(c.two32Shoup, r.ShoupConst(t32))
 	}
 	c.scratch.New = func() any { return c.newPoly() }
-	c.u64s.New = func() any {
-		s := make([]uint64, c.N)
-		return &s
-	}
 	if c.conv, err = newConvState(c); err != nil {
 		return nil, err
+	}
+	c.outs.New = func() any {
+		w := &convOut{lo: make([]uint64, c.N)}
+		if c.conv.qr.words == 2 {
+			w.hi = make([]uint64, c.N)
+		}
+		return w
 	}
 	maxP := slices.Max(basis.Primes)
 	if c.fuseCap = ntt.Acc128Capacity(maxP, maxP-1, 4*maxP-1); c.fuseCap == 0 {
@@ -292,17 +297,11 @@ func (c *Context) FromRNS(p *Poly) *poly.Poly {
 // product accumulator — to mod q and packs it. Limb values may be lazily
 // reduced (< 2p).
 func (c *Context) FromResidues(p *Poly) *poly.Poly {
-	uLo := c.getU64()
-	defer c.putU64(uLo)
-	var hi []uint64
-	if c.conv.qr.words == 2 {
-		uHi := c.getU64()
-		defer c.putU64(uHi)
-		hi = *uHi
-	}
-	c.convModQ(p, *uLo, hi)
+	w := c.getConvOut()
+	defer c.putConvOut(w)
+	c.convModQ(p, &c.conv.unit, w.lo, w.hi)
 	out := poly.NewPoly(c.N, c.Mod.W)
-	c.packModQ(out, *uLo, hi)
+	c.packModQ(out, w.lo, w.hi)
 	return out
 }
 

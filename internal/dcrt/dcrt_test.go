@@ -178,4 +178,19 @@ func TestNewContextRejectsNonNativeModuli(t *testing.T) {
 			t.Errorf("%s q: GetContext returned a context, want an error", name)
 		}
 	}
+	// A bound that needs more than maxConvLimbs basis primes is refused
+	// too: the conversion's one-word quotient would not hold.
+	mod, err := poly.NewModulus(big.NewInt(134217689))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := (maxConvLimbs + 1) * basisPrimeBits
+	if c, err := NewContext(mod, n, wide); err == nil {
+		t.Errorf("bound %d: NewContext returned a %d-limb context, want an error", wide, c.K())
+	}
+	if c, err := NewContext(mod, n, (maxConvLimbs-1)*(basisPrimeBits-1)); err != nil {
+		t.Errorf("a %d-limb basis must still build: %v", maxConvLimbs, err)
+	} else if c.K() != maxConvLimbs {
+		t.Errorf("got a %d-limb basis, want %d", c.K(), maxConvLimbs)
+	}
 }

@@ -22,7 +22,7 @@ func TestScaleRoundResiduesOracle(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(21))
 	for _, c := range convContexts(t, n) {
-		vals := testValues(c, n, rng)
+		vals := testValues(c, n, c.BoundBits, 65537, rng)
 		x := residuePoly(c, vals)
 		nttX := c.NewPoly()
 		for i := range nttX.Coeffs {
@@ -67,7 +67,7 @@ func TestScaleRoundDigitsOracle(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(22))
 	for _, c := range convContexts(t, n) {
-		vals := testValues(c, n, rng)
+		vals := testValues(c, n, c.BoundBits, 65537, rng)
 		base := uint(13)
 		count := (c.Mod.Bits() + int(base) - 1) / int(base)
 		for _, limbs := range []int{1, c.K()} {
@@ -164,7 +164,7 @@ func TestCenteredNTTFromResiduesOracle(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(24))
 	for _, c := range convContexts(t, n) {
-		vals := testValues(c, n, rng)
+		vals := testValues(c, n, c.BoundBits, 1, rng)
 		x := residuePoly(c, vals)
 		got := c.CenteredNTTFromResidues(x)
 		want := c.ToRNSCentered(c.FromResidues(x))

@@ -10,12 +10,25 @@ import (
 )
 
 // qring is fixed-width modular arithmetic for the ring modulus q of a
-// Context, used by the RNS-native base-conversion and scale-and-round
-// kernels. The paper's moduli are 27/54/109-bit primes, so q always fits
-// two 64-bit words: below 2⁶² a modring.Ring does the work, and between
-// 2⁶⁴ and 2¹²⁴ a two-word base-2⁶⁴ Barrett reduction (HAC 14.42 with
-// k = 2) does. Values are passed as (lo, hi) word pairs; for one-word
-// moduli hi is always zero.
+// Context, used by the RNS-native base-conversion kernels. The paper's
+// moduli are 27/54/109-bit primes, so q always fits two 64-bit words:
+// below 2⁶² a modring.Ring does the work, and between 2⁶⁴ and 2¹²⁴ a
+// Barrett reduction specialised to the one input shape the conversion
+// produces does (reduce3). Values are passed as (lo, hi) word pairs; for
+// one-word moduli hi is always zero.
+//
+// The conversion's recombination sum Σ γ_i·C_i + E (γ_i < p_i < 2⁶⁰,
+// C_i, E < q, K ≤ maxConvLimbs terms) stays below K·2⁶⁰·q ≤ 2⁶³·q: its
+// quotient by q fits one word. With b = bits(q), u = ⌊x/2^(b−1)⌋ then
+// fits one word too, and with m = ⌊2^(b+63)/q⌋ < 2⁶⁴ the estimate
+// q̂ = ⌊u·m/2⁶⁴⌋ satisfies q̂ ≤ ⌊x/q⌋ ≤ q̂ + 2: writing x/2^(b−1) = u + α
+// and 2^(b+63)/q = m + β with α, β ∈ [0, 1),
+//
+//	x/q = (u + α)(m + β)/2⁶⁴ < u·m/2⁶⁴ + (u + m + 1)/2⁶⁴ < q̂ + 1 + 2 .
+//
+// So one 64×64 product estimates the quotient, two more form
+// x − q̂·q < 3q in two words, and two masked subtractions finish — no
+// loop and no data-dependent branch.
 //
 // Moduli with 63/64 bits (no headroom for either path), above 2¹²⁴, or
 // even (the centered remainder could tie at exactly q/2, which the
@@ -25,11 +38,13 @@ type qring struct {
 	words int           // 1 or 2
 	r1    *modring.Ring // one-word path (q < 2⁶²)
 
-	// two-word path: q = q1·2⁶⁴ + q0 with q1 ≠ 0, mu = ⌊2²⁵⁶/q⌋.
-	q0, q1 uint64
-	mu     [3]uint64
-
+	q0, q1       uint64 // q = q1·2⁶⁴ + q0 (q1 = 0 on the one-word path)
 	half0, half1 uint64 // ⌊q/2⌋
+
+	// two-word path: sh = bits(q) − 65, so u = ⌊x/2^(b−1)⌋ is the
+	// funnel shift of x's upper two words by sh; m = ⌊2^(b+63)/q⌋.
+	sh uint
+	m  uint64
 }
 
 // newQring returns the fixed-width ring for q, or an error naming the
@@ -49,17 +64,17 @@ func newQring(q *big.Int) (*qring, error) {
 			half0: half.Uint64(),
 		}, nil
 	case b >= 65 && b <= 124:
-		mu := new(big.Int).Lsh(big.NewInt(1), 256)
-		mu.Div(mu, q)
-		qr := &qring{
+		m := new(big.Int).Lsh(big.NewInt(1), uint(b+63))
+		m.Div(m, q)
+		return &qring{
 			words: 2,
 			q0:    bigWord(q, 0),
 			q1:    bigWord(q, 1),
 			half0: bigWord(half, 0),
 			half1: bigWord(half, 1),
-		}
-		qr.mu[0], qr.mu[1], qr.mu[2] = bigWord(mu, 0), bigWord(mu, 1), bigWord(mu, 2)
-		return qr, nil
+			sh:    uint(b - 65),
+			m:     m.Uint64(),
+		}, nil
 	default:
 		return nil, fmt.Errorf("dcrt: %d-bit modulus q fits neither the one-word (≤ 62-bit) nor the two-word (65–124-bit) path", b)
 	}
@@ -74,89 +89,23 @@ func bigWord(v *big.Int, i int) uint64 {
 	return uint64(w[i]) // big.Word is 64-bit on all supported platforms
 }
 
-// mulAddWord adds a·b to the multi-word accumulator acc, which must be
-// long enough to absorb the final carry.
-func mulAddWord(acc []uint64, a []uint64, b uint64) {
-	var carry uint64
-	for i, ai := range a {
-		hi, lo := bits.Mul64(ai, b)
-		s, c1 := bits.Add64(acc[i], lo, 0)
-		s, c2 := bits.Add64(s, carry, 0)
-		acc[i] = s
-		carry = hi + c1 + c2 // hi ≤ 2⁶⁴-2, so no overflow
-	}
-	for i := len(a); carry != 0; i++ {
-		acc[i], carry = bits.Add64(acc[i], carry, 0)
-	}
+// reduce3 returns x mod q for x = x2·2¹²⁸ + x1·2⁶⁴ + x0 < 2⁶³·q — the
+// recombination sums of the two-word conversion (see the qring comment
+// for the error bound). Two-word path only.
+func (qr *qring) reduce3(x0, x1, x2 uint64) (lo, hi uint64) {
+	u := x1>>qr.sh | x2<<(64-qr.sh)
+	qh, _ := bits.Mul64(u, qr.m)
+	ph, pl := bits.Mul64(qh, qr.q0)
+	r0, b := bits.Sub64(x0, pl, 0)
+	r1 := x1 - ph - qh*qr.q1 - b // x − q̂·q < 3q < 2¹²⁶: exact mod 2¹²⁸
+	r0, r1 = qr.subQ(r0, r1)
+	return qr.subQ(r0, r1)
 }
 
-// reduce256 returns x mod q for the four-word value x (x < 2²⁵⁶ and
-// ⌊x/q⌋ < 2¹⁹² suffice for the HAC 14.42 error bound). Two-word path only.
-func (qr *qring) reduce256(x *[4]uint64) (lo, hi uint64) {
-	// q1hat = ⌊x / 2⁶⁴⌋ (three words), q3 = ⌊q1hat·mu / 2¹⁹²⌋.
-	var prod [7]uint64
-	q1hat := [3]uint64{x[1], x[2], x[3]}
-	for i := 0; i < 3; i++ {
-		mulAddWord(prod[i:], q1hat[:], qr.mu[i])
-	}
-	q3 := [3]uint64{prod[3], prod[4], prod[5]}
-
-	// r = (x - q3·q) mod 2¹⁹², then at most two corrective subtractions.
-	var r2 [5]uint64
-	qw := [2]uint64{qr.q0, qr.q1}
-	for i := 0; i < 3; i++ {
-		mulAddWord(r2[i:], qw[:], q3[i])
-	}
-	r0, b := bits.Sub64(x[0], r2[0], 0)
-	r1, b := bits.Sub64(x[1], r2[1], b)
-	r2w, _ := bits.Sub64(x[2], r2[2], b)
-	for r2w != 0 || r1 > qr.q1 || (r1 == qr.q1 && r0 >= qr.q0) {
-		var bb uint64
-		r0, bb = bits.Sub64(r0, qr.q0, 0)
-		r1, bb = bits.Sub64(r1, qr.q1, bb)
-		r2w -= bb
-	}
-	return r0, r1
-}
-
-// mulSmall returns (v·s) mod q for v = (lo, hi) < q and s < min(q, 2⁶⁴).
-func (qr *qring) mulSmall(lo, hi, s uint64) (uint64, uint64) {
-	if qr.words == 1 {
-		return qr.r1.Mul(lo, s), 0
-	}
-	var acc [4]uint64
-	v := [2]uint64{lo, hi}
-	mulAddWord(acc[:], v[:], s)
-	return qr.reduce256(&acc)
-}
-
-// subMod returns (a - b) mod q for a, b < q.
-func (qr *qring) subMod(alo, ahi, blo, bhi uint64) (uint64, uint64) {
-	if qr.words == 1 {
-		return qr.r1.Sub(alo, blo), 0
-	}
-	lo, b := bits.Sub64(alo, blo, 0)
-	hi, b := bits.Sub64(ahi, bhi, b)
-	if b != 0 {
-		var c uint64
-		lo, c = bits.Add64(lo, qr.q0, 0)
-		hi, _ = bits.Add64(hi, qr.q1, c)
-	}
-	return lo, hi
-}
-
-// gtHalf reports v > ⌊q/2⌋ for v < q — the centering test matching
-// poly.Poly.ToCenteredCoeffs (and, q being odd, it can never tie).
-func (qr *qring) gtHalf(lo, hi uint64) bool {
-	if hi != qr.half1 {
-		return hi > qr.half1
-	}
-	return lo > qr.half0
-}
-
-// negate returns q - v for 0 < v < q.
-func (qr *qring) negate(lo, hi uint64) (uint64, uint64) {
-	nlo, b := bits.Sub64(qr.q0, lo, 0)
-	nhi, _ := bits.Sub64(qr.q1, hi, b)
-	return nlo, nhi
+// subQ returns v − q when v ≥ q, else v, without a branch.
+func (qr *qring) subQ(lo, hi uint64) (uint64, uint64) {
+	l, b := bits.Sub64(lo, qr.q0, 0)
+	h, b := bits.Sub64(hi, qr.q1, b)
+	keep := -b // all ones when v < q
+	return l&^keep | lo&keep, h&^keep | hi&keep
 }

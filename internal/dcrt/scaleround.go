@@ -11,21 +11,26 @@ import (
 // entirely in the RNS domain, with no per-coefficient big.Int CRT
 // recombination or division.
 //
-// With r = t·X cmod q the centered remainder (|r| ≤ (q−1)/2, tie-free
-// because q is odd), the rounded quotient is the exact integer
-// Y = (t·X − r)/q, so limb channel i gets
+// One fast base conversion with t folded into its tables (tabs) yields
+// v = t·X mod q directly. Centering is one bit, g = [v > ⌊q/2⌋]: the
+// centered remainder is r = v − g·q (|r| ≤ (q−1)/2, tie-free because q is
+// odd), and the rounded quotient is the exact integer Y = (t·X − r)/q.
+// Since (t·x_i − r)·q⁻¹ ≡ t·q⁻¹·x_i − q⁻¹·v + g (mod p_i), writing
+// v = v_lo + 2⁶⁴·v_hi, limb channel i gets
 //
-//	y_i = (t·x_i − r) · q⁻¹ mod p_i
+//	y_i = (t·q⁻¹)·x_i + (−q⁻¹)·v_lo + (−2⁶⁴·q⁻¹)·v_hi + g  (mod p_i)
 //
-// once r is known — and r needs only X mod q, one fast base conversion.
-// A second conversion reduces Y itself mod q (Y is exact in the basis:
-// |Y| ≤ t·n·q/4 ≪ 2^BoundBits), giving the canonical result the
+// — Shoup products against precomputed constants and a 0/1 add, with no
+// sign, no negation and no data-dependent branch (v_hi = 0 when q fits
+// one word). A second conversion reduces Y itself mod q (Y is exact in the
+// basis: |Y| ≤ t·n·q/4 ≪ 2^BoundBits), giving the canonical result the
 // schoolbook oracle produces, bit for bit.
 type ScaleRounder struct {
 	c *Context
 	t uint64
 
-	tP, tPShoup []uint64 // t mod p_i with Shoup companions
+	tabs              convTabs // recombination tables of v = t·X mod q
+	tqInv, tqInvShoup []uint64 // t·q⁻¹ mod p_i with Shoup companions
 }
 
 // ScaleRounder returns the shared rescaler for plaintext modulus t
@@ -37,14 +42,70 @@ func (c *Context) ScaleRounder(t uint64) *ScaleRounder {
 	if t == 0 || (c.Mod.QBig.IsUint64() && t >= c.Mod.QBig.Uint64()) {
 		panic(fmt.Sprintf("dcrt: scale factor t=%d out of range for q", t))
 	}
-	sr := &ScaleRounder{c: c, t: t}
+	sr := &ScaleRounder{c: c, t: t, tabs: newConvTabs(c, t)}
 	for i, p := range c.Basis.Primes {
-		tp := t % p
-		sr.tP = append(sr.tP, tp)
-		sr.tPShoup = append(sr.tPShoup, c.Tabs[i].R.ShoupConst(tp))
+		r := c.Tabs[i].R
+		tq := r.Mul(t%p, p-c.conv.nqInv[i]) // t·q⁻¹
+		sr.tqInv = append(sr.tqInv, tq)
+		sr.tqInvShoup = append(sr.tqInvShoup, r.ShoupConst(tq))
 	}
 	v, _ := c.conv.rounders.LoadOrStore(t, sr)
 	return v.(*ScaleRounder)
+}
+
+// condSub returns s − m when s ≥ m, else s, without a branch (s, m < 2⁶³).
+func condSub(s, m uint64) uint64 {
+	d := s - m
+	return d + m&uint64(int64(d)>>63)
+}
+
+// divide writes limb channel i of the rounded quotient Y into dst from the
+// (lazy, < 2p) residues xi of X and the conversion output v = (lo, hi),
+// plus add's channel when add is non-nil — the (v, g) form of the
+// ScaleRounder comment. Each product's Shoup quotient is taken separately
+// and the three remainders summed in one word: each lies in [0, 2p), so
+// with g and a lazy add the sum stays below 8p < 2⁶³ and three masked
+// subtractions make it canonical. dst may alias xi; hi is nil when q fits
+// one word.
+func (sr *ScaleRounder) divide(i int, dst, xi, add, lo, hi []uint64) {
+	cv := sr.c.conv
+	p := sr.c.Basis.Primes[i]
+	tq, tqS := sr.tqInv[i], sr.tqInvShoup[i]
+	nq, nqS := cv.nqInv[i], cv.nqInvShoup[i]
+	xi, lo = xi[:len(dst)], lo[:len(dst)]
+	if add != nil {
+		add = add[:len(dst)]
+	}
+	if hi == nil {
+		half := cv.qr.half0
+		for j, x := range xi {
+			v := lo[j]
+			q1, _ := bits.Mul64(x, tqS)
+			q2, _ := bits.Mul64(v, nqS)
+			s := x*tq + v*nq - (q1+q2)*p + (half-v)>>63 // v, half < 2⁶²: g is the sign
+			if add != nil {
+				s += add[j]
+			}
+			dst[j] = condSub(condSub(condSub(s, 4*p), 2*p), p)
+		}
+		return
+	}
+	hi = hi[:len(dst)]
+	n64, n64S := cv.nqInv64[i], cv.nqInv64Shoup[i]
+	half0, half1 := cv.qr.half0, cv.qr.half1
+	for j, x := range xi {
+		vLo, vHi := lo[j], hi[j]
+		_, b := bits.Sub64(half0, vLo, 0)
+		_, g := bits.Sub64(half1, vHi, b)
+		q1, _ := bits.Mul64(x, tqS)
+		q2, _ := bits.Mul64(vLo, nqS)
+		q3, _ := bits.Mul64(vHi, n64S)
+		s := x*tq + vLo*nq + vHi*n64 - (q1+q2+q3)*p + g
+		if add != nil {
+			s += add[j]
+		}
+		dst[j] = condSub(condSub(condSub(s, 4*p), 2*p), p)
+	}
 }
 
 // CanRoundModT reports whether RoundModT is exact for inputs whose
@@ -66,66 +127,41 @@ func (sr *ScaleRounder) CanRoundModT(magBits int) bool {
 // RoundModT maps the exact integer coefficients X of x (NTT domain) to
 // ⌊t·X/q⌉ mod t, writing the canonical values into out (length N) — the
 // RNS-native decryption tail. It shares ScaleRound's exact t/q rounding:
-// one fast base conversion gives u = X mod q, the centered remainder
-// r = t·u cmod q makes t·X − r divisible by q, and the quotient
-// Y = (t·X − r)/q — the exact round of t·X/q, tie-free because q is odd
-// — is then read from limb channel 0 by the same per-limb exact
-// division, valid while |Y| < p₀/2 (callers gate on CanRoundModT). The
-// final centered-mod-t fold matches the big.Int oracle's Euclidean Mod,
-// bit for bit, with no big.Int on the path.
+// one t-scaled conversion gives v = t·X mod q, and the quotient
+// Y = (t·X − r)/q — the exact round of t·X/q, tie-free because q is odd —
+// is read from limb channel 0 by the same (v, g) division, valid while
+// |Y| < p₀/2 (callers gate on CanRoundModT). The final centered-mod-t
+// fold matches the big.Int oracle's Euclidean Mod, bit for bit, with no
+// big.Int on the path.
 func (sr *ScaleRounder) RoundModT(x *Poly, out []uint64) {
 	c := sr.c
-	cv := c.conv
 	tmp := c.inttLazy(x)
 	defer c.PutScratch(tmp)
+	w := c.getConvOut()
+	defer c.putConvOut(w)
+	c.convModQ(tmp, &sr.tabs, w.lo, w.hi)
 
-	uLo := c.getU64()
-	uHi := c.getU64()
-	neg := c.getU64()
-	defer c.putU64(uLo)
-	defer c.putU64(uHi)
-	defer c.putU64(neg)
-	lo, hi, sign := *uLo, *uHi, *neg
-
-	c.convModQ(tmp, lo, hi)
-	r0 := c.Tabs[0].R
 	p0 := c.Basis.Primes[0]
 	half0 := p0 >> 1
 	t := sr.t
-	tP, tPs := sr.tP[0], sr.tPShoup[0]
-	qInv, qInvS := cv.qInvP[0], cv.qInvPShoup[0]
-	x0 := tmp.Coeffs[0]
+	y := tmp.Coeffs[0]
 	parallelChunks(c.N, func(from, to int) {
+		var hi []uint64
+		if w.hi != nil {
+			hi = w.hi[from:to]
+		}
+		sr.divide(0, y[from:to], y[from:to], nil, w.lo[from:to], hi)
 		for j := from; j < to; j++ {
-			rlo, rhi := cv.qr.mulSmall(lo[j], hi[j], t)
-			if cv.qr.gtHalf(rlo, rhi) {
-				rlo, rhi = cv.qr.negate(rlo, rhi)
-				sign[j] = 1
-			} else {
-				sign[j] = 0
-			}
-			tx := r0.MulShoup(x0[j], tP, tPs)
-			rm := rlo
-			if !cv.remFits[0] {
-				rm = r0.ReduceWide(rhi, rlo)
-			}
-			var d uint64
-			if sign[j] != 0 {
-				d = r0.Add(tx, rm)
-			} else {
-				d = r0.Sub(tx, rm)
-			}
-			y := r0.MulShoup(d, qInv, qInvS)
 			// y is Y mod p₀ with |Y| < p₀/2: fold the centered value into
 			// [0, t) the way big.Int's Euclidean Mod does.
-			if y > half0 {
-				if m := (p0 - y) % t; m != 0 {
+			if v := y[j]; v > half0 {
+				if m := (p0 - v) % t; m != 0 {
 					out[j] = t - m
 				} else {
 					out[j] = 0
 				}
 			} else {
-				out[j] = y % t
+				out[j] = v % t
 			}
 		}
 	})
@@ -134,9 +170,8 @@ func (sr *ScaleRounder) RoundModT(x *Poly, out []uint64) {
 // ScaleRound maps the exact integer coefficients X of x (NTT domain,
 // |X| ≤ 2^BoundBits) to ⌊t·X/q⌉ mod q, packed as a coefficient-domain
 // R_q polynomial, bit-identical to the schoolbook evaluator's big.Int
-// rescale with no big.Int on the path: two fast base conversions, one
-// word-sized modular multiply per coefficient, and one Shoup pass per
-// limb channel.
+// rescale with no big.Int on the path: two fast base conversions and one
+// Shoup pass per limb channel.
 func (sr *ScaleRounder) ScaleRound(x *Poly) *poly.Poly {
 	tmp := sr.ScaleRoundResidues(x)
 	defer sr.c.PutScratch(tmp)
@@ -145,10 +180,10 @@ func (sr *ScaleRounder) ScaleRound(x *Poly) *poly.Poly {
 
 // ScaleRoundResidues stops ScaleRound after the per-limb exact division:
 // the returned (pooled) element holds, in the residue domain, the exact
-// integer Y = ⌊t·X/q⌉ in every limb channel — the deferred form of a
-// tensor component, congruent mod q to the ScaleRound output. Callers own
-// the element and return it via PutScratch (or hand it to a deferred
-// handle that does).
+// integer Y = ⌊t·X/q⌉ in every limb channel (canonical residues) — the
+// deferred form of a tensor component, congruent mod q to the ScaleRound
+// output. Callers own the element and return it via PutScratch (or hand
+// it to a deferred handle that does).
 func (sr *ScaleRounder) ScaleRoundResidues(x *Poly) *Poly {
 	return sr.scaleRoundResidues(x, false, nil)
 }
@@ -164,14 +199,13 @@ func (sr *ScaleRounder) ScaleRoundResiduesInPlace(x *Poly) *Poly {
 // residue-domain addition: the returned element holds Y + add (exact
 // integers, limb-wise), written during the division pass itself — the
 // deferred product's rescale-plus-key-switch fold in one sweep. add may
-// be lazily reduced (< 2p); outputs are lazy (< 2p).
+// be lazily reduced (< 2p); outputs are canonical.
 func (sr *ScaleRounder) ScaleRoundResiduesAddInPlace(x, add *Poly) *Poly {
 	return sr.scaleRoundResidues(x, true, add)
 }
 
 func (sr *ScaleRounder) scaleRoundResidues(x *Poly, inPlace bool, add *Poly) *Poly {
 	c := sr.c
-	cv := c.conv
 	var tmp *Poly
 	if inPlace {
 		c.IntoResiduesLazyLimbs(x, c.K())
@@ -179,116 +213,15 @@ func (sr *ScaleRounder) scaleRoundResidues(x *Poly, inPlace bool, add *Poly) *Po
 	} else {
 		tmp = c.inttLazy(x)
 	}
-
-	uLo := c.getU64()
-	neg := c.getU64()
-	defer c.putU64(uLo)
-	defer c.putU64(neg)
-	lo, sign := *uLo, *neg
-
-	// u = X mod q, then the centered remainder r = t·u cmod q, stored as
-	// magnitude (lo[, hi]) plus sign. One-word moduli skip the high slab.
-	var hi []uint64
-	if cv.qr.words == 1 {
-		r1, q0, half0 := cv.qr.r1, cv.qr.q0, cv.qr.half0
-		c.convModQ(tmp, lo, nil)
-		parallelChunks(c.N, func(from, to int) {
-			for j := from; j < to; j++ {
-				r := r1.Mul(lo[j], sr.t)
-				if r > half0 {
-					lo[j] = q0 - r
-					sign[j] = 1
-				} else {
-					lo[j] = r
-					sign[j] = 0
-				}
-			}
-		})
-	} else {
-		uHi := c.getU64()
-		defer c.putU64(uHi)
-		hi = *uHi
-		c.convModQ(tmp, lo, hi)
-		parallelChunks(c.N, func(from, to int) {
-			for j := from; j < to; j++ {
-				rlo, rhi := cv.qr.mulSmall(lo[j], hi[j], sr.t)
-				if cv.qr.gtHalf(rlo, rhi) {
-					rlo, rhi = cv.qr.negate(rlo, rhi)
-					sign[j] = 1
-				} else {
-					sign[j] = 0
-				}
-				lo[j], hi[j] = rlo, rhi
-			}
-		})
-	}
-
-	// Per-limb exact division: y_i = (t·x_i − r)·q⁻¹ mod p_i. The lazy
-	// (< 2p) transform values fold exactly through the Shoup multiply,
-	// and when q fits below the limb prime the remainder magnitude is
-	// already a canonical residue — no per-coefficient fold at all.
+	w := c.getConvOut()
+	defer c.putConvOut(w)
+	c.convModQ(tmp, &sr.tabs, w.lo, w.hi)
 	parallelFor(c.K(), func(i int) {
-		r := c.Tabs[i].R
-		twoP := 2 * r.Q
-		xi := tmp.Coeffs[i]
 		var ai []uint64
 		if add != nil {
-			ai = add.Coeffs[i][:len(xi)]
+			ai = add.Coeffs[i]
 		}
-		tP, tPs := sr.tP[i], sr.tPShoup[i]
-		qInv, qInvS := cv.qInvP[i], cv.qInvPShoup[i]
-		if cv.remFits[i] && add != nil {
-			for j := range xi {
-				tx := r.MulShoup(xi[j], tP, tPs)
-				var d uint64
-				if sign[j] != 0 {
-					d = r.Add(tx, lo[j])
-				} else {
-					d = r.Sub(tx, lo[j])
-				}
-				s := r.MulShoup(d, qInv, qInvS) + ai[j]
-				if s >= twoP {
-					s -= twoP
-				}
-				xi[j] = s
-			}
-			return
-		}
-		if cv.remFits[i] {
-			for j := range xi {
-				tx := r.MulShoup(xi[j], tP, tPs)
-				var d uint64
-				if sign[j] != 0 {
-					d = r.Add(tx, lo[j])
-				} else {
-					d = r.Sub(tx, lo[j])
-				}
-				xi[j] = r.MulShoup(d, qInv, qInvS)
-			}
-			return
-		}
-		for j := range xi {
-			tx := r.MulShoup(xi[j], tP, tPs)
-			var rhi uint64
-			if hi != nil {
-				rhi = hi[j]
-			}
-			rm := r.ReduceWide(rhi, lo[j])
-			var d uint64
-			if sign[j] != 0 {
-				d = r.Add(tx, rm)
-			} else {
-				d = r.Sub(tx, rm)
-			}
-			v := r.MulShoup(d, qInv, qInvS)
-			if ai != nil {
-				v += ai[j]
-				if v >= twoP {
-					v -= twoP
-				}
-			}
-			xi[j] = v
-		}
+		sr.divide(i, tmp.Coeffs[i], tmp.Coeffs[i], ai, w.lo, w.hi)
 	})
 	return tmp
 }
@@ -304,88 +237,55 @@ func (sr *ScaleRounder) scaleRoundResidues(x *Poly, inPlace bool, add *Poly) *Po
 func (sr *ScaleRounder) ScaleRoundDigits(x *Poly, baseBits uint, count, limbs int) []*Poly {
 	c := sr.c
 	tmp := sr.ScaleRoundResiduesInPlace(x)
-	uLo := c.getU64()
-	defer c.putU64(uLo)
-	var hi []uint64
-	if c.conv.qr.words == 2 {
-		uHi := c.getU64()
-		defer c.putU64(uHi)
-		hi = *uHi
-	}
-	c.convModQ(tmp, *uLo, hi)
-	return c.DigitsToRNSWords(*uLo, hi, baseBits, count, limbs)
+	w := c.getConvOut()
+	defer c.putConvOut(w)
+	c.convModQ(tmp, &c.conv.unit, w.lo, w.hi)
+	return c.DigitsToRNSWords(w.lo, w.hi, baseBits, count, limbs)
 }
 
 // CenteredNTTFromResidues converts a residue-domain element representing
 // exact integer coefficients X (inside the basis exactness window) into
 // the NTT-domain centered-mod-q form — bit-identical to packing X mod q
 // and calling ToRNSCentered, without leaving the RNS domain: one base
-// conversion gives u = X mod q, the centered representative u or u−q
-// reduces into each limb channel as a word-pair fold, and the limb
-// channels transform forward (lazily: the form feeds pointwise Barrett
+// conversion gives u = X mod q, and the centered representative u − g·q
+// (g = [u > ⌊q/2⌋], the ScaleRounder's bit) enters limb channel i as
+//
+//	u_lo·1 + u_hi·(2⁶⁴ mod p_i) + g·(−q mod p_i)  (mod p_i) ,
+//
+// two Shoup products and a 0/1 multiple, branch-free. The limb channels
+// then transform forward (lazily: the form feeds pointwise Barrett
 // products, which reduce any operand exactly). The result is pooled;
 // callers return it via PutScratch.
 func (c *Context) CenteredNTTFromResidues(x *Poly) *Poly {
 	cv := c.conv
-	uLo := c.getU64()
-	neg := c.getU64()
-	defer c.putU64(uLo)
-	defer c.putU64(neg)
-	lo, sign := *uLo, *neg
-
-	var hi []uint64
-	if cv.qr.words == 1 {
-		q0, half0 := cv.qr.q0, cv.qr.half0
-		c.convModQ(x, lo, nil)
-		parallelChunks(c.N, func(from, to int) {
-			for j := from; j < to; j++ {
-				if lo[j] > half0 {
-					lo[j] = q0 - lo[j]
-					sign[j] = 1
-				} else {
-					sign[j] = 0
-				}
-			}
-		})
-	} else {
-		uHi := c.getU64()
-		defer c.putU64(uHi)
-		hi = *uHi
-		c.convModQ(x, lo, hi)
-		parallelChunks(c.N, func(from, to int) {
-			for j := from; j < to; j++ {
-				if cv.qr.gtHalf(lo[j], hi[j]) {
-					lo[j], hi[j] = cv.qr.negate(lo[j], hi[j])
-					sign[j] = 1
-				} else {
-					sign[j] = 0
-				}
-			}
-		})
-	}
+	w := c.getConvOut()
+	defer c.putConvOut(w)
+	c.convModQ(x, &cv.unit, w.lo, w.hi)
 	out := c.getScratch()
 	parallelFor(c.K(), func(i int) {
-		r := c.Tabs[i].R
+		p := c.Basis.Primes[i]
+		oneS, negQ := cv.oneShoup[i], cv.negQ[i]
 		oi := out.Coeffs[i]
-		if cv.remFits[i] {
-			for j := range oi {
-				rm := lo[j]
-				if sign[j] != 0 {
-					rm = r.Neg(rm)
-				}
-				oi[j] = rm
+		lo := w.lo[:len(oi)]
+		if w.hi == nil {
+			half := cv.qr.half0
+			for j, u := range lo {
+				qh, _ := bits.Mul64(u, oneS)
+				s := u - qh*p + negQ&-((half-u)>>63) // < 3p
+				oi[j] = condSub(condSub(s, 2*p), p)
 			}
 		} else {
-			for j := range oi {
-				var rhi uint64
-				if hi != nil {
-					rhi = hi[j]
-				}
-				rm := r.ReduceWide(rhi, lo[j])
-				if sign[j] != 0 {
-					rm = r.Neg(rm)
-				}
-				oi[j] = rm
+			hi := w.hi[:len(oi)]
+			t64, t64S := cv.two64[i], cv.two64Shoup[i]
+			half0, half1 := cv.qr.half0, cv.qr.half1
+			for j, uLo := range lo {
+				uHi := hi[j]
+				_, b := bits.Sub64(half0, uLo, 0)
+				_, g := bits.Sub64(half1, uHi, b)
+				q1, _ := bits.Mul64(uLo, oneS)
+				q2, _ := bits.Mul64(uHi, t64S)
+				s := uLo + uHi*t64 - (q1+q2)*p + negQ&-g // < 5p
+				oi[j] = condSub(condSub(condSub(s, 4*p), 2*p), p)
 			}
 		}
 		c.Tabs[i].ForwardLazy(oi)

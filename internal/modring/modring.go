@@ -44,14 +44,6 @@ func (r *Ring) Sub(a, b uint64) uint64 {
 	return d
 }
 
-// Neg returns (-a) mod q for a < q.
-func (r *Ring) Neg(a uint64) uint64 {
-	if a == 0 {
-		return 0
-	}
-	return r.Q - a
-}
-
 // Mul returns (a * b) mod q for a, b < q, via 128-bit Barrett reduction.
 func (r *Ring) Mul(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)

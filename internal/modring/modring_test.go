@@ -32,7 +32,7 @@ func TestAddSubNeg(t *testing.T) {
 			if got := r.Sub(a, b); got != want.Uint64() {
 				t.Fatalf("q=%d Sub mismatch", q)
 			}
-			if got := r.Add(a, r.Neg(a)); got != 0 {
+			if got := r.Add(a, r.Sub(0, a)); got != 0 {
 				t.Fatalf("q=%d a + (-a) = %d", q, got)
 			}
 		}
