@@ -295,8 +295,11 @@ func TestServeAllocsSteadyState(t *testing.T) {
 		t.Fatalf("steady-state serve path allocates %.0f bytes/op; backings (%d bytes) are not being recycled",
 			bytesPerOp, backingBytes)
 	}
-	if allocs > 64 {
-		t.Fatalf("steady-state serve path makes %.1f allocs/op; want a small fixed count", allocs)
+	// 11 allocs/op measured (handle, ciphertext and header structs; the
+	// bfv record header is a fixed array, not a reflected slice), plus a
+	// margin of 3 for toolchain drift.
+	if allocs > 14 {
+		t.Fatalf("steady-state serve path makes %.1f allocs/op; want at most 14", allocs)
 	}
 	if s := ctx.PoolStats(); s.InUse != 0 {
 		t.Fatalf("pool leaks after steady-state loop: %+v", s)

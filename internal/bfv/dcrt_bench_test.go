@@ -1,9 +1,11 @@
 package bfv
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"repro/internal/polypool"
 	"repro/internal/sampling"
 )
 
@@ -203,6 +205,67 @@ func BenchmarkMulNTTBatching(b *testing.B) {
 			b.Fatal(err)
 		}
 		p.Materialize()
+	}
+}
+
+// batchingCiphertext returns ParamsBatching and one fresh encryption
+// under it, without the relinearization key the product rig builds.
+func batchingCiphertext(tb testing.TB) (*Parameters, *Ciphertext) {
+	tb.Helper()
+	params := ParamsBatching()
+	src := sampling.NewSourceFromUint64(4109)
+	_, pk := NewKeyGenerator(params, src).GenKeyPair()
+	ct, err := NewEncryptor(params, pk, src).EncryptValue(11)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return params, ct
+}
+
+// BenchmarkToRNSCenteredBatching times the entry of one freshly decoded
+// 109-bit polynomial (n = 4096) into double-CRT form: the word kernel and
+// the K = 4 forward transforms a served product pays per operand
+// component before its tensor product starts.
+func BenchmarkToRNSCenteredBatching(b *testing.B) {
+	params, ct := batchingCiphertext(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if params.dcrtCtx.ToRNSCentered(ct.Polys[0]) == nil {
+			b.Fatal("no double-CRT form")
+		}
+	}
+}
+
+// BenchmarkReadCiphertextBatching times the pooled decode of one
+// ParamsBatching ciphertext record (two 64 KiB polynomials): the chunked
+// copy with its fused canonicity check, drawing and returning backings
+// through a polypool.Pool the way the serving path does. One untimed
+// decode warms the pool, so even a single iteration measures the
+// steady state.
+func BenchmarkReadCiphertextBatching(b *testing.B) {
+	params, ct := batchingCiphertext(b)
+	var wire bytes.Buffer
+	if err := ct.Serialize(&wire); err != nil {
+		b.Fatal(err)
+	}
+	blob := wire.Bytes()
+	pool := polypool.New(1 << 20)
+	r := bytes.NewReader(blob)
+	decode := func() {
+		r.Reset(blob)
+		got, err := ReadCiphertextBacked(r, params, pool)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range got.Polys {
+			pool.Put(p.C)
+		}
+	}
+	decode()
+	b.SetBytes(int64(len(blob)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode()
 	}
 }
 

@@ -2,9 +2,13 @@ package bfv
 
 import (
 	"bytes"
+	"math/big"
+	"strings"
 	"testing"
 
 	"repro/internal/limb32"
+	"repro/internal/poly"
+	"repro/internal/polypool"
 )
 
 // limbCounts aliases limb32.Counts for brevity in tests.
@@ -143,5 +147,85 @@ func TestSerializationRejectsGarbage(t *testing.T) {
 	ct.Serialize(&buf)
 	if _, err := ReadCiphertextBacked(&buf, ParamsSec27(), nil); err == nil {
 		t.Error("shape mismatch accepted")
+	}
+}
+
+// TestDecodeBoundaryOracle pins the fused decode on the three paper
+// moduli: every boundary coefficient — 0, 1, ⌊q/2⌋, ⌊q/2⌋ + 1, q − 1,
+// and 2³²ᵏ − 1, 2³²ᵏ for each k below the limb width — round-trips bit for
+// bit; a coefficient equal to q or to 2^(32W) − 1 is refused, the error
+// names the first offending index when several are bad, and every pooled
+// backing comes back.
+func TestDecodeBoundaryOracle(t *testing.T) {
+	for _, tc := range []struct {
+		q    string
+		base uint
+	}{{prime27, 9}, {prime54, 18}, {prime109, 28}} {
+		params := mustParams(64, tc.q, 16, tc.base)
+		mod := params.Q
+		one := big.NewInt(1)
+		vals := []*big.Int{
+			big.NewInt(0), one,
+			new(big.Int).Set(mod.Half), new(big.Int).Add(mod.Half, one),
+			new(big.Int).Sub(mod.QBig, one),
+		}
+		for k := 1; k < mod.W; k++ {
+			v := new(big.Int).Lsh(one, uint(32*k))
+			vals = append(vals, new(big.Int).Sub(v, one), v)
+		}
+		ct := &Ciphertext{Polys: []*poly.Poly{poly.NewPoly(params.N, mod.W), poly.NewPoly(params.N, mod.W)}}
+		for j, v := range vals {
+			ct.Polys[0].Coeff(3*j + 2).Set(limb32.FromBig(v, mod.W))
+			ct.Polys[1].Coeff(params.N - 1 - j).Set(limb32.FromBig(v, mod.W))
+		}
+		// The fused flag itself must pass them: a false alarm would still
+		// decode (the re-scan is exact), only slowly.
+		var wire bytes.Buffer
+		if err := writePoly(&wire, ct.Polys[1]); err != nil {
+			t.Fatal(err)
+		}
+		q0, q1 := mod.Words()
+		if decodeWords(make([]uint32, params.N*mod.W), wire.Bytes(), mod.W, q0, q1) != 1 {
+			t.Fatalf("%d-bit q: the fused check flags a canonical coefficient", mod.Bits())
+		}
+		pool := polypool.New(1 << 20)
+		decode := func() (*Ciphertext, error) {
+			var buf bytes.Buffer
+			if err := ct.Serialize(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return ReadCiphertextBacked(&buf, params, pool)
+		}
+		back, err := decode()
+		if err != nil {
+			t.Fatalf("%d-bit q: boundary coefficients refused: %v", mod.Bits(), err)
+		}
+		if !back.Equal(ct) {
+			t.Fatalf("%d-bit q: boundary coefficients do not round-trip", mod.Bits())
+		}
+		for _, p := range back.Polys {
+			pool.Put(p.C)
+		}
+
+		// Non-canonical coefficients in the second polynomial, so the first
+		// one's backing is already drawn when the check fails.
+		allOnes := ct.Polys[1].Coeff(40)
+		for i := range allOnes {
+			allOnes[i] = ^uint32(0)
+		}
+		for _, tail := range []bool{false, true} {
+			want := "coefficient 40 "
+			if tail {
+				ct.Polys[1].Coeff(33).Set(mod.Q) // q itself, ahead of the all-ones word
+				want = "coefficient 33 "
+			}
+			_, err := decode()
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%d-bit q: decode error %v, want one naming %q", mod.Bits(), err, want)
+			}
+			if s := pool.Stats(); s.InUse != 0 {
+				t.Fatalf("%d-bit q: rejected decode leaks backings: %+v", mod.Bits(), s)
+			}
+		}
 	}
 }

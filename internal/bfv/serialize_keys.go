@@ -56,11 +56,11 @@ func ReadPublicKey(r io.Reader, params *Parameters) (*PublicKey, error) {
 	if int(hdr[0]) != params.N || int(hdr[1]) != params.Q.W {
 		return nil, errors.New("bfv: public key shape mismatch")
 	}
-	p0, err := readPolyCanonical(r, params.N, params.Q.W, params.Q.Q, nil)
+	p0, err := readPolyCanonical(r, params.N, params.Q, nil)
 	if err != nil {
 		return nil, err
 	}
-	p1, err := readPolyCanonical(r, params.N, params.Q.W, params.Q.Q, nil)
+	p1, err := readPolyCanonical(r, params.N, params.Q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -120,11 +120,11 @@ func ReadRelinKey(r io.Reader, params *Parameters) (*RelinKey, error) {
 		K1:       make([]*poly.Poly, digits),
 	}
 	for i := 0; i < digits; i++ {
-		k0, err := readPolyCanonical(r, n, w, params.Q.Q, nil)
+		k0, err := readPolyCanonical(r, n, params.Q, nil)
 		if err != nil {
 			return nil, err
 		}
-		k1, err := readPolyCanonical(r, n, w, params.Q.Q, nil)
+		k1, err := readPolyCanonical(r, n, params.Q, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -199,11 +199,11 @@ func ReadGaloisKey(r io.Reader, params *Parameters) (*GaloisKey, error) {
 		K1:       make([]*poly.Poly, digits),
 	}
 	for i := 0; i < digits; i++ {
-		k0, err := readPolyCanonical(r, n, w, params.Q.Q, nil)
+		k0, err := readPolyCanonical(r, n, params.Q, nil)
 		if err != nil {
 			return nil, err
 		}
-		k1, err := readPolyCanonical(r, n, w, params.Q.Q, nil)
+		k1, err := readPolyCanonical(r, n, params.Q, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -54,7 +54,7 @@ type convState struct {
 	// Per prime, with Shoup companions, the constants that bring a
 	// conversion output v = v_lo + 2⁶⁴·v_hi back into limb channel i:
 	// −q⁻¹ and −2⁶⁴·q⁻¹ mod p_i (the scale-and-round division), and 1 and
-	// 2⁶⁴ mod p_i (the centered re-entry, with −q mod p_i).
+	// 2⁶⁴ mod p_i (every entry into double-CRT form, with −q mod p_i).
 	nqInv, nqInvShoup     []uint64
 	nqInv64, nqInv64Shoup []uint64
 	oneShoup              []uint64
@@ -145,7 +145,8 @@ func newConvState(c *Context) (*convState, error) {
 			return nil, fmt.Errorf("dcrt: basis prime %d ≤ 2³² is too narrow for the fixed-point lift", p)
 		}
 		pb := new(big.Int).SetUint64(p)
-		qInv := new(big.Int).ModInverse(new(big.Int).SetUint64(c.qModP[i]), pb)
+		qp := new(big.Int).Mod(c.Mod.QBig, pb)
+		qInv := new(big.Int).ModInverse(qp, pb)
 		if qInv == nil {
 			return nil, fmt.Errorf("dcrt: modulus q shares a factor with basis prime %d", p)
 		}
@@ -160,7 +161,7 @@ func newConvState(c *Context) (*convState, error) {
 		cv.oneShoup = append(cv.oneShoup, r.ShoupConst(1))
 		cv.two64 = append(cv.two64, t64)
 		cv.two64Shoup = append(cv.two64Shoup, r.ShoupConst(t64))
-		cv.negQ = append(cv.negQ, p-c.qModP[i])
+		cv.negQ = append(cv.negQ, p-qp.Uint64())
 	}
 	cv.unit = newConvTabs(c, 1)
 	return cv, nil
@@ -313,6 +314,22 @@ func (c *Context) packModQ(dst *poly.Poly, lo, hi []uint64) {
 	}
 }
 
+// unpackModQ is packModQ's inverse, reading src's coefficients into the
+// (lo, hi) word pairs the entry kernel (enterChannel) consumes.
+func (c *Context) unpackModQ(lo, hi []uint64, src *poly.Poly) {
+	w := c.Mod.W
+	for j := range lo {
+		cf := src.C[j*w : (j+1)*w]
+		lo[j] = uint64(cf[0])
+		if w > 1 {
+			lo[j] |= uint64(cf[1]) << 32
+		}
+		if w > 2 {
+			hi[j] = uint64(cf[2]) | uint64(cf[3])<<32
+		}
+	}
+}
+
 // DigitsToRNS splits p into its base-2^baseBits digit polynomials and
 // returns each directly in double-CRT (NTT) form — the relinearization
 // and Galois key-switching digit kernel. A digit value is below 2³² and
@@ -341,7 +358,7 @@ func (c *Context) DigitsToRNS(p *poly.Poly, baseBits uint, count int) []*Poly {
 	w := p.W
 	out := make([]*Poly, count)
 	for d := range out {
-		out[d] = c.getScratch()
+		out[d] = c.GetScratch()
 		ch0 := out[d].Coeffs[0]
 		s := uint(d) * baseBits
 		li, off := int(s/32), s%32
@@ -406,7 +423,7 @@ func (c *Context) DigitsToRNSWords(lo, hi []uint64, baseBits uint, count, limbs 
 	mask := uint64(1)<<baseBits - 1
 	out := make([]*Poly, count)
 	for d := range out {
-		out[d] = c.getScratch()
+		out[d] = c.GetScratch()
 		ch0 := out[d].Coeffs[0]
 		off := uint(d) * baseBits
 		switch {

@@ -22,17 +22,18 @@
 // Limb channels are independent, so transforms and pointwise passes are
 // parallelized across a process-wide bounded worker pool; scratch
 // buffers are pooled so steady-state operations allocate only their
-// results.
+// results. Entry into the form is one branch-free word kernel per word
+// width (enterChannel). Its floor is the K forward transforms it feeds:
+// at the served shape (109-bit q, n = 4096, K = 4) a traced ToRNSCentered
+// takes ≈ 186 µs against 4 × 30 µs of forward transforms (2-core Xeon).
 package dcrt
 
 import (
 	"fmt"
-	"math/big"
 	"math/bits"
 	"slices"
 	"sync"
 
-	"repro/internal/limb32"
 	"repro/internal/nt"
 	"repro/internal/ntt"
 	"repro/internal/poly"
@@ -48,11 +49,6 @@ type Context struct {
 	Basis     *rns.Basis
 	Tabs      []*ntt.Table // one shared twiddle table per basis prime
 	BoundBits int
-
-	halfQ      limb32.Nat // floor(q/2) as limbs, for centered decomposition
-	qModP      []uint64   // q mod p_i
-	two32      []uint64   // 2^32 mod p_i, for limb-wise residue folding
-	two32Shoup []uint64
 
 	// conv holds the fast base-conversion tables (see baseconv.go).
 	conv *convState
@@ -126,7 +122,6 @@ func NewContext(mod *poly.Modulus, n, boundBits int) (*Context, error) {
 		Mod:       mod,
 		Basis:     basis,
 		BoundBits: boundBits,
-		halfQ:     limb32.FromBig(mod.Half, mod.W),
 	}
 	for _, p := range basis.Primes {
 		tab, err := ntt.GetTable(p, n)
@@ -134,14 +129,8 @@ func NewContext(mod *poly.Modulus, n, boundBits int) (*Context, error) {
 			return nil, fmt.Errorf("dcrt: prime %d: %w", p, err)
 		}
 		c.Tabs = append(c.Tabs, tab)
-		r := tab.R
-		qp := new(big.Int).Mod(mod.QBig, new(big.Int).SetUint64(p)).Uint64()
-		c.qModP = append(c.qModP, qp)
-		t32 := (uint64(1) << 32) % p
-		c.two32 = append(c.two32, t32)
-		c.two32Shoup = append(c.two32Shoup, r.ShoupConst(t32))
 	}
-	c.scratch.New = func() any { return c.newPoly() }
+	c.scratch.New = func() any { return c.NewPoly() }
 	if c.conv, err = newConvState(c); err != nil {
 		return nil, err
 	}
@@ -193,8 +182,9 @@ type Poly struct {
 	Coeffs [][]uint64
 }
 
-// newPoly allocates a zero element with backing storage in one slab.
-func (c *Context) newPoly() *Poly {
+// NewPoly returns the zero element (which is its own NTT image), its
+// limb channels backed by one slab.
+func (c *Context) NewPoly() *Poly {
 	k := c.K()
 	slab := make([]uint64, k*c.N)
 	p := &Poly{Coeffs: make([][]uint64, k)}
@@ -203,9 +193,6 @@ func (c *Context) newPoly() *Poly {
 	}
 	return p
 }
-
-// NewPoly returns the zero element (which is its own NTT image).
-func (c *Context) NewPoly() *Poly { return c.newPoly() }
 
 // Zero clears every limb channel — reset for pooled accumulators.
 func (p *Poly) Zero() {
@@ -216,60 +203,29 @@ func (p *Poly) Zero() {
 	}
 }
 
-// getScratch returns a pooled Poly; contents are arbitrary.
-func (c *Context) getScratch() *Poly { return c.scratch.Get().(*Poly) }
-
 // GetScratch returns a pooled Poly with arbitrary contents — for callers
 // that fully overwrite it (e.g. as a MulNTT destination) and return it
 // via PutScratch, keeping steady-state evaluation allocation-free.
-func (c *Context) GetScratch() *Poly { return c.getScratch() }
+func (c *Context) GetScratch() *Poly { return c.scratch.Get().(*Poly) }
 
 // PutScratch returns a Poly obtained from this context to its pool.
 func (c *Context) PutScratch(p *Poly) { c.scratch.Put(p) }
 
-// reduceCoeff folds the W-limb little-endian coefficient at limbs into a
-// residue modulo prime i, scanning limbs most-significant first:
-// r ← r·2³² + limb (mod p).
-func (c *Context) reduceCoeff(limbs []uint32, i int) uint64 {
-	r := c.Tabs[i].R
-	t32, t32s := c.two32[i], c.two32Shoup[i]
-	var acc uint64
-	for j := len(limbs) - 1; j >= 0; j-- {
-		acc = r.Add(r.MulShoup(acc, t32, t32s), uint64(limbs[j]))
-	}
-	return acc
-}
-
-// decompose fills dst's limb channel i with p's residues, using the
-// canonical representatives in [0, q) when centered is false, or the
-// centered representatives in [-q/2, q/2] (values above q/2 shifted down
-// by q) when centered is true. Centered decomposition is what the BFV
-// tensor product requires: the t/q rescaling divides the *integer* value,
-// so the lift must match the schoolbook oracle's ToCenteredCoeffs.
-func (c *Context) decompose(dst *Poly, p *poly.Poly, i int, centered bool) {
-	r := c.Tabs[i].R
-	out := dst.Coeffs[i]
-	qp := c.qModP[i]
-	for j := 0; j < c.N; j++ {
-		limbs := p.C[j*p.W : (j+1)*p.W]
-		v := c.reduceCoeff(limbs, i)
-		if centered && limb32.Cmp(limb32.Nat(limbs), c.halfQ, nil) > 0 {
-			v = r.Sub(v, qp)
-		}
-		out[j] = v
-	}
-}
-
 // toRNS converts a coefficient-domain R_q polynomial into double-CRT
-// form, performing the per-limb residue folding and forward NTT on the
-// worker pool.
+// form: its limbs are read as (lo, hi) word pairs (unpackModQ), and each
+// limb channel enters (enterChannel) and transforms on the worker pool:
+// the centered representatives in [−q/2, q/2] when centered, else the
+// canonical ones in [0, q).
 func (c *Context) toRNS(p *poly.Poly, centered bool) *Poly {
 	if p.N != c.N || p.W != c.Mod.W {
 		panic("dcrt: polynomial shape mismatch")
 	}
-	out := c.newPoly()
+	w := c.getConvOut()
+	defer c.putConvOut(w)
+	c.unpackModQ(w.lo, w.hi, p)
+	out := c.NewPoly()
 	parallelFor(c.K(), func(i int) {
-		c.decompose(out, p, i, centered)
+		c.enterChannel(out.Coeffs[i], i, w.lo, w.hi, centered)
 		c.Tabs[i].Forward(out.Coeffs[i])
 	})
 	return out
@@ -279,8 +235,57 @@ func (c *Context) toRNS(p *poly.Poly, centered bool) *Poly {
 func (c *Context) ToRNS(p *poly.Poly) *Poly { return c.toRNS(p, false) }
 
 // ToRNSCentered converts p using centered representatives — required for
-// operands of the BFV tensor product (see decompose).
+// operands of the BFV tensor product: the t/q rescaling divides the
+// *integer* value, so the lift must match the schoolbook oracle's
+// ToCenteredCoeffs.
 func (c *Context) ToRNSCentered(p *poly.Poly) *Poly { return c.toRNS(p, true) }
+
+// enterChannel writes limb channel i of the element whose canonical mod-q
+// coefficients are the word pairs (lo, hi) — hi nil when q fits one word —
+// as u − g·q mod p_i, with g = [u > h] the borrow of h − u: h is ⌊q/2⌋
+// when centered and q − 1 (so g = 0) otherwise. The residue is enterWord
+// or enterPair: no branch on the data, and one loop per word width for
+// every entry into double-CRT form. The residues are lazy (< 4p), the
+// input bound of the forward transform that follows.
+func (c *Context) enterChannel(dst []uint64, i int, lo, hi []uint64, centered bool) {
+	cv := c.conv
+	p, oneS, negQ := c.Basis.Primes[i], cv.oneShoup[i], cv.negQ[i]
+	h0, h1 := cv.qr.q0-1, cv.qr.q1 // q is odd: no borrow
+	if centered {
+		h0, h1 = cv.qr.half0, cv.qr.half1
+	}
+	lo = lo[:len(dst)]
+	if hi == nil {
+		for j, u := range lo {
+			dst[j] = enterWord(u, (h0-u)>>63, p, oneS, negQ) // u, h0 < 2⁶²
+		}
+		return
+	}
+	hi = hi[:len(dst)]
+	t64, t64S := cv.two64[i], cv.two64Shoup[i]
+	for j, uLo := range lo {
+		uHi := hi[j]
+		_, b := bits.Sub64(h0, uLo, 0)
+		_, g := bits.Sub64(h1, uHi, b)
+		dst[j] = enterPair(uLo, uHi, g, p, oneS, t64, t64S, negQ)
+	}
+}
+
+// enterWord returns u − g·q mod p, below 3p, for a word u and g ∈ {0, 1},
+// from the Shoup companion of 1 (oneS) and −q mod p (negQ).
+func enterWord(u, g, p, oneS, negQ uint64) uint64 {
+	qh, _ := bits.Mul64(u, oneS)
+	return u - qh*p + negQ&-g
+}
+
+// enterPair is enterWord for u = lo + 2⁶⁴·hi, with hi entering through
+// 2⁶⁴ mod p (t64, Shoup companion t64S): the sum is below 5p, and one
+// masked subtraction of 4p brings it under the transform's input bound.
+func enterPair(lo, hi, g, p, oneS, t64, t64S, negQ uint64) uint64 {
+	q1, _ := bits.Mul64(lo, oneS)
+	q2, _ := bits.Mul64(hi, t64S)
+	return condSub(lo+hi*t64-(q1+q2)*p+negQ&-g, 4*p)
+}
 
 // FromRNS leaves the NTT domain and reduces mod q through the word-sized
 // fast base conversion, packing the result into a coefficient-domain R_q
@@ -309,7 +314,7 @@ func (c *Context) FromResidues(p *Poly) *poly.Poly {
 // to the residue (coefficient) domain with canonical (< p) values.
 // Callers return the element via PutScratch.
 func (c *Context) ToResidues(p *Poly) *Poly {
-	tmp := c.getScratch()
+	tmp := c.GetScratch()
 	parallelFor(c.K(), func(i int) {
 		copy(tmp.Coeffs[i], p.Coeffs[i])
 		c.Tabs[i].Inverse(tmp.Coeffs[i])
@@ -332,7 +337,7 @@ func (c *Context) IntoResiduesLazyLimbs(p *Poly, limbs int) {
 // base-conversion γ pass and the scale-and-round division — which reduce
 // exactly for any word-sized input.
 func (c *Context) inttLazy(p *Poly) *Poly {
-	tmp := c.getScratch()
+	tmp := c.GetScratch()
 	parallelFor(c.K(), func(i int) {
 		copy(tmp.Coeffs[i], p.Coeffs[i])
 		c.Tabs[i].InverseLazy(tmp.Coeffs[i])
@@ -433,7 +438,7 @@ func (c *Context) MulAddNTT(dst, a, b *Poly) {
 // reductions. The companion is only valid for the element it was built
 // from.
 func (c *Context) ShoupConsts(a *Poly) *Poly {
-	out := c.newPoly()
+	out := c.NewPoly()
 	parallelFor(c.K(), func(i int) {
 		r := c.Tabs[i].R
 		da, dd := a.Coeffs[i], out.Coeffs[i]

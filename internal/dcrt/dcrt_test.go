@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"testing"
 
+	"repro/internal/limb32"
 	"repro/internal/nt"
 	"repro/internal/poly"
 	"repro/internal/sampling"
@@ -70,6 +71,72 @@ func TestRoundTripAndCentered(t *testing.T) {
 	for i := range want {
 		if want[i].Cmp(got[i]) != 0 {
 			t.Fatalf("coeff %d: centered lift %v != %v", i, got[i], want[i])
+		}
+	}
+}
+
+// boundaryCoeffs returns the coefficients where a word kernel's borrow,
+// word split or centering bit can go wrong for mod: 0, 1, ⌊q/2⌋,
+// ⌊q/2⌋ + 1, q − 1, and 2³²ᵏ − 1 and 2³²ᵏ for every k below the limb
+// width.
+func boundaryCoeffs(mod *poly.Modulus) []*big.Int {
+	one := big.NewInt(1)
+	vals := []*big.Int{
+		big.NewInt(0), one,
+		new(big.Int).Set(mod.Half), new(big.Int).Add(mod.Half, one),
+		new(big.Int).Sub(mod.QBig, one),
+	}
+	for k := 1; k < mod.W; k++ {
+		v := new(big.Int).Lsh(one, uint(32*k))
+		vals = append(vals, new(big.Int).Sub(v, one), v)
+	}
+	return vals
+}
+
+// TestEntryBoundaryOracle pins the entry kernel — ToRNS and ToRNSCentered,
+// at every word width — to the big.Int lifts (the canonical value, and
+// ToCenteredCoeffs) on boundaryCoeffs amid random coefficients, and checks
+// that both forms come out canonical (< p).
+func TestEntryBoundaryOracle(t *testing.T) {
+	const n = 64
+	for _, c := range convContexts(t, n) {
+		mod := c.Mod
+		p := randPoly(sampling.NewSourceFromUint64(uint64(mod.Bits())), n, mod)
+		for j, v := range boundaryCoeffs(mod) {
+			p.Coeff(2*j + 1).Set(limb32.FromBig(v, mod.W))
+		}
+		// The kernel's own output: centered residues below 4p, the
+		// forward transform's input bound.
+		w := c.getConvOut()
+		c.unpackModQ(w.lo, w.hi, p)
+		ch := make([]uint64, n)
+		for i, prime := range c.Basis.Primes {
+			c.enterChannel(ch, i, w.lo, w.hi, true)
+			pb := new(big.Int).SetUint64(prime)
+			for j, v := range p.ToCenteredCoeffs(mod) {
+				if ch[j] >= 4*prime || ch[j]%prime != new(big.Int).Mod(v, pb).Uint64() {
+					t.Fatalf("q=%d bits limb %d slot %d: entered %d, want %v mod p below 4p", mod.Bits(), i, j, ch[j], v)
+				}
+			}
+		}
+		c.putConvOut(w)
+		for _, centered := range []bool{false, true} {
+			form, want := c.ToRNS(p), p.ToBigCoeffs()
+			if centered {
+				form, want = c.ToRNSCentered(p), p.ToCenteredCoeffs(mod)
+			}
+			for i, ch := range form.Coeffs {
+				for j, v := range ch {
+					if v >= c.Basis.Primes[i] {
+						t.Fatalf("q=%d bits centered=%v limb %d slot %d: %d is not below p", mod.Bits(), centered, i, j, v)
+					}
+				}
+			}
+			for j, v := range recombineCentered(t, c, form) {
+				if v.Cmp(want[j]) != 0 {
+					t.Fatalf("q=%d bits centered=%v coeff %d: entered %v, want %v", mod.Bits(), centered, j, v, want[j])
+				}
+			}
 		}
 	}
 }

@@ -245,50 +245,21 @@ func (sr *ScaleRounder) ScaleRoundDigits(x *Poly, baseBits uint, count, limbs in
 
 // CenteredNTTFromResidues converts a residue-domain element representing
 // exact integer coefficients X (inside the basis exactness window) into
-// the NTT-domain centered-mod-q form — bit-identical to packing X mod q
-// and calling ToRNSCentered, without leaving the RNS domain: one base
-// conversion gives u = X mod q, and the centered representative u − g·q
-// (g = [u > ⌊q/2⌋], the ScaleRounder's bit) enters limb channel i as
-//
-//	u_lo·1 + u_hi·(2⁶⁴ mod p_i) + g·(−q mod p_i)  (mod p_i) ,
-//
-// two Shoup products and a 0/1 multiple, branch-free. The limb channels
-// then transform forward (lazily: the form feeds pointwise Barrett
-// products, which reduce any operand exactly). The result is pooled;
-// callers return it via PutScratch.
+// the NTT-domain centered-mod-q form without leaving the RNS domain —
+// congruent, slot for slot, to packing X mod q and calling ToRNSCentered:
+// one base conversion gives u = X mod q, which enters every limb channel
+// through ToRNSCentered's word kernel (enterChannel), and the channels
+// transform forward lazily (the form feeds pointwise Barrett products,
+// which reduce any operand exactly). The result is pooled; callers return
+// it via PutScratch.
 func (c *Context) CenteredNTTFromResidues(x *Poly) *Poly {
-	cv := c.conv
 	w := c.getConvOut()
 	defer c.putConvOut(w)
-	c.convModQ(x, &cv.unit, w.lo, w.hi)
-	out := c.getScratch()
+	c.convModQ(x, &c.conv.unit, w.lo, w.hi)
+	out := c.GetScratch()
 	parallelFor(c.K(), func(i int) {
-		p := c.Basis.Primes[i]
-		oneS, negQ := cv.oneShoup[i], cv.negQ[i]
-		oi := out.Coeffs[i]
-		lo := w.lo[:len(oi)]
-		if w.hi == nil {
-			half := cv.qr.half0
-			for j, u := range lo {
-				qh, _ := bits.Mul64(u, oneS)
-				s := u - qh*p + negQ&-((half-u)>>63) // < 3p
-				oi[j] = condSub(condSub(s, 2*p), p)
-			}
-		} else {
-			hi := w.hi[:len(oi)]
-			t64, t64S := cv.two64[i], cv.two64Shoup[i]
-			half0, half1 := cv.qr.half0, cv.qr.half1
-			for j, uLo := range lo {
-				uHi := hi[j]
-				_, b := bits.Sub64(half0, uLo, 0)
-				_, g := bits.Sub64(half1, uHi, b)
-				q1, _ := bits.Mul64(uLo, oneS)
-				q2, _ := bits.Mul64(uHi, t64S)
-				s := uLo + uHi*t64 - (q1+q2)*p + negQ&-g // < 5p
-				oi[j] = condSub(condSub(condSub(s, 4*p), 2*p), p)
-			}
-		}
-		c.Tabs[i].ForwardLazy(oi)
+		c.enterChannel(out.Coeffs[i], i, w.lo, w.hi, true)
+		c.Tabs[i].ForwardLazy(out.Coeffs[i])
 	})
 	return out
 }

@@ -119,19 +119,10 @@ func (r *Ring) ShoupConst(w uint64) uint64 {
 	return hi
 }
 
-// MulShoup returns (a * w) mod q given wShoup = ShoupConst(w). This is the
-// two-multiply butterfly primitive (Harvey, "Faster arithmetic for
-// number-theoretic transforms").
-func (r *Ring) MulShoup(a, w, wShoup uint64) uint64 {
-	res := r.MulShoupLazy(a, w, wShoup)
-	if res >= r.Q {
-		res -= r.Q
-	}
-	return res
-}
-
-// MulShoupLazy is MulShoup without the final conditional subtraction: the
-// result lies in [0, 2q). It accepts any a < 2^64 (the quotient estimate
+// MulShoupLazy returns a·w mod q up to one multiple of q — the result
+// lies in [0, 2q) — given wShoup = ShoupConst(w): the two-multiply
+// butterfly primitive (Harvey, "Faster arithmetic for number-theoretic
+// transforms"). It accepts any a < 2^64 (the quotient estimate
 // floor(a·wShoup/2^64) undershoots floor(a·w/q) by at most one), which is
 // what lets the NTT butterflies run on lazily-reduced values < 4q.
 func (r *Ring) MulShoupLazy(a, w, wShoup uint64) uint64 {

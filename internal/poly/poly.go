@@ -85,6 +85,10 @@ func NewModulus(q *big.Int) (*Modulus, error) {
 // Bits returns the bit length of q.
 func (m *Modulus) Bits() int { return m.QBig.BitLen() }
 
+// Words returns q as two 64-bit words, low first — the form word-level
+// code compares coefficients against. Both are zero when W > 4.
+func (m *Modulus) Words() (q0, q1 uint64) { return m.q0, m.q1 }
+
 // Poly is a polynomial of degree < N with W-limb coefficients, reduced
 // modulo q (callers maintain the reduction invariant).
 type Poly struct {
