@@ -96,7 +96,12 @@
 // poly's sumCapacity (⌊(2¹²⁸−1)/q⌋ residues, then the sum reduces on its
 // own). Both host additions that skip the limb32 routine the metered PIM
 // cost model runs — the 109-bit unmetered Add and that Sum — are pinned
-// to it on adversarial operands in internal/poly's tests.
+// to it on adversarial operands in internal/poly's tests, and so are the
+// PIM product kernel's word-level run bodies (pim/kernels mulRun1 and
+// mulRun8, which compute limb32.Mul + accumAdd's accumulator limbs and
+// charge their tally without running them): TestProductRunsMatchLimb32
+// holds them to it product by product on every zero-limb pattern and on
+// prefix products either side of each schoolbook row's ripple boundary.
 // Deferred sums carry a magnitude bound and refuse to fuse (the caller
 // falls back to coefficients) rather than leave the basis exactness
 // window.

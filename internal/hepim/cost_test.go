@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bfv"
+	"repro/internal/limb32"
 	"repro/internal/pimsched"
 )
 
@@ -68,6 +69,39 @@ func BenchmarkPIMMul27(b *testing.B) {
 		mul()
 	}
 	b.ReportMetric((f.simCycles()-before)/float64(b.N), "simcycles/run")
+}
+
+// TestPIMMul27IsPinned holds the simulated work of one relinearized
+// 27-bit Mul — the operation BenchmarkPIMMul27 times — to the integers
+// the schoolbook kernel produced when every product went through
+// limb32.Mul and accumAdd. Its lift-modulus tensor products run on
+// centered operands, whose zero limbs take the kernel's skipped-row
+// path; how the simulator computes the tally is free to change, these
+// numbers are the model and are not.
+func TestPIMMul27IsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a full n=1024 Mul")
+	}
+	f := rackFixture(t, bfv.ParamsSec27(), true)
+	cts := f.encryptMany(t, 2)
+	got, err := f.srv.Mul(cts[0], cts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := f.eval.Mul(cts[0], cts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("PIM Mul differs from host evaluator")
+	}
+	bd := f.srv.Breakdown()
+	const cycles, instr = 1667707501, 6688162541
+	counts := limb32.Counts{149859401, 400098980, 13326, 763018, 156980022, 566283594, 251684027, 251004, 539606, 0, 263839313}
+	if bd.KernelCycles != cycles || bd.TotalInstr != instr || bd.Counts != counts {
+		t.Errorf("Mul simulated cycles/instr %d/%d, counts %v; pinned %d/%d, %v",
+			bd.KernelCycles, bd.TotalInstr, bd.Counts, cycles, instr, counts)
+	}
 }
 
 // BenchmarkPIMSum64 is the host cost of simulating the arithmetic-mean

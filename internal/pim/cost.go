@@ -30,6 +30,16 @@
 // same integers as pricing every instruction where it executes; the
 // host cost of a simulated instruction is an add, not a call.
 //
+// Host cost per simulated product. The schoolbook product kernel
+// (pim/kernels VectorPolyMul) dominates the simulator's host time. Its
+// word-level run bodies cost ≈ 40–55 ns of host time per simulated
+// 256-bit product (8×8 limbs, the lift modulus of a Mul's tensor
+// products, on centered operands) and ≈ 2–3 ns per 32-bit product, on
+// a 2-core 2.1 GHz Xeon; the 64- and 128-bit widths still run
+// limb32.Mul, ≈ 130 ns per 128-bit product. One 27-bit n = 1024 Mul
+// (4.2 M 256-bit products) takes ≈ 0.2 s; a 109-bit n = 4096 one ≈ 13 s,
+// most of it in its 128-bit key-switch products.
+//
 // WRAM is an arena with a checked capacity. Kernels take their scratch
 // from TaskletCtx.WRAM, sized to the data they own, and a request past
 // WRAMWords is a kernel error. Tasklets of a DPU run one after another

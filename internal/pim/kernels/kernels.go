@@ -1,9 +1,10 @@
 // Package kernels contains the DPU programs of the paper's §3: polynomial
 // (vector) addition and negacyclic polynomial multiplication over 32-, 64-
-// and 128-bit coefficients, written against the pim simulator's tasklet
-// API. Each kernel is the direct analogue of the UPMEM C code the paper
+// and 128-bit coefficients (and the 256-bit lift a PIM Mul's tensor
+// products run under), written against the pim simulator's tasklet API. Each kernel is the direct analogue of the UPMEM C code the paper
 // describes: WRAM tiles staged by DMA, add/addc chains for wide addition,
-// Karatsuba + Barrett for wide multiplication.
+// schoolbook products (Karatsuba for 64- and 128-bit coefficients)
+// accumulated at full width and reduced once by limb32.Mod.
 //
 // The tasklet programs live in kernels.go, sum.go and nttkernel.go; the
 // host side is sched.go, where each Run*Sched driver is a shard plan
@@ -13,6 +14,7 @@ package kernels
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/limb32"
 	"repro/internal/pim"
@@ -27,7 +29,6 @@ type VecAddLayout struct {
 	OffB   int
 	OffOut int
 	Q      limb32.Nat
-	BR     *limb32.Barrett // unused by addition; kept for symmetry
 }
 
 // addTile returns the DMA tile size (in coefficients) for a tasklet that
@@ -86,7 +87,6 @@ type PolyMulLayout struct {
 	OffB   int
 	OffOut int
 	Q      limb32.Nat
-	BR     *limb32.Barrett
 }
 
 // VectorPolyMul returns the tasklet program computing, for every pair,
@@ -99,6 +99,15 @@ type PolyMulLayout struct {
 // staged through WRAM tiles; accumulation happens in WRAM at full
 // 2W+1-limb precision, with a single modular reduction per output
 // coefficient.
+//
+// The host walks a tile one a-coefficient at a time: for coefficient i
+// the tasklet's outputs k split at k = i into a run into accNeg (k < i,
+// the products that wrap past Xᴺ) and a run into accPos (k ≥ i), and
+// along each run the b-window index and the accumulator index both
+// advance by one. Each run goes to the width's productRun, which
+// charges the tasklet the tally limb32.Mul and accumAdd would for every
+// product of the run; the sums are exact and a tally is order-free, so
+// visiting the products i-outer instead of k-outer changes neither.
 func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 	return func(ctx *pim.TaskletCtx) error {
 		n, w := l.N, l.W
@@ -139,6 +148,7 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 		// the time it is written accumulators 0..k have been reduced.
 		out := accPos[:K*w]
 		m := ctx.Meter()
+		run := productRunFor(w, prod)
 
 		for p := 0; p < l.Pairs; p++ {
 			offA := l.OffA + p*n*w
@@ -157,27 +167,14 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 				winStart := ((k0-i0-cnt+1)%n + n) % n
 				readWindow(ctx, offB, winStart, winLen, n, w, bWin)
 
-				for k := k0; k < k1; k++ {
-					for i := i0; i < i0+cnt; i++ {
-						j := k - i
-						negTerm := false
-						if j < 0 {
-							j += n
-							negTerm = true
-						}
-						wi := j - winStart
-						if wi < 0 {
-							wi += n
-						}
-						ai := limb32.Nat(aTile[(i-i0)*w : (i-i0+1)*w])
-						bj := limb32.Nat(bWin[wi*w : (wi+1)*w])
-						limb32.Mul(prod, ai, bj, m)
-						acc := accPos
-						if negTerm {
-							acc = accNeg
-						}
-						accumAdd(acc[(k-k0)*accW:(k-k0+1)*accW], prod, m)
-					}
+				for i := i0; i < i0+cnt; i++ {
+					// Output k reads window slot k−k0 + i0+cnt−1−i, which
+					// holds b_(k−i) mod n.
+					ai := aTile[(i-i0)*w : (i-i0+1)*w]
+					bi := bWin[(i0+cnt-1-i)*w : (i0+cnt-1-i+K)*w]
+					split := min(max(i-k0, 0), K)
+					run(accNeg[:split*accW], ai, bi[:split*w], m)
+					run(accPos[split*accW:], ai, bi[split*w:], m)
 				}
 				ctx.ChargeInstr(int64(3 * K * cnt)) // per product: index arithmetic + wrap test + branch
 			}
@@ -192,6 +189,180 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 		}
 		return nil
 	}
+}
+
+// A productRun adds a·b_t into acc_t for every t of one run, where b
+// holds consecutive W-limb coefficients and acc the matching (2W+1)-limb
+// accumulators, and charges m what limb32.Mul followed by accumAdd
+// would for each of those products.
+type productRun func(acc, a, b []uint32, m limb32.Meter)
+
+// productRunFor picks the run body for coefficient width w. Widths 1
+// (key switching at 27 bits) and 8 (every PIM Mul's tensor products
+// under the lift modulus) have word-level bodies; the 2- and 4-limb
+// widths no workload multiplies on PIM run limb32.Mul itself, through
+// the 2w-limb scratch prod.
+func productRunFor(w int, prod limb32.Nat) productRun {
+	switch w {
+	case 1:
+		return mulRun1
+	case 8:
+		return mulRun8
+	}
+	accW := 2*w + 1
+	return func(acc, a, b []uint32, m limb32.Meter) {
+		for t := 0; t < len(acc)/accW; t++ {
+			limb32.Mul(prod, a, b[t*w:(t+1)*w], m)
+			accumAdd(acc[t*accW:(t+1)*accW], prod, m)
+		}
+	}
+}
+
+// mulRun1 is the 1-limb run: one 32×32 product per output, added into
+// the accumulator's low word with the carry into its top limb. The
+// tally is data-independent: limb32.Mul loads both factors, multiplies
+// and stores two limbs; accumAdd's two-limb addc chain loads, adds
+// three times (the top limb included), stores and loops twice.
+func mulRun1(acc, a, b []uint32, m limb32.Meter) {
+	x := uint64(a[0])
+	for t, bt := range b {
+		c3 := (*[3]uint32)(acc[3*t:])
+		c3[2] += uint32(addPair(c3[:2], x*uint64(bt), 0))
+	}
+	c := len(b)
+	m.Tick(limb32.OpLoad, 4*c)
+	m.Tick(limb32.OpMul32, c)
+	m.Tick(limb32.OpAddC, 3*c)
+	m.Tick(limb32.OpStore, 4*c)
+	m.Tick(limb32.OpLoop, 2*c)
+}
+
+// mulRun8 is the 8-limb run. Each product is formed the way
+// limb32.MulSchoolbook forms it, one row per nonzero 32-bit limb a_r of
+// a, but a word at a time: row r adds (a_r ≪ 32·(r&1))·b, four 64×64
+// products, at word r≫1 of the running product d0..d7. The rows are
+// written out so the eight words stay in registers.
+//
+// MulSchoolbook's tally is fixed by a's zero limbs (skipped, with
+// rows = 8 − skipped and steps = 8·rows) plus one ripple per row whose
+// carry out of the row is nonzero. Before row r the running product is
+// below 2^(32(r+8)), so that carry is exactly limb r+8 of the product
+// after the row: word r≫1+4 for an even r, its high half for an odd
+// one. accumAdd's 16-limb chain adds a constant 16 loads, 17 addc, 16
+// stores and 16 loop trips per product.
+func mulRun8(acc, a, b []uint32, m limb32.Meter) {
+	var x [8]uint64 // row r's multiplier, a_r ≪ 32·(r&1)
+	rows := 0
+	for r, ar := range a[:8] {
+		x[r] = uint64(ar) << (32 * (r & 1))
+		if ar != 0 {
+			rows++
+		}
+	}
+	ripples := 0
+	for t := 0; t < len(b)/8; t++ {
+		bt := (*[8]uint32)(b[8*t:])
+		b0 := uint64(bt[0]) | uint64(bt[1])<<32
+		b1 := uint64(bt[2]) | uint64(bt[3])<<32
+		b2 := uint64(bt[4]) | uint64(bt[5])<<32
+		b3 := uint64(bt[6]) | uint64(bt[7])<<32
+		var d0, d1, d2, d3, d4, d5, d6, d7 uint64
+		if x[0] != 0 {
+			p0, p1, p2, p3, p4 := mulWords(x[0], b0, b1, b2, b3)
+			d0, d1, d2, d3, d4 = addWords(d0, d1, d2, d3, d4, p0, p1, p2, p3, p4)
+			ripples += nonzero32(d4)
+		}
+		if x[1] != 0 {
+			p0, p1, p2, p3, p4 := mulWords(x[1], b0, b1, b2, b3)
+			d0, d1, d2, d3, d4 = addWords(d0, d1, d2, d3, d4, p0, p1, p2, p3, p4)
+			ripples += nonzero32(d4 >> 32)
+		}
+		if x[2] != 0 {
+			p0, p1, p2, p3, p4 := mulWords(x[2], b0, b1, b2, b3)
+			d1, d2, d3, d4, d5 = addWords(d1, d2, d3, d4, d5, p0, p1, p2, p3, p4)
+			ripples += nonzero32(d5)
+		}
+		if x[3] != 0 {
+			p0, p1, p2, p3, p4 := mulWords(x[3], b0, b1, b2, b3)
+			d1, d2, d3, d4, d5 = addWords(d1, d2, d3, d4, d5, p0, p1, p2, p3, p4)
+			ripples += nonzero32(d5 >> 32)
+		}
+		if x[4] != 0 {
+			p0, p1, p2, p3, p4 := mulWords(x[4], b0, b1, b2, b3)
+			d2, d3, d4, d5, d6 = addWords(d2, d3, d4, d5, d6, p0, p1, p2, p3, p4)
+			ripples += nonzero32(d6)
+		}
+		if x[5] != 0 {
+			p0, p1, p2, p3, p4 := mulWords(x[5], b0, b1, b2, b3)
+			d2, d3, d4, d5, d6 = addWords(d2, d3, d4, d5, d6, p0, p1, p2, p3, p4)
+			ripples += nonzero32(d6 >> 32)
+		}
+		if x[6] != 0 {
+			p0, p1, p2, p3, p4 := mulWords(x[6], b0, b1, b2, b3)
+			d3, d4, d5, d6, d7 = addWords(d3, d4, d5, d6, d7, p0, p1, p2, p3, p4)
+			ripples += nonzero32(d7)
+		}
+		if x[7] != 0 {
+			p0, p1, p2, p3, p4 := mulWords(x[7], b0, b1, b2, b3)
+			d3, d4, d5, d6, d7 = addWords(d3, d4, d5, d6, d7, p0, p1, p2, p3, p4)
+			ripples += nonzero32(d7 >> 32)
+		}
+		c17 := (*[17]uint32)(acc[17*t:])
+		c := addPair(c17[0:2], d0, 0)
+		c = addPair(c17[2:4], d1, c)
+		c = addPair(c17[4:6], d2, c)
+		c = addPair(c17[6:8], d3, c)
+		c = addPair(c17[8:10], d4, c)
+		c = addPair(c17[10:12], d5, c)
+		c = addPair(c17[12:14], d6, c)
+		c = addPair(c17[14:16], d7, c)
+		c17[16] += uint32(c)
+	}
+	c := len(b) / 8
+	skipped := 8 - rows
+	steps := 8 * rows
+	m.Tick(limb32.OpLoad, c*(skipped+3*steps+16)+ripples)
+	m.Tick(limb32.OpMul32, c*steps)
+	m.Tick(limb32.OpAdd, c*steps)
+	m.Tick(limb32.OpAddC, c*(2*steps+17)+ripples)
+	m.Tick(limb32.OpStore, c*(steps+16)+ripples)
+	m.Tick(limb32.OpLoop, c*(skipped+steps+rows+16))
+}
+
+// mulWords returns the five-word product x·(b3:b2:b1:b0).
+func mulWords(x, b0, b1, b2, b3 uint64) (p0, p1, p2, p3, p4 uint64) {
+	h0, p0 := bits.Mul64(x, b0)
+	h1, l1 := bits.Mul64(x, b1)
+	h2, l2 := bits.Mul64(x, b2)
+	h3, l3 := bits.Mul64(x, b3)
+	var c uint64
+	p1, c = bits.Add64(l1, h0, 0)
+	p2, c = bits.Add64(l2, h1, c)
+	p3, c = bits.Add64(l3, h2, c)
+	return p0, p1, p2, p3, h3 + c
+}
+
+// addWords returns d + p over five words; the caller guarantees the sum
+// fits.
+func addWords(d0, d1, d2, d3, d4, p0, p1, p2, p3, p4 uint64) (uint64, uint64, uint64, uint64, uint64) {
+	var c uint64
+	d0, c = bits.Add64(d0, p0, 0)
+	d1, c = bits.Add64(d1, p1, c)
+	d2, c = bits.Add64(d2, p2, c)
+	d3, c = bits.Add64(d3, p3, c)
+	return d0, d1, d2, d3, d4 + p4 + c
+}
+
+// nonzero32 is 1 if v, which must be below 2³², is nonzero and 0
+// otherwise: adding 2³²−1 reaches bit 32 exactly when v ≠ 0.
+func nonzero32(v uint64) int { return int((v + 0xffffffff) >> 32) }
+
+// addPair adds v and the carry c into the two-limb word p and returns
+// the carry out.
+func addPair(p []uint32, v, c uint64) uint64 {
+	s, c := bits.Add64(uint64(p[0])|uint64(p[1])<<32, v, c)
+	p[0], p[1] = uint32(s), uint32(s>>32)
+	return c
 }
 
 // readWindow reads winLen coefficients of width w starting at circular

@@ -41,6 +41,8 @@ func modulusFor(t *testing.T, w int) *poly.Modulus {
 		s = "18014398509481951"
 	case 4:
 		s = "649037107316853453566312041152481"
+	case 8: // 2²⁵⁶ − 189, the lift modulus of a PIM Mul's tensor products
+		s = "115792089237316195423570985008687907853269984665640564039457584007913129639747"
 	default:
 		t.Fatalf("no modulus for width %d", w)
 	}
@@ -151,7 +153,7 @@ func hostPolyMul(t *testing.T, a, b []uint32, n int, mod *poly.Modulus) []uint32
 
 func TestVectorPolyMulBitExactAllWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
-	for _, w := range []int{1, 2, 4} {
+	for _, w := range []int{1, 2, 4, 8} {
 		mod := modulusFor(t, w)
 		for _, n := range []int{16, 64} {
 			for _, tasklets := range []int{1, 11, 16} {

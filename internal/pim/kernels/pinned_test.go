@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/limb32"
 	"repro/internal/pimsched"
-	"repro/internal/poly"
 )
 
 // TestSimulatedFiguresArePinned holds every driver's simulated figures —
@@ -35,6 +34,9 @@ func TestSimulatedFiguresArePinned(t *testing.T) {
 		"sum/w8":     {limb32.Counts{576, 4032, 310, 2170, 0, 14708, 7088, 266, 0, 0, 7088}, 37390, 30120, 37191},
 		"polymul/w8": {limb32.Counts{196691, 499701, 192, 34086, 232988, 667952, 272536, 11010, 24388, 0, 301640}, 9473028, 43668, 9827136},
 		"ntt":        {limb32.Counts{6912, 0, 15360, 0, 25344, 0, 0, 22272, 16896, 0, 0}, 901632, 9036, 1652992},
+
+		// The operand shape a PIM Mul's tensor products run on.
+		"polymul/w8-centered": {limb32.Counts{114258, 315475, 192, 28758, 144636, 413469, 172621, 9306, 22790, 0, 214464}, 5928901, 43668, 7259516},
 	}
 	check := func(name string, rep *pimsched.Report, err error) {
 		t.Helper()
@@ -53,17 +55,8 @@ func TestSimulatedFiguresArePinned(t *testing.T) {
 
 	topo := pimsched.Topology{Ranks: 2, DPUsPerRank: 4}
 	// Width 8 is the 256-bit lift modulus a PIM Mul's tensor products run under.
-	liftQ := new(big.Int).Lsh(big.NewInt(1), 256)
-	liftQ.Sub(liftQ, big.NewInt(189))
-	lift, err := poly.NewModulus(liftQ)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, w := range []int{1, 2, 4, 8} {
-		mod := lift
-		if w != 8 {
-			mod = modulusFor(t, w)
-		}
+		mod := modulusFor(t, w)
 		rng := rand.New(rand.NewSource(int64(1500 + w)))
 		a, b, c := randVec(rng, 192, mod), randVec(rng, 192, mod), randVec(rng, 192, mod)
 		sched := testSched(t, topo, 3)
@@ -75,13 +68,34 @@ func TestSimulatedFiguresArePinned(t *testing.T) {
 		check(fmt.Sprintf("polymul/w%d", w), rep, err)
 	}
 
+	// A PIM Mul lifts centered 27-bit coefficients: a positive one has
+	// zero high limbs (skipped schoolbook rows), a negative one is
+	// 2²⁵⁶−189 minus a small value. Uniform 256-bit operands never reach
+	// the skipped-row path.
+	small, lift := modulusFor(t, 1), modulusFor(t, 8)
+	half := new(big.Int).Rsh(small.QBig, 1)
+	rng := rand.New(rand.NewSource(1508))
+	centered := func() []uint32 {
+		out := make([]uint32, 192*lift.W)
+		for i := 0; i < 192; i++ {
+			c := new(big.Int).Rand(rng, small.QBig)
+			if c.Cmp(half) > 0 {
+				c.Add(c.Sub(c, small.QBig), lift.QBig)
+			}
+			copy(out[i*lift.W:(i+1)*lift.W], limb32.FromBig(c, lift.W))
+		}
+		return out
+	}
+	_, rep, err := RunVectorPolyMulSched(testSched(t, topo, 3), centered(), centered(), 16, lift.W, lift.Q)
+	check("polymul/w8-centered", rep, err)
+
 	plan := testPlan(t, 64)
-	rng := rand.New(rand.NewSource(1515))
+	rng = rand.New(rand.NewSource(1515))
 	a, b := make([]uint32, 12*64), make([]uint32, 12*64)
 	for i := range a {
 		a[i] = uint32(rng.Uint64() % plan.Q)
 		b[i] = uint32(rng.Uint64() % plan.Q)
 	}
-	_, rep, err := RunNTTPolyMulSched(testSched(t, topo, 3), plan, a, b)
+	_, rep, err = RunNTTPolyMulSched(testSched(t, topo, 3), plan, a, b)
 	check("ntt", rep, err)
 }

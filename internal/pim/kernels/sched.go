@@ -88,12 +88,11 @@ func RunVectorPolyMulSched(sched *pimsched.Scheduler, a, b []uint32, n, w int, q
 	if polyWords == 0 || len(a)%polyWords != 0 {
 		return nil, nil, fmt.Errorf("kernels: vector length %d not a multiple of poly size %d", len(a), polyWords)
 	}
-	br := limb32.NewBarrett(q)
 	out := make([]uint32, len(a))
 	rep, err := sched.Run(plan(sched.Sys, [][]uint32{a, b}, out, polyWords, sched.TargetShards(len(a)/polyWords),
 		func(cnt int) pim.KernelFunc {
 			words := cnt * polyWords
-			return VectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: cnt, OffA: 0, OffB: words, OffOut: 2 * words, Q: q, BR: br})
+			return VectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: cnt, OffA: 0, OffB: words, OffOut: 2 * words, Q: q})
 		}))
 	if err != nil {
 		return nil, nil, err
