@@ -31,7 +31,11 @@
 //   - internal/bfv: the scheme. A bfv.Value is a ciphertext in
 //     materialized (*Ciphertext) or deferred (*RotatedNTT, *ProductNTT)
 //     form; the evaluator, the hoisted/batched front end, encryption,
-//     RNS-native decryption and serialization live here.
+//     RNS-native decryption and serialization live here. RelinKey and
+//     GaloisKey are one key-switching key (s² → s and τ_g(s) → s) with
+//     one generator, one wire record and one cache of NTT forms; a key
+//     whose digit count is not the parameters' RelinDigits is refused
+//     at import.
 //   - internal/dcrt, internal/ntt, internal/rns, internal/modring: the
 //     double-CRT arithmetic — an extended RNS basis wide enough that
 //     exact integer tensor and key-switch accumulators never wrap,

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bfv"
+	"repro/internal/pim"
 	"repro/internal/polypool"
 	"repro/internal/sampling"
 )
@@ -272,32 +273,13 @@ func (c *Context) Close() error {
 // backings currently held by live handles (InUse = Gets − Puts, the
 // leak-balance invariant), and the bytes sitting on the free lists
 // (RetainedBytes — the pool's steady-state footprint).
-type PoolStats struct {
-	Gets          int64 `json:"gets"`
-	Puts          int64 `json:"puts"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Dropped       int64 `json:"dropped"`
-	InUse         int64 `json:"in_use"`
-	RetainedBytes int64 `json:"retained_bytes"`
-}
+type PoolStats = polypool.Stats
 
 // PoolStats returns a snapshot of the decode pool's counters. It works
 // on closed contexts too (the counters survive Close; only the
 // retained backings are dropped), so a serving cache can audit evicted
 // tenants for leaked handles.
-func (c *Context) PoolStats() PoolStats {
-	s := c.pool.Stats()
-	return PoolStats{
-		Gets:          s.Gets,
-		Puts:          s.Puts,
-		Hits:          s.Hits,
-		Misses:        s.Misses,
-		Dropped:       s.Dropped,
-		InUse:         s.InUse,
-		RetainedBytes: s.RetainedBytes,
-	}
-}
+func (c *Context) PoolStats() PoolStats { return c.pool.Stats() }
 
 // requireOpen rejects operations on a closed context. It is checked at
 // the entry points every operation funnels through: handle validation
@@ -329,13 +311,7 @@ func (c *Context) PIMReport() (launches int, modeledSeconds float64, ok bool) {
 // PIMStats holds the accumulated fault-model counters of the "pim"
 // backend: faults injected, retries and shard re-dispatches the
 // fault-tolerant dispatch performed, and DPUs lost permanently.
-type PIMStats struct {
-	TransientFaults int // injected transient launch failures
-	DeadDPUs        int // DPUs permanently failed
-	StragglerHits   int // launches slowed by the straggler model
-	Retries         int // shard retries after transient faults
-	Redispatches    int // shards re-dispatched off dead DPUs
-}
+type PIMStats = pim.FaultStats
 
 // PIMStats returns the fault and retry counters of a modeled-hardware
 // backend; ok is false when the selected backend has no fault model
@@ -346,14 +322,7 @@ func (c *Context) PIMStats() (stats PIMStats, ok bool) {
 	if rep == nil {
 		return PIMStats{}, false
 	}
-	fs := rep.Faults
-	return PIMStats{
-		TransientFaults: fs.TransientFaults,
-		DeadDPUs:        fs.DeadDPUs,
-		StragglerHits:   fs.StragglerHits,
-		Retries:         fs.Retries,
-		Redispatches:    fs.Redispatches,
-	}, true
+	return rep.Faults, true
 }
 
 // PIMBreakdown is the aggregated sharded execution breakdown of the

@@ -24,9 +24,13 @@
 // WithKeySet move key material between contexts with a versioned binary
 // header; exporting without the secret key yields an evaluation-only
 // context (it encrypts and evaluates, but cannot decrypt), which is the
-// server half of the paper's deployment model. Ciphertexts marshal with
-// the same versioned header (Ciphertext.MarshalBinary /
-// Context.UnmarshalCiphertext).
+// server half of the paper's deployment model. The relinearization key
+// and each Galois key are one object, a key-switching key (from s² and
+// from τ_g(s) to s), with one record layout; an import whose key has a
+// digit count other than the parameters' is an ErrCorruptBlob, since
+// such a key would evaluate to wrong results without an error.
+// Ciphertexts marshal with the same versioned header
+// (Ciphertext.MarshalBinary / Context.UnmarshalCiphertext).
 //
 // # Streaming serialization
 //

@@ -6,7 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/bfv"
 )
@@ -47,59 +48,54 @@ const (
 	kindKeySet     = 2
 )
 
-// serialHeader is the fixed-size parameter guard after the magic.
-type serialHeader struct {
-	Version  uint8
-	Kind     uint8
-	N        uint32
-	W        uint32
-	T        uint64
-	BaseBits uint32
-}
-
-// serialHeaderBytes is the encoded size of the magic plus serialHeader.
+// serialHeaderBytes is the encoded size of the header: the magic, then
+// u8 version | u8 kind | u32 N | u32 W | u64 T | u32 relinBaseBits.
 const serialHeaderBytes = 4 + 1 + 1 + 4 + 4 + 8 + 4
 
 // internalCiphertextHeaderBytes is the fixed prefix of the internal
 // ciphertext record: magic "BFVc" | u32 polyCount | u32 N | u32 W.
 const internalCiphertextHeaderBytes = 4 + 4 + 4 + 4
 
+// header returns the context's header for a record of the given kind:
+// the one encoding writeHeader sends and readHeader compares against.
+func (c *Context) header(kind uint8) [serialHeaderBytes]byte {
+	var b [serialHeaderBytes]byte
+	copy(b[:], serialMagic[:])
+	b[4], b[5] = serialVersion, kind
+	binary.LittleEndian.PutUint32(b[6:], uint32(c.params.N))
+	binary.LittleEndian.PutUint32(b[10:], uint32(c.params.Q.W))
+	binary.LittleEndian.PutUint64(b[14:], c.params.T)
+	binary.LittleEndian.PutUint32(b[22:], uint32(c.params.RelinBaseBits))
+	return b
+}
+
 func (c *Context) writeHeader(w io.Writer, kind uint8) error {
-	if _, err := w.Write(serialMagic[:]); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, serialHeader{
-		Version:  serialVersion,
-		Kind:     kind,
-		N:        uint32(c.params.N),
-		W:        uint32(c.params.Q.W),
-		T:        c.params.T,
-		BaseBits: uint32(c.params.RelinBaseBits),
-	})
+	b := c.header(kind)
+	_, err := w.Write(b[:])
+	return err
 }
 
 func (c *Context) readHeader(r io.Reader, wantKind uint8) error {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	var b [serialHeaderBytes]byte
+	if _, err := io.ReadFull(r, b[:4]); err != nil {
 		return fmt.Errorf("%w: truncated header: %v", ErrCorruptBlob, err)
 	}
-	if magic != serialMagic {
+	if [4]byte(b[:4]) != serialMagic {
 		return fmt.Errorf("%w: bad magic (not a hebfv blob)", ErrCorruptBlob)
 	}
-	var h serialHeader
-	if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
+	if _, err := io.ReadFull(r, b[4:]); err != nil {
 		return fmt.Errorf("%w: truncated header: %v", ErrCorruptBlob, err)
 	}
-	if h.Version != serialVersion {
-		return fmt.Errorf("%w: unsupported format version %d (have %d)", ErrCorruptBlob, h.Version, serialVersion)
+	if b[4] != serialVersion {
+		return fmt.Errorf("%w: unsupported format version %d (have %d)", ErrCorruptBlob, b[4], serialVersion)
 	}
-	if h.Kind != wantKind {
-		return fmt.Errorf("%w: blob kind %d, want %d", ErrCorruptBlob, h.Kind, wantKind)
+	if b[5] != wantKind {
+		return fmt.Errorf("%w: blob kind %d, want %d", ErrCorruptBlob, b[5], wantKind)
 	}
-	if int(h.N) != c.params.N || int(h.W) != c.params.Q.W ||
-		h.T != c.params.T || uint(h.BaseBits) != c.params.RelinBaseBits {
+	if b != c.header(wantKind) {
 		return fmt.Errorf("%w: blob parameters (N=%d W=%d t=%d base=%d) do not match the context's %v",
-			ErrCorruptBlob, h.N, h.W, h.T, h.BaseBits, c.params)
+			ErrCorruptBlob, binary.LittleEndian.Uint32(b[6:]), binary.LittleEndian.Uint32(b[10:]),
+			binary.LittleEndian.Uint64(b[14:]), binary.LittleEndian.Uint32(b[22:]), c.params)
 	}
 	return nil
 }
@@ -222,13 +218,8 @@ func (c *Context) ExportKeysTo(w io.Writer, includeSecret bool) (err error) {
 		return fmt.Errorf("%w: nothing to export", ErrNoSecretKey)
 	}
 	c.mu.Lock()
-	gs := make([]uint64, 0, len(c.gks))
-	for g := range c.gks {
-		gs = append(gs, g)
-	}
-	gks := make([]*bfv.GaloisKey, 0, len(gs))
-	sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
-	for _, g := range gs {
+	var gks []*bfv.GaloisKey
+	for _, g := range slices.Sorted(maps.Keys(c.gks)) {
 		gks = append(gks, c.gks[g])
 	}
 	c.mu.Unlock()
@@ -254,7 +245,9 @@ func (c *Context) ExportKeysTo(w io.Writer, includeSecret bool) (err error) {
 	if err := c.rlk.Serialize(w); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(gks))); err != nil {
+	var count [4]byte
+	binary.LittleEndian.PutUint32(count[:], uint32(len(gks)))
+	if _, err := w.Write(count[:]); err != nil {
 		return err
 	}
 	for _, gk := range gks {
@@ -339,10 +332,11 @@ func (c *Context) importKeysFrom(r io.Reader) (err error) {
 		return fmt.Errorf("%w: key set relin key: %v", ErrCorruptBlob, err)
 	}
 	c.rlk = rlk
-	var count uint32
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
+	var b [4]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return fmt.Errorf("%w: truncated key set: %v", ErrCorruptBlob, err)
 	}
+	count := binary.LittleEndian.Uint32(b[:])
 	if count > maxKeySetGaloisKeys {
 		return fmt.Errorf("%w: implausible Galois-key count %d", ErrCorruptBlob, count)
 	}

@@ -2,9 +2,11 @@ package hebfv
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/bfv"
+	"repro/internal/poly"
 )
 
 // The facade format is the versioned header plus the internal binary
@@ -201,5 +203,78 @@ func TestSerializeRejectsMismatch(t *testing.T) {
 	}
 	if _, err := evalOnly.ExportKeys(true); err == nil {
 		t.Fatal("secret export from evaluation-only context accepted")
+	}
+}
+
+// keySetBlob encodes an evaluation-only key set of c's public key, rlk
+// and gks the way ExportKeysTo does.
+func keySetBlob(t *testing.T, c *Context, rlk *bfv.RelinKey, gks []*bfv.GaloisKey) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.writeHeader(&buf, kindKeySet); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteByte(0)
+	if err := c.pk.Serialize(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := rlk.Serialize(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.Write([]byte{byte(len(gks)), 0, 0, 0})
+	for _, gk := range gks {
+		if err := gk.Serialize(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestImportRefusesWrongDigitCount: a key set whose relinearization or
+// Galois key has a digit count other than the parameters' is a corrupt
+// blob. At the 27-bit level a relinearization key with 2 of its 3 digits
+// used to import and make Mul(3, 4) decrypt to 2.
+func TestImportRefusesWrongDigitCount(t *testing.T) {
+	c, err := New(WithSecurityLevel(27), WithSeed(26), WithRotations(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gks := make([]*bfv.GaloisKey, 0, len(c.gks))
+	for _, gk := range c.gks {
+		gks = append(gks, gk)
+	}
+	if len(gks) != 1 {
+		t.Fatalf("want one Galois key, have %d", len(gks))
+	}
+	exported, err := c.ExportKeys(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(keySetBlob(t, c, c.rlk, gks), exported) {
+		t.Fatal("keySetBlob does not reproduce ExportKeys(false)")
+	}
+	resize := func(k0, k1 []*poly.Poly, n int) (r0, r1 []*poly.Poly) {
+		for i := 0; i < n; i++ {
+			r0, r1 = append(r0, k0[i%len(k0)]), append(r1, k1[i%len(k1)])
+		}
+		return r0, r1
+	}
+	digits := c.params.RelinDigits()
+	for _, n := range []int{digits - 1, digits + 1} {
+		rlk := &bfv.RelinKey{}
+		rlk.BaseBits = c.rlk.BaseBits
+		rlk.K0, rlk.K1 = resize(c.rlk.K0, c.rlk.K1, n)
+		gk := &bfv.GaloisKey{G: gks[0].G}
+		gk.BaseBits = gks[0].BaseBits
+		gk.K0, gk.K1 = resize(gks[0].K0, gks[0].K1, n)
+		for what, blob := range map[string][]byte{
+			"relinearization": keySetBlob(t, c, rlk, gks),
+			"Galois":          keySetBlob(t, c, c.rlk, []*bfv.GaloisKey{gk}),
+		} {
+			_, err := New(WithSecurityLevel(27), WithKeySet(blob))
+			if !errors.Is(err, ErrCorruptBlob) {
+				t.Errorf("%s key with %d of %d digits: err = %v, want ErrCorruptBlob", what, n, digits, err)
+			}
+		}
 	}
 }

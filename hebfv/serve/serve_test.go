@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -635,5 +637,47 @@ func TestCoalescerBatchesUnderContention(t *testing.T) {
 		if st := co.Stats(); st.Batches != int64(len(tc.sizes)) || st.MaxBatch != tc.sizes[1] {
 			t.Errorf("MaxBatch %d: stats %+v", tc.maxBatch, st)
 		}
+	}
+}
+
+// TestStatsJSONKeys pins the /v1/stats schema: every key path of the
+// JSON object an operator's dashboard reads, nested objects included.
+// The pool block is hebfv.PoolStats, itself polypool.Stats; renaming a
+// field tag there changes this list.
+func TestStatsJSONKeys(t *testing.T) {
+	_, hs := newTestServer(t, Options{})
+	resp, err := http.Get(hs.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	var walk func(prefix string, m map[string]any)
+	walk = func(prefix string, m map[string]any) {
+		for k, v := range m {
+			got = append(got, prefix+k)
+			if sub, ok := v.(map[string]any); ok {
+				walk(prefix+k+".", sub)
+			}
+		}
+	}
+	walk("", doc)
+	sort.Strings(got)
+	want := []string{
+		"cache", "cache.builds", "cache.bytes", "cache.entries", "cache.evictions",
+		"cache.hits", "cache.max_bytes", "cache.misses",
+		"coalescer", "coalescer.avg_batch", "coalescer.batches",
+		"coalescer.max_batch_observed", "coalescer.ops",
+		"inflight",
+		"pool", "pool.dropped", "pool.gets", "pool.hits", "pool.in_use",
+		"pool.misses", "pool.puts", "pool.retained_bytes",
+		"rejections", "requests",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("/v1/stats keys:\n got %q\nwant %q", got, want)
 	}
 }

@@ -2,8 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"math/big"
 
+	"repro/internal/bfv"
 	"repro/internal/limb32"
 	"repro/internal/pim"
 	"repro/internal/pim/kernels"
@@ -54,12 +54,6 @@ type PIMScalePoint struct {
 	BitIdentical bool
 }
 
-// paperModulus54 is the 54-bit (width 2) paper modulus.
-func paperModulus54() (*poly.Modulus, error) {
-	q, _ := new(big.Int).SetString("18014398509481951", 10)
-	return poly.NewModulus(q)
-}
-
 // pimScaleCase is one ring-degree/modulus row of the sweep, the paper's
 // n=2048 (54-bit) and n=4096 (109-bit) operating points.
 type pimScaleCase struct {
@@ -67,16 +61,8 @@ type pimScaleCase struct {
 	mod *poly.Modulus
 }
 
-func pimScaleCases() ([]pimScaleCase, error) {
-	m54, err := paperModulus54()
-	if err != nil {
-		return nil, err
-	}
-	m109, err := paperModulus109()
-	if err != nil {
-		return nil, err
-	}
-	return []pimScaleCase{{2048, m54}, {4096, m109}}, nil
+func pimScaleCases() []pimScaleCase {
+	return []pimScaleCase{{2048, bfv.ParamsSec54().Q}, {4096, bfv.ParamsSec109().Q}}
 }
 
 // addOracleVec computes the element-wise modular sum on the host — the
@@ -151,10 +137,7 @@ func MeasurePIMScale(dpuCounts []int, ctPairs int) (*Figure, []PIMScalePoint, er
 	if ctPairs <= 0 {
 		ctPairs = 32
 	}
-	cases, err := pimScaleCases()
-	if err != nil {
-		return nil, nil, err
-	}
+	cases := pimScaleCases()
 	var points []PIMScalePoint
 	fig := &Figure{
 		ID:     "pim-scale",

@@ -3,6 +3,7 @@ package bench
 import (
 	"math/big"
 
+	"repro/internal/bfv"
 	"repro/internal/nt"
 	"repro/internal/pim"
 	"repro/internal/pim/kernels"
@@ -14,29 +15,12 @@ import (
 // Direct-simulation helpers for the experiments that interrogate the PIM
 // machine itself rather than the cross-platform models.
 
-func paperModulus109() (*poly.Modulus, error) {
-	q, _ := new(big.Int).SetString("649037107316853453566312041152481", 10)
-	return poly.NewModulus(q)
-}
-
 func randCoeffVec(src *sampling.Source, coeffs int, mod *poly.Modulus) []uint32 {
 	out := make([]uint32, coeffs*mod.W)
 	for i := 0; i < coeffs; i++ {
 		copy(out[i*mod.W:(i+1)*mod.W], src.UniformNat(mod.Q, mod.W))
 	}
 	return out
-}
-
-// oneDPUSched builds a fresh one-DPU system under cfg and the scheduler
-// over it: these experiments read kernel cycles and energy, not
-// placement.
-func oneDPUSched(cfg pim.SystemConfig) (*pimsched.Scheduler, error) {
-	cfg.NumDPUs = 1
-	sys, err := pim.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return pimsched.New(sys, pimsched.FitTopology(1), false)
 }
 
 type taskletPoint struct {
@@ -47,10 +31,7 @@ type taskletPoint struct {
 // taskletSweepCycles measures simulated kernel cycles of a fixed 128-bit
 // vector addition (8192 coefficients, 1 DPU) across tasklet counts.
 func taskletSweepCycles(taskletCounts []int) ([]taskletPoint, error) {
-	mod, err := paperModulus109()
-	if err != nil {
-		return nil, err
-	}
+	mod := bfv.ParamsSec109().Q
 	src := sampling.NewSourceFromUint64(77)
 	a := randCoeffVec(src, 8192, mod)
 	b := randCoeffVec(src, 8192, mod)
@@ -58,7 +39,7 @@ func taskletSweepCycles(taskletCounts []int) ([]taskletPoint, error) {
 	for _, tk := range taskletCounts {
 		cfg := pim.DefaultConfig()
 		cfg.Tasklets = tk
-		sched, err := oneDPUSched(cfg)
+		sched, err := pimsched.OneDPU(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +76,7 @@ func nttAblationCycles(n int) (school, nttc int64, err error) {
 		a[i] = uint32(src.Uint64N(q))
 		b[i] = uint32(src.Uint64N(q))
 	}
-	sched1, err := oneDPUSched(pim.DefaultConfig())
+	sched1, err := pimsched.OneDPU(pim.DefaultConfig())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -103,7 +84,7 @@ func nttAblationCycles(n int) (school, nttc int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	sched2, err := oneDPUSched(pim.DefaultConfig())
+	sched2, err := pimsched.OneDPU(pim.DefaultConfig())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -118,15 +99,12 @@ func nttAblationCycles(n int) (school, nttc int64, err error) {
 // the simulator and extrapolates to the Fig 1(a) workload: kernel energy
 // vs the host-transfer energy the PIM paradigm avoids for resident data.
 func energyFigures() (kernelJ, transferJ float64, err error) {
-	mod, err := paperModulus109()
-	if err != nil {
-		return 0, 0, err
-	}
+	mod := bfv.ParamsSec109().Q
 	src := sampling.NewSourceFromUint64(80)
 	shard := 4096 // coefficients on one DPU
 	a := randCoeffVec(src, shard, mod)
 	b := randCoeffVec(src, shard, mod)
-	sched, err := oneDPUSched(pim.DefaultConfig())
+	sched, err := pimsched.OneDPU(pim.DefaultConfig())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -149,16 +127,13 @@ func energyFigures() (kernelJ, transferJ float64, err error) {
 // multiplication, by re-pricing the product mix: Karatsuba charges 9
 // mul32 per coefficient product where schoolbook charges 16.
 func karatsubaAblationCycles() (karatsuba, schoolbook int64, err error) {
-	mod, err := paperModulus109()
-	if err != nil {
-		return 0, 0, err
-	}
+	mod := bfv.ParamsSec109().Q
 	src := sampling.NewSourceFromUint64(78)
 	n := 64
 	a := randCoeffVec(src, n, mod)
 	b := randCoeffVec(src, n, mod)
 	cfg := pim.DefaultConfig()
-	sched, err := oneDPUSched(cfg)
+	sched, err := pimsched.OneDPU(cfg)
 	if err != nil {
 		return 0, 0, err
 	}

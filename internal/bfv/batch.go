@@ -201,9 +201,7 @@ func (be *BatchEvaluator) rotateAndSumOne(ct *Ciphertext, gks []*GaloisKey) (*Ci
 		if gk == nil {
 			return nil, errors.New("bfv: nil Galois key")
 		}
-		k0, k1 := gk.forms.get(ctx, gk.K0, gk.K1)
-		idx := dcrt.GaloisNTTIndices(ctx.N, gk.G)
-		galoisKeySwitchAcc(ctx, acc0, acc1, digits, idx, k0, k1)
+		gk.switchAcc(ctx, acc0, acc1, digits, dcrt.GaloisNTTIndices(ctx.N, gk.G))
 		c0g := applyGaloisPoly(ct.Polys[0], gk.G, par.Q, nil)
 		poly.Add(c0sum, c0sum, c0g, par.Q, nil)
 	}

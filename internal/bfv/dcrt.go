@@ -115,20 +115,8 @@ func keySwitchAccResidues(ctx *dcrt.Context, digits []*dcrt.Poly, k0, k1 []*dcrt
 	return acc0, acc1
 }
 
-// relinDigits returns ct polynomial p decomposed into double-CRT digit
-// form, capped at the number of key digits actually present.
-func relinDigits(ctx *dcrt.Context, par *Parameters, p *poly.Poly, keyLen int) []*dcrt.Poly {
-	return ctx.DigitsToRNS(p, par.RelinBaseBits, min(par.RelinDigits(), keyLen))
-}
-
-// galoisKeySwitchAcc accumulates Σᵢ τ_g(digitᵢ)·keyᵢ for both key
-// components into acc0/acc1 (NTT domain, extended basis) — the Galois
-// key-switching inner loop under the decompose-then-permute convention.
-// The automorphism is the slot gather idx (dcrt.GaloisNTTIndices), fused
-// into the accumulation so permuted digits are never materialized, the
-// whole digit sum folds in one 128-bit fused pass per component, and
-// digits are NOT consumed: a hoisted rotation reuses one decomposition
-// across many Galois elements, so ownership stays with the caller.
-func galoisKeySwitchAcc(ctx *dcrt.Context, acc0, acc1 *dcrt.Poly, digits []*dcrt.Poly, idx []uint32, k0, k1 []*dcrt.Poly) {
-	ctx.GaloisAccAllNTT(acc0, acc1, k0, k1, digits, idx)
+// relinDigits returns ct polynomial p decomposed into its RelinDigits
+// double-CRT digits, one per key-switching key digit.
+func relinDigits(ctx *dcrt.Context, par *Parameters, p *poly.Poly) []*dcrt.Poly {
+	return ctx.DigitsToRNS(p, par.RelinBaseBits, par.RelinDigits())
 }

@@ -269,6 +269,60 @@ func BenchmarkReadCiphertextBatching(b *testing.B) {
 	}
 }
 
+// BenchmarkReadKeySetBatching times one evaluation-only key-set import
+// at ParamsBatching: a public key, a relinearization key and 8 Galois
+// keys read back to back from an in-memory buffer (≈ 4.7 MB), the key
+// records a served tenant uploads once when it onboards. One untimed
+// read warms the chunk pool.
+func BenchmarkReadKeySetBatching(b *testing.B) {
+	params := ParamsBatching()
+	src := sampling.NewSourceFromUint64(4110)
+	kg := NewKeyGenerator(params, src)
+	sk, pk := kg.GenKeyPair()
+	var wire bytes.Buffer
+	if err := pk.Serialize(&wire); err != nil {
+		b.Fatal(err)
+	}
+	if err := kg.GenRelinKey(sk).Serialize(&wire); err != nil {
+		b.Fatal(err)
+	}
+	const galoisKeys = 8
+	for g := uint64(3); g < 3+2*galoisKeys; g += 2 {
+		gk, err := kg.GenGaloisKey(sk, g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := gk.Serialize(&wire); err != nil {
+			b.Fatal(err)
+		}
+	}
+	blob := wire.Bytes()
+	r := bytes.NewReader(blob)
+	read := func() {
+		r.Reset(blob)
+		if _, err := ReadPublicKey(r, params); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ReadRelinKey(r, params); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < galoisKeys; i++ {
+			if _, err := ReadGaloisKey(r, params); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if r.Len() != 0 {
+			b.Fatalf("%d bytes left after the key set", r.Len())
+		}
+	}
+	read()
+	b.SetBytes(int64(len(blob)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
+	}
+}
+
 // BenchmarkMulManySum measures the dot-product reduction Σᵢ aᵢ·bᵢ over 8
 // pairs, materialized (MulMany + Add fold) vs deferred (MulManyNTT + RNS
 // domain Add fold, one final conversion pair).

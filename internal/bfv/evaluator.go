@@ -325,26 +325,16 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 
 	if ev.useDCRT() {
 		ctx := par.dcrtCtx
-		k0, k1 := ev.rlk.forms.get(ctx, ev.rlk.K0, ev.rlk.K1)
+		k0, k1 := ev.rlk.nttForms(ctx)
 		// Digit decomposition by limb shifts, accumulation in the NTT
 		// domain, fast base conversion out — no big.Int on the path.
-		s0, s1 := keySwitchAcc(ctx, relinDigits(ctx, par, ct.Polys[2], len(k0)), k0, k1)
+		s0, s1 := keySwitchAcc(ctx, relinDigits(ctx, par, ct.Polys[2]), k0, k1)
 		poly.Add(c0, c0, s0, par.Q, nil)
 		poly.Add(c1, c1, s1, par.Q, nil)
 		return &Ciphertext{Polys: []*poly.Poly{c0, c1}}, nil
 	}
 
-	digits := decomposePoly(ct.Polys[2], par)
-	tmp := poly.NewPoly(par.N, par.Q.W)
-	for i, d := range digits {
-		if i >= len(ev.rlk.K0) {
-			break
-		}
-		poly.MulNegacyclic(tmp, ev.rlk.K0[i], d, par.Q, ev.Meter)
-		poly.Add(c0, c0, tmp, par.Q, ev.Meter)
-		poly.MulNegacyclic(tmp, ev.rlk.K1[i], d, par.Q, ev.Meter)
-		poly.Add(c1, c1, tmp, par.Q, ev.Meter)
-	}
+	ev.rlk.switchSchoolbook(c0, c1, decomposePoly(ct.Polys[2], par), par, ev.Meter)
 	return &Ciphertext{Polys: []*poly.Poly{c0, c1}}, nil
 }
 

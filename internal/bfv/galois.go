@@ -3,7 +3,6 @@ package bfv
 import (
 	"errors"
 	"fmt"
-	"math/big"
 
 	"repro/internal/dcrt"
 	"repro/internal/limb32"
@@ -18,11 +17,8 @@ import (
 // GaloisKey enables key switching from s(X^g) back to s after applying
 // the automorphism to a ciphertext.
 type GaloisKey struct {
-	G        uint64
-	BaseBits uint
-	K0, K1   []*poly.Poly
-
-	forms keyForms // lazily-built double-CRT forms (see dcrt.go)
+	G uint64
+	switchKey
 }
 
 // applyGaloisPoly maps coefficient i to position i·g mod 2N with the
@@ -49,35 +45,8 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g uint64) (*GaloisKey, error
 	if g%2 == 0 {
 		return nil, fmt.Errorf("bfv: Galois element %d must be odd", g)
 	}
-	par := kg.params
-	sG := applyGaloisPoly(sk.S, g, par.Q, nil)
-
-	digits := par.RelinDigits()
-	gk := &GaloisKey{
-		G:        g,
-		BaseBits: par.RelinBaseBits,
-		K0:       make([]*poly.Poly, digits),
-		K1:       make([]*poly.Poly, digits),
-	}
-	wPow := big.NewInt(1)
-	base := new(big.Int).Lsh(big.NewInt(1), par.RelinBaseBits)
-	for i := 0; i < digits; i++ {
-		a := uniformPoly(kg.src, par.N, par.Q)
-		e := gaussianPoly(kg.src, par.N, par.Q)
-
-		k0 := mulRq(par, a, sk.S)
-		poly.Add(k0, k0, e, par.Q, nil)
-		poly.Neg(k0, k0, par.Q, nil)
-
-		scaled := poly.NewPoly(par.N, par.Q.W)
-		wq := new(big.Int).Mod(wPow, par.Q.QBig)
-		poly.MulScalar(scaled, sG, limb32.FromBig(wq, par.Q.W), par.Q, nil)
-		poly.Add(k0, k0, scaled, par.Q, nil)
-
-		gk.K0[i] = k0
-		gk.K1[i] = a
-		wPow.Mul(wPow, base)
-	}
+	gk := &GaloisKey{G: g}
+	kg.genSwitchKey(&gk.switchKey, sk, applyGaloisPoly(sk.S, g, kg.params.Q, nil))
 	return gk, nil
 }
 
@@ -105,7 +74,7 @@ func (ev *Evaluator) ApplyGalois(ct *Ciphertext, gk *GaloisKey) (*Ciphertext, er
 
 	if ev.useDCRT() {
 		ctx := par.dcrtCtx
-		digits := relinDigits(ctx, par, ct.Polys[1], len(gk.K0))
+		digits := relinDigits(ctx, par, ct.Polys[1])
 		s0, outC1 := galoisKeySwitch(ctx, digits, gk)
 		for _, d := range digits {
 			ctx.PutScratch(d)
@@ -113,18 +82,9 @@ func (ev *Evaluator) ApplyGalois(ct *Ciphertext, gk *GaloisKey) (*Ciphertext, er
 		poly.Add(c0, c0, s0, par.Q, nil)
 		return &Ciphertext{Polys: []*poly.Poly{c0, outC1}}, nil
 	}
-	digitsP := permuteDigits(decomposePoly(ct.Polys[1], par), gk.G, par, ev.Meter)
+	digits := permuteDigits(decomposePoly(ct.Polys[1], par), gk.G, par, ev.Meter)
 	outC1 := poly.NewPoly(par.N, par.Q.W)
-	tmp := poly.NewPoly(par.N, par.Q.W)
-	for i, d := range digitsP {
-		if i >= len(gk.K0) {
-			break
-		}
-		poly.MulNegacyclic(tmp, gk.K0[i], d, par.Q, ev.Meter)
-		poly.Add(c0, c0, tmp, par.Q, ev.Meter)
-		poly.MulNegacyclic(tmp, gk.K1[i], d, par.Q, ev.Meter)
-		poly.Add(outC1, outC1, tmp, par.Q, ev.Meter)
-	}
+	gk.switchSchoolbook(c0, outC1, digits, par, ev.Meter)
 	return &Ciphertext{Polys: []*poly.Poly{c0, outC1}}, nil
 }
 
@@ -134,16 +94,27 @@ func (ev *Evaluator) ApplyGalois(ct *Ciphertext, gk *GaloisKey) (*Ciphertext, er
 // domain against the key's cached NTT forms, and both components leave
 // through the fast base conversion.
 func galoisKeySwitch(ctx *dcrt.Context, digits []*dcrt.Poly, gk *GaloisKey) (s0, s1 *poly.Poly) {
-	k0, k1 := gk.forms.get(ctx, gk.K0, gk.K1)
-	idx := dcrt.GaloisNTTIndices(ctx.N, gk.G)
 	acc0 := ctx.GetScratch()
 	acc1 := ctx.GetScratch()
 	defer ctx.PutScratch(acc0)
 	defer ctx.PutScratch(acc1)
 	acc0.Zero()
 	acc1.Zero()
-	galoisKeySwitchAcc(ctx, acc0, acc1, digits, idx, k0, k1)
+	gk.switchAcc(ctx, acc0, acc1, digits, dcrt.GaloisNTTIndices(ctx.N, gk.G))
 	return ctx.FromRNS(acc0), ctx.FromRNS(acc1)
+}
+
+// switchAcc accumulates Σᵢ τ_g(digitᵢ)·(k0ᵢ, k1ᵢ) into acc0/acc1 (NTT
+// domain, extended basis) — the Galois key switch under the
+// decompose-then-permute convention. τ_g is the slot gather idx
+// (dcrt.GaloisNTTIndices), fused into the accumulation so permuted digits
+// are never materialized, the whole digit sum folds in one 128-bit fused
+// pass per component, and digits are NOT consumed: a hoisted rotation
+// reuses one decomposition across many Galois elements, so ownership
+// stays with the caller.
+func (gk *GaloisKey) switchAcc(ctx *dcrt.Context, acc0, acc1 *dcrt.Poly, digits []*dcrt.Poly, idx []uint32) {
+	k0, k1 := gk.nttForms(ctx)
+	ctx.GaloisAccAllNTT(acc0, acc1, k0, k1, digits, idx)
 }
 
 // permuteDigits applies τ_g to each digit polynomial — the coefficient-

@@ -3,6 +3,7 @@ package bfv
 import (
 	"math/big"
 
+	"repro/internal/dcrt"
 	"repro/internal/limb32"
 	"repro/internal/poly"
 	"repro/internal/sampling"
@@ -20,13 +21,39 @@ type PublicKey struct {
 	forms keyForms // lazily-built double-CRT forms (see dcrt.go)
 }
 
-// RelinKey holds the evaluation keys for relinearization: for each base-w
-// digit i, (k0_i, k1_i) = (-(a_i·s + e_i) + wⁱ·s², a_i).
-type RelinKey struct {
+// switchKey is a key switch from s' to s: for each of the RelinDigits
+// base-2^BaseBits digits, (k0_i, k1_i) = (-(a_i·s + e_i) + wⁱ·s', a_i).
+// Relinearization switches from s' = s², a rotation from s' = τ_g(s)
+// (Fan–Vercauteren, eprint 2012/144), so RelinKey and GaloisKey embed
+// this one type: one generator, one wire codec, one NTT-form cache.
+type switchKey struct {
 	BaseBits uint
 	K0, K1   []*poly.Poly
 
 	forms keyForms // lazily-built double-CRT forms (see dcrt.go)
+}
+
+// nttForms returns the key's double-CRT NTT forms, built on first use.
+func (k *switchKey) nttForms(ctx *dcrt.Context) (k0, k1 []*dcrt.Poly) {
+	return k.forms.get(ctx, k.K0, k.K1)
+}
+
+// switchSchoolbook adds Σᵢ dᵢ·(k0ᵢ, k1ᵢ) into (c0, c1) by schoolbook
+// products: the metered key switch, and the double-CRT one's oracle.
+func (k *switchKey) switchSchoolbook(c0, c1 *poly.Poly, digits []*poly.Poly, par *Parameters, m limb32.Meter) {
+	tmp := poly.NewPoly(par.N, par.Q.W)
+	for i, d := range digits {
+		poly.MulNegacyclic(tmp, k.K0[i], d, par.Q, m)
+		poly.Add(c0, c0, tmp, par.Q, m)
+		poly.MulNegacyclic(tmp, k.K1[i], d, par.Q, m)
+		poly.Add(c1, c1, tmp, par.Q, m)
+	}
+}
+
+// RelinKey holds the evaluation keys for relinearization: the key switch
+// from s² to s.
+type RelinKey struct {
+	switchKey
 }
 
 // KeyGenerator derives keys from a parameter set and randomness source.
@@ -93,36 +120,39 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 
 // GenRelinKey derives the relinearization (evaluation) key for sk.
 func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *RelinKey {
-	par := kg.params
-	s2 := mulRq(par, sk.S, sk.S)
+	rk := &RelinKey{}
+	kg.genSwitchKey(&rk.switchKey, sk, mulRq(kg.params, sk.S, sk.S))
+	return rk
+}
 
+// genSwitchKey fills k with the key switching from target to sk.S,
+// drawing a_i then e_i for each digit in turn.
+func (kg *KeyGenerator) genSwitchKey(k *switchKey, sk *SecretKey, target *poly.Poly) {
+	par := kg.params
 	digits := par.RelinDigits()
-	rk := &RelinKey{
-		BaseBits: par.RelinBaseBits,
-		K0:       make([]*poly.Poly, digits),
-		K1:       make([]*poly.Poly, digits),
-	}
+	k.BaseBits = par.RelinBaseBits
+	k.K0 = make([]*poly.Poly, digits)
+	k.K1 = make([]*poly.Poly, digits)
 	wPow := big.NewInt(1)
 	base := new(big.Int).Lsh(big.NewInt(1), par.RelinBaseBits)
 	for i := 0; i < digits; i++ {
 		a := uniformPoly(kg.src, par.N, par.Q)
 		e := gaussianPoly(kg.src, par.N, par.Q)
 
-		// k0 = -(a·s + e) + wⁱ·s²
+		// k0 = -(a·s + e) + wⁱ·target
 		k0 := mulRq(par, a, sk.S)
 		poly.Add(k0, k0, e, par.Q, nil)
 		poly.Neg(k0, k0, par.Q, nil)
 
 		scaled := poly.NewPoly(par.N, par.Q.W)
 		wq := new(big.Int).Mod(wPow, par.Q.QBig)
-		poly.MulScalar(scaled, s2, limb32.FromBig(wq, par.Q.W), par.Q, nil)
+		poly.MulScalar(scaled, target, limb32.FromBig(wq, par.Q.W), par.Q, nil)
 		poly.Add(k0, k0, scaled, par.Q, nil)
 
-		rk.K0[i] = k0
-		rk.K1[i] = a
+		k.K0[i] = k0
+		k.K1[i] = a
 		wPow.Mul(wPow, base)
 	}
-	return rk
 }
 
 // GenKeyPair is a convenience bundling secret and public key generation.

@@ -244,9 +244,9 @@ func (ev *Evaluator) mulDeferred(a, b mulOperand) (res0, res1 *dcrt.Poly) {
 	} else {
 		ctx.MulNTT(rd0, ra1, rb1)
 	}
-	k0, k1 := ev.rlk.forms.get(ctx, ev.rlk.K0, ev.rlk.K1)
+	k0, k1 := ev.rlk.nttForms(ctx)
 	subK := par.dcrtSubK
-	digits := sr.ScaleRoundDigits(rd0, par.RelinBaseBits, min(par.RelinDigits(), len(k0)), subK)
+	digits := sr.ScaleRoundDigits(rd0, par.RelinBaseBits, par.RelinDigits(), subK)
 	acc0, acc1 := keySwitchAccResidues(ctx, digits, k0, k1, subK)
 
 	// d0 and d1 rescale in place to exact-integer residues (the scratch

@@ -75,7 +75,6 @@ func (ev *Evaluator) ApplyGaloisHoistedNTT(h *Hoisted, gk *GaloisKey) (*RotatedN
 	par := ev.params
 	ctx := h.ctx
 	digits := h.snapshot(par)
-	k0, k1 := gk.forms.get(ctx, gk.K0, gk.K1)
 	idx := dcrt.GaloisNTTIndices(ctx.N, gk.G)
 	acc0 := ctx.GetScratch()
 	acc1 := ctx.GetScratch()
@@ -84,7 +83,7 @@ func (ev *Evaluator) ApplyGaloisHoistedNTT(h *Hoisted, gk *GaloisKey) (*RotatedN
 	// straight onto it and the whole component defers as one value.
 	ctx.PermuteNTT(acc0, h.ct.rnsNTT(ctx, 0), idx)
 	acc1.Zero()
-	galoisKeySwitchAcc(ctx, acc0, acc1, digits, idx, k0, k1)
+	gk.switchAcc(ctx, acc0, acc1, digits, idx)
 	return &RotatedNTT{
 		par: par, ctx: ctx,
 		seq:  rotatedSeq.Add(1),

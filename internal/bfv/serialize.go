@@ -6,24 +6,72 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"strings"
 	"sync"
 
 	"repro/internal/limb32"
 	"repro/internal/poly"
 )
 
-// Binary serialization. Layout (all little-endian):
+// Binary serialization. Every record opens with one fixed header — a
+// 4-byte magic and little-endian u32 words — followed by its
+// polynomials' limbs (all little-endian):
 //
 //	ciphertext: magic "BFVc" | u32 polyCount | u32 N | u32 W | limbs…
 //	secret key: magic "BFVs" | u32 N | u32 W | limbs…
 //
+// (the public and key-switching key records: serialize_keys.go).
 // Ciphertexts are what crosses the user↔server boundary in the paper's
 // deployment model (§3: users encrypt, the PIM server computes).
 
+// record is one record kind: its magic and the name errors give it.
+type record struct {
+	magic [4]byte
+	name  string
+}
+
 var (
-	magicCiphertext = [4]byte{'B', 'F', 'V', 'c'}
-	magicSecretKey  = [4]byte{'B', 'F', 'V', 's'}
+	ciphertextRecord = record{[4]byte{'B', 'F', 'V', 'c'}, "ciphertext"}
+	secretKeyRecord  = record{[4]byte{'B', 'F', 'V', 's'}, "secret key"}
+	publicKeyRecord  = record{[4]byte{'B', 'F', 'V', 'p'}, "public key"}
+	relinKeyRecord   = record{[4]byte{'B', 'F', 'V', 'r'}, "relinearization key"}
+	galoisKeyRecord  = record{[4]byte{'B', 'F', 'V', 'g'}, "Galois key"}
 )
+
+// maxHeaderWords is the longest header: the Galois key's u64 g (two
+// words, low word first — the same bytes) and its four shape words.
+const maxHeaderWords = 6
+
+// writeHeader writes rec's magic and words — the one encoder of every
+// record header.
+func (rec record) writeHeader(w io.Writer, words ...uint32) error {
+	var b [4 + 4*maxHeaderWords]byte
+	copy(b[:], rec.magic[:])
+	for i, v := range words {
+		binary.LittleEndian.PutUint32(b[4+4*i:], v)
+	}
+	_, err := w.Write(b[:4+4*len(words)])
+	return err
+}
+
+// readHeader reads rec's magic, refusing any other before reading on,
+// then fills words — the one decoder of every record header.
+func (rec record) readHeader(r io.Reader, words []uint32) error {
+	var b [4 + 4*maxHeaderWords]byte
+	if _, err := io.ReadFull(r, b[:4]); err != nil {
+		return err
+	}
+	if [4]byte(b[:4]) != rec.magic {
+		return fmt.Errorf("bfv: bad %s magic", strings.ReplaceAll(rec.name, " ", "-"))
+	}
+	if _, err := io.ReadFull(r, b[4:4+4*len(words)]); err != nil {
+		return err
+	}
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint32(b[4+4*i:])
+	}
+	return nil
+}
 
 const maxSerializedPolys = 16 // sanity bound when decoding
 
@@ -163,12 +211,8 @@ func (ct *Ciphertext) Serialize(w io.Writer) error {
 	if len(ct.Polys) == 0 {
 		return errors.New("bfv: cannot serialize empty ciphertext")
 	}
-	var hdr [16]byte // magic | u32 polyCount | u32 N | u32 W
-	copy(hdr[:], magicCiphertext[:])
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(ct.Polys)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(ct.Polys[0].N))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(ct.Polys[0].W))
-	if _, err := w.Write(hdr[:]); err != nil {
+	p := ct.Polys[0]
+	if err := ciphertextRecord.writeHeader(w, uint32(len(ct.Polys)), uint32(p.N), uint32(p.W)); err != nil {
 		return err
 	}
 	for _, p := range ct.Polys {
@@ -185,19 +229,11 @@ func (ct *Ciphertext) Serialize(w io.Writer) error {
 // On any decode error every backing already acquired is returned to
 // alloc, so a rejected blob leaves the allocator balanced.
 func ReadCiphertextBacked(r io.Reader, params *Parameters, alloc BackingAllocator) (*Ciphertext, error) {
-	var hdr [16]byte // magic | u32 polyCount | u32 N | u32 W
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	var h [3]uint32 // polyCount | N | W
+	if err := ciphertextRecord.readHeader(r, h[:]); err != nil {
 		return nil, err
 	}
-	if [4]byte(hdr[:4]) != magicCiphertext {
-		return nil, errors.New("bfv: bad ciphertext magic")
-	}
-	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
-		return nil, err
-	}
-	count := int(binary.LittleEndian.Uint32(hdr[4:]))
-	n := int(binary.LittleEndian.Uint32(hdr[8:]))
-	w := int(binary.LittleEndian.Uint32(hdr[12:]))
+	count, n, w := int(h[0]), int(h[1]), int(h[2])
 	if count == 0 || count > maxSerializedPolys {
 		return nil, fmt.Errorf("bfv: implausible polynomial count %d", count)
 	}
@@ -223,35 +259,49 @@ func ReadCiphertextBacked(r io.Reader, params *Parameters, alloc BackingAllocato
 
 // Serialize writes the secret key in binary form.
 func (sk *SecretKey) Serialize(w io.Writer) error {
-	var hdr [12]byte // magic | u32 N | u32 W
-	copy(hdr[:], magicSecretKey[:])
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(sk.S.N))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(sk.S.W))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	return writePoly(w, sk.S)
+	return writeKeyPolys(w, secretKeyRecord, sk.S)
 }
 
 // ReadSecretKey deserializes a secret key.
 func ReadSecretKey(r io.Reader, params *Parameters) (*SecretKey, error) {
-	var hdr [12]byte // magic | u32 N | u32 W
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return nil, err
-	}
-	if [4]byte(hdr[:4]) != magicSecretKey {
-		return nil, errors.New("bfv: bad secret-key magic")
-	}
-	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
-		return nil, err
-	}
-	n, w := binary.LittleEndian.Uint32(hdr[4:]), binary.LittleEndian.Uint32(hdr[8:])
-	if int(n) != params.N || int(w) != params.Q.W {
-		return nil, errors.New("bfv: secret key shape mismatch")
-	}
-	p, err := readPolyCanonical(r, params.N, params.Q, nil)
+	p, err := readKeyPolys(r, params, secretKeyRecord, 1)
 	if err != nil {
 		return nil, err
 	}
-	return &SecretKey{S: p}, nil
+	return &SecretKey{S: p[0]}, nil
+}
+
+// writeKeyPolys writes a key record whose header is N | W and whose body
+// is ps: the secret and the public key.
+func writeKeyPolys(w io.Writer, rec record, ps ...*poly.Poly) error {
+	if err := rec.writeHeader(w, uint32(ps[0].N), uint32(ps[0].W)); err != nil {
+		return err
+	}
+	for _, p := range ps {
+		if err := writePoly(w, p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readKeyPolys reads a key record whose header is N | W and whose body
+// is count polynomials: the secret and the public key.
+func readKeyPolys(r io.Reader, params *Parameters, rec record, count int) ([]*poly.Poly, error) {
+	var h [2]uint32 // N | W
+	if err := rec.readHeader(r, h[:]); err != nil {
+		return nil, err
+	}
+	if int(h[0]) != params.N || int(h[1]) != params.Q.W {
+		return nil, fmt.Errorf("bfv: %s shape mismatch", rec.name)
+	}
+	ps := make([]*poly.Poly, count)
+	for i := range ps {
+		p, err := readPolyCanonical(r, params.N, params.Q, nil)
+		if err != nil {
+			return nil, err
+		}
+		ps[i] = p
+	}
+	return ps, nil
 }

@@ -3,6 +3,8 @@ package bfv
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/poly"
 )
 
 func TestPublicKeySerializationRoundTrip(t *testing.T) {
@@ -162,5 +164,54 @@ func TestRelinKeySerializeRejectsMalformed(t *testing.T) {
 	bad := &RelinKey{}
 	if err := bad.Serialize(&buf); err == nil {
 		t.Error("empty relin key serialized")
+	}
+}
+
+// withDigits returns k's polynomials resized to n digits: a prefix of
+// k's when n is smaller, k's followed by repeats of its first digit when
+// larger.
+func withDigits(k *switchKey, n int) (k0, k1 []*poly.Poly) {
+	for i := 0; i < n; i++ {
+		k0 = append(k0, k.K0[i%len(k.K0)])
+		k1 = append(k1, k.K1[i%len(k.K1)])
+	}
+	return k0, k1
+}
+
+// TestReadSwitchKeyRefusesWrongDigitCount: a key-switching key must carry
+// exactly RelinDigits digits. At ParamsSec27 (3 digits) a relinearization
+// key cut to 2 digits used to import and turn Mul(3, 4) into 2 without an
+// error; the readers now refuse a short and a long key of either kind.
+func TestReadSwitchKeyRefusesWrongDigitCount(t *testing.T) {
+	params := ParamsSec27()
+	c := newCtx(t, params, 45, true)
+	gk, err := NewKeyGenerator(params, samplingSource(45)).GenGaloisKey(c.sk, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := params.RelinDigits()
+	for _, n := range []int{want - 1, want, want + 1} {
+		var buf bytes.Buffer
+		rk := &RelinKey{}
+		rk.BaseBits = c.rlk.BaseBits
+		rk.K0, rk.K1 = withDigits(&c.rlk.switchKey, n)
+		if err := rk.Serialize(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadRelinKey(&buf, params)
+		if (err == nil) != (n == want) {
+			t.Errorf("relinearization key with %d of %d digits: err = %v", n, want, err)
+		}
+		buf.Reset()
+		g := &GaloisKey{G: gk.G}
+		g.BaseBits = gk.BaseBits
+		g.K0, g.K1 = withDigits(&gk.switchKey, n)
+		if err := g.Serialize(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadGaloisKey(&buf, params)
+		if (err == nil) != (n == want) {
+			t.Errorf("Galois key with %d of %d digits: err = %v", n, want, err)
+		}
 	}
 }

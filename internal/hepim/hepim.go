@@ -266,7 +266,6 @@ func (s *Server) Mul(ct0, ct1 *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 func (s *Server) keySwitch(digits, k0, k1 []*poly.Poly, acc0, acc1 [][]uint32) (*bfv.Ciphertext, error) {
 	par := s.Params
 	n, w := par.N, par.Q.W
-	digits = digits[:min(len(digits), len(k0))]
 	ra := make([]uint32, 0, 2*len(digits)*n*w)
 	rb := make([]uint32, 0, 2*len(digits)*n*w)
 	for i, d := range digits {

@@ -32,7 +32,7 @@ func inBand(t *testing.T, name string, got, lo, hi float64) {
 func TestPIMAnalyticMatchesSimulator(t *testing.T) {
 	m := newPIM(t)
 	sched := func() *pimsched.Scheduler {
-		s, err := oneDPUSched(pim.DefaultConfig())
+		s, err := pimsched.OneDPU(pim.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,8 @@ package perfmodel
 import (
 	"fmt"
 	"math"
-	"math/big"
 
+	"repro/internal/bfv"
 	"repro/internal/pim"
 	"repro/internal/pim/kernels"
 	"repro/internal/pimsched"
@@ -56,32 +56,17 @@ func NewPIMModel(cfg pim.SystemConfig) (*PIMModel, error) {
 }
 
 // paperModulusForWidth returns the paper's modulus with the given limb
-// width (27-, 54-, 109-bit primes).
+// width: the q of the 27-, 54- or 109-bit parameter set.
 func paperModulusForWidth(w int) (*poly.Modulus, error) {
-	var s string
 	switch w {
 	case 1:
-		s = "134217689"
+		return bfv.ParamsSec27().Q, nil
 	case 2:
-		s = "18014398509481951"
+		return bfv.ParamsSec54().Q, nil
 	case 4:
-		s = "649037107316853453566312041152481"
-	default:
-		return nil, fmt.Errorf("perfmodel: no paper modulus for width %d", w)
+		return bfv.ParamsSec109().Q, nil
 	}
-	q, _ := new(big.Int).SetString(s, 10)
-	return poly.NewModulus(q)
-}
-
-// oneDPUSched builds a fresh one-DPU system under cfg and the scheduler
-// over it: the machine every calibration probe runs on.
-func oneDPUSched(cfg pim.SystemConfig) (*pimsched.Scheduler, error) {
-	cfg.NumDPUs = 1
-	sys, err := pim.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return pimsched.New(sys, pimsched.FitTopology(1), false)
+	return nil, fmt.Errorf("perfmodel: no paper modulus for width %d", w)
 }
 
 func (m *PIMModel) calibrateWidth(w int) error {
@@ -100,7 +85,7 @@ func (m *PIMModel) calibrateWidth(w int) error {
 
 	// Addition: two sizes → slope + intercept.
 	addCycles := func(coeffs int) (float64, error) {
-		sched, err := oneDPUSched(m.Cfg)
+		sched, err := pimsched.OneDPU(m.Cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -124,7 +109,7 @@ func (m *PIMModel) calibrateWidth(w int) error {
 
 	// Multiplication: three sizes → exact quadratic fit.
 	mulCycles := func(n int) (float64, error) {
-		sched, err := oneDPUSched(m.Cfg)
+		sched, err := pimsched.OneDPU(m.Cfg)
 		if err != nil {
 			return 0, err
 		}

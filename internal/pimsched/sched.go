@@ -49,6 +49,19 @@ func New(sys *pim.System, topo Topology, overlap bool) (*Scheduler, error) {
 	}, nil
 }
 
+// OneDPU builds a fresh one-DPU system under cfg and the scheduler over
+// it: the machine the performance model's calibration probes and the
+// simulator figures run on, which read kernel cycles and energy, not
+// placement.
+func OneDPU(cfg pim.SystemConfig) (*Scheduler, error) {
+	cfg.NumDPUs = 1
+	sys, err := pim.NewSystem(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return New(sys, FitTopology(1), false)
+}
+
 // liveDPUs lists the live DPUs inside the topology, in ID order.
 func (s *Scheduler) liveDPUs() []int {
 	live := s.Sys.LiveDPUIDs()
