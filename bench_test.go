@@ -53,9 +53,7 @@ func mod109(b *testing.B) *poly.Modulus {
 
 func randVec(src *sampling.Source, coeffs int, mod *poly.Modulus) []uint32 {
 	out := make([]uint32, coeffs*mod.W)
-	for i := 0; i < coeffs; i++ {
-		copy(out[i*mod.W:(i+1)*mod.W], src.UniformNat(mod.Q, mod.W))
-	}
+	src.UniformCoeffs(out, mod.Q)
 	return out
 }
 

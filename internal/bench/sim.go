@@ -17,9 +17,7 @@ import (
 
 func randCoeffVec(src *sampling.Source, coeffs int, mod *poly.Modulus) []uint32 {
 	out := make([]uint32, coeffs*mod.W)
-	for i := 0; i < coeffs; i++ {
-		copy(out[i*mod.W:(i+1)*mod.W], src.UniformNat(mod.Q, mod.W))
-	}
+	src.UniformCoeffs(out, mod.Q)
 	return out
 }
 

@@ -52,6 +52,11 @@ func TestParamsValidation(t *testing.T) {
 	if _, err := NewParameters(64, q, 16, 40); err == nil {
 		t.Error("relin base 40 accepted")
 	}
+	// A q at or below the error bound could not hold q − |e| for every
+	// Gaussian sample e.
+	if _, err := NewParameters(64, big.NewInt(19), 2, 20); err == nil {
+		t.Error("q = 19, below the Gaussian bound, accepted")
+	}
 	// Moduli the double-CRT backend cannot serve are refused up front
 	// rather than given a slower evaluator.
 	one := big.NewInt(1)

@@ -27,47 +27,84 @@ func NewEncryptor(params *Parameters, pk *PublicKey, src *sampling.Source) *Encr
 // plaintext contributes to a ciphertext, exported for accelerator
 // backends implementing AddPlain.
 func DeltaEncode(params *Parameters, pt *Plaintext) *poly.Poly {
-	return deltaPoly(params, pt)
+	return deltaPoly(params, pt, nil)
 }
 
-// deltaPoly returns Δ·m in R_q for a plaintext m.
-func deltaPoly(params *Parameters, pt *Plaintext) *poly.Poly {
-	coeffs := make([]*big.Int, params.N)
-	for i := range coeffs {
-		c := new(big.Int).SetUint64(pt.Coeffs[i] % params.T)
-		coeffs[i] = c.Mul(c, params.Delta)
+// deltaPoly returns Δ·m + e in R_q for a plaintext m and small signed
+// errors e (nil for none).
+func deltaPoly(par *Parameters, pt *Plaintext, e []int8) *poly.Poly {
+	return scaledPoly(par, pt, par.delta0, par.delta1, e)
+}
+
+// scaledPoly returns d·m + e in R_q for a plaintext m, a scale d = d0 +
+// 2⁶⁴·d1 that is 1 or Δ, and small signed errors e (nil for none), in
+// word arithmetic. d·m needs no reduction: m < t, and Δ = ⌊q/t⌋ gives
+// Δ·m ≤ Δ·(t−1) ≤ q − Δ < q, so it is the two-word product of d and the
+// one-word m (bits.Mul64, for any t below 2⁶⁴). Adding e's residue
+// (signedWords) leaves a sum below 2q, reduced by one masked subtraction.
+func scaledPoly(par *Parameters, pt *Plaintext, d0, d1 uint64, e []int8) *poly.Poly {
+	p := poly.NewPoly(par.N, par.Q.W)
+	q0, q1 := par.Q.Words()
+	for i, m := range pt.Coeffs[:par.N] {
+		if m >= par.T {
+			m %= par.T
+		}
+		hi, lo := bits.Mul64(d0, m)
+		hi += d1 * m
+		if e != nil {
+			e0, e1 := signedWords(e[i], q0, q1)
+			var c uint64
+			lo, c = bits.Add64(lo, e0, 0)
+			hi, _ = bits.Add64(hi, e1, c)
+			t0, b := bits.Sub64(lo, q0, 0)
+			t1, b := bits.Sub64(hi, q1, b)
+			keep := -b // all ones when the sum is below q
+			lo, hi = lo&keep|t0&^keep, hi&keep|t1&^keep
+		}
+		p.SetWords(i, lo, hi)
 	}
-	return poly.FromBigCoeffs(coeffs, params.Q)
+	return p
 }
 
 // Encrypt produces a fresh degree-1 encryption of pt:
 //
-//	c0 = p0·u + e1 + Δ·m,   c1 = p1·u + e2
+//	c0 = p0·u + (e1 + Δ·m),   c1 = p1·u + e2
+//
+// u, e1 and e2 are drawn in that order, the order seeded keys and
+// ciphertexts are pinned to. No term is built through math/big: u enters
+// double-CRT form straight from its samples, e1 + Δ·m and e2 enter R_q in
+// word arithmetic (scaledPoly, signedPoly).
 func (e *Encryptor) Encrypt(pt *Plaintext) (*Ciphertext, error) {
 	par := e.params
-	if len(pt.Coeffs) != par.N {
+	n := par.N
+	if len(pt.Coeffs) != n {
 		return nil, errors.New("bfv: plaintext length mismatch")
 	}
-	u := ternaryPoly(e.src, par.N, par.Q)
-	e1 := gaussianPoly(e.src, par.N, par.Q)
-	e2 := gaussianPoly(e.src, par.N, par.Q)
+	smp := make([]int8, 3*n)
+	u, e1, e2 := smp[:n], smp[n:2*n], smp[2*n:]
+	e.src.Ternary(u)
+	e.src.Gaussian(e1)
+	e.src.Gaussian(e2)
 
 	// Both masking products p0·u and p1·u run on the double-CRT backend:
 	// the public key's NTT forms are cached across encryptions and the
-	// ephemeral u pays one forward transform set for both products.
+	// ephemeral u pays one forward transform set for both products. u
+	// enters as its signed samples, not their mod-q lifts; FromRNS
+	// reduces the products mod q, so the bits are those of the lifts'.
 	ctx := par.dcrtCtx
 	p0R, p1R := e.pk.forms.get(ctx, []*poly.Poly{e.pk.P0}, []*poly.Poly{e.pk.P1})
-	uR := ctx.ToRNS(u)
+	uR, prod := ctx.GetScratch(), ctx.GetScratch()
+	defer ctx.PutScratch(uR)
+	defer ctx.PutScratch(prod)
+	ctx.SmallToRNS(uR, u)
 
-	prod := ctx.NewPoly()
 	ctx.MulNTT(prod, p0R[0], uR)
 	c0 := ctx.FromRNS(prod)
-	poly.Add(c0, c0, e1, par.Q, nil)
-	poly.Add(c0, c0, deltaPoly(par, pt), par.Q, nil)
+	poly.Add(c0, c0, deltaPoly(par, pt, e1), par.Q, nil)
 
 	ctx.MulNTT(prod, p1R[0], uR)
 	c1 := ctx.FromRNS(prod)
-	poly.Add(c1, c1, e2, par.Q, nil)
+	poly.Add(c1, c1, signedPoly(e2, par.Q), par.Q, nil)
 
 	return &Ciphertext{Polys: []*poly.Poly{c0, c1}}, nil
 }
@@ -199,7 +236,7 @@ func (d *Decryptor) NoiseBudget(ct *Ciphertext) int {
 	v := d.phase(ct)
 	pt := d.Decrypt(ct)
 	// noise = v - Δ·m over centered representatives.
-	dm := deltaPoly(par, pt)
+	dm := deltaPoly(par, pt, nil)
 	diff := poly.NewPoly(par.N, par.Q.W)
 	poly.Sub(diff, v, dm, par.Q, nil)
 	norm := diff.InfNormCentered(par.Q)

@@ -159,7 +159,7 @@ func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	par := ev.params
 	out := ct.Clone()
-	poly.Add(out.Polys[0], out.Polys[0], deltaPoly(par, pt), par.Q, ev.Meter)
+	poly.Add(out.Polys[0], out.Polys[0], deltaPoly(par, pt, nil), par.Q, ev.Meter)
 	return out
 }
 
@@ -167,11 +167,7 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 // the plaintext polynomial, no Δ scaling — standard BFV plaintext mul).
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	par := ev.params
-	coeffs := make([]*big.Int, par.N)
-	for i := range coeffs {
-		coeffs[i] = new(big.Int).SetUint64(pt.Coeffs[i] % par.T)
-	}
-	mp := poly.FromBigCoeffs(coeffs, par.Q)
+	mp := scaledPoly(par, pt, 1, 0, nil) // m < t < q: each coefficient is its own residue
 	out := &Ciphertext{Polys: make([]*poly.Poly, len(ct.Polys))}
 	if ev.useDCRT() {
 		ctx := par.dcrtCtx

@@ -1,7 +1,7 @@
 package bfv
 
 import (
-	"math/big"
+	"math/bits"
 
 	"repro/internal/dcrt"
 	"repro/internal/limb32"
@@ -68,21 +68,34 @@ func NewKeyGenerator(params *Parameters, src *sampling.Source) *KeyGenerator {
 	return &KeyGenerator{params: params, src: src}
 }
 
-// signedPoly maps a slice of small signed samples into R_q.
+// signedPoly maps small signed samples (|v| < q) into R_q in word
+// arithmetic: see signedWords.
 func signedPoly(vals []int8, mod *poly.Modulus) *poly.Poly {
-	coeffs := make([]int64, len(vals))
+	p := poly.NewPoly(len(vals), mod.W)
+	q0, q1 := mod.Words()
 	for i, v := range vals {
-		coeffs[i] = int64(v)
+		lo, hi := signedWords(v, q0, q1)
+		p.SetWords(i, lo, hi)
 	}
-	return poly.FromInt64Coeffs(coeffs, mod)
+	return p
+}
+
+// signedWords returns v mod q as two 64-bit words, low first, for |v| < q
+// = q0 + 2⁶⁴·q1: v itself when v ≥ 0, else q − |v| by one borrow chain.
+// A mask selects between the two rather than a branch, since the sign of
+// a sample is random.
+func signedWords(v int8, q0, q1 uint64) (lo, hi uint64) {
+	neg := uint64(v >> 7)        // all ones when v < 0
+	a := (uint64(v) ^ neg) - neg // |v|
+	d0, b := bits.Sub64(q0, a, 0)
+	d1, _ := bits.Sub64(q1, 0, b)
+	return d0&neg | a&^neg, d1 & neg
 }
 
 // uniformPoly samples a uniform element of R_q.
 func uniformPoly(src *sampling.Source, n int, mod *poly.Modulus) *poly.Poly {
 	p := poly.NewPoly(n, mod.W)
-	for i := 0; i < n; i++ {
-		p.Coeff(i).Set(src.UniformNat(mod.Q, mod.W))
-	}
+	src.UniformCoeffs(p.C, mod.Q)
 	return p
 }
 
@@ -133,8 +146,7 @@ func (kg *KeyGenerator) genSwitchKey(k *switchKey, sk *SecretKey, target *poly.P
 	k.BaseBits = par.RelinBaseBits
 	k.K0 = make([]*poly.Poly, digits)
 	k.K1 = make([]*poly.Poly, digits)
-	wPow := big.NewInt(1)
-	base := new(big.Int).Lsh(big.NewInt(1), par.RelinBaseBits)
+	w := limb32.NewNat(par.Q.W)
 	for i := 0; i < digits; i++ {
 		a := uniformPoly(kg.src, par.N, par.Q)
 		e := gaussianPoly(kg.src, par.N, par.Q)
@@ -144,14 +156,18 @@ func (kg *KeyGenerator) genSwitchKey(k *switchKey, sk *SecretKey, target *poly.P
 		poly.Add(k0, k0, e, par.Q, nil)
 		poly.Neg(k0, k0, par.Q, nil)
 
+		// wⁱ = 2^(i·BaseBits) is its own residue, one set bit: RelinDigits
+		// = ⌈bits(q)/BaseBits⌉ puts i·BaseBits below bits(q), and q is odd,
+		// so wⁱ < q.
+		sh := uint(i) * par.RelinBaseBits
+		clear(w)
+		w[sh/32] = 1 << (sh % 32)
 		scaled := poly.NewPoly(par.N, par.Q.W)
-		wq := new(big.Int).Mod(wPow, par.Q.QBig)
-		poly.MulScalar(scaled, target, limb32.FromBig(wq, par.Q.W), par.Q, nil)
+		poly.MulScalar(scaled, target, w, par.Q, nil)
 		poly.Add(k0, k0, scaled, par.Q, nil)
 
 		k.K0[i] = k0
 		k.K1[i] = a
-		wPow.Mul(wPow, base)
 	}
 }
 

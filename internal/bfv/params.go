@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/dcrt"
 	"repro/internal/poly"
+	"repro/internal/sampling"
 )
 
 // Parameters fixes a BFV instance: ring degree N, coefficient modulus Q,
@@ -31,6 +32,8 @@ type Parameters struct {
 	RelinBaseBits uint
 
 	relinDigits int // ⌈bits(Q)/RelinBaseBits⌉
+
+	delta0, delta1 uint64 // Delta as two 64-bit words, low first
 
 	// The shared double-CRT context (see attachDCRT), built with the
 	// parameter set so evaluator operations read a field instead of
@@ -53,6 +56,10 @@ func NewParameters(n int, q *big.Int, t uint64, relinBaseBits uint) (*Parameters
 	if q.Cmp(new(big.Int).SetUint64(4*t)) < 0 {
 		return nil, errors.New("bfv: coefficient modulus too small for plaintext modulus")
 	}
+	if q.Cmp(big.NewInt(int64(sampling.GaussianBound()))) <= 0 {
+		// Samples enter R_q as v or q − |v| (signedWords), which needs |v| < q.
+		return nil, errors.New("bfv: coefficient modulus must exceed the error bound")
+	}
 	if relinBaseBits == 0 || relinBaseBits > 32 {
 		return nil, errors.New("bfv: relinearization base must be 1..32 bits")
 	}
@@ -69,6 +76,8 @@ func NewParameters(n int, q *big.Int, t uint64, relinBaseBits uint) (*Parameters
 		Delta:         delta,
 		RelinBaseBits: relinBaseBits,
 		relinDigits:   digits,
+		delta0:        delta.Uint64(),
+		delta1:        new(big.Int).Rsh(delta, 64).Uint64(),
 	}
 	if err := attachDCRT(par); err != nil {
 		return nil, err

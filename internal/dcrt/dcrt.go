@@ -240,6 +240,25 @@ func (c *Context) ToRNS(p *poly.Poly) *Poly { return c.toRNS(p, false) }
 // ToCenteredCoeffs.
 func (c *Context) ToRNSCentered(p *poly.Poly) *Poly { return c.toRNS(p, true) }
 
+// SmallToRNS writes into dst the double-CRT form of the polynomial whose
+// coefficients are the small signed integers vals (|v| below every basis
+// prime): each residue is v mod p_i, with no detour through a mod-q
+// representative. The element is v itself, not its canonical lift; a
+// product with it that leaves through FromRNS is reduced mod q there, so
+// it equals the product with the lift bit for bit.
+func (c *Context) SmallToRNS(dst *Poly, vals []int8) {
+	if len(vals) != c.N {
+		panic("dcrt: polynomial shape mismatch")
+	}
+	parallelFor(c.K(), func(i int) {
+		p, ch := c.Basis.Primes[i], dst.Coeffs[i][:len(vals)]
+		for j, v := range vals {
+			ch[j] = uint64(v) + p&uint64(v>>7) // v < 0 enters as p − |v|
+		}
+		c.Tabs[i].Forward(ch)
+	})
+}
+
 // enterChannel writes limb channel i of the element whose canonical mod-q
 // coefficients are the word pairs (lo, hi) — hi nil when q fits one word —
 // as u − g·q mod p_i, with g = [u > h] the borrow of h − u: h is ⌊q/2⌋

@@ -20,9 +20,7 @@ var testModuli = []string{
 
 func randPoly(src *sampling.Source, n int, mod *poly.Modulus) *poly.Poly {
 	p := poly.NewPoly(n, mod.W)
-	for i := 0; i < n; i++ {
-		p.Coeff(i).Set(src.UniformNat(mod.Q, mod.W))
-	}
+	src.UniformCoeffs(p.C, mod.Q)
 	return p
 }
 

@@ -77,9 +77,7 @@ func (m *PIMModel) calibrateWidth(w int) error {
 	src := sampling.NewSourceFromUint64(uint64(1000 + w))
 	randVec := func(coeffs int) []uint32 {
 		out := make([]uint32, coeffs*w)
-		for i := 0; i < coeffs; i++ {
-			copy(out[i*w:(i+1)*w], src.UniformNat(mod.Q, w))
-		}
+		src.UniformCoeffs(out, mod.Q)
 		return out
 	}
 

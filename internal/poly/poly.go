@@ -124,6 +124,23 @@ func NewPolyBacked(n, w int, c []uint32) *Poly {
 // Coeff returns a mutable view of coefficient i.
 func (p *Poly) Coeff(i int) limb32.Nat { return limb32.Nat(p.C[i*p.W : (i+1)*p.W]) }
 
+// SetWords sets coefficient i to lo + 2⁶⁴·hi, for W ≤ 4 — the two-word
+// form Modulus.Words gives q in. Words beyond the W limbs are dropped, so
+// the value must fit them.
+func (p *Poly) SetWords(i int, lo, hi uint64) {
+	c := p.C[i*p.W : (i+1)*p.W]
+	switch p.W {
+	case 1:
+		c[0] = uint32(lo)
+	case 2:
+		store64(c, lo)
+	case 4:
+		store128(c, lo, hi)
+	default:
+		panic(fmt.Sprintf("poly: SetWords on a %d-limb coefficient", p.W))
+	}
+}
+
 // Clone returns a deep copy.
 func (p *Poly) Clone() *Poly {
 	c := &Poly{N: p.N, W: p.W, C: make([]uint32, len(p.C))}
@@ -263,16 +280,6 @@ func FromBigCoeffs(coeffs []*big.Int, mod *Modulus) *Poly {
 		p.Coeff(i).Set(limb32.FromBig(t, mod.W))
 	}
 	return p
-}
-
-// FromInt64Coeffs builds a polynomial from small signed coefficients
-// (e.g. sampler output), reducing each mod q.
-func FromInt64Coeffs(coeffs []int64, mod *Modulus) *Poly {
-	bigs := make([]*big.Int, len(coeffs))
-	for i, c := range coeffs {
-		bigs[i] = big.NewInt(c)
-	}
-	return FromBigCoeffs(bigs, mod)
 }
 
 // ToBigCoeffs returns the canonical representatives in [0, q).

@@ -355,9 +355,13 @@ func TestMulScalar(t *testing.T) {
 
 func TestCenteredCoeffs(t *testing.T) {
 	mod := testModuli(t)[0]
-	p := FromInt64Coeffs([]int64{0, 1, -1, 5, -5, 0, 0, 0}, mod)
-	got := p.ToCenteredCoeffs(mod)
 	want := []int64{0, 1, -1, 5, -5, 0, 0, 0}
+	coeffs := make([]*big.Int, len(want))
+	for i, v := range want {
+		coeffs[i] = big.NewInt(v)
+	}
+	p := FromBigCoeffs(coeffs, mod)
+	got := p.ToCenteredCoeffs(mod)
 	for i := range want {
 		if got[i].Int64() != want[i] {
 			t.Errorf("centered coeff %d = %v, want %d", i, got[i], want[i])
@@ -366,6 +370,35 @@ func TestCenteredCoeffs(t *testing.T) {
 	if p.InfNormCentered(mod).Int64() != 5 {
 		t.Errorf("InfNorm = %v, want 5", p.InfNormCentered(mod))
 	}
+}
+
+// TestSetWords: a coefficient set from two words holds the value the
+// big.Int route gives it, at every width SetWords serves; wider
+// coefficients are refused.
+func TestSetWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	for _, mod := range testModuli(t) {
+		q0, q1 := mod.Words()
+		p := NewPoly(8, mod.W)
+		for i := 0; i < p.N; i++ {
+			lo, hi := rng.Uint64()%(q0+1), uint64(0)
+			if q1 != 0 {
+				lo, hi = rng.Uint64(), rng.Uint64()%q1
+			}
+			p.SetWords(i, lo, hi)
+			want := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+			want.Or(want, new(big.Int).SetUint64(lo))
+			if got := p.Coeff(i).Big(); got.Cmp(want) != 0 {
+				t.Fatalf("W=%d: coefficient %d holds %v, want %v", mod.W, i, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SetWords accepted an 8-limb coefficient")
+		}
+	}()
+	NewPoly(2, 8).SetWords(0, 1, 0)
 }
 
 func TestFromBigRoundTrip(t *testing.T) {
