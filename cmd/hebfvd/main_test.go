@@ -292,13 +292,15 @@ func TestSilentConnectionIsClosed(t *testing.T) {
 }
 
 // TestBadConfigurationNeverListens: an unknown backend or security
-// level is an error from run before any socket is bound.
+// level is an error from run before any socket is bound, so a
+// deployment script still passing -backend auto stops before listening.
 func TestBadConfigurationNeverListens(t *testing.T) {
 	// Already cancelled, so a run that does listen comes straight back.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, args := range [][]string{
 		{"-backend", "abacus"},
+		{"-backend", "auto"},
 		{"-sec", "128"},
 	} {
 		ready := make(chan net.Addr, 1)

@@ -23,11 +23,10 @@
 //     callers speak in slots and rotation steps, never Galois elements.
 //   - hebfv.Engine: one contract of batched primitives (Add, Mul,
 //     Rotate, Sum, RotateAndSum; Neg/AddPlain/MulPlain) over bfv.Value
-//     plus one Report(). Four backends implement it: "dcrt-native" (the
-//     default host path), "schoolbook" (the oracle), "pim" (the
+//     plus one Report(). Three backends implement it: "dcrt-native"
+//     (the default host path), "schoolbook" (the oracle) and "pim" (the
 //     simulated UPMEM server, wrapped by a host failover decorator in a
-//     Context) and "auto" (a decorator routing each batch between host
-//     and PIM by cost estimate). A single operation is a length-1 batch.
+//     Context). A single operation is a length-1 batch.
 //   - internal/bfv: the scheme. A bfv.Value is a ciphertext in
 //     materialized (*Ciphertext) or deferred (*RotatedNTT, *ProductNTT)
 //     form; the evaluator, the hoisted/batched front end, encryption,

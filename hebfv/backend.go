@@ -15,7 +15,7 @@ import (
 // Evaluation backends. Every facade call routes through one Engine,
 // selected by name through one constructor (New(WithBackend(name)) for
 // contexts, NewEngine for lower-level harnesses like the benchmark
-// suite). Four backends are built in:
+// suite). Three backends are built in:
 //
 //   - "dcrt-native": the double-CRT (RNS + NTT) backend with RNS-native
 //     rescaling, NTT-resident values, and hoisted rotations — the
@@ -29,23 +29,16 @@ import (
 //     its running total: modeled kernel time and the sharded
 //     cycle/transfer/energy breakdown (see Context.PIMReport and
 //     Context.PIMBreakdown).
-//   - "auto": the heterogeneous scheduler — holds both the dcrt-native
-//     host engine and the pim engine and routes each batch to whichever
-//     side's cost estimate is lower (measured host wall time vs the PIM
-//     plane's modeled makespan); singletons always run on the host.
-//     Every routing decision is recorded (see Context.AutoStats), and
-//     results are bit-identical no matter where an operation lands.
 //
 // The contract has three rules. Batches are the primitive: Add, Mul and
 // Rotate take slices, and a single operation is a length-1 batch (an
-// engine may observe the length — the host short-cuts singletons, the
-// scheduler keeps them off the PIM plane). Deferral is a property of
-// the value: engines take and return bfv.Value, the host engine returns
-// NTT-resident values and fuses sums of them where exactness bounds
-// allow, and an engine that cannot use a deferred input calls
-// Materialize on it — so decorators forward one method family and gain
-// deferral for free. Reporting is one method: Report returns every
-// section the engine has.
+// engine may observe the length — the host short-cuts singletons).
+// Deferral is a property of the value: engines take and return
+// bfv.Value, the host engine returns NTT-resident values and fuses sums
+// of them where exactness bounds allow, and an engine that cannot use a
+// deferred input calls Materialize on it — so the failover decorator
+// forwards one method family and gains deferral for free. Reporting is
+// one method: Report returns every section the engine has.
 //
 // Engine names internal types, so it is implementable only inside this
 // repository; external consumers select backends by name.
@@ -77,8 +70,7 @@ type Engine interface {
 // Report is everything an engine can say about itself; a nil section
 // means the engine has no such part (host engines report nothing).
 type Report struct {
-	PIM      *PIMPlaneReport // modeled hardware: "pim", and "auto" for its PIM-routed share
-	Auto     *AutoStats      // routing decisions: "auto"
+	PIM      *PIMPlaneReport // modeled hardware: "pim"
 	Failover *FailoverStats  // host failover state: contexts on "pim"
 }
 
@@ -97,9 +89,8 @@ type Config struct {
 	Params *bfv.Parameters
 	Relin  *bfv.RelinKey // may be nil when Mul is not used
 
-	// PIMDPUs overrides the simulated DPU count for the "pim" and
-	// "auto" backends (0 = the paper machine's 2,524). Other backends
-	// ignore it.
+	// PIMDPUs overrides the simulated DPU count for the "pim" backend
+	// (0 = the paper machine's 2,524). Other backends ignore it.
 	PIMDPUs int
 
 	// PIMRanks/PIMDPUsPerRank pin the rank×DPU topology of the async
@@ -124,7 +115,7 @@ const DefaultBackend = "dcrt-native"
 
 // Backends returns the backend names, sorted.
 func Backends() []string {
-	return []string{"auto", "dcrt-native", "pim", "schoolbook"}
+	return []string{"dcrt-native", "pim", "schoolbook"}
 }
 
 // NewEngine constructs the named backend's engine — the one constructor
@@ -141,17 +132,14 @@ func NewEngine(name string, cfg Config) (Engine, error) {
 		return newEvalEngine(bfv.NewSchoolbookEvaluator(cfg.Params, cfg.Relin)), nil
 	case "pim":
 		return newPIMEngine(cfg)
-	case "auto":
-		return newAutoEngine(cfg)
 	}
 	return nil, fmt.Errorf("hebfv: unknown backend %q (have %v)", name, Backends())
 }
 
-// newPIMEngine builds the simulated PIM server engine — shared by the
-// "pim" backend and the "auto" backend's PIM side. The topology is
-// explicit when the config pins one, otherwise the largest whole-rank
-// shape fitting the DPU count; an explicit topology without an explicit
-// DPU count sizes the system to the topology.
+// newPIMEngine builds the "pim" backend's simulated PIM server engine.
+// The topology is explicit when the config pins one, otherwise the
+// largest whole-rank shape fitting the DPU count; an explicit topology
+// without an explicit DPU count sizes the system to the topology.
 func newPIMEngine(cfg Config) (*pimEngine, error) {
 	sys := pim.DefaultConfig()
 	if cfg.PIMDPUs > 0 {

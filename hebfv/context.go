@@ -356,10 +356,9 @@ type PIMBreakdown struct {
 }
 
 // PIMBreakdown returns the accumulated sharded cycle/transfer/energy
-// breakdown of a backend on the async PIM execution plane ("pim", or
-// "auto" for its PIM-routed share); ok is false for host-only
-// backends. All-zero fields with ok true mean no operation has reached
-// the PIM plane yet.
+// breakdown of the "pim" backend's async execution plane; ok is false
+// for host-only backends. All-zero fields with ok true mean no
+// operation has reached the PIM plane yet.
 func (c *Context) PIMBreakdown() (bd PIMBreakdown, ok bool) {
 	plane := c.eng.Report().PIM
 	if plane == nil {
@@ -385,16 +384,6 @@ func (c *Context) PIMBreakdown() (bd PIMBreakdown, ok bool) {
 		Retried:              rep.Retried,
 		Resharded:            rep.Resharded,
 	}, true
-}
-
-// AutoStats returns the "auto" backend's routing decision surface —
-// how many batched operations each side ran and the cost estimates
-// behind the recent decisions; ok is false on every other backend.
-func (c *Context) AutoStats() (stats AutoStats, ok bool) {
-	if st := c.eng.Report().Auto; st != nil {
-		return *st, true
-	}
-	return AutoStats{}, false
 }
 
 // FailoverStats reports the backend-failover state; ok is false when

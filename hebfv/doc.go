@@ -130,13 +130,11 @@
 // Evaluation strategy is selected by name (WithBackend; Backends lists
 // them): "dcrt-native" (default, the RNS+NTT fast path), "schoolbook"
 // (the O(n²) path that is the paper's PIM cost model and the
-// correctness oracle), "pim" (the simulated UPMEM server: every
+// correctness oracle) and "pim" (the simulated UPMEM server: every
 // kernel is a shard plan run by one scheduler, internal/pimsched, which
 // alone places work on DPUs, retries faults and prices transfers;
 // Context.PIMReport, PIMStats and PIMBreakdown read its one running
-// total — modeled kernel time, fault toll, sharded breakdown) and
-// "auto" (a scheduler routing each batch between the host and the PIM
-// plane by cost estimate; Context.AutoStats records every decision). All
+// total — modeled kernel time, fault toll, sharded breakdown). All
 // backends are mutually bit-identical — the differential tests in this
 // package prove it across the facade, RotateRows/InnerSum slot
 // semantics included.
@@ -145,11 +143,10 @@
 // backend.go): batched primitives — a single operation is a length-1
 // batch — over values that are either materialized or deferred, and
 // one Report method behind the accessors above. Deferral travels with
-// the value, so the decorators ("auto", and the host failover a "pim"
-// context runs under) forward one method family and keep NTT-resident
-// fast paths whenever the work lands on the host. Engine names internal
-// types deliberately, so it cannot be implemented outside the
-// repository.
+// the value, so the host failover decorator a "pim" context runs under
+// forwards one method family and keeps NTT-resident fast paths once the
+// work lands on the host. Engine names internal types deliberately, so
+// it cannot be implemented outside the repository.
 //
 // # Error contract and fault tolerance
 //

@@ -284,7 +284,7 @@ func TestFacadeDifferentialBackends(t *testing.T) {
 	}
 
 	want := run(t, "dcrt-native")
-	for _, backend := range []string{"schoolbook", "pim", "auto"} {
+	for _, backend := range []string{"schoolbook", "pim"} {
 		got := run(t, backend)
 		pairs := []struct {
 			name       string
@@ -664,6 +664,13 @@ func TestFacadeConcurrentUse(t *testing.T) {
 func TestFacadeRejectsMisuse(t *testing.T) {
 	if _, err := hebfv.New(hebfv.WithBackend("no-such-backend")); err == nil {
 		t.Fatal("unknown backend accepted")
+	}
+	// "auto" is refused like any unknown name, and the error lists
+	// exactly the backends there are.
+	if _, err := hebfv.New(hebfv.WithBackend("auto")); err == nil {
+		t.Fatal(`backend "auto" accepted`)
+	} else if !strings.Contains(err.Error(), "(have [dcrt-native pim schoolbook])") {
+		t.Fatalf(`backend "auto" refused with %q, want the list [dcrt-native pim schoolbook]`, err)
 	}
 	if _, err := hebfv.New(hebfv.WithSecurityLevel(64)); err == nil {
 		t.Fatal("bad security level accepted")

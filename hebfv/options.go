@@ -126,9 +126,9 @@ func WithPIMDPUs(n int) Option {
 	}
 }
 
-// WithPIMTopology pins the rank×DPU shape of the "pim" and "auto"
-// backends' async execution plane. Without it the backend derives the
-// largest whole-rank topology that fits the simulated DPU count (see
+// WithPIMTopology pins the rank×DPU shape of the "pim" backend's async
+// execution plane. Without it the backend derives the largest
+// whole-rank topology that fits the simulated DPU count (see
 // WithPIMDPUs); with it, and without an explicit DPU count, the
 // simulated system is sized to ranks×dpusPerRank. Topology matters for
 // the modeled times, never the results: transfers parallelize within a
