@@ -13,7 +13,7 @@
 //	hebfvd -cache-mb 64             # tenant key-set cache budget (LRU past it)
 //	hebfvd -max-batch 32            # most ops in one coalesced batch
 //	hebfvd -tenant-inflight 4 -total-inflight 64  # admission quotas (429 / 503)
-//	hebfvd -pool-mb 32              # per-tenant decode-pool retention (0 = pooling off)
+//	hebfvd -pool-mb 32              # per-tenant backing-pool retention (0 = pooling off)
 //
 // The parameter preset must match the clients': a key-set blob exported
 // at one ring degree does not restore at another (onboarding rejects it
@@ -77,7 +77,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	maxBatch := fs.Int("max-batch", 32, "most ops in one coalesced batch")
 	tenantInflight := fs.Int("tenant-inflight", 4, "per-tenant concurrent evaluation quota (429 past it)")
 	totalInflight := fs.Int("total-inflight", 64, "global concurrent evaluation quota (503 past it)")
-	poolMB := fs.Int64("pool-mb", 32, "per-tenant ciphertext decode-pool retention in MiB (0 = pooling off)")
+	poolMB := fs.Int64("pool-mb", 32, "per-tenant ciphertext backing-pool retention in MiB (0 = pooling off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -107,6 +107,11 @@ type Config struct {
 	// backends ignore both.
 	PIMFaultSeed  uint64
 	PIMFaultRates map[string]float64
+
+	// pool backs the results of the host backends (bfv.Evaluator.Alloc):
+	// a Context passes its own, so Release recycles them. Unset, results
+	// live on the heap.
+	pool bfv.BackingAllocator
 }
 
 // DefaultBackend is the backend a Context uses when WithBackend is not
@@ -125,15 +130,19 @@ func NewEngine(name string, cfg Config) (Engine, error) {
 	if cfg.Params == nil {
 		return nil, errors.New("hebfv: NewEngine requires parameters")
 	}
+	var ev *bfv.Evaluator
 	switch name {
 	case "dcrt-native":
-		return newEvalEngine(bfv.NewEvaluator(cfg.Params, cfg.Relin)), nil
+		ev = bfv.NewEvaluator(cfg.Params, cfg.Relin)
 	case "schoolbook":
-		return newEvalEngine(bfv.NewSchoolbookEvaluator(cfg.Params, cfg.Relin)), nil
+		ev = bfv.NewSchoolbookEvaluator(cfg.Params, cfg.Relin)
 	case "pim":
 		return newPIMEngine(cfg)
+	default:
+		return nil, fmt.Errorf("hebfv: unknown backend %q (have %v)", name, Backends())
 	}
-	return nil, fmt.Errorf("hebfv: unknown backend %q (have %v)", name, Backends())
+	ev.Alloc = cfg.pool
+	return newEvalEngine(ev), nil
 }
 
 // newPIMEngine builds the "pim" backend's simulated PIM server engine.

@@ -20,69 +20,105 @@ import (
 // products chain straight into further multiplications, all when
 // exactness bounds allow. All of this is transparent: results are
 // bit-identical either way.
+//
+// Every read of a handle — an engine call taking it as an operand,
+// forcing, encoding, comparing — pins it for its duration, so a Release
+// from another goroutine never frees memory under a reader (see
+// Release).
 type Ciphertext struct {
 	ctx *Context
 
-	mu     sync.Mutex
-	val    bfv.Value // materialized or deferred form; nil once released
-	pooled bool      // coefficient backings came from the context pool
+	mu       sync.Mutex
+	val      bfv.Value // materialized or deferred form; nil once freed
+	readers  int       // calls reading val right now
+	released bool      // Release was called: dead, freed at readers == 0
 }
 
-// value returns the handle's current form for the engine — deferred
-// while nothing has forced it — or nil after Release.
-func (ct *Ciphertext) value() bfv.Value {
+// pin returns the handle's current form — deferred while nothing has
+// forced it — and counts the caller as a reader until its unpin, or
+// returns nil after Release.
+func (ct *Ciphertext) pin() bfv.Value {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
+	if ct.released {
+		return nil
+	}
+	ct.readers++
 	return ct.val
 }
 
-// force materializes the handle's coefficient form, which also returns
-// a deferred form's accumulators to the scratch pool — steady-state
-// batched rotation and multiplication stay allocation-free through the
-// facade too. An engine still holding the deferred form keeps working:
-// fused sums against it report false and fall back to the cached
-// coefficients. After Release the handle holds no form at all and force
-// returns nil; error-bearing entry points map that to ErrReleasedHandle
-// via own.
-func (ct *Ciphertext) force() *bfv.Ciphertext {
+// pinForced is pin for readers of coefficients: it materializes the
+// handle first, which also returns a deferred form's accumulators to the
+// scratch pool — steady-state batched rotation and multiplication stay
+// allocation-free through the facade too. An engine still holding the
+// deferred form keeps working: fused sums against it report false and
+// fall back to the cached coefficients.
+func (ct *Ciphertext) pinForced() *bfv.Ciphertext {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	if ct.val == nil {
+	if ct.released {
 		return nil
 	}
 	raw := ct.val.Materialize()
 	ct.val = raw
+	ct.readers++
 	return raw
 }
 
-// Release returns the handle's resources — pooled coefficient backings
-// to the owning context's pool, deferred accumulators to their scratch
-// pools — and marks the handle dead. Every subsequent use returns (or
-// reports through) ErrReleasedHandle; Degree returns −1 and Equal
-// false. Releasing twice is an error.
+// unpin ends a read begun by pin or pinForced, freeing the handle's
+// memory if it was released meanwhile and this was the last reader.
+func (ct *Ciphertext) unpin() {
+	ct.mu.Lock()
+	ct.readers--
+	v := ct.takeIfDeadLocked()
+	ct.mu.Unlock()
+	if v != nil {
+		v.Release()
+	}
+}
+
+// takeIfDeadLocked detaches the form of a released handle nobody reads
+// any more, for the caller to free outside the lock.
+func (ct *Ciphertext) takeIfDeadLocked() bfv.Value {
+	if !ct.released || ct.readers > 0 {
+		return nil
+	}
+	v := ct.val
+	ct.val = nil
+	return v
+}
+
+// Release marks the handle dead and returns its memory: coefficient
+// backings to the owning context's pool — a decoded handle's and every
+// evaluation result of a host backend — and cached NTT forms and
+// deferred accumulators to their scratch pools. Every subsequent use
+// returns (or reports through) ErrReleasedHandle; Degree returns −1 and
+// Equal false. Releasing twice is an error. A Release that arrives while
+// another goroutine's call is reading the handle takes effect at once
+// for new callers, and the memory goes back when the last reader
+// finishes.
 //
-// Release is only required for handles produced by Context.
-// ReadCiphertext on the serving path, where recycling the decode
-// backings is the point (the serve package calls it automatically once
-// the response is flushed). Handles from Encrypt or evaluation results
-// may be released for uniformity but recycle nothing beyond deferred
-// scratch: their backings were never drawn from the pool.
+// Handles from Encrypt, the "pim" backend's results and identity-step
+// rotations (copies) live on the heap: releasing them is harmless
+// uniformity. Everything else should be released when done with — the
+// serve package releases every handle a request made once the response
+// is flushed. An unreleased handle stays valid and is reclaimed by the
+// garbage collector; its pool just never recycles it.
 func (ct *Ciphertext) Release() error {
 	if ct == nil {
 		return fmt.Errorf("%w: nil ciphertext", ErrNilHandle)
 	}
 	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if ct.val == nil {
+	if ct.released {
+		ct.mu.Unlock()
 		return fmt.Errorf("%w: double release", ErrReleasedHandle)
 	}
-	ct.val.Release()
-	if raw, ok := ct.val.(*bfv.Ciphertext); ok && ct.pooled && ct.ctx != nil && ct.ctx.pool != nil {
-		for _, p := range raw.Polys {
-			ct.ctx.pool.Put(p.C)
-		}
+	ct.released = true
+	v := ct.takeIfDeadLocked()
+	ct.mu.Unlock()
+	if v != nil {
+		v.Release()
 	}
-	ct.val = nil
 	return nil
 }
 
@@ -93,7 +129,12 @@ func (ct *Ciphertext) Release() error {
 // (MarshaledBytes, the server's Content-Length hints) relies on this
 // being exact for every form.
 func (ct *Ciphertext) components() int {
-	if raw, ok := ct.value().(*bfv.Ciphertext); ok {
+	v := ct.pin()
+	if v == nil {
+		return 2
+	}
+	defer ct.unpin()
+	if raw, ok := v.(*bfv.Ciphertext); ok {
 		return len(raw.Polys)
 	}
 	return 2
@@ -102,10 +143,11 @@ func (ct *Ciphertext) components() int {
 // Degree returns the ciphertext degree (1 for fresh encryptions, 2 for
 // unrelinearized products), or −1 for a released handle.
 func (ct *Ciphertext) Degree() int {
-	raw := ct.force()
+	raw := ct.pinForced()
 	if raw == nil {
 		return -1
 	}
+	defer ct.unpin()
 	return raw.Degree()
 }
 
@@ -115,16 +157,29 @@ func (ct *Ciphertext) Equal(o *Ciphertext) bool {
 	if ct == nil || o == nil {
 		return ct == o
 	}
-	a, b := ct.force(), o.force()
-	if a == nil || b == nil {
+	a := ct.pinForced()
+	if a == nil {
 		return false
 	}
+	defer ct.unpin()
+	b := o.pinForced()
+	if b == nil {
+		return false
+	}
+	defer o.unpin()
 	return a.Equal(b)
 }
 
 // wrap binds an engine result to the context.
 func (c *Context) wrap(v bfv.Value) *Ciphertext {
 	return &Ciphertext{ctx: c, val: v}
+}
+
+// releaseValues returns the memory of engine results no handle wraps.
+func releaseValues(vs []bfv.Value) {
+	for _, v := range vs {
+		v.Release()
+	}
 }
 
 // wrapAll binds a batch of engine results to the context.
@@ -136,31 +191,42 @@ func (c *Context) wrapAll(vs []bfv.Value) []*Ciphertext {
 	return out
 }
 
-// operand validates that ct is a live handle of this context and
-// returns its current form — deferred or materialized — for the engine.
-func (c *Context) operand(ct *Ciphertext) (bfv.Value, error) {
+// check validates that ct is a handle of this context.
+func (c *Context) check(ct *Ciphertext) error {
 	if err := c.requireOpen(); err != nil {
-		return nil, err
+		return err
 	}
 	if ct == nil {
-		return nil, fmt.Errorf("%w: nil ciphertext", ErrNilHandle)
+		return fmt.Errorf("%w: nil ciphertext", ErrNilHandle)
 	}
 	if ct.ctx != c {
-		return nil, fmt.Errorf("%w: ciphertext from another context", ErrForeignHandle)
+		return fmt.Errorf("%w: ciphertext from another context", ErrForeignHandle)
 	}
-	v := ct.value()
+	return nil
+}
+
+// operand validates that ct is a live handle of this context, pins it
+// and returns its current form — deferred or materialized — for the
+// engine. The caller unpins it when the engine call is done.
+func (c *Context) operand(ct *Ciphertext) (bfv.Value, error) {
+	if err := c.check(ct); err != nil {
+		return nil, err
+	}
+	v := ct.pin()
 	if v == nil {
 		return nil, fmt.Errorf("%w: use after release", ErrReleasedHandle)
 	}
 	return v, nil
 }
 
-// operands validates a slice of handles.
+// operands is operand over a slice: every handle is pinned on success
+// (the caller unpins them with unpinAll), none on error.
 func (c *Context) operands(cts []*Ciphertext) ([]bfv.Value, error) {
 	out := make([]bfv.Value, len(cts))
 	for i, ct := range cts {
 		v, err := c.operand(ct)
 		if err != nil {
+			unpinAll(cts[:i])
 			return nil, err
 		}
 		out[i] = v
@@ -168,13 +234,20 @@ func (c *Context) operands(cts []*Ciphertext) ([]bfv.Value, error) {
 	return out, nil
 }
 
+// unpinAll unpins handles pinned by operands.
+func unpinAll(cts []*Ciphertext) {
+	for _, ct := range cts {
+		ct.unpin()
+	}
+}
+
 // own is operand for consumers of coefficients (decryption, noise
-// measurement): it forces the handle.
+// measurement): it pins the handle forced.
 func (c *Context) own(ct *Ciphertext) (*bfv.Ciphertext, error) {
-	if _, err := c.operand(ct); err != nil {
+	if err := c.check(ct); err != nil {
 		return nil, err
 	}
-	raw := ct.force()
+	raw := ct.pinForced()
 	if raw == nil {
 		return nil, fmt.Errorf("%w: use after release", ErrReleasedHandle)
 	}

@@ -51,18 +51,18 @@ type Context struct {
 	mu  sync.Mutex
 	gks map[uint64]*bfv.GaloisKey // Galois element -> key
 
-	// pool recycles ciphertext coefficient backings for the zero-copy
-	// decode path: ReadCiphertext draws from it, Ciphertext.Release
-	// returns to it, Close drains it. See WithPoolRetention.
+	// pool recycles ciphertext coefficient backings: ReadCiphertext and
+	// the host engines' results draw from it, Ciphertext.Release returns
+	// to it, Close drains it. See WithPoolRetention.
 	pool *polypool.Pool
 
 	closed atomic.Bool // set by Close; operations reject with ErrContextClosed
 }
 
-// defaultPoolRetainBytes sizes the decode pool when WithPoolRetention
-// is not given: 32 MiB retains the backings of roughly 256 decoded
-// ciphertexts at n=4096/W=4 (64 KiB per polynomial, 128 KiB per
-// two-component ciphertext).
+// defaultPoolRetainBytes sizes the backing pool when WithPoolRetention
+// is not given: 32 MiB retains the backings of roughly 256 ciphertexts
+// at n=4096/W=4 (64 KiB per polynomial, 128 KiB per two-component
+// ciphertext).
 const defaultPoolRetainBytes = 32 << 20
 
 // New builds a Context from functional options: parameter preset
@@ -147,15 +147,16 @@ func New(opts ...Option) (*Context, error) {
 		PIMDPUsPerRank: cfg.pimDPUsPerRank,
 		PIMFaultSeed:   cfg.pimFaultSeed,
 		PIMFaultRates:  cfg.pimFaultRates,
+		pool:           c.pool,
 	}); err != nil {
 		return nil, err
 	}
 	if c.backend == "pim" {
 		// Graceful degradation: a pim engine failing past its fault
 		// retry budget fails over to the (bit-identical) host default.
-		relin := c.rlk
+		relin, pool := c.rlk, c.pool
 		c.eng = newFailoverEngine(c.eng, c.backend, DefaultBackend, func() (Engine, error) {
-			return NewEngine(DefaultBackend, Config{Params: params, Relin: relin})
+			return NewEngine(DefaultBackend, Config{Params: params, Relin: relin, pool: pool})
 		})
 	}
 
@@ -266,7 +267,7 @@ func (c *Context) Close() error {
 	return nil
 }
 
-// PoolStats is a snapshot of the context's decode-pool counters: how
+// PoolStats is a snapshot of the context's backing-pool counters: how
 // many backings were handed out (Gets) and returned (Puts), how the
 // Gets split into recycles (Hits) and fresh allocations (Misses), how
 // many returns were dropped at the retention cap (Dropped), the
@@ -275,7 +276,7 @@ func (c *Context) Close() error {
 // (RetainedBytes — the pool's steady-state footprint).
 type PoolStats = polypool.Stats
 
-// PoolStats returns a snapshot of the decode pool's counters. It works
+// PoolStats returns a snapshot of the backing pool's counters. It works
 // on closed contexts too (the counters survive Close; only the
 // retained backings are dropped), so a serving cache can audit evicted
 // tenants for leaked handles.

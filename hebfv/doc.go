@@ -53,23 +53,29 @@
 //
 // Handles are cheap; their coefficient backings are not (128 KiB per
 // two-component ciphertext at n=4096). Each Context therefore owns a
-// size-classed backing pool, and ReadCiphertext / UnmarshalCiphertext
-// decode directly into pooled backings — zero staging copies beyond
-// the fixed chunk buffer. Calling Ciphertext.Release returns those
-// backings for the next decode to reuse; at steady state a serving hot
-// loop re-allocates nothing but small fixed-size structs.
+// size-classed backing pool. ReadCiphertext / UnmarshalCiphertext decode
+// directly into pooled backings — zero staging copies beyond the fixed
+// chunk buffer — and the host backends ("dcrt-native", "schoolbook")
+// draw every result from the same pool, while the cached NTT forms an
+// operand builds come from the double-CRT scratch pool. Calling
+// Ciphertext.Release returns all of it for the next request to reuse; at
+// steady state a serving hot loop re-allocates nothing but small
+// fixed-size structs.
 //
 // The lifecycle rules:
 //
-//   - Release is required (well, strongly recommended — an unreleased
-//     handle is garbage-collected like any value, the pool just never
-//     recycles it) only for handles produced by ReadCiphertext /
-//     UnmarshalCiphertext. Handles from Encrypt or evaluation results
-//     do not draw on the pool; releasing them is harmless uniformity.
+//   - Release every handle you are done with (strongly recommended — an
+//     unreleased handle is garbage-collected like any value, the pool
+//     just never recycles it): decoded handles and evaluation results
+//     alike. Handles from Encrypt, results of the "pim" backend and
+//     identity-step rotations live on the heap; releasing them is
+//     harmless uniformity.
 //   - A released handle is dead: every error-bearing use reports
 //     ErrReleasedHandle (double Release included), Degree returns −1,
 //     Equal reports false. Nothing ever panics or silently reads a
-//     recycled backing.
+//     recycled backing: a call reading a handle pins it, and a Release
+//     from another goroutine mid-call takes effect at once for new
+//     callers but returns the memory only when the last reader is done.
 //   - Evaluation outputs never alias their inputs, so releasing the
 //     operands of a completed operation cannot corrupt its result.
 //   - Context.Close drains the pool; PoolStats exposes the

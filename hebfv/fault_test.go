@@ -182,16 +182,22 @@ func TestFailoverMidSequenceChainsDeferred(t *testing.T) {
 		want = append(want, blob)
 	})
 
+	// deferred reports whether a handle holds a deferred product.
+	deferred := func(ct *Ciphertext) bool {
+		_, ok := ct.pin().(*bfv.ProductNTT)
+		ct.unpin()
+		return ok
+	}
 	onPIM, chained := 0, 0
 	var results []*Ciphertext
 	chain(pimCtx, func(i int, x *Ciphertext) {
 		fs, _ := pimCtx.FailoverStats()
 		if !fs.Engaged {
 			onPIM++
-		} else if _, deferred := x.value().(*bfv.ProductNTT); !deferred {
+		} else if !deferred(x) {
 			t.Fatalf("step %d: product after failover is not NTT-resident", i)
 		} else if i > 0 {
-			if _, fromDeferred := results[i-1].value().(*bfv.ProductNTT); fromDeferred {
+			if deferred(results[i-1]) {
 				chained++
 			}
 		}

@@ -106,6 +106,7 @@ func (c *Context) Decrypt(ct *Ciphertext) (_ *Plaintext, err error) {
 	if err != nil {
 		return nil, err
 	}
+	defer ct.unpin()
 	if c.dec == nil {
 		return nil, ErrNoSecretKey
 	}
@@ -139,6 +140,7 @@ func (c *Context) NoiseBudget(ct *Ciphertext) (_ int, err error) {
 	if err != nil {
 		return 0, err
 	}
+	defer ct.unpin()
 	if c.dec == nil {
 		return 0, ErrNoSecretKey
 	}
@@ -161,19 +163,17 @@ func (c *Context) Add(a, b *Ciphertext) (_ *Ciphertext, err error) {
 // Sub returns a − b, as a + (−b) on every backend.
 func (c *Context) Sub(a, b *Ciphertext) (_ *Ciphertext, err error) {
 	defer guard(&err)
-	va, err := c.operand(a)
+	vs, err := c.operands([]*Ciphertext{a, b})
 	if err != nil {
 		return nil, err
 	}
-	vb, err := c.operand(b)
+	defer unpinAll([]*Ciphertext{a, b})
+	nb, err := c.eng.Neg(vs[1])
 	if err != nil {
 		return nil, err
 	}
-	nb, err := c.eng.Neg(vb)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.eng.Add([]bfv.Value{va}, []bfv.Value{nb})
+	defer nb.Release()
+	out, err := c.eng.Add(vs[:1], []bfv.Value{nb})
 	if err != nil {
 		return nil, err
 	}
@@ -204,6 +204,7 @@ func (c *Context) Neg(a *Ciphertext) (_ *Ciphertext, err error) {
 	if err != nil {
 		return nil, err
 	}
+	defer a.unpin()
 	out, err := c.eng.Neg(va)
 	if err != nil {
 		return nil, err
@@ -238,6 +239,7 @@ func (c *Context) Sum(cts []*Ciphertext) (_ *Ciphertext, err error) {
 	if err != nil {
 		return nil, err
 	}
+	defer unpinAll(cts)
 	out, err := c.eng.Sum(vs)
 	if err != nil {
 		return nil, err
@@ -278,10 +280,12 @@ func (c *Context) batchBinOp(as, bs []*Ciphertext, op batchOp) ([]*Ciphertext, e
 	if err != nil {
 		return nil, err
 	}
+	defer unpinAll(as)
 	vb, err := c.operands(bs)
 	if err != nil {
 		return nil, err
 	}
+	defer unpinAll(bs)
 	out, err := op(va, vb)
 	if err != nil {
 		return nil, err
@@ -294,6 +298,7 @@ func (c *Context) plainOp(a *Ciphertext, pt *Plaintext, op func(bfv.Value, *bfv.
 	if err != nil {
 		return nil, err
 	}
+	defer a.unpin()
 	rp, err := c.ownPlain(pt)
 	if err != nil {
 		return nil, err

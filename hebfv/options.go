@@ -179,7 +179,7 @@ func WithPIMFaultInjection(seed uint64, transient, dead, straggler float64) Opti
 }
 
 // WithPoolRetention caps how many bytes of free ciphertext backings
-// the context's decode pool retains between requests (see Context.
+// the context's backing pool retains between requests (see Context.
 // PoolStats and the package's "Memory management and handle lifecycle"
 // section); the default is 32 MiB. A cap of 0 disables recycling
 // entirely — every release drops its backings, restoring per-request

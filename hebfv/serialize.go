@@ -115,10 +115,11 @@ func (c *Context) ciphertextWireBytes(components int) int {
 // MarshaledBytes.
 func (ct *Ciphertext) MarshalTo(w io.Writer) (err error) {
 	defer guard(&err)
-	raw := ct.force()
+	raw := ct.pinForced()
 	if raw == nil {
 		return fmt.Errorf("%w: marshal after release", ErrReleasedHandle)
 	}
+	defer ct.unpin()
 	if err := ct.ctx.writeHeader(w, kindCiphertext); err != nil {
 		return err
 	}
@@ -152,7 +153,7 @@ func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
 // one stream (a request body carrying two operands, say). Decoding is
 // hardened: any structural violation is a typed ErrCorruptBlob.
 //
-// The coefficient backings are drawn from the context's decode pool
+// The coefficient backings are drawn from the context's backing pool
 // and deserialized in place — no staging beyond the serializer's fixed
 // chunk buffer — so the returned handle is pooled: call Release when
 // done with it to recycle the backings (the serve package does this
@@ -173,9 +174,7 @@ func (c *Context) ReadCiphertext(r io.Reader) (_ *Ciphertext, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptBlob, err)
 	}
-	h := c.wrap(ct)
-	h.pooled = true
-	return h, nil
+	return c.wrap(ct), nil
 }
 
 // UnmarshalCiphertext deserializes a ciphertext blob. It is a thin

@@ -36,7 +36,9 @@ func TestSerializeCiphertextAgainstInternal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("internal reader rejects facade payload: %v", err)
 	}
-	if !internal.Equal(ct.force()) {
+	same := internal.Equal(ct.pinForced())
+	ct.unpin()
+	if !same {
 		t.Fatal("internal reader decoded a different ciphertext")
 	}
 	// …and re-serializing through internal/bfv reproduces the payload.

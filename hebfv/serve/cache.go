@@ -194,7 +194,7 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// PoolStats aggregates the decode-pool counters of every resident
+// PoolStats aggregates the backing-pool counters of every resident
 // tenant context (hebfv.Context.PoolStats). Doomed-but-pinned entries
 // left the table already, so their in-flight backings drop out of the
 // aggregate at eviction, not at their eventual release; the per-context

@@ -380,9 +380,10 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 }
 
 // releaseHandles releases the request's handles. Every operation
-// returns a fresh handle, so the three are distinct; only the operands'
-// release recycles pooled backings — evaluator outputs carry fresh ones
-// and just get marked dead.
+// returns a fresh handle, so the three are distinct, and each recycles
+// its backings into the context's pool: the operands were decoded into
+// it and a host backend draws its result from it (a "pim" result lives
+// on the heap and just gets marked dead).
 func releaseHandles(hs ...*hebfv.Ciphertext) {
 	for _, h := range hs {
 		if h != nil {
@@ -398,7 +399,7 @@ type ServerStats struct {
 	Inflight   int            `json:"inflight"`
 	Cache      CacheStats     `json:"cache"`
 	Coalescer  CoalescerStats `json:"coalescer"`
-	// Pool aggregates the resident tenant contexts' decode-pool
+	// Pool aggregates the resident tenant contexts' backing-pool
 	// counters (hebfv.Context.PoolStats): recycling hit rate, live
 	// handles (in_use — the leak balance), and steady-state retained
 	// bytes across the cache.

@@ -29,12 +29,18 @@ func newClient(t *testing.T, seed uint64) *hebfv.Context {
 	return ctx
 }
 
+// newTestServer starts a toy-parameter server. When the test ends, every
+// handle its requests made — operands and results, failed and cancelled
+// requests included — must be back in the resident tenants' pools.
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	opts.ContextOptions = append(opts.ContextOptions, hebfv.WithInsecureToyParameters())
 	s := NewServer(opts)
 	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
+	t.Cleanup(func() {
+		hs.Close()
+		waitFor(t, "every pooled handle released", func() bool { return s.Stats().Pool.InUse == 0 })
+	})
 	return s, hs
 }
 
@@ -111,7 +117,12 @@ func waitFor(t *testing.T, what string, ok func() bool) {
 // byte-identical to local evaluation (coalesced batches are scheduling,
 // not approximation).
 func TestServeEndToEnd(t *testing.T) {
-	s, hs := newTestServer(t, Options{})
+	t.Run("pooled", func(t *testing.T) { serveEndToEnd(t) })
+	t.Run("retention-off", func(t *testing.T) { serveEndToEnd(t, hebfv.WithPoolRetention(0)) })
+}
+
+func serveEndToEnd(t *testing.T, opts ...hebfv.Option) {
+	s, hs := newTestServer(t, Options{ContextOptions: opts})
 	ctx := newClient(t, 42)
 	fp := onboard(t, hs.URL, ctx, true)
 
@@ -209,12 +220,12 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Auto-release: the server recycles every request/response handle
-	// once the response is flushed, so the decode pool is used and
+	// once the response is flushed, so the backing pool is used and
 	// balanced. The handler's deferred release may still be running
 	// when the client sees the last byte, hence the poll.
 	waitFor(t, "every pooled handle released", func() bool { return s.Stats().Pool.InUse == 0 })
 	if s.Stats().Pool.Gets == 0 {
-		t.Fatal("server decode pool was never used")
+		t.Fatal("server backing pool was never used")
 	}
 }
 

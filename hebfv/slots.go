@@ -100,6 +100,7 @@ func (c *Context) rotate(cts []*Ciphertext, els []uint64) ([][]*Ciphertext, erro
 	if err != nil {
 		return nil, err
 	}
+	defer unpinAll(cts)
 	var gs []uint64
 	for _, g := range els {
 		if g != 1 {
@@ -142,24 +143,37 @@ func (c *Context) InnerSum(ct *Ciphertext) (_ *Ciphertext, err error) {
 	if _, err := c.requireBatching(); err != nil {
 		return nil, err
 	}
-	if _, err := c.operand(ct); err != nil {
-		return nil, err
-	}
+	// rung folds one rotation of acc into it. The rotation and the
+	// partial sum it replaces are intermediates, released at once.
 	acc := ct
-	for sh := 1; sh < c.RowSlots(); sh <<= 1 {
-		rot, err := c.RotateRows(acc, sh)
+	rung := func(rot *Ciphertext, err error) error {
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if acc, err = c.Add(acc, rot); err != nil {
-			return nil, err
+		defer rot.Release()
+		next, err := c.Add(acc, rot)
+		if err != nil {
+			return err
 		}
+		if acc != ct {
+			acc.Release()
+		}
+		acc = next
+		return nil
 	}
-	swapped, err := c.RotateColumns(acc)
+	for sh := 1; sh < c.RowSlots() && err == nil; sh <<= 1 {
+		err = rung(c.RotateRows(acc, sh))
+	}
+	if err == nil {
+		err = rung(c.RotateColumns(acc))
+	}
 	if err != nil {
+		if acc != ct {
+			acc.Release()
+		}
 		return nil, err
 	}
-	return c.Add(acc, swapped)
+	return acc, nil
 }
 
 // RotateRowsMany returns the row rotations of ct by every step in ks,
@@ -191,6 +205,7 @@ func (c *Context) RotateRowsAndSum(cts []*Ciphertext, ks []int) (_ []*Ciphertext
 	if err != nil {
 		return nil, err
 	}
+	defer unpinAll(cts)
 	// Identity steps contribute the un-keyswitched input itself, like
 	// RotateRows; modular addition commutes bit-exactly, so folding them
 	// after the engine's reduction matches the documented step order.
@@ -225,10 +240,16 @@ func (c *Context) RotateRowsAndSum(cts []*Ciphertext, ks []int) (_ []*Ciphertext
 			out[i] = v.Materialize().Clone()
 		}
 	}
+	// Each fold's input is an intermediate once it is not vs itself.
 	for r := 0; r < identity; r++ {
-		if out, err = c.eng.Add(out, vs); err != nil {
+		next, err := c.eng.Add(out, vs)
+		if r > 0 || len(gks) > 0 {
+			releaseValues(out)
+		}
+		if err != nil {
 			return nil, err
 		}
+		out = next
 	}
 	return c.wrapAll(out), nil
 }

@@ -77,6 +77,7 @@ func (be *BatchEvaluator) MulMany(as, bs []*Ciphertext) ([]*Ciphertext, error) {
 		return err
 	})
 	if err != nil {
+		releaseOutputs(out)
 		return nil, err
 	}
 	return out, nil
@@ -111,6 +112,7 @@ func (be *BatchEvaluator) RotateMany(ct *Ciphertext, gks []*GaloisKey) ([]*Ciphe
 		return err
 	})
 	if err != nil {
+		releaseOutputs(out)
 		return nil, err
 	}
 	return out, nil
@@ -127,6 +129,9 @@ func (be *BatchEvaluator) RotateManyAll(cts []*Ciphertext, gks []*GaloisKey) ([]
 		return err
 	})
 	if err != nil {
+		for _, row := range out {
+			releaseOutputs(row)
+		}
 		return nil, err
 	}
 	return out, nil
@@ -149,6 +154,7 @@ func (be *BatchEvaluator) RotateAndSum(cts []*Ciphertext, gks []*GaloisKey) ([]*
 		return err
 	})
 	if err != nil {
+		releaseOutputs(out)
 		return nil, err
 	}
 	return out, nil
@@ -172,18 +178,25 @@ func (be *BatchEvaluator) rotateAndSumOne(ct *Ciphertext, gks []*GaloisKey) (*Ci
 		return nil, err
 	}
 	defer h.Release()
+	for _, gk := range gks {
+		if gk == nil {
+			return nil, errors.New("bfv: nil Galois key")
+		}
+	}
+	acc := ev.copyOf(ct)
 	if h.ctx == nil || !fusedSumOK(h.ctx, par, len(gks)) {
 		// Per-rotation fallback: hoisting still shares the decomposition,
 		// and every rotation adds into the one owned accumulator.
-		acc := ct.Clone()
 		for _, gk := range gks {
 			r, err := ev.ApplyGaloisHoisted(h, gk)
 			if err != nil {
+				acc.Release()
 				return nil, err
 			}
 			for i, p := range acc.Polys {
 				poly.Add(p, p, r.Polys[i], par.Q, ev.Meter)
 			}
+			r.Release()
 		}
 		return acc, nil
 	}
@@ -195,19 +208,31 @@ func (be *BatchEvaluator) rotateAndSumOne(ct *Ciphertext, gks []*GaloisKey) (*Ci
 	defer ctx.PutScratch(acc1)
 	acc0.Zero()
 	acc1.Zero()
-	c0sum := ct.Polys[0].Clone()
-	c1sum := ct.Polys[1].Clone()
+	tmp := ev.newPoly()
+	defer ev.putPoly(tmp)
+	c0sum, c1sum := acc.Polys[0], acc.Polys[1]
 	for _, gk := range gks {
-		if gk == nil {
-			return nil, errors.New("bfv: nil Galois key")
-		}
 		gk.switchAcc(ctx, acc0, acc1, digits, dcrt.GaloisNTTIndices(ctx.N, gk.G))
-		c0g := applyGaloisPoly(ct.Polys[0], gk.G, par.Q, nil)
-		poly.Add(c0sum, c0sum, c0g, par.Q, nil)
+		applyGaloisPoly(tmp, ct.Polys[0], gk.G, par.Q, nil)
+		poly.Add(c0sum, c0sum, tmp, par.Q, nil)
 	}
-	s0 := ctx.FromRNS(acc0)
-	s1 := ctx.FromRNS(acc1)
-	poly.Add(c0sum, c0sum, s0, par.Q, nil)
-	poly.Add(c1sum, c1sum, s1, par.Q, nil)
-	return &Ciphertext{Polys: []*poly.Poly{c0sum, c1sum}}, nil
+	ctx.FromRNSInto(tmp, acc0)
+	poly.Add(c0sum, c0sum, tmp, par.Q, nil)
+	ctx.FromRNSInto(tmp, acc1)
+	poly.Add(c1sum, c1sum, tmp, par.Q, nil)
+	return acc, nil
+}
+
+// releaseOutputs hands back the outputs a failed batch already produced:
+// the caller only sees the error, so nothing else can.
+func releaseOutputs[T interface {
+	comparable
+	Value
+}](out []T) {
+	var none T
+	for _, v := range out {
+		if v != none {
+			v.Release()
+		}
+	}
 }

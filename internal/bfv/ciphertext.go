@@ -28,9 +28,10 @@ type Value interface {
 	// value converts once, caches the result, and returns its
 	// accumulators to the scratch pool.
 	Materialize() *Ciphertext
-	// Release returns a deferred value's accumulators to the scratch
-	// pool without materializing it; the value must not be used for
-	// first-time Materialize afterwards.
+	// Release returns the memory the value owns: a deferred value's
+	// accumulators and its materialized ciphertext, a ciphertext's
+	// backings and cached NTT forms (see Ciphertext.Release). The value
+	// must not be used afterwards.
 	Release()
 }
 
@@ -45,11 +46,38 @@ type Value interface {
 // round trip. The cache assumes Polys are immutable once the ciphertext
 // has been evaluated — every evaluator operation returns a fresh
 // ciphertext, and Clone (the mutate-after-copy escape hatch) drops the
-// cache.
+// cache. The cached forms come from the dcrt scratch pool and go back on
+// Release.
+//
+// A ciphertext remembers the BackingAllocator its component backings
+// came from — ReadCiphertextBacked's, or the Alloc of the Evaluator that
+// produced it — and Release returns them there. Fresh encryptions and
+// Clones live on the heap.
 type Ciphertext struct {
 	Polys []*poly.Poly
 
-	ntt nttCache
+	alloc BackingAllocator // where the Polys' backings return; nil: the heap
+	ntt   nttCache
+}
+
+// newPolyFrom returns a polynomial of n coefficients at width w backed
+// by alloc — undefined contents, which the caller overwrites — or, with
+// a nil alloc, a fresh zeroed allocation.
+func newPolyFrom(alloc BackingAllocator, n, w int) *poly.Poly {
+	if alloc == nil {
+		return poly.NewPoly(n, w)
+	}
+	return poly.NewPolyBacked(n, w, alloc.Get(n*w))
+}
+
+// newCiphertextFrom returns a ciphertext of k components under par whose
+// backings come from alloc (see newPolyFrom) and return there on Release.
+func newCiphertextFrom(alloc BackingAllocator, par *Parameters, k int) *Ciphertext {
+	ct := &Ciphertext{Polys: make([]*poly.Poly, k), alloc: alloc}
+	for i := range ct.Polys {
+		ct.Polys[i] = newPolyFrom(alloc, par.N, par.Q.W)
+	}
+	return ct
 }
 
 // nttCache lazily holds the NTT-resident centered double-CRT forms of a
@@ -117,8 +145,32 @@ func (ct *Ciphertext) rnsNTTUse(ctx *dcrt.Context, i int, wantShoup bool) (form,
 // Materialize returns ct itself: a ciphertext is the materialized Value.
 func (ct *Ciphertext) Materialize() *Ciphertext { return ct }
 
-// Release is a no-op: a ciphertext holds no pooled scratch.
-func (ct *Ciphertext) Release() {}
+// Release returns the ciphertext's memory: its component backings to
+// the allocator they came from, and its cached NTT forms and Shoup
+// companions to the dcrt scratch pool. A ciphertext with backings from
+// an allocator is left with no components; a heap one keeps them and
+// only drops its cache, so releasing it is harmless. Releasing twice
+// returns nothing twice. The caller must ensure nothing else is reading
+// the ciphertext.
+func (ct *Ciphertext) Release() {
+	ct.ntt.mu.Lock()
+	defer ct.ntt.mu.Unlock()
+	if ct.alloc != nil {
+		for _, p := range ct.Polys {
+			ct.alloc.Put(p.C)
+		}
+		ct.Polys, ct.alloc = nil, nil
+	}
+	for i, f := range ct.ntt.forms {
+		if f != nil {
+			ct.ntt.ctx.PutScratch(f)
+		}
+		if s := ct.ntt.shoups[i]; s != nil {
+			ct.ntt.ctx.PutScratch(s)
+		}
+	}
+	ct.ntt.ctx, ct.ntt.forms, ct.ntt.srcs, ct.ntt.shoups, ct.ntt.uses = nil, nil, nil, nil, nil
+}
 
 // Degree returns len(Polys) - 1.
 func (ct *Ciphertext) Degree() int { return len(ct.Polys) - 1 }

@@ -81,9 +81,9 @@ func (kf *keyForms) get(ctx *dcrt.Context, k0, k1 []*poly.Poly) (f0, f1 []*dcrt.
 // consumed and returned to the context's scratch pool, and the whole
 // digit sum folds in one fused pass per component (128-bit lazy
 // accumulation, one Barrett reduction per slot). The accumulators leave
-// through the word-sized fast base conversion — no big.Int and no
-// steady-state allocation on the path.
-func keySwitchAcc(ctx *dcrt.Context, digits []*dcrt.Poly, k0, k1 []*dcrt.Poly) (s0, s1 *poly.Poly) {
+// through the word-sized fast base conversion into s0 and s1 — no
+// big.Int and no steady-state allocation on the path.
+func keySwitchAcc(ctx *dcrt.Context, s0, s1 *poly.Poly, digits []*dcrt.Poly, k0, k1 []*dcrt.Poly) {
 	acc0 := ctx.GetScratch()
 	acc1 := ctx.GetScratch()
 	defer ctx.PutScratch(acc0)
@@ -92,7 +92,8 @@ func keySwitchAcc(ctx *dcrt.Context, digits []*dcrt.Poly, k0, k1 []*dcrt.Poly) (
 	for _, dR := range digits {
 		ctx.PutScratch(dR)
 	}
-	return ctx.FromRNS(acc0), ctx.FromRNS(acc1)
+	ctx.FromRNSInto(s0, acc0)
+	ctx.FromRNSInto(s1, acc1)
 }
 
 // keySwitchAccResidues runs the key switch on the sub-basis prefix of

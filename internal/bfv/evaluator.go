@@ -23,11 +23,18 @@ import (
 // schoolbook path, which charges every limb operation: that path is the PIM-simulator cost
 // model and stays bit-identical to the double-CRT results, so the two
 // backends differentially validate each other.
+//
+// Setting Alloc makes the evaluator draw the coefficient backings of
+// every ciphertext it returns — directly, or through a deferred value's
+// Materialize — from that allocator, and those of its coefficient-domain
+// temporaries, which go back before the operation returns. An output's
+// Release returns its backings; nil means the heap.
 type Evaluator struct {
 	params     *Parameters
 	rlk        *RelinKey
 	schoolbook bool
 	Meter      limb32.Meter
+	Alloc      BackingAllocator // set before first use
 
 	scratch sync.Pool // *evScratch, big.Int workspace for scaleRound
 }
@@ -74,32 +81,53 @@ func NewSchoolbookEvaluator(params *Parameters, rlk *RelinKey) *Evaluator {
 // stream is the quantity the meter exists to count.
 func (ev *Evaluator) useDCRT() bool { return ev.Meter == nil && !ev.schoolbook }
 
+// newPoly returns a polynomial drawn from ev.Alloc (see newPolyFrom):
+// its contents are undefined unless Alloc is nil.
+func (ev *Evaluator) newPoly() *poly.Poly {
+	return newPolyFrom(ev.Alloc, ev.params.N, ev.params.Q.W)
+}
+
+// putPoly returns a temporary drawn by newPoly.
+func (ev *Evaluator) putPoly(p *poly.Poly) {
+	if ev.Alloc != nil {
+		ev.Alloc.Put(p.C)
+	}
+}
+
+// newCiphertext returns an output of k components drawn by newPoly.
+func (ev *Evaluator) newCiphertext(k int) *Ciphertext {
+	return newCiphertextFrom(ev.Alloc, ev.params, k)
+}
+
+// copyOf returns a copy of ct in components drawn by newPoly.
+func (ev *Evaluator) copyOf(ct *Ciphertext) *Ciphertext {
+	out := ev.newCiphertext(len(ct.Polys))
+	for i, p := range ct.Polys {
+		copy(out.Polys[i].C, p.C)
+	}
+	return out
+}
+
 // Add returns ct0 + ct1 (component-wise in R_q). Operands of different
 // degrees are supported; the missing components are treated as zero.
 func (ev *Evaluator) Add(ct0, ct1 *Ciphertext) *Ciphertext {
 	par := ev.params
-	n := len(ct0.Polys)
-	if len(ct1.Polys) > n {
-		n = len(ct1.Polys)
-	}
-	out := &Ciphertext{Polys: make([]*poly.Poly, n)}
-	for i := 0; i < n; i++ {
+	out := ev.newCiphertext(max(len(ct0.Polys), len(ct1.Polys)))
+	for i, p := range out.Polys {
 		switch {
 		case i >= len(ct0.Polys):
-			out.Polys[i] = ct1.Polys[i].Clone()
+			copy(p.C, ct1.Polys[i].C)
 		case i >= len(ct1.Polys):
-			out.Polys[i] = ct0.Polys[i].Clone()
+			copy(p.C, ct0.Polys[i].C)
 		default:
-			p := poly.NewPoly(par.N, par.Q.W)
 			poly.Add(p, ct0.Polys[i], ct1.Polys[i], par.Q, ev.Meter)
-			out.Polys[i] = p
 		}
 	}
 	return out
 }
 
 // Sum returns Σ cts, a fresh ciphertext that never aliases an input (a
-// single operand is cloned). Components missing from lower-degree
+// single operand is copied). Components missing from lower-degree
 // operands count as zero. On the double-CRT backend it allocates only
 // the output and sums each (component, poly.SumBlock-coefficient chunk)
 // as one task on the worker pool, reducing every coefficient once
@@ -112,12 +140,14 @@ func (ev *Evaluator) Sum(cts []*Ciphertext) *Ciphertext {
 		panic("bfv: Sum of no ciphertexts")
 	}
 	if len(cts) == 1 {
-		return cts[0].Clone()
+		return ev.copyOf(cts[0])
 	}
 	if !ev.useDCRT() {
-		acc := cts[0]
-		for _, ct := range cts[1:] {
-			acc = ev.Add(acc, ct)
+		acc := ev.Add(cts[0], cts[1])
+		for _, ct := range cts[2:] {
+			next := ev.Add(acc, ct)
+			acc.Release()
+			acc = next
 		}
 		return acc
 	}
@@ -131,10 +161,7 @@ func (ev *Evaluator) Sum(cts []*Ciphertext) *Ciphertext {
 			terms[c] = append(terms[c], p)
 		}
 	}
-	out := &Ciphertext{Polys: make([]*poly.Poly, len(terms))}
-	for c := range out.Polys {
-		out.Polys[c] = poly.NewPoly(par.N, par.Q.W)
-	}
+	out := ev.newCiphertext(len(terms))
 	chunks := (par.N + poly.SumBlock - 1) / poly.SumBlock
 	dcrt.Parallel(len(terms)*chunks, func(i int) {
 		c, lo := i/chunks, i%chunks*poly.SumBlock
@@ -145,12 +172,9 @@ func (ev *Evaluator) Sum(cts []*Ciphertext) *Ciphertext {
 
 // Neg returns -ct.
 func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
-	par := ev.params
-	out := &Ciphertext{Polys: make([]*poly.Poly, len(ct.Polys))}
+	out := ev.newCiphertext(len(ct.Polys))
 	for i, p := range ct.Polys {
-		np := poly.NewPoly(par.N, par.Q.W)
-		poly.Neg(np, p, par.Q, ev.Meter)
-		out.Polys[i] = np
+		poly.Neg(out.Polys[i], p, ev.params.Q, ev.Meter)
 	}
 	return out
 }
@@ -158,7 +182,7 @@ func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 // AddPlain returns ct + Δ·m for plaintext m.
 func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	par := ev.params
-	out := ct.Clone()
+	out := ev.copyOf(ct)
 	poly.Add(out.Polys[0], out.Polys[0], deltaPoly(par, pt, nil), par.Q, ev.Meter)
 	return out
 }
@@ -168,21 +192,21 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	par := ev.params
 	mp := scaledPoly(par, pt, 1, 0, nil) // m < t < q: each coefficient is its own residue
-	out := &Ciphertext{Polys: make([]*poly.Poly, len(ct.Polys))}
+	out := ev.newCiphertext(len(ct.Polys))
 	if ev.useDCRT() {
 		ctx := par.dcrtCtx
 		mpR := ctx.ToRNS(mp)
+		defer ctx.PutScratch(mpR)
 		for i, p := range ct.Polys {
 			pR := ctx.ToRNS(p)
 			ctx.MulNTT(pR, pR, mpR)
-			out.Polys[i] = ctx.FromRNS(pR)
+			ctx.FromRNSInto(out.Polys[i], pR)
+			ctx.PutScratch(pR)
 		}
 		return out
 	}
 	for i, p := range ct.Polys {
-		np := poly.NewPoly(par.N, par.Q.W)
-		poly.MulNegacyclic(np, p, mp, par.Q, ev.Meter)
-		out.Polys[i] = np
+		poly.MulNegacyclic(out.Polys[i], p, mp, par.Q, ev.Meter)
 	}
 	return out
 }
@@ -225,21 +249,18 @@ func mulZAcc(out []*big.Int, a, b []*big.Int) {
 }
 
 // scaleRound maps each coefficient c to round(t·c/q) mod q and packs the
-// result into a polynomial, reusing pooled big.Int scratch so the
-// schoolbook (PIM cost model) rescale allocates only the result
-// polynomial.
-func (ev *Evaluator) scaleRound(coeffs []*big.Int) *poly.Poly {
+// result into out, reusing pooled big.Int scratch so the schoolbook (PIM
+// cost model) rescale allocates nothing.
+func (ev *Evaluator) scaleRound(out *poly.Poly, coeffs []*big.Int) {
 	par := ev.params
 	s := ev.getScratch()
 	defer ev.putScratch(s)
-	out := poly.NewPoly(len(coeffs), par.Q.W)
 	for i, c := range coeffs {
 		s.num.Mul(c, s.tBig)
 		divRoundInto(s.m, s.num, par.Q.Half, par.Q.QBig)
 		s.m.Mod(s.m, par.Q.QBig)
 		out.Coeff(i).SetBig(s.m)
 	}
-	return out
 }
 
 // MulNoRelin returns the degree-2 tensor product of two degree-1
@@ -275,9 +296,11 @@ func (ev *Evaluator) MulNoRelin(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 		ctx.MulNTT(rd2, ra1, rb1)
 
 		sr := ctx.ScaleRounder(par.T)
-		return &Ciphertext{Polys: []*poly.Poly{
-			sr.ScaleRound(rd0), sr.ScaleRound(rd1), sr.ScaleRound(rd2),
-		}}, nil
+		out := ev.newCiphertext(3)
+		for i, rd := range []*dcrt.Poly{rd0, rd1, rd2} {
+			sr.ScaleRound(out.Polys[i], rd)
+		}
+		return out, nil
 	}
 	a0 := ct0.Polys[0].ToCenteredCoeffs(par.Q)
 	a1 := ct0.Polys[1].ToCenteredCoeffs(par.Q)
@@ -297,9 +320,11 @@ func (ev *Evaluator) MulNoRelin(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 		chargePolyMul(ev.Meter, par, 4)
 	}
 
-	return &Ciphertext{Polys: []*poly.Poly{
-		ev.scaleRound(d0), ev.scaleRound(d1), ev.scaleRound(d2),
-	}}, nil
+	out := ev.newCiphertext(3)
+	for i, d := range [][]*big.Int{d0, d1, d2} {
+		ev.scaleRound(out.Polys[i], d)
+	}
+	return out, nil
 }
 
 // Relinearize reduces a degree-2 ciphertext back to degree 1 using the
@@ -307,7 +332,7 @@ func (ev *Evaluator) MulNoRelin(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 // (c0, c1) via the evaluation keys.
 func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	if ct.Degree() == 1 {
-		return ct.Clone(), nil
+		return ev.copyOf(ct), nil
 	}
 	if ct.Degree() != 2 {
 		return nil, errors.New("bfv: Relinearize supports degree-2 ciphertexts")
@@ -316,22 +341,27 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 		return nil, errors.New("bfv: evaluator has no relinearization key")
 	}
 	par := ev.params
-	c0 := ct.Polys[0].Clone()
-	c1 := ct.Polys[1].Clone()
+	out := ev.newCiphertext(2)
+	c0, c1 := out.Polys[0], out.Polys[1]
+	copy(c0.C, ct.Polys[0].C)
+	copy(c1.C, ct.Polys[1].C)
 
 	if ev.useDCRT() {
 		ctx := par.dcrtCtx
 		k0, k1 := ev.rlk.nttForms(ctx)
 		// Digit decomposition by limb shifts, accumulation in the NTT
 		// domain, fast base conversion out — no big.Int on the path.
-		s0, s1 := keySwitchAcc(ctx, relinDigits(ctx, par, ct.Polys[2]), k0, k1)
+		s0, s1 := ev.newPoly(), ev.newPoly()
+		keySwitchAcc(ctx, s0, s1, relinDigits(ctx, par, ct.Polys[2]), k0, k1)
 		poly.Add(c0, c0, s0, par.Q, nil)
 		poly.Add(c1, c1, s1, par.Q, nil)
-		return &Ciphertext{Polys: []*poly.Poly{c0, c1}}, nil
+		ev.putPoly(s0)
+		ev.putPoly(s1)
+		return out, nil
 	}
 
 	ev.rlk.switchSchoolbook(c0, c1, decomposePoly(ct.Polys[2], par), par, ev.Meter)
-	return &Ciphertext{Polys: []*poly.Poly{c0, c1}}, nil
+	return out, nil
 }
 
 // Mul returns the relinearized product of two degree-1 ciphertexts. On
@@ -347,14 +377,16 @@ func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 		res0, res1 := ev.mulDeferred(ct0, ct1)
 		defer ctx.PutScratch(res0)
 		defer ctx.PutScratch(res1)
-		return &Ciphertext{Polys: []*poly.Poly{
-			ctx.FromResidues(res0), ctx.FromResidues(res1),
-		}}, nil
+		out := ev.newCiphertext(2)
+		ctx.FromResidues(out.Polys[0], res0)
+		ctx.FromResidues(out.Polys[1], res1)
+		return out, nil
 	}
 	d2, err := ev.MulNoRelin(ct0, ct1)
 	if err != nil {
 		return nil, err
 	}
+	defer d2.Release()
 	return ev.Relinearize(d2)
 }
 
@@ -363,7 +395,9 @@ func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 // tensor products on an accelerator and finish the scaling on the host.
 func ScaleRoundCoeffs(params *Parameters, coeffs []*big.Int) *poly.Poly {
 	ev := Evaluator{params: params}
-	return ev.scaleRound(coeffs)
+	out := poly.NewPoly(len(coeffs), params.Q.W)
+	ev.scaleRound(out, coeffs)
+	return out
 }
 
 // DecomposeForRelin splits a ciphertext polynomial into its base-

@@ -21,11 +21,11 @@ type GaloisKey struct {
 	switchKey
 }
 
-// applyGaloisPoly maps coefficient i to position i·g mod 2N with the
-// negacyclic sign rule (X^N ≡ −1).
-func applyGaloisPoly(p *poly.Poly, g uint64, mod *poly.Modulus, m limb32.Meter) *poly.Poly {
+// applyGaloisPoly writes to out (every coefficient) the image of p under
+// τ_g: coefficient i moves to position i·g mod 2N with the negacyclic
+// sign rule (X^N ≡ −1).
+func applyGaloisPoly(out, p *poly.Poly, g uint64, mod *poly.Modulus, m limb32.Meter) {
 	n := p.N
-	out := poly.NewPoly(n, p.W)
 	for i := 0; i < n; i++ {
 		j := int((uint64(i) * g) % uint64(2*n))
 		src := p.Coeff(i)
@@ -36,6 +36,12 @@ func applyGaloisPoly(p *poly.Poly, g uint64, mod *poly.Modulus, m limb32.Meter) 
 			limb32.NegMod(out.Coeff(j-n), src, mod.Q, m)
 		}
 	}
+}
+
+// galoisPoly returns τ_g(p) in a fresh polynomial.
+func galoisPoly(p *poly.Poly, g uint64, mod *poly.Modulus, m limb32.Meter) *poly.Poly {
+	out := poly.NewPoly(p.N, p.W)
+	applyGaloisPoly(out, p, g, mod, m)
 	return out
 }
 
@@ -46,7 +52,7 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g uint64) (*GaloisKey, error
 		return nil, fmt.Errorf("bfv: Galois element %d must be odd", g)
 	}
 	gk := &GaloisKey{G: g}
-	kg.genSwitchKey(&gk.switchKey, sk, applyGaloisPoly(sk.S, g, kg.params.Q, nil))
+	kg.genSwitchKey(&gk.switchKey, sk, galoisPoly(sk.S, g, kg.params.Q, nil))
 	return gk, nil
 }
 
@@ -70,30 +76,32 @@ func (ev *Evaluator) ApplyGalois(ct *Ciphertext, gk *GaloisKey) (*Ciphertext, er
 		return nil, errors.New("bfv: nil Galois key")
 	}
 	par := ev.params
-	c0 := applyGaloisPoly(ct.Polys[0], gk.G, par.Q, ev.Meter)
+	out := ev.newCiphertext(2)
+	c0, c1 := out.Polys[0], out.Polys[1]
+	applyGaloisPoly(c0, ct.Polys[0], gk.G, par.Q, ev.Meter)
 
 	if ev.useDCRT() {
 		ctx := par.dcrtCtx
 		digits := relinDigits(ctx, par, ct.Polys[1])
-		s0, outC1 := galoisKeySwitch(ctx, digits, gk)
+		ev.galoisKeySwitch(ctx, c0, c1, digits, gk)
 		for _, d := range digits {
 			ctx.PutScratch(d)
 		}
-		poly.Add(c0, c0, s0, par.Q, nil)
-		return &Ciphertext{Polys: []*poly.Poly{c0, outC1}}, nil
+		return out, nil
 	}
 	digits := permuteDigits(decomposePoly(ct.Polys[1], par), gk.G, par, ev.Meter)
-	outC1 := poly.NewPoly(par.N, par.Q.W)
-	gk.switchSchoolbook(c0, outC1, digits, par, ev.Meter)
-	return &Ciphertext{Polys: []*poly.Poly{c0, outC1}}, nil
+	clear(c1.C)
+	gk.switchSchoolbook(c0, c1, digits, par, ev.Meter)
+	return out, nil
 }
 
 // galoisKeySwitch runs the double-CRT Galois key switch for one element
 // over an existing digit decomposition of c1 (not consumed): the slot
 // gather realizes τ_g on each digit, the products accumulate in the NTT
 // domain against the key's cached NTT forms, and both components leave
-// through the fast base conversion.
-func galoisKeySwitch(ctx *dcrt.Context, digits []*dcrt.Poly, gk *GaloisKey) (s0, s1 *poly.Poly) {
+// through the fast base conversion — the first added onto c0, the
+// second written to c1.
+func (ev *Evaluator) galoisKeySwitch(ctx *dcrt.Context, c0, c1 *poly.Poly, digits []*dcrt.Poly, gk *GaloisKey) {
 	acc0 := ctx.GetScratch()
 	acc1 := ctx.GetScratch()
 	defer ctx.PutScratch(acc0)
@@ -101,7 +109,11 @@ func galoisKeySwitch(ctx *dcrt.Context, digits []*dcrt.Poly, gk *GaloisKey) (s0,
 	acc0.Zero()
 	acc1.Zero()
 	gk.switchAcc(ctx, acc0, acc1, digits, dcrt.GaloisNTTIndices(ctx.N, gk.G))
-	return ctx.FromRNS(acc0), ctx.FromRNS(acc1)
+	s0 := ev.newPoly()
+	defer ev.putPoly(s0)
+	ctx.FromRNSInto(s0, acc0)
+	poly.Add(c0, c0, s0, ev.params.Q, nil)
+	ctx.FromRNSInto(c1, acc1)
 }
 
 // switchAcc accumulates Σᵢ τ_g(digitᵢ)·(k0ᵢ, k1ᵢ) into acc0/acc1 (NTT
@@ -127,7 +139,7 @@ func (gk *GaloisKey) switchAcc(ctx *dcrt.Context, acc0, acc1 *dcrt.Poly, digits 
 func permuteDigits(digits []*poly.Poly, g uint64, par *Parameters, m limb32.Meter) []*poly.Poly {
 	out := make([]*poly.Poly, len(digits))
 	for i, d := range digits {
-		out[i] = applyGaloisPoly(d, g, par.Q, m)
+		out[i] = galoisPoly(d, g, par.Q, m)
 	}
 	return out
 }
@@ -137,5 +149,5 @@ func permuteDigits(digits []*poly.Poly, g uint64, par *Parameters, m limb32.Mete
 // accelerator backends that permute key-switching digits themselves
 // under the decompose-then-permute convention.
 func PermuteGaloisPoly(p *poly.Poly, g uint64, params *Parameters) *poly.Poly {
-	return applyGaloisPoly(p, g, params.Q, nil)
+	return galoisPoly(p, g, params.Q, nil)
 }

@@ -113,8 +113,8 @@ func (ev *Evaluator) ApplyGaloisHoisted(h *Hoisted, gk *GaloisKey) (*Ciphertext,
 	}
 	par := ev.params
 	digits := h.snapshot(par)
-	c0 := applyGaloisPoly(h.ct.Polys[0], gk.G, par.Q, nil)
-	s0, outC1 := galoisKeySwitch(h.ctx, digits, gk)
-	poly.Add(c0, c0, s0, par.Q, nil)
-	return &Ciphertext{Polys: []*poly.Poly{c0, outC1}}, nil
+	out := ev.newCiphertext(2)
+	applyGaloisPoly(out.Polys[0], h.ct.Polys[0], gk.G, par.Q, nil)
+	ev.galoisKeySwitch(h.ctx, out.Polys[0], out.Polys[1], digits, gk)
+	return out, nil
 }

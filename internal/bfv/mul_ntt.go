@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dcrt"
-	"repro/internal/poly"
 )
 
 // NTT-resident multiplication outputs: a relinearized product's two
@@ -33,8 +32,9 @@ import (
 // and Add reports false — so callers materialize and fall back — when an
 // operand was already materialized or released.
 type ProductNTT struct {
-	par *Parameters
-	ctx *dcrt.Context // nil when the handle was created materialized
+	par   *Parameters
+	ctx   *dcrt.Context    // nil when the handle was created materialized
+	alloc BackingAllocator // backs the materialized ciphertext (Evaluator.Alloc)
 
 	seq     uint64 // allocation order, the Add lock ordering
 	magBits int    // bound: |component value| < 2^magBits
@@ -45,11 +45,14 @@ type ProductNTT struct {
 	ct           *Ciphertext
 
 	// inUse counts in-flight multiplications reading this handle as an
-	// operand; a Release that arrives while they run (a concurrent
-	// consumer forcing the same facade handle) is deferred until the
-	// last one finishes instead of freeing accumulators under them.
+	// operand; a Release or Materialize that arrives while they run (a
+	// concurrent consumer forcing the same facade handle) is deferred
+	// until the last one finishes instead of freeing accumulators under
+	// them. released records that the deferred free is a Release, which
+	// also returns the materialized ciphertext.
 	inUse          int
 	releasePending bool
+	released       bool
 }
 
 // productSeq hands out the package-wide lock order for ProductNTT.
@@ -147,9 +150,12 @@ func (r *ProductNTT) releaseOperand() {
 	r.mu.Unlock()
 }
 
-// freeLocked returns the accumulators and cached forms to the pool; the
-// caller holds r.mu.
+// freeLocked returns the accumulators and cached forms to the pool, and
+// after Release the materialized ciphertext too; the caller holds r.mu.
 func (r *ProductNTT) freeLocked() {
+	if r.released && r.ct != nil {
+		r.ct.Release()
+	}
 	if r.res0 != nil {
 		r.ctx.PutScratch(r.res0)
 		r.ctx.PutScratch(r.res1)
@@ -185,7 +191,7 @@ func (ev *Evaluator) MulNTT(av, bv Value) (*ProductNTT, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ProductNTT{par: ev.params, ct: ct}, nil
+		return &ProductNTT{par: ev.params, alloc: ev.Alloc, ct: ct}, nil
 	}
 	a, b := operandOf(av), operandOf(bv)
 	if ct, ok := a.(*Ciphertext); ok && ct.Degree() != 1 {
@@ -202,7 +208,7 @@ func (ev *Evaluator) MulNTT(av, bv Value) (*ProductNTT, error) {
 	}
 	res0, res1 := ev.mulDeferred(a, b)
 	return &ProductNTT{
-		par: ev.params, ctx: ev.params.dcrtCtx,
+		par: ev.params, ctx: ev.params.dcrtCtx, alloc: ev.Alloc,
 		seq:  productSeq.Add(1),
 		res0: res0, res1: res1,
 		magBits: mulMagBits(ev.params),
@@ -279,9 +285,9 @@ func (r *ProductNTT) Materialize() *Ciphertext {
 		if r.res0 == nil {
 			panic("bfv: Materialize after Release on an unmaterialized ProductNTT")
 		}
-		r.ct = &Ciphertext{Polys: []*poly.Poly{
-			r.ctx.FromResidues(r.res0), r.ctx.FromResidues(r.res1),
-		}}
+		r.ct = newCiphertextFrom(r.alloc, r.par, 2)
+		r.ctx.FromResidues(r.ct.Polys[0], r.res0)
+		r.ctx.FromResidues(r.ct.Polys[1], r.res1)
 	}
 	r.releaseLocked()
 	return r.ct
@@ -329,7 +335,7 @@ func (r *ProductNTT) Add(o *ProductNTT) (*ProductNTT, bool) {
 	r.ctx.AddLazyNTT(res0, r.res0, o.res0)
 	r.ctx.AddLazyNTT(res1, r.res1, o.res1)
 	return &ProductNTT{
-		par: r.par, ctx: r.ctx,
+		par: r.par, ctx: r.ctx, alloc: r.alloc,
 		seq:  productSeq.Add(1),
 		res0: res0, res1: res1,
 		magBits: mag,
@@ -337,14 +343,16 @@ func (r *ProductNTT) Add(o *ProductNTT) (*ProductNTT, bool) {
 }
 
 // Release returns the accumulators and cached forms to the context's
-// scratch pool. Call it on handles discarded without materializing to
-// keep steady-state batched multiplication allocation-free; the handle
-// must not be used for further Add, operand use, or first-time
-// Materialize afterwards. A Release racing an in-flight multiplication
-// that reads this handle is deferred until that multiplication finishes.
+// scratch pool and releases the materialized ciphertext, if any (see
+// Ciphertext.Release). Call it on every handle that is done with to keep
+// steady-state batched multiplication allocation-free; the handle must
+// not be used for further Add, operand use, or Materialize afterwards.
+// A Release racing an in-flight multiplication that reads this handle is
+// deferred until that multiplication finishes.
 func (r *ProductNTT) Release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.released = true
 	r.releaseLocked()
 }
 
@@ -372,13 +380,7 @@ func (be *BatchEvaluator) MulManyNTT(as, bs []Value) ([]*ProductNTT, error) {
 		return err
 	})
 	if err != nil {
-		// Hand the handles already produced back to the scratch pool —
-		// the caller only sees the error, so nothing else can.
-		for _, p := range out {
-			if p != nil {
-				p.Release()
-			}
-		}
+		releaseOutputs(out)
 		return nil, err
 	}
 	return out, nil

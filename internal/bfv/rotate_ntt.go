@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dcrt"
-	"repro/internal/poly"
 )
 
 // NTT-resident rotation outputs: the per-rotation cost of a hoisted
@@ -33,8 +32,9 @@ import (
 // and Add reports false — so callers fall back to coefficient addition
 // — when an operand's accumulators were already released.
 type RotatedNTT struct {
-	par *Parameters
-	ctx *dcrt.Context // nil when the handle was created materialized
+	par   *Parameters
+	ctx   *dcrt.Context    // nil when the handle was created materialized
+	alloc BackingAllocator // backs the materialized ciphertext (Evaluator.Alloc)
 
 	seq     uint64 // allocation order, the Add lock ordering
 	magBits int    // bound: |component value| < 2^magBits
@@ -70,7 +70,7 @@ func (ev *Evaluator) ApplyGaloisHoistedNTT(h *Hoisted, gk *GaloisKey) (*RotatedN
 		if err != nil {
 			return nil, err
 		}
-		return &RotatedNTT{par: ev.params, ct: ct}, nil
+		return &RotatedNTT{par: ev.params, alloc: ev.Alloc, ct: ct}, nil
 	}
 	par := ev.params
 	ctx := h.ctx
@@ -85,7 +85,7 @@ func (ev *Evaluator) ApplyGaloisHoistedNTT(h *Hoisted, gk *GaloisKey) (*RotatedN
 	acc1.Zero()
 	gk.switchAcc(ctx, acc0, acc1, digits, idx)
 	return &RotatedNTT{
-		par: par, ctx: ctx,
+		par: par, ctx: ctx, alloc: ev.Alloc,
 		seq:  rotatedSeq.Add(1),
 		acc0: acc0, acc1: acc1,
 		magBits: rotatedMagBits(par),
@@ -104,9 +104,9 @@ func (r *RotatedNTT) Materialize() *Ciphertext {
 		if r.acc0 == nil {
 			panic("bfv: Materialize after Release on an unmaterialized RotatedNTT")
 		}
-		r.ct = &Ciphertext{Polys: []*poly.Poly{
-			r.ctx.FromRNS(r.acc0), r.ctx.FromRNS(r.acc1),
-		}}
+		r.ct = newCiphertextFrom(r.alloc, r.par, 2)
+		r.ctx.FromRNSInto(r.ct.Polys[0], r.acc0)
+		r.ctx.FromRNSInto(r.ct.Polys[1], r.acc1)
 	}
 	r.releaseLocked()
 	return r.ct
@@ -148,23 +148,29 @@ func (r *RotatedNTT) Add(o *RotatedNTT) (*RotatedNTT, bool) {
 	r.ctx.AddNTT(acc0, r.acc0, o.acc0)
 	r.ctx.AddNTT(acc1, r.acc1, o.acc1)
 	return &RotatedNTT{
-		par: r.par, ctx: r.ctx,
+		par: r.par, ctx: r.ctx, alloc: r.alloc,
 		seq:  rotatedSeq.Add(1),
 		acc0: acc0, acc1: acc1,
 		magBits: mag,
 	}, true
 }
 
-// Release returns the accumulators to the context's scratch pool. Call
-// it on handles discarded without materializing to keep steady-state
-// batched rotation allocation-free; the handle must not be used for
-// further Add or first-time Materialize afterwards.
+// Release returns the accumulators to the context's scratch pool and
+// releases the materialized ciphertext, if any (see Ciphertext.Release).
+// Call it on every handle that is done with to keep steady-state batched
+// rotation allocation-free; the handle must not be used for further Add
+// or Materialize afterwards.
 func (r *RotatedNTT) Release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.releaseLocked()
+	if r.ct != nil {
+		r.ct.Release()
+	}
 }
 
+// releaseLocked returns the accumulators to the scratch pool; the
+// caller holds r.mu.
 func (r *RotatedNTT) releaseLocked() {
 	if r.acc0 != nil {
 		r.ctx.PutScratch(r.acc0)
@@ -191,6 +197,7 @@ func (be *BatchEvaluator) RotateManyNTT(ct *Ciphertext, gks []*GaloisKey) ([]*Ro
 		return err
 	})
 	if err != nil {
+		releaseOutputs(out)
 		return nil, err
 	}
 	return out, nil

@@ -114,11 +114,12 @@ func writePoly(w io.Writer, p *poly.Poly) error {
 	return nil
 }
 
-// BackingAllocator supplies and reclaims []uint32 coefficient backings
-// for the zero-copy decode path. Get returns a backing of exactly the
-// requested word count with undefined contents (decoding overwrites
-// every word); Put takes one back when a partially decoded ciphertext
-// is abandoned mid-error. internal/polypool.Pool satisfies it.
+// BackingAllocator supplies and reclaims []uint32 coefficient backings:
+// the zero-copy decode path (ReadCiphertextBacked) and an Evaluator's
+// outputs and temporaries (Evaluator.Alloc) draw from it, and
+// Ciphertext.Release returns to it. Get returns a backing of exactly the
+// requested word count with undefined contents (every user overwrites
+// each word). internal/polypool.Pool satisfies it.
 type BackingAllocator interface {
 	Get(words int) []uint32
 	Put(b []uint32)
@@ -134,12 +135,7 @@ type BackingAllocator interface {
 // scanned again, for the first offending index. On any error the backing
 // (if pooled) has already been returned to alloc.
 func readPolyCanonical(r io.Reader, n int, mod *poly.Modulus, alloc BackingAllocator) (*poly.Poly, error) {
-	var p *poly.Poly
-	if alloc != nil {
-		p = poly.NewPolyBacked(n, mod.W, alloc.Get(n*mod.W))
-	} else {
-		p = poly.NewPoly(n, mod.W)
-	}
+	p := newPolyFrom(alloc, n, mod.W)
 	fail := func(err error) (*poly.Poly, error) {
 		if alloc != nil {
 			alloc.Put(p.C)
@@ -225,7 +221,7 @@ func (ct *Ciphertext) Serialize(w io.Writer) error {
 
 // ReadCiphertextBacked deserializes a ciphertext, validates it against
 // params and draws the coefficient backings from alloc (pass nil for
-// ordinary allocation).
+// ordinary allocation); the ciphertext's Release returns them.
 // On any decode error every backing already acquired is returned to
 // alloc, so a rejected blob leaves the allocator balanced.
 func ReadCiphertextBacked(r io.Reader, params *Parameters, alloc BackingAllocator) (*Ciphertext, error) {
@@ -241,7 +237,7 @@ func ReadCiphertextBacked(r io.Reader, params *Parameters, alloc BackingAllocato
 		return nil, fmt.Errorf("bfv: ciphertext shape %d/%d does not match parameters %d/%d",
 			n, w, params.N, params.Q.W)
 	}
-	ct := &Ciphertext{Polys: make([]*poly.Poly, count)}
+	ct := &Ciphertext{Polys: make([]*poly.Poly, count), alloc: alloc}
 	for i := range ct.Polys {
 		p, err := readPolyCanonical(r, n, params.Q, alloc)
 		if err != nil {

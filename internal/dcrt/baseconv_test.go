@@ -249,7 +249,8 @@ func TestScaleRoundOracle(t *testing.T) {
 			for i := range x.Coeffs {
 				c.Tabs[i].Forward(x.Coeffs[i])
 			}
-			got := c.ScaleRounder(tMod).ScaleRound(x)
+			got := poly.NewPoly(n, c.Mod.W)
+			c.ScaleRounder(tMod).ScaleRound(got, x)
 			tBig := new(big.Int).SetUint64(tMod)
 			half := new(big.Int).Rsh(c.Mod.QBig, 1)
 			for j, v := range vals {
@@ -288,7 +289,8 @@ func TestScaleRoundParallel(t *testing.T) {
 			c.Tabs[i].Forward(x.Coeffs[i])
 		}
 		inputs[g] = x
-		want[g] = sr.ScaleRound(x)
+		want[g] = poly.NewPoly(n, c.Mod.W)
+		sr.ScaleRound(want[g], x)
 	}
 	var wg sync.WaitGroup
 	errc := make(chan string, 4*len(inputs))
@@ -297,7 +299,9 @@ func TestScaleRoundParallel(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				if !c.ScaleRounder(16).ScaleRound(inputs[g]).Equal(want[g]) {
+				got := poly.NewPoly(n, c.Mod.W)
+				c.ScaleRounder(16).ScaleRound(got, inputs[g])
+				if !got.Equal(want[g]) {
 					errc <- "parallel ScaleRound diverged"
 				}
 			}(g)

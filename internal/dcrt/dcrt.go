@@ -215,7 +215,9 @@ func (c *Context) PutScratch(p *Poly) { c.scratch.Put(p) }
 // form: its limbs are read as (lo, hi) word pairs (unpackModQ), and each
 // limb channel enters (enterChannel) and transforms on the worker pool:
 // the centered representatives in [−q/2, q/2] when centered, else the
-// canonical ones in [0, q).
+// canonical ones in [0, q). The result is drawn from the scratch pool;
+// a caller done with it may return it via PutScratch, and one that keeps
+// it simply owns it.
 func (c *Context) toRNS(p *poly.Poly, centered bool) *Poly {
 	if p.N != c.N || p.W != c.Mod.W {
 		panic("dcrt: polynomial shape mismatch")
@@ -223,7 +225,7 @@ func (c *Context) toRNS(p *poly.Poly, centered bool) *Poly {
 	w := c.getConvOut()
 	defer c.putConvOut(w)
 	c.unpackModQ(w.lo, w.hi, p)
-	out := c.NewPoly()
+	out := c.GetScratch()
 	parallelFor(c.K(), func(i int) {
 		c.enterChannel(out.Coeffs[i], i, w.lo, w.hi, centered)
 		c.Tabs[i].Forward(out.Coeffs[i])
@@ -306,27 +308,36 @@ func enterPair(lo, hi, g, p, oneS, t64, t64S, negQ uint64) uint64 {
 	return condSub(lo+hi*t64-(q1+q2)*p+negQ&-g, 4*p)
 }
 
-// FromRNS leaves the NTT domain and reduces mod q through the word-sized
-// fast base conversion, packing the result into a coefficient-domain R_q
-// polynomial. Because the basis never wraps, this equals the schoolbook
-// result bit-for-bit.
+// FromRNS is FromRNSInto a freshly allocated polynomial.
 func (c *Context) FromRNS(p *Poly) *poly.Poly {
-	tmp := c.inttLazy(p)
-	defer c.PutScratch(tmp)
-	return c.FromResidues(tmp)
+	out := poly.NewPoly(c.N, c.Mod.W)
+	c.FromRNSInto(out, p)
+	return out
 }
 
-// FromResidues is the residue-domain tail of FromRNS: it base-converts an
-// element already in the residue (coefficient) domain — e.g. a deferred
-// product accumulator — to mod q and packs it. Limb values may be lazily
-// reduced (< 2p).
-func (c *Context) FromResidues(p *Poly) *poly.Poly {
+// FromRNSInto leaves the NTT domain and reduces mod q through the
+// word-sized fast base conversion, packing the result into dst, a
+// coefficient-domain R_q polynomial whose every word it overwrites.
+// Because the basis never wraps, this equals the schoolbook result
+// bit-for-bit.
+func (c *Context) FromRNSInto(dst *poly.Poly, p *Poly) {
+	tmp := c.inttLazy(p)
+	defer c.PutScratch(tmp)
+	c.FromResidues(dst, tmp)
+}
+
+// FromResidues is the residue-domain tail of FromRNSInto: it
+// base-converts an element already in the residue (coefficient) domain —
+// e.g. a deferred product accumulator — to mod q and packs it into dst.
+// Limb values may be lazily reduced (< 2p).
+func (c *Context) FromResidues(dst *poly.Poly, p *Poly) {
+	if dst.N != c.N || dst.W != c.Mod.W {
+		panic("dcrt: polynomial shape mismatch")
+	}
 	w := c.getConvOut()
 	defer c.putConvOut(w)
 	c.convModQ(p, &c.conv.unit, w.lo, w.hi)
-	out := poly.NewPoly(c.N, c.Mod.W)
-	c.packModQ(out, w.lo, w.hi)
-	return out
+	c.packModQ(dst, w.lo, w.hi)
 }
 
 // ToResidues returns a pooled copy of p transformed from the NTT domain
@@ -455,9 +466,9 @@ func (c *Context) MulAddNTT(dst, a, b *Poly) {
 // — precomputed once for immutable operands (key-switching keys) so the
 // accumulation inner loops run Shoup multiplications instead of Barrett
 // reductions. The companion is only valid for the element it was built
-// from.
+// from. It is drawn from the scratch pool, like toRNS's result.
 func (c *Context) ShoupConsts(a *Poly) *Poly {
-	out := c.NewPoly()
+	out := c.GetScratch()
 	parallelFor(c.K(), func(i int) {
 		r := c.Tabs[i].R
 		da, dd := a.Coeffs[i], out.Coeffs[i]
@@ -534,6 +545,8 @@ func (c *Context) MulPairLimbsNTT(acc0, acc1 *Poly, k0, k1, digits []*Poly, limb
 func (c *Context) MulRq(a, b *poly.Poly) *poly.Poly {
 	ra := c.ToRNS(a)
 	rb := c.ToRNS(b)
+	defer c.PutScratch(ra)
+	defer c.PutScratch(rb)
 	c.MulNTT(ra, ra, rb)
 	return c.FromRNS(ra)
 }

@@ -168,14 +168,14 @@ func (sr *ScaleRounder) RoundModT(x *Poly, out []uint64) {
 }
 
 // ScaleRound maps the exact integer coefficients X of x (NTT domain,
-// |X| ≤ 2^BoundBits) to ⌊t·X/q⌉ mod q, packed as a coefficient-domain
-// R_q polynomial, bit-identical to the schoolbook evaluator's big.Int
-// rescale with no big.Int on the path: two fast base conversions and one
-// Shoup pass per limb channel.
-func (sr *ScaleRounder) ScaleRound(x *Poly) *poly.Poly {
+// |X| ≤ 2^BoundBits) to ⌊t·X/q⌉ mod q, packed into dst, a
+// coefficient-domain R_q polynomial, bit-identical to the schoolbook
+// evaluator's big.Int rescale with no big.Int on the path: two fast base
+// conversions and one Shoup pass per limb channel.
+func (sr *ScaleRounder) ScaleRound(dst *poly.Poly, x *Poly) {
 	tmp := sr.ScaleRoundResidues(x)
 	defer sr.c.PutScratch(tmp)
-	return sr.c.FromResidues(tmp)
+	sr.c.FromResidues(dst, tmp)
 }
 
 // ScaleRoundResidues stops ScaleRound after the per-limb exact division:

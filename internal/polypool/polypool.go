@@ -1,10 +1,10 @@
 // Package polypool provides size-classed free lists for limb-aligned
 // polynomial backings ([]uint32 keyed by word count n·w). It is the
-// memory layer behind the zero-copy serving path: request decoding
-// acquires backings from a context-owned pool, evaluation reads them in
-// place, and handle release returns them for the next request, so the
-// steady-state serve loop recycles a fixed working set instead of
-// churning the garbage collector.
+// memory layer behind the zero-copy serving path: request decoding and
+// the host engine's results acquire backings from a context-owned pool,
+// evaluation reads them in place, and handle release returns them for
+// the next request, so the steady-state serve loop recycles a fixed
+// working set instead of churning the garbage collector.
 //
 // The pool is deliberately simple: a mutex-guarded map from word count
 // to a stack of free backings, bounded by a total retention byte cap.
