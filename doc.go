@@ -28,8 +28,8 @@
 //     simulated UPMEM server, wrapped by a host failover decorator in a
 //     Context). A single operation is a length-1 batch.
 //   - internal/bfv: the scheme. A bfv.Value is a ciphertext in
-//     materialized (*Ciphertext) or deferred (*RotatedNTT, *ProductNTT)
-//     form; the evaluator, the hoisted/batched front end, encryption,
+//     materialized (*Ciphertext) or deferred (*Deferred: a product's
+//     residue-domain or a rotation's NTT-domain accumulators) form; the evaluator, the hoisted/batched front end, encryption,
 //     RNS-native decryption and serialization live here. RelinKey and
 //     GaloisKey are one key-switching key (s² → s and τ_g(s) → s) with
 //     one generator, one wire record and one cache of NTT forms; a key

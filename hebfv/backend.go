@@ -219,22 +219,15 @@ func (e *evalEngine) Add(as, bs []bfv.Value) ([]bfv.Value, error) {
 	return values(out), nil
 }
 
-// add sums two values, staying deferred when both are rotation outputs
-// (NTT domain) or both products (residue domain) and the exactness
+// add sums two values, staying deferred when both are deferred values
+// of one domain (two rotations, or two products) and the exactness
 // bound allows; otherwise it adds coefficients.
 func (e *evalEngine) add(a, b bfv.Value) bfv.Value {
-	switch x := a.(type) {
-	case *bfv.RotatedNTT:
-		if y, ok := b.(*bfv.RotatedNTT); ok {
-			if sum, ok := x.Add(y); ok {
-				return sum
-			}
-		}
-	case *bfv.ProductNTT:
-		if y, ok := b.(*bfv.ProductNTT); ok {
-			if sum, ok := x.Add(y); ok {
-				return sum
-			}
+	x, okA := a.(*bfv.Deferred)
+	y, okB := b.(*bfv.Deferred)
+	if okA && okB {
+		if sum, ok := x.Add(y); ok {
+			return sum
 		}
 	}
 	return e.ev.Add(a.Materialize(), b.Materialize())
@@ -269,38 +262,37 @@ func (e *evalEngine) MulPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error)
 	return e.ev.MulPlain(a.Materialize(), pt), nil
 }
 
-// Sum folds all-product inputs (a Mul-then-Sum dot product) in the
-// residue domain — the whole reduction pays one base-conversion pair —
-// and everything else in coefficients, into one output ciphertext.
+// Sum folds all-deferred inputs (a Mul-then-Sum dot product, a
+// Rotate-then-Sum aggregate) in their resident domain — the whole
+// reduction pays one base-conversion pair — and everything else in
+// coefficients, into one output ciphertext.
 func (e *evalEngine) Sum(cts []bfv.Value) (bfv.Value, error) {
 	if len(cts) == 0 {
 		return nil, errors.New("hebfv: empty sum")
 	}
-	if sum, ok := sumProducts(cts); ok {
+	if sum, ok := sumDeferred(cts); ok {
 		return sum, nil
 	}
 	return e.ev.Sum(materialize(cts)), nil
 }
 
-// sumProducts folds (…(c0+c1)+c2)+… while every input is a live
-// deferred product. It reports false — releasing the intermediates it
-// made — when an input has another form or a fusion falls back (bound
-// overflow), leaving the caller to take the materialized path.
-func sumProducts(cts []bfv.Value) (bfv.Value, bool) {
+// sumDeferred folds (…(c0+c1)+c2)+… while every input is a live
+// deferred value. It reports false — releasing the intermediates it
+// made — when an input has another form or a fusion falls back (mixed
+// domains, bound overflow), leaving the caller to take the materialized
+// path.
+func sumDeferred(cts []bfv.Value) (bfv.Value, bool) {
 	if len(cts) < 2 {
 		return nil, false
 	}
-	prods := make([]*bfv.ProductNTT, len(cts))
-	for i, ct := range cts {
-		p, ok := ct.(*bfv.ProductNTT)
-		if !ok {
+	for _, ct := range cts {
+		if _, ok := ct.(*bfv.Deferred); !ok {
 			return nil, false
 		}
-		prods[i] = p
 	}
-	acc := prods[0]
-	for i, p := range prods[1:] {
-		sum, ok := acc.Add(p)
+	acc := cts[0].(*bfv.Deferred)
+	for i, ct := range cts[1:] {
+		sum, ok := acc.Add(ct.(*bfv.Deferred))
 		if i > 0 {
 			acc.Release() // an intermediate of this fold, not an input
 		}

@@ -12,14 +12,14 @@ import (
 // returns a fresh one.
 //
 // A rotation or multiplication produced by a deferring backend
-// (Context.RotateRowsMany, Mul/MulMany/Square) stays in RNS-resident
-// form — its base conversions deferred — until a consumer forces
-// coefficients: decryption, serialization, Equal, or an operation with
-// no deferred path. Sums of deferred rotations fuse in the NTT domain,
-// sums of deferred products fuse in the residue domain, and deferred
-// products chain straight into further multiplications, all when
-// exactness bounds allow. All of this is transparent: results are
-// bit-identical either way.
+// (Context.RotateRowsMany, Mul/MulMany/Square) stays a bfv.Deferred —
+// its base conversions deferred — until a consumer forces coefficients:
+// decryption, serialization, Equal, or an operation with no deferred
+// path. Add and Sum of deferred values fuse when every input lives in
+// one domain (rotations in the NTT domain, products in the residue
+// domain), and deferred products chain straight into further
+// multiplications, all when exactness bounds allow. All of this is
+// transparent: results are bit-identical either way.
 //
 // Every read of a handle — an engine call taking it as an operand,
 // forcing, encoding, comparing — pins it for its duration, so a Release
@@ -123,8 +123,8 @@ func (ct *Ciphertext) Release() error {
 }
 
 // components returns the handle's component (polynomial) count without
-// forcing it: deferred rotation and multiplication outputs both
-// materialize to the relinearized two-component form, so their size is
+// forcing it: a deferred value, rotation or product, always
+// materializes to the relinearized two-component form, so its size is
 // known before any base conversion runs. Serialization size accounting
 // (MarshaledBytes, the server's Content-Length hints) relies on this
 // being exact for every form.

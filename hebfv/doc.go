@@ -126,7 +126,8 @@
 // RotateRowsMany shares one key-switching digit decomposition across
 // all steps and — on the native backend — returns NTT-resident outputs
 // whose base conversions are deferred until a consumer forces
-// coefficients (sums of such outputs fuse entirely in the NTT domain);
+// coefficients (Add and Sum of such outputs fuse entirely in the NTT
+// domain);
 // RotateRowsAndSum fuses all key-switch reductions of a
 // rotate-and-aggregate into one extended-basis accumulator; MulMany and
 // AddMany schedule element-wise pipelines on the shared worker pool.

@@ -184,7 +184,7 @@ func TestFailoverMidSequenceChainsDeferred(t *testing.T) {
 
 	// deferred reports whether a handle holds a deferred product.
 	deferred := func(ct *Ciphertext) bool {
-		_, ok := ct.pin().(*bfv.ProductNTT)
+		_, ok := ct.pin().(*bfv.Deferred)
 		ct.unpin()
 		return ok
 	}

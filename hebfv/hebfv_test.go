@@ -228,6 +228,7 @@ func TestFacadeDifferentialBackends(t *testing.T) {
 
 	type results struct {
 		add, sub, mul, square, rot, cols, inner, rotSum, sum []byte
+		rotManySum, mulPlusRot                               []byte
 		rotMany                                              [][]byte
 	}
 	run := func(t *testing.T, backend string) results {
@@ -277,6 +278,16 @@ func TestFacadeDifferentialBackends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Before anything forces them, the rotations (deferred on
+		// dcrt-native) are summed — a fused NTT-domain fold — and one is
+		// added to a deferred product, which mixes domains and so falls
+		// back to coefficients.
+		r.rotManySum = marshal(ctx.Sum(many))
+		prod, err := ctx.Mul(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.mulPlusRot = marshal(ctx.Add(prod, many[1]))
 		for _, ct := range many {
 			r.rotMany = append(r.rotMany, marshal(ct, nil))
 		}
@@ -299,6 +310,8 @@ func TestFacadeDifferentialBackends(t *testing.T) {
 			{"InnerSum", got.inner, want.inner},
 			{"RotateRowsAndSum", got.rotSum, want.rotSum},
 			{"Sum", got.sum, want.sum},
+			{"Sum(RotateRowsMany)", got.rotManySum, want.rotManySum},
+			{"Add(Mul, RotateRowsMany)", got.mulPlusRot, want.mulPlusRot},
 		}
 		for _, p := range pairs {
 			if string(p.have) != string(p.need) {

@@ -226,10 +226,10 @@ func (c *Context) MulPlain(a *Ciphertext, pt *Plaintext) (_ *Ciphertext, err err
 
 // Sum returns the total of the ciphertexts — the aggregation kernel of
 // the paper's mean/variance workloads. When every input is a deferred
-// product (a MulMany-then-Sum dot product), the sum fuses in the RNS
-// domain and the whole reduction pays one base-conversion pair; the
-// result is bit-identical to adding the materialized inputs in any
-// order.
+// product (a MulMany-then-Sum dot product) or every input a deferred
+// rotation (RotateRowsMany-then-Sum), the sum fuses in that domain and
+// the whole reduction pays one base-conversion pair; the result is
+// bit-identical to adding the materialized inputs in any order.
 func (c *Context) Sum(cts []*Ciphertext) (_ *Ciphertext, err error) {
 	defer guard(&err)
 	if len(cts) == 0 {

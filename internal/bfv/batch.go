@@ -165,9 +165,7 @@ func (be *BatchEvaluator) RotateAndSum(cts []*Ciphertext, gks []*GaloisKey) ([]*
 // wrapping: digits · n · 2^base · q per rotation, times k, must stay
 // under the context's 2^BoundBits exactness window.
 func fusedSumOK(ctx *dcrt.Context, par *Parameters, k int) bool {
-	perRotation := par.Q.Bits() + int(par.RelinBaseBits) +
-		bits.Len(uint(par.RelinDigits())) + bits.Len(uint(par.N)) + 1
-	return perRotation+bits.Len(uint(k)) <= ctx.BoundBits
+	return keySwitchBits(par)+1+bits.Len(uint(k)) <= ctx.BoundBits
 }
 
 func (be *BatchEvaluator) rotateAndSumOne(ct *Ciphertext, gks []*GaloisKey) (*Ciphertext, error) {

@@ -19,10 +19,11 @@ func NewPlaintext(params *Parameters) *Plaintext {
 }
 
 // Value is a ciphertext in whichever form the evaluator produced it:
-// materialized (*Ciphertext) or deferred (*RotatedNTT, *ProductNTT —
-// exact extended-basis accumulators whose base conversions have not run
-// yet). Deferred values fuse sums and chain into multiplications in
-// their resident domain; every form materializes to the same bits.
+// materialized (*Ciphertext) or deferred (*Deferred — exact
+// extended-basis accumulators whose base conversions have not run yet,
+// in the residue domain for products and the NTT domain for rotations).
+// Deferred values fuse sums within their domain and products chain into
+// multiplications; every form materializes to the same bits.
 type Value interface {
 	// Materialize returns the coefficient-domain ciphertext. A deferred
 	// value converts once, caches the result, and returns its

@@ -133,12 +133,12 @@ func benchmarkMulChainDeferred(b *testing.B, n, depth int) {
 		b.Fatal(err)
 	}
 	ev := NewEvaluator(params, rlk)
-	if !ev.CanDeferMuls() {
+	if !ev.canDeferMuls() {
 		b.Fatal("deferred multiplication unavailable on this configuration")
 	}
 	chain := func() {
 		var cur Value = ct0
-		var prev *ProductNTT
+		var prev *Deferred
 		for d := 0; d < depth; d++ {
 			next, err := ev.MulNTT(cur, ct1)
 			if err != nil {
@@ -182,7 +182,7 @@ func batchingMulRig(tb testing.TB) (*Evaluator, *Ciphertext, *Ciphertext) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if !ev.CanDeferMuls() {
+	if !ev.canDeferMuls() {
 		tb.Fatal("deferred multiplication unavailable at ParamsBatching")
 	}
 	warm, err := ev.MulNTT(ct0, ct1)
@@ -527,7 +527,7 @@ func BenchmarkRotateHoisted(b *testing.B) {
 func BenchmarkRotateHoistedNTT(b *testing.B) {
 	ev, ct, gks := rotationRig(b, 4096, 8)
 	be := NewBatchEvaluatorFrom(ev)
-	release := func(rots []*RotatedNTT) {
+	release := func(rots []*Deferred) {
 		for _, r := range rots {
 			r.Release()
 		}

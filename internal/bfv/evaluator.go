@@ -372,7 +372,7 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 // conversion and one packing pass fewer per component than rescaling and
 // key-switching separately, with bit-identical results.
 func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
-	if ev.CanDeferMuls() && ct0.Degree() == 1 && ct1.Degree() == 1 {
+	if ev.canDeferMuls() && ct0.Degree() == 1 && ct1.Degree() == 1 {
 		ctx := ev.params.dcrtCtx
 		res0, res1 := ev.mulDeferred(ct0, ct1)
 		defer ctx.PutScratch(res0)

@@ -55,7 +55,7 @@ func TestMulNTTAllocs(t *testing.T) {
 // exactly Evaluator.Mul's (and the schoolbook oracle's) ciphertext.
 func TestMulNTTBitIdentical(t *testing.T) {
 	ev, oracle, _, ct0, ct1 := mulNTTRig(t, 64, 31)
-	if !ev.CanDeferMuls() {
+	if !ev.canDeferMuls() {
 		t.Fatal("expected deferred multiplication on the RNS-native backend")
 	}
 	prod, err := ev.MulNTT(ct0, ct1)
@@ -86,7 +86,7 @@ func TestMulNTTBitIdentical(t *testing.T) {
 func TestMulNTTChain(t *testing.T) {
 	ev, oracle, _, ct0, ct1 := mulNTTRig(t, 64, 32)
 	var cur Value = ct0
-	var prev *ProductNTT
+	var prev *Deferred
 	for d := 0; d < 3; d++ {
 		next, err := ev.MulNTT(cur, ct1)
 		if err != nil {
@@ -183,7 +183,7 @@ func TestMulNTTAddFusion(t *testing.T) {
 // already-materialized handle identical to Mul.
 func TestMulNTTFallback(t *testing.T) {
 	_, oracle, _, ct0, ct1 := mulNTTRig(t, 64, 34)
-	if oracle.CanDeferMuls() {
+	if oracle.canDeferMuls() {
 		t.Fatal("schoolbook evaluator should not defer")
 	}
 	prod, err := oracle.MulNTT(ct0, ct1)
@@ -264,7 +264,7 @@ func TestMulManyNTTSum(t *testing.T) {
 }
 
 // TestMulNTTLongFold regression-tests the deferred-sum lazy bound: a
-// long ProductNTT.Add fold must keep every limb word inside the < 2p
+// long Deferred.Add fold of products must keep every limb word inside the < 2p
 // lazy window. A strict fold lets a slot near the 2p ceiling creep up
 // by ~p per sum and wrap uint64 after ~14 sums at the 60-bit basis
 // primes — corrupting the result while reporting success — so folding

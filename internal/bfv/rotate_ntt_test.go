@@ -1,6 +1,11 @@
 package bfv
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/polypool"
+	"repro/internal/sampling"
+)
 
 // NTT-resident rotation outputs: RotateManyNTT must reproduce RotateMany
 // (and hence ApplyGalois) bit for bit once materialized, and deferred
@@ -104,10 +109,23 @@ func TestRotatedNTTFallbackOnSchoolbook(t *testing.T) {
 	if _, ok := rots[0].Add(rots[1]); ok {
 		t.Fatal("deferred Add succeeded on a materialized-only handle")
 	}
-	// Release is a no-op there, and materialization still works after it.
-	rots[0].Release()
-	if rots[0].Materialize() == nil {
-		t.Fatal("materialized handle lost its ciphertext after Release")
+	// Release hands a materialized-only handle's ciphertext back to the
+	// evaluator's allocator: once every output is released, the pool
+	// holds nothing.
+	pool := polypool.New(1 << 20)
+	oracle.Alloc = pool
+	owned, err := be.RotateManyNTT(ct, gks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := pool.Stats(); s.InUse == 0 {
+		t.Fatal("schoolbook rotations did not draw on the evaluator's allocator")
+	}
+	for _, r := range owned {
+		r.Release()
+	}
+	if s := pool.Stats(); s.InUse != 0 {
+		t.Fatalf("released materialized-only handles keep their backings: %+v", s)
 	}
 }
 
@@ -138,4 +156,88 @@ func TestRotatedNTTAddRefusesPastBound(t *testing.T) {
 		acc = next
 	}
 	t.Fatal("deferred Add never refused past the exactness window")
+}
+
+// TestDeferredAddRefusesMixedDomains: a deferred product lives in the
+// residue domain and a deferred rotation in the NTT domain, so their sum
+// cannot stay deferred — Add reports false either way round, and the
+// caller's materialized fallback equals adding the eager outputs.
+func TestDeferredAddRefusesMixedDomains(t *testing.T) {
+	params := ParamsSec27()
+	c := newCtx(t, params, 509, true)
+	gks := genGaloisKeys(t, params, c.sk, 510, 1)
+	ct, err := c.enc.EncryptValue(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.eval.canDeferMuls() {
+		t.Fatal("expected deferred multiplication on the RNS-native backend")
+	}
+	prod, err := c.eval.MulNTT(ct, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rots, err := NewBatchEvaluatorFrom(c.eval).RotateManyNTT(ct, gks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot := rots[0]
+	if _, ok := prod.Add(rot); ok {
+		t.Fatal("deferred product + deferred rotation stayed deferred")
+	}
+	if _, ok := rot.Add(prod); ok {
+		t.Fatal("deferred rotation + deferred product stayed deferred")
+	}
+	got := c.eval.Add(prod.Materialize(), rot.Materialize())
+	mul, err := c.eval.Mul(ct, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.eval.ApplyGalois(ct, gks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(c.eval.Add(mul, r)) {
+		t.Fatal("materialized mixed-domain sum differs from the eager operations")
+	}
+	prod.Release()
+	rot.Release()
+}
+
+// TestRotateManyNTTAllocs pins the steady-state allocation count of one
+// warm deferred rotation batch at ParamsBatching (RotateManyNTT under 4
+// keys, then Release of every output): the hoisted decomposition and
+// the accumulators come from pooled scratch, so only the handles and
+// small per-call headers may allocate. The bound is the count measured
+// before products and rotations shared one deferred type.
+func TestRotateManyNTTAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	const maxAllocs = 19
+	params := ParamsBatching()
+	src := sampling.NewSourceFromUint64(4110)
+	kg := NewKeyGenerator(params, src)
+	sk, pk := kg.GenKeyPair()
+	gks := genGaloisKeys(t, params, sk, 4111, 4)
+	ct, err := NewEncryptor(params, pk, src).EncryptValue(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := NewBatchEvaluator(params, nil)
+	rotate := func() {
+		rots, err := be.RotateManyNTT(ct, gks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rots {
+			r.Release()
+		}
+	}
+	rotate() // warm the key forms, the ciphertext's cached form and the pools
+	allocs := testing.AllocsPerRun(20, rotate)
+	t.Logf("warm RotateManyNTT (4 keys) + Release: %.0f allocations per run", allocs)
+	if allocs > maxAllocs {
+		t.Fatalf("warm RotateManyNTT (4 keys) + Release allocates %.0f times per run, want ≤ %d", allocs, maxAllocs)
+	}
 }
