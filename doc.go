@@ -59,22 +59,24 @@
 // Everything under internal/ is private by policy as well as by Go
 // visibility; new consumers go through the facade, adding what it lacks
 // rather than reaching around it. Every exported function and method
-// there has a caller in non-test code, and surface_test.go fails on one
-// that does not: a helper only tests use lives in those tests.
+// there has a caller in non-test code, and every exported struct field a
+// writer, and surface_test.go fails on one that does not: a helper only
+// tests use lives in those tests, and a setting nothing sets is a
+// constant.
 //
 // # Invariants
 //
 // Bit-identity. Every backend, every batching or hoisting shape, every
 // deferred form, every SIMD tier and every fault schedule produces
 // ciphertexts bit-identical to the O(n²) schoolbook evaluator
-// (bfv.NewSchoolbookEvaluator), which stays in the tree as the oracle
-// and as the metered PIM cost model (an Evaluator whose Meter points at
-// a limb32.Counts tally runs it, because its instruction stream is what
-// the paper's kernels execute). Scheduling, routing, coalescing, sharding and
-// failover move work; they never change arithmetic. The host multiplies
-// on one pipeline: bfv.NewParameters refuses a modulus the word-sized
-// double-CRT base conversion cannot serve (dcrt.NewContext), so the
-// double-CRT evaluator has no big.Int middle path. The big.Int code that
+// (bfv.NewSchoolbookEvaluator), which stays in the tree as the oracle.
+// The PIM plane counts its work on the simulated device, through the
+// pim.TaskletCtx tallies its kernels charge; the host keeps no meter.
+// Scheduling, routing, coalescing, sharding and failover move work; they
+// never change arithmetic. The host multiplies on one pipeline:
+// bfv.NewParameters refuses a modulus the word-sized double-CRT base
+// conversion cannot serve (dcrt.NewContext), so the double-CRT evaluator
+// has no big.Int middle path. The big.Int code that
 // stays is the oracle's: the schoolbook evaluator's scaleRound,
 // decomposePoly and mulZ, which the PIM server's host rescale
 // (bfv.ScaleRoundCoeffs, bfv.DecomposeForRelin) also runs, and
@@ -97,14 +99,14 @@
 // the 128-bit fused accumulators are bounded by ntt.Acc128Capacity, and
 // the 128-bit coefficient accumulators of a lazily reduced Sum by
 // poly's sumCapacity (⌊(2¹²⁸−1)/q⌋ residues, then the sum reduces on its
-// own). Both host additions that skip the limb32 routine the metered PIM
-// cost model runs — the 109-bit unmetered Add and that Sum — are pinned
-// to it on adversarial operands in internal/poly's tests, and so are the
-// PIM product kernel's word-level run bodies (pim/kernels mulRun1 and
-// mulRun8, which compute limb32.Mul + accumAdd's accumulator limbs and
-// charge their tally without running them): TestProductRunsMatchLimb32
-// holds them to it product by product on every zero-limb pattern and on
-// prefix products either side of each schoolbook row's ripple boundary.
+// own). Both host additions that skip the limb32 routine — the 109-bit
+// Add and that Sum — are pinned to it on adversarial operands in
+// internal/poly's tests, and so are the PIM product kernel's word-level
+// run bodies (pim/kernels mulRun1 and mulRun8, which compute limb32.Mul +
+// accumAdd's accumulator limbs and charge their tally without running
+// them): TestProductRunsMatchLimb32 holds them to it product by product
+// on every zero-limb pattern and on prefix products either side of each
+// schoolbook row's ripple boundary.
 // Deferred sums carry a magnitude bound and refuse to fuse (the caller
 // falls back to coefficients) rather than leave the basis exactness
 // window.

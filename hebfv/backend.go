@@ -20,9 +20,8 @@ import (
 //   - "dcrt-native": the double-CRT (RNS + NTT) backend with RNS-native
 //     rescaling, NTT-resident values, and hoisted rotations — the
 //     default and the fast path.
-//   - "schoolbook": the O(n²) limb schoolbook path — the paper's PIM
-//     cost model (its instruction stream is what the simulator meters)
-//     and the correctness oracle; every backend is bit-identical to it.
+//   - "schoolbook": the O(n²) limb schoolbook path — the correctness
+//     oracle; every backend is bit-identical to it.
 //   - "pim": the simulated UPMEM PIM server (internal/hepim) — every
 //     kernel runs on the cycle-level simulator as a shard plan of the
 //     one execution plane (internal/pimsched) and the engine reports

@@ -136,15 +136,14 @@
 //
 // Evaluation strategy is selected by name (WithBackend; Backends lists
 // them): "dcrt-native" (default, the RNS+NTT fast path), "schoolbook"
-// (the O(n²) path that is the paper's PIM cost model and the
-// correctness oracle) and "pim" (the simulated UPMEM server: every
-// kernel is a shard plan run by one scheduler, internal/pimsched, which
-// alone places work on DPUs, retries faults and prices transfers;
-// Context.PIMReport, PIMStats and PIMBreakdown read its one running
-// total — modeled kernel time, fault toll, sharded breakdown). All
-// backends are mutually bit-identical — the differential tests in this
-// package prove it across the facade, RotateRows/InnerSum slot
-// semantics included.
+// (the O(n²) path that is the correctness oracle) and "pim" (the
+// simulated UPMEM server: every kernel is a shard plan run by one
+// scheduler, internal/pimsched, which alone places work on DPUs, retries
+// faults and prices transfers; Context.PIMReport, PIMStats and
+// PIMBreakdown read its one running total — modeled kernel time, fault
+// toll, sharded breakdown). All backends are mutually bit-identical — the
+// differential tests in this package prove it across the facade,
+// RotateRows/InnerSum slot semantics included.
 //
 // Underneath, every backend implements one Engine contract (see
 // backend.go): batched primitives — a single operation is a length-1

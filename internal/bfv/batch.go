@@ -32,27 +32,15 @@ func NewBatchEvaluator(params *Parameters, rlk *RelinKey) *BatchEvaluator {
 }
 
 // NewBatchEvaluatorFrom wraps an existing evaluator (e.g. a schoolbook
-// oracle for differential testing). A metered evaluator is supported but
-// runs its batch items sequentially: its Meter is one limb32.Counts
-// tally — plain memory, added to without synchronization by design —
-// so its items must not run concurrently.
+// oracle for differential testing).
 func NewBatchEvaluatorFrom(ev *Evaluator) *BatchEvaluator {
 	return &BatchEvaluator{ev: ev}
 }
 
-// forEach runs f over [0, n) — on the shared worker pool, or in slice
-// order when the wrapped evaluator meters (see NewBatchEvaluatorFrom) —
-// and returns the first error by index (deterministic even though
-// pooled execution is not).
+// forEach runs f over [0, n) on the shared worker pool and returns the
+// first error by index (deterministic even though pooled execution is
+// not).
 func (be *BatchEvaluator) forEach(n int, f func(i int) error) error {
-	if be.ev.Meter != nil {
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, n)
 	dcrt.Parallel(n, func(i int) {
 		errs[i] = f(i)
@@ -192,7 +180,7 @@ func (be *BatchEvaluator) rotateAndSumOne(ct *Ciphertext, gks []*GaloisKey) (*Ci
 				return nil, err
 			}
 			for i, p := range acc.Polys {
-				poly.Add(p, p, r.Polys[i], par.Q, ev.Meter)
+				poly.Add(p, p, r.Polys[i], par.Q)
 			}
 			r.Release()
 		}
@@ -211,13 +199,13 @@ func (be *BatchEvaluator) rotateAndSumOne(ct *Ciphertext, gks []*GaloisKey) (*Ci
 	c0sum, c1sum := acc.Polys[0], acc.Polys[1]
 	for _, gk := range gks {
 		gk.switchAcc(ctx, acc0, acc1, digits, dcrt.GaloisNTTIndices(ctx.N, gk.G))
-		applyGaloisPoly(tmp, ct.Polys[0], gk.G, par.Q, nil)
-		poly.Add(c0sum, c0sum, tmp, par.Q, nil)
+		applyGaloisPoly(tmp, ct.Polys[0], gk.G, par.Q)
+		poly.Add(c0sum, c0sum, tmp, par.Q)
 	}
 	ctx.FromRNSInto(tmp, acc0)
-	poly.Add(c0sum, c0sum, tmp, par.Q, nil)
+	poly.Add(c0sum, c0sum, tmp, par.Q)
 	ctx.FromRNSInto(tmp, acc1)
-	poly.Add(c1sum, c1sum, tmp, par.Q, nil)
+	poly.Add(c1sum, c1sum, tmp, par.Q)
 	return acc, nil
 }
 

@@ -1,10 +1,6 @@
 package bfv
 
-import (
-	"testing"
-
-	"repro/internal/limb32"
-)
+import "testing"
 
 // Batched-evaluation differential tests: every BatchEvaluator operation
 // must be bit-identical to folding the schoolbook oracle's per-ciphertext
@@ -163,41 +159,5 @@ func TestBatchMulAddMany(t *testing.T) {
 	}
 	if _, err := be.AddMany(as[:1], bs); err == nil {
 		t.Error("AddMany length mismatch accepted")
-	}
-}
-
-// TestBatchMeteredSequential: a metered evaluator's batch items must run
-// sequentially — the tally is unsynchronized by design — and charge
-// exactly what the sequential loop charges.
-func TestBatchMeteredSequential(t *testing.T) {
-	params := ParamsToy()
-	c := newCtx(t, params, 307, true)
-	as := make([]*Ciphertext, 3)
-	bs := make([]*Ciphertext, 3)
-	for i := range as {
-		var err error
-		if as[i], err = c.enc.EncryptValue(uint64(i + 1)); err != nil {
-			t.Fatal(err)
-		}
-		if bs[i], err = c.enc.EncryptValue(uint64(i + 2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := limb32.Counts{}
-	seq := NewEvaluator(params, c.rlk)
-	seq.Meter = &want
-	for i := range as {
-		if _, err := seq.Mul(as[i], bs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := limb32.Counts{}
-	metered := NewEvaluator(params, c.rlk)
-	metered.Meter = &got
-	if _, err := NewBatchEvaluatorFrom(metered).MulMany(as, bs); err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("metered batch charged %+v, sequential loop charged %+v", got, want)
 	}
 }

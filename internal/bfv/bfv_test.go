@@ -327,32 +327,3 @@ func TestSec54MulRealParams(t *testing.T) {
 		t.Errorf("sec54: 11*13 mod %d = %d", c.params.T, got)
 	}
 }
-
-// total is the dynamic instruction count across every class of m.
-func total(m *limbCounts) int64 {
-	var t int64
-	for _, v := range m {
-		t += v
-	}
-	return t
-}
-
-func TestEvaluatorMeterCharges(t *testing.T) {
-	c := newCtx(t, ParamsToy(), 17, true)
-	var m limbCounts
-	c.eval.Meter = &m
-	ct1, _ := c.enc.EncryptValue(1)
-	ct2, _ := c.enc.EncryptValue(2)
-	c.eval.Add(ct1, ct2)
-	addOps := total(&m)
-	if addOps == 0 {
-		t.Fatal("Add charged nothing")
-	}
-	m.Reset()
-	if _, err := c.eval.Mul(ct1, ct2); err != nil {
-		t.Fatal(err)
-	}
-	if total(&m) <= addOps*100 {
-		t.Errorf("Mul (%d ops) should dwarf Add (%d ops)", total(&m), addOps)
-	}
-}

@@ -13,10 +13,8 @@ import (
 // (encryption, key generation, decryption phases, plaintext products,
 // tensor products and key switching) routes through a shared
 // dcrt.Context instead of the O(n²) limb schoolbook. The schoolbook path
-// survives in two roles: it is the PIM-simulator cost model (any
-// Evaluator with a Meter attached charges the exact schoolbook
-// instruction stream), and it is the correctness oracle the double-CRT
-// backend is differentially tested against (NewSchoolbookEvaluator).
+// survives as the correctness oracle the double-CRT backend is
+// differentially tested against (NewSchoolbookEvaluator).
 
 // attachDCRT builds (or fetches from the process-wide cache) the
 // double-CRT context for par. The basis is sized for the largest exact

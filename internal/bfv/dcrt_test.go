@@ -9,8 +9,8 @@ import (
 	"repro/internal/sampling"
 )
 
-// Differential tests: the double-CRT backend must agree with the metered
-// O(n²) schoolbook oracle bit-for-bit — not merely after decryption —
+// Differential tests: the double-CRT backend must agree with the O(n²)
+// schoolbook oracle bit-for-bit — not merely after decryption —
 // for every operation, because the extended basis is sized so no exact
 // integer coefficient ever wraps. Ciphertext equality implies plaintext
 // equality, and we assert both.

@@ -11,9 +11,6 @@ import (
 	"repro/internal/polypool"
 )
 
-// limbCounts aliases limb32.Counts for brevity in tests.
-type limbCounts = limb32.Counts
-
 func TestBatchEncoderRoundTrip(t *testing.T) {
 	params := mustParams(64, prime109, 65537, 28) // t ≡ 1 mod 128
 	be, err := NewBatchEncoder(params)

@@ -100,11 +100,11 @@ func (e *Encryptor) Encrypt(pt *Plaintext) (*Ciphertext, error) {
 
 	ctx.MulNTT(prod, p0R[0], uR)
 	c0 := ctx.FromRNS(prod)
-	poly.Add(c0, c0, deltaPoly(par, pt, e1), par.Q, nil)
+	poly.Add(c0, c0, deltaPoly(par, pt, e1), par.Q)
 
 	ctx.MulNTT(prod, p1R[0], uR)
 	c1 := ctx.FromRNS(prod)
-	poly.Add(c1, c1, signedPoly(e2, par.Q), par.Q, nil)
+	poly.Add(c1, c1, signedPoly(e2, par.Q), par.Q)
 
 	return &Ciphertext{Polys: []*poly.Poly{c0, c1}}, nil
 }
@@ -159,7 +159,7 @@ func (d *Decryptor) phase(ct *Ciphertext) *poly.Poly {
 	sPow := d.sk.S.Clone()
 	for i := 1; i < len(ct.Polys); i++ {
 		tmp := mulRq(par, ct.Polys[i], sPow)
-		poly.Add(acc, acc, tmp, par.Q, nil)
+		poly.Add(acc, acc, tmp, par.Q)
 		if i+1 < len(ct.Polys) {
 			sPow = mulRq(par, sPow, d.sk.S)
 		}
@@ -238,7 +238,7 @@ func (d *Decryptor) NoiseBudget(ct *Ciphertext) int {
 	// noise = v - Δ·m over centered representatives.
 	dm := deltaPoly(par, pt, nil)
 	diff := poly.NewPoly(par.N, par.Q.W)
-	poly.Sub(diff, v, dm, par.Q, nil)
+	poly.Sub(diff, v, dm, par.Q)
 	norm := diff.InfNormCentered(par.Q)
 	if norm.Sign() == 0 {
 		return par.Q.Bits() - 1

@@ -154,11 +154,11 @@ func encryptBig(par *Parameters, pk *PublicKey, src *sampling.Source, pt *Plaint
 	prod := ctx.NewPoly()
 	ctx.MulNTT(prod, ctx.ToRNS(pk.P0), uR)
 	c0 := ctx.FromRNS(prod)
-	poly.Add(c0, c0, bigSigned(e1, par.Q), par.Q, nil)
-	poly.Add(c0, c0, bigScaled(par, pt, par.Delta, nil), par.Q, nil)
+	poly.Add(c0, c0, bigSigned(e1, par.Q), par.Q)
+	poly.Add(c0, c0, bigScaled(par, pt, par.Delta, nil), par.Q)
 	ctx.MulNTT(prod, ctx.ToRNS(pk.P1), uR)
 	c1 := ctx.FromRNS(prod)
-	poly.Add(c1, c1, bigSigned(e2, par.Q), par.Q, nil)
+	poly.Add(c1, c1, bigSigned(e2, par.Q), par.Q)
 	return &Ciphertext{Polys: []*poly.Poly{c0, c1}}
 }
 

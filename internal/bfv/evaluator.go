@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/dcrt"
-	"repro/internal/limb32"
 	"repro/internal/poly"
 )
 
@@ -18,11 +17,10 @@ import (
 // Multiplicative operations run on one of two backends. The default is
 // the double-CRT (RNS + NTT) backend — O(n log n) per limb, the
 // optimization the paper's SEAL baseline owes its multiplication lead to
-// and defers to future work for PIM (§3, §4.1). Pointing Meter at a
-// limb32.Counts tally switches the evaluator to the metered O(n²)
-// schoolbook path, which charges every limb operation: that path is the PIM-simulator cost
-// model and stays bit-identical to the double-CRT results, so the two
-// backends differentially validate each other.
+// and defers to future work for PIM (§3, §4.1). NewSchoolbookEvaluator
+// pins the O(n²) schoolbook path instead, which stays bit-identical to
+// the double-CRT results, so the two backends differentially validate
+// each other.
 //
 // Setting Alloc makes the evaluator draw the coefficient backings of
 // every ciphertext it returns — directly, or through a deferred value's
@@ -33,7 +31,6 @@ type Evaluator struct {
 	params     *Parameters
 	rlk        *RelinKey
 	schoolbook bool
-	Meter      limb32.Meter
 	Alloc      BackingAllocator // set before first use
 
 	scratch sync.Pool // *evScratch, big.Int workspace for scaleRound
@@ -68,18 +65,16 @@ func NewEvaluator(params *Parameters, rlk *RelinKey) *Evaluator {
 }
 
 // NewSchoolbookEvaluator returns an evaluator pinned to the O(n²)
-// schoolbook backend even without a Meter — the correctness oracle the
-// double-CRT backend is differentially tested against.
+// schoolbook backend — the correctness oracle the double-CRT backend is
+// differentially tested against.
 func NewSchoolbookEvaluator(params *Parameters, rlk *RelinKey) *Evaluator {
 	return &Evaluator{params: params, rlk: rlk, schoolbook: true}
 }
 
 // useDCRT reports whether this evaluator runs the double-CRT backend —
 // the fully RNS-native path: word-sized scale-and-round, limb-shift digit
-// decomposition, and fast base conversion out of the extended basis. A
-// metered evaluator always runs the schoolbook path, whose instruction
-// stream is the quantity the meter exists to count.
-func (ev *Evaluator) useDCRT() bool { return ev.Meter == nil && !ev.schoolbook }
+// decomposition, and fast base conversion out of the extended basis.
+func (ev *Evaluator) useDCRT() bool { return !ev.schoolbook }
 
 // newPoly returns a polynomial drawn from ev.Alloc (see newPolyFrom):
 // its contents are undefined unless Alloc is nil.
@@ -120,7 +115,7 @@ func (ev *Evaluator) Add(ct0, ct1 *Ciphertext) *Ciphertext {
 		case i >= len(ct1.Polys):
 			copy(p.C, ct0.Polys[i].C)
 		default:
-			poly.Add(p, ct0.Polys[i], ct1.Polys[i], par.Q, ev.Meter)
+			poly.Add(p, ct0.Polys[i], ct1.Polys[i], par.Q)
 		}
 	}
 	return out
@@ -131,10 +126,9 @@ func (ev *Evaluator) Add(ct0, ct1 *Ciphertext) *Ciphertext {
 // operands count as zero. On the double-CRT backend it allocates only
 // the output and sums each (component, poly.SumBlock-coefficient chunk)
 // as one task on the worker pool, reducing every coefficient once
-// (poly.SumRange). The schoolbook and metered evaluators fold Add in
-// slice order — the oracle and the PIM cost model. Addition of residues
-// mod q does not depend on order or on when it reduces, so both give the
-// same bits.
+// (poly.SumRange). The schoolbook evaluator, the oracle, folds Add in
+// slice order. Addition of residues mod q does not depend on order or on
+// when it reduces, so both give the same bits.
 func (ev *Evaluator) Sum(cts []*Ciphertext) *Ciphertext {
 	if len(cts) == 0 {
 		panic("bfv: Sum of no ciphertexts")
@@ -174,7 +168,7 @@ func (ev *Evaluator) Sum(cts []*Ciphertext) *Ciphertext {
 func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 	out := ev.newCiphertext(len(ct.Polys))
 	for i, p := range ct.Polys {
-		poly.Neg(out.Polys[i], p, ev.params.Q, ev.Meter)
+		poly.Neg(out.Polys[i], p, ev.params.Q)
 	}
 	return out
 }
@@ -183,7 +177,7 @@ func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	par := ev.params
 	out := ev.copyOf(ct)
-	poly.Add(out.Polys[0], out.Polys[0], deltaPoly(par, pt, nil), par.Q, ev.Meter)
+	poly.Add(out.Polys[0], out.Polys[0], deltaPoly(par, pt, nil), par.Q)
 	return out
 }
 
@@ -206,7 +200,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 		return out
 	}
 	for i, p := range ct.Polys {
-		poly.MulNegacyclic(out.Polys[i], p, mp, par.Q, ev.Meter)
+		poly.MulNegacyclic(out.Polys[i], p, mp, par.Q)
 	}
 	return out
 }
@@ -249,8 +243,8 @@ func mulZAcc(out []*big.Int, a, b []*big.Int) {
 }
 
 // scaleRound maps each coefficient c to round(t·c/q) mod q and packs the
-// result into out, reusing pooled big.Int scratch so the schoolbook (PIM
-// cost model) rescale allocates nothing.
+// result into out, reusing pooled big.Int scratch so the schoolbook
+// rescale allocates nothing.
 func (ev *Evaluator) scaleRound(out *poly.Poly, coeffs []*big.Int) {
 	par := ev.params
 	s := ev.getScratch()
@@ -314,12 +308,6 @@ func (ev *Evaluator) MulNoRelin(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 		d1[i].Add(d1[i], c)
 	}
 
-	// Charge the meter for the four underlying R_q polynomial products the
-	// kernel performs (the big.Int path is a host-side exactness detour).
-	if ev.Meter != nil {
-		chargePolyMul(ev.Meter, par, 4)
-	}
-
 	out := ev.newCiphertext(3)
 	for i, d := range [][]*big.Int{d0, d1, d2} {
 		ev.scaleRound(out.Polys[i], d)
@@ -353,14 +341,14 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 		// domain, fast base conversion out — no big.Int on the path.
 		s0, s1 := ev.newPoly(), ev.newPoly()
 		keySwitchAcc(ctx, s0, s1, relinDigits(ctx, par, ct.Polys[2]), k0, k1)
-		poly.Add(c0, c0, s0, par.Q, nil)
-		poly.Add(c1, c1, s1, par.Q, nil)
+		poly.Add(c0, c0, s0, par.Q)
+		poly.Add(c1, c1, s1, par.Q)
 		ev.putPoly(s0)
 		ev.putPoly(s1)
 		return out, nil
 	}
 
-	ev.rlk.switchSchoolbook(c0, c1, decomposePoly(ct.Polys[2], par), par, ev.Meter)
+	ev.rlk.switchSchoolbook(c0, c1, decomposePoly(ct.Polys[2], par), par)
 	return out, nil
 }
 
@@ -427,19 +415,4 @@ func decomposePoly(p *poly.Poly, par *Parameters) []*poly.Poly {
 		out[d] = poly.FromBigCoeffs(dc, par.Q)
 	}
 	return out
-}
-
-// chargePolyMul charges the meter with the instruction stream of `count`
-// schoolbook negacyclic polynomial multiplications in R_q, matching what
-// poly.MulNegacyclic would charge (n² coefficient multiplies plus the
-// final per-coefficient reductions). Used where the host computes via
-// big.Int for exactness but the device would run the limb kernel.
-func chargePolyMul(m limb32.Meter, par *Parameters, count int) {
-	n, w := par.N, par.Q.W
-	pairs := n * n * count
-	m.Tick(limb32.OpMul32, pairs*limb32.MulCost(w))
-	m.Tick(limb32.OpLoad, pairs*4*w)
-	m.Tick(limb32.OpAddC, pairs*2*w)
-	m.Tick(limb32.OpStore, pairs*2*w)
-	m.Tick(limb32.OpLoop, pairs)
 }

@@ -24,24 +24,23 @@ type GaloisKey struct {
 // applyGaloisPoly writes to out (every coefficient) the image of p under
 // τ_g: coefficient i moves to position i·g mod 2N with the negacyclic
 // sign rule (X^N ≡ −1).
-func applyGaloisPoly(out, p *poly.Poly, g uint64, mod *poly.Modulus, m limb32.Meter) {
+func applyGaloisPoly(out, p *poly.Poly, g uint64, mod *poly.Modulus) {
 	n := p.N
 	for i := 0; i < n; i++ {
 		j := int((uint64(i) * g) % uint64(2*n))
 		src := p.Coeff(i)
 		if j < n {
 			out.Coeff(j).Set(src)
-			m.Tick(limb32.OpMove, p.W)
 		} else {
-			limb32.NegMod(out.Coeff(j-n), src, mod.Q, m)
+			limb32.NegMod(out.Coeff(j-n), src, mod.Q, nil)
 		}
 	}
 }
 
 // galoisPoly returns τ_g(p) in a fresh polynomial.
-func galoisPoly(p *poly.Poly, g uint64, mod *poly.Modulus, m limb32.Meter) *poly.Poly {
+func galoisPoly(p *poly.Poly, g uint64, mod *poly.Modulus) *poly.Poly {
 	out := poly.NewPoly(p.N, p.W)
-	applyGaloisPoly(out, p, g, mod, m)
+	applyGaloisPoly(out, p, g, mod)
 	return out
 }
 
@@ -52,7 +51,7 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g uint64) (*GaloisKey, error
 		return nil, fmt.Errorf("bfv: Galois element %d must be odd", g)
 	}
 	gk := &GaloisKey{G: g}
-	kg.genSwitchKey(&gk.switchKey, sk, galoisPoly(sk.S, g, kg.params.Q, nil))
+	kg.genSwitchKey(&gk.switchKey, sk, galoisPoly(sk.S, g, kg.params.Q))
 	return gk, nil
 }
 
@@ -78,7 +77,7 @@ func (ev *Evaluator) ApplyGalois(ct *Ciphertext, gk *GaloisKey) (*Ciphertext, er
 	par := ev.params
 	out := ev.newCiphertext(2)
 	c0, c1 := out.Polys[0], out.Polys[1]
-	applyGaloisPoly(c0, ct.Polys[0], gk.G, par.Q, ev.Meter)
+	applyGaloisPoly(c0, ct.Polys[0], gk.G, par.Q)
 
 	if ev.useDCRT() {
 		ctx := par.dcrtCtx
@@ -89,9 +88,9 @@ func (ev *Evaluator) ApplyGalois(ct *Ciphertext, gk *GaloisKey) (*Ciphertext, er
 		}
 		return out, nil
 	}
-	digits := permuteDigits(decomposePoly(ct.Polys[1], par), gk.G, par, ev.Meter)
+	digits := permuteDigits(decomposePoly(ct.Polys[1], par), gk.G, par)
 	clear(c1.C)
-	gk.switchSchoolbook(c0, c1, digits, par, ev.Meter)
+	gk.switchSchoolbook(c0, c1, digits, par)
 	return out, nil
 }
 
@@ -112,7 +111,7 @@ func (ev *Evaluator) galoisKeySwitch(ctx *dcrt.Context, c0, c1 *poly.Poly, digit
 	s0 := ev.newPoly()
 	defer ev.putPoly(s0)
 	ctx.FromRNSInto(s0, acc0)
-	poly.Add(c0, c0, s0, ev.params.Q, nil)
+	poly.Add(c0, c0, s0, ev.params.Q)
 	ctx.FromRNSInto(c1, acc1)
 }
 
@@ -131,15 +130,13 @@ func (gk *GaloisKey) switchAcc(ctx *dcrt.Context, acc0, acc1 *dcrt.Poly, digits 
 
 // permuteDigits applies τ_g to each digit polynomial — the coefficient-
 // domain form of the decompose-then-permute convention, used by the
-// schoolbook (metered) path. Negated coefficients become q−v, congruent
-// mod q to the −v the double-CRT slot gather produces, so all backends
-// agree mod q. The metered path charges one permutation per digit: that
-// is the data movement this convention really costs a hoisting-capable
-// kernel.
-func permuteDigits(digits []*poly.Poly, g uint64, par *Parameters, m limb32.Meter) []*poly.Poly {
+// schoolbook path. Negated coefficients become q−v, congruent mod q to
+// the −v the double-CRT slot gather produces, so all backends agree
+// mod q.
+func permuteDigits(digits []*poly.Poly, g uint64, par *Parameters) []*poly.Poly {
 	out := make([]*poly.Poly, len(digits))
 	for i, d := range digits {
-		out[i] = galoisPoly(d, g, par.Q, m)
+		out[i] = galoisPoly(d, g, par.Q)
 	}
 	return out
 }
@@ -149,5 +146,5 @@ func permuteDigits(digits []*poly.Poly, g uint64, par *Parameters, m limb32.Mete
 // accelerator backends that permute key-switching digits themselves
 // under the decompose-then-permute convention.
 func PermuteGaloisPoly(p *poly.Poly, g uint64, params *Parameters) *poly.Poly {
-	return galoisPoly(p, g, params.Q, nil)
+	return galoisPoly(p, g, params.Q)
 }

@@ -32,7 +32,7 @@ import (
 // per-ciphertext NTT cache follows.
 type Hoisted struct {
 	ct  *Ciphertext
-	ctx *dcrt.Context // nil when built by a schoolbook or metered evaluator
+	ctx *dcrt.Context // nil when built by a schoolbook evaluator
 
 	mu     sync.Mutex
 	src    *poly.Poly // ct.Polys[1] at decomposition time
@@ -40,10 +40,10 @@ type Hoisted struct {
 }
 
 // Hoist decomposes ct's c1 component into double-CRT digit form, shared
-// by all subsequent ApplyGaloisHoisted calls. On the schoolbook and
-// metered evaluators, which cannot hoist, the returned handle
-// transparently falls back to per-rotation ApplyGalois — results are
-// bit-identical either way.
+// by all subsequent ApplyGaloisHoisted calls. On the schoolbook
+// evaluator, which cannot hoist, the returned handle transparently falls
+// back to per-rotation ApplyGalois — results are bit-identical either
+// way.
 func (ev *Evaluator) Hoist(ct *Ciphertext) (*Hoisted, error) {
 	if ct.Degree() != 1 {
 		return nil, errors.New("bfv: Hoist requires a degree-1 ciphertext")
@@ -114,7 +114,7 @@ func (ev *Evaluator) ApplyGaloisHoisted(h *Hoisted, gk *GaloisKey) (*Ciphertext,
 	par := ev.params
 	digits := h.snapshot(par)
 	out := ev.newCiphertext(2)
-	applyGaloisPoly(out.Polys[0], h.ct.Polys[0], gk.G, par.Q, nil)
+	applyGaloisPoly(out.Polys[0], h.ct.Polys[0], gk.G, par.Q)
 	ev.galoisKeySwitch(h.ctx, out.Polys[0], out.Polys[1], digits, gk)
 	return out, nil
 }

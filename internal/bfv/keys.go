@@ -39,14 +39,14 @@ func (k *switchKey) nttForms(ctx *dcrt.Context) (k0, k1 []*dcrt.Poly) {
 }
 
 // switchSchoolbook adds Σᵢ dᵢ·(k0ᵢ, k1ᵢ) into (c0, c1) by schoolbook
-// products: the metered key switch, and the double-CRT one's oracle.
-func (k *switchKey) switchSchoolbook(c0, c1 *poly.Poly, digits []*poly.Poly, par *Parameters, m limb32.Meter) {
+// products: the double-CRT key switch's oracle.
+func (k *switchKey) switchSchoolbook(c0, c1 *poly.Poly, digits []*poly.Poly, par *Parameters) {
 	tmp := poly.NewPoly(par.N, par.Q.W)
 	for i, d := range digits {
-		poly.MulNegacyclic(tmp, k.K0[i], d, par.Q, m)
-		poly.Add(c0, c0, tmp, par.Q, m)
-		poly.MulNegacyclic(tmp, k.K1[i], d, par.Q, m)
-		poly.Add(c1, c1, tmp, par.Q, m)
+		poly.MulNegacyclic(tmp, k.K0[i], d, par.Q)
+		poly.Add(c0, c0, tmp, par.Q)
+		poly.MulNegacyclic(tmp, k.K1[i], d, par.Q)
+		poly.Add(c1, c1, tmp, par.Q)
 	}
 }
 
@@ -126,8 +126,8 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 
 	// p0 = -(a·s + e)
 	as := mulRq(par, a, sk.S)
-	poly.Add(as, as, e, par.Q, nil)
-	poly.Neg(as, as, par.Q, nil)
+	poly.Add(as, as, e, par.Q)
+	poly.Neg(as, as, par.Q)
 	return &PublicKey{P0: as, P1: a}
 }
 
@@ -153,8 +153,8 @@ func (kg *KeyGenerator) genSwitchKey(k *switchKey, sk *SecretKey, target *poly.P
 
 		// k0 = -(a·s + e) + wⁱ·target
 		k0 := mulRq(par, a, sk.S)
-		poly.Add(k0, k0, e, par.Q, nil)
-		poly.Neg(k0, k0, par.Q, nil)
+		poly.Add(k0, k0, e, par.Q)
+		poly.Neg(k0, k0, par.Q)
 
 		// wⁱ = 2^(i·BaseBits) is its own residue, one set bit: RelinDigits
 		// = ⌈bits(q)/BaseBits⌉ puts i·BaseBits below bits(q), and q is odd,
@@ -163,8 +163,8 @@ func (kg *KeyGenerator) genSwitchKey(k *switchKey, sk *SecretKey, target *poly.P
 		clear(w)
 		w[sh/32] = 1 << (sh % 32)
 		scaled := poly.NewPoly(par.N, par.Q.W)
-		poly.MulScalar(scaled, target, w, par.Q, nil)
-		poly.Add(k0, k0, scaled, par.Q, nil)
+		poly.MulScalar(scaled, target, w, par.Q)
+		poly.Add(k0, k0, scaled, par.Q)
 
 		k.K0[i] = k0
 		k.K1[i] = a

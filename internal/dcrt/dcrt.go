@@ -13,11 +13,10 @@
 // (negacyclic) products never wrap, and results leave through a
 // word-sized fast base conversion to mod q (baseconv.go), bit-identical
 // to the schoolbook path. That makes the backend a drop-in replacement
-// which the metered schoolbook (PIM-simulator cost model) differentially
-// validates against. A context exists only for moduli that conversion
-// serves — odd q of at most 62 or of 65 to 124 bits, every paper modulus,
-// over a basis of at most maxConvLimbs primes — and NewContext refuses
-// the rest.
+// which the schoolbook oracle differentially validates against. A context
+// exists only for moduli that conversion serves — odd q of at most 62 or
+// of 65 to 124 bits, every paper modulus, over a basis of at most
+// maxConvLimbs primes — and NewContext refuses the rest.
 //
 // Limb channels are independent, so transforms and pointwise passes are
 // parallelized across a process-wide bounded worker pool; scratch

@@ -137,7 +137,7 @@ func (s *Server) Neg(ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 	out := &bfv.Ciphertext{Polys: make([]*poly.Poly, len(ct.Polys))}
 	for i, p := range ct.Polys {
 		np := poly.NewPoly(par.N, par.Q.W)
-		poly.Neg(np, p, par.Q, nil)
+		poly.Neg(np, p, par.Q)
 		out.Polys[i] = np
 	}
 	return out, nil

@@ -246,18 +246,3 @@ func subAt(dst, src []uint32, k int, m Meter) {
 		m[OpLoop] += int64(i)
 	}
 }
-
-// MulCost returns the number of 32×32 software multiplies Mul performs for
-// operands of the given limb width. Used by the analytic performance model.
-func MulCost(width int) int {
-	switch width {
-	case 1:
-		return 1
-	case 2:
-		return 3
-	case 4:
-		return 9
-	default:
-		return width * width
-	}
-}

@@ -126,14 +126,6 @@ type SystemConfig struct {
 	// across all ranks.
 	LaunchOverheadSec float64
 
-	// StragglerFactor multiplies a straggling DPU's modeled cycles when
-	// the fault model fires SiteDPUStraggler (0 = DefaultStragglerFactor).
-	StragglerFactor float64
-
-	// RetryBudget bounds how many fault-retry rounds a sharded kernel run
-	// may take beyond its first attempt (0 = DefaultRetryBudget).
-	RetryBudget int
-
 	Cost *CostModel
 }
 

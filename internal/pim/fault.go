@@ -30,14 +30,12 @@ const (
 	SiteDPUStraggler = "dpu.straggler"
 )
 
-// DefaultStragglerFactor multiplies a straggling DPU's modeled cycles
-// when SystemConfig.StragglerFactor is unset.
-const DefaultStragglerFactor = 8.0
+// StragglerFactor multiplies a straggling DPU's modeled cycles.
+const StragglerFactor = 8.0
 
-// DefaultRetryBudget bounds fault-retry rounds per sharded kernel run
-// when SystemConfig.RetryBudget is unset: the initial attempt plus this
-// many retries.
-const DefaultRetryBudget = 4
+// RetryBudget bounds fault-retry rounds per sharded kernel run: the
+// initial attempt plus this many retries.
+const RetryBudget = 4
 
 // FaultError is a detected per-DPU launch failure — injected by the
 // fault model, or synthesized when work is dispatched to a DPU that has
@@ -115,21 +113,4 @@ func (s *System) LiveDPUIDs() []int {
 		}
 	}
 	return out
-}
-
-// stragglerFactor resolves the configured cycle inflation for
-// straggling DPUs.
-func (s *System) stragglerFactor() float64 {
-	if s.Config.StragglerFactor > 0 {
-		return s.Config.StragglerFactor
-	}
-	return DefaultStragglerFactor
-}
-
-// RetryBudget resolves the configured fault-retry bound.
-func (s *System) RetryBudget() int {
-	if s.Config.RetryBudget > 0 {
-		return s.Config.RetryBudget
-	}
-	return DefaultRetryBudget
 }

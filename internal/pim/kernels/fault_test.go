@@ -2,6 +2,8 @@ package kernels
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -130,7 +132,6 @@ func TestFaultRetryBudgetExhaustion(t *testing.T) {
 	a, b := testVectors(64, 1, q)
 
 	sched := faultSched(t, 2)
-	sched.Sys.Config.RetryBudget = 2
 	sched.Sys.SetFaultInjector(faultinject.New(1).SetRate(pim.SiteDPUTransient, 1))
 	_, _, err := RunVectorAddSched(sched, a, b, 1, q)
 	if !errors.Is(err, pim.ErrFaultBudget) {
@@ -138,6 +139,10 @@ func TestFaultRetryBudgetExhaustion(t *testing.T) {
 	}
 	if !pim.IsFault(err) {
 		t.Fatal("budget exhaustion not classified as a fault")
+	}
+	// The run gives up after its first attempt and RetryBudget retries.
+	if want := fmt.Sprintf("after %d round(s)", 1+pim.RetryBudget); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not say %q", err, want)
 	}
 }
 

@@ -145,7 +145,7 @@ func hostPolyMul(t *testing.T, a, b []uint32, n int, mod *poly.Modulus) []uint32
 	for p := 0; p < pairs; p++ {
 		copy(pa.C, a[p*n*mod.W:(p+1)*n*mod.W])
 		copy(pb.C, b[p*n*mod.W:(p+1)*n*mod.W])
-		poly.MulNegacyclic(po, pa, pb, mod, nil)
+		poly.MulNegacyclic(po, pa, pb, mod)
 		copy(out[p*n*mod.W:(p+1)*n*mod.W], po.C)
 	}
 	return out

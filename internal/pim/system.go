@@ -187,7 +187,7 @@ func (s *System) LaunchOn(ids []int, kernel func(dpuID int) KernelFunc) (*Report
 		d := s.DPUs[id]
 		cyc := d.cycles(s.Config.Cost)
 		if straggle[i] {
-			cyc = int64(float64(cyc) * s.stragglerFactor())
+			cyc = int64(float64(cyc) * StragglerFactor)
 		}
 		rep.ActiveDPUs++
 		if cyc > rep.KernelCycles {

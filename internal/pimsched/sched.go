@@ -190,9 +190,8 @@ func (s *Scheduler) Run(shards []Shard) (*Report, error) {
 	for i := range pending {
 		pending[i] = i
 	}
-	budget := s.Sys.RetryBudget()
 	for round := 0; len(pending) > 0; round++ {
-		if round > budget {
+		if round > pim.RetryBudget {
 			return nil, fmt.Errorf("%w: %d shard(s) still failing after %d round(s)",
 				pim.ErrFaultBudget, len(pending), round)
 		}

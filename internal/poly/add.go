@@ -22,12 +22,12 @@ func store128(c []uint32, lo, hi uint64) {
 	c[0], c[1], c[2], c[3] = uint32(lo), uint32(lo>>32), uint32(hi), uint32(hi>>32)
 }
 
-// addW4 is the unmetered Add for four-limb moduli, the 109-bit preset's
-// width. It adds each coefficient as a two-word bits.Add64 pair and picks
-// the reduced or unreduced sum with a mask rather than a branch: on
-// random residues the "≥ q" test goes either way about half the time, so
-// a branch mispredicts on every other coefficient. It computes exactly
-// what limb32.AddMod computes, on every input.
+// addW4 is Add for four-limb moduli, the 109-bit preset's width. It adds
+// each coefficient as a two-word bits.Add64 pair and picks the reduced or
+// unreduced sum with a mask rather than a branch: on random residues the
+// "≥ q" test goes either way about half the time, so a branch mispredicts
+// on every other coefficient. It computes exactly what limb32.AddMod
+// computes, on every input.
 func addW4(d, a, b []uint32, q0, q1 uint64) {
 	a, b = a[:len(d)], b[:len(d)]
 	for i := 0; i+3 < len(d); i += 4 {

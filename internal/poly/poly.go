@@ -5,16 +5,13 @@
 // and 109-bit security levels — in one flat slice, mirroring the memory
 // layout the PIM kernels stream out of MRAM.
 //
-// All mutating operations accept a limb32.Meter — a tally, or nil — so
-// the PIM simulator can count exact per-class instructions while host
-// callers pass nil. With a tally, every coefficient walks the limb32
-// routines: that instruction stream is the PIM cost model the simulator
-// prices, and it stays as it is. With nil, two additions skip it and
-// work on the flat backing, reducing by a branchless mask-select:
+// Operations walk the limb32 routines coefficient by coefficient, except
+// two additions that work on the flat backing and reduce by a branchless
+// mask-select:
 //
 //   - Add at W = 4, the 109-bit preset every served workload runs, adds
 //     each coefficient as a two-word bits.Add64 pair. Other widths, Sub
-//     and Neg walk limb32 either way.
+//     and Neg walk limb32.
 //   - SumRange adds k polynomials at once: each coefficient accumulates
 //     in 128 bits with no reduction per addend and is reduced once at the
 //     end. The accumulator holds sumCapacity(q) = ⌊(2¹²⁸−1)/q⌋ residues —
@@ -168,42 +165,42 @@ func checkShapes(dst, a, b *Poly, mod *Modulus) {
 }
 
 // Add sets dst = a + b in R_q. dst may alias a or b.
-func Add(dst, a, b *Poly, mod *Modulus, m limb32.Meter) {
+func Add(dst, a, b *Poly, mod *Modulus) {
 	checkShapes(dst, a, b, mod)
-	if m == nil && mod.W == 4 {
+	if mod.W == 4 {
 		addW4(dst.C, a.C, b.C, mod.q0, mod.q1)
 		return
 	}
 	for i := 0; i < dst.N; i++ {
-		limb32.AddMod(dst.Coeff(i), a.Coeff(i), b.Coeff(i), mod.Q, m)
+		limb32.AddMod(dst.Coeff(i), a.Coeff(i), b.Coeff(i), mod.Q, nil)
 	}
 }
 
 // Sub sets dst = a - b in R_q.
-func Sub(dst, a, b *Poly, mod *Modulus, m limb32.Meter) {
+func Sub(dst, a, b *Poly, mod *Modulus) {
 	checkShapes(dst, a, b, mod)
 	for i := 0; i < dst.N; i++ {
-		limb32.SubMod(dst.Coeff(i), a.Coeff(i), b.Coeff(i), mod.Q, m)
+		limb32.SubMod(dst.Coeff(i), a.Coeff(i), b.Coeff(i), mod.Q, nil)
 	}
 }
 
 // Neg sets dst = -a in R_q.
-func Neg(dst, a *Poly, mod *Modulus, m limb32.Meter) {
+func Neg(dst, a *Poly, mod *Modulus) {
 	if dst.N != a.N || dst.W != mod.W || a.W != mod.W {
 		panic("poly: operand shape mismatch")
 	}
 	for i := 0; i < dst.N; i++ {
-		limb32.NegMod(dst.Coeff(i), a.Coeff(i), mod.Q, m)
+		limb32.NegMod(dst.Coeff(i), a.Coeff(i), mod.Q, nil)
 	}
 }
 
 // MulScalar sets dst = a * s in R_q for a W-limb scalar s < q.
-func MulScalar(dst, a *Poly, s limb32.Nat, mod *Modulus, m limb32.Meter) {
+func MulScalar(dst, a *Poly, s limb32.Nat, mod *Modulus) {
 	if dst.N != a.N || dst.W != mod.W || a.W != mod.W {
 		panic("poly: operand shape mismatch")
 	}
 	for i := 0; i < dst.N; i++ {
-		mod.BR.MulMod(dst.Coeff(i), a.Coeff(i), s, m)
+		mod.BR.MulMod(dst.Coeff(i), a.Coeff(i), s, nil)
 	}
 }
 
@@ -212,7 +209,7 @@ func MulScalar(dst, a *Poly, s limb32.Nat, mod *Modulus, m limb32.Meter) {
 // reducing each output coefficient once. This is the host reference for
 // the PIM multiplication kernel; both compute identical values mod q.
 // dst must not alias a or b.
-func MulNegacyclic(dst, a, b *Poly, mod *Modulus, m limb32.Meter) {
+func MulNegacyclic(dst, a, b *Poly, mod *Modulus) {
 	checkShapes(dst, a, b, mod)
 	n, w := dst.N, dst.W
 	accW := 2*w + 1 // room for n·q² (n ≤ 2³² covers all paper configs)
@@ -231,7 +228,7 @@ func MulNegacyclic(dst, a, b *Poly, mod *Modulus, m limb32.Meter) {
 			if bj.IsZero() {
 				continue
 			}
-			limb32.Mul(prod, ai, bj, m)
+			limb32.Mul(prod, ai, bj, nil)
 			k := i + j
 			acc := pos
 			if k >= n {
@@ -247,15 +244,15 @@ func MulNegacyclic(dst, a, b *Poly, mod *Modulus, m limb32.Meter) {
 	rp := limb32.NewNat(w)
 	rn := limb32.NewNat(w)
 	for k := 0; k < n; k++ {
-		limb32.Mod(rp, limb32.Nat(pos[k*accW:(k+1)*accW]), mod.Q, m)
-		limb32.Mod(rn, limb32.Nat(neg[k*accW:(k+1)*accW]), mod.Q, m)
-		limb32.SubMod(dst.Coeff(k), rp, rn, mod.Q, m)
+		limb32.Mod(rp, limb32.Nat(pos[k*accW:(k+1)*accW]), mod.Q, nil)
+		limb32.Mod(rn, limb32.Nat(neg[k*accW:(k+1)*accW]), mod.Q, nil)
+		limb32.SubMod(dst.Coeff(k), rp, rn, mod.Q, nil)
 	}
 }
 
-// accumAdd adds src (2w limbs) into acc (2w+1 limbs) without metering:
-// the accumulation strategy is a host-side optimization; the metered DPU
-// kernel charges its own (different) instruction stream.
+// accumAdd adds src (2w limbs) into acc (2w+1 limbs): the accumulation
+// strategy is a host-side optimization; the DPU kernel charges its own
+// (different) instruction stream.
 func accumAdd(acc []uint32, src limb32.Nat) {
 	var carry uint64
 	for i := 0; i < len(src); i++ {

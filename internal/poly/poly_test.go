@@ -71,11 +71,11 @@ func TestNewModulusWidths(t *testing.T) {
 	}
 }
 
-// adversarialPair fills a and b with every ordered pair of the values
-// the unmetered add's carries and reduction masks turn on — 0,
-// 1, q−1, q−2, pairs summing to exactly q−1, q and 2q−2, and 2^(32k)−1
-// and 2^(32k) below q, whose limb (and, at W = 4, word) carries into the
-// next — and pads the rest of the n coefficients with random residues.
+// adversarialPair fills a and b with every ordered pair of the values the
+// word-level add's carries and reduction masks turn on — 0, 1, q−1, q−2,
+// pairs summing to exactly q−1, q and 2q−2, and 2^(32k)−1 and 2^(32k)
+// below q, whose limb (and, at W = 4, word) carries into the next — and
+// pads the rest of the n coefficients with random residues.
 func adversarialPair(rng *rand.Rand, n int, mod *Modulus) (a, b *Poly) {
 	q := mod.QBig
 	one := big.NewInt(1)
@@ -101,7 +101,7 @@ func adversarialPair(rng *rand.Rand, n int, mod *Modulus) (a, b *Poly) {
 	return a, b
 }
 
-// TestAddSubNegMatchBig pins unmetered Add/Sub/Neg to
+// TestAddSubNegMatchBig pins Add/Sub/Neg to
 // limb32.AddMod/SubMod/NegMod and to big.Int, on adversarial operands
 // and random residues, at the preset widths (Add at W = 4 is addW4) and
 // at W = 8. Beside the presets, a q just below 2¹²⁸ makes addW4's sum
@@ -131,25 +131,25 @@ func TestAddSubNegMatchBig(t *testing.T) {
 			}
 		}
 
-		Add(dst, a, b, mod, nil)
+		Add(dst, a, b, mod)
 		for i := 0; i < n; i++ {
 			limb32.AddMod(ref, a.Coeff(i), b.Coeff(i), mod.Q, nil)
 			check("Add", i, new(big.Int).Add(a.Coeff(i).Big(), b.Coeff(i).Big()))
 		}
 
-		Sub(dst, a, b, mod, nil)
+		Sub(dst, a, b, mod)
 		for i := 0; i < n; i++ {
 			limb32.SubMod(ref, a.Coeff(i), b.Coeff(i), mod.Q, nil)
 			check("Sub", i, new(big.Int).Sub(a.Coeff(i).Big(), b.Coeff(i).Big()))
 		}
 
-		Neg(dst, a, mod, nil)
+		Neg(dst, a, mod)
 		for i := 0; i < n; i++ {
 			limb32.NegMod(ref, a.Coeff(i), mod.Q, nil)
 			check("Neg", i, new(big.Int).Neg(a.Coeff(i).Big()))
 		}
 		sum := NewPoly(n, mod.W)
-		Add(sum, dst, a, mod, nil)
+		Add(sum, dst, a, mod)
 		if !sum.Equal(NewPoly(n, mod.W)) {
 			t.Fatal("a + (-a) != 0")
 		}
@@ -182,7 +182,9 @@ func TestSumRange(t *testing.T) {
 		ps := []*Poly{a, b, randPoly(rng, n, mod), a, b}
 		want := ps[0].Clone()
 		for _, p := range ps[1:] {
-			Add(want, want, p, mod, &limb32.Counts{})
+			for i := 0; i < n; i++ {
+				limb32.AddMod(want.Coeff(i), want.Coeff(i), p.Coeff(i), mod.Q, nil)
+			}
 		}
 		for _, step := range []int{SumBlock, 300} {
 			got := NewPoly(n, mod.W)
@@ -221,9 +223,9 @@ func TestAddAliasing(t *testing.T) {
 	mod := testModuli(t)[2]
 	a, b := randPoly(rng, 16, mod), randPoly(rng, 16, mod)
 	want := NewPoly(16, mod.W)
-	Add(want, a, b, mod, nil)
+	Add(want, a, b, mod)
 	aCopy := a.Clone()
-	Add(aCopy, aCopy, b, mod, nil) // dst aliases a
+	Add(aCopy, aCopy, b, mod) // dst aliases a
 	if !aCopy.Equal(want) {
 		t.Error("aliased Add differs")
 	}
@@ -256,7 +258,7 @@ func TestMulNegacyclicMatchesNaive(t *testing.T) {
 		for _, n := range []int{4, 16, 64} {
 			a, b := randPoly(rng, n, mod), randPoly(rng, n, mod)
 			got := NewPoly(n, mod.W)
-			MulNegacyclic(got, a, b, mod, nil)
+			MulNegacyclic(got, a, b, mod)
 			want := naiveNegacyclic(a, b, mod)
 			if !got.Equal(want) {
 				t.Fatalf("W=%d n=%d: MulNegacyclic mismatch", mod.W, n)
@@ -274,7 +276,7 @@ func TestMulNegacyclicIdentityAndWraparound(t *testing.T) {
 	one := NewPoly(n, mod.W)
 	one.Coeff(0)[0] = 1
 	dst := NewPoly(n, mod.W)
-	MulNegacyclic(dst, a, one, mod, nil)
+	MulNegacyclic(dst, a, one, mod)
 	if !dst.Equal(a) {
 		t.Error("a * 1 != a")
 	}
@@ -284,7 +286,7 @@ func TestMulNegacyclicIdentityAndWraparound(t *testing.T) {
 	x.Coeff(1)[0] = 1
 	xn1 := NewPoly(n, mod.W)
 	xn1.Coeff(n - 1)[0] = 1
-	MulNegacyclic(dst, x, xn1, mod, nil)
+	MulNegacyclic(dst, x, xn1, mod)
 	wantC := new(big.Int).Sub(mod.QBig, big.NewInt(1))
 	if dst.Coeff(0).Big().Cmp(wantC) != 0 {
 		t.Errorf("X^{n-1}·X coeff 0 = %v, want q-1", dst.Coeff(0))
@@ -306,8 +308,8 @@ func TestMulCommutesProperty(t *testing.T) {
 			b.C[i] = bv[i] % uint32(mod.QBig.Uint64())
 		}
 		ab, ba := NewPoly(n, 1), NewPoly(n, 1)
-		MulNegacyclic(ab, a, b, mod, nil)
-		MulNegacyclic(ba, b, a, mod, nil)
+		MulNegacyclic(ab, a, b, mod)
+		MulNegacyclic(ba, b, a, mod)
 		return ab.Equal(ba)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -322,14 +324,14 @@ func TestMulDistributesProperty(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a, b, c := randPoly(rng, n, mod), randPoly(rng, n, mod), randPoly(rng, n, mod)
 		bc := NewPoly(n, mod.W)
-		Add(bc, b, c, mod, nil)
+		Add(bc, b, c, mod)
 		lhs := NewPoly(n, mod.W)
-		MulNegacyclic(lhs, a, bc, mod, nil)
+		MulNegacyclic(lhs, a, bc, mod)
 		ab, ac := NewPoly(n, mod.W), NewPoly(n, mod.W)
-		MulNegacyclic(ab, a, b, mod, nil)
-		MulNegacyclic(ac, a, c, mod, nil)
+		MulNegacyclic(ab, a, b, mod)
+		MulNegacyclic(ac, a, c, mod)
 		rhs := NewPoly(n, mod.W)
-		Add(rhs, ab, ac, mod, nil)
+		Add(rhs, ab, ac, mod)
 		if !lhs.Equal(rhs) {
 			t.Fatal("a(b+c) != ab+ac")
 		}
@@ -343,7 +345,7 @@ func TestMulScalar(t *testing.T) {
 	a := randPoly(rng, n, mod)
 	s := new(big.Int).Rand(rng, mod.QBig)
 	dst := NewPoly(n, mod.W)
-	MulScalar(dst, a, limb32.FromBig(s, mod.W), mod, nil)
+	MulScalar(dst, a, limb32.FromBig(s, mod.W), mod)
 	for i := 0; i < n; i++ {
 		want := new(big.Int).Mul(a.Coeff(i).Big(), s)
 		want.Mod(want, mod.QBig)
@@ -435,23 +437,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic for shape mismatch")
 		}
 	}()
-	Add(a, a, b, mod, nil)
-}
-
-func TestMeteredMulChargesKaratsubaCounts(t *testing.T) {
-	// For the 109-bit modulus each coefficient product is a 4-limb
-	// Karatsuba multiply: 9 OpMul32 per (i,j) pair, n² pairs.
-	mod := testModuli(t)[2]
-	n := 8
-	rng := rand.New(rand.NewSource(87))
-	a, b := randPoly(rng, n, mod), randPoly(rng, n, mod)
-	var m limb32.Counts
-	dst := NewPoly(n, mod.W)
-	MulNegacyclic(dst, a, b, mod, &m)
-	wantMin := int64(9 * n * n) // products only; Mod charges extra
-	if m[limb32.OpMul32] < wantMin {
-		t.Errorf("metered mul32 = %d, want >= %d", m[limb32.OpMul32], wantMin)
-	}
+	Add(a, a, b, mod)
 }
 
 func BenchmarkMulNegacyclicSchoolbook1024(b *testing.B) {
@@ -461,6 +447,6 @@ func BenchmarkMulNegacyclicSchoolbook1024(b *testing.B) {
 	dst := NewPoly(1024, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MulNegacyclic(dst, x, y, q, nil)
+		MulNegacyclic(dst, x, y, q)
 	}
 }

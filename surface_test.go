@@ -35,6 +35,13 @@ var surfaceAllowlist = map[string]string{
 	"pim.System.TransferBytes":     "pim TestTransferAccounting and kernels TestDeclaredBytesAreCopiedBytes: reads the host<->DPU byte counters",
 }
 
+// fieldAllowlist names the exported struct fields under internal/ that
+// no non-test code type-checked here writes and that stay anyway, each
+// with the reason. Names are "<package under internal/>.<type>.<field>".
+var fieldAllowlist = map[string]string{
+	"cpufeat.Features.NEON": "written only by cpufeat_arm64.go, which a type-check for another GOARCH does not load",
+}
+
 // TestInternalExportsHaveNonTestCallers enforces the rule doc.go states:
 // internal/ cannot be imported from outside this module, so an exported
 // function or method there that no non-test file uses is dead code. The
@@ -63,11 +70,7 @@ func TestInternalExportsHaveNonTestCallers(t *testing.T) {
 		case used[d.fn] && allowed:
 			t.Errorf("%s: allowlisted as test-only but non-test code uses it; drop the allowlist entry", name)
 		case !used[d.fn] && !allowed:
-			pos := u.fset.Position(d.pos)
-			if rel, err := filepath.Rel(u.root, pos.Filename); err == nil {
-				pos.Filename = rel
-			}
-			dead = append(dead, pos.String()+": "+name)
+			dead = append(dead, u.relPos(d.pos)+": "+name)
 		}
 	}
 	for name := range surfaceAllowlist {
@@ -81,9 +84,53 @@ func TestInternalExportsHaveNonTestCallers(t *testing.T) {
 	}
 }
 
+// TestInternalFieldsHaveNonTestWriters is the field counterpart of
+// TestInternalExportsHaveNonTestCallers: an exported field of a struct
+// type declared under internal/ that no non-test code writes is a
+// setting nothing sets. A write is an assignment or op= target (through
+// index, star and paren expressions), an increment or decrement, a
+// keyed or positional composite-literal element, or taking the field's
+// address.
+func TestInternalFieldsHaveNonTestWriters(t *testing.T) {
+	u, err := loadSurface(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := u.writtenFields()
+
+	var unset []string
+	declared := map[string]bool{}
+	for _, f := range u.fields {
+		declared[f.name] = true
+		reason, allowed := fieldAllowlist[f.name]
+		switch {
+		case allowed && reason == "":
+			t.Errorf("%s: allowlisted without a reason", f.name)
+		case written[f.v] && allowed:
+			t.Errorf("%s: allowlisted as unwritten but non-test code writes it; drop the allowlist entry", f.name)
+		case !written[f.v] && !allowed:
+			unset = append(unset, u.relPos(f.v.Pos())+": "+f.name)
+		}
+	}
+	for name := range fieldAllowlist {
+		if !declared[name] {
+			t.Errorf("%s: allowlisted but not declared under internal/; drop the allowlist entry", name)
+		}
+	}
+	sort.Strings(unset)
+	for _, f := range unset {
+		t.Errorf("%s has no non-test writer: delete it, or make it a constant", f)
+	}
+}
+
 type surfaceDecl struct {
 	fn  *types.Func
 	pos token.Pos
+}
+
+type surfaceField struct {
+	v    *types.Var
+	name string // <package under internal/>.<type>.<field>
 }
 
 type surfacePkg struct {
@@ -97,13 +144,14 @@ type surfacePkg struct {
 // one package path, receiver type and name — wherever it is used; the
 // standard library comes from source.
 type surface struct {
-	root  string
-	fset  *token.FileSet
-	std   types.ImporterFrom
-	dirs  map[string]string // import path -> directory
-	pkgs  map[string]*surfacePkg
-	order []*surfacePkg
-	decls []surfaceDecl
+	root   string
+	fset   *token.FileSet
+	std    types.ImporterFrom
+	dirs   map[string]string // import path -> directory
+	pkgs   map[string]*surfacePkg
+	order  []*surfacePkg
+	decls  []surfaceDecl
+	fields []surfaceField
 }
 
 func loadSurface(root string) (*surface, error) {
@@ -172,8 +220,8 @@ func (u *surface) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pa
 }
 
 // check type-checks one module package (nil for a directory without
-// non-test Go files) and records the exported functions and methods it
-// declares if it lies under internal/.
+// non-test Go files) and records the exported functions, methods and
+// struct fields it declares if it lies under internal/.
 func (u *surface) check(path string) (*surfacePkg, error) {
 	if p, ok := u.pkgs[path]; ok {
 		return p, nil
@@ -188,9 +236,10 @@ func (u *surface) check(path string) (*surfacePkg, error) {
 		return nil, err
 	}
 	p := &surfacePkg{info: &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(u.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
@@ -213,8 +262,100 @@ func (u *surface) check(path string) (*surfacePkg, error) {
 				}
 			}
 		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			prefix := strings.TrimPrefix(path, modulePath+"/internal/") + "." + name + "."
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					u.fields = append(u.fields, surfaceField{f, prefix + f.Name()})
+				}
+			}
+		}
 	}
 	return p, nil
+}
+
+// writtenFields returns every struct field some non-test code writes
+// (see TestInternalFieldsHaveNonTestWriters).
+func (u *surface) writtenFields() map[*types.Var]bool {
+	written := map[*types.Var]bool{}
+	mark := func(v *types.Var) {
+		if v != nil {
+			written[v.Origin()] = true
+		}
+	}
+	for _, p := range u.order {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						mark(writeTarget(p.info, lhs))
+					}
+				case *ast.IncDecStmt:
+					mark(writeTarget(p.info, x.X))
+				case *ast.UnaryExpr:
+					if x.Op == token.AND {
+						mark(writeTarget(p.info, x.X))
+					}
+				case *ast.CompositeLit:
+					st, ok := p.info.Types[x].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, el := range x.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							v, _ := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+							mark(v)
+						} else {
+							mark(st.Field(i))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return written
+}
+
+// writeTarget returns the struct field that an assignment to e, or &e,
+// writes — looking through index, star and paren expressions — or nil.
+func writeTarget(info *types.Info, e ast.Expr) *types.Var {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				return sel.Obj().(*types.Var)
+			}
+			return nil
+		default:
+			return nil
+		}
+	}
+}
+
+// relPos renders pos as file:line:col relative to the module root.
+func (u *surface) relPos(pos token.Pos) string {
+	p := u.fset.Position(pos)
+	if rel, err := filepath.Rel(u.root, p.Filename); err == nil {
+		p.Filename = rel
+	}
+	return p.String()
 }
 
 // uses returns every function and method some identifier refers to
