@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -33,37 +34,42 @@ import (
 )
 
 func main() {
-	figFlag := flag.String("fig", "all", "figure to regenerate: "+strings.Join(figureIDs, "|")+"|pim-scale|all")
-	csvFlag := flag.Bool("csv", false, "emit CSV instead of an aligned table")
-	faultsFlag := flag.String("faults", "",
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "hepim-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args as the command line and writes what it asks for to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("hepim-bench", flag.ExitOnError)
+	figFlag := fs.String("fig", "all", "figure to regenerate: "+strings.Join(figureIDs, "|")+"|pim-scale|all")
+	csvFlag := fs.Bool("csv", false, "emit CSV instead of an aligned table")
+	faultsFlag := fs.String("faults", "",
 		"run a chaos workload on the pim backend with these fault rates (e.g. transient=0.1,dead=0.01,straggler=0.05)")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed of the deterministic fault schedule for -faults")
-	faultDPUs := flag.Int("fault-dpus", 8, "number of simulated DPUs for -faults")
-	flag.Parse()
+	faultSeed := fs.Uint64("fault-seed", 1, "seed of the deterministic fault schedule for -faults")
+	faultDPUs := fs.Int("fault-dpus", 8, "number of simulated DPUs for -faults")
+	fs.Parse(args)
 
 	if *faultsFlag != "" {
-		if err := chaosRun(*faultsFlag, *faultSeed, *faultDPUs, *csvFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "hepim-bench:", err)
-			os.Exit(1)
-		}
-		return
+		return chaosRun(w, *faultsFlag, *faultSeed, *faultDPUs, *csvFlag)
 	}
 
 	figs, err := collect(*figFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hepim-bench:", err)
-		os.Exit(1)
+		return err
 	}
 	for i, f := range figs {
 		if *csvFlag {
-			fmt.Print(bench.CSV(f))
+			fmt.Fprint(w, bench.CSV(f))
 		} else {
-			fmt.Print(bench.Render(f))
+			fmt.Fprint(w, bench.Render(f))
 		}
 		if i != len(figs)-1 {
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
+	return nil
 }
 
 // parseFaultRates decodes "transient=0.1,dead=0.01,straggler=0.05".
@@ -97,7 +103,7 @@ func parseFaultRates(spec string) (transient, dead, straggler float64, err error
 // against the dcrt-native host backend. Toy parameters keep the
 // functional simulator fast; the fault schedule is a pure function of
 // the seed, so a failing run reproduces exactly.
-func chaosRun(spec string, seed uint64, dpus int, csv bool) error {
+func chaosRun(w io.Writer, spec string, seed uint64, dpus int, csv bool) error {
 	transient, dead, straggler, err := parseFaultRates(spec)
 	if err != nil {
 		return err
@@ -197,14 +203,14 @@ func chaosRun(spec string, seed uint64, dpus int, csv bool) error {
 			[2]string{"failover-trigger", fo.Trigger})
 	}
 	if csv {
-		fmt.Println("stat,value")
+		fmt.Fprintln(w, "stat,value")
 		for _, r := range rows {
-			fmt.Printf("%s,%s\n", r[0], r[1])
+			fmt.Fprintf(w, "%s,%s\n", r[0], r[1])
 		}
 	} else {
-		fmt.Printf("Chaos run: pim backend vs %s (4-step slot workload)\n", hebfv.DefaultBackend)
+		fmt.Fprintf(w, "Chaos run: pim backend vs %s (4-step slot workload)\n", hebfv.DefaultBackend)
 		for _, r := range rows {
-			fmt.Printf("  %-20s %s\n", r[0], r[1])
+			fmt.Fprintf(w, "  %-20s %s\n", r[0], r[1])
 		}
 	}
 	if mismatches != 0 {

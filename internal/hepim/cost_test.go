@@ -104,6 +104,38 @@ func TestPIMMul27IsPinned(t *testing.T) {
 	}
 }
 
+// TestPIMMul109IsPinned holds the simulated work of one relinearized
+// 109-bit Mul (n=4096) on the same rack to the integers the kernels
+// produced when every 4-limb modular add went through limb32.AddMod and
+// every 4-limb product through limb32.Mul and accumAdd. It is the only
+// pin whose 4-limb sums add real key-switching data (five vectors per
+// output component); these numbers are the model and are never edited.
+func TestPIMMul109IsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a full n=4096 Mul")
+	}
+	f := rackFixture(t, bfv.ParamsSec109(), true)
+	cts := f.encryptMany(t, 2)
+	got, err := f.srv.Mul(cts[0], cts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := f.eval.Mul(cts[0], cts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("PIM Mul differs from host evaluator")
+	}
+	bd := f.srv.Breakdown()
+	const cycles, instr = 42068019620, 201466296396
+	counts := limb32.Counts{5491187748, 11654209380, 805371918, 1882913131, 4421449850, 19359096276, 10656406776, 1209368077, 3865682, 0, 8313436896}
+	if bd.KernelCycles != cycles || bd.TotalInstr != instr || bd.Counts != counts {
+		t.Errorf("Mul simulated cycles/instr %d/%d, counts %v; pinned %d/%d, %v",
+			bd.KernelCycles, bd.TotalInstr, bd.Counts, cycles, instr, counts)
+	}
+}
+
 // BenchmarkPIMSum64 is the host cost of simulating the arithmetic-mean
 // aggregation: 64 ciphertexts at n=4096 (109-bit) on 4×64 DPUs.
 func BenchmarkPIMSum64(b *testing.B) {

@@ -28,6 +28,14 @@ type DPU struct {
 	taskletInstr []int64 // dynamic instructions per tasklet
 	taskletDMA   []int64 // DMA cycles issued per tasklet
 	counts       limb32.Counts
+
+	// Every tasklet's context in turn: a DPU runs one launch at a time.
+	// Its tasklet writes the context on every DMA and charge, while the
+	// DPUs, allocated one after another, run side by side on separate
+	// processors; the padding keeps the next DPU's fields off the cache
+	// line that holds the context's tail.
+	ctx TaskletCtx
+	_   [64]byte
 }
 
 // EnsureMRAM grows the MRAM image to hold at least words 32-bit words.
@@ -69,7 +77,7 @@ func (d *DPU) resetAccounting(tasklets int) {
 // can guard; it comes back as an ordinary error naming the DPU and
 // tasklet, so one bad shard fails its run instead of the process.
 func (d *DPU) run(kernel KernelFunc, cost *CostModel, tasklets int) (err error) {
-	ctx := &TaskletCtx{}
+	ctx := &d.ctx
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("pim: DPU %d tasklet %d: kernel panic: %v", d.ID, ctx.TaskletID, r)

@@ -6,6 +6,13 @@
 // schoolbook products (Karatsuba for 64- and 128-bit coefficients)
 // accumulated at full width and reduced once by limb32.Mod.
 //
+// The host simulates each kernel's arithmetic a run of coefficients at a
+// time, in bodies that charge the tasklet exactly the tally the limb32
+// routines would, once rather than per coefficient: addRun for the two
+// add kernels (a word-level body at 4 limbs, the width every PIM Sum
+// runs) and productRunFor's bodies for the product kernel (word-level at
+// 1 and 8 limbs). Other widths call limb32 itself.
+//
 // The tasklet programs live in kernels.go, sum.go and nttkernel.go; the
 // host side is sched.go, where each Run*Sched driver is a shard plan
 // executed by internal/pimsched — the package holds no placement, retry
@@ -42,7 +49,8 @@ func addTile(w, span int) int {
 // VectorAdd returns the tasklet program computing out[i] = (a[i]+b[i]) mod q.
 // Each PIM thread performs the element-wise addition of the coefficients
 // of two polynomials (paper §3, "Homomorphic Addition"), using the native
-// 32-bit add/addc instructions for multi-limb carries.
+// 32-bit add/addc instructions for multi-limb carries. The additions run
+// through addRun, which charges their tally once per tasklet.
 func VectorAdd(l VecAddLayout) pim.KernelFunc {
 	return func(ctx *pim.TaskletCtx) error {
 		start, end := pim.Partition(l.Coeffs, ctx.NumTasklets, ctx.TaskletID)
@@ -57,22 +65,112 @@ func VectorAdd(l VecAddLayout) pim.KernelFunc {
 		}
 		bufA, bufB, bufO := buf[:tile*w], buf[tile*w:2*tile*w], buf[2*tile*w:]
 		m := ctx.Meter()
+		run := newAddRun(l.Q)
 		for c := start; c < end; c += tile {
 			cnt := min(tile, end-c)
 			ctx.MRAMRead(l.OffA+c*w, bufA[:cnt*w])
 			ctx.MRAMRead(l.OffB+c*w, bufB[:cnt*w])
-			for i := 0; i < cnt; i++ {
-				limb32.AddMod(
-					limb32.Nat(bufO[i*w:(i+1)*w]),
-					limb32.Nat(bufA[i*w:(i+1)*w]),
-					limb32.Nat(bufB[i*w:(i+1)*w]),
-					l.Q, m)
-			}
+			run.add(bufO[:cnt*w], bufA[:cnt*w], bufB[:cnt*w], m)
 			ctx.ChargeInstr(int64(2 * cnt)) // per coefficient: loop index + branch
 			ctx.MRAMWrite(l.OffOut+c*w, bufO[:cnt*w])
 		}
+		run.charge(m)
 		return nil
 	}
+}
+
+// An addRun is the add kernels' run body: it sets dst_t = (a_t + b_t)
+// mod q for every W-limb coefficient t of a run, computing and charging
+// exactly what limb32.AddMod would, coefficient by coefficient. dst may
+// alias a (VectorSum accumulates in place) or be separate (VectorAdd).
+//
+// W = 4, the 109-bit preset's width that every PIM Sum runs, has a
+// word-level body: a branch-free bits.Add64/bits.Sub64 pair per
+// coefficient with a mask select, as poly.addW4 does on the host. It
+// counts AddMod's tally in locals, and charge hands it to the tasklet
+// once: per sum the 4-limb add chain, the limbs the ≥ q compare
+// examines (none after a carry-out, else one per limb down to the
+// highest limb where the sum and q differ, all four when they are
+// equal) and the 4-limb subtract chain when the sum reduces. A tally is
+// order-free, so charging it once changes no figure. Other widths call
+// limb32.AddMod itself: no workload runs them hot.
+type addRun struct {
+	q      limb32.Nat
+	q0, q1 uint64 // q's two words, for the W = 4 body
+
+	sums, reduced, examined int // the W = 4 body's tally, for charge
+}
+
+func newAddRun(q limb32.Nat) addRun {
+	r := addRun{q: q}
+	if len(q) == 4 {
+		r.q0, r.q1 = load128(q)
+	}
+	return r
+}
+
+// add sets dst = (a + b) mod q coefficient-wise over a run.
+func (r *addRun) add(dst, a, b []uint32, m limb32.Meter) {
+	w := len(r.q)
+	if w != 4 {
+		for i := 0; i < len(dst); i += w {
+			limb32.AddMod(dst[i:i+w], a[i:i+w], b[i:i+w], r.q, m)
+		}
+		return
+	}
+	a, b = a[:len(dst)], b[:len(dst)]
+	q0, q1 := r.q0, r.q1
+	reduced, examined := 0, 0
+	for i := 0; i+3 < len(dst); i += 4 {
+		x0, x1 := load128(a[i:])
+		y0, y1 := load128(b[i:])
+		s0, c := bits.Add64(x0, y0, 0)
+		s1, c := bits.Add64(x1, y1, c)
+		t0, br := bits.Sub64(s0, q0, 0)
+		t1, br := bits.Sub64(s1, q1, br)
+		red := c | (br ^ 1) // 1 when the sum carried out or is ≥ q
+		mask := -red
+		store128(dst[i:], s0^(s0^t0)&mask, s1^(s1^t1)&mask)
+		reduced += int(red)
+		// The compare examines limbs from the top down to the first one
+		// where s and q differ: ⌊lz₁₂₈(s ⊕ q)/32⌋ + 1 of them, or all
+		// four when s = q; a sum that carried out is never compared.
+		lz := bits.LeadingZeros64(s1 ^ q1)
+		if lz == 64 {
+			lz += bits.LeadingZeros64(s0 ^ q0)
+		}
+		examined += min(lz>>5+1, 4) &^ -int(c)
+	}
+	r.sums += len(dst) / 4
+	r.reduced += reduced
+	r.examined += examined
+}
+
+// charge charges m the tally of every W = 4 sum the run has made, as
+// limb32.AddMod would have charged each: the add chain per sum, two
+// loads and a compare per examined limb, the subtract chain per
+// reduction. A tasklet calls it once, after its last add.
+func (r *addRun) charge(m limb32.Meter) {
+	n, red, ex := r.sums, r.reduced, r.examined
+	m.Tick(limb32.OpLoad, 8*(n+red)+2*ex)
+	m.Tick(limb32.OpAdd, n)
+	m.Tick(limb32.OpAddC, 3*n)
+	m.Tick(limb32.OpSub, red)
+	m.Tick(limb32.OpSubB, 3*red)
+	m.Tick(limb32.OpLogic, ex)
+	m.Tick(limb32.OpStore, 4*(n+red))
+	m.Tick(limb32.OpLoop, 4*(n+red))
+}
+
+// load128 reads four limbs as two 64-bit words, low word first.
+func load128(c []uint32) (lo, hi uint64) {
+	_ = c[3]
+	return uint64(c[0]) | uint64(c[1])<<32, uint64(c[2]) | uint64(c[3])<<32
+}
+
+func store128(c []uint32, lo, hi uint64) {
+	_ = c[3]
+	c[0], c[1], c[2], c[3] = uint32(lo), uint32(lo>>32), uint32(hi), uint32(hi>>32)
 }
 
 // PolyMulLayout describes one DPU's shard of a ciphertext vector
@@ -201,7 +299,7 @@ type productRun func(acc, a, b []uint32, m limb32.Meter)
 // (key switching at 27 bits) and 8 (every PIM Mul's tensor products
 // under the lift modulus) have word-level bodies; the 2- and 4-limb
 // widths no workload multiplies on PIM run limb32.Mul itself, through
-// the 2w-limb scratch prod.
+// the 2w-limb scratch prod. addRun is the add kernels' counterpart.
 func productRunFor(w int, prod limb32.Nat) productRun {
 	switch w {
 	case 1:

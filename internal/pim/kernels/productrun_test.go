@@ -197,3 +197,142 @@ func TestProductRunsRandom(t *testing.T) {
 		}
 	}
 }
+
+// checkAdd holds the add run body to the loop of limb32.AddMod it stands
+// for, over the W-limb coefficients of a and b: the same output limbs and
+// the same full tally. With alias set, dst is a, as VectorSum calls it;
+// otherwise dst is a separate buffer of stale words, as VectorAdd's is.
+// The run is split in two calls before the one charge, as a tasklet adds
+// a tile at a time.
+func checkAdd(t *testing.T, name string, q limb32.Nat, a, b []uint32, alias bool) {
+	t.Helper()
+	w := len(q)
+	var want, got limb32.Counts
+	wantDst := append([]uint32(nil), a...)
+	for i := 0; i < len(a); i += w {
+		limb32.AddMod(wantDst[i:i+w], a[i:i+w], b[i:i+w], q, &want)
+	}
+	gotDst, gotA := make([]uint32, len(a)), append([]uint32(nil), a...)
+	for i := range gotDst {
+		gotDst[i] = 0xdeadbeef
+	}
+	if alias {
+		gotDst = gotA
+	}
+	run := newAddRun(q)
+	half := len(a) / w / 2 * w
+	run.add(gotDst[:half], gotA[:half], b[:half], &got)
+	run.add(gotDst[half:], gotA[half:], b[half:], &got)
+	run.charge(&got)
+	if got != want {
+		t.Errorf("%s: tally %v, limb32.AddMod charges %v", name, got, want)
+	}
+	for i := range wantDst {
+		if gotDst[i] != wantDst[i] {
+			t.Fatalf("%s: coefficient %d limb %d = %#x, limb32.AddMod gives %#x",
+				name, i/w, i%w, gotDst[i], wantDst[i])
+		}
+	}
+}
+
+// TestAddRunsMatchLimb32 pins the add run body to limb32.AddMod where the
+// word-level W = 4 body could go wrong: sums that carry out of 128 bits
+// (only a full-width modulus reaches them; the 109-bit presets never
+// carry), sums on either side of q and equal to it, sums that agree with
+// q in their top one, two or three limbs and differ from it at the top or
+// the bottom bit of the next, zero operands and random ones, with dst
+// aliasing a and not. The other widths call limb32.AddMod and are held to
+// it on random operands.
+func TestAddRunsMatchLimb32(t *testing.T) {
+	rng := rand.New(rand.NewSource(3901))
+	one := big.NewInt(1)
+	moduli := map[string]*big.Int{
+		"q109":          modulusFor(t, 4).QBig,
+		"q2^128-159":    new(big.Int).Sub(pow2(128), big.NewInt(159)),
+		"q2^127+2^64+1": new(big.Int).Add(new(big.Int).Add(pow2(127), pow2(64)), one),
+	}
+	for qname, qb := range moduli {
+		q := limbs(qb, 4)
+		maxSum := new(big.Int).Sub(new(big.Int).Lsh(qb, 1), big.NewInt(2))
+		targets := map[string]*big.Int{
+			"s=0":           new(big.Int),
+			"s=q-1":         new(big.Int).Sub(qb, one),
+			"s=q":           new(big.Int).Set(qb),
+			"s=q+1":         new(big.Int).Add(qb, one),
+			"s=2q-2":        maxSum,
+			"s=2^128-1":     new(big.Int).Sub(pow2(128), one),
+			"s=2^128":       pow2(128),
+			"s=2^128+(q-1)": new(big.Int).Add(pow2(128), new(big.Int).Sub(qb, one)),
+		}
+		// s agrees with q in its top k limbs and differs in limb 3−k: at
+		// that limb's top bit, its bottom bit, or with the lower limbs all
+		// zero or all ones. A sum of 2¹²⁸ or more also carries out and
+		// must not be compared at all.
+		for k := 1; k <= 3; k++ {
+			low := 32 * (4 - k)
+			top := new(big.Int).Lsh(new(big.Int).Rsh(qb, uint(low)), uint(low))
+			for _, s := range []struct {
+				name string
+				v    *big.Int
+			}{
+				{"top bit flipped", new(big.Int).Xor(qb, pow2(low-1))},
+				{"bottom bit flipped", new(big.Int).Xor(qb, pow2(low-32))},
+				{"lower limbs zero", top},
+				{"lower limbs ones", new(big.Int).Add(top, new(big.Int).Sub(pow2(low), one))},
+				{"carried, lower limbs zero", new(big.Int).Add(pow2(128), top)},
+			} {
+				targets[fmt.Sprintf("top %d limbs of q, %s", k, s.name)] = s.v
+			}
+		}
+		for tname, target := range targets {
+			if target.Cmp(maxSum) > 0 {
+				continue // no two residues below q sum to it
+			}
+			// Each target as three splits: halves, and a or b at q−1
+			// (or at the target itself when it is below q).
+			var a, b []uint32
+			aHi := new(big.Int).Sub(qb, one)
+			if target.Cmp(aHi) < 0 {
+				aHi.Set(target)
+			}
+			half := new(big.Int).Rsh(target, 1)
+			for _, x := range []*big.Int{half, aHi, new(big.Int).Sub(target, aHi)} {
+				y := new(big.Int).Sub(target, x)
+				a = append(a, limbs(x, 4)...)
+				b = append(b, limbs(y, 4)...)
+			}
+			for _, alias := range []bool{true, false} {
+				checkAdd(t, fmt.Sprintf("%s %s alias=%v", qname, tname, alias), q, a, b, alias)
+			}
+		}
+		// Zero operands and random residues.
+		var a, b []uint32
+		for i := 0; i < 200; i++ {
+			x, y := new(big.Int).Rand(rng, qb), new(big.Int).Rand(rng, qb)
+			switch i % 10 {
+			case 0:
+				x.SetInt64(0)
+			case 1:
+				y.SetInt64(0)
+			case 2:
+				x.SetInt64(0)
+				y.SetInt64(0)
+			}
+			a = append(a, limbs(x, 4)...)
+			b = append(b, limbs(y, 4)...)
+		}
+		for _, alias := range []bool{true, false} {
+			checkAdd(t, fmt.Sprintf("%s random alias=%v", qname, alias), q, a, b, alias)
+		}
+	}
+
+	// Widths 1, 2 and 8 call limb32.AddMod; the run and its charge must
+	// still leave its limbs and its tally.
+	for _, w := range []int{1, 2, 8} {
+		mod := modulusFor(t, w)
+		a, b := randVec(rng, 40, mod), randVec(rng, 40, mod)
+		for _, alias := range []bool{true, false} {
+			checkAdd(t, fmt.Sprintf("w%d random alias=%v", w, alias), mod.Q, a, b, alias)
+		}
+	}
+}

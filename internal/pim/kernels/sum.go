@@ -21,7 +21,9 @@ type VecSumLayout struct {
 // VectorSum returns the tasklet program computing
 // out[i] = Σ_v vec_v[i] mod q — the reduction at the heart of the paper's
 // arithmetic-mean workload (§3: polynomial addition on the PIM cores, the
-// final scalar division on the host).
+// final scalar division on the host). Each tasklet folds its vectors into
+// an accumulator in place through addRun, which charges the additions'
+// tally once per tasklet.
 func VectorSum(l VecSumLayout) pim.KernelFunc {
 	return func(ctx *pim.TaskletCtx) error {
 		start, end := pim.Partition(l.Coeffs, ctx.NumTasklets, ctx.TaskletID)
@@ -36,22 +38,18 @@ func VectorSum(l VecSumLayout) pim.KernelFunc {
 		}
 		acc, buf := wram[:tile*w], wram[tile*w:]
 		m := ctx.Meter()
+		run := newAddRun(l.Q)
 		for c := start; c < end; c += tile {
 			cnt := min(tile, end-c)
 			ctx.MRAMRead(l.OffIn+c*w, acc[:cnt*w]) // vector 0 seeds the accumulator
 			for v := 1; v < l.M; v++ {
 				ctx.MRAMRead(l.OffIn+(v*l.Coeffs+c)*w, buf[:cnt*w])
-				for i := 0; i < cnt; i++ {
-					limb32.AddMod(
-						limb32.Nat(acc[i*w:(i+1)*w]),
-						limb32.Nat(acc[i*w:(i+1)*w]),
-						limb32.Nat(buf[i*w:(i+1)*w]),
-						l.Q, m)
-				}
+				run.add(acc[:cnt*w], acc[:cnt*w], buf[:cnt*w], m)
 				ctx.ChargeInstr(int64(2 * cnt)) // per coefficient: loop index + branch
 			}
 			ctx.MRAMWrite(l.OffOut+c*w, acc[:cnt*w])
 		}
+		run.charge(m)
 		return nil
 	}
 }
