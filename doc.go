@@ -24,13 +24,16 @@
 //   - hebfv.Engine: one contract of batched primitives (Add, Mul,
 //     Rotate, Sum, RotateAndSum; Neg/AddPlain/MulPlain) over bfv.Value
 //     plus one Report(). Three backends implement it: "dcrt-native"
-//     (the default host path), "schoolbook" (the oracle) and "pim" (the
+//     (the default host path), "schoolbook" (bfv.Oracle) and "pim" (the
 //     simulated UPMEM server, wrapped by a host failover decorator in a
-//     Context). A single operation is a length-1 batch.
+//     Context); the last two share one adapter that evaluates a
+//     ciphertext at a time. A single operation is a length-1 batch.
 //   - internal/bfv: the scheme. A bfv.Value is a ciphertext in
 //     materialized (*Ciphertext) or deferred (*Deferred: a product's
-//     residue-domain or a rotation's NTT-domain accumulators) form; the evaluator, the hoisted/batched front end, encryption,
-//     RNS-native decryption and serialization live here. RelinKey and
+//     residue-domain or a rotation's NTT-domain accumulators) form; the
+//     double-CRT evaluator, the hoisted/batched front end, the
+//     schoolbook oracle (bfv.Oracle), encryption, RNS-native decryption
+//     and serialization live here. RelinKey and
 //     GaloisKey are one key-switching key (s² → s and τ_g(s) → s) with
 //     one generator, one wire record and one cache of NTT forms; a key
 //     whose digit count is not the parameters' RelinDigits is refused
@@ -69,19 +72,19 @@
 // Bit-identity. Every backend, every batching or hoisting shape, every
 // deferred form, every SIMD tier and every fault schedule produces
 // ciphertexts bit-identical to the O(n²) schoolbook evaluator
-// (bfv.NewSchoolbookEvaluator), which stays in the tree as the oracle.
+// bfv.Oracle, a type of its own that shares no ring product with the
+// double-CRT bfv.Evaluator, which has one code path per operation.
 // The PIM plane counts its work on the simulated device, through the
 // pim.TaskletCtx tallies its kernels charge; the host keeps no meter.
 // Scheduling, routing, coalescing, sharding and failover move work; they
 // never change arithmetic. The host multiplies on one pipeline:
 // bfv.NewParameters refuses a modulus the word-sized double-CRT base
 // conversion cannot serve (dcrt.NewContext), so the double-CRT evaluator
-// has no big.Int middle path. The big.Int code that
-// stays is the oracle's: the schoolbook evaluator's scaleRound,
-// decomposePoly and mulZ, which the PIM server's host rescale
-// (bfv.ScaleRoundCoeffs, bfv.DecomposeForRelin) also runs, and
-// decryptBig, the rounding oracle and the fallback outside decryptRNS's
-// window.
+// has no big.Int middle path. The big.Int code that stays is the
+// oracle's: bfv.Oracle's scaleRound, decomposePoly and mulZ, which the
+// PIM server's host rescale (bfv.ScaleRoundCoeffs, bfv.DecomposeForRelin)
+// also runs, and decryptBig, the rounding oracle and the fallback
+// outside decryptRNS's window.
 //
 // No aliasing. An engine output never shares backing memory with an
 // input, and every facade operation — identity rotations included —

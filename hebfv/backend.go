@@ -20,8 +20,8 @@ import (
 //   - "dcrt-native": the double-CRT (RNS + NTT) backend with RNS-native
 //     rescaling, NTT-resident values, and hoisted rotations — the
 //     default and the fast path.
-//   - "schoolbook": the O(n²) limb schoolbook path — the correctness
-//     oracle; every backend is bit-identical to it.
+//   - "schoolbook": bfv.Oracle, the O(n²) limb schoolbook evaluator —
+//     the correctness oracle; every backend is bit-identical to it.
 //   - "pim": the simulated UPMEM PIM server (internal/hepim) — every
 //     kernel runs on the cycle-level simulator as a shard plan of the
 //     one execution plane (internal/pimsched) and the engine reports
@@ -107,9 +107,9 @@ type Config struct {
 	PIMFaultSeed  uint64
 	PIMFaultRates map[string]float64
 
-	// pool backs the results of the host backends (bfv.Evaluator.Alloc):
-	// a Context passes its own, so Release recycles them. Unset, results
-	// live on the heap.
+	// pool backs the results of the host backends (the Alloc of
+	// bfv.Evaluator and bfv.Oracle): a Context passes its own, so Release
+	// recycles them. Unset, results live on the heap.
 	pool bfv.BackingAllocator
 }
 
@@ -129,26 +129,27 @@ func NewEngine(name string, cfg Config) (Engine, error) {
 	if cfg.Params == nil {
 		return nil, errors.New("hebfv: NewEngine requires parameters")
 	}
-	var ev *bfv.Evaluator
 	switch name {
 	case "dcrt-native":
-		ev = bfv.NewEvaluator(cfg.Params, cfg.Relin)
+		ev := bfv.NewEvaluator(cfg.Params, cfg.Relin)
+		ev.Alloc = cfg.pool
+		return &evalEngine{ev: ev, be: bfv.NewBatchEvaluatorFrom(ev)}, nil
 	case "schoolbook":
-		ev = bfv.NewSchoolbookEvaluator(cfg.Params, cfg.Relin)
+		o := bfv.NewOracle(cfg.Params, cfg.Relin)
+		o.Alloc = cfg.pool
+		return &serialEngine{srv: o, report: func() Report { return Report{} }}, nil
 	case "pim":
 		return newPIMEngine(cfg)
 	default:
 		return nil, fmt.Errorf("hebfv: unknown backend %q (have %v)", name, Backends())
 	}
-	ev.Alloc = cfg.pool
-	return newEvalEngine(ev), nil
 }
 
 // newPIMEngine builds the "pim" backend's simulated PIM server engine.
 // The topology is explicit when the config pins one, otherwise the
 // largest whole-rank shape fitting the DPU count; an explicit topology
 // without an explicit DPU count sizes the system to the topology.
-func newPIMEngine(cfg Config) (*pimEngine, error) {
+func newPIMEngine(cfg Config) (*serialEngine, error) {
 	sys := pim.DefaultConfig()
 	if cfg.PIMDPUs > 0 {
 		sys.NumDPUs = cfg.PIMDPUs
@@ -171,7 +172,13 @@ func newPIMEngine(cfg Config) (*pimEngine, error) {
 		}
 		srv.Sys.SetFaultInjector(in)
 	}
-	return &pimEngine{srv: srv}, nil
+	return &serialEngine{srv: srv, report: func() Report {
+		return Report{PIM: &PIMPlaneReport{
+			Launches:  srv.Runs(),
+			Faults:    srv.Sys.FaultStats(),
+			Breakdown: srv.Breakdown(),
+		}}
+	}}, nil
 }
 
 // values widens a slice of one concrete value form to []bfv.Value.
@@ -192,17 +199,11 @@ func materialize(vs []bfv.Value) []*bfv.Ciphertext {
 	return out
 }
 
-// evalEngine adapts a host bfv.Evaluator (either host backend) plus its
-// batched front end to the Engine contract. On evaluators that cannot
-// defer, the deferred forms arrive already materialized and every path
-// below degrades to coefficient arithmetic transparently.
+// evalEngine adapts the double-CRT bfv.Evaluator plus its batched front
+// end to the Engine contract.
 type evalEngine struct {
 	ev *bfv.Evaluator
 	be *bfv.BatchEvaluator
-}
-
-func newEvalEngine(ev *bfv.Evaluator) *evalEngine {
-	return &evalEngine{ev: ev, be: bfv.NewBatchEvaluatorFrom(ev)}
 }
 
 // Add fuses a singleton sum of two deferred values in their resident
@@ -307,8 +308,7 @@ func sumDeferred(cts []bfv.Value) (bfv.Value, bool) {
 // — its consumers aggregate, and deferred outputs sum without base
 // conversions. Every other shape materializes: a rotation under a single
 // key is read as coefficients straight away, where deferral would only
-// add a forward transform of c0 (and a lone one has no decomposition to
-// share, so it skips the hoisting machinery too).
+// add a forward transform of c0.
 func (e *evalEngine) Rotate(cts []bfv.Value, gks []*bfv.GaloisKey) ([][]bfv.Value, error) {
 	raw := materialize(cts)
 	if len(raw) == 1 && len(gks) == 1 {
@@ -346,112 +346,134 @@ func (e *evalEngine) RotateAndSum(cts []bfv.Value, gks []*bfv.GaloisKey) ([]bfv.
 
 func (e *evalEngine) Report() Report { return Report{} }
 
-// pimEngine adapts the simulated UPMEM PIM server. Homomorphic
-// arithmetic runs as DPU kernels on the cycle-level simulator, on
-// materialized inputs; operations the server does not implement return
-// an error naming the backend. The server's kernel-report accounting is
-// unsynchronized, so the engine serializes operations behind one lock —
-// the simulator models a single machine anyway.
-type pimEngine struct {
-	mu  sync.Mutex
-	srv *hepim.Server
+// ctServer evaluates one coefficient-form ciphertext at a time, each
+// call with its own error: the shape of bfv.Oracle and hepim.Server.
+type ctServer interface {
+	Add(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error)
+	Mul(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error)
+	Neg(a *bfv.Ciphertext) (*bfv.Ciphertext, error)
+	AddPlain(a *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertext, error)
+	MulPlain(a *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertext, error)
+	Sum(cts []*bfv.Ciphertext) (*bfv.Ciphertext, error)
+	ApplyGalois(ct *bfv.Ciphertext, gk *bfv.GaloisKey) (*bfv.Ciphertext, error)
 }
 
-// zip applies a two-operand server kernel element-wise.
-func (e *pimEngine) zip(op string, as, bs []bfv.Value, kernel func(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error)) ([]bfv.Value, error) {
-	if len(as) != len(bs) {
-		return nil, fmt.Errorf("hebfv: %s length mismatch: %d vs %d", op, len(as), len(bs))
-	}
+// serialEngine adapts a ctServer ("schoolbook", "pim") to the Engine
+// contract: batches run element by element on materialized inputs, and
+// it releases every intermediate it makes (a rotation, a partial sum,
+// the outputs of a failed batch) — a no-op on the PIM server's heap
+// outputs. One lock serializes everything: the PIM server's accounting
+// is unsynchronized, and the oracle need not be fast.
+type serialEngine struct {
+	mu     sync.Mutex
+	srv    ctServer
+	report func() Report // read under mu
+}
+
+// each runs f(0), …, f(n−1) under the lock and returns the results,
+// releasing those already made if one fails.
+func (e *serialEngine) each(n int, f func(i int) (*bfv.Ciphertext, error)) ([]bfv.Value, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]bfv.Value, len(as))
-	for i := range as {
-		r, err := kernel(as[i].Materialize(), bs[i].Materialize())
+	out := make([]*bfv.Ciphertext, n)
+	for i := range out {
+		r, err := f(i)
 		if err != nil {
+			for _, ct := range out[:i] {
+				ct.Release()
+			}
 			return nil, err
 		}
 		out[i] = r
 	}
-	return out, nil
+	return values(out), nil
 }
 
-func (e *pimEngine) Add(as, bs []bfv.Value) ([]bfv.Value, error) {
+// one runs a single-result operation under the lock.
+func (e *serialEngine) one(f func() (*bfv.Ciphertext, error)) (bfv.Value, error) {
+	out, err := e.each(1, func(int) (*bfv.Ciphertext, error) { return f() })
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// zip applies a two-operand server operation element-wise.
+func (e *serialEngine) zip(op string, as, bs []bfv.Value, f func(a, b *bfv.Ciphertext) (*bfv.Ciphertext, error)) ([]bfv.Value, error) {
+	if len(as) != len(bs) {
+		return nil, fmt.Errorf("hebfv: %s length mismatch: %d vs %d", op, len(as), len(bs))
+	}
+	return e.each(len(as), func(i int) (*bfv.Ciphertext, error) {
+		return f(as[i].Materialize(), bs[i].Materialize())
+	})
+}
+
+func (e *serialEngine) Add(as, bs []bfv.Value) ([]bfv.Value, error) {
 	return e.zip("Add", as, bs, e.srv.Add)
 }
 
-func (e *pimEngine) Mul(as, bs []bfv.Value) ([]bfv.Value, error) {
+func (e *serialEngine) Mul(as, bs []bfv.Value) ([]bfv.Value, error) {
 	return e.zip("Mul", as, bs, e.srv.Mul)
 }
 
-func (e *pimEngine) Neg(a bfv.Value) (bfv.Value, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.Neg(a.Materialize())
+func (e *serialEngine) Neg(a bfv.Value) (bfv.Value, error) {
+	return e.one(func() (*bfv.Ciphertext, error) { return e.srv.Neg(a.Materialize()) })
 }
 
-func (e *pimEngine) AddPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.AddPlain(a.Materialize(), pt)
+func (e *serialEngine) AddPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error) {
+	return e.one(func() (*bfv.Ciphertext, error) { return e.srv.AddPlain(a.Materialize(), pt) })
 }
 
-func (e *pimEngine) MulPlain(bfv.Value, *bfv.Plaintext) (bfv.Value, error) {
-	return nil, errors.New("hebfv: backend \"pim\" does not implement MulPlain")
+func (e *serialEngine) MulPlain(a bfv.Value, pt *bfv.Plaintext) (bfv.Value, error) {
+	return e.one(func() (*bfv.Ciphertext, error) { return e.srv.MulPlain(a.Materialize(), pt) })
 }
 
-func (e *pimEngine) Sum(cts []bfv.Value) (bfv.Value, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srv.Sum(materialize(cts))
+func (e *serialEngine) Sum(cts []bfv.Value) (bfv.Value, error) {
+	return e.one(func() (*bfv.Ciphertext, error) { return e.srv.Sum(materialize(cts)) })
 }
 
-func (e *pimEngine) Rotate(cts []bfv.Value, gks []*bfv.GaloisKey) ([][]bfv.Value, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+func (e *serialEngine) Rotate(cts []bfv.Value, gks []*bfv.GaloisKey) ([][]bfv.Value, error) {
+	k := len(gks)
+	flat, err := e.each(len(cts)*k, func(i int) (*bfv.Ciphertext, error) {
+		return e.srv.ApplyGalois(cts[i/k].Materialize(), gks[i%k])
+	})
+	if err != nil {
+		return nil, err
+	}
 	out := make([][]bfv.Value, len(cts))
-	for i, ct := range materialize(cts) {
-		out[i] = make([]bfv.Value, len(gks))
-		for j, gk := range gks {
-			r, err := e.srv.ApplyGalois(ct, gk)
-			if err != nil {
-				return nil, err
-			}
-			out[i][j] = r
-		}
+	for i := range out {
+		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
 	}
 	return out, nil
 }
 
-func (e *pimEngine) RotateAndSum(cts []bfv.Value, gks []*bfv.GaloisKey) ([]bfv.Value, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]bfv.Value, len(cts))
-	for i, ct := range materialize(cts) {
-		acc := ct
-		if len(gks) == 0 {
-			// No steps: never alias the input (see evalEngine.Sum).
-			acc = ct.Clone()
-		}
+// RotateAndSum folds ct + τ_{gks[0]}(ct) + … in key order onto a copy of
+// ct (never aliased, even with no steps), releasing each rotation and
+// each partial sum once it is consumed.
+func (e *serialEngine) RotateAndSum(cts []bfv.Value, gks []*bfv.GaloisKey) ([]bfv.Value, error) {
+	return e.each(len(cts), func(i int) (*bfv.Ciphertext, error) {
+		ct := cts[i].Materialize()
+		acc := ct.Clone()
 		for _, gk := range gks {
 			r, err := e.srv.ApplyGalois(ct, gk)
 			if err != nil {
+				acc.Release()
 				return nil, err
 			}
-			if acc, err = e.srv.Add(acc, r); err != nil {
+			next, err := e.srv.Add(acc, r)
+			acc.Release()
+			r.Release()
+			if err != nil {
 				return nil, err
 			}
+			acc = next
 		}
-		out[i] = acc
-	}
-	return out, nil
+		return acc, nil
+	})
 }
 
-func (e *pimEngine) Report() Report {
+func (e *serialEngine) Report() Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return Report{PIM: &PIMPlaneReport{
-		Launches:  e.srv.Runs(),
-		Faults:    e.srv.Sys.FaultStats(),
-		Breakdown: e.srv.Breakdown(),
-	}}
+	return e.report()
 }

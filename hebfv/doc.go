@@ -136,10 +136,10 @@
 //
 // Evaluation strategy is selected by name (WithBackend; Backends lists
 // them): "dcrt-native" (default, the RNS+NTT fast path), "schoolbook"
-// (the O(n²) path that is the correctness oracle) and "pim" (the
-// simulated UPMEM server: every kernel is a shard plan run by one
-// scheduler, internal/pimsched, which alone places work on DPUs, retries
-// faults and prices transfers; Context.PIMReport, PIMStats and
+// (bfv.Oracle, the O(n²) evaluator that is the correctness oracle) and
+// "pim" (the simulated UPMEM server: every kernel is a shard plan run by
+// one scheduler, internal/pimsched, which alone places work on DPUs,
+// retries faults and prices transfers; Context.PIMReport, PIMStats and
 // PIMBreakdown read its one running total — modeled kernel time, fault
 // toll, sharded breakdown). All backends are mutually bit-identical — the
 // differential tests in this package prove it across the facade,

@@ -225,9 +225,6 @@ func TestContextClose(t *testing.T) {
 // scratch. A buffered single-blob encoder would show up here as
 // hundreds of KiB per op.
 func TestStreamingMarshalAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("n=4096 key generation in -short mode")
-	}
 	ctx, err := New(WithSecurityLevel(109), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)

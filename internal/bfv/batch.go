@@ -31,8 +31,7 @@ func NewBatchEvaluator(params *Parameters, rlk *RelinKey) *BatchEvaluator {
 	return &BatchEvaluator{ev: NewEvaluator(params, rlk)}
 }
 
-// NewBatchEvaluatorFrom wraps an existing evaluator (e.g. a schoolbook
-// oracle for differential testing).
+// NewBatchEvaluatorFrom wraps an existing evaluator, Alloc included.
 func NewBatchEvaluatorFrom(ev *Evaluator) *BatchEvaluator {
 	return &BatchEvaluator{ev: ev}
 }
@@ -127,13 +126,13 @@ func (be *BatchEvaluator) RotateManyAll(cts []*Ciphertext, gks []*GaloisKey) ([]
 
 // RotateAndSum returns, for each input ciphertext, ct + Σ_g τ_g(ct) over
 // the Galois-key set — the batched rotate-and-sum workload (aggregating
-// shifted copies, e.g. partial slot sums). On the RNS-native backend the
-// key-switching contributions of all k rotations accumulate in the
-// extended basis and leave through a single base conversion, so the
-// whole reduction pays 2 conversions instead of 2k; the result is still
-// bit-identical to folding ApplyGalois outputs with Add in slice order,
-// because the exact integer accumulator never wraps (checked against the
-// basis bound, with a per-rotation fallback otherwise).
+// shifted copies, e.g. partial slot sums). The key-switching
+// contributions of all k rotations accumulate in the extended basis and
+// leave through a single base conversion, so the whole reduction pays 2
+// conversions instead of 2k; the result is still bit-identical to
+// folding ApplyGalois outputs with Add in slice order, because the exact
+// integer accumulator never wraps (checked against the basis bound,
+// with a per-rotation fallback otherwise).
 func (be *BatchEvaluator) RotateAndSum(cts []*Ciphertext, gks []*GaloisKey) ([]*Ciphertext, error) {
 	out := make([]*Ciphertext, len(cts))
 	err := be.forEach(len(cts), func(i int) error {
@@ -170,7 +169,7 @@ func (be *BatchEvaluator) rotateAndSumOne(ct *Ciphertext, gks []*GaloisKey) (*Ci
 		}
 	}
 	acc := ev.copyOf(ct)
-	if h.ctx == nil || !fusedSumOK(h.ctx, par, len(gks)) {
+	if !fusedSumOK(h.ctx, par, len(gks)) {
 		// Per-rotation fallback: hoisting still shares the decomposition,
 		// and every rotation adds into the one owned accumulator.
 		for _, gk := range gks {

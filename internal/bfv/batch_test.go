@@ -14,7 +14,7 @@ func runBatchRotateAndSumDifferential(t *testing.T, params *Parameters, seed uin
 	t.Helper()
 	c := newCtx(t, params, seed, false)
 	gks := genGaloisKeys(t, params, c.sk, seed+1, rotations)
-	oracle := NewSchoolbookEvaluator(params, nil)
+	oracle := NewOracle(params, nil)
 
 	cts := make([]*Ciphertext, batch)
 	for i := range cts {
@@ -41,7 +41,7 @@ func runBatchRotateAndSumDifferential(t *testing.T, params *Parameters, seed uin
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = oracle.Add(want, r)
+			want = must(oracle.Add(want, r))
 		}
 		if !got[i].Equal(want) {
 			t.Fatalf("ciphertext %d: batched rotate-and-sum differs from schoolbook oracle", i)

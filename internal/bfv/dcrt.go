@@ -12,24 +12,25 @@ import (
 // Double-CRT glue: every host-side ring multiplication in the scheme
 // (encryption, key generation, decryption phases, plaintext products,
 // tensor products and key switching) routes through a shared
-// dcrt.Context instead of the O(n²) limb schoolbook. The schoolbook path
-// survives as the correctness oracle the double-CRT backend is
-// differentially tested against (NewSchoolbookEvaluator).
+// dcrt.Context instead of the O(n²) limb schoolbook. The schoolbook
+// arithmetic lives only in the Oracle (oracle.go), the correctness
+// oracle the double-CRT Evaluator is differentially tested against.
 
 // attachDCRT builds (or fetches from the process-wide cache) the
 // double-CRT context for par. The basis is sized for the largest exact
 // integer the evaluation produces: tensor-product coefficients reach
 // n·q²/4 on centered lifts (and ring products n·q² on canonical ones),
-// key-switching accumulators reach D·n·q·2^base. It fails for moduli the
-// word-sized base conversion cannot serve (dcrt.NewContext);
-// NewParameters returns that error, since the double-CRT evaluator has no
-// other way out of the RNS domain.
+// key-switching accumulators reach D·n·q·2^base, and a deferred
+// product's components need mulMagBits + 1 — the bound that binds only
+// for t near q/4, and makes every product defer. It fails for moduli the
+// word-sized base conversion cannot serve (dcrt.NewContext), which
+// NewParameters refuses.
 func attachDCRT(par *Parameters) error {
 	logN := bits.TrailingZeros(uint(par.N))
 	qb := par.Q.Bits()
 	tensor := 2*qb + logN + 1
 	keySwitch := qb + int(par.RelinBaseBits) + bits.Len(uint(par.RelinDigits())) + logN + 1
-	ctx, err := dcrt.GetContext(par.Q, par.N, max(tensor, keySwitch)+1)
+	ctx, err := dcrt.GetContext(par.Q, par.N, max(tensor, keySwitch, mulMagBits(par)+1)+1)
 	if err != nil {
 		return fmt.Errorf("bfv: double-CRT context for %v: %w", par, err)
 	}
@@ -71,29 +72,6 @@ func (kf *keyForms) get(ctx *dcrt.Context, k0, k1 []*poly.Poly) (f0, f1 []*dcrt.
 	return kf.k0, kf.k1
 }
 
-// keySwitchAcc folds Σᵢ digitᵢ·keyᵢ for both key components entirely in
-// the NTT domain: one forward transform per digit, one inverse transform
-// per component — the double-CRT key-switching inner loop. Digits arrive
-// already in double-CRT form (from Context.DigitsToRNS, which decomposes
-// with limb shifts and leaves the transforms lazily reduced), are
-// consumed and returned to the context's scratch pool, and the whole
-// digit sum folds in one fused pass per component (128-bit lazy
-// accumulation, one Barrett reduction per slot). The accumulators leave
-// through the word-sized fast base conversion into s0 and s1 — no
-// big.Int and no steady-state allocation on the path.
-func keySwitchAcc(ctx *dcrt.Context, s0, s1 *poly.Poly, digits []*dcrt.Poly, k0, k1 []*dcrt.Poly) {
-	acc0 := ctx.GetScratch()
-	acc1 := ctx.GetScratch()
-	defer ctx.PutScratch(acc0)
-	defer ctx.PutScratch(acc1)
-	ctx.MulPairAllNTT(acc0, acc1, k0, k1, digits)
-	for _, dR := range digits {
-		ctx.PutScratch(dR)
-	}
-	ctx.FromRNSInto(s0, acc0)
-	ctx.FromRNSInto(s1, acc1)
-}
-
 // keySwitchAccResidues runs the key switch on the sub-basis prefix of
 // `limbs` channels — digits arrive with only those channels populated —
 // and returns the accumulators as full-basis residue-domain elements:
@@ -112,10 +90,4 @@ func keySwitchAccResidues(ctx *dcrt.Context, digits []*dcrt.Poly, k0, k1 []*dcrt
 	ctx.ExtendResidues(acc0, limbs)
 	ctx.ExtendResidues(acc1, limbs)
 	return acc0, acc1
-}
-
-// relinDigits returns ct polynomial p decomposed into its RelinDigits
-// double-CRT digits, one per key-switching key digit.
-func relinDigits(ctx *dcrt.Context, par *Parameters, p *poly.Poly) []*dcrt.Poly {
-	return ctx.DigitsToRNS(p, par.RelinBaseBits, par.RelinDigits())
 }

@@ -33,9 +33,11 @@ func benchmarkEvalMul(b *testing.B, n int, schoolbook bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ev := NewEvaluator(params, rlk)
+	var ev interface {
+		Mul(a, b *Ciphertext) (*Ciphertext, error)
+	} = NewEvaluator(params, rlk)
 	if schoolbook {
-		ev = NewSchoolbookEvaluator(params, rlk)
+		ev = NewOracle(params, rlk)
 	}
 	// Warm the caches (twiddle tables, key forms) outside the timer.
 	if _, err := ev.Mul(ct0, ct1); err != nil {
@@ -133,9 +135,6 @@ func benchmarkMulChainDeferred(b *testing.B, n, depth int) {
 		b.Fatal(err)
 	}
 	ev := NewEvaluator(params, rlk)
-	if !ev.canDeferMuls() {
-		b.Fatal("deferred multiplication unavailable on this configuration")
-	}
 	chain := func() {
 		var cur Value = ct0
 		var prev *Deferred
@@ -181,9 +180,6 @@ func batchingMulRig(tb testing.TB) (*Evaluator, *Ciphertext, *Ciphertext) {
 	ct1, err := enc.EncryptValue(13)
 	if err != nil {
 		tb.Fatal(err)
-	}
-	if !ev.canDeferMuls() {
-		tb.Fatal("deferred multiplication unavailable at ParamsBatching")
 	}
 	warm, err := ev.MulNTT(ct0, ct1)
 	if err != nil {

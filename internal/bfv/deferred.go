@@ -55,9 +55,7 @@ func (dom domain) exit(ctx *dcrt.Context, dst *poly.Poly, src *dcrt.Poly) {
 
 // Deferred is a degree-1 product or rotation output held in deferred
 // double-CRT form: acc0/acc1 hold the exact integer values of the output
-// components, congruent mod q to the materialized polynomials. On
-// backends that cannot defer the handle is created already materialized
-// and behaves identically.
+// components, congruent mod q to the materialized polynomials.
 //
 // Materialize, Add, Release and operand use are mutually safe: each
 // takes the handle's lock (Add takes both operands' locks in allocation
@@ -66,7 +64,7 @@ func (dom domain) exit(ctx *dcrt.Context, dst *poly.Poly, src *dcrt.Poly) {
 // released.
 type Deferred struct {
 	par   *Parameters
-	ctx   *dcrt.Context    // nil when the handle was created materialized
+	ctx   *dcrt.Context
 	alloc BackingAllocator // backs the materialized ciphertext (Evaluator.Alloc)
 	dom   domain
 
@@ -136,7 +134,7 @@ func (d *Deferred) Materialize() *Ciphertext {
 // window); callers then materialize and add mod q, which produces the
 // identical result.
 func (d *Deferred) Add(o *Deferred) (*Deferred, bool) {
-	if d.ctx == nil || d.ctx != o.ctx || d.dom != o.dom {
+	if d.ctx != o.ctx || d.dom != o.dom {
 		return nil, false
 	}
 	mag := max(d.magBits, o.magBits) + 1
@@ -214,7 +212,7 @@ func (d *Deferred) freeLocked() {
 // freed it) serves the materialized ciphertext's cached forms instead.
 func (d *Deferred) tensorOperand(ctx *dcrt.Context, i int) *dcrt.Poly {
 	d.mu.Lock()
-	if d.ctx != nil && d.ctx != ctx {
+	if d.ctx != ctx {
 		d.mu.Unlock()
 		panic("bfv: Deferred used with a foreign double-CRT context")
 	}

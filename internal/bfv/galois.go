@@ -1,7 +1,6 @@
 package bfv
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/dcrt"
@@ -63,56 +62,17 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g uint64) (*GaloisKey, error
 // (valid because τ_g is a ring automorphism: Σ wⁱ·τ(dᵢ) = τ(c1)). The
 // digits of c1 are therefore independent of g — the hoisting property
 // that lets one decomposition serve many Galois elements (see hoist.go)
-// — and on the double-CRT backend τ_g acts on a decomposed digit as a
-// pure NTT-slot gather. Per-rotation ApplyGalois and hoisted rotation
-// share the digit set, so their outputs are bit-identical, and the
-// schoolbook oracle and PIM server use the same convention.
+// — and τ_g acts on a decomposed digit as a pure NTT-slot gather.
+// ApplyGalois hoists for its one element, so it is bit-identical to
+// ApplyGaloisHoisted by construction; the Oracle and the PIM server use
+// the same convention.
 func (ev *Evaluator) ApplyGalois(ct *Ciphertext, gk *GaloisKey) (*Ciphertext, error) {
-	if ct.Degree() != 1 {
-		return nil, errors.New("bfv: ApplyGalois requires a degree-1 ciphertext")
+	h, err := ev.Hoist(ct)
+	if err != nil {
+		return nil, err
 	}
-	if gk == nil {
-		return nil, errors.New("bfv: nil Galois key")
-	}
-	par := ev.params
-	out := ev.newCiphertext(2)
-	c0, c1 := out.Polys[0], out.Polys[1]
-	applyGaloisPoly(c0, ct.Polys[0], gk.G, par.Q)
-
-	if ev.useDCRT() {
-		ctx := par.dcrtCtx
-		digits := relinDigits(ctx, par, ct.Polys[1])
-		ev.galoisKeySwitch(ctx, c0, c1, digits, gk)
-		for _, d := range digits {
-			ctx.PutScratch(d)
-		}
-		return out, nil
-	}
-	digits := permuteDigits(decomposePoly(ct.Polys[1], par), gk.G, par)
-	clear(c1.C)
-	gk.switchSchoolbook(c0, c1, digits, par)
-	return out, nil
-}
-
-// galoisKeySwitch runs the double-CRT Galois key switch for one element
-// over an existing digit decomposition of c1 (not consumed): the slot
-// gather realizes τ_g on each digit, the products accumulate in the NTT
-// domain against the key's cached NTT forms, and both components leave
-// through the fast base conversion — the first added onto c0, the
-// second written to c1.
-func (ev *Evaluator) galoisKeySwitch(ctx *dcrt.Context, c0, c1 *poly.Poly, digits []*dcrt.Poly, gk *GaloisKey) {
-	acc0 := ctx.GetScratch()
-	acc1 := ctx.GetScratch()
-	defer ctx.PutScratch(acc0)
-	defer ctx.PutScratch(acc1)
-	acc0.Zero()
-	acc1.Zero()
-	gk.switchAcc(ctx, acc0, acc1, digits, dcrt.GaloisNTTIndices(ctx.N, gk.G))
-	s0 := ev.newPoly()
-	defer ev.putPoly(s0)
-	ctx.FromRNSInto(s0, acc0)
-	poly.Add(c0, c0, s0, ev.params.Q)
-	ctx.FromRNSInto(c1, acc1)
+	defer h.Release()
+	return ev.ApplyGaloisHoisted(h, gk)
 }
 
 // switchAcc accumulates Σᵢ τ_g(digitᵢ)·(k0ᵢ, k1ᵢ) into acc0/acc1 (NTT
@@ -126,25 +86,4 @@ func (ev *Evaluator) galoisKeySwitch(ctx *dcrt.Context, c0, c1 *poly.Poly, digit
 func (gk *GaloisKey) switchAcc(ctx *dcrt.Context, acc0, acc1 *dcrt.Poly, digits []*dcrt.Poly, idx []uint32) {
 	k0, k1 := gk.nttForms(ctx)
 	ctx.GaloisAccAllNTT(acc0, acc1, k0, k1, digits, idx)
-}
-
-// permuteDigits applies τ_g to each digit polynomial — the coefficient-
-// domain form of the decompose-then-permute convention, used by the
-// schoolbook path. Negated coefficients become q−v, congruent mod q to
-// the −v the double-CRT slot gather produces, so all backends agree
-// mod q.
-func permuteDigits(digits []*poly.Poly, g uint64, par *Parameters) []*poly.Poly {
-	out := make([]*poly.Poly, len(digits))
-	for i, d := range digits {
-		out[i] = galoisPoly(d, g, par.Q)
-	}
-	return out
-}
-
-// PermuteGaloisPoly applies the coefficient permutation τ_g (with the
-// negacyclic sign rule) to a single R_q polynomial — exported for
-// accelerator backends that permute key-switching digits themselves
-// under the decompose-then-permute convention.
-func PermuteGaloisPoly(p *poly.Poly, g uint64, params *Parameters) *poly.Poly {
-	return galoisPoly(p, g, params.Q)
 }

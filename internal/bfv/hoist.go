@@ -16,8 +16,8 @@ import (
 // reused: k rotations of one ciphertext cost 1 decomposition instead of
 // k, with each extra element paying only slot gathers, pointwise
 // products, and the output conversions. This is the standard hoisting
-// trick, and because per-rotation ApplyGalois uses the same digits, the
-// hoisted outputs are bit-identical to it.
+// trick; ApplyGalois is a one-element hoist, so the two agree bit for
+// bit.
 
 // Hoisted caches the double-CRT digit decomposition of a degree-1
 // ciphertext's c1 component for reuse across Galois elements. The cache
@@ -32,7 +32,7 @@ import (
 // per-ciphertext NTT cache follows.
 type Hoisted struct {
 	ct  *Ciphertext
-	ctx *dcrt.Context // nil when built by a schoolbook evaluator
+	ctx *dcrt.Context
 
 	mu     sync.Mutex
 	src    *poly.Poly // ct.Polys[1] at decomposition time
@@ -40,19 +40,13 @@ type Hoisted struct {
 }
 
 // Hoist decomposes ct's c1 component into double-CRT digit form, shared
-// by all subsequent ApplyGaloisHoisted calls. On the schoolbook
-// evaluator, which cannot hoist, the returned handle transparently falls
-// back to per-rotation ApplyGalois — results are bit-identical either
-// way.
+// by all subsequent ApplyGaloisHoisted calls.
 func (ev *Evaluator) Hoist(ct *Ciphertext) (*Hoisted, error) {
 	if ct.Degree() != 1 {
 		return nil, errors.New("bfv: Hoist requires a degree-1 ciphertext")
 	}
-	h := &Hoisted{ct: ct}
-	if ev.useDCRT() {
-		h.ctx = ev.params.dcrtCtx
-		h.decompose(ev.params)
-	}
+	h := &Hoisted{ct: ct, ctx: ev.params.dcrtCtx}
+	h.decompose(ev.params)
 	return h, nil
 }
 
@@ -91,9 +85,6 @@ func (h *Hoisted) snapshot(par *Parameters) []*dcrt.Poly {
 // steady-state batched evaluation allocation-free; the handle must not
 // be used afterwards.
 func (h *Hoisted) Release() {
-	if h.ctx == nil {
-		return
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.putDigits()
@@ -101,20 +92,31 @@ func (h *Hoisted) Release() {
 
 // ApplyGaloisHoisted is ApplyGalois reusing the hoisted digit
 // decomposition: bit-identical output, with the per-rotation cost
-// reduced to slot gathers, pointwise accumulation, and the output
-// conversions. A handle whose ciphertext was mutated since Hoist (a
-// swapped component) is re-decomposed, never served stale.
+// reduced to slot gathers, pointwise accumulation against the key's
+// cached NTT forms, and the two output conversions (the first added onto
+// τ_g(c0), the second written to c1). A handle whose ciphertext was
+// mutated since Hoist (a swapped component) is re-decomposed, never
+// served stale.
 func (ev *Evaluator) ApplyGaloisHoisted(h *Hoisted, gk *GaloisKey) (*Ciphertext, error) {
 	if gk == nil {
 		return nil, errors.New("bfv: nil Galois key")
 	}
-	if h.ctx == nil || !ev.useDCRT() {
-		return ev.ApplyGalois(h.ct, gk)
-	}
 	par := ev.params
+	ctx := h.ctx
 	digits := h.snapshot(par)
+	acc0 := ctx.GetScratch()
+	acc1 := ctx.GetScratch()
+	defer ctx.PutScratch(acc0)
+	defer ctx.PutScratch(acc1)
+	acc0.Zero()
+	acc1.Zero()
+	gk.switchAcc(ctx, acc0, acc1, digits, dcrt.GaloisNTTIndices(ctx.N, gk.G))
 	out := ev.newCiphertext(2)
-	applyGaloisPoly(out.Polys[0], h.ct.Polys[0], gk.G, par.Q)
-	ev.galoisKeySwitch(h.ctx, out.Polys[0], out.Polys[1], digits, gk)
+	c0, s0 := out.Polys[0], ev.newPoly()
+	defer ev.putPoly(s0)
+	applyGaloisPoly(c0, h.ct.Polys[0], gk.G, par.Q)
+	ctx.FromRNSInto(s0, acc0)
+	poly.Add(c0, c0, s0, par.Q)
+	ctx.FromRNSInto(out.Polys[1], acc1)
 	return out, nil
 }

@@ -238,36 +238,6 @@ func TestHoistedRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestHoistedSchoolbookFallback: a hoisted handle on the schoolbook
-// oracle delegates to per-rotation ApplyGalois and still matches the
-// native path bit for bit.
-func TestHoistedSchoolbookFallback(t *testing.T) {
-	params := ParamsToy()
-	c := newCtx(t, params, 86, false)
-	gk := genGaloisKeys(t, params, c.sk, 87, 1)[0]
-	oracle := NewSchoolbookEvaluator(params, nil)
-	ct, err := c.enc.EncryptValue(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := oracle.Hoist(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Release()
-	got, err := oracle.ApplyGaloisHoisted(h, gk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := c.eval.ApplyGalois(ct, gk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("schoolbook fallback diverged from native rotation")
-	}
-}
-
 // TestHoistedMutateThenParallel covers the rebuild path under
 // concurrency: the ciphertext is mutated (sequentially), then many
 // goroutines rotate through the stale handle at once — exactly one

@@ -38,18 +38,6 @@ func (k *switchKey) nttForms(ctx *dcrt.Context) (k0, k1 []*dcrt.Poly) {
 	return k.forms.get(ctx, k.K0, k.K1)
 }
 
-// switchSchoolbook adds Σᵢ dᵢ·(k0ᵢ, k1ᵢ) into (c0, c1) by schoolbook
-// products: the double-CRT key switch's oracle.
-func (k *switchKey) switchSchoolbook(c0, c1 *poly.Poly, digits []*poly.Poly, par *Parameters) {
-	tmp := poly.NewPoly(par.N, par.Q.W)
-	for i, d := range digits {
-		poly.MulNegacyclic(tmp, k.K0[i], d, par.Q)
-		poly.Add(c0, c0, tmp, par.Q)
-		poly.MulNegacyclic(tmp, k.K1[i], d, par.Q)
-		poly.Add(c1, c1, tmp, par.Q)
-	}
-}
-
 // RelinKey holds the evaluation keys for relinearization: the key switch
 // from s² to s.
 type RelinKey struct {

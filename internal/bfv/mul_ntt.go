@@ -51,12 +51,20 @@ func (ct *Ciphertext) tensorOperand(ctx *dcrt.Context, i int) *dcrt.Poly {
 func (ct *Ciphertext) acquireOperand() {}
 func (ct *Ciphertext) releaseOperand() {}
 
-// canDeferMuls reports whether this evaluator's products can actually
-// stay NTT-resident: only the double-CRT backend (with a relinearization
-// key) defers; other backends' MulNTT transparently materializes.
-// Capability queries gate on this instead of assuming deferral happened.
-func (ev *Evaluator) canDeferMuls() bool {
-	return ev.useDCRT() && ev.rlk != nil && mulMagBits(ev.params)+1 < ev.params.dcrtCtx.BoundBits
+// checkMul refuses what no product can serve: a ciphertext operand of
+// degree other than 1, or an evaluator without a relinearization key.
+// The basis is sized so every product defers (see attachDCRT), so these
+// are the only refusals.
+func (ev *Evaluator) checkMul(a, b mulOperand) error {
+	for _, op := range []mulOperand{a, b} {
+		if ct, ok := op.(*Ciphertext); ok && ct.Degree() != 1 {
+			return errors.New("bfv: Mul requires degree-1 operands")
+		}
+	}
+	if ev.rlk == nil {
+		return errNoRelinKey
+	}
+	return nil
 }
 
 // MulNTT returns the relinearized product of two degree-1 operands in
@@ -65,23 +73,12 @@ func (ev *Evaluator) canDeferMuls() bool {
 // conversions are postponed until Materialize, deferred products Add in
 // the RNS domain, and a deferred product operand chains its centered NTT
 // forms straight into the next tensor — a Mul→Mul→Mul chain packs
-// coefficients only where a digit decomposition genuinely needs them. On backends that
-// cannot defer it falls back to the materialized path; either way
+// coefficients only where a digit decomposition genuinely needs them.
 // Materialize's result is bit-identical to Evaluator.Mul.
 func (ev *Evaluator) MulNTT(av, bv Value) (*Deferred, error) {
-	if !ev.canDeferMuls() {
-		ct, err := ev.Mul(av.Materialize(), bv.Materialize())
-		if err != nil {
-			return nil, err
-		}
-		return &Deferred{par: ev.params, alloc: ev.Alloc, ct: ct}, nil
-	}
 	a, b := operandOf(av), operandOf(bv)
-	if ct, ok := a.(*Ciphertext); ok && ct.Degree() != 1 {
-		return nil, errors.New("bfv: MulNTT requires degree-1 operands")
-	}
-	if ct, ok := b.(*Ciphertext); ok && ct.Degree() != 1 {
-		return nil, errors.New("bfv: MulNTT requires degree-1 operands")
+	if err := ev.checkMul(a, b); err != nil {
+		return nil, err
 	}
 	a.acquireOperand()
 	defer a.releaseOperand()
@@ -96,7 +93,7 @@ func (ev *Evaluator) MulNTT(av, bv Value) (*Deferred, error) {
 // mulDeferred runs tensor + rescale + relinearization entirely in the
 // extended basis and returns the two exact-integer component accumulators
 // in the residue domain (pooled; the caller owns them). Requires
-// canDeferMuls.
+// checkMul.
 func (ev *Evaluator) mulDeferred(a, b mulOperand) (res0, res1 *dcrt.Poly) {
 	par := ev.params
 	ctx := par.dcrtCtx

@@ -8,7 +8,7 @@ import (
 
 // mulNTTRig builds a small RNS-native fixture: keys, two fresh
 // encryptions, the deferring evaluator and the schoolbook oracle.
-func mulNTTRig(t *testing.T, n int, seed uint64) (*Evaluator, *Evaluator, *Decryptor, *Ciphertext, *Ciphertext) {
+func mulNTTRig(t *testing.T, n int, seed uint64) (*Evaluator, *Oracle, *Decryptor, *Ciphertext, *Ciphertext) {
 	t.Helper()
 	params := paramsSec54AtDegree(n)
 	src := sampling.NewSourceFromUint64(seed)
@@ -24,7 +24,7 @@ func mulNTTRig(t *testing.T, n int, seed uint64) (*Evaluator, *Evaluator, *Decry
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewEvaluator(params, rlk), NewSchoolbookEvaluator(params, rlk), NewDecryptor(params, sk), ct0, ct1
+	return NewEvaluator(params, rlk), NewOracle(params, rlk), NewDecryptor(params, sk), ct0, ct1
 }
 
 // TestMulNTTAllocs pins the steady-state allocation count of one warm
@@ -55,9 +55,6 @@ func TestMulNTTAllocs(t *testing.T) {
 // exactly Evaluator.Mul's (and the schoolbook oracle's) ciphertext.
 func TestMulNTTBitIdentical(t *testing.T) {
 	ev, oracle, _, ct0, ct1 := mulNTTRig(t, 64, 31)
-	if !ev.canDeferMuls() {
-		t.Fatal("expected deferred multiplication on the RNS-native backend")
-	}
 	prod, err := ev.MulNTT(ct0, ct1)
 	if err != nil {
 		t.Fatal(err)
@@ -179,25 +176,92 @@ func TestMulNTTAddFusion(t *testing.T) {
 	p2.Release()
 }
 
-// TestMulNTTFallback: on backends that cannot defer, MulNTT returns an
-// already-materialized handle identical to Mul.
-func TestMulNTTFallback(t *testing.T) {
-	_, oracle, _, ct0, ct1 := mulNTTRig(t, 64, 34)
-	if oracle.canDeferMuls() {
-		t.Fatal("schoolbook evaluator should not defer")
+// TestBasisIsPinned pins each preset's double-CRT basis — its exactness
+// bound and prime count, recorded before the basis was sized for
+// deferred products too — so that covering them leaves every preset's
+// arithmetic, and its speed, where it was.
+func TestBasisIsPinned(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		params        *Parameters
+		bound, primes int
+	}{
+		{"Sec27", ParamsSec27(), 66, 2},
+		{"Sec54", ParamsSec54(), 121, 3},
+		{"Sec109", ParamsSec109(), 232, 4},
+		{"Toy", ParamsToy(), 128, 3},
+		{"Batching", ParamsBatching(), 232, 4},
+		{"Sec54@4096", paramsSec54AtDegree(4096), 122, 3},
+	} {
+		ctx := c.params.dcrtCtx
+		if ctx.BoundBits != c.bound || len(ctx.Basis.Primes) != c.primes {
+			t.Errorf("%s: basis bound %d bits over %d primes, want %d over %d",
+				c.name, ctx.BoundBits, len(ctx.Basis.Primes), c.bound, c.primes)
+		}
 	}
-	prod, err := oracle.MulNTT(ct0, ct1)
+}
+
+// TestMulNTTDefersNearQuarterQ covers the one shape whose deferred
+// product outgrows the tensor bound: the toy modulus with t = 2⁵⁷,
+// near q/4, where the basis sized for the tensor alone (128 bits) left
+// no room for the product's 127-bit components. MulNTT must defer there
+// too, and single, chained and summed products must materialize to the
+// oracle's bits.
+func TestMulNTTDefersNearQuarterQ(t *testing.T) {
+	params, err := NewParameters(64, ParamsToy().Q.QBig, 1<<57, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracle.Mul(ct0, ct1)
+	src := sampling.NewSourceFromUint64(37)
+	kg := NewKeyGenerator(params, src)
+	sk, pk := kg.GenKeyPair()
+	rlk := kg.GenRelinKey(sk)
+	ev, oracle := NewEvaluator(params, rlk), NewOracle(params, rlk)
+	enc := NewEncryptor(params, pk, src)
+	a, err := enc.EncryptValue(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prod.Materialize().Equal(want) {
-		t.Fatal("fallback MulNTT ≠ Mul")
+	b, err := enc.EncryptValue(5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	prod.Release() // no-op on materialized handles
+
+	ab, err := ev.MulNTT(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ab.ct != nil {
+		t.Fatal("MulNTT returned an already materialized product")
+	}
+	chain, err := ev.MulNTT(ab, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, err := ev.MulNTT(b, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, ok := ab.Add(bb)
+	if !ok {
+		t.Fatal("sum of two deferred products fell back")
+	}
+
+	wantAB := must(oracle.Mul(a, b))
+	wantBB := must(oracle.Mul(b, b))
+	for _, c := range []struct {
+		name string
+		got  *Deferred
+		want *Ciphertext
+	}{
+		{"product", ab, wantAB},
+		{"chained product", chain, must(oracle.Mul(wantAB, b))},
+		{"sum of products", sum, must(oracle.Add(wantAB, wantBB))},
+	} {
+		if !c.got.Materialize().Equal(c.want) {
+			t.Errorf("%s ≠ Oracle", c.name)
+		}
+	}
 }
 
 // TestMulManyNTTSum: the batched deferred products and their RNS-domain

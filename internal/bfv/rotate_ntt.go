@@ -26,19 +26,11 @@ func rotatedMagBits(par *Parameters) int {
 // ApplyGaloisHoistedNTT is ApplyGaloisHoisted returning the rotation in
 // deferred NTT form: the slot permutation of c0 and the key-switching
 // accumulation run as usual, but the two output base conversions are
-// postponed until Materialize. On backends that cannot defer it falls
-// back to the materialized path; either way Materialize's result is
-// bit-identical to ApplyGaloisHoisted.
+// postponed until Materialize. Materialize's result is bit-identical to
+// ApplyGaloisHoisted.
 func (ev *Evaluator) ApplyGaloisHoistedNTT(h *Hoisted, gk *GaloisKey) (*Deferred, error) {
 	if gk == nil {
 		return nil, errors.New("bfv: nil Galois key")
-	}
-	if h.ctx == nil || !ev.useDCRT() {
-		ct, err := ev.ApplyGaloisHoisted(h, gk)
-		if err != nil {
-			return nil, err
-		}
-		return &Deferred{par: ev.params, alloc: ev.Alloc, dom: nttDomain, ct: ct}, nil
 	}
 	par := ev.params
 	ctx := h.ctx

@@ -81,51 +81,40 @@ func TestRotatedNTTAddMatchesCoefficientAdd(t *testing.T) {
 	}
 }
 
-func TestRotatedNTTFallbackOnSchoolbook(t *testing.T) {
+// TestDeferredReleaseReturnsMaterialized: Release on a deferred value
+// that was materialized hands the ciphertext back to the evaluator's
+// allocator — rotations and products alike — so once every output is
+// released the pool holds nothing.
+func TestDeferredReleaseReturnsMaterialized(t *testing.T) {
 	params := ParamsToy()
-	c := newCtx(t, params, 505, false)
+	c := newCtx(t, params, 505, true)
 	gks := genGaloisKeys(t, params, c.sk, 506, 2)
 	ct, err := c.enc.EncryptValue(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := NewSchoolbookEvaluator(params, nil)
-	be := NewBatchEvaluatorFrom(oracle)
-	rots, err := be.RotateManyNTT(ct, gks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, gk := range gks {
-		want, err := oracle.ApplyGalois(ct, gk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rots[i].Materialize().Equal(want) {
-			t.Fatalf("rotation %d: schoolbook fallback differs", i)
-		}
-	}
-	// Materialized-only handles refuse deferred Add; callers fall back to
-	// coefficient addition.
-	if _, ok := rots[0].Add(rots[1]); ok {
-		t.Fatal("deferred Add succeeded on a materialized-only handle")
-	}
-	// Release hands a materialized-only handle's ciphertext back to the
-	// evaluator's allocator: once every output is released, the pool
-	// holds nothing.
 	pool := polypool.New(1 << 20)
-	oracle.Alloc = pool
-	owned, err := be.RotateManyNTT(ct, gks)
+	c.eval.Alloc = pool
+	owned, err := NewBatchEvaluatorFrom(c.eval).RotateManyNTT(ct, gks)
 	if err != nil {
 		t.Fatal(err)
+	}
+	prod, err := c.eval.MulNTT(ct, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned = append(owned, prod)
+	for _, d := range owned {
+		d.Materialize()
 	}
 	if s := pool.Stats(); s.InUse == 0 {
-		t.Fatal("schoolbook rotations did not draw on the evaluator's allocator")
+		t.Fatal("materialized outputs did not draw on the evaluator's allocator")
 	}
-	for _, r := range owned {
-		r.Release()
+	for _, d := range owned {
+		d.Release()
 	}
 	if s := pool.Stats(); s.InUse != 0 {
-		t.Fatalf("released materialized-only handles keep their backings: %+v", s)
+		t.Fatalf("released materialized handles keep their backings: %+v", s)
 	}
 }
 
@@ -169,9 +158,6 @@ func TestDeferredAddRefusesMixedDomains(t *testing.T) {
 	ct, err := c.enc.EncryptValue(6)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !c.eval.canDeferMuls() {
-		t.Fatal("expected deferred multiplication on the RNS-native backend")
 	}
 	prod, err := c.eval.MulNTT(ct, ct)
 	if err != nil {

@@ -155,6 +155,11 @@ func (s *Server) AddPlain(ct *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertex
 	return s.Add(ct, other)
 }
 
+// MulPlain is not implemented on the PIM server: it always fails.
+func (s *Server) MulPlain(*bfv.Ciphertext, *bfv.Plaintext) (*bfv.Ciphertext, error) {
+	return nil, errors.New("hepim: the PIM server does not implement MulPlain")
+}
+
 // Sum reduces many degree-1 ciphertexts in one kernel launch per
 // component — the paper's arithmetic-mean aggregation.
 func (s *Server) Sum(cts []*bfv.Ciphertext) (*bfv.Ciphertext, error) {
