@@ -3,6 +3,7 @@ package bfv
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/dcrt"
@@ -131,9 +132,17 @@ func (be *BatchEvaluator) RotateManyAll(cts []*Ciphertext, gks []*GaloisKey) ([]
 // leave through a single base conversion, so the whole reduction pays 2
 // conversions instead of 2k; the result is still bit-identical to
 // folding ApplyGalois outputs with Add in slice order, because the exact
-// integer accumulator never wraps (checked against the basis bound,
-// with a per-rotation fallback otherwise).
+// integer accumulator never wraps. That holds up to maxRotateAndSum
+// rotations; a longer key list is refused with an error.
 func (be *BatchEvaluator) RotateAndSum(cts []*Ciphertext, gks []*GaloisKey) ([]*Ciphertext, error) {
+	for _, gk := range gks {
+		if gk == nil {
+			return nil, errors.New("bfv: nil Galois key")
+		}
+	}
+	if limit := maxRotateAndSum(be.ev.params); len(gks) > limit {
+		return nil, fmt.Errorf("bfv: RotateAndSum of %d rotations exceeds the %d one accumulator holds exactly", len(gks), limit)
+	}
 	out := make([]*Ciphertext, len(cts))
 	err := be.forEach(len(cts), func(i int) error {
 		r, err := be.rotateAndSumOne(cts[i], gks)
@@ -147,12 +156,18 @@ func (be *BatchEvaluator) RotateAndSum(cts []*Ciphertext, gks []*GaloisKey) ([]*
 	return out, nil
 }
 
-// fusedSumOK reports whether k rotations' key-switch accumulators can
-// share one extended-basis accumulator without the exact integer sum
-// wrapping: digits · n · 2^base · q per rotation, times k, must stay
-// under the context's 2^BoundBits exactness window.
-func fusedSumOK(ctx *dcrt.Context, par *Parameters, k int) bool {
-	return keySwitchBits(par)+1+bits.Len(uint(k)) <= ctx.BoundBits
+// maxRotateAndSum returns how many rotations RotateAndSum can fold into
+// one extended-basis accumulator without the exact integer sum wrapping:
+// digits · n · 2^base · q per rotation, times k, must stay under the
+// context's 2^BoundBits exactness window. Every preset admits far more
+// than its 2n Galois elements, so only a key list that repeats keys can
+// exceed it.
+func maxRotateAndSum(par *Parameters) int {
+	spare := par.dcrtCtx.BoundBits - keySwitchBits(par) - 1 // k must have at most spare bits
+	if spare >= bits.UintSize-1 {
+		return math.MaxInt
+	}
+	return 1<<spare - 1
 }
 
 func (be *BatchEvaluator) rotateAndSumOne(ct *Ciphertext, gks []*GaloisKey) (*Ciphertext, error) {
@@ -163,28 +178,7 @@ func (be *BatchEvaluator) rotateAndSumOne(ct *Ciphertext, gks []*GaloisKey) (*Ci
 		return nil, err
 	}
 	defer h.Release()
-	for _, gk := range gks {
-		if gk == nil {
-			return nil, errors.New("bfv: nil Galois key")
-		}
-	}
 	acc := ev.copyOf(ct)
-	if !fusedSumOK(h.ctx, par, len(gks)) {
-		// Per-rotation fallback: hoisting still shares the decomposition,
-		// and every rotation adds into the one owned accumulator.
-		for _, gk := range gks {
-			r, err := ev.ApplyGaloisHoisted(h, gk)
-			if err != nil {
-				acc.Release()
-				return nil, err
-			}
-			for i, p := range acc.Polys {
-				poly.Add(p, p, r.Polys[i], par.Q)
-			}
-			r.Release()
-		}
-		return acc, nil
-	}
 	ctx := h.ctx
 	digits := h.snapshot(par)
 	acc0 := ctx.GetScratch()

@@ -1,6 +1,9 @@
 package bfv
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // Batched-evaluation differential tests: every BatchEvaluator operation
 // must be bit-identical to folding the schoolbook oracle's per-ciphertext
@@ -77,6 +80,49 @@ func TestBatchRotateAndSumSec109(t *testing.T) {
 		t.Skip("schoolbook oracle at W=4 is slow")
 	}
 	runBatchRotateAndSumDifferential(t, mustParams(1024, prime109, 16, 28), 303, 2, 3)
+}
+
+// TestMaxRotateAndSumIsPinned states, for every preset, how many
+// rotations RotateAndSum folds into one exact accumulator, checks that
+// each admits every one of its 2n Galois elements, and that one more
+// rotation than the count — one key repeated — is refused before any
+// work is done.
+func TestMaxRotateAndSumIsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		par  *Parameters
+		want int
+	}{
+		{"toy", ParamsToy(), 1<<38 - 1},
+		{"sec27", ParamsSec27(), 1<<16 - 1},
+		{"sec54", ParamsSec54(), 1<<34 - 1},
+		{"sec109", ParamsSec109(), math.MaxInt},
+		{"batching", ParamsBatching(), math.MaxInt},
+	} {
+		got := maxRotateAndSum(tc.par)
+		if got != tc.want {
+			t.Errorf("%s: maxRotateAndSum = %d, pinned %d", tc.name, got, tc.want)
+		}
+		if got < 2*tc.par.N {
+			t.Errorf("%s: %d rotations is fewer than the %d Galois elements", tc.name, got, 2*tc.par.N)
+		}
+	}
+
+	params := ParamsSec27()
+	c := newCtx(t, params, 306, false)
+	gk := genGaloisKeys(t, params, c.sk, 307, 1)[0]
+	ct, err := c.enc.EncryptValue(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gks := make([]*GaloisKey, maxRotateAndSum(params)+1)
+	for i := range gks {
+		gks[i] = gk
+	}
+	if out, err := NewBatchEvaluatorFrom(c.eval).RotateAndSum([]*Ciphertext{ct}, gks); err == nil {
+		releaseOutputs(out)
+		t.Fatalf("RotateAndSum of %d rotations at sec27 accepted", len(gks))
+	}
 }
 
 // TestBatchRotateMany pins RotateMany outputs to per-rotation

@@ -215,7 +215,8 @@ func (s *Server) liftCentered(p *poly.Poly) *poly.Poly {
 //     kernel launch);
 //  2. host t/q rescaling of the centered results (cheap, linear);
 //  3. relinearization digit products against the evaluation key (2·digits
-//     pairs, one kernel launch) and the final additions (one launch).
+//     pairs, one kernel launch) and the final additions (one sum launch
+//     per output component, two launches).
 //
 // Bit-exact against bfv.Evaluator.Mul.
 func (s *Server) Mul(ct0, ct1 *bfv.Ciphertext) (*bfv.Ciphertext, error) {

@@ -31,14 +31,16 @@
 // host cost of a simulated instruction is an add, not a call.
 //
 // Host cost per simulated product. The schoolbook product kernel
-// (pim/kernels VectorPolyMul) dominates the simulator's host time. Its
-// word-level run bodies cost ≈ 40–55 ns of host time per simulated
-// 256-bit product (8×8 limbs, the lift modulus of a Mul's tensor
-// products, on centered operands) and ≈ 2–3 ns per 32-bit product, on
-// a 2-core 2.1 GHz Xeon; the 64- and 128-bit widths still run
-// limb32.Mul, ≈ 130 ns per 128-bit product. One 27-bit n = 1024 Mul
-// (4.2 M 256-bit products) takes ≈ 0.2 s; a 109-bit n = 4096 one ≈ 13 s,
-// most of it in its 128-bit key-switch products.
+// (pim/kernels VectorPolyMul) dominates the simulator's host time. On a
+// 2-core 2.1 GHz Xeon a simulated 256-bit product (8×8 limbs, the lift
+// modulus of a Mul's tensor products) costs ≈ 7–15 ns of host time when
+// both lifted operands fit a signed word, as every centred 27- and
+// 54-bit coefficient does, and ≈ 40–55 ns otherwise (the 109-bit
+// preset, random operands); a 32-bit product costs ≈ 2–3 ns. The 64-
+// and 128-bit widths still run limb32.Mul, ≈ 130 ns per 128-bit
+// product. One 27-bit n = 1024 Mul (4.2 M 256-bit products) takes
+// ≈ 0.06–0.1 s; a 109-bit n = 4096 one ≈ 12 s, most of it in its
+// 128-bit key-switch products.
 //
 // WRAM is an arena with a checked capacity. Kernels take their scratch
 // from TaskletCtx.WRAM, sized to the data they own, and a request past

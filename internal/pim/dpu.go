@@ -21,6 +21,7 @@ type DPU struct {
 	ID   int
 	mram []uint32
 	wram []uint32 // arena behind TaskletCtx.WRAM; grown on demand, never past WRAMWords
+	host []uint64 // words behind TaskletCtx.HostWords, padded at both ends; grown on demand
 	dead bool     // permanently failed (fault model); excluded from live sets
 
 	// Accounting for the most recent kernel launch, folded from each
@@ -161,6 +162,29 @@ func (c *TaskletCtx) WRAM(words int) ([]uint32, error) {
 	clear(buf)
 	c.wramUsed = end
 	return buf, nil
+}
+
+// hostPad is the words of padding on each side of a DPU's host words:
+// a cache line, so the words of DPUs running side by side never share
+// one with each other or with a neighbouring heap object.
+const hostPad = 8
+
+// HostWords returns n zeroed words of host memory owned by the DPU, for
+// state the host keeps while it simulates a kernel's arithmetic and
+// that the modelled DPU does not hold: they live outside the WRAM
+// arena, cost no simulated cycle and change no tile size. Each call
+// hands out the same words (a tasklet holds one such buffer at a time);
+// like the WRAM arena they are reused by every tasklet and launch, so
+// they cost the host an allocation only the first time a DPU needs
+// that many.
+func (c *TaskletCtx) HostWords(n int) []uint64 {
+	d := c.dpu
+	if len(d.host) < n+2*hostPad {
+		d.host = make([]uint64, n+2*hostPad)
+	}
+	buf := d.host[hostPad : hostPad+n : hostPad+n]
+	clear(buf)
+	return buf
 }
 
 // MRAMRead DMAs words from MRAM (word offset off) into the WRAM buffer

@@ -3,6 +3,7 @@ package kernels
 import (
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/limb32"
@@ -175,6 +176,56 @@ func TestVectorPolyMulBitExactAllWidths(t *testing.T) {
 				if rep.Counts[limb32.OpMul32] == 0 {
 					t.Error("poly mul charged no multiplies")
 				}
+			}
+		}
+	}
+}
+
+// TestVectorPolyMulW8MixedPaths runs the W = 8 kernel on several DPUs
+// at once, GOMAXPROCS ≥ 2, with every output fed both products that take
+// the signed-word path into the DPU-owned host sums and products that
+// take the row walk: even coefficients of a and all of b but every
+// fourth are lifted centred values, ±(2⁶³ − 1) or −2⁶³, the rest 2²⁵⁵ or
+// random residues. Each DPU multiplies two pairs, twice. It runs under
+// -short, so the race detector sees the host sums of DPUs simulated
+// side by side.
+func TestVectorPolyMulW8MixedPaths(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	rng := rand.New(rand.NewSource(4403))
+	mod := modulusFor(t, 8)
+	word := []*big.Int{
+		big.NewInt(0x3ffffff), new(big.Int).Sub(mod.QBig, big.NewInt(0x3ffffff)),
+		new(big.Int).Sub(pow2(63), big.NewInt(1)), new(big.Int).Sub(pow2(256), pow2(63)),
+		big.NewInt(5), new(big.Int).Sub(mod.QBig, big.NewInt(1)),
+	}
+	const n, pairs = 32, 6
+	coeff := func(isWord bool) []uint32 {
+		v := word[rng.Intn(len(word))]
+		if !isWord {
+			v = pow2(255)
+			if rng.Intn(2) == 0 {
+				v = new(big.Int).Rand(rng, mod.QBig)
+			}
+		}
+		return limbs(v, 8)
+	}
+	// Output k gets a row-walk product from every odd i, and a
+	// signed-word one from the even i whose k − i is not 3 mod 4.
+	var a, b []uint32
+	for i := 0; i < pairs*n; i++ {
+		a = append(a, coeff(i%2 == 0)...)
+		b = append(b, coeff(i%4 != 3)...)
+	}
+	sched := testSched(t, pimsched.FitTopology(3), 4)
+	for run := 0; run < 2; run++ { // the second run reuses each DPU's host sums
+		got, _, err := RunVectorPolyMulSched(sched, a, b, n, 8, mod.Q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := hostPolyMul(t, a, b, n, mod)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d: limb %d differs (got %#x want %#x)", run, i, got[i], want[i])
 			}
 		}
 	}

@@ -9,11 +9,13 @@ import (
 	"repro/internal/limb32"
 )
 
-// checkRun holds one productRun to the oracle it stands for: a run of a
-// times every coefficient of b, into accumulators that start at acc0,
-// must leave the same accumulator limbs and the same tally as
-// limb32.Mul followed by accumAdd, product by product.
-func checkRun(t *testing.T, name string, w int, a []uint32, b [][]uint32, acc0 []uint32) {
+// checkRuns holds one productRun to the oracle it stands for: a run of
+// each a in as times every coefficient of b, all into the same
+// accumulators, which start at acc0 and take the host sums once at the
+// end, as VectorPolyMul flushes them once per pair, must leave the same
+// accumulator limbs and the same tally as limb32.Mul followed by
+// accumAdd, product by product.
+func checkRuns(t *testing.T, name string, w int, as, b [][]uint32, acc0 []uint32) {
 	t.Helper()
 	accW := 2*w + 1
 	var flat []uint32
@@ -23,12 +25,23 @@ func checkRun(t *testing.T, name string, w int, a []uint32, b [][]uint32, acc0 [
 	var want, got limb32.Counts
 	wantAcc := append([]uint32(nil), acc0...)
 	prod := make(limb32.Nat, 2*w)
-	for i, bt := range b {
-		limb32.Mul(prod, a, bt, &want)
-		accumAdd(wantAcc[i*accW:(i+1)*accW], prod, &want)
+	for _, a := range as {
+		for i, bt := range b {
+			limb32.Mul(prod, a, bt, &want)
+			accumAdd(wantAcc[i*accW:(i+1)*accW], prod, &want)
+		}
 	}
 	gotAcc := append([]uint32(nil), acc0...)
-	productRunFor(w, make(limb32.Nat, 2*w))(gotAcc, a, flat, &got)
+	sums := make([]uint64, len(b)*sumWords)
+	run := productRunFor(w, make(limb32.Nat, 2*w))
+	for _, a := range as {
+		run(gotAcc, sums, a, flat, &got)
+	}
+	if w == 8 {
+		for i := range b {
+			flushSums(gotAcc[i*accW:(i+1)*accW], sums[i*sumWords:])
+		}
+	}
 	if got != want {
 		t.Errorf("%s: tally %v, limb32 charges %v", name, got, want)
 	}
@@ -38,6 +51,12 @@ func checkRun(t *testing.T, name string, w int, a []uint32, b [][]uint32, acc0 [
 				name, i/accW, i%accW, gotAcc[i], wantAcc[i])
 		}
 	}
+}
+
+// checkRun is checkRuns for a single run of a.
+func checkRun(t *testing.T, name string, w int, a []uint32, b [][]uint32, acc0 []uint32) {
+	t.Helper()
+	checkRuns(t, name, w, [][]uint32{a}, b, acc0)
 }
 
 // limbs returns x as w little-endian 32-bit limbs.
@@ -195,6 +214,173 @@ func TestProductRunsRandom(t *testing.T) {
 			}
 			checkRun(t, fmt.Sprintf("w%d sweep %d", w, it), w, a, b, acc)
 		}
+	}
+}
+
+// signedValues returns 256-bit operands on both sides of the signed-word
+// test of the W = 8 body: σ = v read as two's complement at 0, ±1,
+// ±(2⁶³ − 1) and −2⁶³, lifted centred coefficients (x and 2²⁵⁶ − 189 − x),
+// and values just outside a word — 2⁶³, 2²⁵⁵, 2²⁵⁶ − 2⁶³ − 1 — or far
+// from one.
+func signedValues(rng *rand.Rand) []namedValue {
+	one := big.NewInt(1)
+	top := pow2(256)
+	lift := new(big.Int).Sub(top, big.NewInt(189))
+	neg := func(x *big.Int) *big.Int { return new(big.Int).Sub(top, x) }
+	return []namedValue{
+		{"0", new(big.Int)},
+		{"1", one},
+		{"2^26-1", big.NewInt(0x3ffffff)},
+		{"2^63-1", new(big.Int).Sub(pow2(63), one)},
+		{"-1", neg(one)},
+		{"-(2^63-1)", neg(new(big.Int).Sub(pow2(63), one))},
+		{"-2^63", neg(pow2(63))},
+		{"lift-1", new(big.Int).Sub(lift, one)},
+		{"lift-(2^26-1)", new(big.Int).Sub(lift, big.NewInt(0x3ffffff))},
+		{"2^32", pow2(32)},
+		{"2^63", pow2(63)},
+		{"2^64-1", new(big.Int).Sub(pow2(64), one)},
+		{"2^255", pow2(255)},
+		{"2^256-2^63-1", new(big.Int).Sub(neg(pow2(63)), one)},
+		{"2^256-2^64", neg(pow2(64))},
+		{"random", new(big.Int).Rand(rng, top)},
+		{"random negative", new(big.Int).Or(new(big.Int).Rand(rng, top), pow2(255))},
+	}
+}
+
+type namedValue struct {
+	name string
+	v    *big.Int
+}
+
+// TestProductRunsSignedWords holds the W = 8 body, its host sums
+// flushed into the accumulators, to limb32.Mul + accumAdd where the
+// signed-word path could go wrong: every pair of signedValues in one
+// run each, all of them into the same outputs (word-sized products and
+// row-walk products mixed), and 4096 products of the largest σ into
+// one output, which S must hold without wrapping.
+func TestProductRunsSignedWords(t *testing.T) {
+	vals := signedValues(rand.New(rand.NewSource(4401)))
+	var all [][]uint32
+	for _, v := range vals {
+		all = append(all, limbs(v.v, 8))
+	}
+	for i, v := range vals {
+		checkRun(t, "a="+v.name, 8, all[i], all, startAcc(len(all), 8))
+		checkRun(t, "a="+v.name+" zero acc", 8, all[i], all, make([]uint32, 17*len(all)))
+	}
+	checkRuns(t, "every a into the same outputs", 8, all, all, startAcc(len(all), 8))
+
+	// 4096 products of σ = −2⁶³ by −2⁶³ (S = 2¹³⁸) and by 2⁶³ − 1
+	// (S ≈ −2¹³⁸), and the two alternating, into one output.
+	minWord := limbs(new(big.Int).Sub(pow2(256), pow2(63)), 8)
+	maxWord := limbs(new(big.Int).Sub(pow2(63), big.NewInt(1)), 8)
+	same := make([][]uint32, 4096)
+	for i := range same {
+		same[i] = minWord
+	}
+	checkRuns(t, "4096 × (−2^63)·(−2^63)", 8, same, [][]uint32{minWord}, startAcc(1, 8))
+	checkRuns(t, "4096 × (−2^63)·(2^63−1)", 8, same, [][]uint32{maxWord}, startAcc(1, 8))
+	mixed := make([][]uint32, 4096)
+	for i := range mixed {
+		mixed[i] = minWord
+		if i%2 == 0 {
+			mixed[i] = maxWord
+		}
+	}
+	checkRuns(t, "4096 alternating signs", 8, mixed, [][]uint32{minWord}, make([]uint32, 17))
+}
+
+// rippleThresholds returns the two thresholds of rowRipple for h:
+// ⌊2⁹⁶/(h+1)⌋, below which a row cannot ripple, and ⌊(2⁹⁶−1)/h⌋,
+// above which it does.
+func rippleThresholds(h uint64) (lo, hi uint64) {
+	hb := new(big.Int).SetUint64(h)
+	lo = new(big.Int).Quo(pow2(96), new(big.Int).Add(hb, big.NewInt(1))).Uint64()
+	hi = new(big.Int).Quo(new(big.Int).Sub(pow2(96), big.NewInt(1)), hb).Uint64()
+	return lo, hi
+}
+
+// around returns each word v of vs with v − 1 and v + 1, where they are
+// words.
+func around(vs ...uint64) []uint64 {
+	var out []uint64
+	for _, v := range vs {
+		out = append(out, v)
+		if v > 0 {
+			out = append(out, v-1)
+		}
+		if v < 1<<64-1 {
+			out = append(out, v+1)
+		}
+	}
+	return out
+}
+
+// TestRowRippleThresholds holds rowRipple to its two thresholds, with
+// b₃ on each and one either side, at the extreme prefixes h = 2³² (a_r
+// = 1 above a zero limb) and h = 2⁶⁴ − 1 and between them; and checks
+// that each decision it calls sure is one on the prefix products: a
+// ripple for the smallest A_r and b, none for the largest.
+func TestRowRippleThresholds(t *testing.T) {
+	rng := rand.New(rand.NewSource(4402))
+	hs := []uint64{1 << 32, 1<<32 + 1, 0xffffffff << 32, 1<<64 - 2, 1<<64 - 1, 3<<32 + 7}
+	for i := 0; i < 20; i++ {
+		hs = append(hs, rng.Uint64()|1<<32)
+	}
+	for _, h := range hs {
+		lo, hi := rippleThresholds(h)
+		for _, b3 := range around(lo, hi, 0, 1<<64-1) {
+			rip, sure := rowRipple(h, b3)
+			if wantRip, wantSure := b3 > hi, b3 > hi || b3 < lo; rip != wantRip || sure != wantSure {
+				t.Errorf("h=%#x b3=%#x (thresholds %#x, %#x): ripple %v sure %v, want %v %v",
+					h, b3, lo, hi, rip, sure, wantRip, wantSure)
+			}
+			if !sure {
+				continue
+			}
+			// A_r spans [h, h+1)·2^(32r−32) and b [b₃, b₃+1)·2¹⁹²; the
+			// row ripples when A_r·b ≥ 2^(32(r+8)). At r = 1 and r = 2:
+			for r := 1; r <= 2; r++ {
+				unit := pow2(32*r - 32)
+				aMin := new(big.Int).Mul(new(big.Int).SetUint64(h), unit)
+				aMax := new(big.Int).Sub(new(big.Int).Add(aMin, unit), big.NewInt(1))
+				bMin := new(big.Int).Lsh(new(big.Int).SetUint64(b3), 192)
+				bMax := new(big.Int).Sub(new(big.Int).Add(bMin, pow2(192)), big.NewInt(1))
+				bound := pow2(32 * (r + 8))
+				if rip && new(big.Int).Mul(aMin, bMin).Cmp(bound) < 0 {
+					t.Errorf("h=%#x b3=%#x r=%d: called a ripple, but the smallest product does not reach 2^(32(r+8))", h, b3, r)
+				}
+				if !rip && new(big.Int).Mul(aMax, bMax).Cmp(bound) >= 0 {
+					t.Errorf("h=%#x b3=%#x r=%d: called no ripple, but the largest product reaches 2^(32(r+8))", h, b3, r)
+				}
+			}
+		}
+	}
+
+	// The same edges through the run body: a with h_r = 2³² (limb r is
+	// 1, the limbs below zero) and h_r = 2⁶⁴ − 1 (limbs r and r−1 all
+	// ones), against b whose top word sits on either threshold or one
+	// either side, with lower words all zero or all ones, and against
+	// negative word-sized b.
+	var bs [][]uint32
+	for _, h := range []uint64{1 << 32, 1<<64 - 1} {
+		lo, hi := rippleThresholds(h)
+		for _, b3 := range around(lo, hi) {
+			for _, low := range []*big.Int{new(big.Int), new(big.Int).Sub(pow2(192), big.NewInt(1))} {
+				v := new(big.Int).Lsh(new(big.Int).SetUint64(b3), 192)
+				bs = append(bs, limbs(v.Or(v, low), 8))
+			}
+		}
+	}
+	bs = append(bs, limbs(new(big.Int).Sub(pow2(256), big.NewInt(1)), 8),
+		limbs(new(big.Int).Sub(pow2(256), pow2(63)), 8))
+	for r := 0; r < 8; r++ {
+		checkRun(t, fmt.Sprintf("h_%d = 2^32", r), 8, limbs(pow2(32*r), 8), bs, startAcc(len(bs), 8))
+		ones := new(big.Int).Sub(pow2(32*(r+1)), big.NewInt(1))
+		checkRun(t, fmt.Sprintf("h_%d = 2^64-1", r), 8, limbs(ones, 8), bs, startAcc(len(bs), 8))
+		negOnes := new(big.Int).Sub(pow2(256), pow2(32*r)) // limbs ≥ r all ones: σ < 0
+		checkRun(t, fmt.Sprintf("a = -2^(32·%d)", r), 8, limbs(negOnes, 8), bs, startAcc(len(bs), 8))
 	}
 }
 
