@@ -224,7 +224,7 @@ func chaosRun(w io.Writer, spec string, seed uint64, dpus int, csv bool) error {
 var figureIDs = []string{"1a", "1b", "2a", "2b", "2c", "width", "tasklets", "transfers", "energy", "ablation"}
 
 func collect(which string) ([]*bench.Figure, error) {
-	// The pim-scale sweep runs the async execution plane for real across
+	// The pim-scale sweep runs the execution plane for real across
 	// DPU counts up to the paper machine — metered, oracle-checked, and
 	// independent of the calibrated models, so it bypasses the suite and
 	// is not part of -fig all.

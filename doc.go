@@ -48,11 +48,12 @@
 //   - internal/hepim, internal/pimsched, internal/pim: BFV on the
 //     simulated PIM machine, on one execution plane. Every kernel
 //     driver (internal/pim/kernels) is a shard plan; pimsched alone
-//     places it on an explicit rank×DPU topology, overlaps transfer
-//     with compute at rank granularity, retries and re-dispatches
-//     under the deterministic fault model (internal/faultinject), and
-//     prices cycles, transfers and energy into one report shape —
-//     the server, the figures and the performance model all run it.
+//     places it on an explicit rank×DPU topology, models how far
+//     transfer overlaps compute at rank granularity, retries and
+//     re-dispatches under the deterministic fault model
+//     (internal/faultinject), and prices cycles, transfers and
+//     energy into one report shape — the server, the figures and the
+//     performance model all run it.
 //   - internal/perfmodel, internal/bench, cmd/hepim-bench: the paper's
 //     analytic platform models and the emitters of its figures.
 //   - benchmark/ (BENCHMARK.json), with the Go benchmarks cmd/benchdiff

@@ -8,7 +8,7 @@
 //   - multiplication: the missing 32-bit multiplier lets the GPU and the
 //     NTT-based SEAL overtake PIM (Key Takeaway 2).
 //
-// It then runs the sharded async execution plane (internal/pimsched)
+// It then runs the sharded execution plane (internal/pimsched)
 // across a DPU-count sweep and prints how batched ciphertext addition
 // scales from 1 DPU to the paper machine's full 2,524-DPU footprint:
 // metered kernel cycles, host↔DPU transfer bytes, the pipelined
@@ -49,7 +49,7 @@ func main() {
 	fmt.Println()
 	fmt.Println(bench.Render(abl))
 
-	// DPU scaling on the sharded async execution plane: the same
+	// DPU scaling on the sharded execution plane: the same
 	// batched addition, metered end to end (kernel cycles + modeled
 	// host↔DPU transfers with copy-in/launch overlap) as the topology
 	// grows from one DPU to the full machine.

@@ -92,7 +92,7 @@ type Config struct {
 	// (0 = the paper machine's 2,524). Other backends ignore it.
 	PIMDPUs int
 
-	// PIMRanks/PIMDPUsPerRank pin the rank×DPU topology of the async
+	// PIMRanks/PIMDPUsPerRank pin the rank×DPU topology of the
 	// execution plane (both zero = the largest whole-rank topology that
 	// fits the DPU count). When set without PIMDPUs, the simulated
 	// system is sized to the topology.

@@ -327,7 +327,7 @@ func (c *Context) PIMStats() (stats PIMStats, ok bool) {
 }
 
 // PIMBreakdown is the aggregated sharded execution breakdown of the
-// async PIM plane (see Context.PIMBreakdown): where the modeled time
+// PIM plane (see Context.PIMBreakdown): where the modeled time
 // went — kernels, host→DPU staging, DPU→host gathering — across the
 // rank×DPU topology, with both the pipelined makespan and the
 // no-overlap serial time so overlap's benefit is a measured ratio.
@@ -357,7 +357,7 @@ type PIMBreakdown struct {
 }
 
 // PIMBreakdown returns the accumulated sharded cycle/transfer/energy
-// breakdown of the "pim" backend's async execution plane; ok is false
+// breakdown of the "pim" backend's execution plane; ok is false
 // for host-only backends. All-zero fields with ok true mean no
 // operation has reached the PIM plane yet.
 func (c *Context) PIMBreakdown() (bd PIMBreakdown, ok bool) {

@@ -126,7 +126,7 @@ func WithPIMDPUs(n int) Option {
 	}
 }
 
-// WithPIMTopology pins the rank×DPU shape of the "pim" backend's async
+// WithPIMTopology pins the rank×DPU shape of the "pim" backend's
 // execution plane. Without it the backend derives the largest
 // whole-rank topology that fits the simulated DPU count (see
 // WithPIMDPUs); with it, and without an explicit DPU count, the

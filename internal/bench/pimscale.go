@@ -13,7 +13,7 @@ import (
 )
 
 // The PIM-at-scale sweep: batched ciphertext addition executed for real
-// on the async multi-DPU execution plane (internal/pimsched) across a
+// on the multi-DPU execution plane (internal/pimsched) across a
 // DPU-count sweep up to the paper machine's scale. Unlike the Fig. 1/2
 // figures — which extrapolate calibrated cost models — every point here
 // runs the actual kernels over actual data on the simulator, checks the
@@ -127,8 +127,8 @@ func runPIMScalePoint(cs pimScaleCase, dpus, ctPairs int, a, b, want []uint32) (
 }
 
 // MeasurePIMScale runs the DPU sweep: ctPairs ciphertext additions (two
-// n-coefficient polynomials each) executed through the async execution
-// plane at every DPU count, with overlap on and off. Every point is
+// n-coefficient polynomials each) executed through the pimsched
+// execution plane at every DPU count, with overlap on and off. Every point is
 // checked bit-for-bit against the host oracle.
 func MeasurePIMScale(dpuCounts []int, ctPairs int) (*Figure, []PIMScalePoint, error) {
 	if len(dpuCounts) == 0 {
@@ -141,10 +141,10 @@ func MeasurePIMScale(dpuCounts []int, ctPairs int) (*Figure, []PIMScalePoint, er
 	var points []PIMScalePoint
 	fig := &Figure{
 		ID:     "pim-scale",
-		Title:  fmt.Sprintf("Sharded async execution: %d-ciphertext addition across DPU counts", ctPairs),
+		Title:  fmt.Sprintf("Sharded execution: %d-ciphertext addition across DPU counts", ctPairs),
 		XLabel: "n / DPUs",
 		Unit:   "ms",
-		PaperNote: "metered on the async execution plane (overlap vs serial); " +
+		PaperNote: "metered on the pimsched execution plane (modelled overlap vs serial); " +
 			"every point bit-identical to the host oracle",
 	}
 	for _, cs := range cases {

@@ -59,7 +59,7 @@ func within(got, want, tolRel float64) bool {
 }
 
 // TestPaperValidation regenerates the validation table's sweep points
-// on the async execution plane and gates the metered numbers against
+// on the pimsched execution plane and gates the metered numbers against
 // the checked-in expectations: cycle and byte counts exactly (the
 // simulator is deterministic), modeled seconds within each entry's
 // tolerance, and the overlap speedup at least the pinned floor.
@@ -118,9 +118,6 @@ func TestPaperValidation(t *testing.T) {
 // oracle-identical, and overlap strictly beats serial exactly on the
 // multi-rank points.
 func TestPIMScaleSweepShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full DPU sweep in -short mode")
-	}
 	_, sweep, err := MeasurePIMScale(nil, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -79,9 +79,6 @@ func BenchmarkPIMMul27(b *testing.B) {
 // path; how the simulator computes the tally is free to change, these
 // numbers are the model and are not.
 func TestPIMMul27IsPinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulates a full n=1024 Mul")
-	}
 	f := rackFixture(t, bfv.ParamsSec27(), true)
 	cts := f.encryptMany(t, 2)
 	got, err := f.srv.Mul(cts[0], cts[1])
@@ -189,6 +186,36 @@ func TestSumAllocatesShardSizedScratch(t *testing.T) {
 		t.Errorf("steady-state Sum of 64 allocated %d bytes, limit %d", got, limit)
 	} else {
 		t.Logf("steady-state Sum of 64 allocated %d bytes", got)
+	}
+}
+
+// TestPIMSumAllocs gates the host allocations of a warm Sum of 64
+// ciphertexts on 4 × 64 DPUs — the mean BenchmarkPIMSum64 times. A shard
+// is a word range and its kernel, so what is left per call is the
+// placement, one goroutine per DPU launch, one kernel per shard and the
+// output. The scheduler that staged and gathered through per-shard
+// closures on goroutines of its own made 2 848.
+func TestPIMSumAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	const maxAllocs = 2000
+	f := rackFixture(t, bfv.ParamsSec109(), false)
+	cts := f.encryptMany(t, 64)
+	want := f.hostSum(cts)
+	var got *bfv.Ciphertext
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if got, err = f.srv.Sum(cts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !got.Equal(want) {
+		t.Fatal("PIM Sum differs from host evaluator")
+	}
+	t.Logf("warm Sum of 64: %.0f allocations per call", allocs)
+	if allocs > maxAllocs {
+		t.Fatalf("warm Sum of 64 allocates %.0f times per call, want ≤ %d", allocs, maxAllocs)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 // Server is a BFV evaluation service on the simulated PIM system.
 // Operands are not resident: every operation stages its ciphertexts into
 // DPU memory, runs its kernels and gathers the results back, so each
-// call pays its own transfers. All kernels run through the async
+// call pays its own transfers. All kernels run through the
 // multi-DPU execution plane (internal/pimsched): work is sharded over
 // the scheduler's rank×DPU topology and every kernel run's report — the
 // sharded cycle/transfer/energy breakdown, with both the pipelined
@@ -98,15 +98,6 @@ func (s *Server) Breakdown() *pimsched.Report {
 	return &total
 }
 
-// flattenPolys concatenates ciphertext component p of every ciphertext.
-func flattenPolys(cts []*bfv.Ciphertext, comp, n, w int) []uint32 {
-	out := make([]uint32, 0, len(cts)*n*w)
-	for _, ct := range cts {
-		out = append(out, ct.Polys[comp].C...)
-	}
-	return out
-}
-
 // Add returns ct0 + ct1 computed by the PIM vector-addition kernel.
 // Bit-exact against bfv.Evaluator.Add.
 func (s *Server) Add(ct0, ct1 *bfv.Ciphertext) (*bfv.Ciphertext, error) {
@@ -115,9 +106,9 @@ func (s *Server) Add(ct0, ct1 *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 	}
 	par := s.Params
 	n, w := par.N, par.Q.W
-	a := flattenPolys([]*bfv.Ciphertext{ct0}, 0, n, w)
-	b := flattenPolys([]*bfv.Ciphertext{ct1}, 0, n, w)
-	for c := 1; c < len(ct0.Polys); c++ {
+	a := make([]uint32, 0, len(ct0.Polys)*n*w)
+	b := make([]uint32, 0, len(ct1.Polys)*n*w)
+	for c := range ct0.Polys {
 		a = append(a, ct0.Polys[c].C...)
 		b = append(b, ct1.Polys[c].C...)
 	}

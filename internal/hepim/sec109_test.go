@@ -10,13 +10,8 @@ import (
 
 // TestSec109AdditionPipelineRealParams runs the paper's flagship
 // parameter set (N=4096, 109-bit q, 128-bit coefficients) through the
-// full encrypted-mean pipeline on the simulated PIM system. Slow
-// (real-size schoolbook polynomial products during key generation and
-// encryption), so skipped under -short.
+// full encrypted-mean pipeline on the simulated PIM system.
 func TestSec109AdditionPipelineRealParams(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-scale 109-bit pipeline is slow")
-	}
 	params := bfv.ParamsSec109()
 	src := sampling.NewSourceFromUint64(109)
 	kg := bfv.NewKeyGenerator(params, src)

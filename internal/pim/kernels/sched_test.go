@@ -132,8 +132,8 @@ func TestSchedStragglerStretchesMakespanOnly(t *testing.T) {
 }
 
 // TestDeclaredBytesAreCopiedBytes: the transfer model prices the bytes
-// a plan declares, so on a clean run they must equal the bytes its
-// closures actually copied.
+// of a plan's word ranges, so on a clean run the report's bytes must
+// equal the bytes the scheduler actually staged and gathered.
 func TestDeclaredBytesAreCopiedBytes(t *testing.T) {
 	n, pairs := 16, 7 // 7 pairs over 3 DPUs: uneven shards
 	ntt := testPlan(t, n)

@@ -23,10 +23,11 @@ func testSystem(t *testing.T, dpus, tasklets int) *System {
 // the first per-DPU error: the all-or-nothing launch these tests want.
 func launch(sys *System, active int, kernel KernelFunc) (*Report, error) {
 	ids := make([]int, active)
+	kernels := make([]KernelFunc, active)
 	for i := range ids {
-		ids[i] = i
+		ids[i], kernels[i] = i, kernel
 	}
-	rep, errs := sys.LaunchOn(ids, func(int) KernelFunc { return kernel })
+	rep, errs := sys.LaunchOn(ids, kernels)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -277,9 +278,8 @@ func TestWRAMIsACheckedArena(t *testing.T) {
 
 func TestLaunchValidatesActiveDPUs(t *testing.T) {
 	sys := testSystem(t, 2, 2)
-	_, errs := sys.LaunchOn([]int{-1, 0, 2}, func(int) KernelFunc {
-		return func(*TaskletCtx) error { return nil }
-	})
+	nop := func(*TaskletCtx) error { return nil }
+	_, errs := sys.LaunchOn([]int{-1, 0, 2}, []KernelFunc{nop, nop, nop})
 	if errs[0] == nil || errs[2] == nil {
 		t.Errorf("out-of-range DPU ids accepted: %v", errs)
 	}

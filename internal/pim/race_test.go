@@ -6,13 +6,12 @@ import (
 )
 
 // TestConcurrentTransferAccounting drives CopyToDPU/CopyFromDPU from
-// many goroutines while launches are in flight on a disjoint DPU set —
-// the shape of the pimsched async queues, where the next chunk stages
-// onto idle ranks while the current chunk's kernels run. A DPU's MRAM
-// itself is never shared between a copy and a running kernel; the
-// contended state is the System-wide transfer counters. Run under
-// -race this is the regression test for those counters being plain
-// int64 fields.
+// many goroutines while launches are in flight on a disjoint DPU set,
+// and reads TransferBytes at the end. A DPU's MRAM itself is never
+// shared between a copy and a running kernel; the contended state is
+// the System-wide transfer counters, which a caller may copy through
+// and read from any goroutine. Run under -race this is the regression
+// test for those counters being plain int64 fields.
 func TestConcurrentTransferAccounting(t *testing.T) {
 	const (
 		nDPUs    = 16
@@ -41,6 +40,11 @@ func TestConcurrentTransferAccounting(t *testing.T) {
 		return nil
 	}
 
+	kernels := make([]KernelFunc, len(launchIDs))
+	for i := range kernels {
+		kernels[i] = kernel
+	}
+
 	var wg sync.WaitGroup
 	for d := 0; d < copyDPUs; d++ {
 		wg.Add(1)
@@ -65,7 +69,7 @@ func TestConcurrentTransferAccounting(t *testing.T) {
 	}
 	// Launches in flight while the copies churn.
 	for it := 0; it < 4; it++ {
-		rep, errs := sys.LaunchOn(launchIDs, func(int) KernelFunc { return kernel })
+		rep, errs := sys.LaunchOn(launchIDs, kernels)
 		for _, err := range errs {
 			if err != nil {
 				t.Fatal(err)

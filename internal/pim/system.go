@@ -12,13 +12,10 @@ import (
 
 // System is a collection of DPUs plus the host-side transfer engine.
 //
-// Transfer accounting is atomic: an async command queue (internal/
-// pimsched) stages the next chunk's CopyToDPU and gathers the previous
-// chunk's CopyFromDPU concurrently with an in-flight LaunchOn, so the
-// host byte counters are hit from several goroutines at once. Kernel
-// launches themselves must still be issued from one dispatcher
-// goroutine at a time — the launch sequence numbers the fault
-// schedule, so concurrent launches would make a seeded chaos run
+// The host byte counters are atomic, so TransferBytes may be read while
+// copies are in flight on other goroutines. Kernel launches must be
+// issued from one goroutine at a time: the launch sequence numbers the
+// fault schedule, so concurrent launches would make a seeded chaos run
 // scheduling-dependent.
 type System struct {
 	Config SystemConfig
@@ -103,21 +100,20 @@ type Report struct {
 	ActiveDPUs int
 }
 
-// LaunchOn runs kernel(id) on each listed DPU with the configured
-// tasklet count, in parallel host goroutines. It returns the launch
-// report plus one error slot per listed DPU (aligned with ids): slots
-// are nil on success, a *FaultError for injected or pre-existing DPU
-// failures, and an ordinary error when the kernel itself failed or
-// panicked. The
-// report covers the DPUs that ran, so a partially faulted launch still
-// charges the cycles it consumed.
+// LaunchOn runs kernels[i] on DPU ids[i] with the configured tasklet
+// count, the DPUs side by side on host goroutines. It returns the
+// launch report plus one error slot per listed DPU (aligned with ids):
+// slots are nil on success, a *FaultError for injected or pre-existing
+// DPU failures, and an ordinary error when the kernel itself failed or
+// panicked. The report covers the DPUs that ran, so a partially faulted
+// launch still charges the cycles it consumed.
 //
 // Fault-injection decisions are made serially, before any kernel code
 // runs, keyed by (launch sequence, DPU ID) — so a seeded chaos run is
 // reproducible regardless of scheduling. A DPU hit by SiteDPUDead is
 // marked dead before its kernel would have run and stays dead for the
 // rest of the System's life.
-func (s *System) LaunchOn(ids []int, kernel func(dpuID int) KernelFunc) (*Report, []error) {
+func (s *System) LaunchOn(ids []int, kernels []KernelFunc) (*Report, []error) {
 	T := s.Config.Tasklets
 	errs := make([]error, len(ids))
 
@@ -175,7 +171,7 @@ func (s *System) LaunchOn(ids []int, kernel func(dpuID int) KernelFunc) (*Report
 			defer wg.Done()
 			defer func() { <-sem }()
 			errs[slot] = d.run(kern, s.Config.Cost, T)
-		}(s.DPUs[id], i, kernel(id))
+		}(s.DPUs[id], i, kernels[i])
 	}
 	wg.Wait()
 
@@ -211,17 +207,10 @@ func (s *System) LaunchOn(ids []int, kernel func(dpuID int) KernelFunc) (*Report
 func Partition(items, workers, w int) (start, end int) {
 	base := items / workers
 	rem := items % workers
-	start = w*base + minInt(w, rem)
+	start = w*base + min(w, rem)
 	end = start + base
 	if w < rem {
 		end++
 	}
 	return start, end
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

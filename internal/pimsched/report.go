@@ -3,7 +3,7 @@ package pimsched
 import "repro/internal/limb32"
 
 // Report is the outcome of one Scheduler.Run: the sharded
-// cycle/transfer/energy breakdown of an async multi-DPU execution.
+// cycle/transfer/energy breakdown of a multi-DPU execution.
 //
 // Two end-to-end times are always computed from the same per-chunk
 // phases. SerialSeconds is the no-overlap sum Σ(tIn+tK+tOut) over all
@@ -29,8 +29,8 @@ type Report struct {
 	// times (the serial transfer components of SerialSeconds).
 	CopyInSeconds  float64
 	CopyOutSeconds float64
-	BytesIn        int64 // declared host→DPU bytes (one logical pass)
-	BytesOut       int64 // declared DPU→host bytes
+	BytesIn        int64 // host→DPU bytes of the plan's slices (one logical pass)
+	BytesOut       int64 // DPU→host bytes of the plan's slices
 
 	MakespanSeconds float64 // pipelined end-to-end time
 	SerialSeconds   float64 // no-overlap end-to-end time

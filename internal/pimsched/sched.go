@@ -6,29 +6,30 @@ import (
 	"repro/internal/pim"
 )
 
-// Shard is one placeable unit of work: staged onto whichever DPU the
-// scheduler picks, executed by its kernel, gathered back. Stage and
-// Gather may be nil for shards without input or output; a nil Kernel
-// runs an empty tasklet program. BytesIn/BytesOut declare the host
-// transfer volume the closures perform — the transfer cost model
-// prices the declared bytes, so drivers must declare exactly what they
-// copy.
+// Shard is one placeable unit of work: words [Lo, Hi) of every input
+// of its run and of the run's output, and the tasklet program that
+// computes them. Wherever the scheduler places it, input v's slice is
+// staged at MRAM word v·(Hi−Lo) and the output is gathered from
+// len(in)·(Hi−Lo); a nil Kernel runs an empty tasklet program. The
+// transfer cost model prices those same slices, so the declared bytes
+// are the copied bytes.
 type Shard struct {
-	Stage    func(dpu int) error
-	Kernel   pim.KernelFunc
-	Gather   func(dpu int) error
-	BytesIn  int64
-	BytesOut int64
+	Lo, Hi int
+	Kernel pim.KernelFunc
 }
 
-// Scheduler owns the async execution plane over one simulated System.
-// It is not safe for concurrent Run calls — callers serialize (the
-// hepim server already runs ops one at a time per context).
+// Scheduler places shard plans on one simulated System, runs them and
+// prices them. It is not safe for concurrent Run calls — callers
+// serialize (the hepim server already runs ops one at a time per
+// context).
 type Scheduler struct {
-	Sys     *pim.System
-	Topo    Topology
-	Xfer    TransferModel
-	Overlap bool // pipeline staging/compute/gathering across ranks
+	Sys  *pim.System
+	Topo Topology
+	Xfer TransferModel
+	// Overlap prices the makespan as a pipeline in which one rank's
+	// transfers overlap another rank's compute; without it the makespan
+	// is the serial sum of every phase.
+	Overlap bool
 }
 
 // New builds a scheduler over sys with the given topology. The
@@ -82,25 +83,26 @@ func (s *Scheduler) TargetShards(items int) int {
 }
 
 // chunk is the launch granularity: one rank's shards of one wave. The
-// dispatcher issues one LaunchOn per chunk, so chunks on different
-// ranks can overlap staging with compute.
+// scheduler issues one LaunchOn per chunk, and the timeline prices each
+// chunk's copy-in, kernel and copy-out as one rank's phases.
 type chunk struct {
 	rank   int
-	shards []int // indices into the round's shard-index list
+	wave   int
+	shards []int // indices into the run's shards
 	dpus   []int // dpus[j] runs shards[j]
 }
 
 // place cuts the pending shards into chunks: shards land on live DPUs
 // in ID order (wave after wave when there are fewer live DPUs than
 // shards), and each wave splits at rank boundaries.
-func (s *Scheduler) place(nPending int) ([]chunk, error) {
+func (s *Scheduler) place(pending []int) ([]chunk, error) {
 	live := s.liveDPUs()
 	if len(live) == 0 {
 		return nil, pim.ErrNoLiveDPUs
 	}
 	var chunks []chunk
-	for w := 0; w < nPending; w += len(live) {
-		waveLen := min(len(live), nPending-w)
+	for w := 0; w < len(pending); w += len(live) {
+		waveLen := min(len(live), len(pending)-w)
 		cur := chunk{rank: -1}
 		for j := 0; j < waveLen; j++ {
 			dpu := live[j]
@@ -109,9 +111,9 @@ func (s *Scheduler) place(nPending int) ([]chunk, error) {
 				if len(cur.shards) > 0 {
 					chunks = append(chunks, cur)
 				}
-				cur = chunk{rank: r}
+				cur = chunk{rank: r, wave: w / len(live)}
 			}
-			cur.shards = append(cur.shards, w+j)
+			cur.shards = append(cur.shards, pending[w+j])
 			cur.dpus = append(cur.dpus, dpu)
 		}
 		if len(cur.shards) > 0 {
@@ -164,26 +166,16 @@ func (tl *timeline) advance(rank int, tIn, tK, tOut float64) {
 	tl.serial += tIn + tK + tOut
 }
 
-// gatherResult is one chunk's outcome, reported by its gather goroutine.
-type gatherResult struct {
-	chunk  int
-	failed []failedShard // shards needing retry/re-dispatch
-	err    error         // non-fault error: aborts the run
-}
-
-type failedShard struct {
-	shard     int
-	permanent bool
-}
-
-// Run executes the shards across the topology and returns the merged
-// report. Faulted shards are retried (transient) or re-placed on
-// survivors (dead DPU) in bounded rounds; any non-fault error aborts.
-func (s *Scheduler) Run(shards []Shard) (*Report, error) {
+// Run executes the shards over inputs in and output out across the
+// topology and returns the merged report. Faulted shards are retried
+// (transient) or re-placed on survivors (dead DPU) in bounded rounds;
+// any non-fault error aborts.
+func (s *Scheduler) Run(in [][]uint32, out []uint32, shards []Shard) (*Report, error) {
 	rep := &Report{Shards: len(shards), Topology: s.Topo, Overlap: s.Overlap}
 	for i := range shards {
-		rep.BytesIn += shards[i].BytesIn
-		rep.BytesOut += shards[i].BytesOut
+		words := int64(shards[i].Hi - shards[i].Lo)
+		rep.BytesIn += 4 * int64(len(in)) * words
+		rep.BytesOut += 4 * words
 	}
 	tl := newTimeline()
 	pending := make([]int, len(shards))
@@ -195,22 +187,10 @@ func (s *Scheduler) Run(shards []Shard) (*Report, error) {
 			return nil, fmt.Errorf("%w: %d shard(s) still failing after %d round(s)",
 				pim.ErrFaultBudget, len(pending), round)
 		}
-		failed, err := s.runRound(shards, pending, tl, rep)
-		if err != nil {
+		var err error
+		if pending, err = s.runRound(in, out, shards, pending, tl, rep); err != nil {
 			return nil, err
 		}
-		var next []int
-		for _, f := range failed {
-			if f.permanent {
-				s.Sys.NoteRedispatch()
-				rep.Resharded++
-			} else {
-				s.Sys.NoteRetry()
-				rep.Retried++
-			}
-			next = append(next, f.shard)
-		}
-		pending = next
 	}
 	rep.MakespanSeconds = tl.makespan
 	rep.SerialSeconds = tl.serial
@@ -221,151 +201,103 @@ func (s *Scheduler) Run(shards []Shard) (*Report, error) {
 	return rep, nil
 }
 
-// runRound places the pending shards into chunks and executes them as
-// a three-stage pipeline: a stager goroutine copies chunk inputs in
-// (waiting for the chunk's rank to drain its previous chunk), the
-// dispatcher — this goroutine — issues every LaunchOn in chunk order
-// so the fault schedule stays deterministic, and per-chunk gather
-// goroutines copy results out. Only memcpys run concurrently; kernels
-// execute inside the dispatcher's LaunchOn calls.
-func (s *Scheduler) runRound(shards []Shard, pending []int, tl *timeline, rep *Report) ([]failedShard, error) {
-	chunks, err := s.place(len(pending))
+// runRound places the pending shards into chunks and runs them one
+// after another in placement order: stage the chunk's shards, launch
+// them, account the launch, then gather the shards that ran. It returns
+// the faulted shards, to be retried or re-placed in the next round. The
+// launch order keys the fault schedule, so a seeded chaos run is
+// reproducible; the overlap between ranks is priced by the timeline,
+// not performed.
+func (s *Scheduler) runRound(in [][]uint32, out []uint32, shards []Shard, pending []int, tl *timeline, rep *Report) ([]int, error) {
+	chunks, err := s.place(pending)
 	if err != nil {
 		return nil, err
 	}
 	rep.Launches += len(chunks)
 	if rep.ActiveDPUs == 0 {
-		seen := map[int]bool{}
-		ranks := map[int]bool{}
+		// Every later wave reuses a prefix of the first wave's DPUs, and
+		// a wave holds one chunk per rank.
 		for _, c := range chunks {
-			ranks[c.rank] = true
-			for _, d := range c.dpus {
-				seen[d] = true
-			}
-		}
-		rep.ActiveDPUs = len(seen)
-		rep.RanksUsed = len(ranks)
-	}
-
-	// prev[c] = index of the chunk before c on the same rank (-1 if none):
-	// the stage of chunk c must wait for prev[c]'s gather (single-buffered
-	// MRAM), mirroring the timeline's rankFree dependency.
-	prev := make([]int, len(chunks))
-	last := map[int]int{}
-	for c := range chunks {
-		prev[c] = -1
-		if p, ok := last[chunks[c].rank]; ok {
-			prev[c] = p
-		}
-		last[chunks[c].rank] = c
-	}
-
-	stageErr := make([]chan error, len(chunks))
-	gatherDone := make([]chan struct{}, len(chunks))
-	for c := range chunks {
-		stageErr[c] = make(chan error, 1)
-		gatherDone[c] = make(chan struct{})
-	}
-	results := make(chan gatherResult, len(chunks))
-
-	stage := func(c int) {
-		if p := prev[c]; p >= 0 {
-			<-gatherDone[p]
-		}
-		var err error
-		for j, si := range chunks[c].shards {
-			sh := &shards[pending[si]]
-			if sh.Stage == nil {
-				continue
-			}
-			if e := sh.Stage(chunks[c].dpus[j]); e != nil {
-				err = e
+			if c.wave > 0 {
 				break
 			}
+			rep.ActiveDPUs += len(c.dpus)
+			rep.RanksUsed++
 		}
-		stageErr[c] <- err
 	}
-	gather := func(c int, errs []error) {
-		res := gatherResult{chunk: c}
-		for j, si := range chunks[c].shards {
+	var failed []int
+	kernels := make([]pim.KernelFunc, 0, len(chunks[0].dpus))
+	for c := range chunks {
+		ch := &chunks[c]
+		kernels = kernels[:0]
+		for j, si := range ch.shards {
+			if err := s.stage(ch.dpus[j], in, &shards[si]); err != nil {
+				return nil, err
+			}
+			k := shards[si].Kernel
+			if k == nil {
+				k = emptyKernel
+			}
+			kernels = append(kernels, k)
+		}
+		crep, errs := s.Sys.LaunchOn(ch.dpus, kernels)
+		s.accountChunk(rep, tl, ch, crep, errs, len(in), shards)
+		for j, si := range ch.shards {
 			switch fe := errs[j].(type) {
 			case nil:
-				sh := &shards[pending[si]]
-				if sh.Gather != nil {
-					if e := sh.Gather(chunks[c].dpus[j]); e != nil && res.err == nil {
-						res.err = e
-					}
+				sh := &shards[si]
+				if err := s.Sys.CopyFromDPU(ch.dpus[j], len(in)*(sh.Hi-sh.Lo), out[sh.Lo:sh.Hi]); err != nil {
+					return nil, err
 				}
 			case *pim.FaultError:
-				res.failed = append(res.failed, failedShard{shard: pending[si], permanent: fe.Permanent})
-			default:
-				if res.err == nil {
-					res.err = errs[j]
+				if fe.Permanent {
+					s.Sys.NoteRedispatch()
+					rep.Resharded++
+				} else {
+					s.Sys.NoteRetry()
+					rep.Retried++
 				}
+				failed = append(failed, si)
+			default:
+				return nil, fe
 			}
 		}
-		close(gatherDone[c])
-		results <- res
-	}
-
-	launched := 0
-	var runErr error
-	go stage(0)
-	for c := range chunks {
-		if e := <-stageErr[c]; e != nil {
-			runErr = e
-			break
-		}
-		if c+1 < len(chunks) {
-			go stage(c + 1)
-		}
-		byDPU := make(map[int]pim.KernelFunc, len(chunks[c].dpus))
-		for j, d := range chunks[c].dpus {
-			byDPU[d] = shards[pending[chunks[c].shards[j]]].Kernel
-		}
-		crep, errs := s.Sys.LaunchOn(chunks[c].dpus, func(dpuID int) pim.KernelFunc {
-			if k := byDPU[dpuID]; k != nil {
-				return k
-			}
-			return func(*pim.TaskletCtx) error { return nil }
-		})
-		launched++
-		s.accountChunk(rep, tl, &chunks[c], crep, errs, shards, pending)
-		go gather(c, errs)
-	}
-
-	// Drain every launched chunk's gather before returning (on abort the
-	// unlaunched chunks never produce results, and any in-flight stage
-	// goroutine only blocks on gatherDone channels of launched chunks).
-	var failed []failedShard
-	for i := 0; i < launched; i++ {
-		res := <-results
-		if res.err != nil && runErr == nil {
-			runErr = res.err
-		}
-		failed = append(failed, res.failed...)
-	}
-	if runErr != nil {
-		return nil, runErr
 	}
 	return failed, nil
+}
+
+// emptyKernel is the tasklet program of a shard without a Kernel.
+func emptyKernel(*pim.TaskletCtx) error { return nil }
+
+// stage copies a shard's input slices into DPU d's MRAM. It reserves
+// the whole layout first, so the MRAM image grows once rather than once
+// per input.
+func (s *Scheduler) stage(d int, in [][]uint32, sh *Shard) error {
+	words := sh.Hi - sh.Lo
+	if err := s.Sys.DPUs[d].EnsureMRAM((len(in) + 1) * words); err != nil {
+		return err
+	}
+	for v, x := range in {
+		if err := s.Sys.CopyToDPU(d, v*words, x[sh.Lo:sh.Hi]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // accountChunk folds one chunk's launch into the report and the
 // timeline. tK is the launch's kernel time: the chunk's critical-path
 // cycles (the max over its DPUs, straggler inflation included) plus the
 // per-launch overhead; tIn/tOut price the chunk's largest per-DPU
-// declared transfer. Faulted slots still charge their copy-in — the bytes
-// moved before the fault are not refunded.
-func (s *Scheduler) accountChunk(rep *Report, tl *timeline, c *chunk, crep *pim.Report, errs []error, shards []Shard, pending []int) {
+// transfer over nIn inputs. Faulted slots still charge their copy-in —
+// the bytes moved before the fault are not refunded.
+func (s *Scheduler) accountChunk(rep *Report, tl *timeline, c *chunk, crep *pim.Report, errs []error, nIn int, shards []Shard) {
 	var maxIn, maxOut int64
 	for j, si := range c.shards {
-		sh := &shards[pending[si]]
-		if sh.BytesIn > maxIn {
-			maxIn = sh.BytesIn
-		}
-		if errs[j] == nil && sh.BytesOut > maxOut {
-			maxOut = sh.BytesOut
+		words := int64(shards[si].Hi - shards[si].Lo)
+		maxIn = max(maxIn, 4*int64(nIn)*words)
+		if errs[j] == nil {
+			maxOut = max(maxOut, 4*words)
 		}
 	}
 	tIn := s.Xfer.InSeconds(maxIn)
@@ -384,8 +316,8 @@ func (s *Scheduler) accountChunk(rep *Report, tl *timeline, c *chunk, crep *pim.
 
 // priceEnergy prices the run's kernel and transfer energy. Retry
 // rounds re-stage their inputs, so re-run shards charge their copy-in
-// time again; the declared BytesIn/BytesOut that transfer energy is
-// priced on stay the logical volume of the workload (one pass).
+// time again; the BytesIn/BytesOut that transfer energy is priced on
+// stay the logical volume of the workload (one pass).
 func (s *Scheduler) priceEnergy(rep *Report) {
 	em := pim.DefaultEnergyModel()
 	krep := &pim.Report{

@@ -45,37 +45,15 @@ func addKernel(coeffs int) pim.KernelFunc {
 	}
 }
 
-// vectorAddShards cuts a⊕b into nShards pimsched shards writing into out.
-func vectorAddShards(sys *pim.System, a, b, out []uint32, nShards int) []Shard {
+// vectorAddShards cuts a⊕b into nShards pimsched shards writing into
+// out, and returns the inputs, output and shards Scheduler.Run takes.
+func vectorAddShards(a, b, out []uint32, nShards int) ([][]uint32, []uint32, []Shard) {
 	shards := make([]Shard, nShards)
-	for i := 0; i < nShards; i++ {
+	for i := range shards {
 		s, e := pim.Partition(len(a), nShards, i)
-		s, e, cw := s, e, e-s
-		shards[i] = Shard{
-			Stage: func(d int) error {
-				if cw == 0 {
-					return nil
-				}
-				if err := sys.CopyToDPU(d, 0, a[s:e]); err != nil {
-					return err
-				}
-				if err := sys.CopyToDPU(d, cw, b[s:e]); err != nil {
-					return err
-				}
-				return sys.DPUs[d].EnsureMRAM(3 * cw)
-			},
-			Kernel: addKernel(cw),
-			Gather: func(d int) error {
-				if cw == 0 {
-					return nil
-				}
-				return sys.CopyFromDPU(d, 2*cw, out[s:e])
-			},
-			BytesIn:  int64(8 * cw),
-			BytesOut: int64(4 * cw),
-		}
+		shards[i] = Shard{Lo: s, Hi: e, Kernel: addKernel(e - s)}
 	}
-	return shards
+	return [][]uint32{a, b}, out, shards
 }
 
 func testVectors(n int) (a, b, want []uint32) {
@@ -98,7 +76,7 @@ func runAdd(t *testing.T, sys *pim.System, topo Topology, overlap bool, nCoeffs,
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sched.Run(vectorAddShards(sys, a, b, out, nShards))
+	rep, err := sched.Run(vectorAddShards(a, b, out, nShards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +118,12 @@ func TestPanickingShardAbortsTheRunOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := vectorAddShards(sys, a, b, make([]uint32, 200), 8)
+	in, out, shards := vectorAddShards(a, b, make([]uint32, 200), 8)
 	shards[5].Kernel = func(ctx *pim.TaskletCtx) error {
 		ctx.MRAMWrite(1<<20, []uint32{1}) // far outside the staged shard
 		return nil
 	}
-	rep, err := sched.Run(shards)
+	rep, err := sched.Run(in, out, shards)
 	if err == nil || rep != nil || pim.IsFault(err) {
 		t.Fatalf("Run with a panicking shard returned (%v, %v), want a non-fault error", rep, err)
 	}
@@ -199,7 +177,7 @@ func deadSeed(t *testing.T, topo Topology, rate float64, nCoeffs, nShards int) u
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sched.Run(vectorAddShards(sys, a, b, out, nShards))
+		rep, err := sched.Run(vectorAddShards(a, b, out, nShards))
 		if err == nil && rep.Resharded > 0 {
 			return seed
 		}
@@ -223,7 +201,7 @@ func TestDeadDPUReshardsBitIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sched.Run(vectorAddShards(sys, a, b, out, nShards))
+		rep, err := sched.Run(vectorAddShards(a, b, out, nShards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +258,7 @@ func TestTransientFaultBudgetExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sched.Run(vectorAddShards(sys, a, b, out, 4))
+	_, err = sched.Run(vectorAddShards(a, b, out, 4))
 	if !pim.IsFault(err) {
 		t.Fatalf("expected fault-budget error, got %v", err)
 	}

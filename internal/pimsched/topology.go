@@ -1,28 +1,28 @@
-// Package pimsched is the async multi-DPU execution plane: it shards
-// kernel work across a rank×DPU topology, prices host↔DPU transfers
-// with an explicit per-rank cost model, and pipelines staging, launch,
-// and gathering so one rank's copy-in overlaps another rank's compute.
+// Package pimsched is the multi-DPU execution plane: it shards kernel
+// work across a rank×DPU topology, runs it, and prices host↔DPU
+// transfers with an explicit per-rank cost model, including how far one
+// rank's copy-in could overlap another rank's compute.
 //
 // The package sits between the raw simulator (internal/pim: one
 // System, synchronous launches, byte counters) and everything that
 // runs a kernel on it — the HE server (internal/hepim), the figures
 // and the performance model. It is the only place that knows how work
-// is placed on DPUs, retried after faults and priced for transfer:
-// the drivers in internal/pim/kernels describe their work as a slice
-// of Shard values — stage/kernel/gather closures plus declared
-// transfer bytes — and Scheduler.Run places them on live DPUs,
-// executes them chunk by chunk (a chunk is one rank's shards of one
-// wave), and returns a Report with both the pipelined makespan and the
-// no-overlap serial time, so the benefit of double-buffering is a
-// measured, not asserted, quantity.
+// is placed on DPUs, staged, retried after faults and priced for
+// transfer: the drivers in internal/pim/kernels describe their work as
+// a slice of Shard values — a word range of the run's inputs and output
+// plus the tasklet program over it — and Scheduler.Run places them on
+// live DPUs and runs them chunk by chunk (a chunk is one rank's shards
+// of one wave): stage, launch, gather, in placement order on the
+// calling goroutine. The Report carries both the pipelined makespan and
+// the no-overlap serial time, computed from each chunk's modelled
+// phases, so the benefit of overlapping ranks is a modelled figure the
+// host does not have to perform.
 //
-// Execution remains bit-exact and fault-deterministic: kernels run for
-// real over real data, all LaunchOn calls are issued by a single
-// dispatcher goroutine in chunk order (the launch sequence keys the
-// fault schedule), and only the staging/gathering memcpys run
-// concurrently. A transient fault retries the shard and a dead DPU's
-// shards are re-placed on survivors, inputs re-staged, in bounded retry
-// rounds.
+// Execution is bit-exact and fault-deterministic: kernels run for real
+// over real data, and the launch sequence, which keys the fault
+// schedule, is the placement order. A transient fault retries the shard
+// and a dead DPU's shards are re-placed on survivors, inputs re-staged,
+// in bounded retry rounds.
 package pimsched
 
 import "fmt"
