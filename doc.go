@@ -72,9 +72,10 @@
 //
 // Bit-identity. Every backend, every batching or hoisting shape, every
 // deferred form, every SIMD tier and every fault schedule produces
-// ciphertexts bit-identical to the O(n²) schoolbook evaluator
-// bfv.Oracle, a type of its own that shares no ring product with the
-// double-CRT bfv.Evaluator, which has one code path per operation.
+// ciphertexts bit-identical to the schoolbook evaluator bfv.Oracle,
+// whose math/big Kronecker products share no multiply with the
+// double-CRT bfv.Evaluator (one code path per operation) or the PIM
+// kernels.
 // The PIM plane counts its work on the simulated device, through the
 // pim.TaskletCtx tallies its kernels charge; the host keeps no meter.
 // Scheduling, routing, coalescing, sharding and failover move work; they
@@ -82,10 +83,9 @@
 // bfv.NewParameters refuses a modulus the word-sized double-CRT base
 // conversion cannot serve (dcrt.NewContext), so the double-CRT evaluator
 // has no big.Int middle path. The big.Int code that stays is the
-// oracle's: bfv.Oracle's scaleRound, decomposePoly and mulZ, which the
-// PIM server's host rescale (bfv.ScaleRoundCoeffs, bfv.DecomposeForRelin)
-// also runs, and decryptBig, the rounding oracle and the fallback
-// outside decryptRNS's window.
+// oracle's (Kronecker products, scaleRound, DecomposeForRelin; the PIM
+// server's host rescale runs the last two) and decryptBig, the rounding
+// oracle and the fallback outside decryptRNS's window.
 //
 // No aliasing. An engine output never shares backing memory with an
 // input, and every facade operation — identity rotations included —

@@ -20,8 +20,8 @@ import (
 //   - "dcrt-native": the double-CRT (RNS + NTT) backend with RNS-native
 //     rescaling, NTT-resident values, and hoisted rotations — the
 //     default and the fast path.
-//   - "schoolbook": bfv.Oracle, the O(n²) limb schoolbook evaluator —
-//     the correctness oracle; every backend is bit-identical to it.
+//   - "schoolbook": bfv.Oracle, the math/big Kronecker-product evaluator
+//     — the correctness oracle; every backend is bit-identical to it.
 //   - "pim": the simulated UPMEM PIM server (internal/hepim) — every
 //     kernel runs on the cycle-level simulator as a shard plan of the
 //     one execution plane (internal/pimsched) and the engine reports
@@ -363,7 +363,7 @@ type ctServer interface {
 // it releases every intermediate it makes (a rotation, a partial sum,
 // the outputs of a failed batch) — a no-op on the PIM server's heap
 // outputs. One lock serializes everything: the PIM server's accounting
-// is unsynchronized, and the oracle need not be fast.
+// is unsynchronized, and the oracle is a reference, not a served path.
 type serialEngine struct {
 	mu     sync.Mutex
 	srv    ctServer

@@ -136,7 +136,7 @@
 //
 // Evaluation strategy is selected by name (WithBackend; Backends lists
 // them): "dcrt-native" (default, the RNS+NTT fast path), "schoolbook"
-// (bfv.Oracle, the O(n²) evaluator that is the correctness oracle) and
+// (bfv.Oracle, the math/big evaluator that is the correctness oracle) and
 // "pim" (the simulated UPMEM server: every kernel is a shard plan run by
 // one scheduler, internal/pimsched, which alone places work on DPUs,
 // retries faults and prices transfers; Context.PIMReport, PIMStats and

@@ -126,18 +126,11 @@ func TestSlotRotationPropertySec27(t *testing.T) {
 }
 
 func TestSlotRotationPropertySec54(t *testing.T) {
-	if testing.Short() {
-		t.Skip("schoolbook rotations at N=2048 are slow")
-	}
 	runSlotRotationProperty(t, 54, 5401, 3, 1, -1)
 }
 
 func TestSlotRotationPropertySec109(t *testing.T) {
-	if testing.Short() {
-		t.Skip("schoolbook rotations at N=4096, W=4 are slow")
-	}
-	// Two rotations only: each schoolbook key switch at W=4 costs ~15s.
-	runSlotRotationProperty(t, 109, 10901, 1, 1)
+	runSlotRotationProperty(t, 109, 10901, 3, 1, -1)
 }
 
 // runSlotRotationBitIdentity is the property test without the

@@ -63,22 +63,14 @@ func TestBatchRotateAndSumSec27(t *testing.T) {
 	runBatchRotateAndSumDifferential(t, ParamsSec27(), 301, 3, 4)
 }
 
-// TestBatchRotateAndSumSec54 covers the 54-bit level at full degree; the
-// schoolbook oracle is slow there, so -short skips it.
+// TestBatchRotateAndSumSec54 covers the 54-bit level at full degree.
 func TestBatchRotateAndSumSec54(t *testing.T) {
-	if testing.Short() {
-		t.Skip("schoolbook oracle at N=2048 is slow")
-	}
 	runBatchRotateAndSumDifferential(t, ParamsSec54(), 302, 2, 3)
 }
 
 // TestBatchRotateAndSumSec109 covers the 109-bit modulus and limb width
-// (W=4) at the reduced ring degree the schoolbook oracle can afford,
-// mirroring the depth-differential tests.
+// (W=4) at a reduced ring degree, mirroring the depth-differential tests.
 func TestBatchRotateAndSumSec109(t *testing.T) {
-	if testing.Short() {
-		t.Skip("schoolbook oracle at W=4 is slow")
-	}
 	runBatchRotateAndSumDifferential(t, mustParams(1024, prime109, 16, 28), 303, 2, 3)
 }
 

@@ -313,9 +313,6 @@ func TestSec27AdditionRealParams(t *testing.T) {
 }
 
 func TestSec54MulRealParams(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-parameter multiplication is slow")
-	}
 	c := newCtx(t, ParamsSec54(), 16, true)
 	ct1, _ := c.enc.EncryptValue(11)
 	ct2, _ := c.enc.EncryptValue(13)

@@ -12,9 +12,9 @@ import (
 // Double-CRT glue: every host-side ring multiplication in the scheme
 // (encryption, key generation, decryption phases, plaintext products,
 // tensor products and key switching) routes through a shared
-// dcrt.Context instead of the O(n²) limb schoolbook. The schoolbook
-// arithmetic lives only in the Oracle (oracle.go), the correctness
-// oracle the double-CRT Evaluator is differentially tested against.
+// dcrt.Context. The schoolbook arithmetic, math/big Kronecker products,
+// lives only in the Oracle (oracle.go), the correctness oracle the
+// double-CRT Evaluator is differentially tested against.
 
 // attachDCRT builds (or fetches from the process-wide cache) the
 // double-CRT context for par. The basis is sized for the largest exact

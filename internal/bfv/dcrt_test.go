@@ -2,14 +2,13 @@ package bfv
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
 	"repro/internal/sampling"
 )
 
-// Differential tests: the double-CRT backend must agree with the O(n²)
+// Differential tests: the double-CRT backend must agree with the
 // schoolbook oracle bit-for-bit — not merely after decryption —
 // for every operation, because the extended basis is sized so no exact
 // integer coefficient ever wraps. Ciphertext equality implies plaintext
@@ -172,30 +171,19 @@ func TestDCRTDifferentialDepthSec27(t *testing.T) {
 }
 
 // TestDCRTDifferentialDepthSec54 chains depth 3 at the 54-bit level's
-// full ring degree; several seconds of schoolbook oracle, so -short
-// skips it.
+// full ring degree.
 func TestDCRTDifferentialDepthSec54(t *testing.T) {
-	if testing.Short() {
-		t.Skip("schoolbook oracle at N=2048 × depth 3 is slow")
-	}
 	runDifferentialDepth(t, ParamsSec54(), 542, 3)
 }
 
 // TestDCRTDifferentialDepthSec109 chains depth 3 on the 109-bit modulus
-// (W=4, two-word fast-conversion path) at the reduced ring degree the
-// schoolbook oracle can afford; TestDCRTDifferentialDepthSec109FullDegree
-// covers N=4096 behind the same env gate as the depth-1 test.
+// (W=4, two-word fast-conversion path) at a reduced ring degree;
+// TestDCRTDifferentialDepthSec109FullDegree covers N=4096.
 func TestDCRTDifferentialDepthSec109(t *testing.T) {
-	if testing.Short() {
-		t.Skip("schoolbook oracle at W=4 × depth 3 is slow")
-	}
 	runDifferentialDepth(t, mustParams(1024, prime109, 16, 28), 1093, 3)
 }
 
 func TestDCRTDifferentialDepthSec109FullDegree(t *testing.T) {
-	if os.Getenv("DCRT_FULL_DIFF") == "" {
-		t.Skip("set DCRT_FULL_DIFF=1 to run the multi-minute full-degree schoolbook oracle")
-	}
 	runDifferentialDepth(t, ParamsSec109(), 1094, 3)
 }
 
@@ -206,30 +194,20 @@ func TestDCRTDifferentialSec27(t *testing.T) {
 }
 
 // TestDCRTDifferentialSec54 covers the 54-bit level at its full ring
-// degree (N=2048, two-limb coefficients). A few seconds of schoolbook
-// oracle time, so skipped under -short.
+// degree (N=2048, two-limb coefficients).
 func TestDCRTDifferentialSec54(t *testing.T) {
-	if testing.Short() {
-		t.Skip("schoolbook oracle at N=2048 is slow")
-	}
 	runDifferential(t, ParamsSec54(), 541)
 }
 
 // TestDCRTDifferentialSec109Modulus covers the 109-bit level's modulus,
-// limb width (W=4) and relinearization base at a reduced ring degree the
-// schoolbook oracle can afford. Full-degree equivalence is covered by
-// TestDCRTDifferentialSec109FullDegree (env-gated: the oracle needs
-// ~half a minute at N=4096) plus the full-degree pipeline tests in
-// internal/hepim.
+// limb width (W=4) and relinearization base at a reduced ring degree;
+// TestDCRTDifferentialSec109FullDegree covers the preset at N=4096.
 func TestDCRTDifferentialSec109Modulus(t *testing.T) {
 	params := mustParams(1024, prime109, 16, 28)
 	runDifferential(t, params, 1091)
 }
 
 func TestDCRTDifferentialSec109FullDegree(t *testing.T) {
-	if os.Getenv("DCRT_FULL_DIFF") == "" {
-		t.Skip("set DCRT_FULL_DIFF=1 to run the ~30s full-degree schoolbook oracle")
-	}
 	runDifferential(t, ParamsSec109(), 1092)
 }
 

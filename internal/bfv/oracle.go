@@ -7,14 +7,14 @@ import (
 	"repro/internal/poly"
 )
 
-// Oracle is the O(n²) schoolbook BFV evaluator, the correctness oracle
-// every backend is held to bit for bit. Its ring products are limb
-// schoolbook (poly.MulNegacyclic) and its tensor, rescale and digit
-// decomposition run in math/big: it shares no ring product with the
-// double-CRT Evaluator, only the coefficient-domain Add, Neg and
-// AddPlain. Its methods have the PIM server's shape — one ciphertext at
-// a time, an error each — so one hebfv adapter serves both. Alloc works
-// as on Evaluator.
+// Oracle is the schoolbook BFV evaluator, the correctness oracle every
+// backend is held to bit for bit. It works in math/big: each ring product
+// is one Kronecker product, mod q (poly.MulNegacyclic) or, for the tensor,
+// over Z (poly.MulNegacyclicZ). It shares no ring product with the
+// double-CRT Evaluator or the PIM kernels, only the coefficient-domain
+// Add, Neg and AddPlain. Its methods have the PIM server's shape — one
+// ciphertext at a time, an error each — so one hebfv adapter serves both.
+// Alloc works as on Evaluator.
 type Oracle struct {
 	coeffOps
 	rlk *RelinKey
@@ -93,10 +93,12 @@ func (o *Oracle) mulNoRelin(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 	b0 := ct1.Polys[0].ToCenteredCoeffs(par.Q)
 	b1 := ct1.Polys[1].ToCenteredCoeffs(par.Q)
 
-	d0 := mulZ(a0, b0)
-	d2 := mulZ(a1, b1)
-	d1 := mulZ(a0, b1)
-	mulZAcc(d1, a1, b0)
+	d0 := poly.MulNegacyclicZ(a0, b0)
+	d2 := poly.MulNegacyclicZ(a1, b1)
+	d1 := poly.MulNegacyclicZ(a0, b1)
+	for i, c := range poly.MulNegacyclicZ(a1, b0) {
+		d1[i].Add(d1[i], c)
+	}
 
 	out := o.newCiphertext(3)
 	for i, d := range [][]*big.Int{d0, d1, d2} {
@@ -107,7 +109,7 @@ func (o *Oracle) mulNoRelin(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 
 // relinearize reduces a degree-2 ciphertext to degree 1: c2's base-
 // 2^BaseBits digits, multiplied into the relinearization key by
-// schoolbook products, fold into (c0, c1).
+// Kronecker products, fold into (c0, c1).
 func (o *Oracle) relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	if o.rlk == nil {
 		return nil, errNoRelinKey
@@ -124,7 +126,7 @@ func (o *Oracle) relinearize(ct *Ciphertext) (*Ciphertext, error) {
 // ApplyGalois maps a degree-1 ciphertext of m(X) to one of m(X^g) under
 // the decompose-then-permute convention (see Evaluator.ApplyGalois): c1's
 // digits are permuted in the coefficient domain and switched by
-// schoolbook products.
+// Kronecker products.
 func (o *Oracle) ApplyGalois(ct *Ciphertext, gk *GaloisKey) (*Ciphertext, error) {
 	if ct.Degree() != 1 {
 		return nil, errors.New("bfv: ApplyGalois requires a degree-1 ciphertext")
@@ -147,43 +149,6 @@ func (o *Oracle) ApplyGalois(ct *Ciphertext, gk *GaloisKey) (*Ciphertext, error)
 	return out, nil
 }
 
-// mulZ multiplies two centered-lift coefficient vectors negacyclically
-// over the integers (no modular reduction): the BFV tensor product must be
-// computed over Z before t/q rescaling. The result values share one
-// backing slice — a single allocation instead of n.
-func mulZ(a, b []*big.Int) []*big.Int {
-	n := len(a)
-	vals := make([]big.Int, n)
-	out := make([]*big.Int, n)
-	for i := range out {
-		out[i] = &vals[i]
-	}
-	mulZAcc(out, a, b)
-	return out
-}
-
-// mulZAcc accumulates the negacyclic integer product of a and b into out.
-func mulZAcc(out []*big.Int, a, b []*big.Int) {
-	n := len(a)
-	t := new(big.Int)
-	for i := 0; i < n; i++ {
-		if a[i].Sign() == 0 {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if b[j].Sign() == 0 {
-				continue
-			}
-			t.Mul(a[i], b[j])
-			if i+j < n {
-				out[i+j].Add(out[i+j], t)
-			} else {
-				out[i+j-n].Sub(out[i+j-n], t)
-			}
-		}
-	}
-}
-
 // scaleRound maps each coefficient c to round(t·c/q) mod q and packs the
 // result into out, reusing one big.Int workspace across coefficients.
 func scaleRound(out *poly.Poly, coeffs []*big.Int, par *Parameters) {
@@ -196,7 +161,7 @@ func scaleRound(out *poly.Poly, coeffs []*big.Int, par *Parameters) {
 	}
 }
 
-// switchSchoolbook adds Σᵢ dᵢ·(k0ᵢ, k1ᵢ) into (c0, c1) by schoolbook
+// switchSchoolbook adds Σᵢ dᵢ·(k0ᵢ, k1ᵢ) into (c0, c1) by Kronecker
 // products: the double-CRT key switch's oracle.
 func (k *switchKey) switchSchoolbook(c0, c1 *poly.Poly, digits []*poly.Poly, par *Parameters) {
 	tmp := poly.NewPoly(par.N, par.Q.W)

@@ -1,6 +1,6 @@
 // Package dcrt implements the double-CRT (RNS + NTT) representation of
-// R_q polynomials that routes the host-side BFV hot path around the
-// O(n²·W²) limb schoolbook: each polynomial is held as its residues
+// R_q polynomials that routes the host-side BFV hot path around
+// big-integer arithmetic: each polynomial is held as its residues
 // modulo word-sized NTT-friendly primes (the RNS/CRT layer), and each
 // residue vector is kept in the NTT domain (the second CRT layer), so
 // ring multiplication is a pointwise O(n) pass per limb and the
@@ -540,7 +540,8 @@ func (c *Context) MulPairLimbsNTT(acc0, acc1 *Poly, k0, k1, digits []*Poly, limb
 
 // MulRq returns a·b in R_q via the double-CRT path: both operands enter
 // the extended basis, multiply pointwise, and the exact integer product
-// is recombined and reduced mod q. Bit-identical to poly.MulNegacyclic.
+// is recombined and reduced mod q. TestMulRqMatchesSchoolbook holds it
+// bit for bit to poly.MulNegacyclic, the oracle's Kronecker product.
 func (c *Context) MulRq(a, b *poly.Poly) *poly.Poly {
 	ra := c.ToRNS(a)
 	rb := c.ToRNS(b)

@@ -1,6 +1,7 @@
 package pimsched
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -245,6 +246,70 @@ func TestStragglerStretchesMakespanNotResults(t *testing.T) {
 	}
 	if slow.KernelCycles <= clean.KernelCycles {
 		t.Errorf("straggling cycles %d not above clean %d", slow.KernelCycles, clean.KernelCycles)
+	}
+}
+
+// TestFaultedChunkPricesCopyOutOfShardsThatRan: a transient fault hits
+// the DPU holding a chunk's largest shard. That chunk's copy-out is
+// priced on the largest shard it gathers; the faulted shard's gather is
+// priced once, by the retry's own chunk.
+func TestFaultedChunkPricesCopyOutOfShardsThatRan(t *testing.T) {
+	topo := Topology{Ranks: 1, DPUsPerRank: 4}
+	const rate = 0.25
+	// The injector is a pure function of (seed, site, key), and LaunchOn
+	// keys each DPU's decision by (launch sequence, DPU ID): find a seed
+	// whose first launch faults exactly one DPU, f, and whose second (the
+	// retry, placed on DPU 0) does not.
+	seed, f := uint64(0), -1
+	for s := uint64(1); s < 256 && seed == 0; s++ {
+		inj := faultinject.New(s).SetRate(pim.SiteDPUTransient, rate)
+		var hit []int
+		for id := 0; id < topo.NumDPUs(); id++ {
+			if inj.Hit(pim.SiteDPUTransient, faultinject.Key(1, uint64(id))) {
+				hit = append(hit, id)
+			}
+		}
+		if len(hit) == 1 && !inj.Hit(pim.SiteDPUTransient, faultinject.Key(2, 0)) {
+			seed, f = s, hit[0]
+		}
+	}
+	if seed == 0 {
+		t.Fatal("no seed in 1..255 faults exactly one DPU of the first launch")
+	}
+
+	// Shard j runs on DPU j in the first launch; f's is the largest.
+	sizes := slices.Insert([]int{100, 200, 300}, f, 400)
+	a, b, want := testVectors(1000)
+	out := make([]uint32, len(a))
+	var shards []Shard
+	lo := 0
+	for _, n := range sizes {
+		shards = append(shards, Shard{Lo: lo, Hi: lo + n, Kernel: addKernel(n)})
+		lo += n
+	}
+
+	sys := testSystem(t, topo)
+	sys.SetFaultInjector(faultinject.New(seed).SetRate(pim.SiteDPUTransient, rate))
+	sched, err := New(sys, topo, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sched.Run([][]uint32{a, b}, out, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range out {
+		if out[i] != want[i] {
+			t.Fatalf("out[%d] = %d, want %d", i, out[i], want[i])
+		}
+	}
+	if rep.Launches != 2 || rep.Retried != 1 {
+		t.Fatalf("%d launches, %d retried; want 2 and 1", rep.Launches, rep.Retried)
+	}
+	wantOut := sched.Xfer.OutSeconds(4*300) + sched.Xfer.OutSeconds(4*400)
+	if rep.CopyOutSeconds != wantOut {
+		t.Errorf("CopyOutSeconds = %g, want %g: the faulted chunk gathers 300 words at most, the retry 400",
+			rep.CopyOutSeconds, wantOut)
 	}
 }
 

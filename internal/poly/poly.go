@@ -5,9 +5,10 @@
 // and 109-bit security levels — in one flat slice, mirroring the memory
 // layout the PIM kernels stream out of MRAM.
 //
-// Operations walk the limb32 routines coefficient by coefficient, except
-// two additions that work on the flat backing and reduce by a branchless
-// mask-select:
+// MulNegacyclic and MulNegacyclicZ are math/big Kronecker products
+// (kronecker.go). Other operations walk the limb32 routines coefficient
+// by coefficient, except two additions that work on the flat backing and
+// reduce by a branchless mask-select:
 //
 //   - Add at W = 4, the 109-bit preset every served workload runs, adds
 //     each coefficient as a two-word bits.Add64 pair. Other widths, Sub
@@ -204,66 +205,14 @@ func MulScalar(dst, a *Poly, s limb32.Nat, mod *Modulus) {
 	}
 }
 
-// MulNegacyclic sets dst = a * b in R_q by schoolbook multiplication with
-// negacyclic wraparound (Xⁿ ≡ −1), accumulating products lazily and
-// reducing each output coefficient once. This is the host reference for
-// the PIM multiplication kernel; both compute identical values mod q.
-// dst must not alias a or b.
+// MulNegacyclic sets dst = a * b in R_q: one Kronecker product over Z
+// (mulKronecker), with slots sized for coefficients below q, reduced mod
+// q. It is the host reference for the PIM multiplication kernel and
+// shares no multiply with it. dst may alias a or b.
 func MulNegacyclic(dst, a, b *Poly, mod *Modulus) {
 	checkShapes(dst, a, b, mod)
-	n, w := dst.N, dst.W
-	accW := 2*w + 1 // room for n·q² (n ≤ 2³² covers all paper configs)
-
-	pos := make([]uint32, n*accW) // positive accumulators
-	neg := make([]uint32, n*accW) // wrapped (negated) accumulators
-	prod := limb32.NewNat(2 * w)
-
-	for i := 0; i < n; i++ {
-		ai := a.Coeff(i)
-		if ai.IsZero() {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			bj := b.Coeff(j)
-			if bj.IsZero() {
-				continue
-			}
-			limb32.Mul(prod, ai, bj, nil)
-			k := i + j
-			acc := pos
-			if k >= n {
-				k -= n
-				acc = neg
-			}
-			accumAdd(acc[k*accW:(k+1)*accW], prod)
-		}
-	}
-
-	qw := limb32.NewNat(accW)
-	copy(qw, mod.Q)
-	rp := limb32.NewNat(w)
-	rn := limb32.NewNat(w)
-	for k := 0; k < n; k++ {
-		limb32.Mod(rp, limb32.Nat(pos[k*accW:(k+1)*accW]), mod.Q, nil)
-		limb32.Mod(rn, limb32.Nat(neg[k*accW:(k+1)*accW]), mod.Q, nil)
-		limb32.SubMod(dst.Coeff(k), rp, rn, mod.Q, nil)
-	}
-}
-
-// accumAdd adds src (2w limbs) into acc (2w+1 limbs): the accumulation
-// strategy is a host-side optimization; the DPU kernel charges its own
-// (different) instruction stream.
-func accumAdd(acc []uint32, src limb32.Nat) {
-	var carry uint64
-	for i := 0; i < len(src); i++ {
-		s := uint64(acc[i]) + uint64(src[i]) + carry
-		acc[i] = uint32(s)
-		carry = s >> 32
-	}
-	for i := len(src); carry != 0 && i < len(acc); i++ {
-		s := uint64(acc[i]) + carry
-		acc[i] = uint32(s)
-		carry = s >> 32
+	for k, c := range mulKronecker(a.ToBigCoeffs(), b.ToBigCoeffs(), 2*mod.Bits()) {
+		dst.Coeff(k).SetBig(c.Mod(c, mod.QBig))
 	}
 }
 

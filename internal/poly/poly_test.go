@@ -11,7 +11,7 @@ import (
 )
 
 // The paper's three coefficient moduli (27-, 54-, 109-bit primes).
-func testModuli(t *testing.T) []*Modulus {
+func testModuli(t testing.TB) []*Modulus {
 	t.Helper()
 	var mods []*Modulus
 	for _, s := range []string{
@@ -231,17 +231,21 @@ func TestAddAliasing(t *testing.T) {
 	}
 }
 
-// naiveNegacyclic computes the product with big.Int, the independent oracle.
-func naiveNegacyclic(a, b *Poly, mod *Modulus) *Poly {
-	n := a.N
+// naiveNegacyclicZ is the pairwise big.Int product over Z, the
+// independent oracle of both Kronecker products.
+func naiveNegacyclicZ(a, b []*big.Int) []*big.Int {
+	n := len(a)
 	acc := make([]*big.Int, n)
 	for i := range acc {
 		acc[i] = new(big.Int)
 	}
+	p := new(big.Int)
 	for i := 0; i < n; i++ {
-		ab := a.Coeff(i).Big()
+		if a[i].Sign() == 0 {
+			continue
+		}
 		for j := 0; j < n; j++ {
-			p := new(big.Int).Mul(ab, b.Coeff(j).Big())
+			p.Mul(a[i], b[j])
 			if i+j < n {
 				acc[i+j].Add(acc[i+j], p)
 			} else {
@@ -249,19 +253,87 @@ func naiveNegacyclic(a, b *Poly, mod *Modulus) *Poly {
 			}
 		}
 	}
-	return FromBigCoeffs(acc, mod)
+	return acc
 }
 
+// naiveNegacyclic reduces naiveNegacyclicZ's sum mod q.
+func naiveNegacyclic(a, b *Poly, mod *Modulus) *Poly {
+	return FromBigCoeffs(naiveNegacyclicZ(a.ToBigCoeffs(), b.ToBigCoeffs()), mod)
+}
+
+// TestMulNegacyclicMatchesNaive holds MulNegacyclic to the pairwise loop
+// at every testModuli width on zero, all-(q−1), monomial and random
+// operands, and MulNegacyclicZ to its unreduced sum on centred operands
+// of either sign. The monomials at n−1 multiply into the top slot, 2n−2.
+// The 27-bit modulus also runs at n = 1024, which fills its slot
+// exactly: the all-(q−1) product has a coefficient n·(q−1)² ≥ 2⁶³, so it
+// needs the 2·27 + 10 + 1 = 65 bits of a two-word slot.
 func TestMulNegacyclicMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	for _, mod := range testModuli(t) {
-		for _, n := range []int{4, 16, 64} {
-			a, b := randPoly(rng, n, mod), randPoly(rng, n, mod)
-			got := NewPoly(n, mod.W)
-			MulNegacyclic(got, a, b, mod)
-			want := naiveNegacyclic(a, b, mod)
-			if !got.Equal(want) {
-				t.Fatalf("W=%d n=%d: MulNegacyclic mismatch", mod.W, n)
+		qm1 := new(big.Int).Sub(mod.QBig, big.NewInt(1))
+		half := mod.Half
+		negHalf := new(big.Int).Neg(half)
+		ns := []int{4, 16, 64}
+		if mod.Bits() == 27 {
+			ns = append(ns, 1024)
+		}
+		for _, n := range ns {
+			fill := func(v func(i int) *big.Int) []*big.Int {
+				c := make([]*big.Int, n)
+				for i := range c {
+					c[i] = v(i)
+				}
+				return c
+			}
+			zero := func(int) *big.Int { return new(big.Int) }
+			monomial := func(at int) func(int) *big.Int {
+				v := new(big.Int).Add(new(big.Int).Rand(rng, qm1), big.NewInt(1))
+				return func(i int) *big.Int {
+					if i == at {
+						return v
+					}
+					return new(big.Int)
+				}
+			}
+			random := func(int) *big.Int { return new(big.Int).Rand(rng, mod.QBig) }
+			for _, row := range []struct {
+				name string
+				a, b []*big.Int
+			}{
+				{"zero", fill(zero), fill(zero)},
+				{"q-1", fill(func(int) *big.Int { return qm1 }), fill(func(int) *big.Int { return qm1 })},
+				{"x^0", fill(monomial(0)), fill(monomial(0))},
+				{"x^(n-1)", fill(monomial(n - 1)), fill(monomial(n - 1))},
+				{"random", fill(random), fill(random)},
+			} {
+				a, b := FromBigCoeffs(row.a, mod), FromBigCoeffs(row.b, mod)
+				got := NewPoly(n, mod.W)
+				MulNegacyclic(got, a, b, mod)
+				if !got.Equal(naiveNegacyclic(a, b, mod)) {
+					t.Fatalf("W=%d n=%d %s: MulNegacyclic mismatch", mod.W, n, row.name)
+				}
+			}
+
+			plusHalf := fill(func(int) *big.Int { return half })
+			minusHalf := fill(func(int) *big.Int { return negHalf })
+			centred := func() []*big.Int { return randPoly(rng, n, mod).ToCenteredCoeffs(mod) }
+			for _, row := range []struct {
+				name string
+				a, b []*big.Int
+			}{
+				{"+q/2·+q/2", plusHalf, plusHalf},
+				{"-q/2·-q/2", minusHalf, minusHalf},
+				{"+q/2·-q/2", plusHalf, minusHalf},
+				{"centred", centred(), centred()},
+			} {
+				got, want := MulNegacyclicZ(row.a, row.b), naiveNegacyclicZ(row.a, row.b)
+				for k := range want {
+					if got[k].Cmp(want[k]) != 0 {
+						t.Fatalf("W=%d n=%d %s: MulNegacyclicZ coefficient %d = %v, want %v",
+							mod.W, n, row.name, k, got[k], want[k])
+					}
+				}
 			}
 		}
 	}
@@ -440,11 +512,13 @@ func TestShapeMismatchPanics(t *testing.T) {
 	Add(a, a, b, mod)
 }
 
-func BenchmarkMulNegacyclicSchoolbook1024(b *testing.B) {
-	q, _ := NewModulus(big.NewInt(134217689))
+// BenchmarkMulNegacyclic109 times the oracle's key-switch product: a
+// 109-bit q at n = 4096.
+func BenchmarkMulNegacyclic109(b *testing.B) {
+	q := testModuli(b)[2]
 	rng := rand.New(rand.NewSource(93))
-	x, y := randPoly(rng, 1024, q), randPoly(rng, 1024, q)
-	dst := NewPoly(1024, 1)
+	x, y := randPoly(rng, 4096, q), randPoly(rng, 4096, q)
+	dst := NewPoly(4096, q.W)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MulNegacyclic(dst, x, y, q)
