@@ -105,12 +105,15 @@
 // poly's sumCapacity (⌊(2¹²⁸−1)/q⌋ residues, then the sum reduces on its
 // own). Both host additions that skip the limb32 routine — the 109-bit
 // Add and that Sum — are pinned to it on adversarial operands in
-// internal/poly's tests, and so are the PIM product kernel's word-level
-// run bodies (pim/kernels mulRun1 and mulRun8, which compute limb32.Mul +
-// accumAdd's accumulator limbs and charge their tally without running
-// them): TestProductRunsMatchLimb32 holds them to it product by product
-// on every zero-limb pattern and on prefix products either side of each
-// schoolbook row's ripple boundary.
+// internal/poly's tests, and so is the PIM product kernel at 1 and 8
+// limbs, which computes each pair's accumulators as one exact
+// convolution and charges limb32.Mul + accumAdd's tally from counts
+// without running them (pim/kernels convolve and productTally):
+// TestProductRunsMatchLimb32 holds the tally to limb32 product by
+// product on every zero-limb pattern and on prefix products either side
+// of each schoolbook row's ripple boundary, and
+// TestPolyMulMatchesPerProductKernel holds the whole kernel to the
+// per-product program it simulates.
 // Deferred sums carry a magnitude bound and refuse to fuse (the caller
 // falls back to coefficients) rather than leave the basis exactness
 // window.

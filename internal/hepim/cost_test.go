@@ -1,12 +1,15 @@
 package hepim
 
 import (
+	"math/big"
 	"runtime"
 	"testing"
 
 	"repro/internal/bfv"
 	"repro/internal/limb32"
+	"repro/internal/pim"
 	"repro/internal/pimsched"
+	"repro/internal/poly"
 )
 
 // rackFixture builds a server over the benchmark's 4 ranks × 64 DPUs.
@@ -268,6 +271,44 @@ func TestResultsWrapDriverOutputs(t *testing.T) {
 				t.Errorf("%s: component %d can grow into its neighbour (len %d cap %d)", name, i, len(p.C), cap(p.C))
 			}
 			copy(p.C, keep.Polys[i].C)
+		}
+	}
+}
+
+// TestLiftCenteredTable holds liftCentered to the big.Int lift it
+// replaced — centred representatives, then reduced into the 256-bit
+// lift modulus — bit for bit at 0, ⌊q/2⌋, ⌊q/2⌋ + 1 and q − 1, the two
+// sides of the centring threshold and the ends of the range, for each
+// preset.
+func TestLiftCenteredTable(t *testing.T) {
+	for _, params := range []*bfv.Parameters{bfv.ParamsSec27(), bfv.ParamsSec54(), bfv.ParamsSec109()} {
+		srv, err := NewServerWithTopology(pim.DefaultConfig(), params, nil, pimsched.Topology{Ranks: 1, DPUsPerRank: 1}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := params.Q
+		one := big.NewInt(1)
+		lift := new(big.Int).Sub(new(big.Int).Lsh(one, 256), big.NewInt(189))
+		rows := []struct {
+			x, want *big.Int
+		}{
+			{new(big.Int), new(big.Int)},
+			{q.Half, q.Half},
+			{new(big.Int).Add(q.Half, one), new(big.Int).Sub(lift, new(big.Int).Sub(q.QBig, new(big.Int).Add(q.Half, one)))},
+			{new(big.Int).Sub(q.QBig, one), new(big.Int).Sub(lift, one)},
+		}
+		p := poly.NewPoly(params.N, q.W)
+		for i, r := range rows {
+			copy(p.Coeff(i), limb32.FromBig(r.x, q.W))
+		}
+		got := srv.liftCentered(p)
+		if old := poly.FromBigCoeffs(p.ToCenteredCoeffs(q), srv.lift); !got.Equal(old) {
+			t.Errorf("%d-bit q: limb lift differs from the big.Int lift", q.Bits())
+		}
+		for i, r := range rows {
+			if v := limb32.Nat(got.Coeff(i)).Big(); v.Cmp(r.want) != 0 {
+				t.Errorf("%d-bit q: lift of %v = %v, want %v", q.Bits(), r.x, v, r.want)
+			}
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"math/big"
 
 	"repro/internal/bfv"
+	"repro/internal/limb32"
 	"repro/internal/pim"
 	"repro/internal/pim/kernels"
 	"repro/internal/pimsched"
@@ -194,9 +195,24 @@ func unflatten(flat []uint32, comps, n, w int) *bfv.Ciphertext {
 }
 
 // liftCentered maps a mod-q polynomial to the 256-bit lift modulus with
-// centered representatives, so PIM products equal the integer products.
+// centered representatives, so PIM products equal the integer products:
+// a coefficient x ≤ ⌊q/2⌋ stays x, and a larger one, which stands for
+// x − q, becomes 2²⁵⁶ − 189 − (q − x). Limb arithmetic, no big.Int.
 func (s *Server) liftCentered(p *poly.Poly) *poly.Poly {
-	return poly.FromBigCoeffs(p.ToCenteredCoeffs(s.Params.Q), s.lift)
+	q := s.Params.Q
+	half := limb32.FromBig(q.Half, q.W)
+	out := poly.NewPoly(p.N, s.lift.W)
+	d := make(limb32.Nat, s.lift.W) // q − x, zero-extended
+	for i := 0; i < p.N; i++ {
+		x, dst := p.Coeff(i), out.Coeff(i)
+		if limb32.Cmp(x, half, nil) <= 0 {
+			copy(dst, x)
+			continue
+		}
+		limb32.Sub(d[:q.W], q.Q, x, nil)
+		limb32.Sub(dst, s.lift.Q, d, nil)
+	}
+	return out
 }
 
 // Mul returns the relinearized product of two degree-1 ciphertexts with

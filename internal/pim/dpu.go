@@ -21,8 +21,11 @@ type DPU struct {
 	ID   int
 	mram []uint32
 	wram []uint32 // arena behind TaskletCtx.WRAM; grown on demand, never past WRAMWords
-	host []uint64 // words behind TaskletCtx.HostWords, padded at both ends; grown on demand
-	dead bool     // permanently failed (fault model); excluded from live sets
+	host []uint64 // words behind TaskletCtx.LaunchWords, padded at both ends; grown on demand
+	// hostFilled is set by the launch's first LaunchWords call and
+	// cleared when the next launch starts.
+	hostFilled bool
+	dead       bool // permanently failed (fault model); excluded from live sets
 
 	// Accounting for the most recent kernel launch, folded from each
 	// tasklet's context when the tasklet returns.
@@ -65,6 +68,7 @@ func (d *DPU) resetAccounting(tasklets int) {
 	clear(d.taskletInstr)
 	clear(d.taskletDMA)
 	d.counts.Reset()
+	d.hostFilled = false
 }
 
 // run executes kernel as each of the DPU's tasklets in turn and folds
@@ -169,22 +173,40 @@ func (c *TaskletCtx) WRAM(words int) ([]uint32, error) {
 // one with each other or with a neighbouring heap object.
 const hostPad = 8
 
-// HostWords returns n zeroed words of host memory owned by the DPU, for
-// state the host keeps while it simulates a kernel's arithmetic and
-// that the modelled DPU does not hold: they live outside the WRAM
-// arena, cost no simulated cycle and change no tile size. Each call
-// hands out the same words (a tasklet holds one such buffer at a time);
-// like the WRAM arena they are reused by every tasklet and launch, so
-// they cost the host an allocation only the first time a DPU needs
-// that many.
-func (c *TaskletCtx) HostWords(n int) []uint64 {
+// LaunchWords returns n words of host memory owned by the DPU for the
+// current launch, for state the host keeps while it simulates a
+// kernel's arithmetic and that the modelled DPU does not hold: they live
+// outside the WRAM arena, cost no simulated cycle and change no tile
+// size. Every call in one launch, from any of the DPU's tasklets, hands
+// out the same words, and every call must ask for the same n. fresh is
+// true for the launch's first call only: its caller fills the words,
+// and the tasklets after it read what it left. Like the WRAM arena the
+// words are reused by every launch, so they cost the host an allocation
+// only the first time a DPU needs that many; they are not cleared.
+func (c *TaskletCtx) LaunchWords(n int) (words []uint64, fresh bool) {
 	d := c.dpu
-	if len(d.host) < n+2*hostPad {
-		d.host = make([]uint64, n+2*hostPad)
+	if fresh = !d.hostFilled; fresh {
+		if len(d.host) < n+2*hostPad {
+			d.host = make([]uint64, n+2*hostPad)
+		}
+		d.hostFilled = true
+	} else if len(d.host) < n+2*hostPad {
+		panic(fmt.Sprintf("pim: DPU %d LaunchWords(%d) beyond the launch's first request", d.ID, n))
 	}
-	buf := d.host[hostPad : hostPad+n : hostPad+n]
-	clear(buf)
-	return buf
+	return d.host[hostPad : hostPad+n : hostPad+n], fresh
+}
+
+// MRAMView returns the DPU's MRAM words [off, off+n) for the host's
+// simulation of arithmetic on operands the tasklets DMA themselves: it
+// charges nothing and moves nothing, and the kernel must not write
+// through it. What a tasklet charges for those operands is still its
+// own MRAMRead of each tile.
+func (c *TaskletCtx) MRAMView(off, n int) []uint32 {
+	if off < 0 || n < 0 || off+n > len(c.dpu.mram) {
+		panic(fmt.Sprintf("pim: DPU %d MRAM view [%d,%d) out of bounds %d",
+			c.dpu.ID, off, off+n, len(c.dpu.mram)))
+	}
+	return c.dpu.mram[off : off+n : off+n]
 }
 
 // MRAMRead DMAs words from MRAM (word offset off) into the WRAM buffer

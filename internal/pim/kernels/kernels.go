@@ -7,15 +7,16 @@
 // schoolbook products (Karatsuba for 64- and 128-bit coefficients)
 // accumulated at full width and reduced once by limb32.Mod.
 //
-// The host simulates each kernel's arithmetic a run of coefficients at a
-// time, in bodies that charge the tasklet exactly the tally the limb32
-// routines would, once rather than per coefficient: addRun for the two
-// add kernels (a word-level body at 4 limbs, the width every PIM Sum
-// runs) and productRunFor's bodies for the product kernel (word-level at
-// 1 limb; at 8 limbs, the lift every PIM Mul's tensor runs under, one
-// signed 64×64 multiply per product whose operands fit a word, summed in
-// host words the DPU owns, and word-level schoolbook rows for the rest).
-// Other widths call limb32 itself.
+// The host simulates each kernel's arithmetic without ticking the
+// tally instruction by instruction, while charging the tasklet exactly
+// what the limb32 routines would. addRun is the two add kernels' run
+// body (a word-level body at 4 limbs, the width every PIM Sum runs),
+// whose tally it charges once per tasklet. The product kernel, at
+// 1 limb (key switching at 27 bits) and at 8 (the lift every PIM Mul's
+// tensor runs under), computes each pair's values once as an exact
+// convolution (conv.go) and each tasklet's tally from counts over the
+// words it DMA'd (productTally): O(n log n) host work per pair for a
+// program that makes n² products. Other widths call limb32 itself.
 //
 // The tasklet programs live in kernels.go, sum.go and nttkernel.go; the
 // host side is sched.go, where each Run*Sched driver is a shard plan
@@ -203,21 +204,29 @@ type PolyMulLayout struct {
 // 2W+1-limb precision, with a single modular reduction per output
 // coefficient.
 //
-// The host walks a tile one a-coefficient at a time: for coefficient i
-// the tasklet's outputs k split at k = i into a run into accNeg (k < i,
-// the products that wrap past Xᴺ) and a run into accPos (k ≥ i), and
-// along each run the b-window index and the accumulator index both
-// advance by one. Each run goes to the width's productRun, which
-// charges the tasklet the tally limb32.Mul and accumAdd would for every
-// product of the run; the sums are exact and a tally is order-free, so
-// visiting the products i-outer instead of k-outer changes neither.
+// The tasklet walks a tile one a-coefficient at a time: for coefficient
+// i its outputs k read b_(k−i) mod n from consecutive slots of the
+// b-window, and split at k = i into the products that wrap past Xᴺ
+// (k < i, into accNeg) and the rest (into accPos). So accPos_k ends as
+// pos_k = Σ_{i≤k} a_i·b_(k−i) and accNeg_k as neg_k = Σ_{i>k} a_i·b_(n+k−i),
+// coefficients k and n+k of the pair's plain integer product.
 //
-// At W = 8 a product whose lifted operands both fit a signed word is
-// one 64×64 multiply into the output's host sums (mulRun8) rather than
-// eight schoolbook rows into its accumulator. The sums live in host
-// words the DPU owns (TaskletCtx.HostWords), outside WRAM, so no tile
-// size moves; once per pair flushSums adds them into the accumulators
-// ahead of the reduction.
+// At W = 1 and W = 8 — a Mul's key switch at 27 bits and its tensor
+// under the 256-bit lift — the host does not form those products one by
+// one. It splits them in two, each exactly what the per-product program
+// computes and charges:
+//
+//   - the values: the first of the DPU's tasklets to run in a launch
+//     convolves every pair once, exactly, from the DPU's MRAM
+//     (convPlan.convolve) into words the DPU owns for the launch
+//     (TaskletCtx.LaunchWords), and each tasklet copies its outputs'
+//     two sums into its accumulators before the reduction;
+//   - the tally: what limb32.Mul followed by accumAdd would charge for
+//     each product is linear in counts that productTally takes from the
+//     tiles the tasklet DMA'd, and the tasklet charges it once.
+//
+// At W = 2 and W = 4 each product goes through limb32.Mul and accumAdd
+// (mulRun): Karatsuba's tally depends on the data.
 func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 	return func(ctx *pim.TaskletCtx) error {
 		n, w := l.N, l.W
@@ -258,20 +267,18 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 		// the time it is written accumulators 0..k have been reduced.
 		out := accPos[:K*w]
 		m := ctx.Meter()
-		run := productRunFor(w, prod)
-		sw := 0
-		if w == 8 {
-			sw = sumWords
+		conv, err := pairProducts(ctx, l)
+		if err != nil {
+			return err
 		}
-		sums := ctx.HostWords(2 * K * sw)
-		sumPos, sumNeg := sums[:K*sw], sums[K*sw:]
+		cw := convWords(w)
+		var tally productTally
 
 		for p := 0; p < l.Pairs; p++ {
 			offA := l.OffA + p*n*w
 			offB := l.OffB + p*n*w
 			clear(accPos)
 			clear(accNeg)
-			clear(sums)
 
 			for i0 := 0; i0 < n; i0 += tile {
 				cnt := min(tile, n-i0)
@@ -284,296 +291,256 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 				winStart := ((k0-i0-cnt+1)%n + n) % n
 				readWindow(ctx, offB, winStart, winLen, n, w, bWin)
 
-				for i := i0; i < i0+cnt; i++ {
-					// Output k reads window slot k−k0 + i0+cnt−1−i, which
-					// holds b_(k−i) mod n.
-					ai := aTile[(i-i0)*w : (i-i0+1)*w]
-					bi := bWin[(i0+cnt-1-i)*w : (i0+cnt-1-i+K)*w]
-					split := min(max(i-k0, 0), K)
-					run(accNeg[:split*accW], sumNeg[:split*sw], ai, bi[:split*w], m)
-					run(accPos[split*accW:], sumPos[split*sw:], ai, bi[split*w:], m)
+				if conv != nil {
+					tally.tile(aTile[:cnt*w], bWin[:winLen*w], K, w)
+				} else {
+					for i := i0; i < i0+cnt; i++ {
+						// Output k reads window slot k−k0 + i0+cnt−1−i, which
+						// holds b_(k−i) mod n.
+						ai := aTile[(i-i0)*w : (i-i0+1)*w]
+						bi := bWin[(i0+cnt-1-i)*w : (i0+cnt-1-i+K)*w]
+						split := min(max(i-k0, 0), K)
+						mulRun(accNeg[:split*accW], ai, bi[:split*w], prod, m)
+						mulRun(accPos[split*accW:], ai, bi[split*w:], prod, m)
+					}
 				}
 				ctx.ChargeInstr(int64(3 * K * cnt)) // per product: index arithmetic + wrap test + branch
+			}
+			if conv != nil {
+				c := conv[p*2*n*cw : (p+1)*2*n*cw]
+				for k := 0; k < K; k++ {
+					unpackLimbs(accPos[k*accW:(k+1)*accW], c[(k0+k)*cw:])
+					unpackLimbs(accNeg[k*accW:(k+1)*accW], c[(n+k0+k)*cw:])
+				}
 			}
 
 			// Reduce accumulators mod q and write the shard's outputs.
 			for k := 0; k < K; k++ {
 				pos, neg := accPos[k*accW:(k+1)*accW], accNeg[k*accW:(k+1)*accW]
-				if sw > 0 {
-					flushSums(pos, sumPos[k*sw:])
-					flushSums(neg, sumNeg[k*sw:])
-				}
 				limb32.Mod(rp, limb32.Nat(pos), l.Q, m)
 				limb32.Mod(rn, limb32.Nat(neg), l.Q, m)
 				limb32.SubMod(limb32.Nat(out[k*w:(k+1)*w]), rp, rn, l.Q, m)
 			}
 			ctx.MRAMWrite(l.OffOut+p*n*w+k0*w, out[:K*w])
 		}
+		if conv != nil {
+			tally.charge(m, w)
+		}
 		return nil
 	}
 }
 
-// A productRun adds a·b_t into output t for every t of one run, where b
-// holds consecutive W-limb coefficients, acc the matching (2W+1)-limb
-// accumulators and sums their host sums (sumWords each at W = 8, none
-// otherwise), and charges m what limb32.Mul followed by accumAdd would
-// for each of those products.
-type productRun func(acc []uint32, sums []uint64, a, b []uint32, m limb32.Meter)
-
-// productRunFor picks the run body for coefficient width w. Width 1
-// (key switching at 27 bits) has a word-level body; width 8 (every PIM
-// Mul's tensor products under the lift modulus) multiplies operands
-// that fit a signed word as one 64×64 product into its host sums and
-// walks word-level schoolbook rows for the rest. The 2- and 4-limb
-// widths no workload multiplies on PIM run limb32.Mul itself, through
-// the 2w-limb scratch prod. addRun is the add kernels' counterpart.
-func productRunFor(w int, prod limb32.Nat) productRun {
-	switch w {
-	case 1:
-		return mulRun1
-	case 8:
-		return mulRun8
+// pairProducts returns, at W = 1 and W = 8, every pair's exact plain
+// product for the launch, convWords(W) words per coefficient and 2N
+// coefficients per pair; at other widths it returns nil. The DPU's
+// first tasklet of the launch computes them from the operands in its
+// MRAM; the tasklets after it find them in the DPU's launch words.
+func pairProducts(ctx *pim.TaskletCtx, l PolyMulLayout) ([]uint64, error) {
+	n, w := l.N, l.W
+	if w != 1 && w != 8 {
+		return nil, nil
 	}
+	plan, err := convPlanFor(n)
+	if err != nil {
+		return nil, err
+	}
+	per := 2 * n * convWords(w)
+	words, fresh := ctx.LaunchWords(l.Pairs*per + plan.scratchWords(w))
+	conv, scratch := words[:l.Pairs*per], words[l.Pairs*per:]
+	if fresh {
+		for p := 0; p < l.Pairs; p++ {
+			a := ctx.MRAMView(l.OffA+p*n*w, n*w)
+			b := ctx.MRAMView(l.OffB+p*n*w, n*w)
+			plan.convolve(conv[p*per:(p+1)*per], scratch, a, b, w)
+		}
+	}
+	return conv, nil
+}
+
+// unpackLimbs sets the limbs acc from words c, two limbs to a word, low
+// limb first.
+func unpackLimbs(acc []uint32, c []uint64) {
+	for i := range acc {
+		acc[i] = uint32(c[i/2] >> (32 * (i % 2)))
+	}
+}
+
+// mulRun adds a·b_t into accumulator t for every W-limb coefficient b_t
+// of b, through limb32.Mul into the 2W-limb scratch prod and accumAdd,
+// which charge m each product's tally: the product body at W = 2 and
+// W = 4.
+func mulRun(acc, a, b []uint32, prod limb32.Nat, m limb32.Meter) {
+	w := len(a)
 	accW := 2*w + 1
-	return func(acc []uint32, _ []uint64, a, b []uint32, m limb32.Meter) {
-		for t := 0; t < len(acc)/accW; t++ {
-			limb32.Mul(prod, a, b[t*w:(t+1)*w], m)
-			accumAdd(acc[t*accW:(t+1)*accW], prod, m)
-		}
+	for t := 0; t < len(acc)/accW; t++ {
+		limb32.Mul(prod, a, b[t*w:(t+1)*w], m)
+		accumAdd(acc[t*accW:(t+1)*accW], prod, m)
 	}
 }
 
-// mulRun1 is the 1-limb run: one 32×32 product per output, added into
-// the accumulator's low word with the carry into its top limb. The
-// tally is data-independent: limb32.Mul loads both factors, multiplies
-// and stores two limbs; accumAdd's two-limb addc chain loads, adds
-// three times (the top limb included), stores and loops twice.
-func mulRun1(acc []uint32, _ []uint64, a, b []uint32, m limb32.Meter) {
-	x := uint64(a[0])
-	for t, bt := range b {
-		c3 := (*[3]uint32)(acc[3*t:])
-		c3[2] += uint32(addPair(c3[:2], x*uint64(bt), 0))
-	}
-	c := len(b)
-	m.Tick(limb32.OpLoad, 4*c)
-	m.Tick(limb32.OpMul32, c)
-	m.Tick(limb32.OpAddC, 3*c)
-	m.Tick(limb32.OpStore, 4*c)
-	m.Tick(limb32.OpLoop, 2*c)
+// A productTally counts, for the products a tasklet makes at W = 1 or
+// W = 8, what limb32.Mul followed by accumAdd would charge for each,
+// and charges the total once; a tally is order-free, so this changes no
+// figure.
+//
+// At W = 1 that is a constant per product. At W = 8 it is
+// limb32.MulSchoolbook's, fixed per product by a's nonzero limbs (its
+// rows: a zero limb's row is skipped) plus a load, an addc and a store
+// for each row that ripples a carry past its end, and accumAdd's
+// 16-limb chain. Row r of a·b ripples exactly when the prefix product
+// A_r·b, A_r = a mod 2^(32(r+1)), reaches 2^(32(r+8)): before row r the
+// running product is below that, so the row's carry out is exactly limb
+// r+8 of the product after it, which takes it without carrying on.
+type productTally struct {
+	products int // products made
+	rows     int // Σ over the products of a's nonzero limbs (W = 8)
+	ripples  int // Σ over the products of the rows that ripple (W = 8)
 }
 
-// mulRun8 is the 8-limb run, the body of a PIM Mul's tensor products
-// under the 256-bit lift. It reads each operand v as the two's
-// complement σ = v − 2²⁵⁶·e, e = [v ≥ 2²⁵⁵], and uses the exact identity
+// tile counts the products of one tile: each coefficient of aTile — a_i,
+// i = i0+cnt−1−s — times the K coefficients bWin[s, s+K) that the
+// tasklet's outputs read for it.
 //
-//	a·b = σₐσ_b + 2²⁵⁶(eₐσ_b + e_bσₐ) + 2⁵¹²eₐe_b.
-//
-// When both σ fit a signed word — every lifted centred coefficient of
-// the 27- and 54-bit presets: x, or 2²⁵⁶ − 189 − |x| — the product is
-// one 64×64 multiply. Its three terms go to output t's host sums
-// sums[6t:6t+6], which flushSums adds into the accumulator once per
-// pair: S = Σσₐσ_b in three words (a product reaches 2¹²⁶, so two
-// words could wrap after two of them), T = Σ(eₐσ_b + e_bσₐ) in two and
-// the count U = Σeₐe_b in one.
-//
-// Any other product is formed the way limb32.MulSchoolbook forms it,
-// one row per nonzero 32-bit limb a_r of a, but a word at a time: row r
-// adds (a_r ≪ 32·(r&1))·b, four 64×64 products, at word r≫1 of the
-// running product d0..d7, which then goes into the accumulator. The
-// rows are written out so the eight words stay in registers.
-//
-// MulSchoolbook's tally is fixed by a's zero limbs (skipped, with
-// rows = 8 − skipped and steps = 8·rows) plus one ripple per row r
-// whose prefix product A_r·b, A_r = a mod 2^(32(r+1)), reaches
-// 2^(32(r+8)): before row r the running product is below that, so the
-// row's carry out is exactly limb r+8 of the product after it — word
-// r≫1+4 for an even r, its high half for an odd one. The row walk
-// reads it there. A word-sized b has top word b₃ = 0, which never
-// ripples (A_r·b < 2^(32r+224)), or b₃ = 2⁶⁴−1, against which
-// rowRipple decides each row once per run; a row it leaves undecided
-// sends those products to the row walk. accumAdd's 16-limb chain adds
-// a constant 16 loads, 17 addc, 16 stores and 16 loop trips per
-// product.
-func mulRun8(acc []uint32, sums []uint64, a, b []uint32, m limb32.Meter) {
-	var x [8]uint64 // row r's multiplier, a_r ≪ 32·(r&1)
-	rows := 0
-	for r, ar := range a[:8] {
-		x[r] = uint64(ar) << (32 * (r & 1))
-		if ar != 0 {
-			rows++
-		}
-	}
-	c := len(b) / 8
-	a0, a1, a2, a3 := load256(a)
-	if !isWord(a0, a1, a2, a3) {
-		charge8(m, c, rows, rowWalk8(acc, &x, b))
+// At W = 8 a product's ripples are read off b's top word b₃: a b with
+// b₃ = 0 is below 2¹⁹² and never ripples (A_r·b < 2^(32r+224)), and
+// against b₃ = 2⁶⁴−1 rowRipple decides each of a's rows once, for every
+// such b in the window at once. Sliding the window one slot per a keeps
+// that count in step. Every lifted centred coefficient has b₃ = 0 or
+// 2⁶⁴−1; only a product with any other b₃, or with a row rowRipple
+// leaves undecided, is counted on its own (ripples8).
+func (t *productTally) tile(aTile, bWin []uint32, K, w int) {
+	cnt := len(aTile) / w
+	t.products += cnt * K
+	if w != 8 {
 		return
 	}
-	// σₐ and eₐ; the rows that ripple against b₃ = 2⁶⁴−1, and whether
-	// rowRipple decides every row there.
-	sa, ea := int64(a0), a3>>63
-	negRipples, negOK := 0, true
+	// class reports whether window slot s has b₃ = 2⁶⁴−1, or b₃ ∉ {0, 2⁶⁴−1}.
+	class := func(s int) (ones, other int) {
+		switch uint64(bWin[8*s+6]) | uint64(bWin[8*s+7])<<32 {
+		case 0:
+			return 0, 0
+		case math.MaxUint64:
+			return 1, 0
+		}
+		return 0, 1
+	}
+	ones, others := 0, 0
+	for s := 0; s < K; s++ {
+		o, x := class(s)
+		ones, others = ones+o, others+x
+	}
+	for s := 0; s < cnt; s++ {
+		if s > 0 {
+			o, x := class(s - 1)
+			ones, others = ones-o, others-x
+			o, x = class(s + K - 1)
+			ones, others = ones+o, others+x
+		}
+		a := aTile[8*(cnt-1-s) : 8*(cnt-s)]
+		rows, rip, undecided := rowsOf(a)
+		t.rows += K * rows
+		if others == 0 && !undecided {
+			t.ripples += ones * rip
+			continue
+		}
+		for j := s; j < s+K; j++ {
+			switch o, x := class(j); {
+			case o == 1 && !undecided:
+				t.ripples += rip
+			case o == 1 || x == 1:
+				t.ripples += ripples8(a, bWin[8*j:8*j+8])
+			}
+		}
+	}
+}
+
+// charge charges m the tally of every product counted: at W = 1
+// limb32.Mul's two loads, multiply and two stores and accumAdd's
+// two-limb addc chain (two loads, three addc with the top limb, two
+// stores, two loop trips); at W = 8 MulSchoolbook's rows, steps and
+// ripples and accumAdd's 16 loads, 17 addc, 16 stores and 16 loop trips.
+func (t *productTally) charge(m limb32.Meter, w int) {
+	c := t.products
+	if w == 1 {
+		m.Tick(limb32.OpLoad, 4*c)
+		m.Tick(limb32.OpMul32, c)
+		m.Tick(limb32.OpAddC, 3*c)
+		m.Tick(limb32.OpStore, 4*c)
+		m.Tick(limb32.OpLoop, 2*c)
+		return
+	}
+	rows, rip := t.rows, t.ripples
+	skipped, steps := 8*c-rows, 8*rows
+	m.Tick(limb32.OpLoad, skipped+3*steps+16*c+rip)
+	m.Tick(limb32.OpMul32, steps)
+	m.Tick(limb32.OpAdd, steps)
+	m.Tick(limb32.OpAddC, 2*steps+17*c+rip)
+	m.Tick(limb32.OpStore, steps+16*c+rip)
+	m.Tick(limb32.OpLoop, skipped+steps+rows+16*c)
+}
+
+// rowsOf returns the 8-limb a's nonzero limbs — its schoolbook rows —
+// and, against a b whose top word is 2⁶⁴−1, how many of them rowRipple
+// says ripple and whether it leaves any undecided.
+func rowsOf(a []uint32) (rows, ripples int, undecided bool) {
 	var prev uint64
 	for _, ar := range a[:8] {
 		if ar != 0 {
+			rows++
 			rip, sure := rowRipple(uint64(ar)<<32|prev, math.MaxUint64)
 			if rip {
-				negRipples++
+				ripples++
 			}
-			negOK = negOK && sure
+			undecided = undecided || !sure
 		}
 		prev = uint64(ar)
 	}
-	ripples, negWords := 0, 0
-	for t := 0; t < c; t++ {
-		done, negs := wordRun8(sums[sumWords*t:], sa, ea, negOK, b[8*t:])
-		negWords += negs
-		if t += done; t < c {
-			ripples += rowWalk8(acc[17*t:17*(t+1)], &x, b[8*t:8*(t+1)])
-		}
-	}
-	charge8(m, c, rows, ripples+negWords*negRipples)
+	return rows, ripples, undecided
 }
 
-// wordRun8 adds σₐ·b_t into the host sums of output t for t = 0, 1, …
-// while b_t fits a signed word and, when it is negative (e_b = 1),
-// negOK holds; it stops at the first b_t that must take the row walk
-// and returns how many products it made, and how many of those had
-// e_b = 1.
-func wordRun8(sums []uint64, sa int64, ea uint64, negOK bool, b []uint32) (done, negs int) {
-	x, sx, ma := uint64(sa), uint64(sa>>63), -ea
-	var walkNeg uint64 // all ones when a negative b_t must take the row walk
-	if !negOK {
-		walkNeg = math.MaxUint64
-	}
-	for ; len(b) >= 8 && len(sums) >= sumWords; b, sums = b[8:], sums[sumWords:] {
-		b0, b1, b2, b3 := load256(b)
-		sb := uint64(int64(b0) >> 63) // −e_b, when b fits a word
-		if (b1^sb)|(b2^sb)|(b3^sb)|(sb&walkNeg) != 0 {
-			break
+// ripples8 returns how many rows of the 8-limb product a·b ripple:
+// rowRipple decides each row from b's top word where it can, and a
+// product with a row it leaves undecided is formed limb by limb, as
+// MulSchoolbook forms it.
+func ripples8(a, b []uint32) int {
+	b3 := uint64(b[6]) | uint64(b[7])<<32
+	n := 0
+	var prev uint64
+	for _, ar := range a[:8] {
+		if ar != 0 {
+			rip, sure := rowRipple(uint64(ar)<<32|prev, b3)
+			if !sure {
+				return walkRipples8(a, b)
+			}
+			if rip {
+				n++
+			}
 		}
-		s := (*[sumWords]uint64)(sums)
-		// σₐσ_b: the unsigned product, less 2⁶⁴ times each factor whose
-		// partner is negative.
-		hi, lo := bits.Mul64(x, b0)
-		hi -= sx&b0 + sb&x
+		prev = uint64(ar)
+	}
+	return n
+}
+
+// walkRipples8 forms a·b row by row and counts the rows whose carry out
+// is nonzero.
+func walkRipples8(a, b []uint32) int {
+	var d [16]uint32
+	n := 0
+	for r, ar := range a[:8] {
+		if ar == 0 {
+			continue
+		}
 		var c uint64
-		s[0], c = bits.Add64(s[0], lo, 0)
-		s[1], c = bits.Add64(s[1], hi, c)
-		s[2] += uint64(int64(hi)>>63) + c
-		// eₐσ_b + e_bσₐ, a sum of two signed words.
-		u, v := b0&ma, x&sb
-		lo, c = bits.Add64(u, v, 0)
-		hi = ma&sb + sx&sb + c
-		s[3], c = bits.Add64(s[3], lo, 0)
-		s[4] += hi + c
-		s[5] += ea & sb
-		done++
-		negs -= int(int64(sb))
+		for j, bj := range b[:8] {
+			s := uint64(d[r+j]) + uint64(ar)*uint64(bj) + c
+			d[r+j], c = uint32(s), s>>32
+		}
+		d[r+8] = uint32(c) // limb r+8 was zero: the prefix product is below 2^(32(r+8))
+		if c != 0 {
+			n++
+		}
 	}
-	return done, negs
-}
-
-// rowWalk8 adds x·b_t into acc_t for every 8-limb coefficient b_t of
-// b, x holding a's row multipliers (x_r = a_r ≪ 32·(r&1)), and returns
-// how many rows rippled.
-func rowWalk8(acc []uint32, x *[8]uint64, b []uint32) (ripples int) {
-	for t := 0; t < len(b)/8; t++ {
-		b0, b1, b2, b3 := load256(b[8*t:])
-		var d0, d1, d2, d3, d4, d5, d6, d7 uint64
-		if x[0] != 0 {
-			p0, p1, p2, p3, p4 := mulWords(x[0], b0, b1, b2, b3)
-			d0, d1, d2, d3, d4 = addWords(d0, d1, d2, d3, d4, p0, p1, p2, p3, p4)
-			ripples += nonzero32(d4)
-		}
-		if x[1] != 0 {
-			p0, p1, p2, p3, p4 := mulWords(x[1], b0, b1, b2, b3)
-			d0, d1, d2, d3, d4 = addWords(d0, d1, d2, d3, d4, p0, p1, p2, p3, p4)
-			ripples += nonzero32(d4 >> 32)
-		}
-		if x[2] != 0 {
-			p0, p1, p2, p3, p4 := mulWords(x[2], b0, b1, b2, b3)
-			d1, d2, d3, d4, d5 = addWords(d1, d2, d3, d4, d5, p0, p1, p2, p3, p4)
-			ripples += nonzero32(d5)
-		}
-		if x[3] != 0 {
-			p0, p1, p2, p3, p4 := mulWords(x[3], b0, b1, b2, b3)
-			d1, d2, d3, d4, d5 = addWords(d1, d2, d3, d4, d5, p0, p1, p2, p3, p4)
-			ripples += nonzero32(d5 >> 32)
-		}
-		if x[4] != 0 {
-			p0, p1, p2, p3, p4 := mulWords(x[4], b0, b1, b2, b3)
-			d2, d3, d4, d5, d6 = addWords(d2, d3, d4, d5, d6, p0, p1, p2, p3, p4)
-			ripples += nonzero32(d6)
-		}
-		if x[5] != 0 {
-			p0, p1, p2, p3, p4 := mulWords(x[5], b0, b1, b2, b3)
-			d2, d3, d4, d5, d6 = addWords(d2, d3, d4, d5, d6, p0, p1, p2, p3, p4)
-			ripples += nonzero32(d6 >> 32)
-		}
-		if x[6] != 0 {
-			p0, p1, p2, p3, p4 := mulWords(x[6], b0, b1, b2, b3)
-			d3, d4, d5, d6, d7 = addWords(d3, d4, d5, d6, d7, p0, p1, p2, p3, p4)
-			ripples += nonzero32(d7)
-		}
-		if x[7] != 0 {
-			p0, p1, p2, p3, p4 := mulWords(x[7], b0, b1, b2, b3)
-			d3, d4, d5, d6, d7 = addWords(d3, d4, d5, d6, d7, p0, p1, p2, p3, p4)
-			ripples += nonzero32(d7 >> 32)
-		}
-		c17 := (*[17]uint32)(acc[17*t:])
-		c := addPair(c17[0:2], d0, 0)
-		c = addPair(c17[2:4], d1, c)
-		c = addPair(c17[4:6], d2, c)
-		c = addPair(c17[6:8], d3, c)
-		c = addPair(c17[8:10], d4, c)
-		c = addPair(c17[10:12], d5, c)
-		c = addPair(c17[12:14], d6, c)
-		c = addPair(c17[14:16], d7, c)
-		c17[16] += uint32(c)
-	}
-	return ripples
-}
-
-// charge8 charges m what limb32.MulSchoolbook and accumAdd charge for
-// c products of an 8-limb a with rows nonzero limbs, whose rows rippled
-// ripples times in all.
-func charge8(m limb32.Meter, c, rows, ripples int) {
-	skipped := 8 - rows
-	steps := 8 * rows
-	m.Tick(limb32.OpLoad, c*(skipped+3*steps+16)+ripples)
-	m.Tick(limb32.OpMul32, c*steps)
-	m.Tick(limb32.OpAdd, c*steps)
-	m.Tick(limb32.OpAddC, c*(2*steps+17)+ripples)
-	m.Tick(limb32.OpStore, c*(steps+16)+ripples)
-	m.Tick(limb32.OpLoop, c*(skipped+steps+rows+16))
-}
-
-// sumWords is the host words one output's signed-word sums take: S in
-// words 0–2, T in words 3–4 (both two's complement) and U in word 5.
-const sumWords = 6
-
-// flushSums adds an output's signed-word sums s into its 17-limb
-// accumulator acc as S + 2²⁵⁶T + 2⁵¹²U, S and T sign-extended; the
-// accumulator holds its sum mod 2⁵⁴⁴, so the true, nonnegative total
-// comes out exact.
-func flushSums(acc []uint32, s []uint64) {
-	c17, s6 := (*[17]uint32)(acc), (*[sumWords]uint64)(s)
-	sS, sT := uint64(int64(s6[2])>>63), uint64(int64(s6[4])>>63)
-	c := addPair(c17[0:2], s6[0], 0)
-	c = addPair(c17[2:4], s6[1], c)
-	c = addPair(c17[4:6], s6[2], c)
-	c = addPair(c17[6:8], sS, c)
-	// From word 4 on: S's sign words plus T, itself sign-extended, and U.
-	w4, ct := bits.Add64(sS, s6[3], 0)
-	w5, ct := bits.Add64(sS, s6[4], ct)
-	w6, ct := bits.Add64(sS, sT, ct)
-	w7, ct := bits.Add64(sS, sT, ct)
-	c = addPair(c17[8:10], w4, c)
-	c = addPair(c17[10:12], w5, c)
-	c = addPair(c17[12:14], w6, c)
-	c = addPair(c17[14:16], w7, c)
-	c17[16] += uint32(sS + sT + ct + s6[5] + c)
+	return n
 }
 
 // rowRipple decides whether schoolbook row r of a·b ripples, from
@@ -597,56 +564,6 @@ func rowRipple(h, b3 uint64) (ripples, sure bool) {
 	lo, c = bits.Add64(lo, 1, 0)
 	hi += c
 	return false, hi < 1<<32 || hi == 1<<32 && lo == 0
-}
-
-// load256 reads eight limbs as four 64-bit words, low word first.
-func load256(c []uint32) (w0, w1, w2, w3 uint64) {
-	c8 := (*[8]uint32)(c)
-	return uint64(c8[0]) | uint64(c8[1])<<32, uint64(c8[2]) | uint64(c8[3])<<32,
-		uint64(c8[4]) | uint64(c8[5])<<32, uint64(c8[6]) | uint64(c8[7])<<32
-}
-
-// isWord reports whether the 256-bit two's complement w3:w2:w1:w0 fits
-// a signed word: its upper words all repeat w0's sign.
-func isWord(w0, w1, w2, w3 uint64) bool {
-	s := uint64(int64(w0) >> 63)
-	return w1 == s && w2 == s && w3 == s
-}
-
-// mulWords returns the five-word product x·(b3:b2:b1:b0).
-func mulWords(x, b0, b1, b2, b3 uint64) (p0, p1, p2, p3, p4 uint64) {
-	h0, p0 := bits.Mul64(x, b0)
-	h1, l1 := bits.Mul64(x, b1)
-	h2, l2 := bits.Mul64(x, b2)
-	h3, l3 := bits.Mul64(x, b3)
-	var c uint64
-	p1, c = bits.Add64(l1, h0, 0)
-	p2, c = bits.Add64(l2, h1, c)
-	p3, c = bits.Add64(l3, h2, c)
-	return p0, p1, p2, p3, h3 + c
-}
-
-// addWords returns d + p over five words; the caller guarantees the sum
-// fits.
-func addWords(d0, d1, d2, d3, d4, p0, p1, p2, p3, p4 uint64) (uint64, uint64, uint64, uint64, uint64) {
-	var c uint64
-	d0, c = bits.Add64(d0, p0, 0)
-	d1, c = bits.Add64(d1, p1, c)
-	d2, c = bits.Add64(d2, p2, c)
-	d3, c = bits.Add64(d3, p3, c)
-	return d0, d1, d2, d3, d4 + p4 + c
-}
-
-// nonzero32 is 1 if v, which must be below 2³², is nonzero and 0
-// otherwise: adding 2³²−1 reaches bit 32 exactly when v ≠ 0.
-func nonzero32(v uint64) int { return int((v + 0xffffffff) >> 32) }
-
-// addPair adds v and the carry c into the two-limb word p and returns
-// the carry out.
-func addPair(p []uint32, v, c uint64) uint64 {
-	s, c := bits.Add64(uint64(p[0])|uint64(p[1])<<32, v, c)
-	p[0], p[1] = uint32(s), uint32(s>>32)
-	return c
 }
 
 // readWindow reads winLen coefficients of width w starting at circular

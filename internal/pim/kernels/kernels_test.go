@@ -182,13 +182,14 @@ func TestVectorPolyMulBitExactAllWidths(t *testing.T) {
 }
 
 // TestVectorPolyMulW8MixedPaths runs the W = 8 kernel on several DPUs
-// at once, GOMAXPROCS ≥ 2, with every output fed both products that take
-// the signed-word path into the DPU-owned host sums and products that
-// take the row walk: even coefficients of a and all of b but every
-// fourth are lifted centred values, ±(2⁶³ − 1) or −2⁶³, the rest 2²⁵⁵ or
-// random residues. Each DPU multiplies two pairs, twice. It runs under
-// -short, so the race detector sees the host sums of DPUs simulated
-// side by side.
+// at once, GOMAXPROCS ≥ 2, with every output fed both products of
+// operands whose σ fits a signed word and products of operands whose σ
+// does not: even coefficients of a and all of b but every fourth are
+// lifted centred values, ±(2⁶³ − 1) or −2⁶³, the rest 2²⁵⁵ or random
+// residues, so the convolution's terms are sized by the widest and the
+// tally counts some products from b's top word and some one at a time.
+// Each DPU multiplies two pairs, twice. It runs under -short, so the
+// race detector sees the launch words of DPUs simulated side by side.
 func TestVectorPolyMulW8MixedPaths(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	rng := rand.New(rand.NewSource(4403))
@@ -217,7 +218,7 @@ func TestVectorPolyMulW8MixedPaths(t *testing.T) {
 		b = append(b, coeff(i%4 != 3)...)
 	}
 	sched := testSched(t, pimsched.FitTopology(3), 4)
-	for run := 0; run < 2; run++ { // the second run reuses each DPU's host sums
+	for run := 0; run < 2; run++ { // the second run reuses each DPU's launch words
 		got, _, err := RunVectorPolyMulSched(sched, a, b, n, 8, mod.Q)
 		if err != nil {
 			t.Fatal(err)

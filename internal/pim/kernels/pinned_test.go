@@ -37,6 +37,11 @@ func TestSimulatedFiguresArePinned(t *testing.T) {
 
 		// The operand shape a PIM Mul's tensor products run on.
 		"polymul/w8-centered": {limb32.Counts{114258, 315475, 192, 28758, 144636, 413469, 172621, 9306, 22790, 0, 214464}, 5928901, 43668, 7259516},
+		// The same at 54 and 109 bits, and with a's rows on the band
+		// rowRipple leaves undecided against a negative b.
+		"polymul/w8-centered54":  {limb32.Counts{122207, 330431, 192, 28209, 151962, 436118, 180286, 9171, 22392, 0, 222016}, 6223022, 43668, 6963066},
+		"polymul/w8-centered109": {limb32.Counts{146013, 383511, 192, 31260, 179160, 507044, 206588, 10116, 23484, 0, 248520}, 7299064, 43668, 7939932},
+		"polymul/w8-undecided":   {limb32.Counts{53339, 184384, 192, 25707, 80318, 234251, 107571, 8345, 21790, 0, 150896}, 3365867, 43668, 3739186},
 	}
 	check := func(name string, rep *pimsched.Report, err error) {
 		t.Helper()
@@ -68,26 +73,61 @@ func TestSimulatedFiguresArePinned(t *testing.T) {
 		check(fmt.Sprintf("polymul/w%d", w), rep, err)
 	}
 
-	// A PIM Mul lifts centered 27-bit coefficients: a positive one has
-	// zero high limbs (skipped schoolbook rows), a negative one is
-	// 2²⁵⁶−189 minus a small value. Uniform 256-bit operands never reach
-	// the skipped-row path.
-	small, lift := modulusFor(t, 1), modulusFor(t, 8)
-	half := new(big.Int).Rsh(small.QBig, 1)
-	rng := rand.New(rand.NewSource(1508))
-	centered := func() []uint32 {
+	// A PIM Mul lifts centered coefficients: a positive one has zero
+	// high limbs (skipped schoolbook rows), a negative one is 2²⁵⁶−189
+	// minus a small value. Uniform 256-bit operands never reach the
+	// skipped-row path. At 27 and 54 bits both lifts' σ fit a word; at
+	// 109 bits they do not, and b's top word is still 0 or 2⁶⁴−1.
+	lift := modulusFor(t, 8)
+	centered := func(rng *rand.Rand, small *big.Int) []uint32 {
+		half := new(big.Int).Rsh(small, 1)
 		out := make([]uint32, 192*lift.W)
 		for i := 0; i < 192; i++ {
-			c := new(big.Int).Rand(rng, small.QBig)
+			c := new(big.Int).Rand(rng, small)
 			if c.Cmp(half) > 0 {
-				c.Add(c.Sub(c, small.QBig), lift.QBig)
+				c.Add(c.Sub(c, small), lift.QBig)
 			}
 			copy(out[i*lift.W:(i+1)*lift.W], limb32.FromBig(c, lift.W))
 		}
 		return out
 	}
-	_, rep, err := RunVectorPolyMulSched(testSched(t, topo, 3), centered(), centered(), 16, lift.W, lift.Q)
-	check("polymul/w8-centered", rep, err)
+	for _, c := range []struct {
+		name string
+		w    int
+		seed int64
+	}{{"polymul/w8-centered", 1, 1508}, {"polymul/w8-centered54", 2, 1509}, {"polymul/w8-centered109", 4, 1510}} {
+		small := modulusFor(t, c.w).QBig
+		rng := rand.New(rand.NewSource(c.seed))
+		_, rep, err := RunVectorPolyMulSched(testSched(t, topo, 3), centered(rng, small), centered(rng, small), 16, lift.W, lift.Q)
+		check(c.name, rep, err)
+	}
+
+	// Rows rowRipple cannot decide against a negative b: a_r·2³² +
+	// a_(r−1) = h sits between the two thresholds for b₃ = 2⁶⁴−1, so
+	// whether row r ripples depends on b's lower words. Each a is
+	// 2^(32r) for a random r, half of them plus a random value below
+	// 2^(32(r−1)); b is a centred 27-bit lift or a negative value of up
+	// to 150 bits.
+	h := uint64(1) << 32
+	if lo, hi := rippleThresholds(h); lo > 1<<64-1 || hi < 1<<64-1 {
+		t.Fatalf("h = %#x is decided against b₃ = 2⁶⁴−1 (thresholds %#x, %#x)", h, lo, hi)
+	}
+	rng := rand.New(rand.NewSource(1511))
+	ua, ub := make([]uint32, 192*lift.W), centered(rng, modulusFor(t, 1).QBig)
+	for i := 0; i < 192; i++ {
+		r := rng.Intn(8)
+		v := new(big.Int).Lsh(new(big.Int).SetUint64(h>>32), uint(32*r))
+		if r >= 2 && i%2 == 0 {
+			v.Add(v, new(big.Int).Rand(rng, pow2(32*(r-1))))
+		}
+		copy(ua[i*lift.W:], limb32.FromBig(v, lift.W))
+		if i%3 == 0 {
+			neg := new(big.Int).Sub(pow2(256), new(big.Int).Rand(rng, pow2(150)))
+			copy(ub[i*lift.W:(i+1)*lift.W], limb32.FromBig(neg, lift.W))
+		}
+	}
+	_, rep, err := RunVectorPolyMulSched(testSched(t, topo, 3), ua, ub, 16, lift.W, lift.Q)
+	check("polymul/w8-undecided", rep, err)
 
 	plan := testPlan(t, 64)
 	rng = rand.New(rand.NewSource(1515))

@@ -4,18 +4,31 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/limb32"
+	"repro/internal/pim"
+	"repro/internal/pimsched"
+	"repro/internal/poly"
 )
 
-// checkRuns holds one productRun to the oracle it stands for: a run of
-// each a in as times every coefficient of b, all into the same
-// accumulators, which start at acc0 and take the host sums once at the
-// end, as VectorPolyMul flushes them once per pair, must leave the same
-// accumulator limbs and the same tally as limb32.Mul followed by
-// accumAdd, product by product.
-func checkRuns(t *testing.T, name string, w int, as, b [][]uint32, acc0 []uint32) {
+// checkRuns holds the product kernel's two halves to what they stand
+// for on the operands as and b, lists of W-limb coefficients: the tally
+// of every product a·b_t, a in as (checkTally), and the exact product
+// of as and b as polynomials (checkConv).
+func checkRuns(t *testing.T, name string, w int, as, b [][]uint32) {
+	t.Helper()
+	checkTally(t, name, w, as, b)
+	checkConv(t, name, w, as, b)
+}
+
+// checkTally holds productTally's count of every product a·b_t, a in
+// as — each a a tile of one coefficient against the window b — charged
+// once, to what limb32.Mul followed by accumAdd charge product by
+// product. At W = 2 and 4, where the kernel runs mulRun, it holds
+// mulRun's own charges.
+func checkTally(t *testing.T, name string, w int, as, b [][]uint32) {
 	t.Helper()
 	accW := 2*w + 1
 	var flat []uint32
@@ -23,40 +36,70 @@ func checkRuns(t *testing.T, name string, w int, as, b [][]uint32, acc0 []uint32
 		flat = append(flat, bt...)
 	}
 	var want, got limb32.Counts
-	wantAcc := append([]uint32(nil), acc0...)
-	prod := make(limb32.Nat, 2*w)
+	prod, acc := make(limb32.Nat, 2*w), make([]uint32, accW)
+	accs := make([]uint32, len(b)*accW)
+	var tally productTally
 	for _, a := range as {
-		for i, bt := range b {
+		for _, bt := range b {
 			limb32.Mul(prod, a, bt, &want)
-			accumAdd(wantAcc[i*accW:(i+1)*accW], prod, &want)
+			accumAdd(acc, prod, &want)
+		}
+		if w == 1 || w == 8 {
+			tally.tile(a, flat, len(b), w)
+		} else {
+			mulRun(accs, a, flat, prod, &got)
 		}
 	}
-	gotAcc := append([]uint32(nil), acc0...)
-	sums := make([]uint64, len(b)*sumWords)
-	run := productRunFor(w, make(limb32.Nat, 2*w))
-	for _, a := range as {
-		run(gotAcc, sums, a, flat, &got)
-	}
-	if w == 8 {
-		for i := range b {
-			flushSums(gotAcc[i*accW:(i+1)*accW], sums[i*sumWords:])
-		}
+	if w == 1 || w == 8 {
+		tally.charge(&got, w)
 	}
 	if got != want {
 		t.Errorf("%s: tally %v, limb32 charges %v", name, got, want)
 	}
-	for i := range wantAcc {
-		if gotAcc[i] != wantAcc[i] {
-			t.Fatalf("%s: accumulator %d limb %d = %#x, limb32 gives %#x",
-				name, i/accW, i%accW, gotAcc[i], wantAcc[i])
+}
+
+// checkConv holds convolve's exact plain product of x and y, as
+// polynomials, to their product over the integers as
+// poly.MulNegacyclicZ forms it — a Kronecker product that shares no
+// code with the kernel — zero-padded to 2n coefficients so that nothing
+// wraps.
+func checkConv(t *testing.T, name string, w int, x, y [][]uint32) {
+	t.Helper()
+	accW := 2*w + 1
+	n := max(len(x), len(y))
+	pack := func(c [][]uint32) ([]uint32, []*big.Int) {
+		flat, coeffs := make([]uint32, n*w), make([]*big.Int, 2*n)
+		for i := range coeffs {
+			coeffs[i] = new(big.Int)
+		}
+		for i, v := range c {
+			copy(flat[i*w:], v)
+			coeffs[i] = limb32.Nat(v).Big()
+		}
+		return flat, coeffs
+	}
+	fx, bx := pack(x)
+	fy, by := pack(y)
+	plan, err := convPlanFor(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv := make([]uint64, 2*n*convWords(w))
+	plan.convolve(conv, make([]uint64, plan.scratchWords(w)), fx, fy, w)
+	ref := poly.MulNegacyclicZ(bx, by)
+	got := make([]uint32, accW)
+	for k := 0; k < 2*n; k++ {
+		unpackLimbs(got, conv[k*convWords(w):])
+		if want := limb32.FromBig(ref[k], accW); !slices.Equal(got, want) {
+			t.Fatalf("%s: product coefficient %d = %v, want %v", name, k, limb32.Nat(got), want)
 		}
 	}
 }
 
-// checkRun is checkRuns for a single run of a.
-func checkRun(t *testing.T, name string, w int, a []uint32, b [][]uint32, acc0 []uint32) {
+// checkRun is checkRuns for a single a.
+func checkRun(t *testing.T, name string, w int, a []uint32, b [][]uint32) {
 	t.Helper()
-	checkRuns(t, name, w, [][]uint32{a}, b, acc0)
+	checkRuns(t, name, w, [][]uint32{a}, b)
 }
 
 // limbs returns x as w little-endian 32-bit limbs.
@@ -65,37 +108,24 @@ func limbs(x *big.Int, w int) []uint32 { return limb32.FromBig(x, w) }
 // pow2 returns 2^e.
 func pow2(e int) *big.Int { return new(big.Int).Lsh(big.NewInt(1), uint(e)) }
 
-// startAcc returns count accumulators of width 2w+1 whose low 2w limbs
-// are all ones — so every product carries into the top limb — and whose
-// top limb is small enough never to wrap.
-func startAcc(count, w int) []uint32 {
-	accW := 2*w + 1
-	acc := make([]uint32, count*accW)
-	for i := range acc {
-		if i%accW != 2*w {
-			acc[i] = 0xffffffff
-		}
-	}
-	return acc
-}
-
-// TestProductRunsMatchLimb32 pins every width's run body to limb32.Mul +
-// accumAdd on the operands where the word-level bodies could go wrong:
-// every pattern of zero limbs in a (the schoolbook rows that are
-// skipped), the extreme b values, and prefix products that land exactly
-// on either side of the boundary that decides whether a row ripples.
+// TestProductRunsMatchLimb32 pins the product kernel's tally and values
+// to limb32.Mul + accumAdd and to the integer product on the operands
+// where the counting could go wrong: every pattern of zero limbs in a
+// (the schoolbook rows that are skipped), the extreme b values, and
+// prefix products that land exactly on either side of the boundary that
+// decides whether a row ripples.
 func TestProductRunsMatchLimb32(t *testing.T) {
-	// Width 1: the extremes of both factors, into accumulators whose low
-	// word is all ones, so any nonzero product carries into the top limb.
+	// Width 1: the extremes of both factors, one a at a time and all of
+	// them into the same outputs, whose sums then carry into the top limb.
 	extremes := []uint32{0, 1, 0xffffffff, 0x12345678}
 	var b1 [][]uint32
 	for _, v := range extremes {
 		b1 = append(b1, []uint32{v})
 	}
 	for _, av := range extremes {
-		checkRun(t, fmt.Sprintf("w1 a=%#x", av), 1, []uint32{av}, b1, startAcc(len(b1), 1))
-		checkRun(t, fmt.Sprintf("w1 a=%#x zero acc", av), 1, []uint32{av}, b1, make([]uint32, 3*len(b1)))
+		checkRun(t, fmt.Sprintf("w1 a=%#x", av), 1, []uint32{av}, b1)
 	}
+	checkRuns(t, "w1 every a into the same outputs", 1, b1, b1)
 
 	// Width 8: b ∈ {0, 1, 2²⁵⁶−1, lift−1, small} against every zero-limb
 	// mask of a, with all-ones and with random nonzero limbs.
@@ -120,7 +150,7 @@ func TestProductRunsMatchLimb32(t *testing.T) {
 					a[r] = rng.Uint32() | 1
 				}
 			}
-			checkRun(t, fmt.Sprintf("w8 mask %08b %s", mask, fill), 8, a, b8, startAcc(len(b8), 8))
+			checkRun(t, fmt.Sprintf("w8 mask %08b %s", mask, fill), 8, a, b8)
 		}
 	}
 
@@ -161,27 +191,28 @@ func TestProductRunsMatchLimb32(t *testing.T) {
 			}
 			a := limbs(c.prefA, 8)
 			name := fmt.Sprintf("w8 r=%d prefix %s", r, c.name)
-			checkRun(t, name+", higher limbs zero", 8, a, bs, startAcc(len(bs), 8))
+			checkRun(t, name+", higher limbs zero", 8, a, bs)
 			for k := r + 1; k < 8; k++ {
 				a[k] = 0xffffffff
 			}
-			checkRun(t, name+", higher limbs ones", 8, a, bs, startAcc(len(bs), 8))
+			checkRun(t, name+", higher limbs ones", 8, a, bs)
 		}
 	}
 
-	// Widths 2 and 4 run limb32.Mul itself; hold them to the same oracle.
+	// Widths 2 and 4 run limb32.Mul itself (mulRun); hold them to the
+	// same oracle, and convolve, which takes any width, to the product.
 	for _, w := range []int{2, 4} {
 		var bw [][]uint32
 		for i := 0; i < 5; i++ {
 			bw = append(bw, limbs(new(big.Int).Rand(rng, pow2(32*w)), w))
 		}
-		checkRun(t, fmt.Sprintf("w%d", w), w, limbs(new(big.Int).Rand(rng, pow2(32*w)), w), bw, startAcc(len(bw), w))
+		checkRun(t, fmt.Sprintf("w%d", w), w, limbs(new(big.Int).Rand(rng, pow2(32*w)), w), bw)
 	}
 }
 
 // TestProductRunsRandom sweeps random operands whose limbs are zero, all
-// ones or random, in runs of every length up to 40, for both word-level
-// bodies.
+// ones or random, against windows of every length up to 40, at both
+// widths the kernel counts.
 func TestProductRunsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(2802))
 	limb := func() uint32 {
@@ -206,13 +237,7 @@ func TestProductRunsRandom(t *testing.T) {
 					b[i][j] = limb()
 				}
 			}
-			acc := make([]uint32, len(b)*(2*w+1))
-			for i := range acc {
-				if i%(2*w+1) != 2*w {
-					acc[i] = limb()
-				}
-			}
-			checkRun(t, fmt.Sprintf("w%d sweep %d", w, it), w, a, b, acc)
+			checkRun(t, fmt.Sprintf("w%d sweep %d", w, it), w, a, b)
 		}
 	}
 }
@@ -253,12 +278,12 @@ type namedValue struct {
 	v    *big.Int
 }
 
-// TestProductRunsSignedWords holds the W = 8 body, its host sums
-// flushed into the accumulators, to limb32.Mul + accumAdd where the
-// signed-word path could go wrong: every pair of signedValues in one
-// run each, all of them into the same outputs (word-sized products and
-// row-walk products mixed), and 4096 products of the largest σ into
-// one output, which S must hold without wrapping.
+// TestProductRunsSignedWords holds the W = 8 halves to limb32.Mul +
+// accumAdd and to the integer product on both sides of a signed word:
+// every pair of signedValues, one a at a time and all of them into the
+// same outputs, and 4096 products of the largest σ into one output
+// (σσ sums to 2¹³⁸, a term the CRT must size from the operands and the
+// degree).
 func TestProductRunsSignedWords(t *testing.T) {
 	vals := signedValues(rand.New(rand.NewSource(4401)))
 	var all [][]uint32
@@ -266,29 +291,32 @@ func TestProductRunsSignedWords(t *testing.T) {
 		all = append(all, limbs(v.v, 8))
 	}
 	for i, v := range vals {
-		checkRun(t, "a="+v.name, 8, all[i], all, startAcc(len(all), 8))
-		checkRun(t, "a="+v.name+" zero acc", 8, all[i], all, make([]uint32, 17*len(all)))
+		checkRun(t, "a="+v.name, 8, all[i], all)
 	}
-	checkRuns(t, "every a into the same outputs", 8, all, all, startAcc(len(all), 8))
+	checkRuns(t, "every a into the same outputs", 8, all, all)
 
 	// 4096 products of σ = −2⁶³ by −2⁶³ (S = 2¹³⁸) and by 2⁶³ − 1
-	// (S ≈ −2¹³⁸), and the two alternating, into one output.
+	// (S ≈ −2¹³⁸), and the two alternating, into output 4095.
 	minWord := limbs(new(big.Int).Sub(pow2(256), pow2(63)), 8)
 	maxWord := limbs(new(big.Int).Sub(pow2(63), big.NewInt(1)), 8)
-	same := make([][]uint32, 4096)
+	same, maxes, mixed := make([][]uint32, 4096), make([][]uint32, 4096), make([][]uint32, 4096)
 	for i := range same {
-		same[i] = minWord
-	}
-	checkRuns(t, "4096 × (−2^63)·(−2^63)", 8, same, [][]uint32{minWord}, startAcc(1, 8))
-	checkRuns(t, "4096 × (−2^63)·(2^63−1)", 8, same, [][]uint32{maxWord}, startAcc(1, 8))
-	mixed := make([][]uint32, 4096)
-	for i := range mixed {
-		mixed[i] = minWord
+		same[i], maxes[i], mixed[i] = minWord, maxWord, minWord
 		if i%2 == 0 {
 			mixed[i] = maxWord
 		}
 	}
-	checkRuns(t, "4096 alternating signs", 8, mixed, [][]uint32{minWord}, make([]uint32, 17))
+	for _, c := range []struct {
+		name string
+		x, y [][]uint32
+	}{
+		{"4096 × (−2^63)·(−2^63)", same, same},
+		{"4096 × (−2^63)·(2^63−1)", same, maxes},
+		{"4096 alternating signs", mixed, same},
+	} {
+		checkTally(t, c.name, 8, c.x, c.y[:1])
+		checkConv(t, c.name, 8, c.x, c.y)
+	}
 }
 
 // rippleThresholds returns the two thresholds of rowRipple for h:
@@ -358,11 +386,11 @@ func TestRowRippleThresholds(t *testing.T) {
 		}
 	}
 
-	// The same edges through the run body: a with h_r = 2³² (limb r is
-	// 1, the limbs below zero) and h_r = 2⁶⁴ − 1 (limbs r and r−1 all
-	// ones), against b whose top word sits on either threshold or one
-	// either side, with lower words all zero or all ones, and against
-	// negative word-sized b.
+	// The same edges through the product kernel's halves: a with h_r =
+	// 2³² (limb r is 1, the limbs below zero) and h_r = 2⁶⁴ − 1 (limbs r
+	// and r−1 all ones), against b whose top word sits on either
+	// threshold or one either side, with lower words all zero or all
+	// ones, and against negative word-sized b.
 	var bs [][]uint32
 	for _, h := range []uint64{1 << 32, 1<<64 - 1} {
 		lo, hi := rippleThresholds(h)
@@ -376,11 +404,241 @@ func TestRowRippleThresholds(t *testing.T) {
 	bs = append(bs, limbs(new(big.Int).Sub(pow2(256), big.NewInt(1)), 8),
 		limbs(new(big.Int).Sub(pow2(256), pow2(63)), 8))
 	for r := 0; r < 8; r++ {
-		checkRun(t, fmt.Sprintf("h_%d = 2^32", r), 8, limbs(pow2(32*r), 8), bs, startAcc(len(bs), 8))
+		checkRun(t, fmt.Sprintf("h_%d = 2^32", r), 8, limbs(pow2(32*r), 8), bs)
 		ones := new(big.Int).Sub(pow2(32*(r+1)), big.NewInt(1))
-		checkRun(t, fmt.Sprintf("h_%d = 2^64-1", r), 8, limbs(ones, 8), bs, startAcc(len(bs), 8))
+		checkRun(t, fmt.Sprintf("h_%d = 2^64-1", r), 8, limbs(ones, 8), bs)
 		negOnes := new(big.Int).Sub(pow2(256), pow2(32*r)) // limbs ≥ r all ones: σ < 0
-		checkRun(t, fmt.Sprintf("a = -2^(32·%d)", r), 8, limbs(negOnes, 8), bs, startAcc(len(bs), 8))
+		checkRun(t, fmt.Sprintf("a = -2^(32·%d)", r), 8, limbs(negOnes, 8), bs)
+	}
+}
+
+// refVectorPolyMul is the per-product program VectorPolyMul simulates:
+// every product through limb32.Mul (MulSchoolbook at W = 8) and
+// accumAdd into the WRAM accumulators, at every width. Its DMAs, WRAM
+// carve, instruction charges and reduction are the kernel's.
+func refVectorPolyMul(l PolyMulLayout) pim.KernelFunc {
+	return func(ctx *pim.TaskletCtx) error {
+		n, w := l.N, l.W
+		accW := 2*w + 1
+		k0, k1 := pim.Partition(n, ctx.NumTasklets, ctx.TaskletID)
+		if k0 >= k1 {
+			return nil
+		}
+		K := k1 - k0
+		tile := min((pim.WRAMWords-2*K*accW)/(4*w), n)
+		if tile < 1 {
+			return fmt.Errorf("WRAM exhausted")
+		}
+		wram, err := ctx.WRAM(2*K*accW + tile*w + (K+tile-1)*w + 4*w)
+		if err != nil {
+			return err
+		}
+		carve := func(words int) []uint32 {
+			buf := wram[:words:words]
+			wram = wram[words:]
+			return buf
+		}
+		accPos, accNeg := carve(K*accW), carve(K*accW)
+		aTile, bWin := carve(tile*w), carve((K+tile-1)*w)
+		prod, rp, rn := limb32.Nat(carve(2*w)), limb32.Nat(carve(w)), limb32.Nat(carve(w))
+		out := accPos[:K*w]
+		m := ctx.Meter()
+		for p := 0; p < l.Pairs; p++ {
+			offA, offB := l.OffA+p*n*w, l.OffB+p*n*w
+			clear(accPos)
+			clear(accNeg)
+			for i0 := 0; i0 < n; i0 += tile {
+				cnt := min(tile, n-i0)
+				ctx.MRAMRead(offA+i0*w, aTile[:cnt*w])
+				winLen := K + cnt - 1
+				readWindow(ctx, offB, ((k0-i0-cnt+1)%n+n)%n, winLen, n, w, bWin)
+				for i := i0; i < i0+cnt; i++ {
+					for k := k0; k < k1; k++ {
+						slot := k - k0 + i0 + cnt - 1 - i
+						limb32.Mul(prod, aTile[(i-i0)*w:(i-i0+1)*w], bWin[slot*w:(slot+1)*w], m)
+						acc := accPos
+						if k < i {
+							acc = accNeg
+						}
+						accumAdd(acc[(k-k0)*accW:(k-k0+1)*accW], prod, m)
+					}
+				}
+				ctx.ChargeInstr(int64(3 * K * cnt))
+			}
+			for k := 0; k < K; k++ {
+				limb32.Mod(rp, limb32.Nat(accPos[k*accW:(k+1)*accW]), l.Q, m)
+				limb32.Mod(rn, limb32.Nat(accNeg[k*accW:(k+1)*accW]), l.Q, m)
+				limb32.SubMod(limb32.Nat(out[k*w:(k+1)*w]), rp, rn, l.Q, m)
+			}
+			ctx.MRAMWrite(l.OffOut+p*n*w+k0*w, out[:K*w])
+		}
+		return nil
+	}
+}
+
+// polyMulOperands returns the operand shapes TestPolyMulMatchesPerProductKernel
+// runs at width w, count coefficients each: uniform residues, zero,
+// all-ones limbs and a mix of them; at W = 8 also centred lifts of 27-,
+// 54- and 109-bit residues (both signs; σ a word and not), signed
+// values around a word, and the band of a-rows rowRipple cannot decide
+// against a negative b.
+func polyMulOperands(t *testing.T, rng *rand.Rand, w, count int) map[string][2][]uint32 {
+	mod := modulusFor(t, w)
+	gen := func(f func(i int) *big.Int) []uint32 {
+		out := make([]uint32, count*w)
+		for i := 0; i < count; i++ {
+			copy(out[i*w:], limbs(f(i), w))
+		}
+		return out
+	}
+	ones := new(big.Int).Sub(pow2(32*w), big.NewInt(1))
+	uniform := func(int) *big.Int { return new(big.Int).Rand(rng, mod.QBig) }
+	zero := func(int) *big.Int { return new(big.Int) }
+	allOnes := func(int) *big.Int { return ones }
+	mixed := func(i int) *big.Int {
+		switch rng.Intn(3) {
+		case 0:
+			return new(big.Int)
+		case 1:
+			return ones
+		}
+		return uniform(i)
+	}
+	shapes := map[string][2][]uint32{
+		"uniform":      {gen(uniform), gen(uniform)},
+		"zero a":       {gen(zero), gen(uniform)},
+		"all-ones":     {gen(allOnes), gen(allOnes)},
+		"mixed limbs":  {gen(mixed), gen(mixed)},
+		"all-ones × 0": {gen(allOnes), gen(zero)},
+	}
+	if w != 8 {
+		return shapes
+	}
+	centred := func(bits int) func(int) *big.Int {
+		small := modulusFor(t, bits).QBig
+		half := new(big.Int).Rsh(small, 1)
+		return func(int) *big.Int {
+			c := new(big.Int).Rand(rng, small)
+			if c.Cmp(half) > 0 {
+				c.Add(c.Sub(c, small), mod.QBig)
+			}
+			return c
+		}
+	}
+	for _, c := range []struct {
+		name string
+		w    int
+	}{{"centred27", 1}, {"centred54", 2}, {"centred109", 4}} {
+		f := centred(c.w)
+		shapes[c.name] = [2][]uint32{gen(f), gen(f)}
+	}
+	vals := signedValues(rng)
+	signed := func(int) *big.Int { return vals[rng.Intn(len(vals))].v }
+	shapes["signed words"] = [2][]uint32{gen(signed), gen(signed)}
+	undecided := func(int) *big.Int { // a_r = 1 over a zero limb: h_r = 2³²
+		r := rng.Intn(8)
+		v := pow2(32 * r)
+		if r >= 2 && rng.Intn(2) == 0 {
+			v.Add(v, new(big.Int).Rand(rng, pow2(32*(r-1))))
+		}
+		return v
+	}
+	negative := func(int) *big.Int {
+		return new(big.Int).Sub(pow2(256), new(big.Int).Add(big.NewInt(1), new(big.Int).Rand(rng, pow2(1+rng.Intn(200)))))
+	}
+	shapes["undecided band × negative"] = [2][]uint32{gen(undecided), gen(negative)}
+	return shapes
+}
+
+// TestPolyMulMatchesPerProductKernel holds VectorPolyMul to
+// refVectorPolyMul, the per-product program it simulates: the same
+// outputs and the same simulated figures — per-class counts, priced
+// instructions, DMA cycles and critical-path cycles — at every width,
+// 1, 3, 16 and 24 tasklets (some owning no outputs, or a share K that
+// does not divide n), n = 16, 64 and 256, and on random and
+// adversarial operands. Three pairs on two DPUs: one DPU runs two pairs
+// in one launch.
+func TestPolyMulMatchesPerProductKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(4701))
+	ns := []int{16, 64, 256}
+	if testing.Short() {
+		ns = ns[:2]
+	}
+	const pairs = 3
+	topo := pimsched.FitTopology(2)
+	for _, w := range []int{1, 2, 4, 8} {
+		q := modulusFor(t, w).Q
+		for _, n := range ns {
+			for name, ops := range polyMulOperands(t, rng, w, pairs*n) {
+				for _, tasklets := range []int{1, 3, 16, 24} {
+					label := fmt.Sprintf("w%d n=%d %s tasklets=%d", w, n, name, tasklets)
+					got, rep, err := RunVectorPolyMulSched(testSched(t, topo, tasklets), ops[0], ops[1], n, w, q)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					want, ref, err := runPlan(testSched(t, topo, tasklets), [][]uint32{ops[0], ops[1]}, n*w, func(cnt int) pim.KernelFunc {
+						words := cnt * n * w
+						return refVectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: cnt, OffA: 0, OffB: words, OffOut: 2 * words, Q: q})
+					})
+					if err != nil {
+						t.Fatalf("%s: reference: %v", label, err)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s: limb %d = %#x, per-product kernel %#x", label, i, got[i], want[i])
+						}
+					}
+					if rep.Counts != ref.Counts || rep.TotalInstr != ref.TotalInstr ||
+						rep.TotalDMACycles != ref.TotalDMACycles || rep.KernelCycles != ref.KernelCycles {
+						t.Fatalf("%s: counts %v instr/dma/cycles %d/%d/%d, per-product kernel %v %d/%d/%d", label,
+							rep.Counts, rep.TotalInstr, rep.TotalDMACycles, rep.KernelCycles,
+							ref.Counts, ref.TotalInstr, ref.TotalDMACycles, ref.KernelCycles)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVectorPolyMulReadsItsMRAMEachLaunch launches one VectorPolyMul
+// program twice on a DPU whose MRAM is rewritten in between: the values
+// of every launch come from the operands the DPU holds at that launch,
+// not from a copy taken earlier or from anywhere else.
+func TestVectorPolyMulReadsItsMRAMEachLaunch(t *testing.T) {
+	rng := rand.New(rand.NewSource(4702))
+	for _, w := range []int{1, 8} {
+		mod := modulusFor(t, w)
+		const n, pairs = 32, 2
+		words := pairs * n * w
+		cfg := pim.DefaultConfig()
+		cfg.NumDPUs, cfg.Tasklets = 1, 4
+		sys, err := pim.NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernel := VectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: pairs, OffA: 0, OffB: words, OffOut: 2 * words, Q: mod.Q})
+		for launch := 0; launch < 2; launch++ {
+			a, b := randVec(rng, pairs*n, mod), randVec(rng, pairs*n, mod)
+			if err := sys.CopyToDPU(0, 0, append(append([]uint32(nil), a...), b...)); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.DPUs[0].EnsureMRAM(3 * words); err != nil {
+				t.Fatal(err)
+			}
+			if _, errs := sys.LaunchOn([]int{0}, []pim.KernelFunc{kernel}); errs[0] != nil {
+				t.Fatal(errs[0])
+			}
+			got := make([]uint32, words)
+			if err := sys.CopyFromDPU(0, 2*words, got); err != nil {
+				t.Fatal(err)
+			}
+			want := hostPolyMul(t, a, b, n, mod)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("w%d launch %d: limb %d = %#x, want %#x", w, launch, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -276,6 +276,49 @@ func TestWRAMIsACheckedArena(t *testing.T) {
 	}
 }
 
+// TestLaunchWordsLastOneLaunch: within a launch every tasklet of a DPU
+// gets the same launch words and only the first is told to fill them;
+// the next launch starts fresh again, on each DPU apart; and MRAMView
+// shows the MRAM image without charging a DMA, and refuses a range
+// outside it.
+func TestLaunchWordsLastOneLaunch(t *testing.T) {
+	sys := testSystem(t, 2, 3)
+	for d := range sys.DPUs {
+		if err := sys.CopyToDPU(d, 0, []uint32{uint32(10 + d), 7, 7, 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for run := 0; run < 2; run++ {
+		rep, err := launch(sys, 2, func(ctx *TaskletCtx) error {
+			words, fresh := ctx.LaunchWords(4)
+			if fresh != (ctx.TaskletID == 0) {
+				t.Errorf("run %d DPU %d tasklet %d: fresh = %v", run, ctx.dpu.ID, ctx.TaskletID, fresh)
+			}
+			view := ctx.MRAMView(0, 4)
+			if fresh {
+				words[0] = uint64(view[0])<<8 | uint64(run)
+			} else if want := uint64(view[0])<<8 | uint64(run); words[0] != want {
+				t.Errorf("run %d DPU %d tasklet %d: launch word %#x, tasklet 0 left %#x",
+					run, ctx.dpu.ID, ctx.TaskletID, words[0], want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TotalDMACycles != 0 {
+			t.Errorf("run %d: MRAMView charged %d DMA cycles", run, rep.TotalDMACycles)
+		}
+	}
+	_, err := launch(sys, 1, func(ctx *TaskletCtx) error {
+		ctx.MRAMView(1, 4)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "out of bounds") {
+		t.Fatalf("MRAMView past the image: err = %v", err)
+	}
+}
+
 func TestLaunchValidatesActiveDPUs(t *testing.T) {
 	sys := testSystem(t, 2, 2)
 	nop := func(*TaskletCtx) error { return nil }
