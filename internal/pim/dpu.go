@@ -175,10 +175,12 @@ const hostPad = 8
 
 // LaunchWords returns n words of host memory owned by the DPU for the
 // current launch, for state the host keeps while it simulates a
-// kernel's arithmetic and that the modelled DPU does not hold: they live
-// outside the WRAM arena, cost no simulated cycle and change no tile
-// size. Every call in one launch, from any of the DPU's tasklets, hands
-// out the same words, and every call must ask for the same n. fresh is
+// kernel's arithmetic and that the modelled DPU does not hold: a
+// product kernel's exact convolutions, a sum kernel's folded sums and
+// their counts. They live outside the WRAM arena, cost no simulated
+// cycle and change no tile size. Every call in one launch, from any of
+// the DPU's tasklets, hands out the same words, and every call must ask
+// for the same n. fresh is
 // true for the launch's first call only: its caller fills the words,
 // and the tasklets after it read what it left. Like the WRAM arena the
 // words are reused by every launch, so they cost the host an allocation
@@ -234,6 +236,17 @@ func (c *TaskletCtx) MRAMWrite(off int, src []uint32) {
 	}
 	copy(c.dpu.mram[off:off+len(src)], src)
 	c.dma += c.cost.DMACycles(4 * len(src))
+}
+
+// ChargeDMA charges the tasklet n DMA transfers of bytes bytes each
+// without moving data: exactly what n MRAMRead or MRAMWrite calls of
+// that size charge. A kernel whose values the host computes from
+// MRAMView uses it for the tiles its program would have read.
+func (c *TaskletCtx) ChargeDMA(n, bytes int) {
+	if n < 0 || bytes < 0 || bytes > 4*WRAMWords {
+		panic(fmt.Sprintf("pim: ChargeDMA of %d transfers of %d bytes", n, bytes))
+	}
+	c.dma += int64(n) * c.cost.DMACycles(bytes)
 }
 
 // ChargeInstr charges raw dynamic instructions (loop setup, address

@@ -3,6 +3,7 @@ package kernels
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -249,6 +250,56 @@ func TestFaultSumAndPolyMulSurviveFaults(t *testing.T) {
 	for i := range gotP {
 		if gotP[i] != wantP[i] {
 			t.Fatalf("polymul word %d = %d, want %d", i, gotP[i], wantP[i])
+		}
+	}
+}
+
+// TestFaultSum109SurvivesFaults runs the 109-bit Sum — the width whose
+// values each DPU folds once per launch — under transient faults that
+// retry shards and under a DPU dying mid-run, whose shards are re-placed
+// on survivors. Each faulted run is bit-exact to a clean one and tallies
+// the same operations: a retried or re-placed shard's launch folds the
+// MRAM it was staged into, and only the launches that ran are counted.
+func TestFaultSum109SurvivesFaults(t *testing.T) {
+	mod := modulusFor(t, 4)
+	rng := rand.New(rand.NewSource(4803))
+	vecs := make([][]uint32, 6)
+	for v := range vecs {
+		vecs[v] = randVec(rng, 300, mod)
+	}
+	want, clean, err := RunVectorSumSched(faultSched(t, 6), vecs, 4, mod.Q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		site string
+		rate float64
+		hit  func(rep *pimsched.Report) bool
+	}{
+		{"transient retry", pim.SiteDPUTransient, 0.3, func(rep *pimsched.Report) bool { return rep.Retried > 0 }},
+		{"dead-DPU re-dispatch", pim.SiteDPUDead, 0.1, func(rep *pimsched.Report) bool { return rep.Resharded > 0 }},
+	} {
+		hit := false
+		for seed := uint64(1); seed < 64 && !hit; seed++ {
+			sched := faultSched(t, 6)
+			sched.Sys.SetFaultInjector(faultinject.New(seed).SetRate(c.site, c.rate))
+			got, rep, err := RunVectorSumSched(sched, vecs, 4, mod.Q)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", c.name, seed, err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d: limb %d = %#x, clean run %#x", c.name, seed, i, got[i], want[i])
+				}
+			}
+			if rep.Counts != clean.Counts {
+				t.Fatalf("%s seed %d: counts %v, clean run %v", c.name, seed, rep.Counts, clean.Counts)
+			}
+			hit = c.hit(rep)
+		}
+		if !hit {
+			t.Fatalf("%s: no seed in 1..63 injected the fault", c.name)
 		}
 	}
 }

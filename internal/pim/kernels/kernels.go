@@ -8,17 +8,25 @@
 // accumulated at full width and reduced once by limb32.Mod.
 //
 // The host simulates each kernel's arithmetic without ticking the
-// tally instruction by instruction, while charging the tasklet exactly
-// what the limb32 routines would. addRun is the two add kernels' run
-// body (a word-level body at 4 limbs, the width every PIM Sum runs),
-// whose tally it charges once per tasklet. The product kernel, at
-// 1 limb (key switching at 27 bits) and at 8 (the lift every PIM Mul's
-// tensor runs under), computes each pair's values once as an exact
-// convolution (conv.go) and each tasklet's tally from counts over the
-// words it DMA'd (productTally): O(n log n) host work per pair for a
-// program that makes n² products. Other widths call limb32 itself.
+// tally instruction by instruction, while charging each tasklet exactly
+// what its own program would. Where a workload runs a kernel hot, the
+// host computes the launch's values once per DPU, from the DPU's MRAM
+// into words the DPU owns for the launch, and each tasklet charges its
+// DMAs and its tally from counts:
 //
-// The tasklet programs live in kernels.go, sum.go and nttkernel.go; the
+//   - the add kernel (VectorSum; a vector addition is the sum of two) at
+//     4 limbs, the width every PIM Sum runs, folds the DPU's shard in
+//     one streaming pass (foldW4) that also counts what each
+//     coefficient's additions charge (addTally);
+//   - the product kernel, at 1 limb (key switching at 27 bits) and at 8
+//     (the lift every PIM Mul's tensor runs under), computes each pair's
+//     values as an exact convolution (conv.go) and each tasklet's tally
+//     from counts over the words it DMA'd (productTally): O(n log n)
+//     host work per pair for a program that makes n² products.
+//
+// Other widths call limb32 itself.
+//
+// The tasklet programs live in sum.go, kernels.go and nttkernel.go; the
 // host side is sched.go, where each Run*Sched driver is a shard plan
 // executed by internal/pimsched — the package holds no placement, retry
 // or transfer-pricing logic of its own.
@@ -32,152 +40,6 @@ import (
 	"repro/internal/limb32"
 	"repro/internal/pim"
 )
-
-// VecAddLayout describes one DPU's shard of an element-wise modular
-// vector addition: Coeffs W-limb values at OffA and OffB, result at OffOut.
-type VecAddLayout struct {
-	W      int
-	Coeffs int
-	OffA   int
-	OffB   int
-	OffOut int
-	Q      limb32.Nat
-}
-
-// addTile returns the DMA tile size (in coefficients) for a tasklet that
-// owns span coefficients of width w: three buffers (a, b, out) must fit
-// comfortably in WRAM, and none needs to be longer than the span.
-func addTile(w, span int) int {
-	t := (pim.WRAMWords / 4) / (3 * w) // quarter of WRAM for data tiles
-	return max(1, min(t, span))
-}
-
-// VectorAdd returns the tasklet program computing out[i] = (a[i]+b[i]) mod q.
-// Each PIM thread performs the element-wise addition of the coefficients
-// of two polynomials (paper §3, "Homomorphic Addition"), using the native
-// 32-bit add/addc instructions for multi-limb carries. The additions run
-// through addRun, which charges their tally once per tasklet.
-func VectorAdd(l VecAddLayout) pim.KernelFunc {
-	return func(ctx *pim.TaskletCtx) error {
-		start, end := pim.Partition(l.Coeffs, ctx.NumTasklets, ctx.TaskletID)
-		if start >= end {
-			return nil
-		}
-		w := l.W
-		tile := addTile(w, end-start)
-		buf, err := ctx.WRAM(3 * tile * w)
-		if err != nil {
-			return err
-		}
-		bufA, bufB, bufO := buf[:tile*w], buf[tile*w:2*tile*w], buf[2*tile*w:]
-		m := ctx.Meter()
-		run := newAddRun(l.Q)
-		for c := start; c < end; c += tile {
-			cnt := min(tile, end-c)
-			ctx.MRAMRead(l.OffA+c*w, bufA[:cnt*w])
-			ctx.MRAMRead(l.OffB+c*w, bufB[:cnt*w])
-			run.add(bufO[:cnt*w], bufA[:cnt*w], bufB[:cnt*w], m)
-			ctx.ChargeInstr(int64(2 * cnt)) // per coefficient: loop index + branch
-			ctx.MRAMWrite(l.OffOut+c*w, bufO[:cnt*w])
-		}
-		run.charge(m)
-		return nil
-	}
-}
-
-// An addRun is the add kernels' run body: it sets dst_t = (a_t + b_t)
-// mod q for every W-limb coefficient t of a run, computing and charging
-// exactly what limb32.AddMod would, coefficient by coefficient. dst may
-// alias a (VectorSum accumulates in place) or be separate (VectorAdd).
-//
-// W = 4, the 109-bit preset's width that every PIM Sum runs, has a
-// word-level body: a branch-free bits.Add64/bits.Sub64 pair per
-// coefficient with a mask select, as poly.addW4 does on the host. It
-// counts AddMod's tally in locals, and charge hands it to the tasklet
-// once: per sum the 4-limb add chain, the limbs the ≥ q compare
-// examines (none after a carry-out, else one per limb down to the
-// highest limb where the sum and q differ, all four when they are
-// equal) and the 4-limb subtract chain when the sum reduces. A tally is
-// order-free, so charging it once changes no figure. Other widths call
-// limb32.AddMod itself: no workload runs them hot.
-type addRun struct {
-	q      limb32.Nat
-	q0, q1 uint64 // q's two words, for the W = 4 body
-
-	sums, reduced, examined int // the W = 4 body's tally, for charge
-}
-
-func newAddRun(q limb32.Nat) addRun {
-	r := addRun{q: q}
-	if len(q) == 4 {
-		r.q0, r.q1 = load128(q)
-	}
-	return r
-}
-
-// add sets dst = (a + b) mod q coefficient-wise over a run.
-func (r *addRun) add(dst, a, b []uint32, m limb32.Meter) {
-	w := len(r.q)
-	if w != 4 {
-		for i := 0; i < len(dst); i += w {
-			limb32.AddMod(dst[i:i+w], a[i:i+w], b[i:i+w], r.q, m)
-		}
-		return
-	}
-	a, b = a[:len(dst)], b[:len(dst)]
-	q0, q1 := r.q0, r.q1
-	reduced, examined := 0, 0
-	for i := 0; i+3 < len(dst); i += 4 {
-		x0, x1 := load128(a[i:])
-		y0, y1 := load128(b[i:])
-		s0, c := bits.Add64(x0, y0, 0)
-		s1, c := bits.Add64(x1, y1, c)
-		t0, br := bits.Sub64(s0, q0, 0)
-		t1, br := bits.Sub64(s1, q1, br)
-		red := c | (br ^ 1) // 1 when the sum carried out or is ≥ q
-		mask := -red
-		store128(dst[i:], s0^(s0^t0)&mask, s1^(s1^t1)&mask)
-		reduced += int(red)
-		// The compare examines limbs from the top down to the first one
-		// where s and q differ: ⌊lz₁₂₈(s ⊕ q)/32⌋ + 1 of them, or all
-		// four when s = q; a sum that carried out is never compared.
-		lz := bits.LeadingZeros64(s1 ^ q1)
-		if lz == 64 {
-			lz += bits.LeadingZeros64(s0 ^ q0)
-		}
-		examined += min(lz>>5+1, 4) &^ -int(c)
-	}
-	r.sums += len(dst) / 4
-	r.reduced += reduced
-	r.examined += examined
-}
-
-// charge charges m the tally of every W = 4 sum the run has made, as
-// limb32.AddMod would have charged each: the add chain per sum, two
-// loads and a compare per examined limb, the subtract chain per
-// reduction. A tasklet calls it once, after its last add.
-func (r *addRun) charge(m limb32.Meter) {
-	n, red, ex := r.sums, r.reduced, r.examined
-	m.Tick(limb32.OpLoad, 8*(n+red)+2*ex)
-	m.Tick(limb32.OpAdd, n)
-	m.Tick(limb32.OpAddC, 3*n)
-	m.Tick(limb32.OpSub, red)
-	m.Tick(limb32.OpSubB, 3*red)
-	m.Tick(limb32.OpLogic, ex)
-	m.Tick(limb32.OpStore, 4*(n+red))
-	m.Tick(limb32.OpLoop, 4*(n+red))
-}
-
-// load128 reads four limbs as two 64-bit words, low word first.
-func load128(c []uint32) (lo, hi uint64) {
-	_ = c[3]
-	return uint64(c[0]) | uint64(c[1])<<32, uint64(c[2]) | uint64(c[3])<<32
-}
-
-func store128(c []uint32, lo, hi uint64) {
-	_ = c[3]
-	c[0], c[1], c[2], c[3] = uint32(lo), uint32(lo>>32), uint32(hi), uint32(hi>>32)
-}
 
 // PolyMulLayout describes one DPU's shard of a ciphertext vector
 // multiplication: Pairs polynomial pairs of degree N with W-limb

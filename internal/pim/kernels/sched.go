@@ -42,17 +42,9 @@ func runPlan(sched *pimsched.Scheduler, ins [][]uint32, unitWords int, kernel fu
 }
 
 // RunVectorAddSched computes out[i] = (a[i] + b[i]) mod q element-wise
-// over two flat vectors of w-limb coefficients.
+// over two flat vectors of w-limb coefficients: the sum of [a, b].
 func RunVectorAddSched(sched *pimsched.Scheduler, a, b []uint32, w int, q limb32.Nat) ([]uint32, *pimsched.Report, error) {
-	if len(a) != len(b) {
-		return nil, nil, errors.New("kernels: operand length mismatch")
-	}
-	if len(a)%w != 0 {
-		return nil, nil, errors.New("kernels: vector length not a multiple of the limb width")
-	}
-	return runPlan(sched, [][]uint32{a, b}, w, func(cnt int) pim.KernelFunc {
-		return VectorAdd(VecAddLayout{W: w, Coeffs: cnt, OffA: 0, OffB: cnt * w, OffOut: 2 * cnt * w, Q: q})
-	})
+	return RunVectorSumSched(sched, [][]uint32{a, b}, w, q)
 }
 
 // RunVectorPolyMulSched computes, for every polynomial pair p, the

@@ -319,6 +319,54 @@ func TestLaunchWordsLastOneLaunch(t *testing.T) {
 	}
 }
 
+// TestChargeDMAIsNTransfers: ChargeDMA(n, bytes) charges exactly what n
+// MRAMRead calls of bytes bytes charge — DMA cycles and the kernel
+// cycles they bind — n = 0 charges nothing, and a negative count or a
+// transfer larger than WRAM is a kernel error.
+func TestChargeDMAIsNTransfers(t *testing.T) {
+	sys := testSystem(t, 1, 2)
+	sys.DPUs[0].EnsureMRAM(WRAMWords)
+	dmaOf := func(kernel KernelFunc) (dma, cycles int64) {
+		t.Helper()
+		rep, err := launch(sys, 1, kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.TotalDMACycles, rep.KernelCycles
+	}
+	for _, words := range []int{1, 16, 1364, WRAMWords} {
+		for _, n := range []int{0, 1, 3, 63} {
+			readDMA, readCycles := dmaOf(func(ctx *TaskletCtx) error {
+				buf := make([]uint32, words)
+				for i := 0; i < n; i++ {
+					ctx.MRAMRead(0, buf)
+				}
+				return nil
+			})
+			dma, cycles := dmaOf(func(ctx *TaskletCtx) error {
+				ctx.ChargeDMA(n, 4*words)
+				return nil
+			})
+			if dma != readDMA || cycles != readCycles {
+				t.Errorf("ChargeDMA(%d, %d): DMA/kernel cycles %d/%d, %d MRAMReads charge %d/%d",
+					n, 4*words, dma, cycles, n, readDMA, readCycles)
+			}
+			if n == 0 && dma != 0 {
+				t.Errorf("ChargeDMA(0, %d) charged %d DMA cycles", 4*words, dma)
+			}
+		}
+	}
+	for _, c := range []struct{ n, bytes int }{{-1, 64}, {1, 4*WRAMWords + 4}} {
+		_, err := launch(sys, 1, func(ctx *TaskletCtx) error {
+			ctx.ChargeDMA(c.n, c.bytes)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "ChargeDMA") {
+			t.Errorf("ChargeDMA(%d, %d): err = %v", c.n, c.bytes, err)
+		}
+	}
+}
+
 func TestLaunchValidatesActiveDPUs(t *testing.T) {
 	sys := testSystem(t, 2, 2)
 	nop := func(*TaskletCtx) error { return nil }

@@ -1,3 +1,9 @@
+// The surface tests type-check the module's source and start no
+// goroutine, so the race detector has nothing to see in them; they run
+// in every build without it.
+
+//go:build !race
+
 package repro
 
 import (
