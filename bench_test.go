@@ -165,7 +165,7 @@ func statsBench(b *testing.B, f func(perfmodel.Model, perfmodel.StatsSpec) float
 	enc := bfv.NewEncryptor(params, pk, src)
 	cfg := pim.DefaultConfig()
 	cfg.NumDPUs = 4
-	srv, err := hepim.NewServerWithTopology(cfg, params, rlk, pimsched.FitTopology(cfg.NumDPUs), true)
+	srv, err := hepim.NewServerWithTopology(cfg, params, rlk, pimsched.FitTopology(cfg.NumDPUs))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -105,10 +105,11 @@
 // poly's sumCapacity (⌊(2¹²⁸−1)/q⌋ residues, then the sum reduces on its
 // own). Both host additions that skip the limb32 routine — the 109-bit
 // Add and that Sum — are pinned to it on adversarial operands in
-// internal/poly's tests, and so is the PIM product kernel at 1 and 8
-// limbs, which computes each pair's accumulators as one exact
+// internal/poly's tests, and so is the PIM product kernel, which at
+// every width computes each pair's accumulators as one exact
 // convolution and charges limb32.Mul + accumAdd's tally from counts
-// without running them (pim/kernels convolve and productTally):
+// (pim/kernels convolve and productTally; only at 4 limbs does the
+// tally still form each product, for Karatsuba's carries):
 // TestProductRunsMatchLimb32 holds the tally to limb32 product by
 // product on every zero-limb pattern and on prefix products either side
 // of each schoolbook row's ripple boundary, and

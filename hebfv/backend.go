@@ -161,7 +161,7 @@ func newPIMEngine(cfg Config) (*serialEngine, error) {
 			sys.NumDPUs = topo.NumDPUs()
 		}
 	}
-	srv, err := hepim.NewServerWithTopology(sys, cfg.Params, cfg.Relin, topo, true)
+	srv, err := hepim.NewServerWithTopology(sys, cfg.Params, cfg.Relin, topo)
 	if err != nil {
 		return nil, err
 	}

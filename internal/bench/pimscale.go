@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bfv"
 	"repro/internal/limb32"
@@ -41,15 +42,14 @@ type PIMScalePoint struct {
 	BytesIn        int64
 	BytesOut       int64
 
-	// The two end-to-end modeled times: the pipelined makespan of the
-	// overlap-enabled run and the makespan of the overlap-disabled run
-	// (== the serial sum of per-chunk phases). Their ratio is the
-	// overlap speedup.
+	// The two end-to-end modeled times: the pipelined makespan and the
+	// serial sum of per-chunk phases (an overlap-disabled run's
+	// makespan). Their ratio is the overlap speedup.
 	OverlapSeconds float64
 	SerialSeconds  float64
 	OverlapSpeedup float64
 
-	// BitIdentical reports both runs matched the host oracle word for
+	// BitIdentical reports the run matched the host oracle word for
 	// word — the sweep's correctness gate.
 	BitIdentical bool
 }
@@ -76,60 +76,50 @@ func addOracleVec(a, b []uint32, w int, q limb32.Nat) []uint32 {
 	return out
 }
 
-// runPIMScalePoint executes the workload twice on fresh systems —
-// overlap on and off — over a whole-rank topology fitting dpus.
-func runPIMScalePoint(cs pimScaleCase, dpus, ctPairs int, a, b, want []uint32) (PIMScalePoint, error) {
+// runPIMScalePoint executes the workload once, on a fresh system with
+// overlap on, over a whole-rank topology fitting dpus. Its report
+// carries both end-to-end times: the pipelined makespan and the serial
+// sum of per-chunk phases, which is what an overlap-off run's makespan
+// would be.
+func runPIMScalePoint(cs pimScaleCase, dpus int, a, b, want []uint32) (PIMScalePoint, error) {
 	topo := pimsched.FitTopology(dpus)
-	run := func(overlap bool) ([]uint32, *pimsched.Report, error) {
-		cfg := pim.DefaultConfig()
-		cfg.NumDPUs = topo.NumDPUs()
-		sys, err := pim.NewSystem(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		sched, err := pimsched.New(sys, topo, overlap)
-		if err != nil {
-			return nil, nil, err
-		}
-		return kernels.RunVectorAddSched(sched, a, b, cs.mod.W, cs.mod.Q)
-	}
-	outOn, repOn, err := run(true)
+	cfg := pim.DefaultConfig()
+	cfg.NumDPUs = topo.NumDPUs()
+	sys, err := pim.NewSystem(cfg)
 	if err != nil {
 		return PIMScalePoint{}, err
 	}
-	outOff, repOff, err := run(false)
+	sched, err := pimsched.New(sys, topo, true)
 	if err != nil {
 		return PIMScalePoint{}, err
 	}
-	identical := true
-	for i := range want {
-		if outOn[i] != want[i] || outOff[i] != want[i] {
-			identical = false
-			break
-		}
+	out, rep, err := kernels.RunVectorAddSched(sched, a, b, cs.mod.W, cs.mod.Q)
+	if err != nil {
+		return PIMScalePoint{}, err
 	}
 	return PIMScalePoint{
 		N: cs.n, DPUs: dpus, Ranks: topo.Ranks,
 
-		KernelCycles:   repOn.KernelCycles,
-		KernelSeconds:  repOn.KernelSeconds,
-		CopyInSeconds:  repOn.CopyInSeconds,
-		CopyOutSeconds: repOn.CopyOutSeconds,
-		BytesIn:        repOn.BytesIn,
-		BytesOut:       repOn.BytesOut,
+		KernelCycles:   rep.KernelCycles,
+		KernelSeconds:  rep.KernelSeconds,
+		CopyInSeconds:  rep.CopyInSeconds,
+		CopyOutSeconds: rep.CopyOutSeconds,
+		BytesIn:        rep.BytesIn,
+		BytesOut:       rep.BytesOut,
 
-		OverlapSeconds: repOn.MakespanSeconds,
-		SerialSeconds:  repOff.MakespanSeconds,
-		OverlapSpeedup: repOff.MakespanSeconds / repOn.MakespanSeconds,
+		OverlapSeconds: rep.MakespanSeconds,
+		SerialSeconds:  rep.SerialSeconds,
+		OverlapSpeedup: rep.SerialSeconds / rep.MakespanSeconds,
 
-		BitIdentical: identical,
+		BitIdentical: slices.Equal(out, want),
 	}, nil
 }
 
 // MeasurePIMScale runs the DPU sweep: ctPairs ciphertext additions (two
 // n-coefficient polynomials each) executed through the pimsched
-// execution plane at every DPU count, with overlap on and off. Every point is
-// checked bit-for-bit against the host oracle.
+// execution plane at every DPU count, each reporting its pipelined and
+// its serial time. Every point is checked bit-for-bit against the host
+// oracle.
 func MeasurePIMScale(dpuCounts []int, ctPairs int) (*Figure, []PIMScalePoint, error) {
 	if len(dpuCounts) == 0 {
 		dpuCounts = DefaultPIMScaleDPUs
@@ -154,7 +144,7 @@ func MeasurePIMScale(dpuCounts []int, ctPairs int) (*Figure, []PIMScalePoint, er
 		b := randCoeffVec(src, coeffs, cs.mod)
 		want := addOracleVec(a, b, cs.mod.W, cs.mod.Q)
 		for _, dpus := range dpuCounts {
-			pt, err := runPIMScalePoint(cs, dpus, ctPairs, a, b, want)
+			pt, err := runPIMScalePoint(cs, dpus, a, b, want)
 			if err != nil {
 				return nil, nil, fmt.Errorf("pim-scale n=%d dpus=%d: %w", cs.n, dpus, err)
 			}

@@ -74,7 +74,7 @@ func newVerifyRig(dpus int, seed uint64) (*verifyRig, error) {
 	rlk := kg.GenRelinKey(sk)
 	cfg := pim.DefaultConfig()
 	cfg.NumDPUs = dpus
-	srv, err := hepim.NewServerWithTopology(cfg, params, rlk, pimsched.FitTopology(dpus), true)
+	srv, err := hepim.NewServerWithTopology(cfg, params, rlk, pimsched.FitTopology(dpus))
 	if err != nil {
 		return nil, err
 	}

@@ -13,14 +13,14 @@ import (
 
 // multiRankFixture builds a server over an explicit multi-rank
 // topology so the sharded breakdown exercises the overlap path.
-func multiRankFixture(t *testing.T, overlap bool) *fixture {
+func multiRankFixture(t *testing.T) *fixture {
 	t.Helper()
-	return topologyFixture(t, bfv.ParamsToy(), pimsched.Topology{Ranks: 4, DPUsPerRank: 4}, overlap, true)
+	return topologyFixture(t, bfv.ParamsToy(), pimsched.Topology{Ranks: 4, DPUsPerRank: 4}, true)
 }
 
 // topologyFixture builds keys and a server over an explicit topology.
 // The relinearization key is generated only when a test multiplies.
-func topologyFixture(tb testing.TB, params *bfv.Parameters, topo pimsched.Topology, overlap, relin bool) *fixture {
+func topologyFixture(tb testing.TB, params *bfv.Parameters, topo pimsched.Topology, relin bool) *fixture {
 	tb.Helper()
 	src := sampling.NewSourceFromUint64(5)
 	kg := bfv.NewKeyGenerator(params, src)
@@ -31,7 +31,7 @@ func topologyFixture(tb testing.TB, params *bfv.Parameters, topo pimsched.Topolo
 	}
 	cfg := pim.DefaultConfig()
 	cfg.NumDPUs = topo.NumDPUs()
-	srv, err := NewServerWithTopology(cfg, params, rlk, topo, overlap)
+	srv, err := NewServerWithTopology(cfg, params, rlk, topo)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func topologyFixture(tb testing.TB, params *bfv.Parameters, topo pimsched.Topolo
 }
 
 func TestBreakdownAggregatesSchedReports(t *testing.T) {
-	f := multiRankFixture(t, true)
+	f := multiRankFixture(t)
 	ct1, _ := f.enc.EncryptValue(3)
 	ct2, _ := f.enc.EncryptValue(9)
 	got, err := f.srv.Mul(ct1, ct2)
@@ -80,42 +80,17 @@ func TestBreakdownAggregatesSchedReports(t *testing.T) {
 	}
 }
 
-// TestOverlapConfigPropagates checks overlap-off servers report
-// makespan == serial while staying bit-identical.
-func TestOverlapConfigPropagates(t *testing.T) {
-	on := multiRankFixture(t, true)
-	off := multiRankFixture(t, false)
-	ct1, _ := on.enc.EncryptValue(7)
-	ct2, _ := on.enc.EncryptValue(4)
-
-	gotOn, err := on.srv.Add(ct1, ct2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotOff, err := off.srv.Add(ct1, ct2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gotOn.Equal(gotOff) {
-		t.Fatal("overlap mode changed results")
-	}
-	bdOff := off.srv.Breakdown()
-	if bdOff.MakespanSeconds != bdOff.SerialSeconds {
-		t.Errorf("overlap-off makespan %g != serial %g", bdOff.MakespanSeconds, bdOff.SerialSeconds)
-	}
-}
-
 // TestBreakdownIsARunningTotal pins that the server keeps one total and
 // nothing per run: Breakdown() costs the same after 10× the calls, and
 // the total is the field-wise sum of the reports the driver returned.
 func TestBreakdownIsARunningTotal(t *testing.T) {
-	f := multiRankFixture(t, true)
+	f := multiRankFixture(t)
 	ct1, _ := f.enc.EncryptValue(3)
 	ct2, _ := f.enc.EncryptValue(9)
 
 	// The report one Add produces, from a twin scheduler fed the same
 	// flattened operands (the simulation is deterministic).
-	twin := multiRankFixture(t, true).srv.Sched
+	twin := multiRankFixture(t).srv.Sched
 	a := append(append([]uint32{}, ct1.Polys[0].C...), ct1.Polys[1].C...)
 	b := append(append([]uint32{}, ct2.Polys[0].C...), ct2.Polys[1].C...)
 	_, one, err := kernels.RunVectorAddSched(twin, a, b, f.params.Q.W, f.params.Q.Q)

@@ -15,7 +15,7 @@ import (
 // rackFixture builds a server over the benchmark's 4 ranks × 64 DPUs.
 func rackFixture(tb testing.TB, params *bfv.Parameters, relin bool) *fixture {
 	tb.Helper()
-	return topologyFixture(tb, params, pimsched.Topology{Ranks: 4, DPUsPerRank: 64}, true, relin)
+	return topologyFixture(tb, params, pimsched.Topology{Ranks: 4, DPUsPerRank: 64}, relin)
 }
 
 func (f *fixture) encryptMany(tb testing.TB, count int) []*bfv.Ciphertext {
@@ -47,8 +47,15 @@ func (f *fixture) simCycles() float64 { return float64(f.srv.Breakdown().KernelC
 // operation: one relinearized 27-bit Mul (n=1024) on 4×64 DPUs, whose
 // tensor products run under the 8-limb lift modulus. simcycles/run is the
 // simulated work it stands for and must not move.
-func BenchmarkPIMMul27(b *testing.B) {
-	f := rackFixture(b, bfv.ParamsSec27(), true)
+func BenchmarkPIMMul27(b *testing.B) { benchmarkPIMMul(b, bfv.ParamsSec27()) }
+
+// BenchmarkPIMMul54 is the same for one relinearized 54-bit Mul
+// (n=2048), whose key switch runs at 2 limbs.
+func BenchmarkPIMMul54(b *testing.B) { benchmarkPIMMul(b, bfv.ParamsSec54()) }
+
+// benchmarkPIMMul times one relinearized Mul at params on 4×64 DPUs.
+func benchmarkPIMMul(b *testing.B, params *bfv.Parameters) {
+	f := rackFixture(b, params, true)
 	cts := f.encryptMany(b, 2)
 	ct0, ct1 := cts[0], cts[1]
 	want, err := f.eval.Mul(ct0, ct1)
@@ -74,15 +81,13 @@ func BenchmarkPIMMul27(b *testing.B) {
 	b.ReportMetric((f.simCycles()-before)/float64(b.N), "simcycles/run")
 }
 
-// TestPIMMul27IsPinned holds the simulated work of one relinearized
-// 27-bit Mul — the operation BenchmarkPIMMul27 times — to the integers
-// the schoolbook kernel produced when every product went through
-// limb32.Mul and accumAdd. Its lift-modulus tensor products run on
-// centered operands, whose zero limbs take the kernel's skipped-row
-// path; how the simulator computes the tally is free to change, these
-// numbers are the model and are not.
-func TestPIMMul27IsPinned(t *testing.T) {
-	f := rackFixture(t, bfv.ParamsSec27(), true)
+// checkMulPinned runs one relinearized Mul at params on 4×64 DPUs,
+// checks it against the host evaluator, and holds its simulated
+// critical-path cycles, instructions and per-class counts to the pinned
+// figures.
+func checkMulPinned(t *testing.T, params *bfv.Parameters, cycles, instr int64, counts limb32.Counts) {
+	t.Helper()
+	f := rackFixture(t, params, true)
 	cts := f.encryptMany(t, 2)
 	got, err := f.srv.Mul(cts[0], cts[1])
 	if err != nil {
@@ -96,12 +101,32 @@ func TestPIMMul27IsPinned(t *testing.T) {
 		t.Fatal("PIM Mul differs from host evaluator")
 	}
 	bd := f.srv.Breakdown()
-	const cycles, instr = 1667707501, 6688162541
-	counts := limb32.Counts{149859401, 400098980, 13326, 763018, 156980022, 566283594, 251684027, 251004, 539606, 0, 263839313}
 	if bd.KernelCycles != cycles || bd.TotalInstr != instr || bd.Counts != counts {
 		t.Errorf("Mul simulated cycles/instr %d/%d, counts %v; pinned %d/%d, %v",
 			bd.KernelCycles, bd.TotalInstr, bd.Counts, cycles, instr, counts)
 	}
+}
+
+// TestPIMMul27IsPinned holds the simulated work of one relinearized
+// 27-bit Mul — the operation BenchmarkPIMMul27 times — to the integers
+// the schoolbook kernel produced when every product went through
+// limb32.Mul and accumAdd. Its lift-modulus tensor products run on
+// centered operands, whose zero limbs take the kernel's skipped-row
+// path; how the simulator computes the tally is free to change, these
+// numbers are the model and are not.
+func TestPIMMul27IsPinned(t *testing.T) {
+	checkMulPinned(t, bfv.ParamsSec27(), 1667707501, 6688162541,
+		limb32.Counts{149859401, 400098980, 13326, 763018, 156980022, 566283594, 251684027, 251004, 539606, 0, 263839313})
+}
+
+// TestPIMMul54IsPinned holds the simulated work of one relinearized
+// 54-bit Mul on the same rack to the integers the kernels produced when
+// every 2-limb product of its key switch went through limb32.Mul and
+// accumAdd. It is the only Mul-level pin on the 2-limb (Karatsuba)
+// product tally; these numbers are the model and are never edited.
+func TestPIMMul54IsPinned(t *testing.T) {
+	checkMulPinned(t, bfv.ParamsSec54(), 7737038764, 32020829632,
+		limb32.Counts{799102951, 1901775219, 50358237, 52026588, 750580670, 2632252642, 1185160652, 76147873, 1424200, 0, 1178146134})
 }
 
 // TestPIMMul109IsPinned holds the simulated work of one relinearized
@@ -114,26 +139,8 @@ func TestPIMMul109IsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a full n=4096 Mul")
 	}
-	f := rackFixture(t, bfv.ParamsSec109(), true)
-	cts := f.encryptMany(t, 2)
-	got, err := f.srv.Mul(cts[0], cts[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := f.eval.Mul(cts[0], cts[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("PIM Mul differs from host evaluator")
-	}
-	bd := f.srv.Breakdown()
-	const cycles, instr = 42068019620, 201466296396
-	counts := limb32.Counts{5491187748, 11654209380, 805371918, 1882913131, 4421449850, 19359096276, 10656406776, 1209368077, 3865682, 0, 8313436896}
-	if bd.KernelCycles != cycles || bd.TotalInstr != instr || bd.Counts != counts {
-		t.Errorf("Mul simulated cycles/instr %d/%d, counts %v; pinned %d/%d, %v",
-			bd.KernelCycles, bd.TotalInstr, bd.Counts, cycles, instr, counts)
-	}
+	checkMulPinned(t, bfv.ParamsSec109(), 42068019620, 201466296396,
+		limb32.Counts{5491187748, 11654209380, 805371918, 1882913131, 4421449850, 19359096276, 10656406776, 1209368077, 3865682, 0, 8313436896})
 }
 
 // BenchmarkPIMSum64 is the host cost of simulating the arithmetic-mean
@@ -227,7 +234,7 @@ func TestPIMSumAllocs(t *testing.T) {
 // every result owns its storage. No component shares a word with an
 // operand, with another component, or with the result of the next call.
 func TestResultsWrapDriverOutputs(t *testing.T) {
-	f := multiRankFixture(t, true)
+	f := multiRankFixture(t)
 	ct0, _ := f.enc.EncryptValue(3)
 	ct1, _ := f.enc.EncryptValue(9)
 	ops := map[string]func() (*bfv.Ciphertext, error){
@@ -282,7 +289,7 @@ func TestResultsWrapDriverOutputs(t *testing.T) {
 // preset.
 func TestLiftCenteredTable(t *testing.T) {
 	for _, params := range []*bfv.Parameters{bfv.ParamsSec27(), bfv.ParamsSec54(), bfv.ParamsSec109()} {
-		srv, err := NewServerWithTopology(pim.DefaultConfig(), params, nil, pimsched.Topology{Ranks: 1, DPUsPerRank: 1}, true)
+		srv, err := NewServerWithTopology(pim.DefaultConfig(), params, nil, pimsched.Topology{Ranks: 1, DPUsPerRank: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

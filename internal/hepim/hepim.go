@@ -47,14 +47,14 @@ type Server struct {
 
 // NewServerWithTopology builds a PIM evaluation server scheduling over
 // an explicit rank×DPU topology. The topology must fit within
-// cfg.NumDPUs; overlap selects whether the modeled makespan pipelines
-// staging against compute or serializes every phase.
-func NewServerWithTopology(cfg pim.SystemConfig, params *bfv.Parameters, rlk *bfv.RelinKey, topo pimsched.Topology, overlap bool) (*Server, error) {
+// cfg.NumDPUs; the modeled makespan pipelines staging against compute,
+// and every report also carries the serial time.
+func NewServerWithTopology(cfg pim.SystemConfig, params *bfv.Parameters, rlk *bfv.RelinKey, topo pimsched.Topology) (*Server, error) {
 	sys, err := pim.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := pimsched.New(sys, topo, overlap)
+	sched, err := pimsched.New(sys, topo, true)
 	if err != nil {
 		return nil, err
 	}
@@ -135,12 +135,12 @@ func (s *Server) Neg(ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 	return out, nil
 }
 
-// AddPlain returns ct + Δ·m with the addition on the PIM system.
+// AddPlain returns ct + Δ·m with the addition on the PIM system: the
+// second operand is Δ·m followed by zero polynomials.
 func (s *Server) AddPlain(ct *bfv.Ciphertext, pt *bfv.Plaintext) (*bfv.Ciphertext, error) {
 	par := s.Params
-	dm := bfv.DeltaEncode(par, pt)
-	other := ct.Clone()
-	other.Polys[0] = dm
+	other := &bfv.Ciphertext{Polys: make([]*poly.Poly, len(ct.Polys))}
+	other.Polys[0] = bfv.DeltaEncode(par, pt)
 	for i := 1; i < len(other.Polys); i++ {
 		other.Polys[i] = poly.NewPoly(par.N, par.Q.W)
 	}

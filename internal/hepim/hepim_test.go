@@ -21,7 +21,7 @@ type fixture struct {
 // newServer builds a server over the largest whole-rank topology that
 // fits cfg.NumDPUs, with transfer/compute overlap on.
 func newServer(cfg pim.SystemConfig, params *bfv.Parameters, rlk *bfv.RelinKey) (*Server, error) {
-	return NewServerWithTopology(cfg, params, rlk, pimsched.FitTopology(cfg.NumDPUs), true)
+	return NewServerWithTopology(cfg, params, rlk, pimsched.FitTopology(cfg.NumDPUs))
 }
 
 func newFixture(t *testing.T, seed uint64) *fixture {

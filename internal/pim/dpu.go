@@ -185,6 +185,11 @@ const hostPad = 8
 // and the tasklets after it read what it left. Like the WRAM arena the
 // words are reused by every launch, so they cost the host an allocation
 // only the first time a DPU needs that many; they are not cleared.
+//
+// The product kernel asks for the most: 2n(W+1) words per pair plus
+// its convolution scratch. At n = 4096 a DPU running one pair holds
+// 832 KiB of them at W = 2 (192 KiB of products, 640 KiB of scratch),
+// 1152 KiB at W = 4 (320 + 832) and 1792 KiB at W = 8 (576 + 1216).
 func (c *TaskletCtx) LaunchWords(n int) (words []uint64, fresh bool) {
 	d := c.dpu
 	if fresh = !d.hostFilled; fresh {

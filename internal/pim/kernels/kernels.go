@@ -17,14 +17,15 @@
 //   - the add kernel (VectorSum; a vector addition is the sum of two) at
 //     4 limbs, the width every PIM Sum runs, folds the DPU's shard in
 //     one streaming pass (foldW4) that also counts what each
-//     coefficient's additions charge (addTally);
-//   - the product kernel, at 1 limb (key switching at 27 bits) and at 8
-//     (the lift every PIM Mul's tensor runs under), computes each pair's
-//     values as an exact convolution (conv.go) and each tasklet's tally
-//     from counts over the words it DMA'd (productTally): O(n log n)
-//     host work per pair for a program that makes n² products.
-//
-// Other widths call limb32 itself.
+//     coefficient's additions charge (addTally); at other widths it
+//     calls limb32.AddMod itself;
+//   - the product kernel, at every width, computes each pair's values
+//     as an exact convolution (conv.go) and each tasklet's tally from
+//     counts over the words it DMA'd (productTally): O(n log n) host
+//     work per pair for the values of a program that makes n²
+//     products. Only the tally at 4 limbs still forms each product,
+//     through limb32.Mul, because Karatsuba's carries there depend on
+//     the data.
 //
 // The tasklet programs live in sum.go, kernels.go and nttkernel.go; the
 // host side is sched.go, where each Run*Sched driver is a shard plan
@@ -43,7 +44,7 @@ import (
 
 // PolyMulLayout describes one DPU's shard of a ciphertext vector
 // multiplication: Pairs polynomial pairs of degree N with W-limb
-// coefficients. Polynomial p's operands live at OffA+p·N·W and
+// coefficients, W ≤ 8. Polynomial p's operands live at OffA+p·N·W and
 // OffB+p·N·W; the product goes to OffOut+p·N·W.
 type PolyMulLayout struct {
 	W      int
@@ -73,22 +74,17 @@ type PolyMulLayout struct {
 // pos_k = Σ_{i≤k} a_i·b_(k−i) and accNeg_k as neg_k = Σ_{i>k} a_i·b_(n+k−i),
 // coefficients k and n+k of the pair's plain integer product.
 //
-// At W = 1 and W = 8 — a Mul's key switch at 27 bits and its tensor
-// under the 256-bit lift — the host does not form those products one by
-// one. It splits them in two, each exactly what the per-product program
-// computes and charges:
+// The host does not form those products one by one. At every width
+// (W ≤ 8) it splits them in two, each exactly what the per-product
+// program — limb32.Mul followed by accumAdd — computes and charges:
 //
 //   - the values: the first of the DPU's tasklets to run in a launch
 //     convolves every pair once, exactly, from the DPU's MRAM
 //     (convPlan.convolve) into words the DPU owns for the launch
 //     (TaskletCtx.LaunchWords), and each tasklet copies its outputs'
 //     two sums into its accumulators before the reduction;
-//   - the tally: what limb32.Mul followed by accumAdd would charge for
-//     each product is linear in counts that productTally takes from the
-//     tiles the tasklet DMA'd, and the tasklet charges it once.
-//
-// At W = 2 and W = 4 each product goes through limb32.Mul and accumAdd
-// (mulRun): Karatsuba's tally depends on the data.
+//   - the tally: productTally counts the products over the tiles the
+//     tasklet DMA'd, and the tasklet charges their tally once.
 func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 	return func(ctx *pim.TaskletCtx) error {
 		n, w := l.N, l.W
@@ -134,14 +130,11 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 			return err
 		}
 		cw := convWords(w)
-		var tally productTally
+		tally := productTally{w: w, prod: prod}
 
 		for p := 0; p < l.Pairs; p++ {
 			offA := l.OffA + p*n*w
 			offB := l.OffB + p*n*w
-			clear(accPos)
-			clear(accNeg)
-
 			for i0 := 0; i0 < n; i0 += tile {
 				cnt := min(tile, n-i0)
 				ctx.MRAMRead(offA+i0*w, aTile[:cnt*w])
@@ -153,27 +146,13 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 				winStart := ((k0-i0-cnt+1)%n + n) % n
 				readWindow(ctx, offB, winStart, winLen, n, w, bWin)
 
-				if conv != nil {
-					tally.tile(aTile[:cnt*w], bWin[:winLen*w], K, w)
-				} else {
-					for i := i0; i < i0+cnt; i++ {
-						// Output k reads window slot k−k0 + i0+cnt−1−i, which
-						// holds b_(k−i) mod n.
-						ai := aTile[(i-i0)*w : (i-i0+1)*w]
-						bi := bWin[(i0+cnt-1-i)*w : (i0+cnt-1-i+K)*w]
-						split := min(max(i-k0, 0), K)
-						mulRun(accNeg[:split*accW], ai, bi[:split*w], prod, m)
-						mulRun(accPos[split*accW:], ai, bi[split*w:], prod, m)
-					}
-				}
+				tally.tile(aTile[:cnt*w], bWin[:winLen*w], K)
 				ctx.ChargeInstr(int64(3 * K * cnt)) // per product: index arithmetic + wrap test + branch
 			}
-			if conv != nil {
-				c := conv[p*2*n*cw : (p+1)*2*n*cw]
-				for k := 0; k < K; k++ {
-					unpackLimbs(accPos[k*accW:(k+1)*accW], c[(k0+k)*cw:])
-					unpackLimbs(accNeg[k*accW:(k+1)*accW], c[(n+k0+k)*cw:])
-				}
+			c := conv[p*2*n*cw : (p+1)*2*n*cw]
+			for k := 0; k < K; k++ {
+				unpackLimbs(accPos[k*accW:(k+1)*accW], c[(k0+k)*cw:])
+				unpackLimbs(accNeg[k*accW:(k+1)*accW], c[(n+k0+k)*cw:])
 			}
 
 			// Reduce accumulators mod q and write the shard's outputs.
@@ -185,23 +164,17 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 			}
 			ctx.MRAMWrite(l.OffOut+p*n*w+k0*w, out[:K*w])
 		}
-		if conv != nil {
-			tally.charge(m, w)
-		}
+		tally.charge(m)
 		return nil
 	}
 }
 
-// pairProducts returns, at W = 1 and W = 8, every pair's exact plain
-// product for the launch, convWords(W) words per coefficient and 2N
-// coefficients per pair; at other widths it returns nil. The DPU's
-// first tasklet of the launch computes them from the operands in its
-// MRAM; the tasklets after it find them in the DPU's launch words.
+// pairProducts returns every pair's exact plain product for the launch,
+// convWords(W) words per coefficient and 2N coefficients per pair. The
+// DPU's first tasklet of the launch computes them from the operands in
+// its MRAM; the tasklets after it find them in the DPU's launch words.
 func pairProducts(ctx *pim.TaskletCtx, l PolyMulLayout) ([]uint64, error) {
 	n, w := l.N, l.W
-	if w != 1 && w != 8 {
-		return nil, nil
-	}
 	plan, err := convPlanFor(n)
 	if err != nil {
 		return nil, err
@@ -227,55 +200,64 @@ func unpackLimbs(acc []uint32, c []uint64) {
 	}
 }
 
-// mulRun adds a·b_t into accumulator t for every W-limb coefficient b_t
-// of b, through limb32.Mul into the 2W-limb scratch prod and accumAdd,
-// which charge m each product's tally: the product body at W = 2 and
-// W = 4.
-func mulRun(acc, a, b []uint32, prod limb32.Nat, m limb32.Meter) {
-	w := len(a)
-	accW := 2*w + 1
-	for t := 0; t < len(acc)/accW; t++ {
-		limb32.Mul(prod, a, b[t*w:(t+1)*w], m)
-		accumAdd(acc[t*accW:(t+1)*accW], prod, m)
-	}
-}
-
-// A productTally counts, for the products a tasklet makes at W = 1 or
-// W = 8, what limb32.Mul followed by accumAdd would charge for each,
-// and charges the total once; a tally is order-free, so this changes no
-// figure.
+// A productTally counts, for the products a tasklet makes, what
+// limb32.Mul followed by accumAdd would charge for each, and charges the
+// total once; a tally is order-free, so this changes no figure.
+// accumAdd's 2W-limb addc chain is the same for every product, and so
+// is limb32.Mul's tally at W = 1 (one multiply) and W = 2 (karatsuba2,
+// straight-line code): one product's tally times the product count.
 //
-// At W = 1 that is a constant per product. At W = 8 it is
-// limb32.MulSchoolbook's, fixed per product by a's nonzero limbs (its
-// rows: a zero limb's row is skipped) plus a load, an addc and a store
-// for each row that ripples a carry past its end, and accumAdd's
-// 16-limb chain. Row r of a·b ripples exactly when the prefix product
+// At W = 8 limb32.Mul is limb32.MulSchoolbook, whose tally is fixed per
+// product by a's nonzero limbs (its rows: a zero limb's row is skipped)
+// plus a load, an addc and a store for each row that ripples a carry
+// past its end. Row r of a·b ripples exactly when the prefix product
 // A_r·b, A_r = a mod 2^(32(r+1)), reaches 2^(32(r+8)): before row r the
 // running product is below that, so the row's carry out is exactly limb
 // r+8 of the product after it, which takes it without carrying on.
+//
+// At any other width — W = 4, where karatsuba4's carries and the
+// ripples of its addAt/subAt chains depend on the data — the tally
+// forms each product with limb32.Mul into prod, for its tally alone.
 type productTally struct {
-	products int // products made
-	rows     int // Σ over the products of a's nonzero limbs (W = 8)
-	ripples  int // Σ over the products of the rows that ripple (W = 8)
+	w        int
+	prod     limb32.Nat    // 2W limbs of scratch for the products formed to be counted
+	products int           // products made
+	mul      limb32.Counts // limb32.Mul's tally of the products formed (W ∉ {1, 2, 8})
+	rows     int           // Σ over the products of a's nonzero limbs (W = 8)
+	ripples  int           // Σ over the products of the rows that ripple (W = 8)
 }
 
 // tile counts the products of one tile: each coefficient of aTile — a_i,
 // i = i0+cnt−1−s — times the K coefficients bWin[s, s+K) that the
 // tasklet's outputs read for it.
-//
-// At W = 8 a product's ripples are read off b's top word b₃: a b with
-// b₃ = 0 is below 2¹⁹² and never ripples (A_r·b < 2^(32r+224)), and
-// against b₃ = 2⁶⁴−1 rowRipple decides each of a's rows once, for every
-// such b in the window at once. Sliding the window one slot per a keeps
-// that count in step. Every lifted centred coefficient has b₃ = 0 or
-// 2⁶⁴−1; only a product with any other b₃, or with a row rowRipple
-// leaves undecided, is counted on its own (ripples8).
-func (t *productTally) tile(aTile, bWin []uint32, K, w int) {
+func (t *productTally) tile(aTile, bWin []uint32, K int) {
+	w := t.w
 	cnt := len(aTile) / w
 	t.products += cnt * K
-	if w != 8 {
-		return
+	switch w {
+	case 1, 2: // charge scales one product's tally
+	case 8:
+		t.tile8(aTile, bWin, K)
+	default:
+		for s := 0; s < cnt; s++ {
+			a := aTile[w*(cnt-1-s) : w*(cnt-s)]
+			for j := s; j < s+K; j++ {
+				limb32.Mul(t.prod, a, bWin[w*j:w*(j+1)], &t.mul)
+			}
+		}
 	}
+}
+
+// tile8 counts the rows and ripples of a tile's 8-limb products. A
+// product's ripples are read off b's top word b₃: a b with b₃ = 0 is
+// below 2¹⁹² and never ripples (A_r·b < 2^(32r+224)), and against
+// b₃ = 2⁶⁴−1 rowRipple decides each of a's rows once, for every such b
+// in the window at once. Sliding the window one slot per a keeps that
+// count in step. Every lifted centred coefficient has b₃ = 0 or
+// 2⁶⁴−1; only a product with any other b₃, or with a row rowRipple
+// leaves undecided, is counted on its own (ripples8).
+func (t *productTally) tile8(aTile, bWin []uint32, K int) {
+	cnt := len(aTile) / 8
 	// class reports whether window slot s has b₃ = 2⁶⁴−1, or b₃ ∉ {0, 2⁶⁴−1}.
 	class := func(s int) (ones, other int) {
 		switch uint64(bWin[8*s+6]) | uint64(bWin[8*s+7])<<32 {
@@ -316,29 +298,37 @@ func (t *productTally) tile(aTile, bWin []uint32, K, w int) {
 	}
 }
 
-// charge charges m the tally of every product counted: at W = 1
-// limb32.Mul's two loads, multiply and two stores and accumAdd's
-// two-limb addc chain (two loads, three addc with the top limb, two
-// stores, two loop trips); at W = 8 MulSchoolbook's rows, steps and
-// ripples and accumAdd's 16 loads, 17 addc, 16 stores and 16 loop trips.
-func (t *productTally) charge(m limb32.Meter, w int) {
-	c := t.products
-	if w == 1 {
-		m.Tick(limb32.OpLoad, 4*c)
-		m.Tick(limb32.OpMul32, c)
-		m.Tick(limb32.OpAddC, 3*c)
-		m.Tick(limb32.OpStore, 4*c)
-		m.Tick(limb32.OpLoop, 2*c)
-		return
+// charge charges m the tally of every product counted: limb32.Mul's —
+// one product's times the count at W = 1 and 2, MulSchoolbook's rows,
+// steps and ripples at W = 8, the formed products' otherwise — and
+// accumAdd's 2W loads, 2W+1 addc (the last into the accumulator's top
+// limb), 2W stores and 2W loop trips for each.
+func (t *productTally) charge(m limb32.Meter) {
+	c, w := t.products, t.w
+	switch w {
+	case 1, 2:
+		var zero [2]uint32
+		var one limb32.Counts
+		limb32.Mul(t.prod, zero[:w], zero[:w], &one)
+		for op, v := range one {
+			m.Tick(limb32.Op(op), c*int(v))
+		}
+	case 8:
+		rows, rip := t.rows, t.ripples
+		skipped, steps := 8*c-rows, 8*rows
+		m.Tick(limb32.OpLoad, skipped+3*steps+rip)
+		m.Tick(limb32.OpMul32, steps)
+		m.Tick(limb32.OpAdd, steps)
+		m.Tick(limb32.OpAddC, 2*steps+rip)
+		m.Tick(limb32.OpStore, steps+rip)
+		m.Tick(limb32.OpLoop, skipped+steps+rows)
+	default:
+		m.Add(&t.mul)
 	}
-	rows, rip := t.rows, t.ripples
-	skipped, steps := 8*c-rows, 8*rows
-	m.Tick(limb32.OpLoad, skipped+3*steps+16*c+rip)
-	m.Tick(limb32.OpMul32, steps)
-	m.Tick(limb32.OpAdd, steps)
-	m.Tick(limb32.OpAddC, 2*steps+17*c+rip)
-	m.Tick(limb32.OpStore, steps+16*c+rip)
-	m.Tick(limb32.OpLoop, skipped+steps+rows+16*c)
+	m.Tick(limb32.OpLoad, 2*w*c)
+	m.Tick(limb32.OpAddC, (2*w+1)*c)
+	m.Tick(limb32.OpStore, 2*w*c)
+	m.Tick(limb32.OpLoop, 2*w*c)
 }
 
 // rowsOf returns the 8-limb a's nonzero limbs — its schoolbook rows —
@@ -440,22 +430,4 @@ func readWindow(ctx *pim.TaskletCtx, base, start, winLen, n, w int, dst []uint32
 	if first < winLen {
 		ctx.MRAMRead(base, dst[first*w:winLen*w])
 	}
-}
-
-// accumAdd adds a 2w-limb product into a (2w+1)-limb accumulator with an
-// addc chain, charging the tasklet.
-func accumAdd(acc []uint32, src limb32.Nat, m limb32.Meter) {
-	var carry uint64
-	for i := 0; i < len(src); i++ {
-		s := uint64(acc[i]) + uint64(src[i]) + carry
-		acc[i] = uint32(s)
-		carry = s >> 32
-	}
-	if carry != 0 {
-		acc[len(src)] += uint32(carry) // accumulator is sized to never carry out
-	}
-	m.Tick(limb32.OpLoad, len(src))
-	m.Tick(limb32.OpAddC, len(src)+1)
-	m.Tick(limb32.OpStore, len(src))
-	m.Tick(limb32.OpLoop, len(src))
 }

@@ -138,6 +138,18 @@ func TestVectorAddRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestVectorPolyMulRejectsWideCoefficients: the product kernel's
+// convolution holds coefficients of at most 8 limbs; a 9-limb operand is
+// refused before any DPU runs.
+func TestVectorPolyMulRejectsWideCoefficients(t *testing.T) {
+	sched := testSched(t, pimsched.FitTopology(1), 1)
+	q := make(limb32.Nat, 9)
+	q[8] = 1
+	if _, _, err := RunVectorPolyMulSched(sched, make([]uint32, 16*9), make([]uint32, 16*9), 16, 9, q); err == nil {
+		t.Error("9-limb coefficients accepted")
+	}
+}
+
 func hostPolyMul(t *testing.T, a, b []uint32, n int, mod *poly.Modulus) []uint32 {
 	t.Helper()
 	pairs := len(a) / (n * mod.W)

@@ -26,36 +26,46 @@ func checkRuns(t *testing.T, name string, w int, as, b [][]uint32) {
 // checkTally holds productTally's count of every product a·b_t, a in
 // as — each a a tile of one coefficient against the window b — charged
 // once, to what limb32.Mul followed by accumAdd charge product by
-// product. At W = 2 and 4, where the kernel runs mulRun, it holds
-// mulRun's own charges.
+// product.
 func checkTally(t *testing.T, name string, w int, as, b [][]uint32) {
 	t.Helper()
-	accW := 2*w + 1
 	var flat []uint32
 	for _, bt := range b {
 		flat = append(flat, bt...)
 	}
 	var want, got limb32.Counts
-	prod, acc := make(limb32.Nat, 2*w), make([]uint32, accW)
-	accs := make([]uint32, len(b)*accW)
-	var tally productTally
+	prod, acc := make(limb32.Nat, 2*w), make([]uint32, 2*w+1)
+	tally := productTally{w: w, prod: make(limb32.Nat, 2*w)}
 	for _, a := range as {
 		for _, bt := range b {
 			limb32.Mul(prod, a, bt, &want)
 			accumAdd(acc, prod, &want)
 		}
-		if w == 1 || w == 8 {
-			tally.tile(a, flat, len(b), w)
-		} else {
-			mulRun(accs, a, flat, prod, &got)
-		}
+		tally.tile(a, flat, len(b))
 	}
-	if w == 1 || w == 8 {
-		tally.charge(&got, w)
-	}
+	tally.charge(&got)
 	if got != want {
 		t.Errorf("%s: tally %v, limb32 charges %v", name, got, want)
 	}
+}
+
+// accumAdd adds a 2w-limb product into a (2w+1)-limb accumulator with an
+// addc chain, charging the tasklet: the per-product program's
+// accumulation, whose tally productTally charges from the count.
+func accumAdd(acc []uint32, src limb32.Nat, m limb32.Meter) {
+	var carry uint64
+	for i := 0; i < len(src); i++ {
+		s := uint64(acc[i]) + uint64(src[i]) + carry
+		acc[i] = uint32(s)
+		carry = s >> 32
+	}
+	if carry != 0 {
+		acc[len(src)] += uint32(carry) // accumulator is sized to never carry out
+	}
+	m.Tick(limb32.OpLoad, len(src))
+	m.Tick(limb32.OpAddC, len(src)+1)
+	m.Tick(limb32.OpStore, len(src))
+	m.Tick(limb32.OpLoop, len(src))
 }
 
 // checkConv holds convolve's exact plain product of x and y, as
@@ -199,8 +209,8 @@ func TestProductRunsMatchLimb32(t *testing.T) {
 		}
 	}
 
-	// Widths 2 and 4 run limb32.Mul itself (mulRun); hold them to the
-	// same oracle, and convolve, which takes any width, to the product.
+	// Widths 2 and 4: Karatsuba over 32-bit chunks, its tally a constant
+	// at W = 2 and formed product by product at W = 4.
 	for _, w := range []int{2, 4} {
 		var bw [][]uint32
 		for i := 0; i < 5; i++ {
@@ -211,8 +221,8 @@ func TestProductRunsMatchLimb32(t *testing.T) {
 }
 
 // TestProductRunsRandom sweeps random operands whose limbs are zero, all
-// ones or random, against windows of every length up to 40, at both
-// widths the kernel counts.
+// ones or random, against windows of every length up to 40, at every
+// width.
 func TestProductRunsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(2802))
 	limb := func() uint32 {
@@ -224,7 +234,7 @@ func TestProductRunsRandom(t *testing.T) {
 		}
 		return rng.Uint32()
 	}
-	for _, w := range []int{1, 8} {
+	for _, w := range []int{1, 2, 4, 8} {
 		for it := 0; it < 400; it++ {
 			a := make([]uint32, w)
 			for i := range a {
@@ -606,7 +616,7 @@ func TestPolyMulMatchesPerProductKernel(t *testing.T) {
 // not from a copy taken earlier or from anywhere else.
 func TestVectorPolyMulReadsItsMRAMEachLaunch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4702))
-	for _, w := range []int{1, 8} {
+	for _, w := range []int{1, 2, 4, 8} {
 		mod := modulusFor(t, w)
 		const n, pairs = 32, 2
 		words := pairs * n * w

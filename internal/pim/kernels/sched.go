@@ -49,10 +49,14 @@ func RunVectorAddSched(sched *pimsched.Scheduler, a, b []uint32, w int, q limb32
 
 // RunVectorPolyMulSched computes, for every polynomial pair p, the
 // negacyclic product a_p·b_p in R_q. a and b hold concatenated
-// polynomials of n coefficients × w limbs; pairs are the work unit.
+// polynomials of n coefficients × w limbs, 1 ≤ w ≤ 8; pairs are the
+// work unit.
 func RunVectorPolyMulSched(sched *pimsched.Scheduler, a, b []uint32, n, w int, q limb32.Nat) ([]uint32, *pimsched.Report, error) {
 	if len(a) != len(b) {
 		return nil, nil, errors.New("kernels: operand length mismatch")
+	}
+	if w < 1 || w > 8 {
+		return nil, nil, fmt.Errorf("kernels: no product kernel for %d-limb coefficients", w)
 	}
 	polyWords := n * w
 	if polyWords == 0 || len(a)%polyWords != 0 {
