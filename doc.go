@@ -40,7 +40,9 @@
 //     at import.
 //   - internal/dcrt, internal/ntt, internal/rns, internal/modring: the
 //     double-CRT arithmetic — an extended RNS basis wide enough that
-//     exact integer tensor and key-switch accumulators never wrap,
+//     exact integer tensor and key-switch accumulators never wrap
+//     (and, in rns.Rounder, the PIM Mul's exact CRT and t/q rounding
+//     over primes below 2³¹),
 //     RNS-native scale-and-round and base conversion, lazy-reduction
 //     NTT kernels with AVX2/AVX-512 tiers chosen at start-up
 //     (internal/cpufeat; HEPIM_VECTOR overrides), one bounded worker
@@ -82,10 +84,11 @@
 // never change arithmetic. The host multiplies on one pipeline:
 // bfv.NewParameters refuses a modulus the word-sized double-CRT base
 // conversion cannot serve (dcrt.NewContext), so the double-CRT evaluator
-// has no big.Int middle path. The big.Int code that stays is the
-// oracle's (Kronecker products, scaleRound, DecomposeForRelin; the PIM
-// server's host rescale runs the last two) and decryptBig, the rounding
-// oracle and the fallback outside decryptRNS's window.
+// has no big.Int middle path, and neither has the PIM server: its
+// tensor's residues, CRT and t/q rounding (rns.Rounder) and its digit
+// decomposition run on words and limbs. The big.Int code that stays is
+// the oracle's (Kronecker products, scaleRound) and decryptBig, the
+// rounding oracle and the fallback outside decryptRNS's window.
 //
 // No aliasing. An engine output never shares backing memory with an
 // input, and every facade operation — identity rotations included —

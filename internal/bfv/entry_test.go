@@ -47,13 +47,23 @@ func entryParams(tb testing.TB) []struct {
 	}
 }
 
+// bigPoly builds a polynomial from big-integer coefficients, reducing
+// each mod q.
+func bigPoly(coeffs []*big.Int, mod *poly.Modulus) *poly.Poly {
+	p := poly.NewPoly(len(coeffs), mod.W)
+	for i, c := range coeffs {
+		p.Coeff(i).SetBig(new(big.Int).Mod(c, mod.QBig))
+	}
+	return p
+}
+
 // bigSigned is the big.Int entry of small signed samples.
 func bigSigned(vals []int8, mod *poly.Modulus) *poly.Poly {
 	b := make([]*big.Int, len(vals))
 	for i, v := range vals {
 		b[i] = big.NewInt(int64(v))
 	}
-	return poly.FromBigCoeffs(b, mod)
+	return bigPoly(b, mod)
 }
 
 // bigScaled is the big.Int d·(m mod t) + e in R_q (e nil for none).
@@ -66,7 +76,7 @@ func bigScaled(par *Parameters, pt *Plaintext, d *big.Int, e []int8) *poly.Poly 
 			b[i].Add(b[i], big.NewInt(int64(e[i])))
 		}
 	}
-	return poly.FromBigCoeffs(b, par.Q)
+	return bigPoly(b, par.Q)
 }
 
 // signedSweep cycles through every value in [−bound, bound] for the
@@ -207,5 +217,56 @@ func TestEncryptAllocs(t *testing.T) {
 	t.Logf("warm Encrypt: %.0f allocations per run", allocs)
 	if allocs > maxAllocs {
 		t.Fatalf("warm Encrypt allocates %.0f times per run, want ≤ %d", allocs, maxAllocs)
+	}
+}
+
+// TestDecomposeForRelinMatchesBig holds the limb-field digits of
+// DecomposeForRelin to the big.Int shifts and masks they replaced, at
+// 0, 1, ⌊q/2⌋, q − 1 and random coefficients of every parameter set:
+// each digit is its base-2^RelinBaseBits field, and the digits
+// recombine to the coefficient.
+func TestDecomposeForRelinMatchesBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(5102))
+	for _, c := range entryParams(t) {
+		par := c.par
+		q := par.Q.QBig
+		vals := make([]*big.Int, par.N)
+		for i := range vals {
+			switch i {
+			case 0, 1:
+				vals[i] = big.NewInt(int64(i))
+			case 2:
+				vals[i] = new(big.Int).Set(par.Q.Half)
+			case 3:
+				vals[i] = new(big.Int).Sub(q, big.NewInt(1))
+			default:
+				vals[i] = new(big.Int).Rand(rng, q)
+			}
+		}
+		digits := DecomposeForRelin(bigPoly(vals, par.Q), par)
+		if len(digits) != par.RelinDigits() {
+			t.Fatalf("%s: %d digits, want %d", c.name, len(digits), par.RelinDigits())
+		}
+		base := par.RelinBaseBits
+		mask := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), base), big.NewInt(1))
+		coeffs := make([][]*big.Int, len(digits))
+		for d, dp := range digits {
+			coeffs[d] = dp.ToBigCoeffs()
+		}
+		for i, v := range vals {
+			sum := new(big.Int)
+			for d := range digits {
+				want := new(big.Int).Rsh(v, uint(d)*base)
+				want.And(want, mask)
+				got := coeffs[d][i]
+				if got.Cmp(want) != 0 {
+					t.Fatalf("%s: digit %d of %v is %v, want %v", c.name, d, v, got, want)
+				}
+				sum.Add(sum, new(big.Int).Lsh(got, uint(d)*base))
+			}
+			if sum.Cmp(v) != 0 {
+				t.Fatalf("%s: digits of %v recombine to %v", c.name, v, sum)
+			}
+		}
 	}
 }

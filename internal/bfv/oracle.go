@@ -174,34 +174,29 @@ func (k *switchKey) switchSchoolbook(c0, c1 *poly.Poly, digits []*poly.Poly, par
 }
 
 // The PIM server's host helpers: it computes the ring products on the
-// simulated device and the rest of the oracle's arithmetic here.
+// simulated device, and decomposes and permutes key-switching digits
+// here.
 
 // DecomposeForRelin splits p into base-2^RelinBaseBits digit
 // polynomials: p = Σ 2^{i·base}·digit_i with digit coefficients <
-// 2^base.
+// 2^base. A digit is a bit field of the coefficient's limbs (base ≤ 32,
+// so it spans at most two).
 func DecomposeForRelin(p *poly.Poly, par *Parameters) []*poly.Poly {
-	digits := par.RelinDigits()
-	base := par.RelinBaseBits
-	out := make([]*poly.Poly, digits)
-	work := p.ToBigCoeffs() // fresh values, shifted down digit by digit
-	mask := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), base), big.NewInt(1))
-	for d := 0; d < digits; d++ {
-		dc := make([]*big.Int, len(work))
-		for i, w := range work {
-			dc[i] = new(big.Int).And(w, mask)
-			w.Rsh(w, base)
+	w, base := par.Q.W, par.RelinBaseBits
+	mask := uint64(1)<<base - 1
+	out := make([]*poly.Poly, par.RelinDigits())
+	for d := range out {
+		out[d] = poly.NewPoly(p.N, w)
+		limb, sh := d*int(base)/32, uint(d*int(base)%32)
+		for i := 0; i < p.N; i++ {
+			c := p.C[i*w : (i+1)*w]
+			v := uint64(c[limb]) >> sh
+			if limb+1 < w {
+				v |= uint64(c[limb+1]) << (32 - sh)
+			}
+			out[d].C[i*w] = uint32(v & mask)
 		}
-		out[d] = poly.FromBigCoeffs(dc, par.Q)
 	}
-	return out
-}
-
-// ScaleRoundCoeffs maps integer coefficients c to ⌊t·c/q⌉ mod q — the
-// BFV tensor rescaling step, exported for backends that compute the
-// tensor products on an accelerator and finish the scaling on the host.
-func ScaleRoundCoeffs(params *Parameters, coeffs []*big.Int) *poly.Poly {
-	out := poly.NewPoly(len(coeffs), params.Q.W)
-	scaleRound(out, coeffs, params)
 	return out
 }
 

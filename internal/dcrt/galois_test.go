@@ -26,7 +26,11 @@ func applyGaloisOracle(p *poly.Poly, g uint64, mod *poly.Modulus) *poly.Poly {
 			out[j-n].Mod(out[j-n], mod.QBig)
 		}
 	}
-	return poly.FromBigCoeffs(out, mod)
+	res := poly.NewPoly(n, mod.W)
+	for i, c := range out {
+		res.Coeff(i).SetBig(c) // in [0, q)
+	}
+	return res
 }
 
 // TestGaloisNTTPermutation pins the slot-permutation table to the

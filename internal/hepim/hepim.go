@@ -6,22 +6,21 @@
 // Addition and summation run entirely as DPU kernels and are bit-exact
 // against the host evaluator. Multiplication follows the paper's split:
 // the polynomial multiplications (the dominant cost) run on the PIM
-// cores, while the host performs the t/q rescaling — made exact by
-// lifting centered operands into a 256-bit working modulus wide enough
-// that no tensor coefficient wraps.
+// cores, while the host performs the t/q rescaling. The tensor products
+// run as one-limb products of residues modulo primes below 2³¹, whose
+// product bounds every tensor coefficient, so the host's CRT is exact.
 package hepim
 
 import (
 	"errors"
-	"fmt"
-	"math/big"
+	"slices"
 
 	"repro/internal/bfv"
-	"repro/internal/limb32"
 	"repro/internal/pim"
 	"repro/internal/pim/kernels"
 	"repro/internal/pimsched"
 	"repro/internal/poly"
+	"repro/internal/rns"
 )
 
 // Server is a BFV evaluation service on the simulated PIM system.
@@ -38,8 +37,8 @@ type Server struct {
 	Sched  *pimsched.Scheduler
 	Params *bfv.Parameters
 
-	lift *poly.Modulus // 256-bit lift modulus for exact tensor products
-	rlk  *bfv.RelinKey
+	tensor *rns.Rounder // residues and exact rescaling of the tensor products
+	rlk    *bfv.RelinKey
 
 	total pimsched.Report // sum of every kernel run since ResetReports
 	runs  int             // how many runs total holds
@@ -58,21 +57,11 @@ func NewServerWithTopology(cfg pim.SystemConfig, params *bfv.Parameters, rlk *bf
 	if err != nil {
 		return nil, err
 	}
-	// Lift modulus: any modulus exceeding 2·n·(q/2)² + margin keeps the
-	// centered tensor coefficients from wrapping. 2²⁵⁶−189 covers every
-	// paper parameter set (n ≤ 4096, q ≤ 2¹⁰⁹ → bound < 2²³⁰).
-	liftQ := new(big.Int).Lsh(big.NewInt(1), 256)
-	liftQ.Sub(liftQ, big.NewInt(189))
-	bound := new(big.Int).Mul(params.Q.QBig, params.Q.QBig)
-	bound.Mul(bound, big.NewInt(int64(params.N)))
-	if bound.BitLen() >= liftQ.BitLen()-1 {
-		return nil, fmt.Errorf("hepim: parameters too large for the 256-bit lift modulus")
-	}
-	lift, err := poly.NewModulus(liftQ)
+	tensor, err := rns.NewRounder(params.Q, params.N, params.T)
 	if err != nil {
 		return nil, err
 	}
-	srv := &Server{Sys: sys, Sched: sched, Params: params, lift: lift, rlk: rlk}
+	srv := &Server{Sys: sys, Sched: sched, Params: params, tensor: tensor, rlk: rlk}
 	srv.ResetReports()
 	return srv, nil
 }
@@ -194,33 +183,12 @@ func unflatten(flat []uint32, comps, n, w int) *bfv.Ciphertext {
 	return &bfv.Ciphertext{Polys: polys}
 }
 
-// liftCentered maps a mod-q polynomial to the 256-bit lift modulus with
-// centered representatives, so PIM products equal the integer products:
-// a coefficient x ≤ ⌊q/2⌋ stays x, and a larger one, which stands for
-// x − q, becomes 2²⁵⁶ − 189 − (q − x). Limb arithmetic, no big.Int.
-func (s *Server) liftCentered(p *poly.Poly) *poly.Poly {
-	q := s.Params.Q
-	half := limb32.FromBig(q.Half, q.W)
-	out := poly.NewPoly(p.N, s.lift.W)
-	d := make(limb32.Nat, s.lift.W) // q − x, zero-extended
-	for i := 0; i < p.N; i++ {
-		x, dst := p.Coeff(i), out.Coeff(i)
-		if limb32.Cmp(x, half, nil) <= 0 {
-			copy(dst, x)
-			continue
-		}
-		limb32.Sub(d[:q.W], q.Q, x, nil)
-		limb32.Sub(dst, s.lift.Q, d, nil)
-	}
-	return out
-}
-
 // Mul returns the relinearized product of two degree-1 ciphertexts with
 // every polynomial multiplication executed on the PIM system:
 //
-//  1. tensor products a·b over the 256-bit lift modulus (4 pairs, one
-//     kernel launch);
-//  2. host t/q rescaling of the centered results (cheap, linear);
+//  1. tensor products a·b of the operands' centred residues modulo each
+//     of the k primes below 2³¹ (4k one-limb pairs, one kernel launch);
+//  2. host CRT of each tensor coefficient and t/q rescaling (linear);
 //  3. relinearization digit products against the evaluation key (2·digits
 //     pairs, one kernel launch) and the final additions (one sum launch
 //     per output component, two launches).
@@ -233,38 +201,21 @@ func (s *Server) Mul(ct0, ct1 *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 	if s.rlk == nil {
 		return nil, errors.New("hepim: server has no relinearization key")
 	}
-	par := s.Params
-	n := par.N
-	lw := s.lift.W
-
-	// Tensor products on PIM over the lift modulus.
-	a0, a1 := s.liftCentered(ct0.Polys[0]), s.liftCentered(ct0.Polys[1])
-	b0, b1 := s.liftCentered(ct1.Polys[0]), s.liftCentered(ct1.Polys[1])
-	a := make([]uint32, 0, 4*n*lw)
-	b := make([]uint32, 0, 4*n*lw)
-	a = append(append(append(append(a, a0.C...), a0.C...), a1.C...), a1.C...)
-	b = append(append(append(append(b, b0.C...), b1.C...), b0.C...), b1.C...)
-	prods, rep, err := kernels.RunVectorPolyMulSched(s.Sched, a, b, n, lw, s.lift.Q)
+	par, rd := s.Params, s.tensor
+	a0, a1 := rd.Residues(ct0.Polys[0]), rd.Residues(ct0.Polys[1])
+	b0, b1 := rd.Residues(ct1.Polys[0]), rd.Residues(ct1.Polys[1])
+	prods, rep, err := kernels.RunVectorPolyMulModsSched(s.Sched,
+		slices.Concat(a0, a0, a1, a1), slices.Concat(b0, b1, b0, b1), par.N, 1, slices.Repeat(rd.Moduli(), 4))
 	if err != nil {
 		return nil, err
 	}
 	s.record(rep)
 
-	// Host: centered-lift each product back to Z, combine the cross terms,
-	// rescale by t/q.
-	productZ := func(idx int) []*big.Int {
-		return poly.NewPolyBacked(n, lw, prods[idx*n*lw:(idx+1)*n*lw]).ToCenteredCoeffs(s.lift)
-	}
-	d0z := productZ(0)
-	d1z := productZ(1)
-	for i, c := range productZ(2) {
-		d1z[i] = new(big.Int).Add(d1z[i], c)
-	}
-	d2z := productZ(3)
-
-	d0 := bfv.ScaleRoundCoeffs(par, d0z)
-	d1 := bfv.ScaleRoundCoeffs(par, d1z)
-	d2 := bfv.ScaleRoundCoeffs(par, d2z)
+	// Host: d0 = a0·b0, d1 = a0·b1 + a1·b0, d2 = a1·b1, rescaled by t/q.
+	kn := len(a0)
+	d0 := rd.ScaleRound(prods[:kn])
+	d1 := rd.ScaleRound(prods[kn:2*kn], prods[2*kn:3*kn])
+	d2 := rd.ScaleRound(prods[3*kn:])
 
 	// Relinearization on PIM over q: (d0, d1) + Σ digit_i(d2)·(K0_i, K1_i).
 	return s.keySwitch(bfv.DecomposeForRelin(d2, par), s.rlk.K0, s.rlk.K1,

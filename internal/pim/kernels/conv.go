@@ -10,8 +10,8 @@ import (
 	"repro/internal/ntt"
 )
 
-// The values half of VectorPolyMul at W = 1 and W = 8. Output k of a
-// pair needs pos_k = Σ_{i≤k} a_i·b_(k−i) and neg_k = Σ_{i>k} a_i·b_(n+k−i):
+// The values half of VectorPolyMul. Output k of a pair needs
+// pos_k = Σ_{i≤k} a_i·b_(k−i) and neg_k = Σ_{i>k} a_i·b_(n+k−i):
 // coefficients k and n+k of the plain (acyclic) product of a and b as
 // integer polynomials. convolve computes that product exactly, once per
 // pair, by multi-prime NTTs and the CRT.
@@ -21,11 +21,13 @@ import (
 //
 //	a·b = σₐ·σ_b + 2^(32W)·(eₐ·σ_b + σₐ·e_b) + 2^(64W)·eₐ·e_b
 //
-// term by term as polynomials. A PIM Mul's lifted centred coefficients
-// are small signed σ (27, 54 or 109 bits) plus 2²⁵⁶·e, so each of the
-// three terms is a product of short operands, and each is recovered from
-// only as many primes as its bound needs: the bit lengths of σ are read
-// off the operands, not assumed from W.
+// term by term as polynomials. A centred coefficient lifted into a wide
+// modulus (the 256-bit operands of the benchmark's traced kernel row) is
+// a small signed σ plus 2^(32W)·e, so each of the three terms is a
+// product of short operands, and each is recovered from only as many
+// primes as its bound needs: the bit lengths of σ are read off the
+// operands, not assumed from W. A PIM Mul's residues below 2³¹ have
+// e = 0, and their products need only the first term, from two primes.
 
 // primeBits is a lower bound on the bits of every convolution prime:
 // nt.NTTPrimes(61, …) descends from 2⁶¹, and convPlanFor checks each
@@ -178,11 +180,27 @@ func (p *convPlan) convolve(conv, scratch []uint64, a, b []uint32, w int) {
 		}
 	}
 
+	cw := convWords(w)
+	if use[1] == 0 && use[2] == 0 && use[0] <= 2 {
+		// Only σₐ∗σ_b, no e set: every σ is non-negative, and so is each
+		// coefficient, below 2^(B_0−1) < p_0·p_1. One-limb products of
+		// residues below 2³¹ take this path.
+		clear(conv[:2*n*cw])
+		for k := 0; k < 2*n; k++ {
+			switch use[0] {
+			case 1:
+				conv[k*cw] = res[0][0][k]
+			case 2:
+				conv[k*cw], conv[k*cw+1] = p.crt2(res[0][0][k], res[0][1][k])
+			}
+		}
+		return
+	}
+
 	// Term t enters the CRT as X_t + 2^(B_t−1), in [0, 2^B_t), so that
 	// it needs no sign test; the offsets, weighted by 2^(32w·t), come off
 	// every coefficient at once as bias. The sum is taken modulo
 	// 2^(64·cw), which holds the exact coefficient.
-	cw := convWords(w)
 	var bias [maxConvWords]uint64
 	var x [maxPrimes]uint64
 	for t, l := range use {
@@ -207,12 +225,35 @@ func (p *convPlan) convolve(conv, scratch []uint64, a, b []uint32, w int) {
 	}
 }
 
+// crt2 returns the value below p_0·p_1 with residues r0 mod p_0 and r1
+// mod p_1, as two words, low first.
+func (p *convPlan) crt2(r0, r1 uint64) (lo, hi uint64) {
+	r := p.tabs[1].R
+	s := r0 // below p_0 < 2·p_1
+	if s >= r.Q {
+		s -= r.Q
+	}
+	hi, lo = bits.Mul64(r.Mul(r.Sub(r1, s), p.inv[1]), p.tabs[0].R.Q)
+	var c uint64
+	lo, c = bits.Add64(lo, r0, 0)
+	return lo, hi + c
+}
+
 // loadSigma sets s to the transform mod tab's prime of the σ of the
 // w-limb coefficients of c, zero-padded to the transform size.
 func loadSigma(s []uint64, c []uint32, w int, tab *ntt.Table) {
 	n := len(c) / w
-	for i := 0; i < n; i++ {
-		s[i] = residue(c[i*w:(i+1)*w], tab.R)
+	if w == 1 { // σ = v − 2³² for v ≥ 2³¹: |σ| ≤ 2³¹ is below the prime
+		for i, v := range c {
+			s[i] = uint64(v)
+			if v>>31 != 0 {
+				s[i] += tab.R.Q - 1<<32
+			}
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			s[i] = residue(c[i*w:(i+1)*w], tab.R)
+		}
 	}
 	clear(s[n:])
 	tab.ForwardLazy(s)
@@ -283,6 +324,22 @@ func (p *convPlan) horner(x []uint64, digits [][]uint64, k int) int {
 // sigmaBits returns a bound on the bit length of every |σ| among the
 // w-limb coefficients of c, and whether any of them has e = 1.
 func sigmaBits(c []uint32, w int) (bl int, e bool) {
+	if w == 1 {
+		var pos, neg uint32 // the ORs of the non-negative σ and of ^v
+		for _, v := range c {
+			if int32(v) < 0 {
+				neg |= ^v
+				e = true
+			} else {
+				pos |= v
+			}
+		}
+		bl = bits.Len32(pos)
+		if e {
+			bl = max(bl, bits.Len32(neg)+1)
+		}
+		return bl, e
+	}
 	for i := 0; i+w <= len(c); i += w {
 		v := c[i : i+w]
 		neg := v[w-1]>>31 != 0

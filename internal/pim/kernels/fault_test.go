@@ -3,6 +3,7 @@ package kernels
 import (
 	"errors"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/limb32"
 	"repro/internal/pim"
 	"repro/internal/pimsched"
+	"repro/internal/poly"
 )
 
 // faultSched is a single-rank scheduler over dpus two-tasklet DPUs, the
@@ -251,6 +253,48 @@ func TestFaultSumAndPolyMulSurviveFaults(t *testing.T) {
 		if gotP[i] != wantP[i] {
 			t.Fatalf("polymul word %d = %d, want %d", i, gotP[i], wantP[i])
 		}
+	}
+
+	// PolyMul with a modulus per pair, the shape of a PIM Mul's residue
+	// tensor: four primes below 2³¹ over twelve pairs, so every DPU's
+	// shard mixes them. A shard retried or re-placed off a dead DPU keeps
+	// its own pairs' moduli: each pair is its product mod its own prime,
+	// bit for bit, in a run that both retried and re-dispatched.
+	primes := []uint32{2147483647, 2147483629, 2147483587, 2147483579}
+	const pairs = 12
+	mods := make([]limb32.Nat, pairs)
+	a, b = make([]uint32, pairs*n), make([]uint32, pairs*n)
+	wantM := make([]uint32, pairs*n)
+	for p := range mods {
+		mods[p] = limb32.Nat{primes[p%len(primes)]}
+		mod, err := poly.NewModulus(new(big.Int).SetUint64(uint64(mods[p][0])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := p * n; i < (p+1)*n; i++ {
+			a[i] = uint32(uint64(i) * 2654435761 % uint64(mods[p][0]))
+			b[i] = uint32(uint64(i) * 40503 % uint64(mods[p][0]))
+		}
+		copy(wantM[p*n:], hostPolyMul(t, a[p*n:(p+1)*n], b[p*n:(p+1)*n], n, mod))
+	}
+	hit := false
+	for seed := uint64(1); seed < 64 && !hit; seed++ {
+		sched := faultSched(t, 6)
+		sched.Sys.SetFaultInjector(faultinject.New(seed).
+			SetRate(pim.SiteDPUTransient, 0.1).SetRate(pim.SiteDPUDead, 0.05))
+		got, rep, err := RunVectorPolyMulModsSched(sched, a, b, n, 1, mods)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i := range wantM {
+			if got[i] != wantM[i] {
+				t.Fatalf("seed %d: pair %d coefficient %d = %d, want %d mod %d", seed, i/n, i%n, got[i], wantM[i], mods[i/n][0])
+			}
+		}
+		hit = sched.Sys.FaultStats().DeadDPUs == 1 && rep.Retried > 0 && rep.Resharded > 0
+	}
+	if !hit {
+		t.Fatal("mixed moduli: no seed in 1..63 produced one dead DPU with both a retry and a re-shard")
 	}
 }
 

@@ -1,7 +1,10 @@
 // Package kernels contains the DPU programs of the paper's §3: polynomial
 // (vector) addition and negacyclic polynomial multiplication over 32-, 64-
-// and 128-bit coefficients (and the 256-bit lift a PIM Mul's tensor
-// products run under), written against the pim simulator's tasklet API.
+// and 128-bit coefficients, written against the pim simulator's tasklet
+// API. A PIM Mul's tensor products run at 32 bits, as products of
+// residues modulo primes below 2³¹, one modulus per pair
+// (RunVectorPolyMulModsSched); the product kernel also takes up to 256-bit
+// coefficients, which only the benchmark's traced kernel row runs.
 // Each kernel is the direct analogue of the UPMEM C code the paper
 // describes: WRAM tiles staged by DMA, add/addc chains for wide addition,
 // schoolbook products (Karatsuba for 64- and 128-bit coefficients)
@@ -25,7 +28,8 @@
 //     work per pair for the values of a program that makes n²
 //     products. Only the tally at 4 limbs still forms each product,
 //     through limb32.Mul, because Karatsuba's carries there depend on
-//     the data.
+//     the data. At one limb each output is also reduced from its
+//     convolution words, with limb32.Mod's tally counted (modTally).
 //
 // The tasklet programs live in sum.go, kernels.go and nttkernel.go; the
 // host side is sched.go, where each Run*Sched driver is a shard plan
@@ -45,7 +49,8 @@ import (
 // PolyMulLayout describes one DPU's shard of a ciphertext vector
 // multiplication: Pairs polynomial pairs of degree N with W-limb
 // coefficients, W ≤ 8. Polynomial p's operands live at OffA+p·N·W and
-// OffB+p·N·W; the product goes to OffOut+p·N·W.
+// OffB+p·N·W; the product, reduced by the W-limb modulus Q[p], goes to
+// OffOut+p·N·W.
 type PolyMulLayout struct {
 	W      int
 	N      int
@@ -53,7 +58,7 @@ type PolyMulLayout struct {
 	OffA   int
 	OffB   int
 	OffOut int
-	Q      limb32.Nat
+	Q      []limb32.Nat
 }
 
 // VectorPolyMul returns the tasklet program computing, for every pair,
@@ -131,6 +136,7 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 		}
 		cw := convWords(w)
 		tally := productTally{w: w, prod: prod}
+		var mods modTally
 
 		for p := 0; p < l.Pairs; p++ {
 			offA := l.OffA + p*n*w
@@ -149,24 +155,81 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 				tally.tile(aTile[:cnt*w], bWin[:winLen*w], K)
 				ctx.ChargeInstr(int64(3 * K * cnt)) // per product: index arithmetic + wrap test + branch
 			}
-			c := conv[p*2*n*cw : (p+1)*2*n*cw]
-			for k := 0; k < K; k++ {
-				unpackLimbs(accPos[k*accW:(k+1)*accW], c[(k0+k)*cw:])
-				unpackLimbs(accNeg[k*accW:(k+1)*accW], c[(n+k0+k)*cw:])
+			c, q := conv[p*2*n*cw:(p+1)*2*n*cw], l.Q[p]
+			if w == 1 {
+				mods.setModulus(q[0])
 			}
-
-			// Reduce accumulators mod q and write the shard's outputs.
+			// Reduce the two sums of each output mod q and write the
+			// shard's outputs: at one limb straight from their words, at
+			// other widths from the accumulators they are unpacked into.
 			for k := 0; k < K; k++ {
-				pos, neg := accPos[k*accW:(k+1)*accW], accNeg[k*accW:(k+1)*accW]
-				limb32.Mod(rp, limb32.Nat(pos), l.Q, m)
-				limb32.Mod(rn, limb32.Nat(neg), l.Q, m)
-				limb32.SubMod(limb32.Nat(out[k*w:(k+1)*w]), rp, rn, l.Q, m)
+				if w == 1 {
+					rp[0] = mods.reduce(c[(k0+k)*cw:])
+					rn[0] = mods.reduce(c[(n+k0+k)*cw:])
+				} else {
+					pos, neg := accPos[k*accW:(k+1)*accW], accNeg[k*accW:(k+1)*accW]
+					unpackLimbs(pos, c[(k0+k)*cw:])
+					unpackLimbs(neg, c[(n+k0+k)*cw:])
+					limb32.Mod(rp, limb32.Nat(pos), q, m)
+					limb32.Mod(rn, limb32.Nat(neg), q, m)
+				}
+				limb32.SubMod(limb32.Nat(out[k*w:(k+1)*w]), rp, rn, q, m)
 			}
 			ctx.MRAMWrite(l.OffOut+p*n*w+k0*w, out[:K*w])
 		}
 		tally.charge(m)
+		mods.charge(m)
 		return nil
 	}
+}
+
+// A modTally reduces one-limb outputs' sums at word speed and counts
+// what limb32.Mod charges for them. Mod by a one-limb q compares one
+// limb (OpLogic) when the sum is below q, and otherwise divides the
+// sum's limbs one by one (OpMul32 and OpLoop per limb of its trimmed
+// length).
+type modTally struct {
+	q, m, r64    uint64 // the pair's modulus, ⌊2⁶⁴/q⌋ and 2⁶⁴ mod q
+	below, limbs int
+}
+
+// setModulus makes q the modulus of the reductions that follow.
+func (t *modTally) setModulus(q uint32) {
+	t.q = uint64(q)
+	t.m, t.r64 = bits.Div64(1, 0, t.q)
+}
+
+// reduce returns the sum in convolution words c[0:2], below 2⁹⁶, mod q
+// and counts its limb32.Mod.
+func (t *modTally) reduce(c []uint64) uint32 {
+	lo, hi := c[0], c[1]
+	if hi == 0 && lo < t.q {
+		t.below++
+		return uint32(lo)
+	}
+	l := bits.Len64(lo)
+	if hi != 0 {
+		l = 64 + bits.Len64(hi)
+	}
+	t.limbs += (l + 31) / 32
+	// The sum ≡ hi·(2⁶⁴ mod q) + lo; hi < 2³² keeps the product below
+	// 2⁶⁴, and a carry out of the sum folds back once. Barrett's
+	// quotient by ⌊2⁶⁴/q⌋ is at most one short.
+	y, c0 := bits.Add64(hi*t.r64, lo, 0)
+	y += c0 * t.r64
+	qh, _ := bits.Mul64(y, t.m)
+	r := y - qh*t.q
+	if r >= t.q {
+		r -= t.q
+	}
+	return uint32(r)
+}
+
+// charge charges m the counted reductions' tally.
+func (t *modTally) charge(m limb32.Meter) {
+	m.Tick(limb32.OpLogic, t.below)
+	m.Tick(limb32.OpMul32, t.limbs)
+	m.Tick(limb32.OpLoop, t.limbs)
 }
 
 // pairProducts returns every pair's exact plain product for the launch,

@@ -42,7 +42,7 @@ func modulusFor(t *testing.T, w int) *poly.Modulus {
 		s = "18014398509481951"
 	case 4:
 		s = "649037107316853453566312041152481"
-	case 8: // 2²⁵⁶ − 189, the lift modulus of a PIM Mul's tensor products
+	case 8: // 2²⁵⁶ − 189, the lift modulus of the benchmark's traced kernel row
 		s = "115792089237316195423570985008687907853269984665640564039457584007913129639747"
 	default:
 		t.Fatalf("no modulus for width %d", w)

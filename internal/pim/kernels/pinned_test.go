@@ -35,7 +35,8 @@ func TestSimulatedFiguresArePinned(t *testing.T) {
 		"polymul/w8": {limb32.Counts{196691, 499701, 192, 34086, 232988, 667952, 272536, 11010, 24388, 0, 301640}, 9473028, 43668, 9827136},
 		"ntt":        {limb32.Counts{6912, 0, 15360, 0, 25344, 0, 0, 22272, 16896, 0, 0}, 901632, 9036, 1652992},
 
-		// The operand shape a PIM Mul's tensor products run on.
+		// Centred 27-bit coefficients lifted to 2²⁵⁶−189, the shape a PIM
+		// Mul's tensor products ran on under the lift.
 		"polymul/w8-centered": {limb32.Counts{114258, 315475, 192, 28758, 144636, 413469, 172621, 9306, 22790, 0, 214464}, 5928901, 43668, 7259516},
 		// The same at 54 and 109 bits, and with a's rows on the band
 		// rowRipple leaves undecided against a negative b.
@@ -59,7 +60,9 @@ func TestSimulatedFiguresArePinned(t *testing.T) {
 	}
 
 	topo := pimsched.Topology{Ranks: 2, DPUsPerRank: 4}
-	// Width 8 is the 256-bit lift modulus a PIM Mul's tensor products run under.
+	// Width 8 is the 256-bit lift modulus of the benchmark's traced kernel
+	// row (a PIM Mul's tensor ran under it before it became one-limb
+	// residue products).
 	for _, w := range []int{1, 2, 4, 8} {
 		mod := modulusFor(t, w)
 		rng := rand.New(rand.NewSource(int64(1500 + w)))
@@ -73,9 +76,9 @@ func TestSimulatedFiguresArePinned(t *testing.T) {
 		check(fmt.Sprintf("polymul/w%d", w), rep, err)
 	}
 
-	// A PIM Mul lifts centered coefficients: a positive one has zero
-	// high limbs (skipped schoolbook rows), a negative one is 2²⁵⁶−189
-	// minus a small value. Uniform 256-bit operands never reach the
+	// Centered coefficients lifted to 2²⁵⁶−189, as a PIM Mul's tensor
+	// once ran them: a positive one has zero high limbs (skipped
+	// schoolbook rows), a negative one is 2²⁵⁶−189 minus a small value. Uniform 256-bit operands never reach the
 	// skipped-row path. At 27 and 54 bits both lifts' σ fit a word; at
 	// 109 bits they do not, and b's top word is still 0 or 2⁶⁴−1.
 	lift := modulusFor(t, 8)

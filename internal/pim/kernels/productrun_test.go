@@ -422,6 +422,41 @@ func TestRowRippleThresholds(t *testing.T) {
 	}
 }
 
+// TestModTallyMatchesLimb32 holds the one-limb reduction of a product
+// coefficient's sum to limb32.Mod on the three-limb accumulator it
+// replaces — the remainder and the tally — for sums below, at and
+// above q, at every trimmed length, at 2⁹⁶ − 1 (whose fold of the top
+// word carries out of 64 bits) and at random, by moduli from 2 to
+// 2³² − 1.
+func TestModTallyMatchesLimb32(t *testing.T) {
+	rng := rand.New(rand.NewSource(5103))
+	for _, q := range []uint32{2, 3, 134217689, 2147483647, 4294967291, 1<<32 - 1} {
+		q64 := uint64(q)
+		vals := [][2]uint64{
+			{0, 0}, {q64 - 1, 0}, {q64, 0}, {q64 + 1, 0}, {1 << 32, 0}, {1<<64 - 1, 0},
+			{0, 1}, {1<<64 - 1, 1<<32 - 1}, {q64 - 1, q64 - 1}, {-q64, 1<<32 - 1},
+		}
+		for range 200 {
+			vals = append(vals, [2]uint64{rng.Uint64(), rng.Uint64() >> (32 + rng.Intn(33))})
+		}
+		var tally modTally
+		tally.setModulus(q)
+		var got, want limb32.Counts
+		for _, v := range vals {
+			acc := limb32.Nat{uint32(v[0]), uint32(v[0] >> 32), uint32(v[1])}
+			rem := make(limb32.Nat, 1)
+			limb32.Mod(rem, acc, limb32.Nat{q}, &want)
+			if r := tally.reduce(v[:]); r != rem[0] {
+				t.Fatalf("q=%d: %#x·2^64 + %#x reduces to %d, limb32.Mod %d", q, v[1], v[0], r, rem[0])
+			}
+		}
+		tally.charge(&got)
+		if got != want {
+			t.Errorf("q=%d: tally %v, limb32.Mod charges %v", q, got, want)
+		}
+	}
+}
+
 // refVectorPolyMul is the per-product program VectorPolyMul simulates:
 // every product through limb32.Mul (MulSchoolbook at W = 8) and
 // accumAdd into the WRAM accumulators, at every width. Its DMAs, WRAM
@@ -476,9 +511,9 @@ func refVectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 				ctx.ChargeInstr(int64(3 * K * cnt))
 			}
 			for k := 0; k < K; k++ {
-				limb32.Mod(rp, limb32.Nat(accPos[k*accW:(k+1)*accW]), l.Q, m)
-				limb32.Mod(rn, limb32.Nat(accNeg[k*accW:(k+1)*accW]), l.Q, m)
-				limb32.SubMod(limb32.Nat(out[k*w:(k+1)*w]), rp, rn, l.Q, m)
+				limb32.Mod(rp, limb32.Nat(accPos[k*accW:(k+1)*accW]), l.Q[p], m)
+				limb32.Mod(rn, limb32.Nat(accNeg[k*accW:(k+1)*accW]), l.Q[p], m)
+				limb32.SubMod(limb32.Nat(out[k*w:(k+1)*w]), rp, rn, l.Q[p], m)
 			}
 			ctx.MRAMWrite(l.OffOut+p*n*w+k0*w, out[:K*w])
 		}
@@ -567,7 +602,9 @@ func polyMulOperands(t *testing.T, rng *rand.Rand, w, count int) map[string][2][
 // 1, 3, 16 and 24 tasklets (some owning no outputs, or a share K that
 // does not divide n), n = 16, 64 and 256, and on random and
 // adversarial operands. Three pairs on two DPUs: one DPU runs two pairs
-// in one launch.
+// in one launch. At one limb the pairs also run with a modulus each —
+// the residue products of a PIM Mul's tensor — so a DPU's launch
+// reduces its two pairs by different primes.
 func TestPolyMulMatchesPerProductKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(4701))
 	ns := []int{16, 64, 256}
@@ -576,33 +613,43 @@ func TestPolyMulMatchesPerProductKernel(t *testing.T) {
 	}
 	const pairs = 3
 	topo := pimsched.FitTopology(2)
+	type moduli struct {
+		name string
+		mods []limb32.Nat
+	}
 	for _, w := range []int{1, 2, 4, 8} {
 		q := modulusFor(t, w).Q
+		sets := []moduli{{"", slices.Repeat([]limb32.Nat{q}, pairs)}}
+		if w == 1 {
+			sets = append(sets, moduli{" a modulus per pair", []limb32.Nat{{2147483647}, q, {2147483587}}})
+		}
 		for _, n := range ns {
 			for name, ops := range polyMulOperands(t, rng, w, pairs*n) {
-				for _, tasklets := range []int{1, 3, 16, 24} {
-					label := fmt.Sprintf("w%d n=%d %s tasklets=%d", w, n, name, tasklets)
-					got, rep, err := RunVectorPolyMulSched(testSched(t, topo, tasklets), ops[0], ops[1], n, w, q)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					want, ref, err := runPlan(testSched(t, topo, tasklets), [][]uint32{ops[0], ops[1]}, n*w, func(cnt int) pim.KernelFunc {
-						words := cnt * n * w
-						return refVectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: cnt, OffA: 0, OffB: words, OffOut: 2 * words, Q: q})
-					})
-					if err != nil {
-						t.Fatalf("%s: reference: %v", label, err)
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s: limb %d = %#x, per-product kernel %#x", label, i, got[i], want[i])
+				for _, set := range sets {
+					for _, tasklets := range []int{1, 3, 16, 24} {
+						label := fmt.Sprintf("w%d n=%d %s%s tasklets=%d", w, n, name, set.name, tasklets)
+						got, rep, err := RunVectorPolyMulModsSched(testSched(t, topo, tasklets), ops[0], ops[1], n, w, set.mods)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
 						}
-					}
-					if rep.Counts != ref.Counts || rep.TotalInstr != ref.TotalInstr ||
-						rep.TotalDMACycles != ref.TotalDMACycles || rep.KernelCycles != ref.KernelCycles {
-						t.Fatalf("%s: counts %v instr/dma/cycles %d/%d/%d, per-product kernel %v %d/%d/%d", label,
-							rep.Counts, rep.TotalInstr, rep.TotalDMACycles, rep.KernelCycles,
-							ref.Counts, ref.TotalInstr, ref.TotalDMACycles, ref.KernelCycles)
+						want, ref, err := runPlan(testSched(t, topo, tasklets), [][]uint32{ops[0], ops[1]}, n*w, func(first, cnt int) pim.KernelFunc {
+							words := cnt * n * w
+							return refVectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: cnt, OffA: 0, OffB: words, OffOut: 2 * words, Q: set.mods[first : first+cnt]})
+						})
+						if err != nil {
+							t.Fatalf("%s: reference: %v", label, err)
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s: limb %d = %#x, per-product kernel %#x", label, i, got[i], want[i])
+							}
+						}
+						if rep.Counts != ref.Counts || rep.TotalInstr != ref.TotalInstr ||
+							rep.TotalDMACycles != ref.TotalDMACycles || rep.KernelCycles != ref.KernelCycles {
+							t.Fatalf("%s: counts %v instr/dma/cycles %d/%d/%d, per-product kernel %v %d/%d/%d", label,
+								rep.Counts, rep.TotalInstr, rep.TotalDMACycles, rep.KernelCycles,
+								ref.Counts, ref.TotalInstr, ref.TotalDMACycles, ref.KernelCycles)
+						}
 					}
 				}
 			}
@@ -626,7 +673,7 @@ func TestVectorPolyMulReadsItsMRAMEachLaunch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kernel := VectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: pairs, OffA: 0, OffB: words, OffOut: 2 * words, Q: mod.Q})
+		kernel := VectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: pairs, OffA: 0, OffB: words, OffOut: 2 * words, Q: slices.Repeat([]limb32.Nat{mod.Q}, pairs)})
 		for launch := 0; launch < 2; launch++ {
 			a, b := randVec(rng, pairs*n, mod), randVec(rng, pairs*n, mod)
 			if err := sys.CopyToDPU(0, 0, append(append([]uint32(nil), a...), b...)); err != nil {

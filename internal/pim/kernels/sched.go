@@ -3,6 +3,7 @@ package kernels
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/limb32"
 	"repro/internal/pim"
@@ -21,9 +22,9 @@ import (
 // target DPU and runs them into a fresh output of the same length.
 // Every kernel shares the scheduler's per-DPU MRAM layout: input v at
 // v·words, the output at len(ins)·words, where words is the shard's
-// range length; kernel builds the tasklet program for a shard of cnt
-// units.
-func runPlan(sched *pimsched.Scheduler, ins [][]uint32, unitWords int, kernel func(cnt int) pim.KernelFunc) ([]uint32, *pimsched.Report, error) {
+// range length; kernel builds the tasklet program for a shard of the cnt
+// units from unit first on.
+func runPlan(sched *pimsched.Scheduler, ins [][]uint32, unitWords int, kernel func(first, cnt int) pim.KernelFunc) ([]uint32, *pimsched.Report, error) {
 	out := make([]uint32, len(ins[0]))
 	units := len(out) / unitWords
 	shards := make([]pimsched.Shard, sched.TargetShards(units))
@@ -31,7 +32,7 @@ func runPlan(sched *pimsched.Scheduler, ins [][]uint32, unitWords int, kernel fu
 		s, e := pim.Partition(units, len(shards), i)
 		shards[i] = pimsched.Shard{Lo: s * unitWords, Hi: e * unitWords}
 		if e > s {
-			shards[i].Kernel = kernel(e - s)
+			shards[i].Kernel = kernel(s, e-s)
 		}
 	}
 	rep, err := sched.Run(ins, out, shards)
@@ -48,10 +49,18 @@ func RunVectorAddSched(sched *pimsched.Scheduler, a, b []uint32, w int, q limb32
 }
 
 // RunVectorPolyMulSched computes, for every polynomial pair p, the
-// negacyclic product a_p·b_p in R_q. a and b hold concatenated
-// polynomials of n coefficients × w limbs, 1 ≤ w ≤ 8; pairs are the
-// work unit.
+// negacyclic product a_p·b_p in R_q: RunVectorPolyMulModsSched with q
+// for every pair.
 func RunVectorPolyMulSched(sched *pimsched.Scheduler, a, b []uint32, n, w int, q limb32.Nat) ([]uint32, *pimsched.Report, error) {
+	return RunVectorPolyMulModsSched(sched, a, b, n, w, slices.Repeat([]limb32.Nat{q}, len(a)/max(1, n*w)))
+}
+
+// RunVectorPolyMulModsSched computes, for every polynomial pair p, the
+// negacyclic product a_p·b_p mod (Xⁿ+1, mods[p]). a and b hold
+// concatenated polynomials of n coefficients × w limbs, 1 ≤ w ≤ 8, and
+// each modulus has w limbs; pairs are the work unit, and a shard's
+// program reduces each of its pairs by that pair's own modulus.
+func RunVectorPolyMulModsSched(sched *pimsched.Scheduler, a, b []uint32, n, w int, mods []limb32.Nat) ([]uint32, *pimsched.Report, error) {
 	if len(a) != len(b) {
 		return nil, nil, errors.New("kernels: operand length mismatch")
 	}
@@ -59,12 +68,15 @@ func RunVectorPolyMulSched(sched *pimsched.Scheduler, a, b []uint32, n, w int, q
 		return nil, nil, fmt.Errorf("kernels: no product kernel for %d-limb coefficients", w)
 	}
 	polyWords := n * w
-	if polyWords == 0 || len(a)%polyWords != 0 {
+	if polyWords <= 0 || len(a)%polyWords != 0 {
 		return nil, nil, fmt.Errorf("kernels: vector length %d not a multiple of poly size %d", len(a), polyWords)
 	}
-	return runPlan(sched, [][]uint32{a, b}, polyWords, func(cnt int) pim.KernelFunc {
+	if len(mods) != len(a)/polyWords {
+		return nil, nil, fmt.Errorf("kernels: %d moduli for %d polynomial pairs", len(mods), len(a)/polyWords)
+	}
+	return runPlan(sched, [][]uint32{a, b}, polyWords, func(first, cnt int) pim.KernelFunc {
 		words := cnt * polyWords
-		return VectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: cnt, OffA: 0, OffB: words, OffOut: 2 * words, Q: q})
+		return VectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: cnt, OffA: 0, OffB: words, OffOut: 2 * words, Q: mods[first : first+cnt]})
 	})
 }
 
@@ -85,7 +97,7 @@ func RunVectorSumSched(sched *pimsched.Scheduler, vecs [][]uint32, w int, q limb
 		return nil, nil, errors.New("kernels: vector length not a multiple of the limb width")
 	}
 	M := len(vecs)
-	return runPlan(sched, vecs, w, func(cnt int) pim.KernelFunc {
+	return runPlan(sched, vecs, w, func(_, cnt int) pim.KernelFunc {
 		return VectorSum(VecSumLayout{W: w, Coeffs: cnt, M: M, OffIn: 0, OffOut: M * cnt * w, Q: q})
 	})
 }
@@ -97,7 +109,7 @@ func RunNTTPolyMulSched(sched *pimsched.Scheduler, p *NTTPlan, a, b []uint32) ([
 	if len(a) != len(b) || len(a)%n != 0 {
 		return nil, nil, errors.New("kernels: NTT operand shape mismatch")
 	}
-	return runPlan(sched, [][]uint32{a, b}, n, func(cnt int) pim.KernelFunc {
+	return runPlan(sched, [][]uint32{a, b}, n, func(_, cnt int) pim.KernelFunc {
 		words := cnt * n
 		return NTTPolyMul(NTTMulLayout{Plan: p, Pairs: cnt, OffA: 0, OffB: words, OffOut: 2 * words})
 	})

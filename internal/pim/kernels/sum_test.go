@@ -248,7 +248,7 @@ func TestVectorSumMatchesPerTaskletKernel(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						want, ref, err := runPlan(testSched(t, topo, tasklets), vecs, w, func(cnt int) pim.KernelFunc {
+						want, ref, err := runPlan(testSched(t, topo, tasklets), vecs, w, func(_, cnt int) pim.KernelFunc {
 							if cnt != coeffs {
 								t.Fatalf("%s: shard of %d coefficients", label, cnt)
 							}

@@ -216,18 +216,6 @@ func MulNegacyclic(dst, a, b *Poly, mod *Modulus) {
 	}
 }
 
-// FromBigCoeffs builds a polynomial from arbitrary big-integer
-// coefficients, reducing each mod q.
-func FromBigCoeffs(coeffs []*big.Int, mod *Modulus) *Poly {
-	p := NewPoly(len(coeffs), mod.W)
-	t := new(big.Int)
-	for i, c := range coeffs {
-		t.Mod(c, mod.QBig)
-		p.Coeff(i).Set(limb32.FromBig(t, mod.W))
-	}
-	return p
-}
-
 // ToBigCoeffs returns the canonical representatives in [0, q).
 func (p *Poly) ToBigCoeffs() []*big.Int {
 	out := make([]*big.Int, p.N)

@@ -258,7 +258,7 @@ func naiveNegacyclicZ(a, b []*big.Int) []*big.Int {
 
 // naiveNegacyclic reduces naiveNegacyclicZ's sum mod q.
 func naiveNegacyclic(a, b *Poly, mod *Modulus) *Poly {
-	return FromBigCoeffs(naiveNegacyclicZ(a.ToBigCoeffs(), b.ToBigCoeffs()), mod)
+	return fromBigCoeffs(naiveNegacyclicZ(a.ToBigCoeffs(), b.ToBigCoeffs()), mod)
 }
 
 // TestMulNegacyclicMatchesNaive holds MulNegacyclic to the pairwise loop
@@ -307,7 +307,7 @@ func TestMulNegacyclicMatchesNaive(t *testing.T) {
 				{"x^(n-1)", fill(monomial(n - 1)), fill(monomial(n - 1))},
 				{"random", fill(random), fill(random)},
 			} {
-				a, b := FromBigCoeffs(row.a, mod), FromBigCoeffs(row.b, mod)
+				a, b := fromBigCoeffs(row.a, mod), fromBigCoeffs(row.b, mod)
 				got := NewPoly(n, mod.W)
 				MulNegacyclic(got, a, b, mod)
 				if !got.Equal(naiveNegacyclic(a, b, mod)) {
@@ -434,7 +434,7 @@ func TestCenteredCoeffs(t *testing.T) {
 	for i, v := range want {
 		coeffs[i] = big.NewInt(v)
 	}
-	p := FromBigCoeffs(coeffs, mod)
+	p := fromBigCoeffs(coeffs, mod)
 	got := p.ToCenteredCoeffs(mod)
 	for i := range want {
 		if got[i].Int64() != want[i] {
@@ -482,7 +482,7 @@ func TestFromBigRoundTrip(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = new(big.Int).Rand(rng, mod.QBig)
 	}
-	p := FromBigCoeffs(coeffs, mod)
+	p := fromBigCoeffs(coeffs, mod)
 	back := p.ToBigCoeffs()
 	for i := range coeffs {
 		if back[i].Cmp(coeffs[i]) != 0 {
@@ -523,4 +523,14 @@ func BenchmarkMulNegacyclic109(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MulNegacyclic(dst, x, y, q)
 	}
+}
+
+// fromBigCoeffs builds a polynomial from arbitrary big-integer
+// coefficients, reducing each mod q.
+func fromBigCoeffs(coeffs []*big.Int, mod *Modulus) *Poly {
+	p := NewPoly(len(coeffs), mod.W)
+	for i, c := range coeffs {
+		p.Coeff(i).SetBig(new(big.Int).Mod(c, mod.QBig))
+	}
+	return p
 }

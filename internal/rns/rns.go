@@ -3,7 +3,11 @@
 // represented by residues modulo word-sized NTT-friendly primes, so all
 // arithmetic happens on independent uint64 channels (HORNS/SEAL style,
 // paper refs [97], [79]). A Basis carries the constants of the fast base
-// conversion out of it; Recombine is the big.Int CRT reference.
+// conversion out of it; Recombine is the big.Int CRT reference. A Rounder
+// is the PIM server's basis: primes below 2³¹, one DPU word each, over
+// which a Mul's tensor runs, with the exact CRT and t/q rounding back to
+// R_q (RNS in BFV after Bajard, Eynard, Hasan and Zucca, SAC 2016, with
+// the CRT exact rather than approximate).
 package rns
 
 import (

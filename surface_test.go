@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -57,7 +58,7 @@ var fieldAllowlist = map[string]string{
 // when it satisfies an interface method for its type. staticcheck's
 // unused check reports unexported code only, which is why this exists.
 func TestInternalExportsHaveNonTestCallers(t *testing.T) {
-	u, err := loadSurface(".")
+	u, err := moduleSurface()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestInternalExportsHaveNonTestCallers(t *testing.T) {
 // keyed or positional composite-literal element, or taking the field's
 // address.
 func TestInternalFieldsHaveNonTestWriters(t *testing.T) {
-	u, err := loadSurface(".")
+	u, err := moduleSurface()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +129,10 @@ func TestInternalFieldsHaveNonTestWriters(t *testing.T) {
 		t.Errorf("%s has no non-test writer: delete it, or make it a constant", f)
 	}
 }
+
+// moduleSurface type-checks the module once for both surface tests:
+// a load takes seconds, and nothing reads a surface but to query it.
+var moduleSurface = sync.OnceValues(func() (*surface, error) { return loadSurface(".") })
 
 type surfaceDecl struct {
 	fn  *types.Func
