@@ -111,8 +111,9 @@
 // internal/poly's tests, and so is the PIM product kernel, which at
 // every width computes each pair's accumulators as one exact
 // convolution and charges limb32.Mul + accumAdd's tally from counts
-// (pim/kernels convolve and productTally; only at 4 limbs does the
-// tally still form each product, for Karatsuba's carries):
+// (pim/kernels convolve and productTally; at 4 and 8 limbs the tally
+// still forms each product, for the carries of Karatsuba and of the
+// schoolbook rows):
 // TestProductRunsMatchLimb32 holds the tally to limb32 product by
 // product on every zero-limb pattern and on prefix products either side
 // of each schoolbook row's ripple boundary, and

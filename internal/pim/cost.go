@@ -33,18 +33,17 @@
 // Host cost per simulated product. The schoolbook product kernel
 // (pim/kernels VectorPolyMul) dominates the simulator's host time. Its
 // values are one exact convolution per pair at every width, and its
-// tally comes from counts: a constant per product at 32 and 64 bits,
-// and at 256 bits (a width only the benchmark's traced kernel row runs)
-// counts over each a-coefficient's limbs; at 32 bits each output's
-// reduction is read off its convolution words as well. A relinearized
-// Mul runs its tensor at 32 bits, as products of residues modulo 3, 4
-// or 8 primes below 2³¹ (27-, 54- and 109-bit q), and its key switch at
-// q's width. On a 2-core 2.1 GHz Xeon one relinearized 27-bit n = 1024
-// Mul takes ≈ 4.5–8 ms of host time and a 54-bit n = 2048 one
-// ≈ 12–16 ms. Only the 128-bit tally still forms each product, through
-// limb32.Mul, for its carries: ≈ 90 ns per product, so a 109-bit
-// n = 4096 Mul takes ≈ 6 s, nearly all of it in its 134 M key-switch
-// products.
+// tally at 32 and 64 bits is a constant per product times the count; at
+// 32 bits each output's reduction is read off its convolution words as
+// well. A relinearized Mul runs its tensor at 32 bits, as products of
+// residues modulo 3, 4 or 8 primes below 2³¹ (27-, 54- and 109-bit q),
+// and its key switch at q's width. On a 2-core 2.1 GHz Xeon one
+// relinearized 27-bit n = 1024 Mul takes ≈ 4.5–8 ms of host time and a
+// 54-bit n = 2048 one ≈ 12–16 ms. The 128- and 256-bit tallies still
+// form each product, through limb32.Mul, for its carries: ≈ 90 ns per
+// 128-bit product, so a 109-bit n = 4096 Mul takes ≈ 6 s, nearly all of
+// it in its 134 M key-switch products. No Mul or figure runs 256 bits;
+// only the benchmark's traced kernel row does.
 //
 // WRAM is an arena with a checked capacity. Kernels take their scratch
 // from TaskletCtx.WRAM, sized to the data they own, and a request past

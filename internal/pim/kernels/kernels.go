@@ -26,10 +26,11 @@
 //     as an exact convolution (conv.go) and each tasklet's tally from
 //     counts over the words it DMA'd (productTally): O(n log n) host
 //     work per pair for the values of a program that makes n²
-//     products. Only the tally at 4 limbs still forms each product,
-//     through limb32.Mul, because Karatsuba's carries there depend on
-//     the data. At one limb each output is also reduced from its
-//     convolution words, with limb32.Mod's tally counted (modTally).
+//     products. The tally at 4 and 8 limbs still forms each product,
+//     through limb32.Mul, because the carries of Karatsuba and of the
+//     schoolbook rows there depend on the data. At one limb each output
+//     is also reduced from its convolution words, with limb32.Mod's
+//     tally counted (modTally).
 //
 // The tasklet programs live in sum.go, kernels.go and nttkernel.go; the
 // host side is sched.go, where each Run*Sched driver is a shard plan
@@ -39,7 +40,6 @@ package kernels
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/limb32"
@@ -268,26 +268,15 @@ func unpackLimbs(acc []uint32, c []uint64) {
 // total once; a tally is order-free, so this changes no figure.
 // accumAdd's 2W-limb addc chain is the same for every product, and so
 // is limb32.Mul's tally at W = 1 (one multiply) and W = 2 (karatsuba2,
-// straight-line code): one product's tally times the product count.
-//
-// At W = 8 limb32.Mul is limb32.MulSchoolbook, whose tally is fixed per
-// product by a's nonzero limbs (its rows: a zero limb's row is skipped)
-// plus a load, an addc and a store for each row that ripples a carry
-// past its end. Row r of a·b ripples exactly when the prefix product
-// A_r·b, A_r = a mod 2^(32(r+1)), reaches 2^(32(r+8)): before row r the
-// running product is below that, so the row's carry out is exactly limb
-// r+8 of the product after it, which takes it without carrying on.
-//
-// At any other width — W = 4, where karatsuba4's carries and the
-// ripples of its addAt/subAt chains depend on the data — the tally
-// forms each product with limb32.Mul into prod, for its tally alone.
+// straight-line code): one product's tally times the product count. At
+// W = 4 and 8, where karatsuba4's carries and MulSchoolbook's skipped
+// rows and carries depend on the data, the tally forms each product
+// with limb32.Mul into prod, for its tally alone.
 type productTally struct {
 	w        int
 	prod     limb32.Nat    // 2W limbs of scratch for the products formed to be counted
 	products int           // products made
-	mul      limb32.Counts // limb32.Mul's tally of the products formed (W ∉ {1, 2, 8})
-	rows     int           // Σ over the products of a's nonzero limbs (W = 8)
-	ripples  int           // Σ over the products of the rows that ripple (W = 8)
+	mul      limb32.Counts // limb32.Mul's tally of the products formed (W ∉ {1, 2})
 }
 
 // tile counts the products of one tile: each coefficient of aTile — a_i,
@@ -297,188 +286,37 @@ func (t *productTally) tile(aTile, bWin []uint32, K int) {
 	w := t.w
 	cnt := len(aTile) / w
 	t.products += cnt * K
-	switch w {
-	case 1, 2: // charge scales one product's tally
-	case 8:
-		t.tile8(aTile, bWin, K)
-	default:
-		for s := 0; s < cnt; s++ {
-			a := aTile[w*(cnt-1-s) : w*(cnt-s)]
-			for j := s; j < s+K; j++ {
-				limb32.Mul(t.prod, a, bWin[w*j:w*(j+1)], &t.mul)
-			}
-		}
-	}
-}
-
-// tile8 counts the rows and ripples of a tile's 8-limb products. A
-// product's ripples are read off b's top word b₃: a b with b₃ = 0 is
-// below 2¹⁹² and never ripples (A_r·b < 2^(32r+224)), and against
-// b₃ = 2⁶⁴−1 rowRipple decides each of a's rows once, for every such b
-// in the window at once. Sliding the window one slot per a keeps that
-// count in step. Every lifted centred coefficient has b₃ = 0 or
-// 2⁶⁴−1; only a product with any other b₃, or with a row rowRipple
-// leaves undecided, is counted on its own (ripples8).
-func (t *productTally) tile8(aTile, bWin []uint32, K int) {
-	cnt := len(aTile) / 8
-	// class reports whether window slot s has b₃ = 2⁶⁴−1, or b₃ ∉ {0, 2⁶⁴−1}.
-	class := func(s int) (ones, other int) {
-		switch uint64(bWin[8*s+6]) | uint64(bWin[8*s+7])<<32 {
-		case 0:
-			return 0, 0
-		case math.MaxUint64:
-			return 1, 0
-		}
-		return 0, 1
-	}
-	ones, others := 0, 0
-	for s := 0; s < K; s++ {
-		o, x := class(s)
-		ones, others = ones+o, others+x
+	if w <= 2 {
+		return // charge scales one product's tally
 	}
 	for s := 0; s < cnt; s++ {
-		if s > 0 {
-			o, x := class(s - 1)
-			ones, others = ones-o, others-x
-			o, x = class(s + K - 1)
-			ones, others = ones+o, others+x
-		}
-		a := aTile[8*(cnt-1-s) : 8*(cnt-s)]
-		rows, rip, undecided := rowsOf(a)
-		t.rows += K * rows
-		if others == 0 && !undecided {
-			t.ripples += ones * rip
-			continue
-		}
+		a := aTile[w*(cnt-1-s) : w*(cnt-s)]
 		for j := s; j < s+K; j++ {
-			switch o, x := class(j); {
-			case o == 1 && !undecided:
-				t.ripples += rip
-			case o == 1 || x == 1:
-				t.ripples += ripples8(a, bWin[8*j:8*j+8])
-			}
+			limb32.Mul(t.prod, a, bWin[w*j:w*(j+1)], &t.mul)
 		}
 	}
 }
 
 // charge charges m the tally of every product counted: limb32.Mul's —
-// one product's times the count at W = 1 and 2, MulSchoolbook's rows,
-// steps and ripples at W = 8, the formed products' otherwise — and
-// accumAdd's 2W loads, 2W+1 addc (the last into the accumulator's top
-// limb), 2W stores and 2W loop trips for each.
+// one product's times the count at W = 1 and 2, the formed products'
+// otherwise — and accumAdd's 2W loads, 2W+1 addc (the last into the
+// accumulator's top limb), 2W stores and 2W loop trips for each.
 func (t *productTally) charge(m limb32.Meter) {
 	c, w := t.products, t.w
-	switch w {
-	case 1, 2:
+	if w <= 2 {
 		var zero [2]uint32
 		var one limb32.Counts
 		limb32.Mul(t.prod, zero[:w], zero[:w], &one)
 		for op, v := range one {
 			m.Tick(limb32.Op(op), c*int(v))
 		}
-	case 8:
-		rows, rip := t.rows, t.ripples
-		skipped, steps := 8*c-rows, 8*rows
-		m.Tick(limb32.OpLoad, skipped+3*steps+rip)
-		m.Tick(limb32.OpMul32, steps)
-		m.Tick(limb32.OpAdd, steps)
-		m.Tick(limb32.OpAddC, 2*steps+rip)
-		m.Tick(limb32.OpStore, steps+rip)
-		m.Tick(limb32.OpLoop, skipped+steps+rows)
-	default:
+	} else {
 		m.Add(&t.mul)
 	}
 	m.Tick(limb32.OpLoad, 2*w*c)
 	m.Tick(limb32.OpAddC, (2*w+1)*c)
 	m.Tick(limb32.OpStore, 2*w*c)
 	m.Tick(limb32.OpLoop, 2*w*c)
-}
-
-// rowsOf returns the 8-limb a's nonzero limbs — its schoolbook rows —
-// and, against a b whose top word is 2⁶⁴−1, how many of them rowRipple
-// says ripple and whether it leaves any undecided.
-func rowsOf(a []uint32) (rows, ripples int, undecided bool) {
-	var prev uint64
-	for _, ar := range a[:8] {
-		if ar != 0 {
-			rows++
-			rip, sure := rowRipple(uint64(ar)<<32|prev, math.MaxUint64)
-			if rip {
-				ripples++
-			}
-			undecided = undecided || !sure
-		}
-		prev = uint64(ar)
-	}
-	return rows, ripples, undecided
-}
-
-// ripples8 returns how many rows of the 8-limb product a·b ripple:
-// rowRipple decides each row from b's top word where it can, and a
-// product with a row it leaves undecided is formed limb by limb, as
-// MulSchoolbook forms it.
-func ripples8(a, b []uint32) int {
-	b3 := uint64(b[6]) | uint64(b[7])<<32
-	n := 0
-	var prev uint64
-	for _, ar := range a[:8] {
-		if ar != 0 {
-			rip, sure := rowRipple(uint64(ar)<<32|prev, b3)
-			if !sure {
-				return walkRipples8(a, b)
-			}
-			if rip {
-				n++
-			}
-		}
-		prev = uint64(ar)
-	}
-	return n
-}
-
-// walkRipples8 forms a·b row by row and counts the rows whose carry out
-// is nonzero.
-func walkRipples8(a, b []uint32) int {
-	var d [16]uint32
-	n := 0
-	for r, ar := range a[:8] {
-		if ar == 0 {
-			continue
-		}
-		var c uint64
-		for j, bj := range b[:8] {
-			s := uint64(d[r+j]) + uint64(ar)*uint64(bj) + c
-			d[r+j], c = uint32(s), s>>32
-		}
-		d[r+8] = uint32(c) // limb r+8 was zero: the prefix product is below 2^(32(r+8))
-		if c != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// rowRipple decides whether schoolbook row r of a·b ripples, from
-// h = ⌊A_r / 2^(32r−32)⌋ = a_r·2³² + a_(r−1) (a_(−1) = 0; 2³² ≤ h < 2⁶⁴
-// for a nonzero a_r) and b's top word b₃. A_r lies in
-// [h, h+1)·2^(32r−32) and b in [b₃, b₃+1)·2¹⁹², so the row ripples
-// when b₃ > ⌊(2⁹⁶−1)/h⌋, i.e. b₃·h ≥ 2⁹⁶, and cannot when
-// b₃ < ⌊2⁹⁶/(h+1)⌋, i.e. (b₃+1)(h+1) ≤ 2⁹⁶. Between the two thresholds
-// b's lower words decide, and sure is false.
-func rowRipple(h, b3 uint64) (ripples, sure bool) {
-	hi, lo := bits.Mul64(b3, h)
-	if hi >= 1<<32 {
-		return true, true
-	}
-	// (b₃+1)(h+1) = b₃h + b₃ + h + 1, below 2⁹⁶ + 2⁶⁶ here.
-	var c uint64
-	lo, c = bits.Add64(lo, b3, 0)
-	hi += c
-	lo, c = bits.Add64(lo, h, 0)
-	hi += c
-	lo, c = bits.Add64(lo, 1, 0)
-	hi += c
-	return false, hi < 1<<32 || hi == 1<<32 && lo == 0
 }
 
 // readWindow reads winLen coefficients of width w starting at circular

@@ -194,14 +194,14 @@ func TestVectorPolyMulBitExactAllWidths(t *testing.T) {
 }
 
 // TestVectorPolyMulW8MixedPaths runs the W = 8 kernel on several DPUs
-// at once, GOMAXPROCS ≥ 2, with every output fed both products of
-// operands whose σ fits a signed word and products of operands whose σ
-// does not: even coefficients of a and all of b but every fourth are
-// lifted centred values, ±(2⁶³ − 1) or −2⁶³, the rest 2²⁵⁵ or random
-// residues, so the convolution's terms are sized by the widest and the
-// tally counts some products from b's top word and some one at a time.
-// Each DPU multiplies two pairs, twice. It runs under -short, so the
-// race detector sees the launch words of DPUs simulated side by side.
+// at once, GOMAXPROCS ≥ 2, with every output fed both products of short
+// operands and products of operands of up to 256 bits: even
+// coefficients of a and all of b but every fourth are small values,
+// 2⁶³ − 1 or lifted centred values and 2²⁵⁶ − 2⁶³ near the top, the rest
+// 2²⁵⁵ or random residues, so the convolution's primes are sized by the
+// widest. Each DPU multiplies two pairs, twice. It runs under -short,
+// so the race detector sees the launch words of DPUs simulated side by
+// side.
 func TestVectorPolyMulW8MixedPaths(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	rng := rand.New(rand.NewSource(4403))
@@ -222,8 +222,8 @@ func TestVectorPolyMulW8MixedPaths(t *testing.T) {
 		}
 		return limbs(v, 8)
 	}
-	// Output k gets a row-walk product from every odd i, and a
-	// signed-word one from the even i whose k − i is not 3 mod 4.
+	// Output k gets a product of a full-width a from every odd i, and
+	// one of the listed values from the even i whose k − i is not 3 mod 4.
 	var a, b []uint32
 	for i := 0; i < pairs*n; i++ {
 		a = append(a, coeff(i%2 == 0)...)

@@ -38,8 +38,8 @@ func TestSimulatedFiguresArePinned(t *testing.T) {
 		// Centred 27-bit coefficients lifted to 2²⁵⁶−189, the shape a PIM
 		// Mul's tensor products ran on under the lift.
 		"polymul/w8-centered": {limb32.Counts{114258, 315475, 192, 28758, 144636, 413469, 172621, 9306, 22790, 0, 214464}, 5928901, 43668, 7259516},
-		// The same at 54 and 109 bits, and with a's rows on the band
-		// rowRipple leaves undecided against a negative b.
+		// The same at 54 and 109 bits, and with a's schoolbook rows on
+		// the band where b's lower words decide whether they ripple.
 		"polymul/w8-centered54":  {limb32.Counts{122207, 330431, 192, 28209, 151962, 436118, 180286, 9171, 22392, 0, 222016}, 6223022, 43668, 6963066},
 		"polymul/w8-centered109": {limb32.Counts{146013, 383511, 192, 31260, 179160, 507044, 206588, 10116, 23484, 0, 248520}, 7299064, 43668, 7939932},
 		"polymul/w8-undecided":   {limb32.Counts{53339, 184384, 192, 25707, 80318, 234251, 107571, 8345, 21790, 0, 150896}, 3365867, 43668, 3739186},
@@ -78,9 +78,9 @@ func TestSimulatedFiguresArePinned(t *testing.T) {
 
 	// Centered coefficients lifted to 2²⁵⁶−189, as a PIM Mul's tensor
 	// once ran them: a positive one has zero high limbs (skipped
-	// schoolbook rows), a negative one is 2²⁵⁶−189 minus a small value. Uniform 256-bit operands never reach the
-	// skipped-row path. At 27 and 54 bits both lifts' σ fit a word; at
-	// 109 bits they do not, and b's top word is still 0 or 2⁶⁴−1.
+	// schoolbook rows), a negative one is 2²⁵⁶−189 minus a small value,
+	// so b's top word is 0 or 2⁶⁴−1. Uniform 256-bit operands never reach
+	// the skipped-row path.
 	lift := modulusFor(t, 8)
 	centered := func(rng *rand.Rand, small *big.Int) []uint32 {
 		half := new(big.Int).Rsh(small, 1)
@@ -105,12 +105,11 @@ func TestSimulatedFiguresArePinned(t *testing.T) {
 		check(c.name, rep, err)
 	}
 
-	// Rows rowRipple cannot decide against a negative b: a_r·2³² +
-	// a_(r−1) = h sits between the two thresholds for b₃ = 2⁶⁴−1, so
-	// whether row r ripples depends on b's lower words. Each a is
-	// 2^(32r) for a random r, half of them plus a random value below
-	// 2^(32(r−1)); b is a centred 27-bit lift or a negative value of up
-	// to 150 bits.
+	// Rows whose ripple b's top word cannot decide: a_r·2³² + a_(r−1) = h
+	// sits between the two thresholds for b₃ = 2⁶⁴−1, so whether row r
+	// ripples depends on b's lower words. Each a is 2^(32r) for a random
+	// r, half of them plus a random value below 2^(32(r−1)); b is a
+	// centred 27-bit lift or 2²⁵⁶ minus a value of up to 150 bits.
 	h := uint64(1) << 32
 	if lo, hi := rippleThresholds(h); lo > 1<<64-1 || hi < 1<<64-1 {
 		t.Fatalf("h = %#x is decided against b₃ = 2⁶⁴−1 (thresholds %#x, %#x)", h, lo, hi)

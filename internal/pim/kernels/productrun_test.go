@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -252,6 +253,50 @@ func TestProductRunsRandom(t *testing.T) {
 	}
 }
 
+// TestConvolveAtBoundMatchesBig holds convolve to the integer product
+// where its prime count is tightest, at W ∈ {1, 2, 4, 8} and n ∈ {1024,
+// 4096}: every coefficient 2^(32W) − 1 (the middle coefficient of the
+// product is n·(2^(32W) − 1)², just below 2^(64W+lg)); a single maximal
+// coefficient, alone and against all-maximal b; and every coefficient
+// 2^ba − 1 and 2^bb − 1 with ba + bb + lg on a multiple of the 60 bits
+// a prime is counted as, and one bit past it, where one more prime is
+// taken. n = 4096 is skipped under -short.
+func TestConvolveAtBoundMatchesBig(t *testing.T) {
+	fill := func(n, w, b int) [][]uint32 {
+		v := limbs(new(big.Int).Sub(pow2(b), big.NewInt(1)), w)
+		return slices.Repeat([][]uint32{v}, n)
+	}
+	ns := []int{1024, 4096}
+	if testing.Short() {
+		ns = ns[:1]
+	}
+	for _, w := range []int{1, 2, 4, 8} {
+		for _, n := range ns {
+			lg := bits.Len(uint(n - 1))
+			top := fill(n, w, 32*w)
+			one := make([][]uint32, n)
+			for i := range one {
+				one[i] = make([]uint32, w)
+			}
+			one[n-1] = top[0]
+			checkConv(t, fmt.Sprintf("w%d n=%d all 2^%d-1", w, n, 32*w), w, top, top)
+			checkConv(t, fmt.Sprintf("w%d n=%d one maximal coefficient each", w, n), w, one, one)
+			checkConv(t, fmt.Sprintf("w%d n=%d one maximal coefficient × all maximal", w, n), w, one, top)
+			for bound := primeBits; bound <= 64*w+lg; bound += primeBits {
+				for _, e := range []int{bound, bound + 1} {
+					ba := min(32*w, (e-lg+1)/2)
+					bb := e - lg - ba
+					if bb < 1 || bb > 32*w {
+						continue
+					}
+					checkConv(t, fmt.Sprintf("w%d n=%d ba+bb+lg=%d (%d+%d+%d)", w, n, e, ba, bb, lg), w,
+						fill(n, w, ba), fill(n, w, bb))
+				}
+			}
+		}
+	}
+}
+
 // signedValues returns 256-bit operands on both sides of the signed-word
 // test of the W = 8 body: σ = v read as two's complement at 0, ±1,
 // ±(2⁶³ − 1) and −2⁶³, lifted centred coefficients (x and 2²⁵⁶ − 189 − x),
@@ -329,9 +374,11 @@ func TestProductRunsSignedWords(t *testing.T) {
 	}
 }
 
-// rippleThresholds returns the two thresholds of rowRipple for h:
-// ⌊2⁹⁶/(h+1)⌋, below which a row cannot ripple, and ⌊(2⁹⁶−1)/h⌋,
-// above which it does.
+// rippleThresholds returns, for h = ⌊A_r / 2^(32r−32)⌋ = a_r·2³² +
+// a_(r−1), the prefix of an 8-limb a through its schoolbook row r, the
+// two thresholds on b's top word b₃ between which b's lower words decide
+// whether the row ripples a carry past its end: below ⌊2⁹⁶/(h+1)⌋ it
+// cannot, above ⌊(2⁹⁶−1)/h⌋ it does.
 func rippleThresholds(h uint64) (lo, hi uint64) {
 	hb := new(big.Int).SetUint64(h)
 	lo = new(big.Int).Quo(pow2(96), new(big.Int).Add(hb, big.NewInt(1))).Uint64()
@@ -355,52 +402,13 @@ func around(vs ...uint64) []uint64 {
 	return out
 }
 
-// TestRowRippleThresholds holds rowRipple to its two thresholds, with
-// b₃ on each and one either side, at the extreme prefixes h = 2³² (a_r
-// = 1 above a zero limb) and h = 2⁶⁴ − 1 and between them; and checks
-// that each decision it calls sure is one on the prefix products: a
-// ripple for the smallest A_r and b, none for the largest.
-func TestRowRippleThresholds(t *testing.T) {
-	rng := rand.New(rand.NewSource(4402))
-	hs := []uint64{1 << 32, 1<<32 + 1, 0xffffffff << 32, 1<<64 - 2, 1<<64 - 1, 3<<32 + 7}
-	for i := 0; i < 20; i++ {
-		hs = append(hs, rng.Uint64()|1<<32)
-	}
-	for _, h := range hs {
-		lo, hi := rippleThresholds(h)
-		for _, b3 := range around(lo, hi, 0, 1<<64-1) {
-			rip, sure := rowRipple(h, b3)
-			if wantRip, wantSure := b3 > hi, b3 > hi || b3 < lo; rip != wantRip || sure != wantSure {
-				t.Errorf("h=%#x b3=%#x (thresholds %#x, %#x): ripple %v sure %v, want %v %v",
-					h, b3, lo, hi, rip, sure, wantRip, wantSure)
-			}
-			if !sure {
-				continue
-			}
-			// A_r spans [h, h+1)·2^(32r−32) and b [b₃, b₃+1)·2¹⁹²; the
-			// row ripples when A_r·b ≥ 2^(32(r+8)). At r = 1 and r = 2:
-			for r := 1; r <= 2; r++ {
-				unit := pow2(32*r - 32)
-				aMin := new(big.Int).Mul(new(big.Int).SetUint64(h), unit)
-				aMax := new(big.Int).Sub(new(big.Int).Add(aMin, unit), big.NewInt(1))
-				bMin := new(big.Int).Lsh(new(big.Int).SetUint64(b3), 192)
-				bMax := new(big.Int).Sub(new(big.Int).Add(bMin, pow2(192)), big.NewInt(1))
-				bound := pow2(32 * (r + 8))
-				if rip && new(big.Int).Mul(aMin, bMin).Cmp(bound) < 0 {
-					t.Errorf("h=%#x b3=%#x r=%d: called a ripple, but the smallest product does not reach 2^(32(r+8))", h, b3, r)
-				}
-				if !rip && new(big.Int).Mul(aMax, bMax).Cmp(bound) >= 0 {
-					t.Errorf("h=%#x b3=%#x r=%d: called no ripple, but the largest product reaches 2^(32(r+8))", h, b3, r)
-				}
-			}
-		}
-	}
-
-	// The same edges through the product kernel's halves: a with h_r =
-	// 2³² (limb r is 1, the limbs below zero) and h_r = 2⁶⁴ − 1 (limbs r
-	// and r−1 all ones), against b whose top word sits on either
-	// threshold or one either side, with lower words all zero or all
-	// ones, and against negative word-sized b.
+// TestProductRunsRippleEdges holds the W = 8 halves to limb32.Mul +
+// accumAdd and to the integer product where schoolbook rows sit on the
+// edge of rippling: a with h_r = 2³² (limb r is 1, the limbs below
+// zero) and h_r = 2⁶⁴ − 1 (limbs r and r−1 all ones), against b whose
+// top word sits on either threshold or one either side, with lower
+// words all zero or all ones, and against b = 2²⁵⁶ − 1 and 2²⁵⁶ − 2⁶³.
+func TestProductRunsRippleEdges(t *testing.T) {
 	var bs [][]uint32
 	for _, h := range []uint64{1 << 32, 1<<64 - 1} {
 		lo, hi := rippleThresholds(h)
@@ -525,8 +533,8 @@ func refVectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 // runs at width w, count coefficients each: uniform residues, zero,
 // all-ones limbs and a mix of them; at W = 8 also centred lifts of 27-,
 // 54- and 109-bit residues (both signs; σ a word and not), signed
-// values around a word, and the band of a-rows rowRipple cannot decide
-// against a negative b.
+// values around a word, and a-rows whose ripple against a negative b
+// only b's lower words decide.
 func polyMulOperands(t *testing.T, rng *rand.Rand, w, count int) map[string][2][]uint32 {
 	mod := modulusFor(t, w)
 	gen := func(f func(i int) *big.Int) []uint32 {
