@@ -11,6 +11,12 @@
 // deliberately, not drop out of the gate unnoticed; a benchmark with no
 // baseline row is reported and passes.
 //
+// The simulated cycles and instructions a PIM benchmark reports
+// (simcycles/run, siminstr/run) are the deterministic model, not a
+// timing, so they are gated exactly: a benchmark that reports one in
+// both outputs fails on any difference, and a deliberate change edits
+// the baseline rows in the same change.
+//
 //	go test ./internal/bfv -run '^$' -bench . -benchtime=1x -count=3 > new.txt
 //	benchdiff -baseline .github/bench-baseline.txt -new new.txt -threshold 1.25
 package main
@@ -21,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,29 +36,60 @@ import (
 // benchLine matches e.g. "BenchmarkRotateHoisted-8   10   13464356 ns/op ..."
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
 
-// parseBench returns the minimum ns/op per benchmark name.
-func parseBench(path string) (map[string]float64, error) {
+// rowLine matches a result line's name and its "value unit" pairs, e.g.
+// "BenchmarkPIMSum64-2   1   8606199 ns/op   723840 simcycles/run ..."
+var rowLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
+
+// exactUnits are the metrics gated exactly: the simulator's model.
+var exactUnits = []string{"simcycles/run", "siminstr/run"}
+
+// scanBench calls row with the name and value that re captures on each
+// line of the `go test -bench` output at path.
+func scanBench(path string, re *regexp.Regexp, row func(name, value string)) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
-	out := map[string]float64{}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
-		if m == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
-		}
-		if cur, ok := out[m[1]]; !ok || ns < cur {
-			out[m[1]] = ns
+		if m := re.FindStringSubmatch(strings.TrimSpace(sc.Text())); m != nil {
+			row(m[1], m[2])
 		}
 	}
-	return out, sc.Err()
+	return sc.Err()
+}
+
+// parseBench returns the minimum ns/op per benchmark name.
+func parseBench(path string) (map[string]float64, error) {
+	out := map[string]float64{}
+	err := scanBench(path, benchLine, func(name, value string) {
+		ns, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			return
+		}
+		if cur, ok := out[name]; !ok || ns < cur {
+			out[name] = ns
+		}
+	})
+	return out, err
+}
+
+// parseExact returns, keyed "name unit", the distinct values of each
+// exact metric each benchmark reports, in ascending order.
+func parseExact(path string) (map[string][]string, error) {
+	out := map[string][]string{}
+	err := scanBench(path, rowLine, func(name, pairs string) {
+		f := strings.Fields(pairs)
+		for i := 0; i+1 < len(f); i += 2 {
+			key := name + " " + f[i+1]
+			if slices.Contains(exactUnits, f[i+1]) && !slices.Contains(out[key], f[i]) {
+				out[key] = append(out[key], f[i])
+				slices.Sort(out[key])
+			}
+		}
+	})
+	return out, err
 }
 
 func main() {
@@ -67,8 +105,9 @@ func main() {
 }
 
 // benchGate diffs two `go test -bench` outputs and returns the process
-// exit code: 0 within threshold, 1 on a regression or a baseline row
-// the new run did not measure, 2 on unusable input.
+// exit code: 0 within threshold, 1 on a regression, a baseline row the
+// new run did not measure or a changed simulated figure, 2 on unusable
+// input.
 func benchGate(baselinePath, newPath string, threshold float64) int {
 	base, err := parseBench(baselinePath)
 	if err != nil {
@@ -90,6 +129,16 @@ func benchGate(baselinePath, newPath string, threshold float64) int {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	baseSim, err := parseExact(baselinePath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		return 2
+	}
+	curSim, err := parseExact(newPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		return 2
+	}
 	regressed := regressions(base, cur, names, threshold)
 	var missing []string
 	for _, name := range names {
@@ -117,6 +166,11 @@ func benchGate(baselinePath, newPath string, threshold float64) int {
 	for _, name := range fresh {
 		fmt.Printf("%-40s new benchmark %.3fms (no baseline)\n", name, cur[name]/1e6)
 	}
+	changed := simChanges(baseSim, curSim)
+	for _, name := range changed {
+		fmt.Printf("%-54s %s -> %s CHANGED\n", name,
+			strings.Join(baseSim[name], ","), strings.Join(curSim[name], ","))
+	}
 	if len(regressed) > 0 {
 		fmt.Print(summarize(regressed))
 	}
@@ -124,13 +178,26 @@ func benchGate(baselinePath, newPath string, threshold float64) int {
 		fmt.Printf("\nBaseline rows not measured (rename or remove them in the baseline deliberately):\n  %s\n",
 			strings.Join(missing, "\n  "))
 	}
-	if len(regressed) > 0 || len(missing) > 0 {
-		fmt.Printf("benchdiff: %d regression(s) beyond %.0f%% threshold, %d baseline row(s) not measured\n",
-			len(regressed), (threshold-1)*100, len(missing))
+	if len(regressed) > 0 || len(missing) > 0 || len(changed) > 0 {
+		fmt.Printf("benchdiff: %d regression(s) beyond %.0f%% threshold, %d baseline row(s) not measured, %d simulated figure change(s)\n",
+			len(regressed), (threshold-1)*100, len(missing), len(changed))
 		return 1
 	}
 	fmt.Println("benchdiff: within threshold")
 	return 0
+}
+
+// simChanges returns, sorted, the "name unit" keys whose exact values
+// differ between two outputs that both report them.
+func simChanges(base, cur map[string][]string) []string {
+	var out []string
+	for name, b := range base {
+		if c, ok := cur[name]; ok && !slices.Equal(b, c) {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // regression is one benchmark whose new minimum exceeded the threshold.

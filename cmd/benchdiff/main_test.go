@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -104,5 +105,42 @@ BenchmarkRetired-8   1   2000000 ns/op
 	}
 	if code := benchGate("does-not-exist.txt", base, 1.25); code != 2 {
 		t.Errorf("missing baseline file: exit %d, want 2", code)
+	}
+}
+
+// TestBenchGateFailsOnSimulatedFigureChange: simulated cycles and
+// instructions are gated exactly — one more or less on a benchmark that
+// reports them on both sides fails the gate, even far inside the ns/op
+// threshold; a figure reported on one side only is not compared.
+func TestBenchGateFailsOnSimulatedFigureChange(t *testing.T) {
+	base := writeTemp(t, "base.txt", `
+BenchmarkPIMSum64-2   1   8606199 ns/op   723840 simcycles/run   18060502 siminstr/run   290000 B/op   1723 allocs/op
+BenchmarkPIMSum64-2   1   9639939 ns/op   723840 simcycles/run   18060502 siminstr/run   290896 B/op   1725 allocs/op
+BenchmarkHost-2       1   1000000 ns/op
+`)
+	if code := benchGate(base, writeTemp(t, "same.txt", `
+BenchmarkPIMSum64-2   1   9000000 ns/op   723840 simcycles/run   18060502 siminstr/run   291000 B/op   1730 allocs/op
+BenchmarkHost-2       1   1000000 ns/op   5 simcycles/run
+`), 1.25); code != 0 {
+		t.Errorf("unchanged simulated figures: exit %d, want 0", code)
+	}
+	for name, run := range map[string]string{
+		"one cycle more":       "BenchmarkPIMSum64-2   1   8000000 ns/op   723841 simcycles/run   18060502 siminstr/run",
+		"one cycle less":       "BenchmarkPIMSum64-2   1   8000000 ns/op   723839 simcycles/run   18060502 siminstr/run",
+		"one instruction more": "BenchmarkPIMSum64-2   1   8000000 ns/op   723840 simcycles/run   18060503 siminstr/run",
+		"cycles only, changed": "BenchmarkPIMSum64-2   1   8000000 ns/op   723841 simcycles/run",
+		"differs run to run":   "BenchmarkPIMSum64-2   1   8000000 ns/op   723840 simcycles/run\nBenchmarkPIMSum64-2   1   8000000 ns/op   723841 simcycles/run",
+	} {
+		if code := benchGate(base, writeTemp(t, "new.txt", run+"\nBenchmarkHost-2   1   1000000 ns/op\n"), 1.25); code != 1 {
+			t.Errorf("%s: exit %d, want 1", name, code)
+		}
+	}
+	got, err := parseExact(base)
+	want := map[string][]string{
+		"BenchmarkPIMSum64 simcycles/run": {"723840"},
+		"BenchmarkPIMSum64 siminstr/run":  {"18060502"},
+	}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("parseExact = %v, %v; want %v", got, err, want)
 	}
 }

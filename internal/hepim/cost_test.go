@@ -37,14 +37,28 @@ func (f *fixture) hostSum(cts []*bfv.Ciphertext) *bfv.Ciphertext {
 	return sum
 }
 
-// simCycles is the critical-path DPU cycles the server has simulated.
-func (f *fixture) simCycles() float64 { return float64(f.srv.Breakdown().KernelCycles) }
+// sim is what the server has simulated so far: its critical-path DPU
+// cycles and its instructions over every tasklet.
+func (f *fixture) sim() (cycles, instr int64) {
+	bd := f.srv.Breakdown()
+	return bd.KernelCycles, bd.TotalInstr
+}
+
+// reportSim reports the simulated cycles and instructions per run since
+// f.sim read cycles0 and instr0: the model's figures, which
+// cmd/benchdiff gates exactly. A DMA-bound launch hides an instruction
+// change from the cycles, so both are reported.
+func (f *fixture) reportSim(b *testing.B, cycles0, instr0 int64) {
+	cycles, instr := f.sim()
+	b.ReportMetric(float64(cycles-cycles0)/float64(b.N), "simcycles/run")
+	b.ReportMetric(float64(instr-instr0)/float64(b.N), "siminstr/run")
+}
 
 // BenchmarkPIMMul27 is the host cost of simulating the paper's headline
 // operation: one relinearized 27-bit Mul (n=1024) on 4×64 DPUs, whose
 // tensor products run as one-limb products of residues modulo three
-// primes below 2³¹. simcycles/run is the simulated work it stands for
-// and must not move.
+// primes below 2³¹. simcycles/run and siminstr/run are the simulated
+// work it stands for and must not move.
 func BenchmarkPIMMul27(b *testing.B) { benchmarkPIMMul(b, bfv.ParamsSec27()) }
 
 // BenchmarkPIMMul54 is the same for one relinearized 54-bit Mul
@@ -73,11 +87,11 @@ func benchmarkPIMMul(b *testing.B, params *bfv.Parameters) {
 	mul() // the first call on a server grows every DPU's MRAM and WRAM
 	b.ReportAllocs()
 	b.ResetTimer()
-	before := f.simCycles()
+	cycles0, instr0 := f.sim()
 	for i := 0; i < b.N; i++ {
 		mul()
 	}
-	b.ReportMetric((f.simCycles()-before)/float64(b.N), "simcycles/run")
+	f.reportSim(b, cycles0, instr0)
 }
 
 // checkMulPinned runs one relinearized Mul at params on 4×64 DPUs,
@@ -166,11 +180,11 @@ func BenchmarkPIMSum64(b *testing.B) {
 	sum() // the first call on a server grows every DPU's MRAM and WRAM
 	b.ReportAllocs()
 	b.ResetTimer()
-	before := f.simCycles()
+	cycles0, instr0 := f.sim()
 	for i := 0; i < b.N; i++ {
 		sum()
 	}
-	b.ReportMetric((f.simCycles()-before)/float64(b.N), "simcycles/run")
+	f.reportSim(b, cycles0, instr0)
 }
 
 // TestSumAllocatesShardSizedScratch gates the simulator's memory cost: a

@@ -43,7 +43,9 @@
 // form each product, through limb32.Mul, for its carries: ≈ 90 ns per
 // 128-bit product, so a 109-bit n = 4096 Mul takes ≈ 6 s, nearly all of
 // it in its 134 M key-switch products. No Mul or figure runs 256 bits;
-// only the benchmark's traced kernel row does.
+// only the benchmark's traced kernel row does. A Sum folds on words at
+// every width, and so do the key switch's sums in every Mul: one
+// 128-bit add, compare and select per coefficient and vector.
 //
 // WRAM is an arena with a checked capacity. Kernels take their scratch
 // from TaskletCtx.WRAM, sized to the data they own, and a request past

@@ -17,11 +17,10 @@
 // into words the DPU owns for the launch, and each tasklet charges its
 // DMAs and its tally from counts:
 //
-//   - the add kernel (VectorSum; a vector addition is the sum of two) at
-//     4 limbs, the width every PIM Sum runs, folds the DPU's shard in
-//     one streaming pass (foldW4) that also counts what each
-//     coefficient's additions charge (addTally); at other widths it
-//     calls limb32.AddMod itself;
+//   - the add kernel (VectorSum; a vector addition is the sum of two),
+//     at every width it takes (up to 4 limbs), folds the DPU's shard in
+//     one streaming pass of 128-bit word additions (fold) that also
+//     counts what each coefficient's additions charge (addTally);
 //   - the product kernel, at every width, computes each pair's values
 //     as an exact convolution (conv.go) and each tasklet's tally from
 //     counts over the words it DMA'd (productTally): O(n log n) host
@@ -48,17 +47,14 @@ import (
 
 // PolyMulLayout describes one DPU's shard of a ciphertext vector
 // multiplication: Pairs polynomial pairs of degree N with W-limb
-// coefficients, W ≤ 8. Polynomial p's operands live at OffA+p·N·W and
-// OffB+p·N·W; the product, reduced by the W-limb modulus Q[p], goes to
-// OffOut+p·N·W.
+// coefficients, W ≤ 8, in the plan's MRAM layout. Polynomial p's
+// operands live at p·N·W and (Pairs+p)·N·W; the product, reduced by the
+// W-limb modulus Q[p], goes to (2·Pairs+p)·N·W.
 type PolyMulLayout struct {
-	W      int
-	N      int
-	Pairs  int
-	OffA   int
-	OffB   int
-	OffOut int
-	Q      []limb32.Nat
+	W     int
+	N     int
+	Pairs int
+	Q     []limb32.Nat
 }
 
 // VectorPolyMul returns the tasklet program computing, for every pair,
@@ -139,8 +135,7 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 		var mods modTally
 
 		for p := 0; p < l.Pairs; p++ {
-			offA := l.OffA + p*n*w
-			offB := l.OffB + p*n*w
+			offA, offB := p*n*w, (l.Pairs+p)*n*w
 			for i0 := 0; i0 < n; i0 += tile {
 				cnt := min(tile, n-i0)
 				ctx.MRAMRead(offA+i0*w, aTile[:cnt*w])
@@ -175,7 +170,7 @@ func VectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 				}
 				limb32.SubMod(limb32.Nat(out[k*w:(k+1)*w]), rp, rn, q, m)
 			}
-			ctx.MRAMWrite(l.OffOut+p*n*w+k0*w, out[:K*w])
+			ctx.MRAMWrite((2*l.Pairs+p)*n*w+k0*w, out[:K*w])
 		}
 		tally.charge(m)
 		mods.charge(m)
@@ -247,8 +242,8 @@ func pairProducts(ctx *pim.TaskletCtx, l PolyMulLayout) ([]uint64, error) {
 	conv, scratch := words[:l.Pairs*per], words[l.Pairs*per:]
 	if fresh {
 		for p := 0; p < l.Pairs; p++ {
-			a := ctx.MRAMView(l.OffA+p*n*w, n*w)
-			b := ctx.MRAMView(l.OffB+p*n*w, n*w)
+			a := ctx.MRAMView(p*n*w, n*w)
+			b := ctx.MRAMView((l.Pairs+p)*n*w, n*w)
 			plan.convolve(conv[p*per:(p+1)*per], scratch, a, b, w)
 		}
 	}

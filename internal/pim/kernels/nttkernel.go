@@ -148,13 +148,12 @@ func (p *NTTPlan) inverseInPlace(a []uint32, ctx *pim.TaskletCtx) {
 }
 
 // NTTMulLayout describes one DPU's shard of an NTT-based polynomial
-// multiplication: Pairs polynomial pairs, 1-limb coefficients.
+// multiplication: Pairs polynomial pairs, 1-limb coefficients, in the
+// plan's MRAM layout — pair p's operands at p·N and (Pairs+p)·N, its
+// product at (2·Pairs+p)·N.
 type NTTMulLayout struct {
-	Plan   *NTTPlan
-	Pairs  int
-	OffA   int
-	OffB   int
-	OffOut int
+	Plan  *NTTPlan
+	Pairs int
 }
 
 // NTTPolyMul returns the tasklet program computing negacyclic products by
@@ -177,8 +176,8 @@ func NTTPolyMul(l NTTMulLayout) pim.KernelFunc {
 		}
 		bufA, bufB := wram[:n], wram[n:]
 		for p := start; p < end; p++ {
-			ctx.MRAMRead(l.OffA+p*n, bufA)
-			ctx.MRAMRead(l.OffB+p*n, bufB)
+			ctx.MRAMRead(p*n, bufA)
+			ctx.MRAMRead((l.Pairs+p)*n, bufB)
 			l.Plan.forwardInPlace(bufA, ctx)
 			l.Plan.forwardInPlace(bufB, ctx)
 			for i := 0; i < n; i++ {
@@ -187,7 +186,7 @@ func NTTPolyMul(l NTTMulLayout) pim.KernelFunc {
 			chargeMulMods(ctx.Meter(), n)
 			ctx.ChargeInstr(int64(2 * n)) // per product: loop index + branch
 			l.Plan.inverseInPlace(bufA, ctx)
-			ctx.MRAMWrite(l.OffOut+p*n, bufA)
+			ctx.MRAMWrite((2*l.Pairs+p)*n, bufA)
 		}
 		return nil
 	}

@@ -30,8 +30,6 @@ func TestSimulatedFiguresArePinned(t *testing.T) {
 		"add/w4":     {limb32.Counts{192, 576, 94, 282, 0, 2672, 1144, 192, 0, 0, 1144}, 6680, 11808, 7040},
 		"sum/w4":     {limb32.Counts{576, 1728, 284, 852, 0, 8032, 3440, 576, 0, 0, 3440}, 20080, 19680, 20020},
 		"polymul/w4": {limb32.Counts{52317, 95319, 18624, 51024, 36576, 192744, 142452, 32160, 11160, 0, 86964}, 1862412, 27360, 1932172},
-		"add/w8":     {limb32.Counts{192, 1344, 105, 735, 0, 4926, 2376, 87, 0, 0, 2376}, 12525, 18072, 12804},
-		"sum/w8":     {limb32.Counts{576, 4032, 310, 2170, 0, 14708, 7088, 266, 0, 0, 7088}, 37390, 30120, 37191},
 		"polymul/w8": {limb32.Counts{196691, 499701, 192, 34086, 232988, 667952, 272536, 11010, 24388, 0, 301640}, 9473028, 43668, 9827136},
 		"ntt":        {limb32.Counts{6912, 0, 15360, 0, 25344, 0, 0, 22272, 16896, 0, 0}, 901632, 9036, 1652992},
 
@@ -62,17 +60,19 @@ func TestSimulatedFiguresArePinned(t *testing.T) {
 	topo := pimsched.Topology{Ranks: 2, DPUsPerRank: 4}
 	// Width 8 is the 256-bit lift modulus of the benchmark's traced kernel
 	// row (a PIM Mul's tensor ran under it before it became one-limb
-	// residue products).
+	// residue products); the add kernel stops at 4 limbs.
 	for _, w := range []int{1, 2, 4, 8} {
 		mod := modulusFor(t, w)
 		rng := rand.New(rand.NewSource(int64(1500 + w)))
 		a, b, c := randVec(rng, 192, mod), randVec(rng, 192, mod), randVec(rng, 192, mod)
 		sched := testSched(t, topo, 3)
-		_, rep, err := RunVectorAddSched(sched, a, b, w, mod.Q)
-		check(fmt.Sprintf("add/w%d", w), rep, err)
-		_, rep, err = RunVectorSumSched(sched, [][]uint32{a, b, c, a}, w, mod.Q)
-		check(fmt.Sprintf("sum/w%d", w), rep, err)
-		_, rep, err = RunVectorPolyMulSched(sched, a, b, 16, w, mod.Q)
+		if w <= 4 {
+			_, rep, err := RunVectorAddSched(sched, a, b, w, mod.Q)
+			check(fmt.Sprintf("add/w%d", w), rep, err)
+			_, rep, err = RunVectorSumSched(sched, [][]uint32{a, b, c, a}, w, mod.Q)
+			check(fmt.Sprintf("sum/w%d", w), rep, err)
+		}
+		_, rep, err := RunVectorPolyMulSched(sched, a, b, 16, w, mod.Q)
 		check(fmt.Sprintf("polymul/w%d", w), rep, err)
 	}
 

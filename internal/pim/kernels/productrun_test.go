@@ -497,7 +497,7 @@ func refVectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 		out := accPos[:K*w]
 		m := ctx.Meter()
 		for p := 0; p < l.Pairs; p++ {
-			offA, offB := l.OffA+p*n*w, l.OffB+p*n*w
+			offA, offB := p*n*w, (l.Pairs+p)*n*w
 			clear(accPos)
 			clear(accNeg)
 			for i0 := 0; i0 < n; i0 += tile {
@@ -523,7 +523,7 @@ func refVectorPolyMul(l PolyMulLayout) pim.KernelFunc {
 				limb32.Mod(rn, limb32.Nat(accNeg[k*accW:(k+1)*accW]), l.Q[p], m)
 				limb32.SubMod(limb32.Nat(out[k*w:(k+1)*w]), rp, rn, l.Q[p], m)
 			}
-			ctx.MRAMWrite(l.OffOut+p*n*w+k0*w, out[:K*w])
+			ctx.MRAMWrite((2*l.Pairs+p)*n*w+k0*w, out[:K*w])
 		}
 		return nil
 	}
@@ -641,8 +641,7 @@ func TestPolyMulMatchesPerProductKernel(t *testing.T) {
 							t.Fatalf("%s: %v", label, err)
 						}
 						want, ref, err := runPlan(testSched(t, topo, tasklets), [][]uint32{ops[0], ops[1]}, n*w, func(first, cnt int) pim.KernelFunc {
-							words := cnt * n * w
-							return refVectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: cnt, OffA: 0, OffB: words, OffOut: 2 * words, Q: set.mods[first : first+cnt]})
+							return refVectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: cnt, Q: set.mods[first : first+cnt]})
 						})
 						if err != nil {
 							t.Fatalf("%s: reference: %v", label, err)
@@ -681,7 +680,7 @@ func TestVectorPolyMulReadsItsMRAMEachLaunch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kernel := VectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: pairs, OffA: 0, OffB: words, OffOut: 2 * words, Q: slices.Repeat([]limb32.Nat{mod.Q}, pairs)})
+		kernel := VectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: pairs, Q: slices.Repeat([]limb32.Nat{mod.Q}, pairs)})
 		for launch := 0; launch < 2; launch++ {
 			a, b := randVec(rng, pairs*n, mod), randVec(rng, pairs*n, mod)
 			if err := sys.CopyToDPU(0, 0, append(append([]uint32(nil), a...), b...)); err != nil {

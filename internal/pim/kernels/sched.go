@@ -75,15 +75,18 @@ func RunVectorPolyMulModsSched(sched *pimsched.Scheduler, a, b []uint32, n, w in
 		return nil, nil, fmt.Errorf("kernels: %d moduli for %d polynomial pairs", len(mods), len(a)/polyWords)
 	}
 	return runPlan(sched, [][]uint32{a, b}, polyWords, func(first, cnt int) pim.KernelFunc {
-		words := cnt * polyWords
-		return VectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: cnt, OffA: 0, OffB: words, OffOut: 2 * words, Q: mods[first : first+cnt]})
+		return VectorPolyMul(PolyMulLayout{W: w, N: n, Pairs: cnt, Q: mods[first : first+cnt]})
 	})
 }
 
-// RunVectorSumSched reduces M equal-length coefficient vectors
-// element-wise modulo q: each DPU owns a coefficient shard of every
-// vector and reduces it locally in a single kernel launch.
+// RunVectorSumSched reduces M equal-length vectors of w-limb
+// coefficients, 1 ≤ w ≤ 4, element-wise modulo q: each DPU owns a
+// coefficient shard of every vector and reduces it locally in a single
+// kernel launch.
 func RunVectorSumSched(sched *pimsched.Scheduler, vecs [][]uint32, w int, q limb32.Nat) ([]uint32, *pimsched.Report, error) {
+	if w < 1 || w > 4 {
+		return nil, nil, fmt.Errorf("kernels: no sum kernel for %d-limb coefficients", w)
+	}
 	if len(vecs) == 0 {
 		return nil, nil, errors.New("kernels: no vectors to sum")
 	}
@@ -96,9 +99,8 @@ func RunVectorSumSched(sched *pimsched.Scheduler, vecs [][]uint32, w int, q limb
 	if length%w != 0 {
 		return nil, nil, errors.New("kernels: vector length not a multiple of the limb width")
 	}
-	M := len(vecs)
 	return runPlan(sched, vecs, w, func(_, cnt int) pim.KernelFunc {
-		return VectorSum(VecSumLayout{W: w, Coeffs: cnt, M: M, OffIn: 0, OffOut: M * cnt * w, Q: q})
+		return VectorSum(VecSumLayout{W: w, Coeffs: cnt, M: len(vecs), Q: q})
 	})
 }
 
@@ -110,7 +112,6 @@ func RunNTTPolyMulSched(sched *pimsched.Scheduler, p *NTTPlan, a, b []uint32) ([
 		return nil, nil, errors.New("kernels: NTT operand shape mismatch")
 	}
 	return runPlan(sched, [][]uint32{a, b}, n, func(_, cnt int) pim.KernelFunc {
-		words := cnt * n
-		return NTTPolyMul(NTTMulLayout{Plan: p, Pairs: cnt, OffA: 0, OffB: words, OffOut: 2 * words})
+		return NTTPolyMul(NTTMulLayout{Plan: p, Pairs: cnt})
 	})
 }

@@ -11,8 +11,8 @@ import (
 	"repro/internal/pimsched"
 )
 
-// checkAdd holds the add kernel — the sum of [a, b], W = 4's fold
-// included — to the loop of limb32.AddMod it stands for, over the
+// checkAdd holds the add kernel — the sum of [a, b] through the
+// word-level fold — to the loop of limb32.AddMod it stands for, over the
 // W-limb coefficients of a and b: the same output limbs and the same
 // full tally. The coefficients are split between two tasklets, each
 // charging its own share, as a DPU's tasklets do.
@@ -39,40 +39,50 @@ func checkAdd(t *testing.T, name string, q limb32.Nat, a, b []uint32) {
 	}
 }
 
-// TestAddRunsMatchLimb32 pins the add kernel to limb32.AddMod where the
-// word-level W = 4 fold could go wrong: sums that carry out of 128 bits
-// (only a full-width modulus reaches them; the 109-bit presets never
-// carry), sums on either side of q and equal to it, sums that agree with
-// q in their top one, two or three limbs and differ from it at the top or
-// the bottom bit of the next, zero operands and random ones. The other
-// widths call limb32.AddMod and are held to it on random operands.
+// TestAddRunsMatchLimb32 pins the add kernel to limb32.AddMod where its
+// word-level fold could go wrong, at each width W it serves: sums that
+// carry out of 32·W bits (only a full-width modulus reaches them —
+// 2³² − 5, 2⁶⁴ − 59, 2¹²⁸ − 159; the presets never carry), sums on
+// either side of q and equal to it, sums that agree with q in their top
+// one to W − 1 limbs and differ from it at the top or the bottom bit of
+// the next, zero operands and random ones.
 func TestAddRunsMatchLimb32(t *testing.T) {
 	rng := rand.New(rand.NewSource(3901))
 	one := big.NewInt(1)
-	moduli := map[string]*big.Int{
-		"q109":          modulusFor(t, 4).QBig,
-		"q2^128-159":    new(big.Int).Sub(pow2(128), big.NewInt(159)),
-		"q2^127+2^64+1": new(big.Int).Add(new(big.Int).Add(pow2(127), pow2(64)), one),
+	moduli := []struct {
+		name string
+		q    *big.Int
+		w    int
+	}{
+		{"q27", modulusFor(t, 1).QBig, 1},
+		{"q2^32-5", new(big.Int).Sub(pow2(32), big.NewInt(5)), 1},
+		{"q54", modulusFor(t, 2).QBig, 2},
+		{"q2^64-59", new(big.Int).Sub(pow2(64), big.NewInt(59)), 2},
+		{"q109", modulusFor(t, 4).QBig, 4},
+		{"q2^128-159", new(big.Int).Sub(pow2(128), big.NewInt(159)), 4},
+		{"q2^127+2^64+1", new(big.Int).Add(new(big.Int).Add(pow2(127), pow2(64)), one), 4},
 	}
-	for qname, qb := range moduli {
-		q := limbs(qb, 4)
+	for _, mod := range moduli {
+		w, qb := mod.w, mod.q
+		bits := 32 * w
+		q := limbs(qb, w)
 		maxSum := new(big.Int).Sub(new(big.Int).Lsh(qb, 1), big.NewInt(2))
 		targets := map[string]*big.Int{
-			"s=0":           new(big.Int),
-			"s=q-1":         new(big.Int).Sub(qb, one),
-			"s=q":           new(big.Int).Set(qb),
-			"s=q+1":         new(big.Int).Add(qb, one),
-			"s=2q-2":        maxSum,
-			"s=2^128-1":     new(big.Int).Sub(pow2(128), one),
-			"s=2^128":       pow2(128),
-			"s=2^128+(q-1)": new(big.Int).Add(pow2(128), new(big.Int).Sub(qb, one)),
+			"s=0":                             new(big.Int),
+			"s=q-1":                           new(big.Int).Sub(qb, one),
+			"s=q":                             new(big.Int).Set(qb),
+			"s=q+1":                           new(big.Int).Add(qb, one),
+			"s=2q-2":                          maxSum,
+			fmt.Sprintf("s=2^%d-1", bits):     new(big.Int).Sub(pow2(bits), one),
+			fmt.Sprintf("s=2^%d", bits):       pow2(bits),
+			fmt.Sprintf("s=2^%d+(q-1)", bits): new(big.Int).Add(pow2(bits), new(big.Int).Sub(qb, one)),
 		}
-		// s agrees with q in its top k limbs and differs in limb 3−k: at
-		// that limb's top bit, its bottom bit, or with the lower limbs all
-		// zero or all ones. A sum of 2¹²⁸ or more also carries out and
-		// must not be compared at all.
-		for k := 1; k <= 3; k++ {
-			low := 32 * (4 - k)
+		// s agrees with q in its top k limbs and differs in limb w−1−k:
+		// at that limb's top bit, its bottom bit, or with the lower limbs
+		// all zero or all ones. A sum of 2^(32w) or more also carries out
+		// and must not be compared at all.
+		for k := 1; k < w; k++ {
+			low := 32 * (w - k)
 			top := new(big.Int).Lsh(new(big.Int).Rsh(qb, uint(low)), uint(low))
 			for _, s := range []struct {
 				name string
@@ -82,7 +92,7 @@ func TestAddRunsMatchLimb32(t *testing.T) {
 				{"bottom bit flipped", new(big.Int).Xor(qb, pow2(low-32))},
 				{"lower limbs zero", top},
 				{"lower limbs ones", new(big.Int).Add(top, new(big.Int).Sub(pow2(low), one))},
-				{"carried, lower limbs zero", new(big.Int).Add(pow2(128), top)},
+				{"carried, lower limbs zero", new(big.Int).Add(pow2(bits), top)},
 			} {
 				targets[fmt.Sprintf("top %d limbs of q, %s", k, s.name)] = s.v
 			}
@@ -101,10 +111,10 @@ func TestAddRunsMatchLimb32(t *testing.T) {
 			half := new(big.Int).Rsh(target, 1)
 			for _, x := range []*big.Int{half, aHi, new(big.Int).Sub(target, aHi)} {
 				y := new(big.Int).Sub(target, x)
-				a = append(a, limbs(x, 4)...)
-				b = append(b, limbs(y, 4)...)
+				a = append(a, limbs(x, w)...)
+				b = append(b, limbs(y, w)...)
 			}
-			checkAdd(t, fmt.Sprintf("%s %s", qname, tname), q, a, b)
+			checkAdd(t, fmt.Sprintf("%s %s", mod.name, tname), q, a, b)
 		}
 		// Zero operands and random residues.
 		var a, b []uint32
@@ -119,24 +129,38 @@ func TestAddRunsMatchLimb32(t *testing.T) {
 				x.SetInt64(0)
 				y.SetInt64(0)
 			}
-			a = append(a, limbs(x, 4)...)
-			b = append(b, limbs(y, 4)...)
+			a = append(a, limbs(x, w)...)
+			b = append(b, limbs(y, w)...)
 		}
-		checkAdd(t, qname+" random", q, a, b)
+		checkAdd(t, mod.name+" random", q, a, b)
 	}
+}
 
-	// Widths 1, 2 and 8 call limb32.AddMod; the kernel must still leave
-	// its limbs and its tally.
-	for _, w := range []int{1, 2, 8} {
-		mod := modulusFor(t, w)
-		checkAdd(t, fmt.Sprintf("w%d random", w), mod.Q, randVec(rng, 40, mod), randVec(rng, 40, mod))
+// TestVectorSumRejectsBadWidths: the fold holds a coefficient in 128
+// bits, so a width outside 1 ≤ W ≤ 4 is refused with an error, before
+// any shard runs, by the sum and the addition alike.
+func TestVectorSumRejectsBadWidths(t *testing.T) {
+	sched := testSched(t, pimsched.FitTopology(1), 2)
+	for _, w := range []int{-1, 0, 5, 8} {
+		q := limb32.Nat{0xfffffffb}
+		if w > 0 {
+			q = make(limb32.Nat, w)
+			q[w-1] = 1 << 31
+		}
+		a, b := make([]uint32, 40), make([]uint32, 40) // 40 is a multiple of 5 and 8
+		if _, _, err := RunVectorSumSched(sched, [][]uint32{a, b, a}, w, q); err == nil {
+			t.Errorf("sum of %d-limb coefficients accepted", w)
+		}
+		if _, _, err := RunVectorAddSched(sched, a, b, w, q); err == nil {
+			t.Errorf("addition of %d-limb coefficients accepted", w)
+		}
 	}
 }
 
 // refVectorSum is the per-tasklet program VectorSum simulates: each
-// tasklet DMAs every vector's tile of its coefficients and folds it into
-// its accumulator through limb32.AddMod, at every width. Its tiles,
-// WRAM carve, DMAs and instruction charges are the kernel's.
+// tasklet DMAs every vector's tile of its coefficients and adds it into
+// its accumulator through limb32.AddMod. Its tiles, WRAM carve, MRAM
+// layout, DMAs and instruction charges are the kernel's.
 func refVectorSum(l VecSumLayout) pim.KernelFunc {
 	return func(ctx *pim.TaskletCtx) error {
 		start, end := pim.Partition(l.Coeffs, ctx.NumTasklets, ctx.TaskletID)
@@ -153,15 +177,15 @@ func refVectorSum(l VecSumLayout) pim.KernelFunc {
 		m := ctx.Meter()
 		for c := start; c < end; c += tile {
 			cnt := min(tile, end-c)
-			ctx.MRAMRead(l.OffIn+c*w, acc[:cnt*w])
+			ctx.MRAMRead(c*w, acc[:cnt*w])
 			for v := 1; v < l.M; v++ {
-				ctx.MRAMRead(l.OffIn+(v*l.Coeffs+c)*w, buf[:cnt*w])
+				ctx.MRAMRead((v*l.Coeffs+c)*w, buf[:cnt*w])
 				for i := 0; i < cnt*w; i += w {
 					limb32.AddMod(acc[i:i+w], acc[i:i+w], buf[i:i+w], l.Q, m)
 				}
 				ctx.ChargeInstr(int64(2 * cnt))
 			}
-			ctx.MRAMWrite(l.OffOut+c*w, acc[:cnt*w])
+			ctx.MRAMWrite((l.M*l.Coeffs+c)*w, acc[:cnt*w])
 		}
 		return nil
 	}
@@ -212,8 +236,9 @@ func sumOperands(rng *rand.Rand, qb *big.Int, w, m, count int) map[string][][]ui
 // TestVectorSumMatchesPerTaskletKernel holds VectorSum to refVectorSum,
 // the per-tasklet program it simulates: the same outputs and the same
 // simulated figures — per-class counts, priced instructions, DMA cycles
-// and critical-path cycles — at every width (W = 4 on the 109-bit
-// preset's q and on 2¹²⁸ − 159, whose sums carry out of 128 bits), for
+// and critical-path cycles — at every width it serves, W = 1, 2 and 4,
+// each on a preset's q and on a full-width modulus (2³² − 5, 2⁶⁴ − 59,
+// 2¹²⁸ − 159) whose sums carry out of 32·W bits, for
 // M = 1, 2, 5 and 64 vectors, 1, 3, 16 and 24 tasklets, and shards of
 // 1, 7 (fewer coefficients than some tasklet counts), 100 and 700
 // coefficients (more than one W = 4 tile of 341 for a lone tasklet, and
@@ -227,10 +252,11 @@ func TestVectorSumMatchesPerTaskletKernel(t *testing.T) {
 		w    int
 	}{
 		{"w1", modulusFor(t, 1).QBig, 1},
+		{"w1 q=2^32-5", new(big.Int).Sub(pow2(32), big.NewInt(5)), 1},
 		{"w2", modulusFor(t, 2).QBig, 2},
+		{"w2 q=2^64-59", new(big.Int).Sub(pow2(64), big.NewInt(59)), 2},
 		{"w4", modulusFor(t, 4).QBig, 4},
 		{"w4 q=2^128-159", new(big.Int).Sub(pow2(128), big.NewInt(159)), 4},
-		{"w8", modulusFor(t, 8).QBig, 8},
 	}
 	ms := []int{1, 2, 5, 64}
 	if testing.Short() {
@@ -252,7 +278,7 @@ func TestVectorSumMatchesPerTaskletKernel(t *testing.T) {
 							if cnt != coeffs {
 								t.Fatalf("%s: shard of %d coefficients", label, cnt)
 							}
-							return refVectorSum(VecSumLayout{W: w, Coeffs: cnt, M: m, OffIn: 0, OffOut: m * cnt * w, Q: q})
+							return refVectorSum(VecSumLayout{W: w, Coeffs: cnt, M: m, Q: q})
 						})
 						if err != nil {
 							t.Fatalf("%s: reference: %v", label, err)
@@ -281,7 +307,7 @@ func TestVectorSumMatchesPerTaskletKernel(t *testing.T) {
 // fold taken earlier.
 func TestVectorSumReadsItsMRAMEachLaunch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4802))
-	for _, w := range []int{1, 2, 4, 8} {
+	for _, w := range []int{1, 2, 4} {
 		mod := modulusFor(t, w)
 		const m, coeffs = 5, 40
 		words := coeffs * w
@@ -291,7 +317,7 @@ func TestVectorSumReadsItsMRAMEachLaunch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kernel := VectorSum(VecSumLayout{W: w, Coeffs: coeffs, M: m, OffIn: 0, OffOut: m * words, Q: mod.Q})
+		kernel := VectorSum(VecSumLayout{W: w, Coeffs: coeffs, M: m, Q: mod.Q})
 		for launch := 0; launch < 2; launch++ {
 			var in []uint32
 			want := make([]uint32, words)
