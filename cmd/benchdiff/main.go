@@ -15,7 +15,9 @@
 // (simcycles/run, siminstr/run) are the deterministic model, not a
 // timing, so they are gated exactly: a benchmark that reports one in
 // both outputs fails on any difference, and a deliberate change edits
-// the baseline rows in the same change.
+// the baseline rows in the same change. A benchmark that reports
+// allocs/op in both outputs fails when its fewest allocations exceed
+// the baseline's fewest by more than allocSlack.
 //
 //	go test ./internal/bfv -run '^$' -bench . -benchtime=1x -count=3 > new.txt
 //	benchdiff -baseline .github/bench-baseline.txt -new new.txt -threshold 1.25
@@ -33,15 +35,18 @@ import (
 	"strings"
 )
 
-// benchLine matches e.g. "BenchmarkRotateHoisted-8   10   13464356 ns/op ..."
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
-
 // rowLine matches a result line's name and its "value unit" pairs, e.g.
 // "BenchmarkPIMSum64-2   1   8606199 ns/op   723840 simcycles/run ..."
 var rowLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
 // exactUnits are the metrics gated exactly: the simulator's model.
 var exactUnits = []string{"simcycles/run", "siminstr/run"}
+
+// allocSlack is the factor by which a benchmark's fewest allocs/op may
+// exceed the baseline's fewest. An allocation count nearly repeats, but
+// not exactly: the baseline's own repetitions spread 1 723–1 725 (a
+// warm PIM Sum of 64) and 51 004–51 006 (a 54-bit PIM Mul).
+const allocSlack = 1.05
 
 // scanBench calls row with the name and value that re captures on each
 // line of the `go test -bench` output at path.
@@ -61,15 +66,25 @@ func scanBench(path string, re *regexp.Regexp, row func(name, value string)) err
 }
 
 // parseBench returns the minimum ns/op per benchmark name.
-func parseBench(path string) (map[string]float64, error) {
+func parseBench(path string) (map[string]float64, error) { return parseMin(path, "ns/op") }
+
+// parseMin returns, per benchmark name that reports the metric unit,
+// its minimum value across repetitions.
+func parseMin(path, unit string) (map[string]float64, error) {
 	out := map[string]float64{}
-	err := scanBench(path, benchLine, func(name, value string) {
-		ns, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return
-		}
-		if cur, ok := out[name]; !ok || ns < cur {
-			out[name] = ns
+	err := scanBench(path, rowLine, func(name, pairs string) {
+		f := strings.Fields(pairs)
+		for i := 0; i+1 < len(f); i += 2 {
+			if f[i+1] != unit {
+				continue
+			}
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				continue
+			}
+			if cur, ok := out[name]; !ok || v < cur {
+				out[name] = v
+			}
 		}
 	})
 	return out, err
@@ -106,8 +121,8 @@ func main() {
 
 // benchGate diffs two `go test -bench` outputs and returns the process
 // exit code: 0 within threshold, 1 on a regression, a baseline row the
-// new run did not measure or a changed simulated figure, 2 on unusable
-// input.
+// new run did not measure, a changed simulated figure or a grown
+// allocation count, 2 on unusable input.
 func benchGate(baselinePath, newPath string, threshold float64) int {
 	base, err := parseBench(baselinePath)
 	if err != nil {
@@ -135,6 +150,16 @@ func benchGate(baselinePath, newPath string, threshold float64) int {
 		return 2
 	}
 	curSim, err := parseExact(newPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		return 2
+	}
+	baseAllocs, err := parseMin(baselinePath, "allocs/op")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		return 2
+	}
+	curAllocs, err := parseMin(newPath, "allocs/op")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		return 2
@@ -171,6 +196,10 @@ func benchGate(baselinePath, newPath string, threshold float64) int {
 		fmt.Printf("%-54s %s -> %s CHANGED\n", name,
 			strings.Join(baseSim[name], ","), strings.Join(curSim[name], ","))
 	}
+	grown := allocGrowth(baseAllocs, curAllocs)
+	for _, name := range grown {
+		fmt.Printf("%-40s %.0f -> %.0f allocs/op GROWN\n", name, baseAllocs[name], curAllocs[name])
+	}
 	if len(regressed) > 0 {
 		fmt.Print(summarize(regressed))
 	}
@@ -178,9 +207,9 @@ func benchGate(baselinePath, newPath string, threshold float64) int {
 		fmt.Printf("\nBaseline rows not measured (rename or remove them in the baseline deliberately):\n  %s\n",
 			strings.Join(missing, "\n  "))
 	}
-	if len(regressed) > 0 || len(missing) > 0 || len(changed) > 0 {
-		fmt.Printf("benchdiff: %d regression(s) beyond %.0f%% threshold, %d baseline row(s) not measured, %d simulated figure change(s)\n",
-			len(regressed), (threshold-1)*100, len(missing), len(changed))
+	if len(regressed) > 0 || len(missing) > 0 || len(changed) > 0 || len(grown) > 0 {
+		fmt.Printf("benchdiff: %d regression(s) beyond %.0f%% threshold, %d baseline row(s) not measured, %d simulated figure change(s), %d allocation count(s) grown beyond %.0f%%\n",
+			len(regressed), (threshold-1)*100, len(missing), len(changed), len(grown), (allocSlack-1)*100)
 		return 1
 	}
 	fmt.Println("benchdiff: within threshold")
@@ -193,6 +222,20 @@ func simChanges(base, cur map[string][]string) []string {
 	var out []string
 	for name, b := range base {
 		if c, ok := cur[name]; ok && !slices.Equal(b, c) {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// allocGrowth returns, sorted, the benchmarks that report allocs/op in
+// both outputs and whose new fewest exceeds the baseline's fewest by
+// more than allocSlack.
+func allocGrowth(base, cur map[string]float64) []string {
+	var out []string
+	for name, b := range base {
+		if c, ok := cur[name]; ok && c > b*allocSlack {
 			out = append(out, name)
 		}
 	}

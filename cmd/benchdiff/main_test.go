@@ -144,3 +144,37 @@ BenchmarkHost-2       1   1000000 ns/op   5 simcycles/run
 		t.Errorf("parseExact = %v, %v; want %v", got, err, want)
 	}
 }
+
+// TestBenchGateFailsOnAllocGrowth: allocs/op is gated on each side's
+// fewest across repetitions — a row whose fewest rises more than 5 %
+// above the baseline's fewest fails, a spread of a few allocations
+// between repetitions does not, and a row reporting allocs/op on one
+// side only is not compared.
+func TestBenchGateFailsOnAllocGrowth(t *testing.T) {
+	base := writeTemp(t, "base.txt", `
+BenchmarkPIMSum64-2   1   8000000 ns/op   1000 allocs/op
+BenchmarkPIMSum64-2   1   8000000 ns/op   1002 allocs/op
+BenchmarkHost-2       1   1000000 ns/op
+`)
+	for name, c := range map[string]struct {
+		rows string
+		want int
+	}{
+		"unchanged":            {"1000 allocs/op", 0},
+		"fewer":                {"190 allocs/op", 0},
+		"within 5%":            {"1050 allocs/op", 0},
+		"beyond 5%":            {"1051 allocs/op", 1},
+		"fewest within 5%":     {"1200 allocs/op\nBenchmarkPIMSum64-2   1   8000000 ns/op   1049 allocs/op", 0},
+		"every run beyond 5%":  {"1100 allocs/op\nBenchmarkPIMSum64-2   1   8000000 ns/op   1060 allocs/op", 1},
+		"not reported anymore": {"0 B/op", 0},
+	} {
+		fresh := writeTemp(t, "new.txt", "BenchmarkPIMSum64-2   1   8000000 ns/op   "+c.rows+"\nBenchmarkHost-2   1   1000000 ns/op   99 allocs/op\n")
+		if code := benchGate(base, fresh, 1.25); code != c.want {
+			t.Errorf("%s: exit %d, want %d", name, code, c.want)
+		}
+	}
+	got, err := parseMin(base, "allocs/op")
+	if want := map[string]float64{"BenchmarkPIMSum64": 1000}; err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("parseMin(allocs/op) = %v, %v; want %v", got, err, want)
+	}
+}

@@ -92,7 +92,11 @@ func newCiphertextFrom(alloc BackingAllocator, par *Parameters, k int) *Cipherte
 // per-slot Shoup companions of their form: the companions cost a
 // hardware division per slot to build, so they are only constructed once
 // a component's form has been requested for a second multiplication —
-// single-use operands never pay for them.
+// single-use operands never pay for them. A decryption reads a form
+// once, so it caches one only on its second read of the component, and
+// until then builds it in pool scratch it returns (rnsNTTRead). uses
+// counts what each rule waits for: the component's uncached reads while
+// it has no form, its Shoup requests once it has one.
 type nttCache struct {
 	mu     sync.Mutex
 	ctx    *dcrt.Context
@@ -118,9 +122,32 @@ func (ct *Ciphertext) rnsNTTShoup(ctx *dcrt.Context, i int) (form, shoup *dcrt.P
 	return ct.rnsNTTUse(ctx, i, true)
 }
 
-func (ct *Ciphertext) rnsNTTUse(ctx *dcrt.Context, i int, wantShoup bool) (form, shoup *dcrt.Poly) {
+// rnsNTTRead returns the centered double-CRT form of component i for
+// one read: the cached form if there is one; otherwise, on the
+// component's second uncached read, a form it builds and caches; and
+// before that a form built in pool scratch, which the caller returns
+// with PutScratch when scratch is true.
+func (ct *Ciphertext) rnsNTTRead(ctx *dcrt.Context, i int) (form *dcrt.Poly, scratch bool) {
 	ct.ntt.mu.Lock()
 	defer ct.ntt.mu.Unlock()
+	ct.bindNTT(ctx)
+	if ct.ntt.srcs[i] == ct.Polys[i] && ct.ntt.forms[i] != nil {
+		return ct.ntt.forms[i], false
+	}
+	if ct.ntt.srcs[i] != ct.Polys[i] {
+		ct.ntt.forms[i], ct.ntt.srcs[i], ct.ntt.shoups[i], ct.ntt.uses[i] = nil, ct.Polys[i], nil, 0
+	}
+	form = ctx.ToRNSCentered(ct.Polys[i])
+	if ct.ntt.uses[i]++; ct.ntt.uses[i] < 2 {
+		return form, true
+	}
+	ct.ntt.forms[i], ct.ntt.uses[i] = form, 0
+	return form, false
+}
+
+// bindNTT points the cache at ctx and ct's component count, dropping
+// what it held for another.
+func (ct *Ciphertext) bindNTT(ctx *dcrt.Context) {
 	if ct.ntt.ctx != ctx || len(ct.ntt.forms) != len(ct.Polys) {
 		ct.ntt.ctx = ctx
 		ct.ntt.forms = make([]*dcrt.Poly, len(ct.Polys))
@@ -128,6 +155,12 @@ func (ct *Ciphertext) rnsNTTUse(ctx *dcrt.Context, i int, wantShoup bool) (form,
 		ct.ntt.shoups = make([]*dcrt.Poly, len(ct.Polys))
 		ct.ntt.uses = make([]int, len(ct.Polys))
 	}
+}
+
+func (ct *Ciphertext) rnsNTTUse(ctx *dcrt.Context, i int, wantShoup bool) (form, shoup *dcrt.Poly) {
+	ct.ntt.mu.Lock()
+	defer ct.ntt.mu.Unlock()
+	ct.bindNTT(ctx)
 	if ct.ntt.forms[i] == nil || ct.ntt.srcs[i] != ct.Polys[i] {
 		ct.ntt.forms[i] = ctx.ToRNSCentered(ct.Polys[i])
 		ct.ntt.srcs[i] = ct.Polys[i]

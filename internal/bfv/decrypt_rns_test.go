@@ -1,6 +1,7 @@
 package bfv
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -129,4 +130,40 @@ func TestDecryptRNSParallel(t *testing.T) {
 	for msg := range errc {
 		t.Fatal(msg)
 	}
+}
+
+// TestDecryptCachesFormsOnSecondRead: a ciphertext decrypted once keeps
+// no NTT form — the decryption builds its forms in pool scratch and
+// returns them — and the second decryption caches every form, which a
+// third then reads.
+func TestDecryptCachesFormsOnSecondRead(t *testing.T) {
+	params := ParamsSec27()
+	c := newCtx(t, params, 408, false)
+	ct, err := c.enc.EncryptValue(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := func() int {
+		n := 0
+		for _, f := range ct.ntt.forms {
+			if f != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for read, want := range []int{0, 2, 2} {
+		if got := c.dec.Decrypt(ct).Coeffs[0]; got != 6 {
+			t.Fatalf("decryption %d: got %d, want 6", read+1, got)
+		}
+		if got := cached(); got != want {
+			t.Fatalf("after decryption %d: %d cached forms, want %d", read+1, got, want)
+		}
+	}
+	forms := slices.Clone(ct.ntt.forms)
+	c.dec.Decrypt(ct)
+	if !slices.Equal(forms, ct.ntt.forms) {
+		t.Fatal("a decryption rebuilt forms the ciphertext had cached")
+	}
+	ct.Release()
 }

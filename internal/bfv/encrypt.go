@@ -179,13 +179,14 @@ func (d *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 }
 
 // decryptRNS is the RNS-native Decrypt: the phase accumulates as an
-// exact integer on the cached centered NTT forms (|phase| ≤ q·n^deg, far
-// inside the basis bound), and RoundModT folds ⌊t·phase/q⌉ mod t per
-// coefficient in word arithmetic. The phase integer differs from the
-// big.Int path's mod-q representative by a multiple of q, which shifts
-// the rounded quotient by a multiple of t — invisible mod t, so the
-// result is bit-identical to the oracle. Returns ok=false when the
-// ciphertext degree or phase magnitude is outside the word-sized window.
+// exact integer on the ciphertext's centered NTT forms, read through
+// rnsNTTRead (|phase| ≤ q·n^deg, far inside the basis bound), and
+// RoundModT folds ⌊t·phase/q⌉ mod t per coefficient in word
+// arithmetic. The phase integer differs from the big.Int path's mod-q
+// representative by a multiple of q, which shifts the rounded quotient
+// by a multiple of t — invisible mod t, so the result is bit-identical
+// to the oracle. Returns ok=false when the ciphertext degree or phase
+// magnitude is outside the word-sized window.
 func (d *Decryptor) decryptRNS(ct *Ciphertext) (*Plaintext, bool) {
 	par := d.params
 	deg := ct.Degree()
@@ -202,10 +203,16 @@ func (d *Decryptor) decryptRNS(ct *Ciphertext) (*Plaintext, bool) {
 	acc := ctx.GetScratch()
 	defer ctx.PutScratch(acc)
 	acc.Zero()
-	ctx.AddNTT(acc, acc, ct.rnsNTT(ctx, 0))
-	ctx.MulAddNTT(acc, ct.rnsNTT(ctx, 1), s)
-	if deg == 2 {
-		ctx.MulAddNTT(acc, ct.rnsNTT(ctx, 2), s2)
+	for i, key := range []*dcrt.Poly{nil, s, s2}[:deg+1] {
+		c, scratch := ct.rnsNTTRead(ctx, i)
+		if key == nil {
+			ctx.AddNTT(acc, acc, c)
+		} else {
+			ctx.MulAddNTT(acc, c, key)
+		}
+		if scratch {
+			ctx.PutScratch(c)
+		}
 	}
 	pt := NewPlaintext(par)
 	sr.RoundModT(acc, pt.Coeffs)

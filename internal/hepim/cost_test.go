@@ -219,16 +219,16 @@ func TestSumAllocatesShardSizedScratch(t *testing.T) {
 }
 
 // TestPIMSumAllocs gates the host allocations of a warm Sum of 64
-// ciphertexts on 4 × 64 DPUs — the mean BenchmarkPIMSum64 times. A shard
-// is a word range and its kernel, so what is left per call is the
-// placement, one goroutine per DPU launch, one kernel per shard and the
-// output. The scheduler that staged and gathered through per-shard
-// closures on goroutines of its own made 2 848.
+// ciphertexts on 4 × 64 DPUs — the mean BenchmarkPIMSum64 times. The
+// server's sum plan holds the shards, their placement and their
+// programs, and a launch's slots belong to the System, so what is left
+// per call is the output and the reports: 19 allocations, half the
+// bound. A count near 1 700 means each call compiles its plan again.
 func TestPIMSumAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
-	const maxAllocs = 2000
+	const maxAllocs = 38
 	f := rackFixture(t, bfv.ParamsSec109(), false)
 	cts := f.encryptMany(t, 64)
 	want := f.hostSum(cts)
@@ -245,6 +245,39 @@ func TestPIMSumAllocs(t *testing.T) {
 	t.Logf("warm Sum of 64: %.0f allocations per call", allocs)
 	if allocs > maxAllocs {
 		t.Fatalf("warm Sum of 64 allocates %.0f times per call, want ≤ %d", allocs, maxAllocs)
+	}
+}
+
+// TestPIMMulAllocs gates the host allocations of a warm relinearized
+// 27-bit Mul on 4 × 64 DPUs — the operation BenchmarkPIMMul27 times.
+// The server keeps its tensor, key-switching and sum plans, so what is
+// left per call is the host's residues, rescaling and digits, the
+// staged operands, the outputs and the reports: 51 allocations, half
+// the bound. A count near 1 800 means each call compiles its plans
+// again.
+func TestPIMMulAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	const maxAllocs = 102
+	f := rackFixture(t, bfv.ParamsSec27(), true)
+	cts := f.encryptMany(t, 2)
+	want, err := f.eval.Mul(cts[0], cts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *bfv.Ciphertext
+	allocs := testing.AllocsPerRun(5, func() {
+		if got, err = f.srv.Mul(cts[0], cts[1]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !got.Equal(want) {
+		t.Fatal("PIM Mul differs from host evaluator")
+	}
+	t.Logf("warm 27-bit Mul: %.0f allocations per call", allocs)
+	if allocs > maxAllocs {
+		t.Fatalf("warm 27-bit Mul allocates %.0f times per call, want ≤ %d", allocs, maxAllocs)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"slices"
 
 	"repro/internal/bfv"
+	"repro/internal/limb32"
 	"repro/internal/pim"
 	"repro/internal/pim/kernels"
 	"repro/internal/pimsched"
@@ -31,7 +32,14 @@ import (
 // the scheduler's rank×DPU topology and every kernel run's report — the
 // sharded cycle/transfer/energy breakdown, with both the pipelined
 // makespan and the no-overlap serial time — is folded into one running
-// total. Nothing is retained per run.
+// total.
+//
+// The server keeps one compiled plan per driver — the sums (Add, Sum
+// and a key switch's two sums), the Mul's tensor products and the
+// key-switching products — for the operand shape that driver last ran,
+// and compiles it again when the shape changes or a DPU has died. A
+// plan holds placement and programs, never operands or results. The
+// server is not safe for concurrent use.
 type Server struct {
 	Sys    *pim.System
 	Sched  *pimsched.Scheduler
@@ -39,6 +47,8 @@ type Server struct {
 
 	tensor *rns.Rounder // residues and exact rescaling of the tensor products
 	rlk    *bfv.RelinKey
+
+	sumPlan, tensorPlan, keyPlan *kernels.Plan
 
 	total pimsched.Report // sum of every kernel run since ResetReports
 	runs  int             // how many runs total holds
@@ -78,6 +88,42 @@ func (s *Server) record(rep *pimsched.Report) {
 	s.runs++
 }
 
+// plan returns *slot if it runs inputs operand vectors of length words,
+// and otherwise the plan compile returns, which it keeps in *slot.
+func plan(slot **kernels.Plan, inputs, length int, compile func() (*kernels.Plan, error)) (*kernels.Plan, error) {
+	if *slot == nil || !(*slot).Fits(inputs, length) {
+		p, err := compile()
+		if err != nil {
+			return nil, err
+		}
+		*slot = p
+	}
+	return *slot, nil
+}
+
+// sum returns the element-wise sum mod q of vecs, at least one, run on
+// the sum plan.
+func (s *Server) sum(vecs [][]uint32) ([]uint32, error) {
+	par := s.Params
+	p, err := plan(&s.sumPlan, len(vecs), len(vecs[0]), func() (*kernels.Plan, error) {
+		return kernels.CompileVectorSum(s.Sched, len(vecs), len(vecs[0]), par.Q.W, par.Q.Q)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s.run(p, vecs)
+}
+
+// run runs p over ins and records its report.
+func (s *Server) run(p *kernels.Plan, ins [][]uint32) ([]uint32, error) {
+	out, rep, err := p.Run(ins)
+	if err != nil {
+		return nil, err
+	}
+	s.record(rep)
+	return out, nil
+}
+
 // Runs is how many kernel runs (scheduler plans) the total holds.
 func (s *Server) Runs() int { return s.runs }
 
@@ -102,11 +148,10 @@ func (s *Server) Add(ct0, ct1 *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 		a = append(a, ct0.Polys[c].C...)
 		b = append(b, ct1.Polys[c].C...)
 	}
-	out, rep, err := kernels.RunVectorAddSched(s.Sched, a, b, w, par.Q.Q)
+	out, err := s.sum([][]uint32{a, b})
 	if err != nil {
 		return nil, err
 	}
-	s.record(rep)
 	return unflatten(out, len(ct0.Polys), n, w), nil
 }
 
@@ -156,16 +201,15 @@ func (s *Server) Sum(cts []*bfv.Ciphertext) (*bfv.Ciphertext, error) {
 		}
 	}
 	outPolys := make([]*poly.Poly, comps)
+	vecs := make([][]uint32, len(cts))
 	for c := 0; c < comps; c++ {
-		vecs := make([][]uint32, len(cts))
 		for i, ct := range cts {
 			vecs[i] = ct.Polys[c].C
 		}
-		out, rep, err := kernels.RunVectorSumSched(s.Sched, vecs, w, par.Q.Q)
+		out, err := s.sum(vecs)
 		if err != nil {
 			return nil, err
 		}
-		s.record(rep)
 		outPolys[c] = poly.NewPolyBacked(n, w, out)
 	}
 	return &bfv.Ciphertext{Polys: outPolys}, nil
@@ -204,12 +248,17 @@ func (s *Server) Mul(ct0, ct1 *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 	par, rd := s.Params, s.tensor
 	a0, a1 := rd.Residues(ct0.Polys[0]), rd.Residues(ct0.Polys[1])
 	b0, b1 := rd.Residues(ct1.Polys[0]), rd.Residues(ct1.Polys[1])
-	prods, rep, err := kernels.RunVectorPolyMulModsSched(s.Sched,
-		slices.Concat(a0, a0, a1, a1), slices.Concat(b0, b1, b0, b1), par.N, 1, slices.Repeat(rd.Moduli(), 4))
+	length := 4 * len(a0)
+	p, err := plan(&s.tensorPlan, 2, length, func() (*kernels.Plan, error) {
+		return kernels.CompileVectorPolyMulMods(s.Sched, length, par.N, 1, slices.Repeat(rd.Moduli(), 4))
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.record(rep)
+	prods, err := s.run(p, [][]uint32{slices.Concat(a0, a0, a1, a1), slices.Concat(b0, b1, b0, b1)})
+	if err != nil {
+		return nil, err
+	}
 
 	// Host: d0 = a0·b0, d1 = a0·b1 + a1·b0, d2 = a1·b1, rescaled by t/q.
 	kn := len(a0)
@@ -236,11 +285,16 @@ func (s *Server) keySwitch(digits, k0, k1 []*poly.Poly, acc0, acc1 [][]uint32) (
 		ra = append(append(ra, d.C...), d.C...)
 		rb = append(append(rb, k0[i].C...), k1[i].C...)
 	}
-	prods, rep, err := kernels.RunVectorPolyMulSched(s.Sched, ra, rb, n, w, par.Q.Q)
+	p, err := plan(&s.keyPlan, 2, len(ra), func() (*kernels.Plan, error) {
+		return kernels.CompileVectorPolyMulMods(s.Sched, len(ra), n, w, slices.Repeat([]limb32.Nat{par.Q.Q}, 2*len(digits)))
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.record(rep)
+	prods, err := s.run(p, [][]uint32{ra, rb})
+	if err != nil {
+		return nil, err
+	}
 
 	for i := range digits {
 		acc0 = append(acc0, prods[(2*i)*n*w:(2*i+1)*n*w])
@@ -248,11 +302,10 @@ func (s *Server) keySwitch(digits, k0, k1 []*poly.Poly, acc0, acc1 [][]uint32) (
 	}
 	out := &bfv.Ciphertext{Polys: make([]*poly.Poly, 2)}
 	for c, vecs := range [][][]uint32{acc0, acc1} {
-		flat, rep, err := kernels.RunVectorSumSched(s.Sched, vecs, w, par.Q.Q)
+		flat, err := s.sum(vecs)
 		if err != nil {
 			return nil, err
 		}
-		s.record(rep)
 		out.Polys[c] = poly.NewPolyBacked(n, w, flat)
 	}
 	return out, nil

@@ -78,8 +78,8 @@ func (d *DPU) resetAccounting(tasklets int) {
 // gives the same integers as pricing each charge as it is made.
 //
 // A kernel panic — an out-of-bounds DMA, a nil layout — is a bug in the
-// kernel or its plan, but it fires on a simulator goroutine no caller
-// can guard; it comes back as an ordinary error naming the DPU and
+// kernel or its plan, but it may fire on a launch worker no caller can
+// guard; it comes back as an ordinary error naming the DPU and
 // tasklet, so one bad shard fails its run instead of the process.
 func (d *DPU) run(kernel KernelFunc, cost *CostModel, tasklets int) (err error) {
 	ctx := &d.ctx

@@ -3,6 +3,7 @@ package pim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/faultinject"
 )
@@ -104,13 +105,21 @@ func (s *System) NoteRedispatch() {
 }
 
 // LiveDPUIDs returns the IDs of the DPUs that have not died, in
-// ascending order.
-func (s *System) LiveDPUIDs() []int {
-	out := make([]int, 0, len(s.DPUs))
-	for _, d := range s.DPUs {
-		if !d.dead {
-			out = append(out, d.ID)
-		}
-	}
-	return out
+// ascending order. The slice is the System's own and must not be
+// modified; a death replaces it rather than editing it, so a slice once
+// returned stays a snapshot.
+func (s *System) LiveDPUIDs() []int { return s.live }
+
+// LiveEpoch counts the DPU deaths so far: a placement made on
+// LiveDPUIDs holds while the epoch is unchanged.
+func (s *System) LiveEpoch() uint64 { return s.liveEpoch }
+
+// kill marks d dead: the one place a DPU dies.
+func (s *System) kill(d *DPU) {
+	d.dead = true
+	s.live = slices.DeleteFunc(slices.Clone(s.live), func(id int) bool { return id == d.ID })
+	s.liveEpoch++
+	s.faultMu.Lock()
+	s.stats.DeadDPUs++
+	s.faultMu.Unlock()
 }

@@ -32,9 +32,10 @@
 //     tally counted (modTally).
 //
 // The tasklet programs live in sum.go, kernels.go and nttkernel.go; the
-// host side is sched.go, where each Run*Sched driver is a shard plan
-// executed by internal/pimsched — the package holds no placement, retry
-// or transfer-pricing logic of its own.
+// host side is sched.go, where each driver compiles a shard plan (a
+// Plan, run as often as asked) executed by internal/pimsched — the
+// package holds no placement, retry or transfer-pricing logic of its
+// own.
 package kernels
 
 import (

@@ -31,6 +31,17 @@ func testSched(t *testing.T, topo pimsched.Topology, tasklets int) *pimsched.Sch
 	return sched
 }
 
+// runPlan compiles the shards kernel builds for ins, cut into units of
+// unitWords words, and runs them once: a driver's path, for a reference
+// program.
+func runPlan(sched *pimsched.Scheduler, ins [][]uint32, unitWords int, kernel func(first, cnt int) pim.KernelFunc) ([]uint32, *pimsched.Report, error) {
+	p, err := compile(sched, len(ins), len(ins[0]), unitWords, kernel)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.Run(ins)
+}
+
 // paper moduli by width.
 func modulusFor(t *testing.T, w int) *poly.Modulus {
 	t.Helper()

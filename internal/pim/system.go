@@ -16,7 +16,8 @@ import (
 // copies are in flight on other goroutines. Kernel launches must be
 // issued from one goroutine at a time: the launch sequence numbers the
 // fault schedule, so concurrent launches would make a seeded chaos run
-// scheduling-dependent.
+// scheduling-dependent, and every launch reuses the System's per-slot
+// state.
 type System struct {
 	Config SystemConfig
 	DPUs   []*DPU
@@ -26,11 +27,29 @@ type System struct {
 
 	// Fault model (see fault.go). faults is nil unless a chaos run
 	// attached an injector; launchSeq numbers launches so injection
-	// decisions are reproducible.
+	// decisions are reproducible. live lists the DPUs that have not
+	// died, in ID order, and liveEpoch counts the deaths: both change
+	// only in kill.
 	faults    *faultinject.Injector
 	launchSeq uint64
 	faultMu   sync.Mutex
 	stats     FaultStats
+	live      []int
+	liveEpoch uint64
+
+	// The launch in flight, its state reused by every launch: its DPUs
+	// and kernels; each slot's error, whether it runs and whether it
+	// straggles; the next slot a worker takes and the workers still
+	// running. worker is the body of a worker goroutine, made once so
+	// that starting one allocates nothing.
+	ids      []int
+	kernels  []KernelFunc
+	errs     []error
+	run      []bool
+	straggle []bool
+	next     atomic.Int64
+	workers  sync.WaitGroup
+	worker   func()
 }
 
 // NewSystem allocates a system; DPU MRAM is grown on demand.
@@ -38,9 +57,14 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{Config: cfg, DPUs: make([]*DPU, cfg.NumDPUs)}
+	s := &System{Config: cfg, DPUs: make([]*DPU, cfg.NumDPUs), live: make([]int, cfg.NumDPUs)}
 	for i := range s.DPUs {
 		s.DPUs[i] = &DPU{ID: i}
+		s.live[i] = i
+	}
+	s.worker = func() {
+		s.work()
+		s.workers.Done()
 	}
 	return s, nil
 }
@@ -101,12 +125,15 @@ type Report struct {
 }
 
 // LaunchOn runs kernels[i] on DPU ids[i] with the configured tasklet
-// count, the DPUs side by side on host goroutines. It returns the
-// launch report plus one error slot per listed DPU (aligned with ids):
-// slots are nil on success, a *FaultError for injected or pre-existing
-// DPU failures, and an ordinary error when the kernel itself failed or
-// panicked. The report covers the DPUs that ran, so a partially faulted
-// launch still charges the cycles it consumed.
+// count, the DPUs side by side on min(GOMAXPROCS, len(ids)) workers,
+// each taking the next DPU from a shared counter; with one worker the
+// DPUs run in turn on the caller's goroutine. No worker outlives the
+// launch. It returns the launch report plus one error slot per listed
+// DPU (aligned with ids): slots are nil on success, a *FaultError for
+// injected or pre-existing DPU failures, and an ordinary error when the
+// kernel itself failed or panicked. The slots belong to the System and
+// hold until the next launch. The report covers the DPUs that ran, so a
+// partially faulted launch still charges the cycles it consumed.
 //
 // Fault-injection decisions are made serially, before any kernel code
 // runs, keyed by (launch sequence, DPU ID) — so a seeded chaos run is
@@ -114,16 +141,13 @@ type Report struct {
 // marked dead before its kernel would have run and stays dead for the
 // rest of the System's life.
 func (s *System) LaunchOn(ids []int, kernels []KernelFunc) (*Report, []error) {
-	T := s.Config.Tasklets
-	errs := make([]error, len(ids))
+	errs, run, straggle := s.slots(len(ids))
 
 	// Serial fault-decision pass.
 	s.faultMu.Lock()
 	s.launchSeq++
 	seq := s.launchSeq
 	s.faultMu.Unlock()
-	run := make([]bool, len(ids))
-	straggle := make([]bool, len(ids))
 	for i, id := range ids {
 		if id < 0 || id >= len(s.DPUs) {
 			errs[i] = fmt.Errorf("pim: DPU id %d out of range 0..%d", id, len(s.DPUs)-1)
@@ -136,10 +160,7 @@ func (s *System) LaunchOn(ids []int, kernels []KernelFunc) (*Report, []error) {
 		}
 		key := faultinject.Key(seq, uint64(id))
 		if s.faults.Hit(SiteDPUDead, key) {
-			d.dead = true
-			s.faultMu.Lock()
-			s.stats.DeadDPUs++
-			s.faultMu.Unlock()
+			s.kill(d)
 			errs[i] = &FaultError{DPU: id, Permanent: true}
 			continue
 		}
@@ -159,21 +180,17 @@ func (s *System) LaunchOn(ids []int, kernels []KernelFunc) (*Report, []error) {
 		run[i] = true
 	}
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, id := range ids {
-		if !run[i] {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(d *DPU, slot int, kern KernelFunc) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[slot] = d.run(kern, s.Config.Cost, T)
-		}(s.DPUs[id], i, kernels[i])
+	// The caller is one of the workers.
+	s.ids, s.kernels = ids, kernels
+	s.next.Store(0)
+	helpers := max(min(runtime.GOMAXPROCS(0), len(ids))-1, 0)
+	s.workers.Add(helpers)
+	for range helpers {
+		go s.worker()
 	}
-	wg.Wait()
+	s.work()
+	s.workers.Wait()
+	s.ids, s.kernels = nil, nil
 
 	rep := &Report{}
 	for i, id := range ids {
@@ -199,6 +216,33 @@ func (s *System) LaunchOn(ids []int, kernels []KernelFunc) (*Report, []error) {
 	}
 	rep.KernelSeconds = float64(rep.KernelCycles)/s.Config.ClockHz + s.Config.LaunchOverheadSec
 	return rep, errs
+}
+
+// slots returns the launch's n per-slot errors, run flags and straggle
+// flags, cleared, growing the System's arrays when n outgrows them.
+func (s *System) slots(n int) (errs []error, run, straggle []bool) {
+	if cap(s.errs) < n {
+		s.errs, s.run, s.straggle = make([]error, n), make([]bool, n), make([]bool, n)
+	}
+	errs, run, straggle = s.errs[:n], s.run[:n], s.straggle[:n]
+	clear(errs)
+	clear(run)
+	clear(straggle)
+	return errs, run, straggle
+}
+
+// work is one launch worker: it takes slots from the shared counter
+// until none is left and runs each slot's kernel on its DPU.
+func (s *System) work() {
+	for {
+		i := int(s.next.Add(1) - 1)
+		if i >= len(s.ids) {
+			return
+		}
+		if s.run[i] {
+			s.errs[i] = s.DPUs[s.ids[i]].run(s.kernels[i], s.Config.Cost, s.Config.Tasklets)
+		}
+	}
 }
 
 // Partition splits `items` work items across `workers` as evenly as

@@ -86,16 +86,49 @@ func (s *Scheduler) TargetShards(items int) int {
 // scheduler issues one LaunchOn per chunk, and the timeline prices each
 // chunk's copy-in, kernel and copy-out as one rank's phases.
 type chunk struct {
-	rank   int
-	wave   int
-	shards []int // indices into the run's shards
-	dpus   []int // dpus[j] runs shards[j]
+	rank    int
+	wave    int
+	shards  []int            // indices into the run's shards
+	dpus    []int            // dpus[j] runs shards[j]
+	kernels []pim.KernelFunc // kernels[j] is shards[j]'s program
 }
+
+// A Plan is a shard plan compiled for one Scheduler: the shards, the
+// chunks their first round launches in and each chunk's kernels, placed
+// on the DPUs that were live when it was compiled. It runs as often as
+// asked and is not changed by running. After a DPU has died a plan
+// still runs to the right result: the shards placed on the dead DPU
+// fail their launch and are re-placed on survivors, as when a DPU dies
+// during a run. Its owner compiles it again, once Placed reports false,
+// to place on the survivors alone.
+type Plan struct {
+	shards []Shard
+	chunks []chunk
+	epoch  uint64 // the System's LiveEpoch when chunks were placed
+}
+
+// Compile places shards on the live DPUs inside the topology. The
+// shards' word ranges index every input and the output of each Run.
+func (s *Scheduler) Compile(shards []Shard) (*Plan, error) {
+	all := make([]int, len(shards))
+	for i := range all {
+		all[i] = i
+	}
+	chunks, err := s.place(shards, all)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{shards: shards, chunks: chunks, epoch: s.Sys.LiveEpoch()}, nil
+}
+
+// Placed reports whether p's first round is placed on live DPUs alone:
+// no DPU has died since it was compiled.
+func (s *Scheduler) Placed(p *Plan) bool { return p.epoch == s.Sys.LiveEpoch() }
 
 // place cuts the pending shards into chunks: shards land on live DPUs
 // in ID order (wave after wave when there are fewer live DPUs than
 // shards), and each wave splits at rank boundaries.
-func (s *Scheduler) place(pending []int) ([]chunk, error) {
+func (s *Scheduler) place(shards []Shard, pending []int) ([]chunk, error) {
 	live := s.liveDPUs()
 	if len(live) == 0 {
 		return nil, pim.ErrNoLiveDPUs
@@ -113,8 +146,14 @@ func (s *Scheduler) place(pending []int) ([]chunk, error) {
 				}
 				cur = chunk{rank: r, wave: w / len(live)}
 			}
-			cur.shards = append(cur.shards, pending[w+j])
+			si := pending[w+j]
+			k := shards[si].Kernel
+			if k == nil {
+				k = emptyKernel
+			}
+			cur.shards = append(cur.shards, si)
 			cur.dpus = append(cur.dpus, dpu)
+			cur.kernels = append(cur.kernels, k)
 		}
 		if len(cur.shards) > 0 {
 			chunks = append(chunks, cur)
@@ -131,12 +170,10 @@ func (s *Scheduler) place(pending []int) ([]chunk, error) {
 type timeline struct {
 	inBusFree  float64
 	outBusFree float64
-	rankFree   map[int]float64
+	rankFree   []float64 // by rank
 	makespan   float64
 	serial     float64
 }
-
-func newTimeline() *timeline { return &timeline{rankFree: make(map[int]float64)} }
 
 // advance folds one chunk's modeled phases into the pipeline:
 //
@@ -166,29 +203,33 @@ func (tl *timeline) advance(rank int, tIn, tK, tOut float64) {
 	tl.serial += tIn + tK + tOut
 }
 
-// Run executes the shards over inputs in and output out across the
+// Run executes plan p over inputs in and output out across the
 // topology and returns the merged report. Faulted shards are retried
-// (transient) or re-placed on survivors (dead DPU) in bounded rounds;
-// any non-fault error aborts.
-func (s *Scheduler) Run(in [][]uint32, out []uint32, shards []Shard) (*Report, error) {
+// (transient) or re-placed on survivors (dead DPU) in bounded rounds,
+// each round after the first placed afresh; any non-fault error aborts.
+func (s *Scheduler) Run(p *Plan, in [][]uint32, out []uint32) (*Report, error) {
+	shards := p.shards
 	rep := &Report{Shards: len(shards), Topology: s.Topo, Overlap: s.Overlap}
 	for i := range shards {
 		words := int64(shards[i].Hi - shards[i].Lo)
 		rep.BytesIn += 4 * int64(len(in)) * words
 		rep.BytesOut += 4 * words
 	}
-	tl := newTimeline()
-	pending := make([]int, len(shards))
-	for i := range pending {
-		pending[i] = i
-	}
-	for round := 0; len(pending) > 0; round++ {
-		if round > pim.RetryBudget {
-			return nil, fmt.Errorf("%w: %d shard(s) still failing after %d round(s)",
-				pim.ErrFaultBudget, len(pending), round)
+	tl := timeline{rankFree: make([]float64, s.Topo.Ranks)}
+	chunks := p.chunks
+	for round := 0; ; round++ {
+		failed, err := s.runRound(in, out, shards, chunks, &tl, rep)
+		if err != nil {
+			return nil, err
 		}
-		var err error
-		if pending, err = s.runRound(in, out, shards, pending, tl, rep); err != nil {
+		if len(failed) == 0 {
+			break
+		}
+		if round == pim.RetryBudget {
+			return nil, fmt.Errorf("%w: %d shard(s) still failing after %d round(s)",
+				pim.ErrFaultBudget, len(failed), round+1)
+		}
+		if chunks, err = s.place(shards, failed); err != nil {
 			return nil, err
 		}
 	}
@@ -201,18 +242,13 @@ func (s *Scheduler) Run(in [][]uint32, out []uint32, shards []Shard) (*Report, e
 	return rep, nil
 }
 
-// runRound places the pending shards into chunks and runs them one
-// after another in placement order: stage the chunk's shards, launch
-// them, account the launch, then gather the shards that ran. It returns
-// the faulted shards, to be retried or re-placed in the next round. The
-// launch order keys the fault schedule, so a seeded chaos run is
-// reproducible; the overlap between ranks is priced by the timeline,
-// not performed.
-func (s *Scheduler) runRound(in [][]uint32, out []uint32, shards []Shard, pending []int, tl *timeline, rep *Report) ([]int, error) {
-	chunks, err := s.place(pending)
-	if err != nil {
-		return nil, err
-	}
+// runRound runs one round's chunks one after another in placement
+// order: stage the chunk's shards, launch them, account the launch,
+// then gather the shards that ran. It returns the faulted shards, to be
+// retried or re-placed in the next round. The launch order keys the
+// fault schedule, so a seeded chaos run is reproducible; the overlap
+// between ranks is priced by the timeline, not performed.
+func (s *Scheduler) runRound(in [][]uint32, out []uint32, shards []Shard, chunks []chunk, tl *timeline, rep *Report) ([]int, error) {
 	rep.Launches += len(chunks)
 	if rep.ActiveDPUs == 0 {
 		// Every later wave reuses a prefix of the first wave's DPUs, and
@@ -226,21 +262,14 @@ func (s *Scheduler) runRound(in [][]uint32, out []uint32, shards []Shard, pendin
 		}
 	}
 	var failed []int
-	kernels := make([]pim.KernelFunc, 0, len(chunks[0].dpus))
 	for c := range chunks {
 		ch := &chunks[c]
-		kernels = kernels[:0]
 		for j, si := range ch.shards {
 			if err := s.stage(ch.dpus[j], in, &shards[si]); err != nil {
 				return nil, err
 			}
-			k := shards[si].Kernel
-			if k == nil {
-				k = emptyKernel
-			}
-			kernels = append(kernels, k)
 		}
-		crep, errs := s.Sys.LaunchOn(ch.dpus, kernels)
+		crep, errs := s.Sys.LaunchOn(ch.dpus, ch.kernels)
 		s.accountChunk(rep, tl, ch, crep, errs, len(in), shards)
 		for j, si := range ch.shards {
 			switch fe := errs[j].(type) {

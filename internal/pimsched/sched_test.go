@@ -46,8 +46,17 @@ func addKernel(coeffs int) pim.KernelFunc {
 	}
 }
 
+// runShards compiles shards into a plan and runs it once.
+func (s *Scheduler) runShards(in [][]uint32, out []uint32, shards []Shard) (*Report, error) {
+	p, err := s.Compile(shards)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(p, in, out)
+}
+
 // vectorAddShards cuts a⊕b into nShards pimsched shards writing into
-// out, and returns the inputs, output and shards Scheduler.Run takes.
+// out, and returns the inputs, output and shards runShards takes.
 func vectorAddShards(a, b, out []uint32, nShards int) ([][]uint32, []uint32, []Shard) {
 	shards := make([]Shard, nShards)
 	for i := range shards {
@@ -77,7 +86,7 @@ func runAdd(t *testing.T, sys *pim.System, topo Topology, overlap bool, nCoeffs,
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sched.Run(vectorAddShards(a, b, out, nShards))
+	rep, err := sched.runShards(vectorAddShards(a, b, out, nShards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +133,7 @@ func TestPanickingShardAbortsTheRunOnly(t *testing.T) {
 		ctx.MRAMWrite(1<<20, []uint32{1}) // far outside the staged shard
 		return nil
 	}
-	rep, err := sched.Run(in, out, shards)
+	rep, err := sched.runShards(in, out, shards)
 	if err == nil || rep != nil || pim.IsFault(err) {
 		t.Fatalf("Run with a panicking shard returned (%v, %v), want a non-fault error", rep, err)
 	}
@@ -178,7 +187,7 @@ func deadSeed(t *testing.T, topo Topology, rate float64, nCoeffs, nShards int) u
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sched.Run(vectorAddShards(a, b, out, nShards))
+		rep, err := sched.runShards(vectorAddShards(a, b, out, nShards))
 		if err == nil && rep.Resharded > 0 {
 			return seed
 		}
@@ -202,7 +211,7 @@ func TestDeadDPUReshardsBitIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sched.Run(vectorAddShards(a, b, out, nShards))
+		rep, err := sched.runShards(vectorAddShards(a, b, out, nShards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +303,7 @@ func TestFaultedChunkPricesCopyOutOfShardsThatRan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sched.Run([][]uint32{a, b}, out, shards)
+	rep, err := sched.runShards([][]uint32{a, b}, out, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +332,7 @@ func TestTransientFaultBudgetExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sched.Run(vectorAddShards(a, b, out, 4))
+	_, err = sched.runShards(vectorAddShards(a, b, out, 4))
 	if !pim.IsFault(err) {
 		t.Fatalf("expected fault-budget error, got %v", err)
 	}

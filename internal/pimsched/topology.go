@@ -10,10 +10,11 @@
 // is placed on DPUs, staged, retried after faults and priced for
 // transfer: the drivers in internal/pim/kernels describe their work as
 // a slice of Shard values — a word range of the run's inputs and output
-// plus the tasklet program over it — and Scheduler.Run places them on
-// live DPUs and runs them chunk by chunk (a chunk is one rank's shards
-// of one wave): stage, launch, gather, in placement order on the
-// calling goroutine. The Report carries both the pipelined makespan and
+// plus the tasklet program over it. Scheduler.Compile places them on
+// live DPUs once, into a Plan, and Scheduler.Run runs the plan as often
+// as asked, chunk by chunk (a chunk is one rank's shards of one wave):
+// stage, launch, gather, in placement order on the calling goroutine.
+// The Report carries both the pipelined makespan and
 // the no-overlap serial time, computed from each chunk's modelled
 // phases, so the benefit of overlapping ranks is a modelled figure the
 // host does not have to perform.
